@@ -555,9 +555,19 @@ def poly_to_obj(p: MHPoly) -> dict:
     }
 
 
+def _require(obj, key: str, what: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise DomainError(f"{what} needs a {key!r} key")
+    return obj[key]
+
+
 def poly_from_obj(obj: dict, nvars) -> MHPoly:
-    degree = tuple(obj["degree"])
-    terms = {parse_exponent_key(k, nvars): Fraction(v) for k, v in obj["terms"].items()}
+    degree = tuple(_require(obj, "degree", "a polynomial"))
+    try:
+        terms = {parse_exponent_key(k, nvars): Fraction(v)
+                 for k, v in _require(obj, "terms", "a polynomial").items()}
+    except ZeroDivisionError as exc:
+        raise DomainError(f"a coefficient has a zero denominator ({exc})") from None
     return MHPoly(nvars, degree, terms)
 
 
@@ -573,8 +583,8 @@ def system_to_obj(sys: BilinearSystem) -> dict:
 
 
 def system_from_obj(obj: dict) -> BilinearSystem:
-    td = obj["type"]
-    t = SystemType(td["nx"], td["ny"], td["nz"], td["r"], td["s"])
-    polys = tuple(poly_from_obj(p, t.nvars) for p in obj["polys"])
+    td = _require(obj, "type", "a system")
+    t = SystemType(*(_require(td, key, "a system type") for key in ("nx", "ny", "nz", "r", "s")))
+    polys = tuple(poly_from_obj(p, t.nvars) for p in _require(obj, "polys", "a system"))
     f0 = poly_from_obj(obj["f0"], t.nvars) if "f0" in obj else None
     return BilinearSystem(t, polys, f0)

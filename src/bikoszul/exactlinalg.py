@@ -1,20 +1,25 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
 Matrices are small (a few thousand rows at most), so everything is
-plain list-of-lists arithmetic: fraction-free Bareiss elimination with
-row pivoting for integer/rational determinants, ordinary Gaussian
-elimination mod p. No floating point anywhere in this module except
-the explicit `to_float` conversion.
+plain list-of-lists arithmetic; no floating point except `to_float`.
+One elimination loop per arithmetic, fraction-free Bareiss over Q
+(`_bareiss`) and Gaussian mod p (`_gauss_fp`), runs k steps that pivot
+only among the leading k rows. It serves `det` (k = n),
+`schur_complement` (over Q the trailing block is divided by the last
+pivot, by Sylvester's identity) and `solve` (the Schur complement of
+[[A, B], [-I, 0]] at split n). `rank` and `nullspace` share `_rref`.
 
 The field tag of an ExactMatrix is None for the rationals or the prime
-p itself; mod-p entries are ints reduced to [0, p).
+p itself; mod-p entries are ints reduced to [0, p). A composite tag is
+rejected with ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import lcm, prod
 
 
 class SingularMatrixError(ArithmeticError):
@@ -23,6 +28,29 @@ class SingularMatrixError(ArithmeticError):
     Deliberately a distinct type: the eigenvalue solver treats it as a
     retry signal (pick a new random coordinate change), not a bug.
     """
+
+
+# Miller-Rabin with these bases is exact below 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@lru_cache(maxsize=None)
+def _is_prime(n: int) -> bool:
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass
@@ -39,6 +67,8 @@ class ExactMatrix:
                 raise ValueError("ragged matrix")
         if self.field is not None:
             p = self.field
+            if not _is_prime(p):
+                raise ValueError(f"field modulus {p} is not a prime")
             self.rows = [
                 [e % p if isinstance(e, int) else fraction_mod_p(e, p) for e in row]
                 for row in self.rows
@@ -61,9 +91,6 @@ class ExactMatrix:
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
         return ExactMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx], self.field)
-
-    def permuted(self, row_perm, col_perm) -> "ExactMatrix":
-        return self.submatrix(row_perm, col_perm)
 
 
 def identity(n: int, field: int | None = None) -> ExactMatrix:
@@ -90,128 +117,124 @@ def matvec(a: ExactMatrix, v) -> list:
 
 
 def _int_rows(m: ExactMatrix):
-    """Clear denominators row by row; returns (integer rows, total scale)."""
+    """Clear denominators row by row; returns (integer rows, row scales)."""
     rows = []
-    scale = Fraction(1)
+    scales = []
     for row in m.rows:
-        denom = 1
-        for e in row:
-            if isinstance(e, Fraction):
-                denom = lcm(denom, e.denominator)
-        scale *= denom
+        denom = lcm(1, *(e.denominator for e in row if isinstance(e, Fraction)))
+        scales.append(denom)
         rows.append([int(e * denom) if isinstance(e, Fraction) else int(e) * denom for e in row])
-    return rows, scale
+    return rows, scales
 
 
-def _det_bareiss_int(rows) -> int:
-    """Fraction-free Bareiss elimination; rows is a square integer matrix
-    that gets clobbered. Row pivoting on the first nonzero entry."""
-    n = len(rows)
+def _bareiss(rows, k: int) -> int:
+    """k fraction-free Bareiss steps on integer rows (clobbered), pivoting
+    on the first nonzero entry among the leading k rows.
+
+    Returns the sign of the row swaps, or 0 when the leading k x k block
+    is singular. Afterwards rows[k-1][k-1] is the determinant d of the
+    row-swapped leading block, and by Sylvester's identity every entry
+    below and right of it is d times the Schur complement entry.
+    """
+    nr, nc = len(rows), len(rows[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if rows[i][k] != 0), None)
+    for s in range(k):
+        pivot_row = next((i for i in range(s, k) if rows[i][s] != 0), None)
         if pivot_row is None:
             return 0
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+        if pivot_row != s:
+            rows[s], rows[pivot_row] = rows[pivot_row], rows[s]
             sign = -sign
-        pk = rows[k][k]
-        for i in range(k + 1, n):
-            ri, rk = rows[i], rows[k]
-            rik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pk - rik * rk[j]) // prev
-            ri[k] = 0
+        rs = rows[s]
+        pk = rs[s]
+        for i in range(s + 1, nr):
+            ri = rows[i]
+            ris = ri[s]
+            for j in range(s + 1, nc):
+                ri[j] = (ri[j] * pk - ris * rs[j]) // prev
+            ri[s] = 0
         prev = pk
-    return sign * rows[n - 1][n - 1]
+    return sign
 
 
-def _det_fp(rows, p: int) -> int:
-    n = len(rows)
+def _gauss_fp(rows, k: int, p: int) -> int:
+    """k Gaussian elimination steps mod p on rows (clobbered), pivoting on
+    the first nonzero entry among the leading k rows.
+
+    Returns the determinant of the leading k x k block, 0 when it is
+    singular. Afterwards the block below and right of it is the Schur
+    complement itself.
+    """
+    nr = len(rows)
     det = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if rows[i][k] % p != 0), None)
+    for s in range(k):
+        pivot_row = next((i for i in range(s, k) if rows[i][s] % p != 0), None)
         if pivot_row is None:
             return 0
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+        if pivot_row != s:
+            rows[s], rows[pivot_row] = rows[pivot_row], rows[s]
             det = -det
-        pk = rows[k][k] % p
-        det = det * pk % p
-        inv = pow(pk, p - 2, p)
-        for i in range(k + 1, n):
-            factor = rows[i][k] * inv % p
+        ps = rows[s][s] % p
+        det = det * ps % p
+        inv = pow(ps, p - 2, p)
+        for i in range(s + 1, nr):
+            factor = rows[i][s] * inv % p
             if factor:
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[k])]
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[s])]
     return det % p
 
 
+def _schur(m: ExactMatrix, k: int) -> ExactMatrix:
+    """Trailing block M22 - M21 M11^{-1} M12 of a (possibly rectangular)
+    matrix, after k elimination steps that pivot inside M11; raises
+    SingularMatrixError when M11 is singular."""
+    if m.field is not None:
+        rows = m.copy_rows()
+        if _gauss_fp(rows, k, m.field) == 0:
+            raise SingularMatrixError("singular matrix over F_p")
+        return ExactMatrix([row[k:] for row in rows[k:]], m.field)
+    rows, scales = _int_rows(m)
+    if _bareiss(rows, k) == 0:
+        raise SingularMatrixError("singular matrix over Q")
+    # the scale of a leading row cancels in M11^{-1} M12; that of a
+    # trailing row scales its row of the complement
+    pivot = rows[k - 1][k - 1]
+    return ExactMatrix([[Fraction(e, pivot * d) for e in row[k:]]
+                        for row, d in zip(rows[k:], scales[k:])])
+
+
 def det(m: ExactMatrix):
-    """Exact determinant. Bareiss over Q/Z, plain elimination over F_p."""
-    if m.nrows != m.ncols:
+    """Exact determinant: all n Bareiss steps over Q, Gaussian steps mod p."""
+    n = m.nrows
+    if n != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    if m.nrows == 0:
+    if n == 0:
         return 1 if m.field is None else 1 % m.field
     if m.field is not None:
-        return _det_fp(m.copy_rows(), m.field)
-    rows, scale = _int_rows(m)
-    value = Fraction(_det_bareiss_int(rows)) / scale
+        return _gauss_fp(m.copy_rows(), n, m.field)
+    rows, scales = _int_rows(m)
+    value = Fraction(_bareiss(rows, n) * rows[n - 1][n - 1], prod(scales))
     return int(value) if value.denominator == 1 else value
 
 
-def _solve_fp(a_rows, b_rows, p: int):
-    n = len(a_rows)
-    width = len(b_rows[0])
-    aug = [list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k] % p != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("singular matrix over F_p")
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        inv = pow(aug[k][k], p - 2, p)
-        aug[k] = [e * inv % p for e in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                factor = aug[i][k]
-                aug[i] = [(a - factor * b) % p for a, b in zip(aug[i], aug[k])]
-    return [row[n:n + width] for row in aug]
-
-
-def _solve_qq(a_rows, b_rows):
-    n = len(a_rows)
-    width = len(b_rows[0])
-    aug = [[Fraction(e) for e in ra] + [Fraction(e) for e in rb]
-           for ra, rb in zip(a_rows, b_rows)]
-    for k in range(n):
-        # largest pivot keeps intermediate fractions smaller on the
-        # integer matrices this sees in practice
-        pivot_row = max(range(k, n), key=lambda i: abs(aug[i][k]))
-        if aug[pivot_row][k] == 0:
-            raise SingularMatrixError("singular matrix over Q")
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pk = aug[k][k]
-        aug[k] = [e / pk for e in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                factor = aug[i][k]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[k])]
-    return [row[n:n + width] for row in aug]
-
-
 def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact X with A X = B; raises SingularMatrixError when A is singular."""
+    """Exact X with A X = B; raises SingularMatrixError when A is singular.
+
+    X is the Schur complement of the bordered matrix [[A, B], [-I, 0]].
+    """
     if a.nrows != a.ncols:
         raise ValueError("solve needs a square matrix")
     if a.field != b.field:
         raise ValueError("field mismatch")
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch")
-    if a.nrows == 0:
+    n = a.nrows
+    if n == 0:
         return ExactMatrix([], a.field)
-    if a.field is not None:
-        return ExactMatrix(_solve_fp(a.rows, b.rows, a.field), a.field)
-    return ExactMatrix(_solve_qq(a.rows, b.rows), None)
+    bordered = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
+    bordered += [[-1 if j == i else 0 for j in range(n)] + [0] * b.ncols for i in range(n)]
+    return _schur(ExactMatrix(bordered, a.field), n)
 
 
 def schur_complement(m: ExactMatrix, k: int) -> ExactMatrix:
@@ -220,70 +243,24 @@ def schur_complement(m: ExactMatrix, k: int) -> ExactMatrix:
         raise ValueError("Schur complement needs a square matrix")
     if not 0 <= k <= m.nrows:
         raise ValueError("invalid split position")
-    n = m.nrows
-    lead = list(range(k))
-    trail = list(range(k, n))
-    m11 = m.submatrix(lead, lead)
-    m12 = m.submatrix(lead, trail)
-    m21 = m.submatrix(trail, lead)
-    m22 = m.submatrix(trail, trail)
-    if k == 0 or n == k:
-        return m22
-    x = solve(m11, m12)
-    prod = matmul(m21, x)
-    rows = [[a - b for a, b in zip(r22, rp)] for r22, rp in zip(m22.rows, prod.rows)]
-    return ExactMatrix(rows, m.field)
+    if k == 0 or k == m.nrows:
+        trail = range(k, m.nrows)
+        return m.submatrix(trail, trail)
+    return _schur(m, k)
 
 
-def rank(m: ExactMatrix) -> int:
-    """Rank by exact elimination."""
-    if not m.rows:
-        return 0
+def _rref(m: ExactMatrix):
+    """Reduced row echelon form by Gauss-Jordan elimination over Q
+    (Fraction entries) or F_p; returns (rows, pivot columns)."""
     p = m.field
     rows = [[Fraction(e) for e in row] for row in m.rows] if p is None else m.copy_rows()
-    nr, nc = len(rows), len(rows[0])
-    r = 0
-    for col in range(nc):
-        pivot_row = next(
-            (i for i in range(r, nr) if (rows[i][col] if p is None else rows[i][col] % p) != 0),
-            None,
-        )
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        if p is None:
-            pk = rows[r][col]
-            rows[r] = [e / pk for e in rows[r]]
-        else:
-            inv = pow(rows[r][col], p - 2, p)
-            rows[r] = [e * inv % p for e in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                if p is None:
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-                else:
-                    rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
-        r += 1
+    nr = len(rows)
+    pivots = []
+    for col in range(m.ncols):
+        r = len(pivots)
         if r == nr:
             break
-    return r
-
-
-def nullspace(m: ExactMatrix) -> list[list]:
-    """Basis of the right kernel, from the reduced row echelon form."""
-    if not m.rows:
-        return []
-    p = m.field
-    rows = [[Fraction(e) for e in row] for row in m.rows] if p is None else m.copy_rows()
-    nr, nc = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(nc):
-        pivot_row = next(
-            (i for i in range(r, nr) if (rows[i][col] if p is None else rows[i][col] % p) != 0),
-            None,
-        )
+        pivot_row = next((i for i in range(r, nr) if rows[i][col] != 0), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
@@ -301,18 +278,26 @@ def nullspace(m: ExactMatrix) -> list[list]:
                 else:
                     rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
-        if r == nr:
-            break
+    return rows, pivots
+
+
+def rank(m: ExactMatrix) -> int:
+    """Rank by exact elimination."""
+    return len(_rref(m)[1])
+
+
+def nullspace(m: ExactMatrix) -> list[list]:
+    """Basis of the right kernel, from the reduced row echelon form."""
+    p = m.field
+    rows, pivots = _rref(m)
     basis = []
-    free = [c for c in range(nc) if c not in pivots]
-    one = 1 if p is None else 1
-    for col in free:
-        vec = [Fraction(0) if p is None else 0] * nc
-        vec[col] = one
+    for col in range(m.ncols):
+        if col in pivots:
+            continue
+        vec = [Fraction(0) if p is None else 0] * m.ncols
+        vec[col] = 1
         for i, pc in enumerate(pivots):
-            value = rows[i][col]
-            vec[pc] = -value if p is None else (-value) % p
+            vec[pc] = -rows[i][col] if p is None else -rows[i][col] % p
         basis.append(vec)
     return basis
 

@@ -270,7 +270,7 @@ class ThetaPartition:
         """Reorder a specialization of the base matrix."""
         if matrix.nrows != self.size or matrix.ncols != self.size:
             raise DomainError("matrix size does not match the partition")
-        return matrix.permuted(self.row_perm, self.col_perm)
+        return matrix.submatrix(self.row_perm, self.col_perm)
 
 
 def theta_partition(matrix: SymbolicResultantMatrix, theta: Exponent) -> ThetaPartition:

@@ -291,14 +291,15 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
     t = sys.type
     matrix = assemble_delta1(t)
     count = mhb(t)
+    # theta is always default_theta(t), so the split depends on the type only
+    partition = theta_partition(matrix, default_theta(t))
     last_failure = None
     for attempt in range(max_retries):
         rng = random.Random(f"{seed}:{attempt}")
         change = random_coordinate_change(t, rng)
-        transformed = apply_coordinate_change(BilinearSystem(t, sys.f), change)
         f0, theta = choose_f0_and_theta(t, rng)
-        spec = specialize(matrix, transformed.with_f0(f0))
-        partition = theta_partition(matrix, theta)
+        transformed = apply_coordinate_change(BilinearSystem(t, sys.f), change).with_f0(f0)
+        spec = specialize(matrix, transformed)
         try:
             schur = schur_complement(partition.apply(spec), partition.split)
         except SingularMatrixError as exc:
@@ -311,7 +312,7 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
         spec_float = to_float(spec)
         try:
             solutions, residuals = _recover_all(
-                transformed.with_f0(f0), partition, spec_float, pairs, change, sys)
+                transformed, partition, spec_float, pairs, change, sys)
         except ExtractionError as exc:
             last_failure = f"attempt {attempt}: {exc}"
             continue

@@ -85,6 +85,36 @@ def test_resultant_exact_and_mod_p(capsys):
     assert int(payload["det"]) == exact % 10007
 
 
+def test_resultant_rejects_composite_modulus(capsys):
+    # mod 10 the Fermat inverse is wrong, and the det -3402 came out as 0
+    code, out = run(capsys, "resultant", "--system", "paper", "--field", "fp:10")
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"]["kind"] == "ValueError"
+    assert "not a prime" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda obj: obj.pop("type"), "'type'"),
+    (lambda obj: obj.pop("polys"), "'polys'"),
+    (lambda obj: obj["polys"][0].pop("degree"), "'degree'"),
+    (lambda obj: obj["polys"][0].pop("terms"), "'terms'"),
+    (lambda obj: obj["polys"][0]["terms"].update({next(iter(obj["polys"][0]["terms"])): "1/0"}),
+     "zero denominator"),
+])
+def test_malformed_system_file_is_domain_error(capsys, tmp_path, mangle, message):
+    code, out = run(capsys, "example-system")
+    obj = json.loads(out)
+    mangle(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, "resultant", "--system", str(path))
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"]["kind"] == "DomainError"
+    assert message in record["error"]["message"]
+
+
 def test_resultant_vanishes_on_planted_file(capsys, tmp_path):
     t = core.SystemType(1, 1, 1, 2, 1)
     alpha = core.ProjectiveSolution((1, 2), (1, 3), (1, 4))

@@ -113,6 +113,131 @@ def test_schur_block_diagonal_and_det_identity():
         assert exactlinalg.det(m) == exactlinalg.det(lead) * exactlinalg.det(schur)
 
 
+def reference_schur(rows, k):
+    """Schur complement entry by entry from the determinantal formula
+    S_ij = det [[M11, M12_j], [M21_i, M22_ij]] / det M11, with cofactor
+    determinants; None when M11 is singular."""
+    lead = range(k)
+    d11 = naive_det([[rows[i][j] for j in lead] for i in lead])
+    if d11 == 0:
+        return None
+    n = len(rows)
+    return [[Fraction(naive_det([[rows[i][c] for c in [*lead, j]] for i in [*lead, r]]), d11)
+             for j in range(k, n)] for r in range(k, n)]
+
+
+def reference_solve(a_rows, b_rows):
+    """Cramer's rule with cofactor determinants; None when A is singular."""
+    d = naive_det(a_rows)
+    if d == 0:
+        return None
+    n = len(a_rows)
+    return [[Fraction(naive_det([[b_rows[r][j] if c == i else a_rows[r][c] for c in range(n)]
+                                 for r in range(n)]), d)
+             for j in range(len(b_rows[0]))] for i in range(n)]
+
+
+def random_entry(rng):
+    """Small integer, or now and then a proper fraction."""
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-3, 3), rng.randint(2, 4))
+    return rng.randint(-3, 3)
+
+
+def random_schur_case(rng):
+    """Random (rows, k), with a zero leading pivot or a singular leading
+    block forced into some cases."""
+    n = rng.randint(2, 6)
+    k = rng.randint(1, min(n - 1, 4))
+    rows = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+    shape = rng.random()
+    if shape < 0.3:
+        rows[0][0] = 0  # the first pivot needs a row swap
+    elif shape < 0.45 and k >= 2:
+        factor = random_entry(rng)
+        rows[k - 1][:k] = [factor * e for e in rows[0][:k]]  # M11 singular
+    return rows, k
+
+
+def test_schur_complement_matches_determinantal_formula_over_q():
+    rng = random.Random(2024)
+    swapped = singular = 0
+    for _ in range(200):
+        rows, k = random_schur_case(rng)
+        want = reference_schur(rows, k)
+        m = ExactMatrix(rows)
+        assert exactlinalg.det(m) == naive_det(rows)  # det runs the same loop
+        if want is None:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                exactlinalg.schur_complement(m, k)
+            continue
+        swapped += rows[0][0] == 0
+        assert exactlinalg.schur_complement(m, k).rows == want
+    assert swapped >= 20 and singular >= 20
+
+
+@pytest.mark.parametrize("p", [7, 101])
+def test_schur_complement_mod_p_is_the_rational_one_reduced(p):
+    rng = random.Random(p)
+    checked = singular = 0
+    for _ in range(200):
+        rows, k = random_schur_case(rng)
+        lead = [row[:k] for row in rows[:k]]
+        m = ExactMatrix(rows, p)
+        assert exactlinalg.det(m) == exactlinalg.fraction_mod_p(naive_det(rows), p)
+        if exactlinalg.fraction_mod_p(naive_det(lead), p) == 0:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                exactlinalg.schur_complement(m, k)
+            continue
+        want = [[exactlinalg.fraction_mod_p(e, p) for e in row]
+                for row in reference_schur(rows, k)]
+        assert exactlinalg.schur_complement(m, k).rows == want
+        assert exactlinalg.schur_complement(m, k).rows == \
+            ExactMatrix(exactlinalg.schur_complement(ExactMatrix(rows), k).rows, p).rows
+        checked += 1
+    assert checked >= 100 and singular >= 20
+
+
+@pytest.mark.parametrize("p", [None, 101])
+def test_solve_matches_cramer(p):
+    rng = random.Random(31 if p is None else p)
+    solved = singular = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        a_rows = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            a_rows[0][0] = 0
+        if rng.random() < 0.15 and n >= 2:
+            a_rows[-1] = [2 * e for e in a_rows[0]]
+        b_rows = [[random_entry(rng) for _ in range(rng.randint(1, 3))]]
+        b_rows += [[random_entry(rng) for _ in b_rows[0]] for _ in range(n - 1)]
+        want = reference_solve(a_rows, b_rows)
+        if want is not None and p is not None:
+            if exactlinalg.fraction_mod_p(naive_det(a_rows), p) == 0:
+                want = None
+            else:
+                want = [[exactlinalg.fraction_mod_p(e, p) for e in row] for row in want]
+        a, b = ExactMatrix(a_rows, p), ExactMatrix(b_rows, p)
+        if want is None:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                exactlinalg.solve(a, b)
+            continue
+        assert exactlinalg.solve(a, b).rows == want
+        solved += 1
+    assert solved >= 80 and singular >= 10
+
+
+def test_composite_modulus_is_rejected():
+    for q in (1, 4, 10, 561, 1_000_001, 3215031751):
+        with pytest.raises(ValueError, match="not a prime"):
+            ExactMatrix([[1]], q)
+    for p in (2, 3, 101, 10007, 1_000_003, 2 ** 61 - 1):
+        assert ExactMatrix([[p + 1]], p).rows == [[1]]
+
+
 def test_rank_and_nullspace():
     m = ExactMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert exactlinalg.rank(m) == 2
