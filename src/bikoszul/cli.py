@@ -2,7 +2,8 @@
 
 Subcommands: dims, search-dv, matrix, resultant, solve, oracle, bench,
 selftest-paper, example-system. Exit codes: 0 success, 1 domain error
-(with a machine-readable error record on stdout), 2 usage error.
+(with a machine-readable error record on stdout) or standard output
+closed by its reader (with nothing more printed), 2 usage error.
 
 All commands are deterministic given (input, seed); JSON outputs carry
 the tool version and the randomization used.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 
 from . import __version__, core, exactlinalg, koszul, oracle, selftest, solver, weyman
@@ -35,10 +37,7 @@ def _parse_field(text: str | None) -> int | None:
     if text is None or text == "q":
         return None
     if text.startswith("fp:"):
-        p = int(text[3:])
-        if p < 2:
-            raise core.DomainError("field characteristic must be a prime >= 2")
-        return p
+        return exactlinalg.require_prime(int(text[3:]))
     raise core.DomainError(f"unknown field spec {text!r} (use q or fp:<p>)")
 
 
@@ -309,16 +308,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except (ValueError, exactlinalg.SingularMatrixError, solver.SolveError,
             koszul.AssemblyError, OSError) as exc:
         record = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(record))
         return 1
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        _sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader closed stdout: print nothing more, and send the
+        # interpreter's final flush to devnull so that it cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ take explicit seeds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
 from itertools import product as _product
 from math import comb, gcd
@@ -372,17 +372,17 @@ class CoordinateChange:
     ax: tuple
     ay: tuple
     az: tuple
+    _: KW_ONLY
+    invertible: InitVar[bool] = False  # the blocks are known to be invertible
 
-    def __post_init__(self):
-        from . import exactlinalg
-
+    def __post_init__(self, invertible):
         for name in ("ax", "ay", "az"):
             mat = tuple(tuple(row) for row in getattr(self, name))
             object.__setattr__(self, name, mat)
             size = len(mat)
             if any(len(row) != size for row in mat):
                 raise DomainError(f"{name} is not square")
-            if exactlinalg.det(exactlinalg.ExactMatrix([list(r) for r in mat])) == 0:
+            if not invertible and not _invertible(mat):
                 raise DomainError(f"{name} is singular")
 
     @property
@@ -390,20 +390,24 @@ class CoordinateChange:
         return (self.ax, self.ay, self.az)
 
 
+def _invertible(mat) -> bool:
+    from . import exactlinalg
+
+    return exactlinalg.det(exactlinalg.ExactMatrix([list(row) for row in mat])) != 0
+
+
 def random_coordinate_change(t: SystemType, seed, bound: int = 5) -> CoordinateChange:
     """Per-block integer matrices, entries uniform in [-bound, bound],
     resampled until every block is invertible."""
-    from . import exactlinalg
-
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     blocks = []
     for nv in t.nvars:
         while True:
             mat = [[Fraction(rng.randint(-bound, bound)) for _ in range(nv)] for _ in range(nv)]
-            if exactlinalg.det(exactlinalg.ExactMatrix(mat)) != 0:
+            if _invertible(mat):
                 break
-        blocks.append(tuple(tuple(row) for row in mat))
-    return CoordinateChange(*blocks)
+        blocks.append(mat)
+    return CoordinateChange(*blocks, invertible=True)
 
 
 def _substitute_block(sigma: Block, mat) -> dict[Block, Fraction]:

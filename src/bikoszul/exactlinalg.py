@@ -1,13 +1,19 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
-Matrices are small (a few thousand rows at most), so everything is
-plain list-of-lists arithmetic; no floating point except `to_float`.
-One elimination loop per arithmetic, fraction-free Bareiss over Q
-(`_bareiss`) and Gaussian mod p (`_gauss_fp`), runs k steps that pivot
-only among the leading k rows. It serves `det` (k = n),
-`schur_complement` (over Q the trailing block is divided by the last
-pivot, by Sylvester's identity) and `solve` (the Schur complement of
-[[A, B], [-I, 0]] at split n). `rank` and `nullspace` share `_rref`.
+Matrices hold exact entries (Fractions or ints) in lists of rows; floats
+appear only in `to_float`. One numpy elimination loop mod p,
+`_eliminate`, runs k Gaussian steps that pivot only among the leading k
+rows, each step a single rank-1 update of the rows below that have a
+nonzero in the pivot column. It runs on int64 when p < 2^31, so that
+(p-1)^2 fits, and on Python ints in an object array otherwise. It serves
+`det`, `schur_complement` and `solve` (the Schur complement of
+[[A, B], [-I, 0]] at split n) over F_p, and `det` over Q: denominators
+are cleared row by row, the loop runs modulo descending primes below
+2^31 until their product exceeds twice the Hadamard bound, and CRT plus
+the symmetric residue give the integer determinant. The Schur
+complement over Q runs k fraction-free Bareiss steps (`_bareiss`) and
+divides the trailing block by the last pivot (Sylvester's identity).
+`rank` and `nullspace` share the Gauss-Jordan `_rref`.
 
 The field tag of an ExactMatrix is None for the rationals or the prime
 p itself; mod-p entries are ints reduced to [0, p). A composite tag is
@@ -19,7 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import lcm, prod
+
+import numpy as np
 
 
 class SingularMatrixError(ArithmeticError):
@@ -29,6 +38,9 @@ class SingularMatrixError(ArithmeticError):
     retry signal (pick a new random coordinate change), not a bug.
     """
 
+
+# the mod-p loop runs on int64 below this modulus: (p - 1)^2 < 2^62
+_INT64_PRIME_LIMIT = 2 ** 31
 
 # Miller-Rabin with these bases is exact below 3.3e24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -53,6 +65,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> int:
+    """p itself; ValueError when it is not a prime, so not a field modulus."""
+    if not _is_prime(p):
+        raise ValueError(f"field modulus {p} is not a prime")
+    return p
+
+
 @dataclass
 class ExactMatrix:
     """Dense exact matrix: entries over Q (field None) or F_p (field p)."""
@@ -66,9 +85,7 @@ class ExactMatrix:
             if any(len(row) != width for row in self.rows):
                 raise ValueError("ragged matrix")
         if self.field is not None:
-            p = self.field
-            if not _is_prime(p):
-                raise ValueError(f"field modulus {p} is not a prime")
+            p = require_prime(self.field)
             self.rows = [
                 [e % p if isinstance(e, int) else fraction_mod_p(e, p) for e in row]
                 for row in self.rows
@@ -123,29 +140,27 @@ def _int_rows(m: ExactMatrix):
     for row in m.rows:
         denom = lcm(1, *(e.denominator for e in row if isinstance(e, Fraction)))
         scales.append(denom)
-        rows.append([int(e * denom) if isinstance(e, Fraction) else int(e) * denom for e in row])
+        rows.append([e.numerator * (denom // e.denominator) if isinstance(e, Fraction)
+                     else int(e) * denom for e in row])
     return rows, scales
 
 
-def _bareiss(rows, k: int) -> int:
+def _bareiss(rows, k: int) -> bool:
     """k fraction-free Bareiss steps on integer rows (clobbered), pivoting
     on the first nonzero entry among the leading k rows.
 
-    Returns the sign of the row swaps, or 0 when the leading k x k block
-    is singular. Afterwards rows[k-1][k-1] is the determinant d of the
-    row-swapped leading block, and by Sylvester's identity every entry
-    below and right of it is d times the Schur complement entry.
+    Returns False when the leading k x k block is singular. Afterwards
+    rows[k-1][k-1] is the determinant d of the row-swapped leading block,
+    and by Sylvester's identity every entry below and right of it is d
+    times the Schur complement entry.
     """
     nr, nc = len(rows), len(rows[0])
-    sign = 1
     prev = 1
     for s in range(k):
         pivot_row = next((i for i in range(s, k) if rows[i][s] != 0), None)
         if pivot_row is None:
-            return 0
-        if pivot_row != s:
-            rows[s], rows[pivot_row] = rows[pivot_row], rows[s]
-            sign = -sign
+            return False
+        rows[s], rows[pivot_row] = rows[pivot_row], rows[s]
         rs = rows[s]
         pk = rs[s]
         for i in range(s + 1, nr):
@@ -155,34 +170,40 @@ def _bareiss(rows, k: int) -> int:
                 ri[j] = (ri[j] * pk - ris * rs[j]) // prev
             ri[s] = 0
         prev = pk
-    return sign
+    return True
 
 
-def _gauss_fp(rows, k: int, p: int) -> int:
-    """k Gaussian elimination steps mod p on rows (clobbered), pivoting on
-    the first nonzero entry among the leading k rows.
+def _eliminate(a, k: int, p: int) -> int:
+    """k Gaussian elimination steps mod p on the array a (clobbered),
+    pivoting on the first nonzero entry among the leading k rows.
 
-    Returns the determinant of the leading k x k block, 0 when it is
-    singular. Afterwards the block below and right of it is the Schur
-    complement itself.
+    Entries are in [0, p): a is int64 when p < 2^31, so that (p-1)^2
+    fits, and object (Python ints) otherwise; the code is the same.
+    Each step is one rank-1 update of the rows whose entry in the pivot
+    column is nonzero. Returns the determinant of the leading k x k
+    block, 0 when it is singular. Afterwards the block below and right
+    of it is the Schur complement itself.
     """
-    nr = len(rows)
     det = 1
     for s in range(k):
-        pivot_row = next((i for i in range(s, k) if rows[i][s] % p != 0), None)
-        if pivot_row is None:
+        lead = np.flatnonzero(a[s:k, s])
+        if lead.size == 0:
             return 0
-        if pivot_row != s:
-            rows[s], rows[pivot_row] = rows[pivot_row], rows[s]
+        if lead[0]:
+            a[[s, s + lead[0]]] = a[[s + lead[0], s]]
             det = -det
-        ps = rows[s][s] % p
+        ps = int(a[s, s])
         det = det * ps % p
-        inv = pow(ps, p - 2, p)
-        for i in range(s + 1, nr):
-            factor = rows[i][s] * inv % p
-            if factor:
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[s])]
+        rows = s + 1 + np.flatnonzero(a[s + 1:, s])
+        if rows.size:
+            f = a[rows, s] * pow(ps, -1, p) % p
+            a[rows, s:] = (a[rows, s:] - f[:, None] * a[s, s:]) % p
     return det % p
+
+
+def _fp_array(rows, p: int):
+    """Rows of ints in [0, p) as the array `_eliminate` runs on."""
+    return np.array(rows, dtype=np.int64 if p < _INT64_PRIME_LIMIT else object)
 
 
 def _schur(m: ExactMatrix, k: int) -> ExactMatrix:
@@ -190,12 +211,12 @@ def _schur(m: ExactMatrix, k: int) -> ExactMatrix:
     matrix, after k elimination steps that pivot inside M11; raises
     SingularMatrixError when M11 is singular."""
     if m.field is not None:
-        rows = m.copy_rows()
-        if _gauss_fp(rows, k, m.field) == 0:
+        a = _fp_array(m.rows, m.field)
+        if _eliminate(a, k, m.field) == 0:
             raise SingularMatrixError("singular matrix over F_p")
-        return ExactMatrix([row[k:] for row in rows[k:]], m.field)
+        return ExactMatrix(a[k:, k:].tolist(), m.field)
     rows, scales = _int_rows(m)
-    if _bareiss(rows, k) == 0:
+    if not _bareiss(rows, k):
         raise SingularMatrixError("singular matrix over Q")
     # the scale of a leading row cancels in M11^{-1} M12; that of a
     # trailing row scales its row of the complement
@@ -205,17 +226,48 @@ def _schur(m: ExactMatrix, k: int) -> ExactMatrix:
 
 
 def det(m: ExactMatrix):
-    """Exact determinant: all n Bareiss steps over Q, Gaussian steps mod p."""
+    """Exact determinant: n elimination steps mod p; over Q, the same
+    steps modulo enough word-size primes to recover it by CRT."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1 if m.field is None else 1 % m.field
     if m.field is not None:
-        return _gauss_fp(m.copy_rows(), n, m.field)
+        return _eliminate(_fp_array(m.rows, m.field), n, m.field)
     rows, scales = _int_rows(m)
-    value = Fraction(_bareiss(rows, n) * rows[n - 1][n - 1], prod(scales))
+    value = Fraction(_det_multimodular(rows), prod(scales))
     return int(value) if value.denominator == 1 else value
+
+
+def _det_multimodular(rows) -> int:
+    """Determinant of a square integer matrix from its residues modulo
+    descending primes below 2^31, recombined by CRT until the product of
+    the primes exceeds twice the Hadamard bound."""
+    # squared Hadamard bound: the smaller of the row-norm and the
+    # column-norm products, both squared
+    bound2 = min(prod(sum(e * e for e in line) for line in lines)
+                 for lines in (rows, zip(*rows)))
+    big = max(abs(e) for row in rows for e in row) >= 2 ** 63
+    ints = np.array(rows, dtype=object if big else np.int64)
+    value, modulus = 0, 1
+    for q in map(_word_prime, count()):
+        if modulus * modulus > 4 * bound2:
+            break
+        residue = _eliminate((ints % q).astype(np.int64, copy=False), len(rows), q)
+        # Garner's step: value stays the residue modulo the product so far
+        value += modulus * ((residue - value) * pow(modulus, -1, q) % q)
+        modulus *= q
+    return value - modulus if 2 * value > modulus else value
+
+
+@lru_cache(maxsize=None)
+def _word_prime(i: int) -> int:
+    """The i-th largest prime below 2^31 (i = 0, 1, ... in turn)."""
+    q = 2 ** 31 - 1 if i == 0 else _word_prime(i - 1) - 2
+    while not _is_prime.__wrapped__(q):  # uncached: most candidates are composite
+        q -= 2
+    return q
 
 
 def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -304,8 +356,6 @@ def nullspace(m: ExactMatrix) -> list[list]:
 
 def to_float(m: ExactMatrix):
     """float64 numpy copy (rationals only)."""
-    import numpy as np
-
     if m.field is not None:
         raise ValueError("to_float is for rational matrices")
     return np.array([[float(e) for e in row] for row in m.rows], dtype=float)

@@ -31,7 +31,7 @@ from .core import (
     monomial_basis,
     partial_evaluate_xy,
 )
-from .exactlinalg import ExactMatrix, fraction_mod_p, matvec, rank
+from .exactlinalg import ExactMatrix, fraction_mod_p, matvec, rank, require_prime
 from .koszul import assemble_delta1, k0_basis, k1_basis, specialize
 
 
@@ -65,10 +65,12 @@ def ff_solve(sys: BilinearSystem, p: int, include_f0: bool = False,
 
     Exploits the 2-bilinear shape: for each x-point the constraints on y
     and on z are independent linear conditions. With include_f0 the
-    trilinear equation is checked as well.
+    trilinear equation is checked as well. ValueError when p is not a
+    prime.
     """
     import numpy as np
 
+    require_prime(p)
     t = sys.type
     sizes = [len(projective_points(n_t, p)) for n_t in t.dims]
     total = sizes[0] * sizes[1] * sizes[2]

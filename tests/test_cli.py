@@ -1,10 +1,14 @@
 """Command-line behavior: outputs, exit codes, determinism, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bikoszul import cli, core
+from bikoszul import cli, core, oracle, selftest
 
 
 def run(capsys, *argv):
@@ -153,6 +157,35 @@ def test_oracle_command(capsys):
     assert payload["count"] == 2
     code, out = run(capsys, "oracle", "--system", "paper")
     assert code == 1  # needs a finite field
+
+
+@pytest.mark.parametrize("modulus", ["10", "1", "561"])
+def test_oracle_rejects_composite_modulus(capsys, modulus):
+    # mod 10 the oracle used to list 4 "projective solutions over F_10"
+    code, out = run(capsys, "oracle", "--system", "paper", "--field", f"fp:{modulus}")
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"]["kind"] == "ValueError"
+    assert "not a prime" in record["error"]["message"]
+    with pytest.raises(ValueError, match="not a prime"):
+        oracle.ff_solve(selftest.paper_system(), int(modulus))
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops early gets no traceback on stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    # about 160 kB of csv overfills the pipe, so the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bikoszul.cli", "matrix", "--type", "3,2,2,4,3",
+         "--output", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.stdout.readline().startswith(",")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_example_system_roundtrips(capsys):

@@ -164,6 +164,25 @@ def test_singular_block_rejected():
         core.CoordinateChange(((1, 1), (1, 1)), ((1, 0), (0, 1)), ((1, 0), (0, 1)))
 
 
+def test_random_coordinate_change_checks_each_block_once(monkeypatch):
+    nonzero = []
+
+    def counting_det(m):
+        value = det(m)
+        nonzero.extend([m.rows] if value else [])
+        return value
+
+    det = exactlinalg.det
+    monkeypatch.setattr(exactlinalg, "det", counting_det)
+    t = SystemType(2, 1, 3, 3, 3)
+    for seed in range(10):
+        nonzero.clear()
+        change = core.random_coordinate_change(t, seed)
+        # one accepted (nonzero) det per block, none repeated by the constructor
+        assert [[list(row) for row in rows] for rows in nonzero] == \
+            [[list(row) for row in block] for block in change.blocks]
+
+
 def test_composition_identity_on_random_triples():
     t = SystemType(1, 1, 1, 2, 1)
     rng = random.Random(5)

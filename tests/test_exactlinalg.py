@@ -144,17 +144,17 @@ def random_entry(rng):
     return rng.randint(-3, 3)
 
 
-def random_schur_case(rng):
+def random_schur_case(rng, entry=random_entry):
     """Random (rows, k), with a zero leading pivot or a singular leading
     block forced into some cases."""
     n = rng.randint(2, 6)
     k = rng.randint(1, min(n - 1, 4))
-    rows = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+    rows = [[entry(rng) for _ in range(n)] for _ in range(n)]
     shape = rng.random()
     if shape < 0.3:
         rows[0][0] = 0  # the first pivot needs a row swap
     elif shape < 0.45 and k >= 2:
-        factor = random_entry(rng)
+        factor = entry(rng)
         rows[k - 1][:k] = [factor * e for e in rows[0][:k]]  # M11 singular
     return rows, k
 
@@ -275,3 +275,95 @@ def test_leading_block_invertibility_criterion():
         m11 = spec.submatrix(range(part.split), range(part.split))
         nonsingular += exactlinalg.det(m11) != 0
     assert nonsingular >= 9
+
+
+def test_multimodular_det_over_q_matches_cofactor():
+    rng = random.Random(63)
+    big = singular = 0
+    for trial in range(150):
+        n = rng.randint(0, 5)
+        shape = rng.random()
+        if shape < 0.25:  # entries at and above 2^63 take the object-array path
+            rows = [[rng.choice((-1, 1)) * rng.randint(2 ** 63, 2 ** 70) if rng.random() < 0.5
+                     else rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            big += n > 0
+        else:
+            rows = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and 0.25 <= shape < 0.45:
+            rows[-1] = [Fraction(3, 2) * e for e in rows[0]]  # singular
+        want = naive_det(rows)
+        singular += want == 0
+        assert exactlinalg.det(ExactMatrix(rows)) == want
+    assert big >= 20 and singular >= 20
+    assert exactlinalg.det(ExactMatrix([[2 ** 64 + 1]])) == 2 ** 64 + 1
+    assert exactlinalg.det(ExactMatrix([[Fraction(-7, 3)]])) == Fraction(-7, 3)
+    assert exactlinalg.det(ExactMatrix([[0]])) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_fp_loop_matches_references_at_small_and_word_size_primes(p):
+    """2^31 - 1 is the largest int64 modulus; 2^61 - 1 runs on Python ints."""
+    rng = random.Random(p)
+    checked = singular = 0
+    for _ in range(120):
+        # integer entries: a denominator 2 or 3 is no unit mod 2 or 3
+        rows, k = random_schur_case(rng, lambda rng: rng.randint(-3, 3))
+        m = ExactMatrix(rows, p)
+        assert exactlinalg.det(m) == exactlinalg.fraction_mod_p(naive_det(rows), p)
+        if exactlinalg.fraction_mod_p(naive_det([row[:k] for row in rows[:k]]), p) == 0:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                exactlinalg.schur_complement(m, k)
+            with pytest.raises(SingularMatrixError):
+                exactlinalg.solve(m.submatrix(range(k), range(k)),
+                                  m.submatrix(range(k), range(k, len(rows))))
+            continue
+        want = [[exactlinalg.fraction_mod_p(e, p) for e in row]
+                for row in reference_schur(rows, k)]
+        assert exactlinalg.schur_complement(m, k).rows == want
+        want = [[exactlinalg.fraction_mod_p(e, p) for e in row]
+                for row in reference_solve([row[:k] for row in rows[:k]],
+                                           [row[k:] for row in rows[:k]])]
+        assert exactlinalg.solve(m.submatrix(range(k), range(k)),
+                                 m.submatrix(range(k), range(k, len(rows)))).rows == want
+        checked += 1
+    assert checked >= 40 and singular >= 10
+
+
+def test_det_over_q_reduces_to_det_over_fp_on_a_koszul_matrix():
+    t = SystemType(2, 2, 2, 3, 3)
+    rng = random.Random(81)
+    matrix = koszul.assemble_delta1(t)
+    system = core.random_system(t, rng)
+    f0 = core.MHPoly(t.nvars, (1, 1, 1), {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                         for e in core.exponent_basis(t.nvars, (1, 1, 1))})
+    system = system.with_f0(f0)
+    value = exactlinalg.det(koszul.specialize(matrix, system))
+    assert matrix.size == 81 and value != 0
+    for p in (10007, 1_000_003, 2 ** 31 - 1):
+        assert exactlinalg.fraction_mod_p(value, p) == \
+            exactlinalg.det(koszul.specialize(matrix, system, p))
+
+
+def test_int64_loop_at_the_largest_int64_prime_matches_python_ints():
+    """Guards the int64/object boundary: at the largest prime that runs on
+    int64 (2^31 - 1) the products (p - 1)^2 come within a factor 2 of the
+    int64 range, and a higher limit would overflow."""
+    import numpy as np
+
+    p = exactlinalg._INT64_PRIME_LIMIT - 1
+    while not exactlinalg._is_prime(p):
+        p -= 1
+    assert p == 2 ** 31 - 1
+    assert exactlinalg._fp_array([[1]], p).dtype == np.int64
+    rng = random.Random(60)
+    rows = [[rng.randrange(p - 2 ** 20, p) for _ in range(60)] for _ in range(60)]
+    fast = np.array(rows, dtype=np.int64)
+    slow = np.array(rows, dtype=object)
+    k = 40
+    d_fast = exactlinalg._eliminate(fast, k, p)
+    d_slow = exactlinalg._eliminate(slow, k, p)
+    assert d_fast == d_slow != 0
+    assert fast.tolist() == slow.tolist()
+    assert exactlinalg.det(ExactMatrix(rows, p)) == \
+        exactlinalg._eliminate(np.array(rows, dtype=object), 60, p)
