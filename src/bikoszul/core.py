@@ -17,8 +17,9 @@ take explicit seeds.
 from __future__ import annotations
 
 import random
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _product
 from math import comb, gcd
 
@@ -372,17 +373,15 @@ class CoordinateChange:
     ax: tuple
     ay: tuple
     az: tuple
-    _: KW_ONLY
-    invertible: InitVar[bool] = False  # the blocks are known to be invertible
 
-    def __post_init__(self, invertible):
+    def __post_init__(self):
         for name in ("ax", "ay", "az"):
             mat = tuple(tuple(row) for row in getattr(self, name))
             object.__setattr__(self, name, mat)
             size = len(mat)
             if any(len(row) != size for row in mat):
                 raise DomainError(f"{name} is not square")
-            if not invertible and not _invertible(mat):
+            if not _invertible(mat):
                 raise DomainError(f"{name} is singular")
 
     @property
@@ -390,7 +389,10 @@ class CoordinateChange:
         return (self.ax, self.ay, self.az)
 
 
-def _invertible(mat) -> bool:
+@lru_cache(maxsize=64)
+def _invertible(mat: tuple) -> bool:
+    """Whether the square tuple-of-tuples block has a nonzero det. Cached, so
+    CoordinateChange reuses the check random_coordinate_change just made."""
     from . import exactlinalg
 
     return exactlinalg.det(exactlinalg.ExactMatrix([list(row) for row in mat])) != 0
@@ -403,11 +405,12 @@ def random_coordinate_change(t: SystemType, seed, bound: int = 5) -> CoordinateC
     blocks = []
     for nv in t.nvars:
         while True:
-            mat = [[Fraction(rng.randint(-bound, bound)) for _ in range(nv)] for _ in range(nv)]
+            mat = tuple(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(nv))
+                        for _ in range(nv))
             if _invertible(mat):
                 break
         blocks.append(mat)
-    return CoordinateChange(*blocks, invertible=True)
+    return CoordinateChange(*blocks)
 
 
 def _substitute_block(sigma: Block, mat) -> dict[Block, Fraction]:

@@ -177,6 +177,7 @@ def test_random_coordinate_change_checks_each_block_once(monkeypatch):
     t = SystemType(2, 1, 3, 3, 3)
     for seed in range(10):
         nonzero.clear()
+        core._invertible.cache_clear()
         change = core.random_coordinate_change(t, seed)
         # one accepted (nonzero) det per block, none repeated by the constructor
         assert [[list(row) for row in rows] for rows in nonzero] == \

@@ -29,6 +29,27 @@ def naive_det(rows):
     return total
 
 
+def fraction_det(rows):
+    """Gaussian elimination over Fractions, the independent oracle for
+    matrices too large for cofactor expansion."""
+    a = [[Fraction(e) for e in row] for row in rows]
+    n = len(a)
+    value = Fraction(1)
+    for s in range(n):
+        pivot = next((r for r in range(s, n) if a[r][s]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != s:
+            a[s], a[pivot] = a[pivot], a[s]
+            value = -value
+        value *= a[s][s]
+        for r in range(s + 1, n):
+            if a[r][s]:
+                f = a[r][s] / a[s][s]
+                a[r] = [x - f * y for x, y in zip(a[r], a[s])]
+    return value
+
+
 def test_det_basic():
     assert exactlinalg.det(ExactMatrix([[1, 2], [3, 4]])) == -2
     assert exactlinalg.det(ExactMatrix([])) == 1
@@ -338,9 +359,12 @@ def test_det_over_q_reduces_to_det_over_fp_on_a_koszul_matrix():
     f0 = core.MHPoly(t.nvars, (1, 1, 1), {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                                          for e in core.exponent_basis(t.nvars, (1, 1, 1))})
     system = system.with_f0(f0)
-    value = exactlinalg.det(koszul.specialize(matrix, system))
+    spec = koszul.specialize(matrix, system)
+    value = exactlinalg.det(spec)
     assert matrix.size == 81 and value != 0
-    for p in (10007, 1_000_003, 2 ** 31 - 1):
+    assert value == fraction_det(spec.rows)
+    # none of these is among the CRT primes, which lie just below 2^31
+    for p in (10007, 65521, 1_000_003):
         assert exactlinalg.fraction_mod_p(value, p) == \
             exactlinalg.det(koszul.specialize(matrix, system, p))
 
