@@ -6,14 +6,14 @@ appear only in `to_float`. One numpy elimination loop mod p,
 rows, each step a single rank-1 update of the rows below that have a
 nonzero in the pivot column. It runs on int64 when p < 2^31, so that
 (p-1)^2 fits, and on Python ints in an object array otherwise. It serves
-`det`, `schur_complement` and `solve` (the Schur complement of
-[[A, B], [-I, 0]] at split n) over F_p, and `det` over Q: denominators
-are cleared row by row, the loop runs modulo descending primes below
-2^31 until their product exceeds twice the Hadamard bound, and CRT plus
-the symmetric residue give the integer determinant. The Schur
-complement over Q runs k fraction-free Bareiss steps (`_bareiss`) and
-divides the trailing block by the last pivot (Sylvester's identity).
-`rank` and `nullspace` share the Gauss-Jordan `_rref`.
+`det` (n steps), `schur_complement` (k steps) and `solve` (the Schur
+complement of [[A, B], [-I, 0]] at split n) over both fields. Over Q
+one CRT driver, `_multimodular`, clears denominators row by row and
+runs the loop modulo descending primes below 2^31 until their product
+exceeds twice a Hadamard bound; CRT plus the symmetric residue give
+d = det M11 and the integer matrix d * S (Sylvester's identity), so the
+Schur complement S needs no rational reconstruction. `rank` and
+`nullspace` share the Gauss-Jordan `_rref`.
 
 The field tag of an ExactMatrix is None for the rationals or the prime
 p itself; mod-p entries are ints reduced to [0, p). A composite tag is
@@ -145,34 +145,6 @@ def _int_rows(m: ExactMatrix):
     return rows, scales
 
 
-def _bareiss(rows, k: int) -> bool:
-    """k fraction-free Bareiss steps on integer rows (clobbered), pivoting
-    on the first nonzero entry among the leading k rows.
-
-    Returns False when the leading k x k block is singular. Afterwards
-    rows[k-1][k-1] is the determinant d of the row-swapped leading block,
-    and by Sylvester's identity every entry below and right of it is d
-    times the Schur complement entry.
-    """
-    nr, nc = len(rows), len(rows[0])
-    prev = 1
-    for s in range(k):
-        pivot_row = next((i for i in range(s, k) if rows[i][s] != 0), None)
-        if pivot_row is None:
-            return False
-        rows[s], rows[pivot_row] = rows[pivot_row], rows[s]
-        rs = rows[s]
-        pk = rs[s]
-        for i in range(s + 1, nr):
-            ri = rows[i]
-            ris = ri[s]
-            for j in range(s + 1, nc):
-                ri[j] = (ri[j] * pk - ris * rs[j]) // prev
-            ri[s] = 0
-        prev = pk
-    return True
-
-
 def _eliminate(a, k: int, p: int) -> int:
     """k Gaussian elimination steps mod p on the array a (clobbered),
     pivoting on the first nonzero entry among the leading k rows.
@@ -216,13 +188,11 @@ def _schur(m: ExactMatrix, k: int) -> ExactMatrix:
             raise SingularMatrixError("singular matrix over F_p")
         return ExactMatrix(a[k:, k:].tolist(), m.field)
     rows, scales = _int_rows(m)
-    if not _bareiss(rows, k):
-        raise SingularMatrixError("singular matrix over Q")
+    d, big_d = _multimodular(rows, k)
     # the scale of a leading row cancels in M11^{-1} M12; that of a
     # trailing row scales its row of the complement
-    pivot = rows[k - 1][k - 1]
-    return ExactMatrix([[Fraction(e, pivot * d) for e in row[k:]]
-                        for row, d in zip(rows[k:], scales[k:])])
+    return ExactMatrix([[Fraction(e, d * scale) for e in row]
+                        for row, scale in zip(big_d.tolist(), scales[k:])])
 
 
 def det(m: ExactMatrix):
@@ -236,29 +206,59 @@ def det(m: ExactMatrix):
     if m.field is not None:
         return _eliminate(_fp_array(m.rows, m.field), n, m.field)
     rows, scales = _int_rows(m)
-    value = Fraction(_det_multimodular(rows), prod(scales))
+    value = Fraction(_multimodular(rows, n)[0], prod(scales))
     return int(value) if value.denominator == 1 else value
 
 
-def _det_multimodular(rows) -> int:
-    """Determinant of a square integer matrix from its residues modulo
+def _multimodular(rows, k: int):
+    """(d, D) for integer rows: d the determinant of the leading k x k
+    block M11 and D = d * (its Schur complement), an integer matrix by
+    Sylvester's identity. Both come from k elimination steps modulo
     descending primes below 2^31, recombined by CRT until the product of
-    the primes exceeds twice the Hadamard bound."""
-    # squared Hadamard bound: the smaller of the row-norm and the
-    # column-norm products, both squared
-    bound2 = min(prod(sum(e * e for e in line) for line in lines)
-                 for lines in (rows, zip(*rows)))
+    the primes exceeds twice the Hadamard bound on every (k+1)-minor,
+    which bounds |d| and every entry of D.
+
+    With a trailing block, a prime for which M11 is singular is skipped,
+    and once the skipped primes exceed the Hadamard bound on |d|, M11 is
+    singular over Q: SingularMatrixError. Without one, a residue 0 is
+    just a residue.
+    """
+    schur = k < len(rows)
+    cols = list(zip(*rows))
+
+    def norms2(lines, width=None):
+        return [sum(e * e for e in line[:width]) for line in lines]
+
+    # squared Hadamard bounds, each the smaller of the row and column
+    # versions: on |d| from M11 alone, and on the minors from the k
+    # leading lines times the longest trailing one
+    bound2 = min(prod(lines[:k]) * max([1, *lines[k:]])
+                 for lines in (norms2(rows), norms2(cols)))
+    d_bound2 = min(prod(norms2(rows[:k], k)), prod(norms2(cols[:k], k))) if schur else bound2
     big = max(abs(e) for row in rows for e in row) >= 2 ** 63
     ints = np.array(rows, dtype=object if big else np.int64)
-    value, modulus = 0, 1
+    d, big_d = 0, np.zeros((len(rows) - k, len(cols) - k), dtype=object)
+    modulus = skipped = 1
     for q in map(_word_prime, count()):
+        if schur and skipped * skipped > d_bound2:
+            raise SingularMatrixError("singular matrix over Q")
         if modulus * modulus > 4 * bound2:
             break
-        residue = _eliminate((ints % q).astype(np.int64, copy=False), len(rows), q)
-        # Garner's step: value stays the residue modulo the product so far
-        value += modulus * ((residue - value) * pow(modulus, -1, q) % q)
+        a = (ints % q).astype(np.int64, copy=False)
+        residue = _eliminate(a, k, q)
+        if schur and residue == 0:
+            skipped *= q
+            continue
+        # Garner's step: d and D stay their residues modulo the product
+        # so far; the trailing block of a holds S, so D is d * S mod q
+        inv = pow(modulus, -1, q)
+        d += modulus * ((residue - d) * inv % q)
+        step = (residue * a[k:, k:] % q - (big_d % q).astype(np.int64)) * inv % q
+        big_d += modulus * step.astype(object)
         modulus *= q
-    return value - modulus if 2 * value > modulus else value
+    if 2 * d > modulus:
+        d -= modulus
+    return d, np.where(2 * big_d > modulus, big_d - modulus, big_d)
 
 
 @lru_cache(maxsize=None)
