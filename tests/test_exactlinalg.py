@@ -3,10 +3,11 @@ criterion for the leading block."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from bikoszul import core, exactlinalg, koszul
+from bikoszul import core, exactlinalg, koszul, solver
 from bikoszul.core import ProjectiveSolution, SystemType
 from bikoszul.exactlinalg import ExactMatrix, SingularMatrixError
 
@@ -29,25 +30,30 @@ def naive_det(rows):
     return total
 
 
-def fraction_det(rows):
-    """Gaussian elimination over Fractions, the independent oracle for
+def fraction_eliminate(rows, k):
+    """k Gaussian elimination steps over Fractions, pivoting among the
+    leading k rows: (det of the leading k x k block, its Schur complement
+    or None when that block is singular). The independent oracle for
     matrices too large for cofactor expansion."""
     a = [[Fraction(e) for e in row] for row in rows]
-    n = len(a)
     value = Fraction(1)
-    for s in range(n):
-        pivot = next((r for r in range(s, n) if a[r][s]), None)
+    for s in range(k):
+        pivot = next((r for r in range(s, k) if a[r][s]), None)
         if pivot is None:
-            return Fraction(0)
+            return Fraction(0), None
         if pivot != s:
             a[s], a[pivot] = a[pivot], a[s]
             value = -value
         value *= a[s][s]
-        for r in range(s + 1, n):
+        for r in range(s + 1, len(a)):
             if a[r][s]:
                 f = a[r][s] / a[s][s]
                 a[r] = [x - f * y for x, y in zip(a[r], a[s])]
-    return value
+    return value, [row[k:] for row in a[k:]]
+
+
+def fraction_det(rows):
+    return fraction_eliminate(rows, len(rows))[0]
 
 
 def test_det_basic():
@@ -70,7 +76,7 @@ def test_det_of_paper_specialization(paper_system):
     assert exactlinalg.det(koszul.specialize(matrix, paper_system.with_f0(g0b))) == 0
 
 
-def test_bareiss_agrees_with_cofactor_on_submatrices(paper_system):
+def test_det_agrees_with_cofactor_on_submatrices(paper_system):
     matrix = koszul.assemble_delta1(paper_system.type)
     spec = koszul.specialize(matrix, paper_system)
     rng = random.Random(3)
@@ -391,3 +397,83 @@ def test_int64_loop_at_the_largest_int64_prime_matches_python_ints():
     assert fast.tolist() == slow.tolist()
     assert exactlinalg.det(ExactMatrix(rows, p)) == \
         exactlinalg._eliminate(np.array(rows, dtype=object), 60, p)
+
+
+def m11_with_det(rng, k, d):
+    """A k x k integer block of determinant d: an upper triangular one with
+    diagonal 1, ..., 1, d whose rows after the first are mixed; only the
+    first row has a nonzero first entry."""
+    rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        rows[i][:i] = [0] * i
+        rows[i][i] = 1
+    rows[-1][-1] = d  # upper triangular, det d
+    mix = [[1 if i == j else rng.randint(-2, 2) * (0 < j < i) for j in range(k)] for i in range(k)]
+    return [[sum(mix[i][l] * rows[l][j] for l in range(k)) for j in range(k)]
+            for i in range(k)]
+
+
+@pytest.mark.parametrize("skipped", [1, 2])
+def test_schur_over_q_skips_primes_that_divide_det_m11(skipped):
+    """det M11 a multiple of the first CRT primes: those primes find M11
+    singular and are skipped; the complement is still exact."""
+    primes = [exactlinalg._word_prime(i) for i in range(skipped)]
+    assert primes[0] == 2 ** 31 - 1
+    rng = random.Random(skipped)
+    for trial in range(20):
+        k, n = rng.randint(2, 4), rng.randint(1, 3)
+        d = prod(primes) * rng.choice((-3, -1, 1, 2))
+        lead = m11_with_det(rng, k, d)
+        if trial % 2:
+            lead.reverse()  # and a zero first pivot
+        rows = [row + [rng.randint(-9, 9) for _ in range(n)] for row in lead]
+        rows += [[rng.randint(-9, 9) for _ in range(k + n)] for _ in range(n)]
+        assert all(naive_det([row[:k] for row in rows[:k]]) % q == 0 for q in primes)
+        assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == \
+            reference_schur(rows, k)
+
+
+def test_singular_m11_with_huge_entries_raises():
+    rng = random.Random(64)
+    for _ in range(10):
+        k, n = rng.randint(2, 4), rng.randint(1, 3)
+        rows = [[rng.randint(-2 ** 70, 2 ** 70) for _ in range(k + n)] for _ in range(k + n)]
+        factor = rng.randint(2 ** 63, 2 ** 66)
+        rows[k - 1][:k] = [factor * e for e in rows[0][:k]]  # M11 singular
+        assert reference_schur(rows, k) is None
+        with pytest.raises(SingularMatrixError):
+            exactlinalg.schur_complement(ExactMatrix(rows), k)
+        with pytest.raises(SingularMatrixError):
+            exactlinalg.solve(ExactMatrix([row[:k] for row in rows[:k]]),
+                              ExactMatrix([row[k:] for row in rows[:k]]))
+
+
+def test_bordered_solve_over_q_with_huge_entries_matches_cramer():
+    """Entries at and above 2^63 take the object-array path."""
+    rng = random.Random(63)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        a_rows = [[rng.choice((rng.randint(-9, 9), rng.randint(2 ** 63, 2 ** 70)))
+                   for _ in range(n)] for _ in range(n)]
+        b_rows = [[rng.choice((Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                               -rng.randint(2 ** 63, 2 ** 70))) for _ in range(2)]
+                  for _ in range(n)]
+        want = reference_solve(a_rows, b_rows)
+        if want is None:
+            continue
+        assert exactlinalg.solve(ExactMatrix(a_rows), ExactMatrix(b_rows)).rows == want
+
+
+def test_schur_over_q_of_a_koszul_matrix_matches_fraction_elimination():
+    """The theta-partitioned (2,2,2,3,3) Koszul matrix, mu = 81, against
+    Gaussian elimination over Fractions."""
+    t = SystemType(2, 2, 2, 3, 3)
+    rng = random.Random(2233)
+    matrix = koszul.assemble_delta1(t)
+    f0, theta = solver.choose_f0_and_theta(t, rng)
+    part = koszul.theta_partition(matrix, theta)
+    spec = part.apply(koszul.specialize(matrix, core.random_system(t, rng).with_f0(f0)))
+    assert spec.nrows == 81
+    d11, want = fraction_eliminate(spec.rows, part.split)
+    assert d11 != 0
+    assert exactlinalg.schur_complement(spec, part.split).rows == want
