@@ -28,6 +28,7 @@ from .core import (
     MHPoly,
     ProjectiveSolution,
     SystemType,
+    _block_value,
     monomial_basis,
     partial_evaluate_xy,
 )
@@ -139,13 +140,8 @@ def dual_veronese(block: str, d: int, alpha_t) -> DualVeronese:
     if alpha_t[0] == 0:
         raise DomainError("dual Veronese form needs a nonzero first coordinate")
     a0 = Fraction(alpha_t[0])
-    coeffs = {}
-    for exp in monomial_basis(len(alpha_t) - 1, d):
-        value = Fraction(1)
-        for e, c in zip(exp, alpha_t):
-            if e:
-                value *= Fraction(c) ** e
-        coeffs[exp] = value / a0 ** d
+    coeffs = {exp: _block_value(exp, alpha_t) / a0 ** d
+              for exp in monomial_basis(len(alpha_t) - 1, d)}
     return DualVeronese(block, d, alpha_t, coeffs)
 
 
@@ -174,14 +170,8 @@ def star_eval_check(g_terms: dict, dv: DualVeronese):
                 coeffs[tau] = total
     contracted = DualVeronese(dv.block, d_out, dv.alpha, coeffs)
     a0 = Fraction(dv.alpha[0])
-    scalar = Fraction(0)
-    for theta, c in g_terms.items():
-        value = Fraction(c)
-        for e, coord in zip(theta, dv.alpha):
-            if e:
-                value *= Fraction(coord) ** e
-        scalar += value
-    scalar /= a0 ** dbar
+    scalar = sum(Fraction(c) * _block_value(theta, dv.alpha)
+                 for theta, c in g_terms.items()) / a0 ** dbar
     return contracted, scalar
 
 

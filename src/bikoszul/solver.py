@@ -31,6 +31,7 @@ from .core import (
     MHPoly,
     ProjectiveSolution,
     SystemType,
+    _block_value,
     apply_coordinate_change,
     evaluate,
     exponent_basis,
@@ -224,17 +225,9 @@ def solve_z(sys: BilinearSystem, alpha_x, alpha_y, tol: float = 1e-8):
 
 
 def _z_row(poly: MHPoly, ax, ay):
-    nz = poly.nvars[2] - 1
-    row = np.zeros(nz + 1, dtype=complex)
+    row = np.zeros(poly.nvars[2], dtype=complex)
     for (sx, sy, sz), coeff in poly.terms.items():
-        value = complex(coeff)
-        for e, c in zip(sx, ax):
-            if e:
-                value *= c ** e
-        for e, c in zip(sy, ay):
-            if e:
-                value *= c ** e
-        row[sz.index(1)] += value
+        row[sz.index(1)] += complex(coeff) * _block_value(sx, ax) * _block_value(sy, ay)
     return row
 
 
@@ -341,6 +334,6 @@ def _recover_all(transformed, partition, spec_float, pairs, change, original):
         az = solve_z(transformed, ax, ay)
         back = transform_point(change, ProjectiveSolution(tuple(ax), tuple(ay), tuple(az)))
         back = _realify(back.normalized(tol=1e-12))
-        solutions.append(back.normalized(tol=1e-12))
+        solutions.append(back)
         residuals.append(residual(original, back))
     return solutions, residuals
