@@ -314,15 +314,13 @@ class ProjectiveSolution:
         """Scale each block so its first (significantly) nonzero entry is 1."""
         out = []
         for block in self.blocks:
-            scale_entry = None
             threshold = tol * max(abs(c) for c in block)
-            for c in block:
-                if abs(c) > threshold:
-                    scale_entry = c
-                    break
-            if scale_entry is None:
+            lead = next((i for i, c in enumerate(block) if abs(c) > threshold), None)
+            if lead is None:
                 raise DomainError("cannot normalize a zero block")
-            out.append(tuple(c / scale_entry for c in block))
+            scaled = [c / block[lead] for c in block]
+            scaled[lead] = type(scaled[lead])(1)  # complex c / c is not always exactly 1
+            out.append(tuple(scaled))
         return ProjectiveSolution(*out)
 
 

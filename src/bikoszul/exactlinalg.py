@@ -1,28 +1,28 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
-Matrices hold exact entries (Fractions or ints) in lists of rows; floats
-appear only in `to_float`. One numpy elimination loop mod p,
-`_eliminate`, runs k Gaussian steps that pivot only among the leading k
-rows, each step a single rank-1 update of the rows below that have a
-nonzero in the pivot column. It runs on int64 when p < 2^31, so that
-(p-1)^2 fits, and on Python ints in an object array otherwise. It serves
-`det` (n steps), `schur_complement` (k steps) and `solve` (the Schur
+An ExactMatrix holds its entries in one numpy array. Over F_p they are
+reduced to [0, p), in an int64 array when p < 2^31, so that (p-1)^2
+fits, and as Python ints in an object array otherwise; over Q the array
+is object and holds ints and Fractions. Submatrices are one fancy
+index, and floats appear only in `to_float`. One numpy elimination loop
+mod p, `_eliminate`, runs on those arrays: k Gaussian steps that pivot
+only among the leading k rows, each step a single rank-1 update of the
+rows below that have a nonzero in the pivot column. It serves `det`
+(n steps), `schur_complement` (k steps) and `solve` (the Schur
 complement of [[A, B], [-I, 0]] at split n) over both fields. Over Q
 one CRT driver, `_multimodular`, clears denominators row by row and
 runs the loop modulo descending primes below 2^31 until their product
 exceeds twice a Hadamard bound; CRT plus the symmetric residue give
 d = det M11 and the integer matrix d * S (Sylvester's identity), so the
 Schur complement S needs no rational reconstruction. `rank` and
-`nullspace` share the Gauss-Jordan `_rref`.
+`nullspace` share the Gauss-Jordan `_rref`, on lists of rows.
 
 The field tag of an ExactMatrix is None for the rationals or the prime
-p itself; mod-p entries are ints reduced to [0, p). A composite tag is
-rejected with ValueError.
+p itself. A composite tag is rejected with ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -72,42 +72,70 @@ def require_prime(p: int) -> int:
     return p
 
 
-@dataclass
 class ExactMatrix:
-    """Dense exact matrix: entries over Q (field None) or F_p (field p)."""
+    """Dense exact matrix: entries over Q (field None) or F_p (field p),
+    held in one numpy array, `array`.
 
-    rows: list
-    field: int | None = None
+    Over F_p the entries are reduced to [0, p) and the array is int64
+    when p < 2^31, the dtype `_eliminate` runs on, and object (Python
+    ints) otherwise; over Q it is object, with ints and Fractions as
+    given. An int64 array is reduced with one vectorized % p; any other
+    input is a list of rows (or an array) reduced entry by entry.
+    """
 
-    def __post_init__(self):
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(row) != width for row in self.rows):
+    def __init__(self, rows, field: int | None = None):
+        if not isinstance(rows, np.ndarray) and rows:
+            width = len(rows[0])
+            if any(len(row) != width for row in rows):
                 raise ValueError("ragged matrix")
-        if self.field is not None:
-            p = require_prime(self.field)
-            self.rows = [
-                [e % p if isinstance(e, int) else fraction_mod_p(e, p) for e in row]
-                for row in self.rows
-            ]
+        shape = (len(rows), len(rows[0]) if len(rows) else 0)
+        if field is None:
+            array = np.array(rows, dtype=object).reshape(shape)
+        else:
+            p = require_prime(field)
+            dtype = np.int64 if p < _INT64_PRIME_LIMIT else object
+            if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+                array = rows % p if dtype is np.int64 else rows.astype(object) % p
+            else:
+                array = np.array([[e % p if isinstance(e, int) else fraction_mod_p(e, p)
+                                   for e in row] for row in rows], dtype=dtype).reshape(shape)
+        self.array = array
+        self.field = field
+
+    @classmethod
+    def _of(cls, array, field: int | None) -> "ExactMatrix":
+        """Wrap an array that already holds valid entries for the field."""
+        m = cls.__new__(cls)
+        m.array, m.field = array, field
+        return m
+
+    @property
+    def rows(self) -> list:
+        """The entries as a new list of rows of Python ints or Fractions."""
+        return self.array.tolist()
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self.array.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return self.array.shape[1]
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def copy_rows(self):
-        return [list(row) for row in self.rows]
+        value = self.array[ij]
+        return int(value) if isinstance(value, np.integer) else value
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
-        return ExactMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx], self.field)
+        return ExactMatrix._of(self.array[np.ix_(row_idx, col_idx)], self.field)
+
+
+def zeros(shape, field: int | None = None) -> ExactMatrix:
+    """The zero matrix: Fraction(0) entries over Q, 0 over F_p."""
+    if field is None:
+        return ExactMatrix._of(np.full(shape, Fraction(0), dtype=object), None)
+    p = require_prime(field)
+    return ExactMatrix._of(np.zeros(shape, dtype=np.int64 if p < _INT64_PRIME_LIMIT else object), p)
 
 
 def identity(n: int, field: int | None = None) -> ExactMatrix:
@@ -173,20 +201,15 @@ def _eliminate(a, k: int, p: int) -> int:
     return det % p
 
 
-def _fp_array(rows, p: int):
-    """Rows of ints in [0, p) as the array `_eliminate` runs on."""
-    return np.array(rows, dtype=np.int64 if p < _INT64_PRIME_LIMIT else object)
-
-
 def _schur(m: ExactMatrix, k: int) -> ExactMatrix:
     """Trailing block M22 - M21 M11^{-1} M12 of a (possibly rectangular)
     matrix, after k elimination steps that pivot inside M11; raises
     SingularMatrixError when M11 is singular."""
     if m.field is not None:
-        a = _fp_array(m.rows, m.field)
+        a = m.array.copy()
         if _eliminate(a, k, m.field) == 0:
             raise SingularMatrixError("singular matrix over F_p")
-        return ExactMatrix(a[k:, k:].tolist(), m.field)
+        return ExactMatrix._of(a[k:, k:], m.field)
     rows, scales = _int_rows(m)
     d, big_d = _multimodular(rows, k)
     # the scale of a leading row cancels in M11^{-1} M12; that of a
@@ -204,7 +227,7 @@ def det(m: ExactMatrix):
     if n == 0:
         return 1 if m.field is None else 1 % m.field
     if m.field is not None:
-        return _eliminate(_fp_array(m.rows, m.field), n, m.field)
+        return _eliminate(m.array.copy(), n, m.field)
     rows, scales = _int_rows(m)
     value = Fraction(_multimodular(rows, n)[0], prod(scales))
     return int(value) if value.denominator == 1 else value
@@ -305,7 +328,7 @@ def _rref(m: ExactMatrix):
     """Reduced row echelon form by Gauss-Jordan elimination over Q
     (Fraction entries) or F_p; returns (rows, pivot columns)."""
     p = m.field
-    rows = [[Fraction(e) for e in row] for row in m.rows] if p is None else m.copy_rows()
+    rows = [[Fraction(e) for e in row] for row in m.rows] if p is None else m.rows
     nr = len(rows)
     pivots = []
     for col in range(m.ncols):
@@ -358,7 +381,7 @@ def to_float(m: ExactMatrix):
     """float64 numpy copy (rationals only)."""
     if m.field is not None:
         raise ValueError("to_float is for rational matrices")
-    return np.array([[float(e) for e in row] for row in m.rows], dtype=float)
+    return m.array.astype(float)
 
 
 def fraction_mod_p(value, p: int) -> int:

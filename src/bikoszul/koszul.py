@@ -23,6 +23,15 @@ y factors by the monomials of f_{I_i} and multiplies the z factor.
 Every entry is therefore a signed reference to a single coefficient
 u_{i, sigma} of one input polynomial; the matrix is stored symbolically
 and specialized on demand.
+
+Every equation is linear in x and linear or constant in y and z, so
+psi never scans the exponents of a slot: the surviving sigma are the
+unit vectors e_i with dx_i >= 1 (and likewise in y) times every z
+monomial of the slot's z-degree, generated directly. Assembly builds the
+terms of psi once per column factor, slot and sign, and looks rows up
+by plain tuples. `specialize` reduces each distinct reference once and
+writes all of them into a numpy array with one scatter; `ThetaPartition`
+permutes with one fancy index. Only the nonzeros are touched in Python.
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
+
+import numpy as np
 
 from .core import (
     Block,
@@ -43,7 +55,7 @@ from .core import (
     mhb,
     monomial_basis,
 )
-from .exactlinalg import ExactMatrix, fraction_mod_p
+from .exactlinalg import ExactMatrix, fraction_mod_p, zeros
 from .weyman import mu
 
 
@@ -63,9 +75,11 @@ class KoszulBasisElement:
     iset: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SymbolicEntry:
-    """A matrix entry: the coefficient reference sign * u_{poly, exponent}."""
+class SymbolicEntry(NamedTuple):
+    """A matrix entry: the coefficient reference sign * u_{poly, exponent}.
+
+    A named tuple, so that hashing one (specialize looks every entry up
+    by its reference) runs in C."""
 
     sign: int
     poly: int
@@ -119,17 +133,20 @@ def k0_basis(t: SystemType) -> list[KoszulBasisElement]:
     return out
 
 
-def star_contract(mono: Block, dual: Block) -> Block | None:
-    """Graded contraction: dual - mono componentwise, None once negative."""
-    if len(mono) != len(dual):
-        raise DomainError("block length mismatch in contraction")
-    out = []
-    for m, d in zip(mono, dual):
-        e = d - m
-        if e < 0:
-            return None
-        out.append(e)
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _unit_vectors(nvars: int) -> tuple[Block, ...]:
+    return tuple(tuple(int(i == j) for j in range(nvars)) for i in range(nvars))
+
+
+def _unit_terms(block: Block, degree: int, step: int) -> list[tuple[Block, Block]]:
+    """(sigma, block + step * sigma) for every monomial sigma of degree 0
+    or 1, in the canonical monomial order. Step -1 contracts a dual
+    factor and keeps only the sigma = e_i with block_i >= 1 that do not
+    annihilate it; step +1 multiplies."""
+    if degree == 0:
+        return [((0,) * len(block), block)]
+    return [(e, block[:i] + (b + step,) + block[i + 1:])
+            for i, (e, b) in enumerate(zip(_unit_vectors(len(block)), block)) if b + step >= 0]
 
 
 def psi_symbolic(dx: Block, dy: Block, dz: Block, poly_index: int,
@@ -137,22 +154,18 @@ def psi_symbolic(dx: Block, dy: Block, dz: Block, poly_index: int,
     """All surviving contractions of one column factor against the
     universal polynomial in slot poly_index.
 
-    For each monomial exponent sigma of that slot: contract dx by
-    sigma_x and dy by sigma_y, append sigma_z to dz (z multiplies, never
-    contracts); annihilated terms are dropped. Signs are attached later.
+    Every slot is linear in x, and linear or constant in y and in z, so
+    the monomials sigma that survive are generated directly, x-major:
+    sigma_x = e_i with dx_i >= 1 (dx contracts to dx - e_i), sigma_y the
+    same against dy (or 1 when the slot is constant in y), and every
+    sigma_z of the slot's z-degree, which multiplies dz (z never
+    contracts). Signs are attached later.
     """
-    out = []
-    for sigma in exponent_basis(t.nvars, t.degree_of(poly_index)):
-        sx, sy, sz = sigma
-        dx2 = star_contract(sx, dx)
-        if dx2 is None:
-            continue
-        dy2 = star_contract(sy, dy)
-        if dy2 is None:
-            continue
-        dz2 = tuple(a + b for a, b in zip(dz, sz))
-        out.append(((dx2, dy2, dz2), SymbolicEntry(1, poly_index, sigma)))
-    return out
+    deg_x, deg_y, deg_z = t.degree_of(poly_index)
+    return [((dx2, dy2, dz2), SymbolicEntry(1, poly_index, (sx, sy, sz)))
+            for sx, dx2 in _unit_terms(dx, deg_x, -1)
+            for sy, dy2 in _unit_terms(dy, deg_y, -1)
+            for sz, dz2 in _unit_terms(dz, deg_z, 1)]
 
 
 # target row block, given the column block and the class of the
@@ -204,23 +217,32 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
     if len(rows) != size or len(cols) != size:
         raise AssemblyError(
             f"basis sizes {len(cols)}x{len(rows)} do not match mu = {size} for {t}")
-    row_index = {label: i for i, label in enumerate(rows)}
+    row_index = {((e.block, e.dx, e.dy, e.dz), e.iset): i for i, e in enumerate(rows)}
+    # psi and the target block depend on the column factor, the slot and
+    # the sign, not on the rest of the index set: build each term list once
+    terms = {}
     entries: dict[tuple[int, int], SymbolicEntry] = {}
     for col_idx, col in enumerate(cols):
         for pos, slot in enumerate(col.iset):
             sign = -1 if pos % 2 else 1
-            slot_class = 0 if slot == 0 else ("xy" if slot <= t.r else "xz")
-            target_tag = _TARGET_BLOCK[(col.block, slot_class)]
+            factor = (col.block, col.dx, col.dy, col.dz, slot, sign)
+            targets = terms.get(factor)
+            if targets is None:
+                slot_class = 0 if slot == 0 else ("xy" if slot <= t.r else "xz")
+                target_tag = _TARGET_BLOCK[(col.block, slot_class)]
+                targets = terms[factor] = [
+                    ((target_tag, *frag), SymbolicEntry(sign, ref.poly, ref.exponent))
+                    for frag, ref in psi_symbolic(col.dx, col.dy, col.dz, slot, t)]
             rest = col.iset[:pos] + col.iset[pos + 1:]
-            for (dx2, dy2, dz2), ref in psi_symbolic(col.dx, col.dy, col.dz, slot, t):
-                label = KoszulBasisElement(target_tag, dx2, dy2, dz2, rest)
-                row_idx = row_index.get(label)
+            for label, entry in targets:
+                row_idx = row_index.get((label, rest))
                 if row_idx is None:
-                    raise AssemblyError(f"unmatched target row {label} from column {col}")
+                    raise AssemblyError(f"unmatched target row "
+                                        f"{KoszulBasisElement(*label, rest)} from column {col}")
                 key = (row_idx, col_idx)
                 if key in entries:
                     raise AssemblyError(f"duplicate entry at {key}")
-                entries[key] = SymbolicEntry(sign, ref.poly, ref.exponent)
+                entries[key] = entry
     return SymbolicResultantMatrix(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1),
                                    rows, cols, entries)
 
@@ -233,17 +255,16 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
         raise DomainError("system type does not match the matrix")
     if sys.f0 is None:
         raise DomainError("specialization needs the trilinear f0")
-    size = matrix.size
-    zero = 0 if field is not None else Fraction(0)
-    rows = [[zero] * size for _ in range(size)]
+    out = zeros((matrix.size, matrix.size), field)
     polys = [sys.poly(i) for i in range(sys.type.n + 1)]
-    for (i, j), entry in matrix.entries.items():
-        coeff = polys[entry.poly].terms.get(entry.exponent)
-        if coeff is None:
-            continue
-        value = coeff if entry.sign > 0 else -coeff
-        rows[i][j] = fraction_mod_p(value, field) if field is not None else value
-    return ExactMatrix(rows, field)
+    values = {}  # each distinct signed reference, reduced mod p once
+    for ref in set(matrix.entries.values()):
+        coeff = polys[ref.poly].terms.get(ref.exponent, Fraction(0))
+        value = coeff if ref.sign > 0 else -coeff
+        values[ref] = fraction_mod_p(value, field) if field is not None else value
+    cells = np.array(list(matrix.entries), dtype=np.intp).reshape(-1, 2)
+    out.array[cells[:, 0], cells[:, 1]] = [values[ref] for ref in matrix.entries.values()]
+    return out
 
 
 @dataclass
@@ -297,8 +318,9 @@ def theta_partition(matrix: SymbolicResultantMatrix, theta: Exponent) -> ThetaPa
     hits.sort(key=lambda h: h[1])  # canonical column order fixes the pairing
     trail_cols = [j for _, j, _ in hits]
     trail_rows = [i for i, _, _ in hits]
-    lead_rows = [i for i in range(matrix.size) if i not in set(trail_rows)]
-    lead_cols = [j for j in range(matrix.size) if j not in set(trail_cols)]
+    trail_row_set, trail_col_set = set(trail_rows), set(trail_cols)
+    lead_rows = [i for i in range(matrix.size) if i not in trail_row_set]
+    lead_cols = [j for j in range(matrix.size) if j not in trail_col_set]
     return ThetaPartition(
         base=matrix,
         theta=theta,

@@ -259,6 +259,15 @@ def test_normalized_solution():
     assert norm.z == (1,)
 
 
+def test_normalized_scale_entry_is_exactly_one():
+    # complex(3/7, 2/3) divided by itself is 1 + 5.9e-17j in CPython
+    c = complex(3 / 7, 2 / 3)
+    norm = ProjectiveSolution((c, 1), (0, c, 2 * c), (Fraction(2, 3), 1)).normalized()
+    assert norm.x[0] == 1 and norm.x[1] == 1 / c
+    assert norm.y[:2] == (0, 1) and type(norm.y[1]) is complex
+    assert norm.z == (1, Fraction(3, 2)) and type(norm.z[0]) is Fraction
+
+
 def test_mhpoly_invariants():
     with pytest.raises(DomainError):
         MHPoly((2, 2, 2), (1, 1, 0), {((1, 0), (0, 1), (0, 1)): 1})  # wrong z degree

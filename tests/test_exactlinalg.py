@@ -84,7 +84,7 @@ def test_det_agrees_with_cofactor_on_submatrices(paper_system):
         idx_r = sorted(rng.sample(range(10), 5))
         idx_c = sorted(rng.sample(range(10), 5))
         sub = spec.submatrix(idx_r, idx_c)
-        assert exactlinalg.det(sub) == naive_det(sub.copy_rows())
+        assert exactlinalg.det(sub) == naive_det(sub.rows)
 
 
 def test_det_multiplicative_mod_p():
@@ -265,6 +265,29 @@ def test_composite_modulus_is_rejected():
         assert ExactMatrix([[p + 1]], p).rows == [[1]]
 
 
+def test_constructor_reduces_every_entry_kind_into_the_field():
+    import numpy as np
+
+    entries = [[-1, Fraction(-2, 3), 2 ** 63 + 5], [-(2 ** 70), Fraction(5, 7), 0]]
+    for p in (2 ** 31 - 1, 1_000_003, 2 ** 61 - 1):
+        want = [[exactlinalg.fraction_mod_p(e, p) for e in row] for row in entries]
+        m = ExactMatrix(entries, p)
+        assert m.rows == want
+        assert all(type(e) is int and 0 <= e < p for row in m.rows for e in row)
+        assert type(m[0, 2]) is int and m[0, 2] == want[0][2]
+        small = [[-1, -p - 2, 2 ** 62], [p, 3, -(2 ** 63)]]
+        from_array = ExactMatrix(np.array(small, dtype=np.int64), p)
+        assert from_array.rows == [[e % p for e in row] for row in small]
+        assert from_array.array.dtype == ExactMatrix([[1]], p).array.dtype
+    with pytest.raises(ValueError, match="ragged"):
+        ExactMatrix([[1, 2], [3]], 7)
+    rational = ExactMatrix([[Fraction(1, 2), 2 ** 70], [-3, Fraction(4)]])
+    assert rational.array.dtype == object
+    assert rational.rows == [[Fraction(1, 2), 2 ** 70], [-3, 4]]
+    assert type(ExactMatrix(np.array([[2, -3]], dtype=np.int64))[0, 1]) is int
+    assert ExactMatrix([]).nrows == ExactMatrix([], 5).ncols == 0
+
+
 def test_rank_and_nullspace():
     m = ExactMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert exactlinalg.rank(m) == 2
@@ -385,7 +408,11 @@ def test_int64_loop_at_the_largest_int64_prime_matches_python_ints():
     while not exactlinalg._is_prime(p):
         p -= 1
     assert p == 2 ** 31 - 1
-    assert exactlinalg._fp_array([[1]], p).dtype == np.int64
+    above = exactlinalg._INT64_PRIME_LIMIT + 1
+    while not exactlinalg._is_prime(above):
+        above += 2
+    assert ExactMatrix([[1]], p).array.dtype == np.int64
+    assert ExactMatrix([[1]], above).array.dtype == object
     rng = random.Random(60)
     rows = [[rng.randrange(p - 2 ** 20, p) for _ in range(60)] for _ in range(60)]
     fast = np.array(rows, dtype=np.int64)

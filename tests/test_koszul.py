@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from bikoszul import core, exactlinalg, koszul, selftest
+from bikoszul import core, exactlinalg, koszul, selftest, solver
 from bikoszul.core import ProjectiveSolution, SystemType
 from bikoszul.koszul import KoszulBasisElement as KBE
 from bikoszul.weyman import mu
@@ -55,10 +55,68 @@ def test_basis_sizes_match_mu_sweep():
         assert len(koszul.k0_basis(t)) == size
 
 
+def star_contract(mono, dual):
+    """Graded contraction: dual - mono componentwise, None once negative."""
+    if len(mono) != len(dual):
+        raise core.DomainError("block length mismatch in contraction")
+    out = []
+    for m, d in zip(mono, dual):
+        if d - m < 0:
+            return None
+        out.append(d - m)
+    return tuple(out)
+
+
+def reference_psi(dx, dy, dz, poly_index, t):
+    """psi by scanning every exponent of the slot's multidegree and
+    dropping the annihilated ones; the reference for koszul.psi_symbolic."""
+    out = []
+    for sigma in core.exponent_basis(t.nvars, t.degree_of(poly_index)):
+        sx, sy, sz = sigma
+        dx2 = star_contract(sx, dx)
+        dy2 = star_contract(sy, dy)
+        if dx2 is None or dy2 is None:
+            continue
+        dz2 = tuple(a + b for a, b in zip(dz, sz))
+        out.append(((dx2, dy2, dz2), koszul.SymbolicEntry(1, poly_index, sigma)))
+    return out
+
+
+def reference_entries(t):
+    """The entries dict of assemble_delta1, built label by label from
+    reference_psi: the reference assembly."""
+    rows, cols = koszul.k0_basis(t), koszul.k1_basis(t)
+    row_index = {label: i for i, label in enumerate(rows)}
+    entries = {}
+    for col_idx, col in enumerate(cols):
+        for pos, slot in enumerate(col.iset):
+            slot_class = 0 if slot == 0 else ("xy" if slot <= t.r else "xz")
+            target = koszul._TARGET_BLOCK[(col.block, slot_class)]
+            rest = col.iset[:pos] + col.iset[pos + 1:]
+            for (dx2, dy2, dz2), ref in reference_psi(col.dx, col.dy, col.dz, slot, t):
+                key = (row_index[KBE(target, dx2, dy2, dz2, rest)], col_idx)
+                assert key not in entries
+                entries[key] = koszul.SymbolicEntry(-1 if pos % 2 else 1, ref.poly, ref.exponent)
+    return entries
+
+
 def test_star_contract():
-    assert koszul.star_contract((1, 0), (1, 1)) == (0, 1)
-    assert koszul.star_contract((0, 1), (2, 0)) is None
-    assert koszul.star_contract((0, 0), (1, 0)) == (1, 0)
+    assert star_contract((1, 0), (1, 1)) == (0, 1)
+    assert star_contract((0, 1), (2, 0)) is None
+    assert star_contract((0, 0), (1, 0)) == (1, 0)
+
+
+@pytest.mark.parametrize("ty", [(1, 1, 1, 2, 1), (2, 2, 2, 3, 3), (3, 2, 2, 4, 3),
+                                (10, 1, 1, 10, 2), (2, 6, 4, 7, 5)])
+def test_assembly_matches_the_exponent_scanning_reference(ty):
+    t = SystemType(*ty)
+    got = koszul.assemble_delta1(t).entries
+    want = reference_entries(t)
+    assert list(got.items()) == list(want.items())  # keys, values and order
+    for col in koszul.k1_basis(t)[::7]:
+        for slot in col.iset:
+            assert koszul.psi_symbolic(col.dx, col.dy, col.dz, slot, t) == \
+                reference_psi(col.dx, col.dy, col.dz, slot, t)
 
 
 def test_psi_symbolic_example(paper_type):
@@ -252,3 +310,42 @@ def test_assembly_other_types_are_square():
 def test_label_serialization(paper_type):
     elem = koszul.k1_basis(paper_type)[0]
     assert koszul.label_str(elem) == "L11|dx=(1,0)|dy=(1,0)|dz=(0,0)|I={1,2,3}"
+
+
+def reference_specialized(matrix, sys_, field):
+    """specialize followed by no permutation, entry by entry on lists of
+    rows: the per-entry reference for the array-backed specialization."""
+    rows = [[Fraction(0)] * matrix.size for _ in range(matrix.size)]
+    polys = [sys_.poly(i) for i in range(sys_.type.n + 1)]
+    for (i, j), entry in matrix.entries.items():
+        coeff = polys[entry.poly].terms.get(entry.exponent)
+        if coeff is not None:
+            rows[i][j] = coeff if entry.sign > 0 else -coeff
+    if field is not None:
+        rows = [[exactlinalg.fraction_mod_p(e, field) for e in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("field", [None, 2, 1_000_003, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_specialize_and_permute_match_a_per_entry_reference(field):
+    t = SystemType(2, 2, 2, 3, 3)
+    matrix = koszul.assemble_delta1(t)
+    part = koszul.theta_partition(matrix, solver.default_theta(t))
+    rng = random.Random(23)
+    # odd denominators (units mod every field here), zeros, and entries
+    # far beyond int64 and beyond the largest modulus
+    values = [0, 0, 1, -1, Fraction(-5, 3), Fraction(7, 9), 2 ** 70 + 1, -(2 ** 64) - 3]
+    polys = [core.MHPoly(t.nvars, t.degree_of(i),
+                         {e: rng.choice(values) for e in core.exponent_basis(t.nvars, t.degree_of(i))})
+             for i in range(t.n + 1)]
+    sys_ = core.BilinearSystem(t, tuple(polys[1:]), polys[0])
+    want = reference_specialized(matrix, sys_, field)
+    spec = koszul.specialize(matrix, sys_, field)
+    assert spec.field == field
+    assert spec.rows == want
+    permuted = part.apply(spec)
+    assert permuted.rows == [[want[i][j] for j in part.col_perm] for i in part.row_perm]
+    kind = Fraction if field is None else int
+    assert all(type(e) is kind for row in permuted.rows for e in row)
+    assert all(type(permuted[i, i]) is kind and permuted[i, i] == want[r][c]
+               for i, (r, c) in enumerate(zip(part.row_perm, part.col_perm)))
