@@ -209,7 +209,7 @@ def _schur(m: ExactMatrix, k: int) -> ExactMatrix:
         a = m.array.copy()
         if _eliminate(a, k, m.field) == 0:
             raise SingularMatrixError("singular matrix over F_p")
-        return ExactMatrix._of(a[k:, k:], m.field)
+        return ExactMatrix._of(a[k:, k:].copy(), m.field)  # not a view that keeps all of a
     rows, scales = _int_rows(m)
     d, big_d = _multimodular(rows, k)
     # the scale of a leading row cancels in M11^{-1} M12; that of a
