@@ -72,6 +72,11 @@ def require_prime(p: int) -> int:
     return p
 
 
+def _fp_dtype(p: int):
+    """Storage of entries mod p: int64 while (p - 1)^2 fits, else Python ints."""
+    return np.int64 if p < _INT64_PRIME_LIMIT else object
+
+
 class ExactMatrix:
     """Dense exact matrix: entries over Q (field None) or F_p (field p),
     held in one numpy array, `array`.
@@ -93,12 +98,11 @@ class ExactMatrix:
             array = np.array(rows, dtype=object).reshape(shape)
         else:
             p = require_prime(field)
-            dtype = np.int64 if p < _INT64_PRIME_LIMIT else object
             if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
-                array = rows % p if dtype is np.int64 else rows.astype(object) % p
+                array = rows.astype(_fp_dtype(p), copy=False) % p
             else:
                 array = np.array([[e % p if isinstance(e, int) else fraction_mod_p(e, p)
-                                   for e in row] for row in rows], dtype=dtype).reshape(shape)
+                                   for e in row] for row in rows], dtype=_fp_dtype(p)).reshape(shape)
         self.array = array
         self.field = field
 
@@ -134,8 +138,7 @@ def zeros(shape, field: int | None = None) -> ExactMatrix:
     """The zero matrix: Fraction(0) entries over Q, 0 over F_p."""
     if field is None:
         return ExactMatrix._of(np.full(shape, Fraction(0), dtype=object), None)
-    p = require_prime(field)
-    return ExactMatrix._of(np.zeros(shape, dtype=np.int64 if p < _INT64_PRIME_LIMIT else object), p)
+    return ExactMatrix._of(np.zeros(shape, dtype=_fp_dtype(require_prime(field))), field)
 
 
 def identity(n: int, field: int | None = None) -> ExactMatrix:
