@@ -142,11 +142,24 @@ def bezout_coefficient(degrees: list[tuple[int, int, int]], dims: tuple[int, int
     return acc.get((nx, ny, nz), 0)
 
 
+@lru_cache(maxsize=1024)
+def _int_fraction(value: int) -> Fraction:
+    """Fraction(value), one shared object per small integer: polynomials
+    and coordinate changes hold many equal coefficients."""
+    return Fraction(value)
+
+
+@lru_cache(maxsize=1 << 14)
+def _exponent(exp) -> Exponent:
+    """An exponent as a tuple of int tuples, one shared tuple per monomial."""
+    return tuple(tuple(int(e) for e in block) for block in exp)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return _int_fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"coefficients must be exact (int, Fraction or string), got {type(value)!r}")
@@ -175,7 +188,7 @@ class MHPoly:
             coeff = _as_fraction(coeff)
             if coeff == 0:
                 continue
-            exp = tuple(tuple(int(e) for e in block) for block in exp)
+            exp = _exponent(exp)
             for block, nv, d in zip(exp, nvars, degree):
                 if len(block) != nv or any(e < 0 for e in block) or sum(block) != d:
                     raise DomainError(f"exponent {exp} not in A({degree})")
@@ -403,7 +416,7 @@ def random_coordinate_change(t: SystemType, seed, bound: int = 5) -> CoordinateC
     blocks = []
     for nv in t.nvars:
         while True:
-            mat = tuple(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(nv))
+            mat = tuple(tuple(_int_fraction(rng.randint(-bound, bound)) for _ in range(nv))
                         for _ in range(nv))
             if _invertible(mat):
                 break

@@ -4,18 +4,31 @@ An ExactMatrix holds its entries in one numpy array. Over F_p they are
 reduced to [0, p), in an int64 array when p < 2^31, so that (p-1)^2
 fits, and as Python ints in an object array otherwise; over Q the array
 is object and holds ints and Fractions. Submatrices are one fancy
-index, and floats appear only in `to_float`. One numpy elimination loop
-mod p, `_eliminate`, runs on those arrays: k Gaussian steps that pivot
-only among the leading k rows, each step a single rank-1 update of the
-rows below that have a nonzero in the pivot column. It serves `det`
-(n steps), `schur_complement` (k steps) and `solve` (the Schur
-complement of [[A, B], [-I, 0]] at split n) over both fields. Over Q
-one CRT driver, `_multimodular`, clears denominators row by row and
-runs the loop modulo descending primes below 2^31 until their product
-exceeds twice a Hadamard bound; CRT plus the symmetric residue give
-d = det M11 and the integer matrix d * S (Sylvester's identity), so the
-Schur complement S needs no rational reconstruction. `rank` and
-`nullspace` share the Gauss-Jordan `_rref`, on lists of rows.
+index. One numpy elimination loop mod p, `_eliminate`, runs on those
+arrays: k Gaussian steps that pivot only among the leading k rows, each
+step a single rank-1 update of the rows below that have a nonzero in
+the pivot column. Over F_p it serves `det` (n steps),
+`schur_complement` (k steps) and `solve` (the Schur complement of
+[[A, B], [-I, 0]] at split n).
+
+Over Q both paths first clear denominators row by row. `det` is CRT
+(`_multimodular`): the loop runs modulo descending primes below 2^31
+until their product exceeds twice a Hadamard bound, and Garner's
+recombination plus the symmetric residue give the determinant. The
+Schur complement, and so `solve`, is Dixon's p-adic lifting
+(`_lift_schur`): one inverse of M11 modulo a lifting prime q, taken
+from the F_q `solve`, then one k x k by k x (n-k) product per step,
+until q^L exceeds twice the product of the Hadamard bounds on the
+(k+1)-minors and on det M11; rational reconstruction with one running
+common denominator recovers S.
+
+Floats enter the exact paths only inside that lifting, where every
+value is an integer below 2^53 and so exact in float64: q is the
+largest prime with k (q-1)^2 < 2^53, which bounds each dot product of
+residues, and the products with M11 and M21 run in float64 only while
+k * max|entry| * q < 2^53 (`_lift_dtype`), else on Python ints.
+`to_float` is the one lossy conversion. `rank` and `nullspace` share
+the Gauss-Jordan `_rref`, on lists of rows.
 
 The field tag of an ExactMatrix is None for the rationals or the prime
 p itself. A composite tag is rejected with ValueError.
@@ -25,8 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
-from math import lcm, prod
+from itertools import count, islice
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -41,6 +54,9 @@ class SingularMatrixError(ArithmeticError):
 
 # the mod-p loop runs on int64 below this modulus: (p - 1)^2 < 2^62
 _INT64_PRIME_LIMIT = 2 ** 31
+
+# float64 holds every integer of smaller absolute value exactly
+_FLOAT_EXACT_LIMIT = 2 ** 53
 
 # Miller-Rabin with these bases is exact below 3.3e24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -141,20 +157,6 @@ def zeros(shape, field: int | None = None) -> ExactMatrix:
     return ExactMatrix._of(np.zeros(shape, dtype=_fp_dtype(require_prime(field))), field)
 
 
-def identity(n: int, field: int | None = None) -> ExactMatrix:
-    return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], field)
-
-
-def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.ncols != b.nrows:
-        raise ValueError("shape mismatch")
-    bt = list(zip(*b.rows)) if b.rows else []
-    out = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.rows]
-    return ExactMatrix(out, a.field)
-
-
 def matvec(a: ExactMatrix, v) -> list:
     if a.ncols != len(v):
         raise ValueError("shape mismatch")
@@ -164,11 +166,11 @@ def matvec(a: ExactMatrix, v) -> list:
     return out
 
 
-def _int_rows(m: ExactMatrix):
+def _int_rows(array):
     """Clear denominators row by row; returns (integer rows, row scales)."""
     rows = []
     scales = []
-    for row in m.rows:
+    for row in array.tolist():
         denom = lcm(1, *(e.denominator for e in row if isinstance(e, Fraction)))
         scales.append(denom)
         rows.append([e.numerator * (denom // e.denominator) if isinstance(e, Fraction)
@@ -204,21 +206,17 @@ def _eliminate(a, k: int, p: int) -> int:
     return det % p
 
 
-def _schur(m: ExactMatrix, k: int) -> ExactMatrix:
-    """Trailing block M22 - M21 M11^{-1} M12 of a (possibly rectangular)
-    matrix, after k elimination steps that pivot inside M11; raises
-    SingularMatrixError when M11 is singular."""
-    if m.field is not None:
-        a = m.array.copy()
-        if _eliminate(a, k, m.field) == 0:
-            raise SingularMatrixError("singular matrix over F_p")
-        return ExactMatrix._of(a[k:, k:].copy(), m.field)  # not a view that keeps all of a
-    rows, scales = _int_rows(m)
-    d, big_d = _multimodular(rows, k)
-    # the scale of a leading row cancels in M11^{-1} M12; that of a
-    # trailing row scales its row of the complement
-    return ExactMatrix([[Fraction(e, d * scale) for e in row]
-                        for row, scale in zip(big_d.tolist(), scales[k:])])
+def _schur(a, field: int | None, k: int) -> ExactMatrix:
+    """Trailing block M22 - M21 M11^{-1} M12 of the (possibly rectangular)
+    array a of entries valid for the field: over F_p after k elimination
+    steps that pivot inside M11, which clobber a, over Q by p-adic
+    lifting, which only reads a; raises SingularMatrixError when M11 is
+    singular."""
+    if field is None:
+        return _lift_schur(a, k)
+    if _eliminate(a, k, field) == 0:
+        raise SingularMatrixError("singular matrix over F_p")
+    return ExactMatrix._of(a[k:, k:].copy(), field)  # not a view that keeps all of a
 
 
 def det(m: ExactMatrix):
@@ -231,69 +229,174 @@ def det(m: ExactMatrix):
         return 1 if m.field is None else 1 % m.field
     if m.field is not None:
         return _eliminate(m.array.copy(), n, m.field)
-    rows, scales = _int_rows(m)
-    value = Fraction(_multimodular(rows, n)[0], prod(scales))
+    rows, scales = _int_rows(m.array)
+    value = Fraction(_multimodular(rows), prod(scales))
     return int(value) if value.denominator == 1 else value
 
 
-def _multimodular(rows, k: int):
-    """(d, D) for integer rows: d the determinant of the leading k x k
-    block M11 and D = d * (its Schur complement), an integer matrix by
-    Sylvester's identity. Both come from k elimination steps modulo
-    descending primes below 2^31, recombined by CRT until the product of
-    the primes exceeds twice the Hadamard bound on every (k+1)-minor,
-    which bounds |d| and every entry of D.
-
-    With a trailing block, a prime for which M11 is singular is skipped,
-    and once the skipped primes exceed the Hadamard bound on |d|, M11 is
-    singular over Q: SingularMatrixError. Without one, a residue 0 is
-    just a residue.
-    """
-    schur = k < len(rows)
+def _hadamard2(rows, k: int):
+    """Squared Hadamard bounds for integer rows, each the smaller of the
+    row and column versions: on every (k+1)-minor that contains the
+    leading k x k block M11 (its k leading lines times the longest
+    trailing one), and on |det M11|."""
     cols = list(zip(*rows))
 
     def norms2(lines, width=None):
         return [sum(e * e for e in line[:width]) for line in lines]
 
-    # squared Hadamard bounds, each the smaller of the row and column
-    # versions: on |d| from M11 alone, and on the minors from the k
-    # leading lines times the longest trailing one
-    bound2 = min(prod(lines[:k]) * max([1, *lines[k:]])
-                 for lines in (norms2(rows), norms2(cols)))
-    d_bound2 = min(prod(norms2(rows[:k], k)), prod(norms2(cols[:k], k))) if schur else bound2
+    minors2 = min(prod(lines[:k]) * max([1, *lines[k:]])
+                  for lines in (norms2(rows), norms2(cols)))
+    return minors2, min(prod(norms2(rows[:k], k)), prod(norms2(cols[:k], k)))
+
+
+def _multimodular(rows) -> int:
+    """The determinant of square integer rows: n elimination steps modulo
+    descending primes below 2^31, recombined by CRT (Garner) until the
+    product of the primes exceeds twice the Hadamard bound; the
+    symmetric residue. A residue 0 is just a residue."""
+    n = len(rows)
+    bound2 = _hadamard2(rows, n)[1]
     big = max(abs(e) for row in rows for e in row) >= 2 ** 63
     ints = np.array(rows, dtype=object if big else np.int64)
-    d, big_d = 0, np.zeros((len(rows) - k, len(cols) - k), dtype=object)
-    modulus = skipped = 1
+    d = 0
+    modulus = 1
     for q in map(_word_prime, count()):
-        if schur and skipped * skipped > d_bound2:
-            raise SingularMatrixError("singular matrix over Q")
         if modulus * modulus > 4 * bound2:
             break
-        a = (ints % q).astype(np.int64, copy=False)
-        residue = _eliminate(a, k, q)
-        if schur and residue == 0:
-            skipped *= q
-            continue
-        # Garner's step: d and D stay their residues modulo the product
-        # so far; the trailing block of a holds S, so D is d * S mod q
-        inv = pow(modulus, -1, q)
-        d += modulus * ((residue - d) * inv % q)
-        step = (residue * a[k:, k:] % q - (big_d % q).astype(np.int64)) * inv % q
-        big_d += modulus * step.astype(object)
+        residue = _eliminate((ints % q).astype(np.int64, copy=False), n, q)
+        d += modulus * ((residue - d) * pow(modulus, -1, q) % q)
         modulus *= q
-    if 2 * d > modulus:
-        d -= modulus
-    return d, np.where(2 * big_d > modulus, big_d - modulus, big_d)
+    return d - modulus if 2 * d > modulus else d
 
 
 @lru_cache(maxsize=None)
-def _word_prime(i: int) -> int:
-    """The i-th largest prime below 2^31 (i = 0, 1, ... in turn)."""
-    q = 2 ** 31 - 1 if i == 0 else _word_prime(i - 1) - 2
+def _prime_below(limit: int, i: int) -> int:
+    """The i-th largest prime below limit (i = 0, 1, ... in turn)."""
+    q = (limit if i == 0 else _prime_below(limit, i - 1)) - 1
     while not _is_prime.__wrapped__(q):  # uncached: most candidates are composite
-        q -= 2
+        q -= 1
     return q
+
+
+def _word_prime(i: int) -> int:
+    """The i-th largest prime below 2^31, the CRT primes of det over Q."""
+    return _prime_below(_INT64_PRIME_LIMIT, i)
+
+
+def _lifting_prime(k: int, i: int) -> int:
+    """The i-th largest prime q with k (q - 1)^2 < 2^53: a length-k dot
+    product of residues mod q is then exact in float64."""
+    return _prime_below(isqrt((_FLOAT_EXACT_LIMIT - 1) // k) + 2, i)
+
+
+def _lift_dtype(k: int, top: int, q: int):
+    """Storage of the lifting for entries |M| <= top: float64 while every
+    integer it forms (M11 X and M21 X for X in [0, q), and R - M11 X),
+    at most k * top * q in absolute value, stays below 2^53 and so is
+    exact; else Python ints in an object array, where entries of 2^63 or
+    more always land."""
+    return np.float64 if k * top * q < _FLOAT_EXACT_LIMIT else object
+
+
+def _lifting_inverse(m11, lead2: int):
+    """(q, M11^{-1} mod q in float64) for the largest lifting prime q for
+    which M11 is invertible, from the F_q `solve`. A prime for which it
+    is singular is skipped, and once the skipped primes exceed the
+    Hadamard bound on |det M11|, M11 is singular over Q:
+    SingularMatrixError."""
+    k = len(m11)
+    skipped = 1
+    for i in count():
+        if skipped * skipped > lead2:
+            raise SingularMatrixError("singular matrix over Q")
+        q = _lifting_prime(k, i)
+        try:
+            inv = solve(ExactMatrix._of((m11 % q).astype(np.int64), q),
+                        ExactMatrix._of(np.eye(k, dtype=np.int64), q))
+        except SingularMatrixError:
+            skipped *= q
+            continue
+        return q, inv.array.astype(float)
+
+
+def _lift_schur(entries, k: int) -> ExactMatrix:
+    """The Schur complement S = M22 - M21 M11^{-1} M12 of an array of
+    rationals, by Dixon's p-adic lifting on its denominator-cleared
+    integer rows.
+
+    With C = M11^{-1} mod q, each of L steps takes, from R = M12,
+    X_i = C (R mod q) mod q, T_i = M21 X_i and R <- (R - M11 X_i) / q, so
+    that X = sum q^i X_i solves M11 X = M12 modulo q^L and S is
+    M22 - sum q^i T_i modulo q^L. By Sylvester's identity d S, with
+    d = det M11, is a matrix of (k+1)-minors, at most H in absolute value,
+    and |d| <= H_d; L is the smallest with q^L > 2 H H_d, so rational
+    reconstruction recovers S.
+    """
+    rows, scales = _int_rows(entries)
+    minors2, lead2 = _hadamard2(rows, k)
+    top = max(abs(e) for row in rows for e in row)
+    m22 = [e for row in rows[k:] for e in row[k:]]
+    a = np.array(rows, dtype=_lift_dtype(k, top, _lifting_prime(k, 0)))
+    del rows  # freed before the 2k x 2k bordered matrix of the inverse
+    m11, m21, r = a[:k, :k], a[k:, :k], a[:k, k:]
+    q, inv = _lifting_inverse(m11, lead2)
+    digits = []
+    modulus = 1
+    while modulus * modulus <= 4 * minors2 * lead2:
+        x = (inv @ (r % q).astype(float) % q).astype(np.int64)  # exact: k (q - 1)^2 < 2^53
+        r = (r - m11 @ x) // q
+        digits.append(m21 @ x)
+        modulus *= q
+    image = [(e - t) % modulus for e, t in zip(m22, _pairwise_sum(digits, q))]
+    values = iter(_reconstruct(image, modulus, minors2, lead2))
+    # the scale of a leading row cancels in M11^{-1} M12; that of a
+    # trailing row scales its row of the complement
+    return ExactMatrix([[Fraction(num, den * scale) for num, den in islice(values, r.shape[1])]
+                        for scale in scales[k:]])
+
+
+def _pairwise_sum(digits, q: int) -> list:
+    """sum_i q^i digits[i] of integer arrays, entry by entry in Python
+    ints, adding neighbours pairwise: (t0 + q t1) + q^2 (t2 + q t3) + ..."""
+    digits = [t.ravel() for t in digits]
+    step = q
+    while len(digits) > 1:
+        pairs = [digits[i:i + 2] for i in range(0, len(digits), 2)]
+        digits = [[int(lo) + step * int(hi) for lo, hi in zip(*pair)] if len(pair) == 2
+                  else pair[0] for pair in pairs]
+        step *= step
+    return [int(e) for e in digits[0]]
+
+
+def _reconstruct(residues, modulus: int, num2: int, den2: int) -> list:
+    """(numerator, denominator) of each rational value from its residue
+    mod `modulus`, for values N / d with |N| <= H = sqrt(num2) and one
+    common d, 0 < |d| <= sqrt(den2), where modulus > 2 H sqrt(den2)
+    makes each unique.
+
+    One running common denominator D, a divisor of d, serves all of
+    them, so D times a value has a numerator of at most H: when its
+    symmetric residue is at most H it is that residue, an integer;
+    otherwise the half-extended Euclidean algorithm on (modulus, that
+    residue), run to its first remainder at most H, gives its remaining
+    denominator (Wang), which joins D.
+    """
+    den = 1
+    out = []
+    for u in residues:
+        y = u * den % modulus
+        if 2 * y > modulus:
+            y -= modulus
+        if y * y > num2:
+            r0, r1, t0, t1 = modulus, y % modulus, 0, 1  # r_i = t_i y mod modulus
+            while r1 * r1 > num2:
+                quo = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+            if t1 * t1 > den2:
+                raise ArithmeticError("rational reconstruction failed")
+            y, den = (r1, den * t1) if t1 > 0 else (-r1, -den * t1)
+        out.append((y, den))
+    return out
 
 
 def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -310,9 +413,11 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     n = a.nrows
     if n == 0:
         return ExactMatrix([], a.field)
-    bordered = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    bordered += [[-1 if j == i else 0 for j in range(n)] + [0] * b.ncols for i in range(n)]
-    return _schur(ExactMatrix(bordered, a.field), n)
+    bordered = np.zeros((2 * n, n + b.ncols), dtype=a.array.dtype)
+    bordered[:n, :n] = a.array
+    bordered[:n, n:] = b.array
+    bordered[range(n, 2 * n), range(n)] = -1 if a.field is None else a.field - 1
+    return _schur(bordered, a.field, n)
 
 
 def schur_complement(m: ExactMatrix, k: int) -> ExactMatrix:
@@ -324,7 +429,7 @@ def schur_complement(m: ExactMatrix, k: int) -> ExactMatrix:
     if k == 0 or k == m.nrows:
         trail = range(k, m.nrows)
         return m.submatrix(trail, trail)
-    return _schur(m, k)
+    return _schur(m.array if m.field is None else m.array.copy(), m.field, k)
 
 
 def _rref(m: ExactMatrix):

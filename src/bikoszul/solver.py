@@ -49,7 +49,8 @@ RESIDUAL_TOL = 1e-6
 
 
 class SolveError(RuntimeError):
-    """Solving failed after all retries (multiplicity or separation failure)."""
+    """Solving failed after all retries (multiplicity, separation or residual
+    failure); the message gives the reason of every attempt."""
 
 
 class ExtractionError(RuntimeError):
@@ -279,14 +280,15 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
 
     Retries with fresh randomization on the structural failure signals
     (singular leading block, clustered eigenvalues, degenerate
-    extraction); residuals are reported per solution, not retried.
+    extraction) and when the worst residual exceeds tol; residuals are
+    reported per solution.
     """
     t = sys.type
     matrix = assemble_delta1(t)
     count = mhb(t)
     # theta is always default_theta(t), so the split depends on the type only
     partition = theta_partition(matrix, default_theta(t))
-    last_failure = None
+    failures = []
     for attempt in range(max_retries):
         rng = random.Random(f"{seed}:{attempt}")
         change = random_coordinate_change(t, rng)
@@ -296,18 +298,22 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
         try:
             schur = schur_complement(partition.apply(spec), partition.split)
         except SingularMatrixError as exc:
-            last_failure = f"attempt {attempt}: {exc}"
+            failures.append(f"attempt {attempt}: {exc}")
             continue
         pairs = eigen_schur(to_float(schur).astype(complex))
         if any(pair.clustered for pair in pairs):
-            last_failure = f"attempt {attempt}: clustered eigenvalues"
+            failures.append(f"attempt {attempt}: clustered eigenvalues")
             continue
         spec_float = to_float(spec)
         try:
             solutions, residuals = _recover_all(
                 transformed, partition, spec_float, pairs, change, sys)
         except ExtractionError as exc:
-            last_failure = f"attempt {attempt}: {exc}"
+            failures.append(f"attempt {attempt}: {exc}")
+            continue
+        worst = max(residuals, default=0.0)
+        if worst > tol:
+            failures.append(f"attempt {attempt}: residual {worst:.3g} above tol {tol:.3g}")
             continue
         return SolveReport(
             type=t,
@@ -321,8 +327,8 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
             change=change,
         )
     raise SolveError(
-        f"no solve after {max_retries} attempts (multiplicity or separation "
-        f"failure; expected {count} simple solutions); last: {last_failure}")
+        f"no solve after {max_retries} attempts (multiplicity, separation or "
+        f"residual failure; expected {count} simple solutions): {'; '.join(failures)}")
 
 
 def _recover_all(transformed, partition, spec_float, pairs, change, original):

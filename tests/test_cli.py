@@ -147,6 +147,14 @@ def test_solve_is_deterministic_and_roundtrips(capsys, tmp_path):
     assert f0.degree == (1, 1, 1)
 
 
+def test_solve_tol_below_every_residual_is_an_error_record(capsys):
+    code, out = run(capsys, "solve", "--system", "paper", "--tol", "1e-30")
+    assert code == 1
+    record = json.loads(out)["error"]
+    assert record["kind"] == "SolveError"
+    assert "above tol 1e-30" in record["message"]
+
+
 def test_oracle_command(capsys):
     code, out = run(capsys, "oracle", "--system", "paper", "--field", "fp:31",
                     "--output", "json")

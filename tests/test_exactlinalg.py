@@ -3,7 +3,7 @@ criterion for the leading block."""
 
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -56,6 +56,21 @@ def fraction_det(rows):
     return fraction_eliminate(rows, len(rows))[0]
 
 
+def identity(n, field=None):
+    return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], field)
+
+
+def matmul(a, b):
+    """Product by the schoolbook triple loop, reduced mod p over F_p."""
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    bt = list(zip(*b.rows)) if b.rows else []
+    out = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.rows]
+    return ExactMatrix(out, a.field)
+
+
 def test_det_basic():
     assert exactlinalg.det(ExactMatrix([[1, 2], [3, 4]])) == -2
     assert exactlinalg.det(ExactMatrix([])) == 1
@@ -93,13 +108,13 @@ def test_det_multiplicative_mod_p():
     for _ in range(10):
         a = ExactMatrix([[rng.randrange(p) for _ in range(4)] for _ in range(4)], p)
         b = ExactMatrix([[rng.randrange(p) for _ in range(4)] for _ in range(4)], p)
-        prod = exactlinalg.matmul(a, b)
+        prod = matmul(a, b)
         assert exactlinalg.det(prod) == exactlinalg.det(a) * exactlinalg.det(b) % p
 
 
 def test_solve_roundtrip():
     rng = random.Random(7)
-    eye = exactlinalg.identity(3)
+    eye = identity(3)
     b = ExactMatrix([[1], [2], [3]])
     assert exactlinalg.solve(eye, b).rows == b.rows
     for _ in range(5):
@@ -109,7 +124,7 @@ def test_solve_roundtrip():
                 break
         rhs = ExactMatrix([[Fraction(rng.randint(-5, 5)) for _ in range(2)] for _ in range(4)])
         x = exactlinalg.solve(a, rhs)
-        assert exactlinalg.matmul(a, x).rows == rhs.rows
+        assert matmul(a, x).rows == rhs.rows
     with pytest.raises(SingularMatrixError):
         exactlinalg.solve(ExactMatrix([[1, 1], [1, 1]]), ExactMatrix([[1], [1]]))
 
@@ -504,3 +519,120 @@ def test_schur_over_q_of_a_koszul_matrix_matches_fraction_elimination():
     d11, want = fraction_eliminate(spec.rows, part.split)
     assert d11 != 0
     assert exactlinalg.schur_complement(spec, part.split).rows == want
+
+
+def m11_small_with_det(rng, k, d):
+    """A k x k integer block of determinant +-d with entries below
+    |d|^(1/k) or so: rows B e_i - e_{i+1}, then the base-B digits of |d|,
+    mixed by unimodular row operations; only the first row has a nonzero
+    first entry."""
+    base = 2
+    while base ** k <= abs(d):
+        base *= 2
+    digits = [abs(d) // base ** i % base for i in range(k)]
+    rows = [[base if j == i else -1 if j == i + 1 else 0 for j in range(k)] for i in range(k - 1)]
+    rows.append(digits)
+    mix = [[1 if i == j else rng.randint(-1, 1) * (0 < j < i) for j in range(k)] for i in range(k)]
+    return [[sum(mix[i][l] * rows[l][j] for l in range(k)) for j in range(k)]
+            for i in range(k)]
+
+
+@pytest.mark.parametrize("skipped", [1, 2])
+def test_lifting_skips_primes_that_divide_det_m11(skipped):
+    """det M11 a multiple of the first lifting primes, with small entries
+    so that the lifting runs in float64: those primes find M11 singular
+    and are skipped; the complement and the solve are still exact."""
+    import numpy as np
+
+    rng = random.Random(100 + skipped)
+    for trial in range(20):
+        k, n = rng.randint(3, 5), rng.randint(1, 3)
+        primes = [exactlinalg._lifting_prime(k, i) for i in range(skipped)]
+        lead = m11_small_with_det(rng, k, prod(primes) * rng.choice((-3, -1, 1, 2)))
+        if trial % 2:
+            lead.reverse()  # and a zero first pivot
+        rows = [row + [rng.randint(-9, 9) for _ in range(n)] for row in lead]
+        rows += [[rng.randint(-9, 9) for _ in range(k + n)] for _ in range(n)]
+        assert all(naive_det(lead) % q == 0 for q in primes) and naive_det(lead) != 0
+        top = max(abs(e) for row in rows for e in row)
+        assert exactlinalg._lift_dtype(k, top, primes[0]) is np.float64
+        assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == \
+            reference_schur(rows, k)
+        a_rows, b_rows = [row[:k] for row in rows[:k]], [row[k:] for row in rows[:k]]
+        assert exactlinalg.solve(ExactMatrix(a_rows), ExactMatrix(b_rows)).rows == \
+            reference_solve(a_rows, b_rows)
+
+
+def test_lifting_with_entries_past_the_float_bound_takes_the_object_path():
+    """Entries near 2^40 fit int64, but k * 2^40 * q passes 2^53, so the
+    products M11 X and M21 X run on Python ints."""
+    rng = random.Random(40)
+    for _ in range(20):
+        k, n = rng.randint(1, 4), rng.randint(1, 3)
+        rows = [[rng.choice((rng.randint(-9, 9), rng.randint(-2 ** 41, 2 ** 41)))
+                 for _ in range(k + n)] for _ in range(k + n)]
+        rows[0][0] = 2 ** 40 + rng.randint(0, 2 ** 20)
+        want = reference_schur(rows, k)
+        if want is None:
+            continue
+        top = max(abs(e) for row in rows for e in row)
+        assert 2 ** 40 <= top < 2 ** 63
+        assert exactlinalg._lift_dtype(k, top, exactlinalg._lifting_prime(k, 0)) is object
+        assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == want
+        a_rows, b_rows = [row[:k] for row in rows[:k]], [row[k:] for row in rows[:k]]
+        assert exactlinalg.solve(ExactMatrix(a_rows), ExactMatrix(b_rows)).rows == \
+            reference_solve(a_rows, b_rows)
+
+
+def test_lifting_meets_tight_hadamard_bounds():
+    """[[d, b], [-b, d]] with gcd(b, d) = 1: the 2 x 2 minor d^2 + b^2 and
+    |det M11| = |d| both equal their Hadamard bounds, and the complement
+    (d^2 + b^2) / d has the largest denominator they allow, so the
+    reconstruction needs all L lifting steps. Sizes run from a few bits
+    to 2^90, and d steps across the float64 / object boundary, where
+    R - M11 X comes closest to 2^53."""
+    rng = random.Random(53)
+    edge = 2 ** 53 // exactlinalg._lifting_prime(1, 0)  # the largest d on float64
+    cases = [(sign * (edge + step), 1) for sign in (1, -1)
+             for step in (-1, 0, 1, edge // 2, edge - 1)]
+    for trial in range(200):
+        bits = 2 + trial % 90
+        cases.append((rng.choice((-1, 1)) * rng.randint(2 ** (bits - 1), 2 ** bits),
+                      rng.randint(1, 2 ** bits)))
+    for d, b in cases:
+        while gcd(b, d) != 1:
+            b += 1
+        rows = [[d, b], [-b, d]]
+        assert exactlinalg.schur_complement(ExactMatrix(rows), 1).rows == \
+            [[Fraction(d * d + b * b, d)]]
+        assert exactlinalg.solve(ExactMatrix([[d]]), ExactMatrix([[b, d * d + 1]])).rows == \
+            [[Fraction(b, d), Fraction(d * d + 1, d)]]
+
+
+def test_schur_over_q_of_a_mu_136_koszul_matrix_matches_fraction_elimination():
+    """The theta-partitioned (3,3,1,4,3) Koszul matrix, mu = 136 and
+    split 124, the largest type of the solve benchmark, where the
+    lifting runs about a hundred steps."""
+    t = SystemType(3, 3, 1, 4, 3)
+    rng = random.Random(3341)
+    matrix = koszul.assemble_delta1(t)
+    f0, theta = solver.choose_f0_and_theta(t, rng)
+    part = koszul.theta_partition(matrix, theta)
+    spec = part.apply(koszul.specialize(matrix, core.random_system(t, rng).with_f0(f0)))
+    assert (spec.nrows, part.split) == (136, 124)
+    d11, want = fraction_eliminate(spec.rows, part.split)
+    assert d11 != 0
+    assert exactlinalg.schur_complement(spec, part.split).rows == want
+
+
+def test_reconstruction_accepts_a_residue_only_up_to_h():
+    """Values N / 7 with |N| <= H = 1000, as d S has entries N for
+    d = 7, modulo m = 2 H 7 + 1, the least modulus the lifting allows:
+    995/7 has the symmetric residue -1858, between H and 2 H, and only a
+    rational reconstruction reads it right."""
+    h, den, m = 1000, 7, 2 * 1000 * 7 + 1
+    values = [Fraction(995, 7), Fraction(-1000, 7), Fraction(3, 7), Fraction(994, 7), Fraction(0)]
+    residues = [v.numerator * pow(v.denominator, -1, m) % m for v in values]
+    assert residues[0] == m - 1858
+    got = exactlinalg._reconstruct(residues, m, h * h, den * den)
+    assert [Fraction(a, b) for a, b in got] == values

@@ -276,3 +276,15 @@ def test_solver_error_reports_failure():
     degenerate = BilinearSystem(t, (f1, f2, f3))
     with pytest.raises(solver.SolveError):
         solver.solve_2bilinear(degenerate, seed=0, max_retries=3)
+
+
+def test_residual_above_tol_is_retried_then_raises(paper_system):
+    system = BilinearSystem(paper_system.type, paper_system.f)
+    report = solver.solve_2bilinear(system, seed=0)
+    assert max(report.residuals) <= solver.RESIDUAL_TOL
+    # no attempt reaches a residual of 1e-30, so every one is retried
+    with pytest.raises(solver.SolveError, match=r"attempt 2: residual .* above tol 1e-30"):
+        solver.solve_2bilinear(system, seed=0, tol=1e-30, max_retries=3)
+    # a tol the residuals meet changes nothing
+    again = solver.solve_2bilinear(system, seed=0, tol=max(report.residuals))
+    assert again.retries == report.retries and again.residuals == report.residuals
