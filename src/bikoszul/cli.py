@@ -1,6 +1,6 @@
 """Command-line frontend.
 
-Subcommands: dims, search-dv, matrix, resultant, solve, oracle, bench,
+Subcommands: dims, search-dv, matrix, resultant, solve, oracle,
 selftest-paper, example-system. Exit codes: 0 success, 1 domain error
 (with a machine-readable error record on stdout) or standard output
 closed by its reader (with nothing more printed), 2 usage error.
@@ -213,22 +213,6 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    rows = []
-    for row in selftest.fgb_table():
-        t = core.SystemType(*row["type"])
-        rows.append({"type": row["type"], "koszul": weyman.mu(t),
-                     "fgb": row["fgb"], "ratio": row["ratio"]})
-    payload = {"command": "bench", "rows": rows,
-               "note": "fgb column is recorded data, not recomputed"}
-    lines = [f"{'type':>18} {'koszul':>8} {'fgb':>12} {'ratio':>8}"]
-    for row in rows:
-        lines.append(f"{str(tuple(row['type'])):>18} {row['koszul']:>8} "
-                     f"{row['fgb'][0]}x{row['fgb'][1]:>5} {row['ratio']:>8}")
-    _emit(args, payload, lines)
-    return 0
-
-
 def cmd_selftest_paper(args) -> int:
     checks = selftest.run_checks()
     width = max(len(name) for name, _, _ in checks)
@@ -295,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, system=True, field=True)
     p.add_argument("--include-f0", action="store_true")
     p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("bench", help="matrix sizes against the recorded benchmark table")
-    common(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("selftest-paper", help="run every recorded golden check")
     p.set_defaults(func=cmd_selftest_paper)

@@ -573,20 +573,35 @@ def poly_to_obj(p: MHPoly) -> dict:
     }
 
 
-def _require(obj, key: str, what: str):
+def _require(obj, key: str, what: str, kind: type):
+    """obj[key], which must be of the given JSON kind (a bool is no int)."""
     if not isinstance(obj, dict) or key not in obj:
         raise DomainError(f"{what} needs a {key!r} key")
-    return obj[key]
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DomainError(f"{key!r} of {what} must be {kind.__name__}, not {value!r}")
+    return value
+
+
+def _coefficient(value) -> Fraction:
+    """A coefficient of a system file: a JSON integer or a string such as "-3/4"."""
+    if type(value) not in (int, str):  # a bool is no int
+        raise DomainError(f"a coefficient must be an integer or a string, not {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise DomainError(f"a coefficient has a zero denominator ({exc})") from None
+    except ValueError:
+        raise DomainError(f"coefficient {value!r} is not a rational number") from None
 
 
 def poly_from_obj(obj: dict, nvars) -> MHPoly:
-    degree = tuple(_require(obj, "degree", "a polynomial"))
-    try:
-        terms = {parse_exponent_key(k, nvars): Fraction(v)
-                 for k, v in _require(obj, "terms", "a polynomial").items()}
-    except ZeroDivisionError as exc:
-        raise DomainError(f"a coefficient has a zero denominator ({exc})") from None
-    return MHPoly(nvars, degree, terms)
+    degree = _require(obj, "degree", "a polynomial", list)
+    if not all(type(d) is int for d in degree):
+        raise DomainError(f"a degree must list integers, not {degree!r}")
+    terms = _require(obj, "terms", "a polynomial", dict)
+    return MHPoly(nvars, degree, {parse_exponent_key(k, nvars): _coefficient(v)
+                                  for k, v in terms.items()})
 
 
 def system_to_obj(sys: BilinearSystem) -> dict:
@@ -601,8 +616,9 @@ def system_to_obj(sys: BilinearSystem) -> dict:
 
 
 def system_from_obj(obj: dict) -> BilinearSystem:
-    td = _require(obj, "type", "a system")
-    t = SystemType(*(_require(td, key, "a system type") for key in ("nx", "ny", "nz", "r", "s")))
-    polys = tuple(poly_from_obj(p, t.nvars) for p in _require(obj, "polys", "a system"))
+    td = _require(obj, "type", "a system", dict)
+    t = SystemType(*(_require(td, key, "a system type", int)
+                     for key in ("nx", "ny", "nz", "r", "s")))
+    polys = tuple(poly_from_obj(p, t.nvars) for p in _require(obj, "polys", "a system", list))
     f0 = poly_from_obj(obj["f0"], t.nvars) if "f0" in obj else None
     return BilinearSystem(t, polys, f0)

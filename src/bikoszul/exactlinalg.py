@@ -20,7 +20,9 @@ Schur complement, and so `solve`, is Dixon's p-adic lifting
 from the F_q `solve`, then one k x k by k x (n-k) product per step,
 until q^L exceeds twice the product of the Hadamard bounds on the
 (k+1)-minors and on det M11; rational reconstruction with one running
-common denominator recovers S.
+common denominator recovers S. When M11 is singular modulo the first
+lifting prime, one CRT det tells a singular M11 over Q
+(SingularMatrixError) from an unlucky prime, which is skipped.
 
 Floats enter the exact paths only inside that lifting, where every
 value is an integer below 2^53 and so exact in float64: q is the
@@ -298,23 +300,21 @@ def _lift_dtype(k: int, top: int, q: int):
     return np.float64 if k * top * q < _FLOAT_EXACT_LIMIT else object
 
 
-def _lifting_inverse(m11, lead2: int):
+def _lifting_inverse(m11):
     """(q, M11^{-1} mod q in float64) for the largest lifting prime q for
-    which M11 is invertible, from the F_q `solve`. A prime for which it
-    is singular is skipped, and once the skipped primes exceed the
-    Hadamard bound on |det M11|, M11 is singular over Q:
-    SingularMatrixError."""
+    which M11 is invertible, from the F_q `solve`. When M11 is singular
+    modulo the first prime, one CRT det of M11 over Q decides: 0 raises
+    SingularMatrixError; otherwise the loop skips primes that divide it,
+    of which there are finitely many."""
     k = len(m11)
-    skipped = 1
     for i in count():
-        if skipped * skipped > lead2:
-            raise SingularMatrixError("singular matrix over Q")
         q = _lifting_prime(k, i)
         try:
             inv = solve(ExactMatrix._of((m11 % q).astype(np.int64), q),
                         ExactMatrix._of(np.eye(k, dtype=np.int64), q))
         except SingularMatrixError:
-            skipped *= q
+            if i == 0 and _multimodular([[int(e) for e in row] for row in m11.tolist()]) == 0:
+                raise SingularMatrixError("singular matrix over Q") from None
             continue
         return q, inv.array.astype(float)
 
@@ -339,7 +339,7 @@ def _lift_schur(entries, k: int) -> ExactMatrix:
     a = np.array(rows, dtype=_lift_dtype(k, top, _lifting_prime(k, 0)))
     del rows  # freed before the 2k x 2k bordered matrix of the inverse
     m11, m21, r = a[:k, :k], a[k:, :k], a[:k, k:]
-    q, inv = _lifting_inverse(m11, lead2)
+    q, inv = _lifting_inverse(m11)
     digits = []
     modulus = 1
     while modulus * modulus <= 4 * minors2 * lead2:

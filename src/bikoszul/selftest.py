@@ -147,7 +147,7 @@ def run_checks() -> list[tuple[str, bool, str]]:
           [1, 3])
 
     unit = [p for p in pairs if abs(p.value - 1) < 1e-9][0]
-    full = solver.extend_eigenvector(part, exactlinalg.to_float(spec), unit.vector)
+    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), unit.vector)
     cidx = {lab: j for j, lab in enumerate(matrix.cols)}
     got = np.array([full[cidx[PRINTED_COLS[c]]] for c in COL_ORDER])
     want = np.array(PRINTED_EXTENDED_VECTOR, dtype=complex)

@@ -11,8 +11,10 @@ dual Veronese forms, so the x and y coordinates drop out as ratios of
 its entries. The z block then solves a small linear system, and the
 coordinate change is undone.
 
-The Schur complement is computed exactly over the rationals; floating
-point enters only at the eigen-decomposition and afterwards.
+The Schur complement is computed exactly over the rationals. Floating
+point enters at its eigen-decomposition and at one float solve of the
+leading block M11 on the theta-permuted matrix, which extends every
+eigenvector of an attempt; the residual gate checks what follows.
 """
 
 from __future__ import annotations
@@ -104,24 +106,21 @@ def eigen_schur(matrix, tol: float = EIGEN_CLUSTER_TOL) -> list[EigenPair]:
     return pairs
 
 
-def extend_eigenvector(partition: ThetaPartition, spec_float: np.ndarray,
-                       vbar) -> np.ndarray:
-    """Extend a Schur-complement eigenvector to the kernel direction of
-    the full specialized matrix, returned in the unpermuted column order.
+def extend_eigenvector(partition: ThetaPartition, permuted: np.ndarray,
+                       vectors) -> np.ndarray:
+    """Extend Schur-complement eigenvectors, one vector or the columns of
+    a matrix, to kernel directions of the full specialized matrix,
+    returned in its unpermuted column order.
 
-    The kernel equation gives the top part as -M11^{-1} M12 vbar (the
-    split blocks taken from the partition-permuted matrix).
+    `permuted` is the theta-permuted float matrix. The kernel equation
+    gives the top parts as -X V with X = M11^{-1} M12, solved once.
     """
     k = partition.split
-    perm = spec_float[np.ix_(partition.row_perm, partition.col_perm)]
-    m11 = perm[:k, :k]
-    m12 = perm[:k, k:]
-    vbar = np.asarray(vbar, dtype=complex)
-    top = -np.linalg.solve(m11, m12 @ vbar)
-    stacked = np.concatenate([top, vbar])
-    out = np.empty(partition.size, dtype=complex)
-    for pos, col in enumerate(partition.col_perm):
-        out[col] = stacked[pos]
+    x = np.linalg.solve(permuted[:k, :k], permuted[:k, k:])
+    vectors = np.asarray(vectors, dtype=complex)
+    stacked = np.concatenate([-x @ vectors, vectors])
+    out = np.empty_like(stacked)
+    out[list(partition.col_perm)] = stacked
     return out
 
 
@@ -281,8 +280,10 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
     Retries with fresh randomization on the structural failure signals
     (singular leading block, clustered eigenvalues, degenerate
     extraction) and when the worst residual exceeds tol; residuals are
-    reported per solution.
+    reported per solution. A negative or NaN tol is a DomainError.
     """
+    if not tol >= 0:
+        raise DomainError(f"tol must be a nonnegative number, not {tol}")
     t = sys.type
     matrix = assemble_delta1(t)
     count = mhb(t)
@@ -294,20 +295,19 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
         change = random_coordinate_change(t, rng)
         f0, theta = choose_f0_and_theta(t, rng)
         transformed = apply_coordinate_change(BilinearSystem(t, sys.f), change).with_f0(f0)
-        spec = specialize(matrix, transformed)
+        permuted = partition.apply(specialize(matrix, transformed))
         try:
-            schur = schur_complement(partition.apply(spec), partition.split)
+            schur = schur_complement(permuted, partition.split)
         except SingularMatrixError as exc:
             failures.append(f"attempt {attempt}: {exc}")
             continue
-        pairs = eigen_schur(to_float(schur).astype(complex))
+        pairs = eigen_schur(to_float(schur))
         if any(pair.clustered for pair in pairs):
             failures.append(f"attempt {attempt}: clustered eigenvalues")
             continue
-        spec_float = to_float(spec)
         try:
             solutions, residuals = _recover_all(
-                transformed, partition, spec_float, pairs, change, sys)
+                transformed, partition, to_float(permuted), pairs, change, sys)
         except ExtractionError as exc:
             failures.append(f"attempt {attempt}: {exc}")
             continue
@@ -331,11 +331,11 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
         f"residual failure; expected {count} simple solutions): {'; '.join(failures)}")
 
 
-def _recover_all(transformed, partition, spec_float, pairs, change, original):
+def _recover_all(transformed, partition, permuted, pairs, change, original):
     solutions = []
     residuals = []
-    for pair in pairs:
-        full = extend_eigenvector(partition, spec_float, pair.vector)
+    vectors = np.column_stack([pair.vector for pair in pairs])
+    for full in extend_eigenvector(partition, permuted, vectors).T:
         ax, ay = extract_xy(full, transformed.type)
         az = solve_z(transformed, ax, ay)
         back = transform_point(change, ProjectiveSolution(tuple(ax), tuple(ay), tuple(az)))

@@ -95,7 +95,7 @@ def test_c04_eigenvector_extension(paper_system):
     schur = exactlinalg.schur_complement(part.apply(spec), part.split)
     pairs = solver.eigen_schur(exactlinalg.to_float(schur))
     unit = [p for p in pairs if abs(p.value - 1) < 1e-9][0]
-    full = solver.extend_eigenvector(part, exactlinalg.to_float(spec), unit.vector)
+    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), unit.vector)
     cidx = {lab: j for j, lab in enumerate(matrix.cols)}
     got = np.array([full[cidx[selftest.PRINTED_COLS[c]]] for c in selftest.COL_ORDER])
     want = np.array(selftest.PRINTED_EXTENDED_VECTOR, dtype=complex)

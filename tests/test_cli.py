@@ -17,14 +17,6 @@ def run(capsys, *argv):
     return code, out
 
 
-def test_bench_reports_recorded_sizes(capsys):
-    code, out = run(capsys, "bench", "--output", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert [row["koszul"] for row in payload["rows"]] == [630, 352, 6804, 4125, 2106, 7000, 2450]
-    assert payload["rows"][0]["fgb"] == [1769, 1158]
-
-
 def test_dims_command(capsys):
     code, out = run(capsys, "dims", "--type", "1,1,1,2,1",
                     "--degree-vector", "0,-1,1", "--output", "json")
@@ -98,13 +90,27 @@ def test_resultant_rejects_composite_modulus(capsys):
     assert "not a prime" in record["error"]["message"]
 
 
+def set_coefficient(value):
+    return lambda obj: (terms := obj["polys"][0]["terms"]).update({next(iter(terms)): value})
+
+
+def set_nx(value):
+    return lambda obj: obj["type"].update(nx=value)
+
+
 @pytest.mark.parametrize("mangle, message", [
     (lambda obj: obj.pop("type"), "'type'"),
     (lambda obj: obj.pop("polys"), "'polys'"),
     (lambda obj: obj["polys"][0].pop("degree"), "'degree'"),
     (lambda obj: obj["polys"][0].pop("terms"), "'terms'"),
-    (lambda obj: obj["polys"][0]["terms"].update({next(iter(obj["polys"][0]["terms"])): "1/0"}),
-     "zero denominator"),
+    (set_coefficient("1/0"), "zero denominator"),
+    # each of these was accepted silently or ended in a traceback
+    (set_coefficient(0.5), "not 0.5"),
+    (set_coefficient(True), "not True"),
+    (set_coefficient(None), "not None"),
+    (set_nx("1"), "not '1'"),
+    (set_nx(1.0), "not 1.0"),
+    (lambda obj: obj["polys"][0].update(terms=[]), "'terms' of a polynomial must be dict"),
 ])
 def test_malformed_system_file_is_domain_error(capsys, tmp_path, mangle, message):
     code, out = run(capsys, "example-system")
@@ -153,6 +159,16 @@ def test_solve_tol_below_every_residual_is_an_error_record(capsys):
     record = json.loads(out)["error"]
     assert record["kind"] == "SolveError"
     assert "above tol 1e-30" in record["message"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-6"])
+def test_solve_rejects_nan_or_negative_tol(capsys, tol):
+    # with tol nan the residual gate was off: no residual compares above it
+    code, out = run(capsys, "solve", "--system", "paper", f"--tol={tol}")
+    assert code == 1
+    record = json.loads(out)["error"]
+    assert record["kind"] == "DomainError"
+    assert "tol must be a nonnegative number" in record["message"]
 
 
 def test_oracle_command(capsys):

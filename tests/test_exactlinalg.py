@@ -490,6 +490,25 @@ def test_singular_m11_with_huge_entries_raises():
                               ExactMatrix([row[k:] for row in rows[:k]]))
 
 
+def test_singular_m11_over_q_is_declared_after_one_inverse(monkeypatch):
+    """A singular M11 costs one F_q inverse and one CRT det, not one
+    inverse per lifting prime up to the Hadamard bound on |det M11|."""
+    t = SystemType(2, 2, 2, 3, 3)
+    rng = random.Random(2233)
+    matrix = koszul.assemble_delta1(t)
+    f0, theta = solver.choose_f0_and_theta(t, rng)
+    part = koszul.theta_partition(matrix, theta)
+    rows = part.apply(koszul.specialize(matrix, core.random_system(t, rng).with_f0(f0))).rows
+    rows[0] = list(rows[1])  # two equal rows in M11
+    calls = []
+    real_solve = exactlinalg.solve
+    monkeypatch.setattr(exactlinalg, "solve",
+                        lambda a, b: calls.append(a.field) or real_solve(a, b))
+    with pytest.raises(SingularMatrixError):
+        exactlinalg.schur_complement(ExactMatrix(rows), part.split)
+    assert len(calls) == 1
+
+
 def test_bordered_solve_over_q_with_huge_entries_matches_cramer():
     """Entries at and above 2^63 take the object-array path."""
     rng = random.Random(63)

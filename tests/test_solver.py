@@ -34,13 +34,13 @@ def test_eigen_schur_paper_values():
 
 def test_extend_eigenvector_matches_printed_vector(paper_system):
     matrix, part, spec = paper_partition(paper_system)
-    full = solver.extend_eigenvector(part, exactlinalg.to_float(spec), [1.0, 2.0])
+    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [1.0, 2.0])
     cidx = {lab: j for j, lab in enumerate(matrix.cols)}
     got = np.array([full[cidx[selftest.PRINTED_COLS[c]]] for c in selftest.COL_ORDER])
     want = np.array(selftest.PRINTED_EXTENDED_VECTOR, dtype=complex)
     factor = got[0] / want[0]
     assert np.max(np.abs(got - factor * want)) < 1e-8 * np.max(np.abs(want))
-    zero = solver.extend_eigenvector(part, exactlinalg.to_float(spec), [0.0, 0.0])
+    zero = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [0.0, 0.0])
     assert np.all(zero == 0)
 
 
@@ -48,7 +48,7 @@ def test_extended_vector_is_kernel_of_shifted_matrix(paper_system):
     # M(g) v = 0 for g = f0 - lambda theta at the eigenvalue lambda = 1
     matrix, part, spec = paper_partition(paper_system)
     t = paper_system.type
-    full = solver.extend_eigenvector(part, exactlinalg.to_float(spec), [1.0, 2.0])
+    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [1.0, 2.0])
     g0 = core.add(paper_system.f0,
                   core.scale(core.monomial_poly(t.nvars, (1, 1, 1), THETA), -1))
     shifted = exactlinalg.to_float(koszul.specialize(matrix, paper_system.with_f0(g0)))
@@ -56,10 +56,42 @@ def test_extended_vector_is_kernel_of_shifted_matrix(paper_system):
     assert residual < 1e-8 * np.linalg.norm(shifted) * np.linalg.norm(full)
 
 
+def test_extending_all_eigenvectors_at_once_matches_each_and_is_kernel():
+    """On the mu = 81 type (2,2,2,3,3) the matrix of all eigenvectors
+    extends column by column as each vector alone does, and each column
+    is a kernel vector of the matrix specialized at f0 - lambda theta."""
+    t = SystemType(2, 2, 2, 3, 3)
+    rng = random.Random(2233)
+    matrix = koszul.assemble_delta1(t)
+    f0, theta = solver.choose_f0_and_theta(t, rng)
+    sys_ = core.random_system(t, rng)
+    part = koszul.theta_partition(matrix, theta)
+    exact = part.apply(koszul.specialize(matrix, sys_.with_f0(f0)))
+    assert exact.nrows == 81
+    schur = exactlinalg.schur_complement(exact, part.split)
+    pairs = solver.eigen_schur(exactlinalg.to_float(schur))
+    assert len(pairs) == core.mhb(t) and not any(p.clustered for p in pairs)
+    permuted = exactlinalg.to_float(exact)
+    extended = solver.extend_eigenvector(part, permuted, np.column_stack([p.vector for p in pairs]))
+    assert extended.shape == (81, len(pairs))
+    # entries are linear in the coefficients of f0, so M(f0 - lambda theta)
+    # = M(f0) - lambda (M(f0 + theta) - M(f0))
+    base = exactlinalg.to_float(koszul.specialize(matrix, sys_.with_f0(f0)))
+    theta_poly = core.monomial_poly(t.nvars, (1, 1, 1), theta)
+    shift = exactlinalg.to_float(koszul.specialize(matrix, sys_.with_f0(core.add(f0, theta_poly))))
+    shift -= base
+    for pair, full in zip(pairs, extended.T):
+        alone = solver.extend_eigenvector(part, permuted, pair.vector)
+        assert np.linalg.norm(full - alone) <= 1e-12 * np.linalg.norm(alone)
+        shifted = base - pair.value * shift
+        scale = np.linalg.norm(shifted) * np.linalg.norm(full)
+        assert np.linalg.norm(shifted @ full) < 1e-8 * scale
+
+
 def test_extract_xy_from_paper_vector(paper_system):
     matrix, part, spec = paper_partition(paper_system)
     t = paper_system.type
-    full = solver.extend_eigenvector(part, exactlinalg.to_float(spec), [1.0, 2.0])
+    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [1.0, 2.0])
     ax, ay = solver.extract_xy(full, t)
     assert abs(ax[1] / ax[0] - 3) < 1e-9
     assert abs(ay[1] / ay[0] - 2) < 1e-9
@@ -220,10 +252,10 @@ def test_extended_vector_lies_in_rho_span(two_root_builder):
     part = koszul.theta_partition(matrix, report.theta)
     transformed = core.apply_coordinate_change(
         BilinearSystem(t, sys_.f), report.change).with_f0(report.f0)
-    spec_float = exactlinalg.to_float(koszul.specialize(matrix, transformed))
+    permuted = exactlinalg.to_float(part.apply(koszul.specialize(matrix, transformed)))
     slots = oracle.rho_slots(t)
     for pair in report.eigenpairs:
-        full = solver.extend_eigenvector(part, spec_float, pair.vector)
+        full = solver.extend_eigenvector(part, permuted, pair.vector)
         ax, ay = solver.extract_xy(full, t)
         basis = np.column_stack([
             np.array([float(v) for v in oracle.build_rho(
