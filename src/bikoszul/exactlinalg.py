@@ -11,26 +11,33 @@ the pivot column. Over F_p it serves `det` (n steps),
 `schur_complement` (k steps) and `solve` (the Schur complement of
 [[A, B], [-I, 0]] at split n).
 
-Over Q both paths first clear denominators row by row. `det` is CRT
-(`_multimodular`): the loop runs modulo descending primes below 2^31
-until their product exceeds twice a Hadamard bound, and Garner's
-recombination plus the symmetric residue give the determinant. The
-Schur complement, and so `solve`, is Dixon's p-adic lifting
-(`_lift_schur`): one inverse of M11 modulo a lifting prime q, taken
-from the F_q `solve`, then one k x k by k x (n-k) product per step,
-until q^L exceeds twice the product of the Hadamard bounds on the
-(k+1)-minors and on det M11; rational reconstruction with one running
-common denominator recovers S. When M11 is singular modulo the first
-lifting prime, one CRT det tells a singular M11 over Q
-(SingularMatrixError) from an unlucky prime, which is skipped.
+Over Q both paths first clear denominators row by row, once. A zero
+test (`_zero_test`) decides whether a square block is singular with a
+certificate instead of a prime budget: modulo a word prime (below
+2^31), the loop stops at the first column s without a pivot, and the
+Schur complement over Q of the first s + 1 columns, pivot rows first,
+is 0 exactly when column s is a Q-combination of the columns before it.
+`det` (`_multimodular`) is the method of Abbott, Bronstein and Mulders
+without early termination: the zero test, then the denominator D of
+-c A^{-1} b for fixed small integer vectors b and c, a divisor of det A
+from one p-adic lift (`_divisor`), then CRT on det / D over the word
+primes until their product exceeds 2 H / |D|, H the Hadamard bound.
+Below a small budget (`_CRT_MAX_PRIMES`) it is plain CRT with D = 1.
+The Schur complement, and so `solve`, is Dixon's p-adic lifting
+(`_lift_schur`) once the zero test has found M11 nonsingular
+(SingularMatrixError otherwise): one inverse of M11 modulo a lifting
+prime q, taken from the F_q `solve`, then one k x k by k x (n-k)
+product per step, until q^L exceeds twice the product of the Hadamard
+bounds on the (k+1)-minors and on det M11; rational reconstruction with
+one running common denominator recovers S. A lifting prime that divides
+det M11 is skipped.
 
 Floats enter the exact paths only inside that lifting, where every
 value is an integer below 2^53 and so exact in float64: q is the
 largest prime with k (q-1)^2 < 2^53, which bounds each dot product of
 residues, and the products with M11 and M21 run in float64 only while
 k * max|entry| * q < 2^53 (`_lift_dtype`), else on Python ints.
-`to_float` is the one lossy conversion. `rank` and `nullspace` share
-the Gauss-Jordan `_rref`, on lists of rows.
+`to_float` is the one lossy conversion.
 
 The field tag of an ExactMatrix is None for the rationals or the prime
 p itself. A composite tag is rejected with ValueError.
@@ -38,6 +45,7 @@ p itself. A composite tag is rejected with ValueError.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
@@ -169,18 +177,23 @@ def matvec(a: ExactMatrix, v) -> list:
 
 
 def _int_rows(array):
-    """Clear denominators row by row; returns (integer rows, row scales)."""
+    """Clear denominators row by row: (integer array, row scales). The
+    array is int64 when every entry fits, else object (Python ints)."""
     rows = []
     scales = []
     for row in array.tolist():
-        denom = lcm(1, *(e.denominator for e in row if isinstance(e, Fraction)))
+        denom = lcm(*[e.denominator for e in row])  # 1 for an int
         scales.append(denom)
-        rows.append([e.numerator * (denom // e.denominator) if isinstance(e, Fraction)
-                     else int(e) * denom for e in row])
-    return rows, scales
+        rows.append([e.numerator for e in row] if denom == 1 else
+                    [e.numerator * (denom // e.denominator) for e in row])
+    try:
+        ints = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        ints = np.array([[int(e) for e in row] for row in rows], dtype=object)
+    return ints.reshape(array.shape), scales
 
 
-def _eliminate(a, k: int, p: int) -> int:
+def _eliminate(a, k: int, p: int, order=None) -> int:
     """k Gaussian elimination steps mod p on the array a (clobbered),
     pivoting on the first nonzero entry among the leading k rows.
 
@@ -189,7 +202,11 @@ def _eliminate(a, k: int, p: int) -> int:
     Each step is one rank-1 update of the rows whose entry in the pivot
     column is nonzero. Returns the determinant of the leading k x k
     block, 0 when it is singular. Afterwards the block below and right
-    of it is the Schur complement itself.
+    of it is the Schur complement itself. Each row swap is also applied
+    to `order`, an index array of the rows, when one is given. On a 0
+    return the step s whose column has no pivot is the first zero on
+    the diagonal: the pivots precede it, and column s is zero from row s
+    to row k - 1.
     """
     det = 1
     for s in range(k):
@@ -197,7 +214,10 @@ def _eliminate(a, k: int, p: int) -> int:
         if lead.size == 0:
             return 0
         if lead[0]:
-            a[[s, s + lead[0]]] = a[[s + lead[0], s]]
+            swap = [s + lead[0], s]
+            a[swap[::-1]] = a[swap]
+            if order is not None:
+                order[swap[::-1]] = order[swap]
             det = -det
         ps = int(a[s, s])
         det = det * ps % p
@@ -211,19 +231,27 @@ def _eliminate(a, k: int, p: int) -> int:
 def _schur(a, field: int | None, k: int) -> ExactMatrix:
     """Trailing block M22 - M21 M11^{-1} M12 of the (possibly rectangular)
     array a of entries valid for the field: over F_p after k elimination
-    steps that pivot inside M11, which clobber a, over Q by p-adic
-    lifting, which only reads a; raises SingularMatrixError when M11 is
-    singular."""
-    if field is None:
-        return _lift_schur(a, k)
-    if _eliminate(a, k, field) == 0:
-        raise SingularMatrixError("singular matrix over F_p")
-    return ExactMatrix._of(a[k:, k:].copy(), field)  # not a view that keeps all of a
+    steps that pivot inside M11, which clobber a; over Q, once the zero
+    test has found M11 nonsingular, by p-adic lifting on the
+    denominator-cleared rows, which only reads a. Raises
+    SingularMatrixError when M11 is singular."""
+    if field is not None:
+        if _eliminate(a, k, field) == 0:
+            raise SingularMatrixError("singular matrix over F_p")
+        return ExactMatrix._of(a[k:, k:].copy(), field)  # not a view that keeps all of a
+    ints, scales = _int_rows(a)
+    if _zero_test(ints[:k, :k]) is None:
+        raise SingularMatrixError("singular matrix over Q")
+    values = iter(_lift_schur(ints, k))
+    # the scale of a leading row cancels in M11^{-1} M12; that of a
+    # trailing row scales its row of the complement
+    return ExactMatrix([[Fraction(num, den * scale) for num, den in islice(values, a.shape[1] - k)]
+                        for scale in scales[k:]])
 
 
 def det(m: ExactMatrix):
-    """Exact determinant: n elimination steps mod p; over Q, the same
-    steps modulo enough word-size primes to recover it by CRT."""
+    """Exact determinant: n elimination steps mod p; over Q, `_multimodular`
+    on the denominator-cleared rows."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("determinant of a non-square matrix")
@@ -231,44 +259,120 @@ def det(m: ExactMatrix):
         return 1 if m.field is None else 1 % m.field
     if m.field is not None:
         return _eliminate(m.array.copy(), n, m.field)
-    rows, scales = _int_rows(m.array)
-    value = Fraction(_multimodular(rows), prod(scales))
+    ints, scales = _int_rows(m.array)
+    value = Fraction(_multimodular(ints), prod(scales))
     return int(value) if value.denominator == 1 else value
 
 
-def _hadamard2(rows, k: int):
-    """Squared Hadamard bounds for integer rows, each the smaller of the
-    row and column versions: on every (k+1)-minor that contains the
-    leading k x k block M11 (its k leading lines times the longest
-    trailing one), and on |det M11|."""
-    cols = list(zip(*rows))
+def _hadamard2(a, k: int):
+    """Squared Hadamard bounds for an integer array (int64 or object),
+    each the smaller of the row and column versions: on every
+    (k+1)-minor that contains the leading k x k block M11 (its k leading
+    lines times the longest trailing one), and on |det M11|. The squares
+    are summed in int64 while max^2 times the line length fits, else as
+    Python ints."""
+    top = int(np.abs(a).max())
+    sq = a * a if top * top * max(a.shape) < 2 ** 63 else a.astype(object) ** 2
+    lead = sq[:k, :k]
 
-    def norms2(lines, width=None):
-        return [sum(e * e for e in line[:width]) for line in lines]
+    def bound(lines):
+        lines = [int(e) for e in lines]
+        return prod(lines[:k]) * max([1, *lines[k:]])
 
-    minors2 = min(prod(lines[:k]) * max([1, *lines[k:]])
-                  for lines in (norms2(rows), norms2(cols)))
-    return minors2, min(prod(norms2(rows[:k], k)), prod(norms2(cols[:k], k)))
+    return (min(bound(sq.sum(axis=1)), bound(sq.sum(axis=0))),
+            min(bound(lead.sum(axis=1)), bound(lead.sum(axis=0))))
 
 
-def _multimodular(rows) -> int:
-    """The determinant of square integer rows: n elimination steps modulo
-    descending primes below 2^31, recombined by CRT (Garner) until the
-    product of the primes exceeds twice the Hadamard bound; the
-    symmetric residue. A residue 0 is just a residue."""
-    n = len(rows)
-    bound2 = _hadamard2(rows, n)[1]
-    big = max(abs(e) for row in rows for e in row) >= 2 ** 63
-    ints = np.array(rows, dtype=object if big else np.int64)
+# a det over Q whose Hadamard budget fits in this many word primes runs
+# plain CRT; beyond it the divisor lift pays (measured crossover, README)
+_CRT_MAX_PRIMES = 3
+
+
+def _multimodular(a) -> int:
+    """The determinant of a square integer array (int64 or object), by the
+    method of Abbott, Bronstein and Mulders without early termination.
+
+    When twice the Hadamard bound H needs more than `_CRT_MAX_PRIMES`
+    word primes, the zero test either certifies det = 0 or gives the first
+    nonzero residue, and one p-adic lift gives a divisor D of det
+    (`_divisor`); otherwise D = 1. Then det / D runs n elimination steps
+    modulo descending word primes, skipping those that divide D and
+    reusing the residues the zero test found, recombined by CRT
+    (Garner) until the product of the primes exceeds 2 H / |D|; D times
+    the symmetric residue is det. A residue 0 is just a residue.
+    """
+    n = len(a)
+    bound2 = _hadamard2(a, n)[1]
+    residues, divisor = [], 1
+    if 4 * bound2 >= _INT64_PRIME_LIMIT ** (2 * _CRT_MAX_PRIMES):
+        residues = _zero_test(a)
+        if residues is None:
+            return 0
+        divisor = _divisor(a)
     d = 0
     modulus = 1
-    for q in map(_word_prime, count()):
-        if modulus * modulus > 4 * bound2:
+    for i, q in enumerate(map(_word_prime, count())):
+        if (modulus * divisor) ** 2 > 4 * bound2:
             break
-        residue = _eliminate((ints % q).astype(np.int64, copy=False), n, q)
-        d += modulus * ((residue - d) * pow(modulus, -1, q) % q)
+        if divisor % q == 0:
+            continue
+        residue = residues[i] if i < len(residues) else _eliminate(_mod(a, q), n, q)
+        d += modulus * ((residue * pow(divisor, -1, q) - d) * pow(modulus, -1, q) % q)
         modulus *= q
-    return d - modulus if 2 * d > modulus else d
+    return divisor * (d - modulus if 2 * d > modulus else d)
+
+
+def _mod(a, q: int):
+    """The integer array a (int64 or object) reduced mod q < 2^31, in int64."""
+    return (a % q).astype(np.int64, copy=False)
+
+
+def _zero_test(a):
+    """None when the square integer array a is singular, certified by a
+    kernel vector; otherwise det a modulo the word primes w_0, ..., w_i,
+    the last of them the first nonzero residue.
+
+    Modulo w_i, elimination finds no pivot for some column s exactly
+    when det a = 0 mod w_i. Then the Schur complement over Q of the first
+    s + 1 columns, with the s pivot rows first and the split at s, is
+    lifted (`_lift_schur`). When all of its n - s entries are 0, column
+    s is the Q-combination M11^{-1} M12 of columns 0..s-1, so det a = 0;
+    for s = 0 the certificate is column 0 itself. Otherwise columns
+    0..s are independent over Q, yet w_i divides all their (s+1)-minors,
+    and the test moves on to w_{i+1}. Only finitely many primes are
+    unlucky in this way, and when det a = 0 every other prime stops at
+    the first column that depends on the ones before it, so the test
+    ends. The pivot block of each lift is nonsingular modulo w_i.
+    """
+    n = len(a)
+    residues = []
+    for q in map(_word_prime, count()):
+        reduced, order = _mod(a, q), np.arange(n)
+        residues.append(_eliminate(reduced, n, q, order))
+        if residues[-1]:
+            return residues
+        s = int(np.flatnonzero(reduced.diagonal() == 0)[0])
+        head = a[order, :s + 1]
+        # column s minus its Q-combination of the columns before it
+        certificate = head[:, 0] if s == 0 else [num for num, _ in _lift_schur(head, s)]
+        if not any(certificate):
+            return None
+
+
+def _divisor(a) -> int:
+    """A divisor D of det a for a nonsingular square integer array a, most
+    often det a up to a small factor: the denominator of the 1 x 1 Schur
+    complement -c a^{-1} b of [[a, b], [c, 0]], one p-adic lift, for
+    fixed pseudo-random integer vectors b and c. a^{-1} is adj(a) / det a,
+    so D divides det a."""
+    n = len(a)
+    rng = random.Random(n)
+    bordered = np.zeros((n + 1, n + 1), dtype=a.dtype)
+    bordered[:n, :n] = a
+    bordered[:n, n] = [rng.randint(-64, 64) for _ in range(n)]
+    bordered[n, :n] = [rng.randint(-64, 64) for _ in range(n)]
+    (num, den), = _lift_schur(bordered, n)
+    return Fraction(num, den).denominator
 
 
 @lru_cache(maxsize=None)
@@ -302,27 +406,37 @@ def _lift_dtype(k: int, top: int, q: int):
 
 def _lifting_inverse(m11):
     """(q, M11^{-1} mod q in float64) for the largest lifting prime q for
-    which M11 is invertible, from the F_q `solve`. When M11 is singular
-    modulo the first prime, one CRT det of M11 over Q decides: 0 raises
-    SingularMatrixError; otherwise the loop skips primes that divide it,
-    of which there are finitely many."""
+    which the integer block M11 is invertible, from the F_q `solve`.
+
+    When M11 is singular modulo the first prime, the zero test decides:
+    a certified 0 raises SingularMatrixError; otherwise the loop skips
+    the primes that divide det M11, of which there are finitely many.
+    The test ends: inside det's own lifts M11 is nonsingular modulo a
+    word prime by construction (the pivot block of a zero certificate,
+    or the matrix itself after a nonzero residue in `_divisor`), so the
+    test ends at its first nonzero residue; each certificate it lifts
+    on the way is on a smaller block. `_schur` runs the zero test before
+    it lifts, so that a singular M11 costs only its certificate's
+    inverse.
+    """
     k = len(m11)
     for i in count():
         q = _lifting_prime(k, i)
         try:
-            inv = solve(ExactMatrix._of((m11 % q).astype(np.int64), q),
+            inv = solve(ExactMatrix._of(_mod(m11, q), q),
                         ExactMatrix._of(np.eye(k, dtype=np.int64), q))
         except SingularMatrixError:
-            if i == 0 and _multimodular([[int(e) for e in row] for row in m11.tolist()]) == 0:
+            if i == 0 and _zero_test(m11) is None:
                 raise SingularMatrixError("singular matrix over Q") from None
             continue
         return q, inv.array.astype(float)
 
 
-def _lift_schur(entries, k: int) -> ExactMatrix:
-    """The Schur complement S = M22 - M21 M11^{-1} M12 of an array of
-    rationals, by Dixon's p-adic lifting on its denominator-cleared
-    integer rows.
+def _lift_schur(ints, k: int) -> list:
+    """(numerator, denominator) of each entry, row by row, of the Schur
+    complement S = M22 - M21 M11^{-1} M12 of an integer array (int64 or
+    object, possibly rectangular), by Dixon's p-adic lifting;
+    SingularMatrixError when M11 is singular.
 
     With C = M11^{-1} mod q, each of L steps takes, from R = M12,
     X_i = C (R mod q) mod q, T_i = M21 X_i and R <- (R - M11 X_i) / q, so
@@ -332,14 +446,11 @@ def _lift_schur(entries, k: int) -> ExactMatrix:
     and |d| <= H_d; L is the smallest with q^L > 2 H H_d, so rational
     reconstruction recovers S.
     """
-    rows, scales = _int_rows(entries)
-    minors2, lead2 = _hadamard2(rows, k)
-    top = max(abs(e) for row in rows for e in row)
-    m22 = [e for row in rows[k:] for e in row[k:]]
-    a = np.array(rows, dtype=_lift_dtype(k, top, _lifting_prime(k, 0)))
-    del rows  # freed before the 2k x 2k bordered matrix of the inverse
+    minors2, lead2 = _hadamard2(ints, k)
+    top = int(np.abs(ints).max())
+    a = ints.astype(_lift_dtype(k, top, _lifting_prime(k, 0)))
     m11, m21, r = a[:k, :k], a[k:, :k], a[:k, k:]
-    q, inv = _lifting_inverse(m11)
+    q, inv = _lifting_inverse(ints[:k, :k])
     digits = []
     modulus = 1
     while modulus * modulus <= 4 * minors2 * lead2:
@@ -347,12 +458,8 @@ def _lift_schur(entries, k: int) -> ExactMatrix:
         r = (r - m11 @ x) // q
         digits.append(m21 @ x)
         modulus *= q
-    image = [(e - t) % modulus for e, t in zip(m22, _pairwise_sum(digits, q))]
-    values = iter(_reconstruct(image, modulus, minors2, lead2))
-    # the scale of a leading row cancels in M11^{-1} M12; that of a
-    # trailing row scales its row of the complement
-    return ExactMatrix([[Fraction(num, den * scale) for num, den in islice(values, r.shape[1])]
-                        for scale in scales[k:]])
+    image = [(int(e) - t) % modulus for e, t in zip(ints[k:, k:].ravel(), _pairwise_sum(digits, q))]
+    return _reconstruct(image, modulus, minors2, lead2)
 
 
 def _pairwise_sum(digits, q: int) -> list:
@@ -430,59 +537,6 @@ def schur_complement(m: ExactMatrix, k: int) -> ExactMatrix:
         trail = range(k, m.nrows)
         return m.submatrix(trail, trail)
     return _schur(m.array if m.field is None else m.array.copy(), m.field, k)
-
-
-def _rref(m: ExactMatrix):
-    """Reduced row echelon form by Gauss-Jordan elimination over Q
-    (Fraction entries) or F_p; returns (rows, pivot columns)."""
-    p = m.field
-    rows = [[Fraction(e) for e in row] for row in m.rows] if p is None else m.rows
-    nr = len(rows)
-    pivots = []
-    for col in range(m.ncols):
-        r = len(pivots)
-        if r == nr:
-            break
-        pivot_row = next((i for i in range(r, nr) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        if p is None:
-            pk = rows[r][col]
-            rows[r] = [e / pk for e in rows[r]]
-        else:
-            inv = pow(rows[r][col], p - 2, p)
-            rows[r] = [e * inv % p for e in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                if p is None:
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-                else:
-                    rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-    return rows, pivots
-
-
-def rank(m: ExactMatrix) -> int:
-    """Rank by exact elimination."""
-    return len(_rref(m)[1])
-
-
-def nullspace(m: ExactMatrix) -> list[list]:
-    """Basis of the right kernel, from the reduced row echelon form."""
-    p = m.field
-    rows, pivots = _rref(m)
-    basis = []
-    for col in range(m.ncols):
-        if col in pivots:
-            continue
-        vec = [Fraction(0) if p is None else 0] * m.ncols
-        vec[col] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][col] if p is None else -rows[i][col] % p
-        basis.append(vec)
-    return basis
 
 
 def to_float(m: ExactMatrix):

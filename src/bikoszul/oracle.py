@@ -32,7 +32,7 @@ from .core import (
     monomial_basis,
     partial_evaluate_xy,
 )
-from .exactlinalg import ExactMatrix, fraction_mod_p, matvec, rank, require_prime
+from .exactlinalg import ExactMatrix, fraction_mod_p, matvec, require_prime
 from .koszul import assemble_delta1, k0_basis, k1_basis, specialize
 
 
@@ -389,3 +389,42 @@ def strand_kernel_dim(fz: LinearZSystem) -> int:
     matrix = koszul_strand_map(fz)
     cols = len(strand_domain_sets(fz.s, fz.nz))
     return cols - rank(ExactMatrix(matrix))
+
+
+# -- exact rank ----------------------------------------------------------
+
+def _rref(m: ExactMatrix):
+    """Reduced row echelon form by Gauss-Jordan elimination over Q
+    (Fraction entries) or F_p; returns (rows, pivot columns)."""
+    p = m.field
+    rows = [[Fraction(e) for e in row] for row in m.rows] if p is None else m.rows
+    nr = len(rows)
+    pivots = []
+    for col in range(m.ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        pivot_row = next((i for i in range(r, nr) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if p is None:
+            pk = rows[r][col]
+            rows[r] = [e / pk for e in rows[r]]
+        else:
+            inv = pow(rows[r][col], p - 2, p)
+            rows[r] = [e * inv % p for e in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                if p is None:
+                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                else:
+                    rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def rank(m: ExactMatrix) -> int:
+    """Rank by exact elimination."""
+    return len(_rref(m)[1])

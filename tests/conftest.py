@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bikoszul import core, exactlinalg, selftest
+from bikoszul import core, exactlinalg, oracle, selftest
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +16,22 @@ def paper_type(paper_system):
     return paper_system.type
 
 
+def nullspace(m: exactlinalg.ExactMatrix) -> list[list]:
+    """Basis of the right kernel, from the reduced row echelon form."""
+    p = m.field
+    rows, pivots = oracle._rref(m)
+    basis = []
+    for col in range(m.ncols):
+        if col in pivots:
+            continue
+        vec = [Fraction(0) if p is None else 0] * m.ncols
+        vec[col] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rows[i][col] if p is None else -rows[i][col] % p
+        basis.append(vec)
+    return basis
+
+
 def _kernel_poly(nvars, degree, points, rng, bound=9):
     """Random polynomial of the multidegree vanishing at all given points."""
     exps = core.exponent_basis(nvars, degree)
@@ -25,7 +41,7 @@ def _kernel_poly(nvars, degree, points, rng, bound=9):
             Fraction(core.evaluate(core.monomial_poly(nvars, degree, e), point))
             for e in exps
         ])
-    basis = exactlinalg.nullspace(exactlinalg.ExactMatrix(rows))
+    basis = nullspace(exactlinalg.ExactMatrix(rows))
     while True:
         combo = [rng.randint(-bound, bound) for _ in basis]
         coeffs = [sum(c * vec[j] for c, vec in zip(combo, basis)) for j in range(len(exps))]

@@ -1,15 +1,19 @@
 """Exact determinants, solves, Schur complements, and the invertibility
 criterion for the leading block."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bikoszul import core, exactlinalg, koszul, solver
+from bikoszul import core, exactlinalg, koszul, solver, weyman
 from bikoszul.core import ProjectiveSolution, SystemType
 from bikoszul.exactlinalg import ExactMatrix, SingularMatrixError
+from bikoszul.oracle import rank
+from conftest import nullspace
 
 THETA = ((1, 0), (1, 0), (1, 0))
 
@@ -305,14 +309,14 @@ def test_constructor_reduces_every_entry_kind_into_the_field():
 
 def test_rank_and_nullspace():
     m = ExactMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert exactlinalg.rank(m) == 2
-    basis = exactlinalg.nullspace(m)
+    assert rank(m) == 2
+    basis = nullspace(m)
     assert len(basis) == 1
     for row in m.rows:
         assert sum(a * b for a, b in zip(row, basis[0])) == 0
     p = 13
     mp = ExactMatrix([[1, 2, 3], [2, 4, 6]], p)
-    for vec in exactlinalg.nullspace(mp):
+    for vec in nullspace(mp):
         for row in mp.rows:
             assert sum(a * b for a, b in zip(row, vec)) % p == 0
 
@@ -655,3 +659,261 @@ def test_reconstruction_accepts_a_residue_only_up_to_h():
     assert residues[0] == m - 1858
     got = exactlinalg._reconstruct(residues, m, h * h, den * den)
     assert [Fraction(a, b) for a, b in got] == values
+
+
+# -- det over Q: zero certificate, divisor lift, quotient CRT ---------------
+
+W0, W1 = exactlinalg._word_prime(0), exactlinalg._word_prime(1)
+
+
+def with_det(rng, n, d, bound):
+    """U T for a lower unitriangular U and an upper triangular T with
+    diagonal 1, ..., 1, d, entries in [-bound, bound]: det d, dense."""
+    u = [[1 if i == j else rng.randint(-bound, bound) * (j < i) for j in range(n)]
+         for i in range(n)]
+    t = [[(d if i == n - 1 else 1) if i == j else rng.randint(-bound, bound) * (j > i)
+          for j in range(n)] for i in range(n)]
+    return [[sum(u[i][l] * t[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+
+
+def with_column(rows, j, column):
+    return [row[:j] + [e] + row[j + 1:] for row, e in zip(rows, column)]
+
+
+def combination(rows, rng, skip, bound):
+    """A random integer combination of the columns other than `skip`."""
+    coeffs = [rng.randint(-bound, bound) for _ in rows[0]]
+    return [sum(c * e for i, (c, e) in enumerate(zip(coeffs, row)) if i != skip) for row in rows]
+
+
+def det_cases(rng, n, bound):
+    """(name, integer rows) of the shapes the certificate and the divisor
+    must get right."""
+    def entry():
+        return rng.randint(-bound, bound)
+
+    def dense():
+        return [[entry() for _ in range(n)] for _ in range(n)]
+
+    for rank in (n - 1, n - 3):
+        b = [[entry() for _ in range(rank)] for _ in range(n)]
+        c = [[entry() for _ in range(n)] for _ in range(rank)]
+        yield f"rank n-{n - rank}", [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)]
+                                     for row in b]
+    for name, j in (("first", 0), ("middle", n // 2), ("last", n - 1)):
+        rows = dense()
+        yield f"dependent {name} column", with_column(rows, j, combination(rows, rng, j, 3))
+    yield "zero first column", with_column(dense(), 0, [0] * n)
+    yield "det w0", with_det(rng, n, W0, 3)
+    yield "det w0 w1", with_det(rng, n, -W0 * W1, 3)
+    # columns 0 and 1 independent over Q but not mod w0, column n-1 dependent
+    rows = dense()
+    rows = with_column(rows, 1, [2 * row[0] + W0 * entry() for row in rows])
+    yield "w0 multiple, singular later column", with_column(rows, n - 1,
+                                                            combination(rows, rng, n - 1, 3))
+    frac = [[Fraction(entry(), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    yield "fractions", frac
+    yield "fractions, singular", with_column(frac, n // 2, combination(frac, rng, n // 2, 3))
+    huge = [[rng.choice((entry(), rng.choice((-1, 1)) * rng.randint(2 ** 63, 2 ** 70)))
+             for _ in range(n)] for _ in range(n)]
+    yield "entries 2^63 and more", huge
+    yield "entries 2^63 and more, singular", with_column(huge, n - 1,
+                                                         combination(huge, rng, n - 1, 3))
+
+
+@pytest.mark.parametrize("n, bound", [(4, 5), (16, 99)])
+def test_det_over_q_matches_fraction_elimination_on_both_sides_of_the_cutoff(
+        monkeypatch, n, bound):
+    """Rank-deficient, unlucky-prime, fractional and huge matrices, below
+    the small-budget cutoff (plain CRT) and above it (zero test and
+    divisor lift): det equals Fraction elimination."""
+    divisors = []
+    real_divisor = exactlinalg._divisor
+    monkeypatch.setattr(exactlinalg, "_divisor",
+                        lambda a: divisors.append(real_divisor(a)) or divisors[-1])
+    rng = random.Random(n)
+    names = set()
+    plain = 0
+    for trial in range(3):
+        for name, rows in det_cases(rng, n, bound):
+            names.add(name)
+            before = len(divisors)
+            value = exactlinalg.det(ExactMatrix(rows))
+            assert value == fraction_det(rows), (name, trial)
+            plain += len(divisors) == before
+            if n == 16 and value != 0:
+                # every nonzero det above the cutoff takes the divisor lift
+                assert len(divisors) == before + 1, name
+                if "fractions" not in name:  # else D divides det of the cleared rows
+                    assert value % divisors[-1] == 0
+    assert len(names) == 13
+    if n == 4:
+        assert plain >= 30  # all but the huge and w0-sized entries
+    else:
+        # det w0 (w0 w1): the divisor is a multiple, so the CRT skips w0 (and w1)
+        assert any(d % W0 == 0 for d in divisors) and any(d % (W0 * W1) == 0 for d in divisors)
+
+
+def test_det_over_q_of_empty_and_one_by_one_matrices():
+    assert exactlinalg.det(ExactMatrix([])) == 1
+    for value in (0, 5, -W0, W0 * W1, 2 ** 70 + 1, Fraction(-7, 3), Fraction(0)):
+        assert exactlinalg.det(ExactMatrix([[value]])) == value
+
+
+def test_det_over_q_certifies_a_zero_at_an_unlucky_prime():
+    """w0 divides every 2-minor of columns 0 and 1, which are independent
+    over Q: modulo w0 the loop stops at column 1, the lifted certificate
+    is not 0, and the test moves on to w1, where it stops at the
+    dependent last column and the certificate is 0."""
+    rng = random.Random(5)
+    n = 12
+    rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+    rows = with_column(rows, 1, [3 * row[0] + W0 * rng.randint(1, 9) for row in rows])
+    rows = with_column(rows, n - 1, combination(rows, rng, n - 1, 5))
+    ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
+    assert exactlinalg._zero_test(ints) is None
+    rows[0][n - 1] += 1  # no longer singular, still 0 modulo w0
+    ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
+    residues = exactlinalg._zero_test(ints)
+    assert residues[0] == 0 and residues[-1] == fraction_det(rows) % W1 != 0
+    assert exactlinalg.det(ExactMatrix(rows)) == fraction_det(rows)
+
+
+def koszul_det_case(kind):
+    t = SystemType(2, 2, 2, 3, 3)
+    rng = random.Random(81)
+    matrix = koszul.assemble_delta1(t)
+    if kind == "planted":
+        alpha = ProjectiveSolution((1, 2, -1), (1, -3, 2), (1, 1, 3))
+        system = core.planted_root_system(t, alpha, rng, include_f0=True)
+    else:
+        system = core.random_system(t, rng).with_f0(solver.choose_f0_and_theta(t, rng)[0])
+    return koszul.specialize(matrix, system)
+
+
+def counting_eliminations(monkeypatch):
+    calls = []
+    real = exactlinalg._eliminate
+    monkeypatch.setattr(exactlinalg, "_eliminate",
+                        lambda *args, **kwargs: calls.append(len(args[0])) or real(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["planted", "random"])
+def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch, kind):
+    """mu = 81: a planted system costs one elimination mod w0, which stops
+    at a column without a pivot, and the F_q inverse of the pivot block
+    for its certificate; a random one costs that elimination (its residue
+    is reused), the F_q inverse of the divisor lift, and just enough
+    primes for det / D, whose bound is 2 H / |D|."""
+    spec = koszul_det_case(kind)
+    ints = exactlinalg._int_rows(spec.array)[0]
+    n = len(ints)
+    bound2 = exactlinalg._hadamard2(ints, n)[1]
+    divisor = exactlinalg._divisor(ints) if kind == "random" else 1
+    primes = 0
+    modulus = 1
+    while (modulus * divisor) ** 2 <= 4 * bound2:
+        q = exactlinalg._word_prime(primes)
+        assert divisor % q
+        modulus *= q
+        primes += 1
+    calls = counting_eliminations(monkeypatch)
+    value = exactlinalg.det(spec)
+    if kind == "planted":
+        assert value == 0 and calls == [n, 2 * (n - 1)]
+    else:
+        assert value == fraction_det(spec.rows) != 0
+        assert primes >= 2 and calls == [n, 2 * n] + [n] * (primes - 1)
+
+
+def test_singular_m11_over_q_is_declared_after_two_eliminations(monkeypatch):
+    """The mu = 81 theta-partitioned Koszul matrix with two equal rows in
+    M11: one elimination of M11 mod w0, which stops at a column s without
+    a pivot, and the F_q inverse (a bordered 2s x 2s elimination) of the
+    pivot block for the certificate; no prime budget."""
+    t = SystemType(2, 2, 2, 3, 3)
+    rng = random.Random(2233)
+    matrix = koszul.assemble_delta1(t)
+    f0, theta = solver.choose_f0_and_theta(t, rng)
+    part = koszul.theta_partition(matrix, theta)
+    rows = part.apply(koszul.specialize(matrix, core.random_system(t, rng).with_f0(f0))).rows
+    rows[0] = list(rows[1])
+    k = part.split
+    calls = counting_eliminations(monkeypatch)
+    with pytest.raises(SingularMatrixError):
+        exactlinalg.schur_complement(ExactMatrix(rows), k)
+    assert len(calls) == 2 and calls[0] == k and calls[1] < 2 * k
+
+
+def small_types(limit=100):
+    """Every valid type with projective dimensions up to 4 and mu <= limit."""
+    types = []
+    for nx, ny, nz in itertools.product(range(5), repeat=3):
+        for r in range(max(ny, 1), nx + ny + nz - max(nz, 1) + 1):
+            t = SystemType(nx, ny, nz, r, nx + ny + nz - r)
+            if weyman.mu(t) <= limit:
+                types.append(t)
+    return types
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(t=st.sampled_from(small_types()), seed=st.integers(0, 2 ** 32))
+def test_det_over_q_vanishes_exactly_at_a_common_root(t, seed):
+    """Over Q the Koszul det is 0 for a planted system with f0 and not 0
+    for a random one, and it reduces mod p to the det over F_p."""
+    rng = random.Random(seed)
+    matrix = koszul.assemble_delta1(t)
+    alpha = ProjectiveSolution(*(tuple(rng.randint(-3, 3) or 1 for _ in range(n + 1))
+                                 for n in t.dims))
+    planted = core.planted_root_system(t, alpha, rng, include_f0=True)
+    random_system = core.random_system(t, rng).with_f0(solver.choose_f0_and_theta(t, rng)[0])
+    p = 1_000_003
+    for system, vanishes in ((planted, True), (random_system, False)):
+        value = exactlinalg.det(koszul.specialize(matrix, system))
+        assert (value == 0) == vanishes
+        assert exactlinalg.fraction_mod_p(value, p) == \
+            exactlinalg.det(koszul.specialize(matrix, system, p))
+
+
+def test_hadamard_bounds_in_int64_match_python_ints_at_the_overflow_edge():
+    """The squared norms are summed in int64 only while max^2 times the
+    line length stays below 2^63; entries of magnitude just below and
+    above that edge, where a full line of them sums past 2^63, and past
+    2^63 itself, give the bounds of a Python-int reference."""
+    import numpy as np
+
+    def reference(rows, k):
+        cols = list(zip(*rows))
+
+        def norms2(lines, width=None):
+            return [sum(e * e for e in line[:width]) for line in lines]
+
+        minors2 = min(prod(lines[:k]) * max([1, *lines[k:]])
+                      for lines in (norms2(rows), norms2(cols)))
+        return minors2, min(prod(norms2(rows[:k], k)), prod(norms2(cols[:k], k)))
+
+    rng = random.Random(2 ** 63)
+    for n, m in ((5, 5), (6, 4), (3, 7)):
+        edge = isqrt((2 ** 63 - 1) // max(n, m))
+        for top in (9, edge - 1, edge, edge + 1, 2 ** 62, 2 ** 70):
+            rows = [[rng.choice((-top, top)) for _ in range(m)] for _ in range(n)]
+            rows[0][0] = top // 3
+            dtype = np.int64 if top < 2 ** 63 else object
+            for k in range(1, min(n, m) + 1):
+                assert exactlinalg._hadamard2(np.array(rows, dtype=dtype), k) == \
+                    reference(rows, k)
+
+
+def test_lifting_declares_a_singular_m11_by_the_zero_test():
+    """Called on its own, the lifting finds a singular M11 singular modulo
+    its first prime and lets the zero test decide, instead of trying
+    every prime: SingularMatrixError, the same as the Schur path."""
+    import numpy as np
+
+    rng = random.Random(11)
+    for k in (1, 3, 6):
+        rows = [[rng.randint(-9, 9) for _ in range(k + 2)] for _ in range(k + 2)]
+        rows[k - 1][:k] = [0] * k if k == 1 else [2 * e for e in rows[0][:k]]
+        with pytest.raises(SingularMatrixError):
+            exactlinalg._lift_schur(np.array(rows, dtype=np.int64), k)
