@@ -178,7 +178,9 @@ def matvec(a: ExactMatrix, v) -> list:
 
 def _int_rows(array):
     """Clear denominators row by row: (integer array, row scales). The
-    array is int64 when every entry fits, else object (Python ints)."""
+    array is int64 when every entry is below 2^63 in absolute value, so
+    that np.abs cannot wrap -2^63 back to itself, else object (Python
+    ints)."""
     rows = []
     scales = []
     for row in array.tolist():
@@ -188,6 +190,8 @@ def _int_rows(array):
                     [e.numerator * (denom // e.denominator) for e in row])
     try:
         ints = np.array(rows, dtype=np.int64)
+        if ints.size and ints.min() == np.iinfo(np.int64).min:
+            raise OverflowError
     except OverflowError:
         ints = np.array([[int(e) for e in row] for row in rows], dtype=object)
     return ints.reshape(array.shape), scales
@@ -405,19 +409,14 @@ def _lift_dtype(k: int, top: int, q: int):
 
 
 def _lifting_inverse(m11):
-    """(q, M11^{-1} mod q in float64) for the largest lifting prime q for
-    which the integer block M11 is invertible, from the F_q `solve`.
+    """(q, M11^{-1} mod q in float64) for the largest lifting prime q that
+    does not divide det M11, from the F_q `solve`.
 
-    When M11 is singular modulo the first prime, the zero test decides:
-    a certified 0 raises SingularMatrixError; otherwise the loop skips
-    the primes that divide det M11, of which there are finitely many.
-    The test ends: inside det's own lifts M11 is nonsingular modulo a
-    word prime by construction (the pivot block of a zero certificate,
-    or the matrix itself after a nonzero residue in `_divisor`), so the
-    test ends at its first nonzero residue; each certificate it lifts
-    on the way is on a smaller block. `_schur` runs the zero test before
-    it lifts, so that a singular M11 costs only its certificate's
-    inverse.
+    M11 must be nonsingular over Q: then only finitely many primes divide
+    det M11 and the loop ends. Every caller knows it beforehand. `_schur`
+    runs the zero test on M11 first; a zero certificate lifts on its
+    pivot block, nonsingular modulo a word prime by construction; and
+    `_divisor` runs only after a nonzero residue of det.
     """
     k = len(m11)
     for i in count():
@@ -426,8 +425,6 @@ def _lifting_inverse(m11):
             inv = solve(ExactMatrix._of(_mod(m11, q), q),
                         ExactMatrix._of(np.eye(k, dtype=np.int64), q))
         except SingularMatrixError:
-            if i == 0 and _zero_test(m11) is None:
-                raise SingularMatrixError("singular matrix over Q") from None
             continue
         return q, inv.array.astype(float)
 
@@ -435,8 +432,8 @@ def _lifting_inverse(m11):
 def _lift_schur(ints, k: int) -> list:
     """(numerator, denominator) of each entry, row by row, of the Schur
     complement S = M22 - M21 M11^{-1} M12 of an integer array (int64 or
-    object, possibly rectangular), by Dixon's p-adic lifting;
-    SingularMatrixError when M11 is singular.
+    object, possibly rectangular), by Dixon's p-adic lifting. M11 must be
+    nonsingular over Q (`_lifting_inverse`).
 
     With C = M11^{-1} mod q, each of L steps takes, from R = M12,
     X_i = C (R mod q) mod q, T_i = M21 X_i and R <- (R - M11 X_i) / q, so

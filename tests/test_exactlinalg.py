@@ -717,6 +717,9 @@ def det_cases(rng, n, bound):
     huge = [[rng.choice((entry(), rng.choice((-1, 1)) * rng.randint(2 ** 63, 2 ** 70)))
              for _ in range(n)] for _ in range(n)]
     yield "entries 2^63 and more", huge
+    # every entry fits int64, but the absolute value of -2^63 does not
+    yield "entry -2^63", [[-2 ** 63 if i == j == 0 else e for j, e in enumerate(row)]
+                          for i, row in enumerate(dense())]
     yield "entries 2^63 and more, singular", with_column(huge, n - 1,
                                                          combination(huge, rng, n - 1, 3))
 
@@ -746,7 +749,7 @@ def test_det_over_q_matches_fraction_elimination_on_both_sides_of_the_cutoff(
                 assert len(divisors) == before + 1, name
                 if "fractions" not in name:  # else D divides det of the cleared rows
                     assert value % divisors[-1] == 0
-    assert len(names) == 13
+    assert len(names) == 14
     if n == 4:
         assert plain >= 30  # all but the huge and w0-sized entries
     else:
@@ -756,7 +759,7 @@ def test_det_over_q_matches_fraction_elimination_on_both_sides_of_the_cutoff(
 
 def test_det_over_q_of_empty_and_one_by_one_matrices():
     assert exactlinalg.det(ExactMatrix([])) == 1
-    for value in (0, 5, -W0, W0 * W1, 2 ** 70 + 1, Fraction(-7, 3), Fraction(0)):
+    for value in (0, 5, -W0, W0 * W1, -2 ** 63, 2 ** 70 + 1, Fraction(-7, 3), Fraction(0)):
         assert exactlinalg.det(ExactMatrix([[value]])) == value
 
 
@@ -903,17 +906,31 @@ def test_hadamard_bounds_in_int64_match_python_ints_at_the_overflow_edge():
             for k in range(1, min(n, m) + 1):
                 assert exactlinalg._hadamard2(np.array(rows, dtype=dtype), k) == \
                     reference(rows, k)
+        # -2^63 fits int64 but its square and absolute value do not, so
+        # the cleared rows hold it as a Python int
+        rows = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        rows[-1][-1] = -2 ** 63
+        ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
+        assert ints.dtype == object
+        for k in range(1, min(n, m) + 1):
+            assert exactlinalg._hadamard2(ints, k) == reference(rows, k)
 
 
-def test_lifting_declares_a_singular_m11_by_the_zero_test():
-    """Called on its own, the lifting finds a singular M11 singular modulo
-    its first prime and lets the zero test decide, instead of trying
-    every prime: SingularMatrixError, the same as the Schur path."""
-    import numpy as np
+def test_det_schur_and_solve_over_q_with_an_entry_of_minus_2_to_the_63():
+    """Every entry fits int64, yet -2^63 has no int64 absolute value: the
+    bounds, the lifting storage and the result still see it."""
+    assert exactlinalg.det(ExactMatrix([[-2 ** 63, 1], [1, 1]])) == -2 ** 63 - 1
+    rng = random.Random(-2 ** 63)
+    for _ in range(10):
+        k, n = rng.randint(1, 4), rng.randint(1, 3)
+        rows = [[rng.randint(-9, 9) for _ in range(k + n)] for _ in range(k + n)]
+        rows[rng.randrange(k + n)][rng.randrange(k + n)] = -2 ** 63
+        assert exactlinalg.det(ExactMatrix(rows)) == fraction_det(rows)
+        want = reference_schur(rows, k)
+        if want is None:
+            continue
+        assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == want
+        a_rows, b_rows = [row[:k] for row in rows[:k]], [row[k:] for row in rows[:k]]
+        assert exactlinalg.solve(ExactMatrix(a_rows), ExactMatrix(b_rows)).rows == \
+            reference_solve(a_rows, b_rows)
 
-    rng = random.Random(11)
-    for k in (1, 3, 6):
-        rows = [[rng.randint(-9, 9) for _ in range(k + 2)] for _ in range(k + 2)]
-        rows[k - 1][:k] = [0] * k if k == 1 else [2 * e for e in rows[0][:k]]
-        with pytest.raises(SingularMatrixError):
-            exactlinalg._lift_schur(np.array(rows, dtype=np.int64), k)
