@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _product
-from math import comb, gcd
+from math import comb, gcd, lcm
+
+import numpy as np
 
 Block = tuple[int, ...]
 Exponent = tuple[Block, Block, Block]
@@ -424,39 +426,37 @@ def random_coordinate_change(t: SystemType, seed, bound: int = 5) -> CoordinateC
     return CoordinateChange(*blocks)
 
 
-def _substitute_block(sigma: Block, mat) -> dict[Block, Fraction]:
-    """Expand prod_i (row_i . vars)^sigma_i as exponent -> coefficient."""
-    nv = len(sigma)
-    acc = {(0,) * nv: Fraction(1)}
-    for i, power in enumerate(sigma):
-        row = mat[i]
-        lin = {}
-        for j, a in enumerate(row):
-            if a:
-                unit = tuple(1 if k == j else 0 for k in range(nv))
-                lin[unit] = _as_fraction(a)
-        for _ in range(power):
-            nxt = {}
-            for e1, c1 in acc.items():
-                for e2, c2 in lin.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
-            acc = nxt
-    return acc
+def _cleared(values) -> tuple[list[int], int]:
+    """Exact values over one common denominator: (numerators, denominator)."""
+    values = [_as_fraction(v) for v in values]
+    denom = lcm(*[v.denominator for v in values])
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def compose_poly(p: MHPoly, change: CoordinateChange) -> MHPoly:
-    """p composed with the substitution, same multidegree."""
-    terms: dict[Exponent, Fraction] = {}
-    for exp, coeff in p.terms.items():
-        parts = [_substitute_block(block, mat) for block, mat in zip(exp, change.blocks)]
-        for ex, cx in parts[0].items():
-            for ey, cy in parts[1].items():
-                cxy = cx * cy
-                for ez, cz in parts[2].items():
-                    key = (ex, ey, ez)
-                    terms[key] = terms.get(key, Fraction(0)) + coeff * cxy * cz
-    return MHPoly(p.nvars, p.degree, terms)
+    """p composed with the substitution x -> Ax x, y -> Ay y, z -> Az z,
+    of the same multidegree, with its terms in the order of A(degree).
+
+    p must be multilinear, as every polynomial of a BilinearSystem is; a
+    block of degree above 1 is a DomainError. Over one common denominator
+    its coefficients form a dense integer tensor with one axis per block
+    (of length 1 for degree 0), and x_i -> sum_j A_ij x_j contracts that
+    axis with the block, cleared of denominators too.
+    """
+    if max(p.degree) > 1:
+        raise DomainError(f"compose_poly needs a multilinear polynomial, "
+                          f"not multidegree {p.degree}")
+    nums, denom = _cleared(p.terms.values())
+    tensor = np.zeros([nv if d else 1 for nv, d in zip(p.nvars, p.degree)], dtype=object)
+    for exp, num in zip(p.terms, nums):
+        tensor[tuple(block.index(1) if d else 0 for block, d in zip(exp, p.degree))] = num
+    for mat, d in zip(change.blocks, p.degree):
+        ints, block_denom = _cleared(a for row in mat for a in row) if d else ([1], 1)
+        block = np.array(ints, dtype=object).reshape(len(mat) if d else 1, -1)
+        tensor = np.tensordot(tensor, block, axes=(0, 0))  # the new axis goes last
+        denom *= block_denom
+    return MHPoly(p.nvars, p.degree, {exp: Fraction(c, denom) for exp, c in
+                                      zip(exponent_basis(p.nvars, p.degree), tensor.ravel()) if c})
 
 
 def apply_coordinate_change(sys: BilinearSystem, change: CoordinateChange) -> BilinearSystem:
@@ -526,15 +526,8 @@ def _primitive(p: MHPoly) -> MHPoly:
     """Scale to coprime integer coefficients (root set unchanged)."""
     if not p.terms:
         return p
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    nums = [c.numerator * (denom // c.denominator) for c in p.terms.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, v)
-    factor = Fraction(denom, g if g else 1)
-    return scale(p, factor)
+    nums, denom = _cleared(p.terms.values())
+    return scale(p, Fraction(denom, gcd(*nums)))  # no stored coefficient is 0
 
 
 def planted_root_system(t: SystemType, alpha, seed, coeff_bound: int = 10,

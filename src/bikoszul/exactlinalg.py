@@ -2,14 +2,16 @@
 
 An ExactMatrix holds its entries in one numpy array. Over F_p they are
 reduced to [0, p), in an int64 array when p < 2^31, so that (p-1)^2
-fits, and as Python ints in an object array otherwise; over Q the array
-is object and holds ints and Fractions. Submatrices are one fancy
-index. One numpy elimination loop mod p, `_eliminate`, runs on those
-arrays: k Gaussian steps that pivot only among the leading k rows, each
-step a single rank-1 update of the rows below that have a nonzero in
-the pivot column. Over F_p it serves `det` (n steps),
-`schur_complement` (k steps) and `solve` (the Schur complement of
-[[A, B], [-I, 0]] at split n).
+fits, and as Python ints in an object array otherwise. Over Q it is
+int64 when every entry is an integer of absolute value below 2^63, and
+an object array of ints and Fractions otherwise (`storage_dtype`); an
+int64 array over Q has no denominators to clear. Submatrices are one
+fancy index. One numpy elimination loop mod p, `_eliminate`, runs on
+those arrays: k Gaussian steps that pivot only
+among the leading k rows, each step a single rank-1 update of the rows
+below that have a nonzero in the pivot column. Over F_p it serves `det`
+(n steps), `schur_complement` (k steps) and `solve` (the Schur
+complement of [[A, B], [-I, 0]] at split n).
 
 Over Q both paths first clear denominators row by row, once. A zero
 test (`_zero_test`) decides whether a square block is singular with a
@@ -65,6 +67,9 @@ class SingularMatrixError(ArithmeticError):
 # the mod-p loop runs on int64 below this modulus: (p - 1)^2 < 2^62
 _INT64_PRIME_LIMIT = 2 ** 31
 
+# int64 holds |integers| below this over Q, not -2^63: np.abs wraps it
+_INT64_LIMIT = 2 ** 63
+
 # float64 holds every integer of smaller absolute value exactly
 _FLOAT_EXACT_LIMIT = 2 ** 53
 
@@ -98,20 +103,26 @@ def require_prime(p: int) -> int:
     return p
 
 
-def _fp_dtype(p: int):
-    """Storage of entries mod p: int64 while (p - 1)^2 fits, else Python ints."""
-    return np.int64 if p < _INT64_PRIME_LIMIT else object
+def storage_dtype(values, field: int | None):
+    """The dtype of a matrix of 0 and these values, valid for the field:
+    over F_p int64 while (p - 1)^2 fits, else object (Python ints); over
+    Q int64 when every value is an integer of absolute value below 2^63,
+    else object. numpy truncates a Fraction stored into int64, so every
+    writer into an array over Q must keep to this."""
+    if field is not None:
+        return np.int64 if require_prime(field) < _INT64_PRIME_LIMIT else object
+    return np.int64 if all(v.denominator == 1 and -_INT64_LIMIT < v.numerator < _INT64_LIMIT
+                           for v in values) else object
 
 
 class ExactMatrix:
     """Dense exact matrix: entries over Q (field None) or F_p (field p),
     held in one numpy array, `array`.
 
-    Over F_p the entries are reduced to [0, p) and the array is int64
-    when p < 2^31, the dtype `_eliminate` runs on, and object (Python
-    ints) otherwise; over Q it is object, with ints and Fractions as
-    given. An int64 array is reduced with one vectorized % p; any other
-    input is a list of rows (or an array) reduced entry by entry.
+    Over F_p the entries are reduced to [0, p); over Q they are ints and
+    Fractions as given. The dtype, int64 or object, is `storage_dtype`'s.
+    An int64 array is reduced with one vectorized % p; any other input
+    is a list of rows (or an array) reduced entry by entry.
     """
 
     def __init__(self, rows, field: int | None = None):
@@ -122,13 +133,14 @@ class ExactMatrix:
         shape = (len(rows), len(rows[0]) if len(rows) else 0)
         if field is None:
             array = np.array(rows, dtype=object).reshape(shape)
+            array = array.astype(storage_dtype(array.flat, None), copy=False)
         else:
-            p = require_prime(field)
+            p, dtype = field, storage_dtype((), field)
             if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
-                array = rows.astype(_fp_dtype(p), copy=False) % p
+                array = rows.astype(dtype, copy=False) % p
             else:
                 array = np.array([[e % p if isinstance(e, int) else fraction_mod_p(e, p)
-                                   for e in row] for row in rows], dtype=_fp_dtype(p)).reshape(shape)
+                                   for e in row] for row in rows], dtype=dtype).reshape(shape)
         self.array = array
         self.field = field
 
@@ -160,11 +172,14 @@ class ExactMatrix:
         return ExactMatrix._of(self.array[np.ix_(row_idx, col_idx)], self.field)
 
 
-def zeros(shape, field: int | None = None) -> ExactMatrix:
-    """The zero matrix: Fraction(0) entries over Q, 0 over F_p."""
-    if field is None:
+def zeros(shape, field: int | None = None, values=()) -> ExactMatrix:
+    """The zero matrix in the storage that also holds these values
+    (`storage_dtype`): Fraction(0) entries in an object array over Q, 0
+    otherwise."""
+    dtype = storage_dtype(values, field)
+    if field is None and dtype is object:
         return ExactMatrix._of(np.full(shape, Fraction(0), dtype=object), None)
-    return ExactMatrix._of(np.zeros(shape, dtype=_fp_dtype(require_prime(field))), field)
+    return ExactMatrix._of(np.zeros(shape, dtype=dtype), field)  # lazily zeroed pages
 
 
 def matvec(a: ExactMatrix, v) -> list:
@@ -177,10 +192,11 @@ def matvec(a: ExactMatrix, v) -> list:
 
 
 def _int_rows(array):
-    """Clear denominators row by row: (integer array, row scales). The
-    array is int64 when every entry is below 2^63 in absolute value, so
-    that np.abs cannot wrap -2^63 back to itself, else object (Python
-    ints)."""
+    """Clear denominators row by row: (integer array, row scales), the
+    array in the storage over Q (`storage_dtype`). An int64 array is
+    returned as it is, with unit scales."""
+    if array.dtype == np.int64:
+        return array, [1] * len(array)
     rows = []
     scales = []
     for row in array.tolist():
@@ -188,13 +204,7 @@ def _int_rows(array):
         scales.append(denom)
         rows.append([e.numerator for e in row] if denom == 1 else
                     [e.numerator * (denom // e.denominator) for e in row])
-    try:
-        ints = np.array(rows, dtype=np.int64)
-        if ints.size and ints.min() == np.iinfo(np.int64).min:
-            raise OverflowError
-    except OverflowError:
-        ints = np.array([[int(e) for e in row] for row in rows], dtype=object)
-    return ints.reshape(array.shape), scales
+    return ExactMatrix(rows).array.reshape(array.shape), scales
 
 
 def _eliminate(a, k: int, p: int, order=None) -> int:
@@ -517,7 +527,8 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     n = a.nrows
     if n == 0:
         return ExactMatrix([], a.field)
-    bordered = np.zeros((2 * n, n + b.ncols), dtype=a.array.dtype)
+    # over Q an int64 A may meet an object B, whose Fractions int64 would truncate
+    bordered = np.zeros((2 * n, n + b.ncols), dtype=np.result_type(a.array, b.array))
     bordered[:n, :n] = a.array
     bordered[:n, n:] = b.array
     bordered[range(n, 2 * n), range(n)] = -1 if a.field is None else a.field - 1

@@ -30,7 +30,8 @@ unit vectors e_i with dx_i >= 1 (and likewise in y) times every z
 monomial of the slot's z-degree, generated directly. Assembly builds the
 terms of psi once per column factor, slot and sign, and looks rows up
 by plain tuples. `specialize` reduces each distinct reference once and
-writes all of them into a numpy array with one scatter; `ThetaPartition`
+writes all of them with one scatter into a numpy array of the dtype
+they need (int64 over Q for an integer system); `ThetaPartition`
 permutes with one fancy index. Only the nonzeros are touched in Python.
 """
 
@@ -255,13 +256,15 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
         raise DomainError("system type does not match the matrix")
     if sys.f0 is None:
         raise DomainError("specialization needs the trilinear f0")
-    out = zeros((matrix.size, matrix.size), field)
     polys = [sys.poly(i) for i in range(sys.type.n + 1)]
     values = {}  # each distinct signed reference, reduced mod p once
     for ref in set(matrix.entries.values()):
         coeff = polys[ref.poly].terms.get(ref.exponent, Fraction(0))
         value = coeff if ref.sign > 0 else -coeff
         values[ref] = fraction_mod_p(value, field) if field is not None else value
+    out = zeros((matrix.size, matrix.size), field, values.values())
+    if out.array.dtype == np.int64:
+        values = {ref: int(value) for ref, value in values.items()}  # ints scatter faster
     cells = np.array(list(matrix.entries), dtype=np.intp).reshape(-1, 2)
     out.array[cells[:, 0], cells[:, 1]] = [values[ref] for ref in matrix.entries.values()]
     return out

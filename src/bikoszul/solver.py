@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .core import (
 )
 from .exactlinalg import SingularMatrixError, schur_complement, to_float
 from .koszul import ThetaPartition, assemble_delta1, k1_basis, specialize, theta_partition
+from .weyman import mu
 
 EIGEN_CLUSTER_TOL = 1e-7
 EXTRACT_ANCHOR_TOL = 1e-9
@@ -134,12 +136,10 @@ def extract_xy(vector, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
     dominant dual-x row. Blocks of dual-y degree 0 carry no y
     information, so y falls back to the best higher-degree block.
     """
-    basis = k1_basis(t)
-    if len(vector) != len(basis):
+    if len(vector) != mu(t):
         raise DomainError("vector length does not match the k1 basis")
-    groups: dict = {}
-    for elem, value in zip(basis, vector):
-        groups.setdefault((elem.block, elem.iset), {})[(elem.dx, elem.dy)] = value
+    groups = {key: {label: vector[i] for label, i in members}
+              for key, members in _k1_groups(t).items()}
     overall = max(abs(v) for v in vector)
     if overall == 0:
         raise ExtractionError("zero vector")
@@ -159,6 +159,16 @@ def extract_xy(vector, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
         best_y = max(y_candidates, key=lambda key: block_max(groups[key]))
         alpha_y = _extract_y(groups[best_y], t, _dy_degree(t, best_y[0]), tol, overall)
     return alpha_x, alpha_y
+
+
+@lru_cache(maxsize=None)
+def _k1_groups(t: SystemType) -> dict:
+    """The k1 basis grouped by (block, index set), in basis order: per
+    group its ((dx, dy), position) members."""
+    groups: dict = {}
+    for pos, elem in enumerate(k1_basis(t)):
+        groups.setdefault((elem.block, elem.iset), []).append(((elem.dx, elem.dy), pos))
+    return groups
 
 
 def _dy_degree(t: SystemType, block: str) -> int:

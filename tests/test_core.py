@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bikoszul import core, exactlinalg
 from bikoszul.core import (
@@ -200,6 +201,78 @@ def test_composition_identity_on_random_triples():
         point = ProjectiveSolution(random_block(), random_block(), random_block())
         moved = core.transform_point(change, point)
         assert core.evaluate(core.compose_poly(p, change), point) == core.evaluate(p, moved)
+
+
+def expand_term_by_term(p, change):
+    """p composed with the substitution, each term expanded as the
+    product over its variables of (row . vars), with Fraction products:
+    the oracle for `core.compose_poly`."""
+    def substitute_block(sigma, mat):
+        nv = len(sigma)
+        acc = {(0,) * nv: Fraction(1)}
+        for i, power in enumerate(sigma):
+            lin = {tuple(int(k == j) for k in range(nv)): Fraction(a)
+                   for j, a in enumerate(mat[i]) if a}
+            for _ in range(power):
+                nxt = {}
+                for e1, c1 in acc.items():
+                    for e2, c2 in lin.items():
+                        key = tuple(a + b for a, b in zip(e1, e2))
+                        nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
+                acc = nxt
+        return acc
+
+    terms = {}
+    for exp, coeff in p.terms.items():
+        parts = [substitute_block(block, mat) for block, mat in zip(exp, change.blocks)]
+        for ex, cx in parts[0].items():
+            for ey, cy in parts[1].items():
+                for ez, cz in parts[2].items():
+                    key = (ex, ey, ez)
+                    terms[key] = terms.get(key, Fraction(0)) + coeff * cx * cy * cz
+    return MHPoly(p.nvars, p.degree, terms)
+
+
+COEFFICIENTS = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    st.integers(2 ** 63, 2 ** 70),
+    st.integers(-(2 ** 70), -(2 ** 63)),
+)
+CHANGE_ENTRIES = st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def invertible(mat):
+    return exactlinalg.det(exactlinalg.ExactMatrix([list(row) for row in mat])) != 0
+
+
+@st.composite
+def multilinear_cases(draw):
+    """A multilinear polynomial with sparse coefficients of every kind, and
+    an invertible coordinate change with zeros and fractions among its
+    entries."""
+    nvars = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    degree = tuple(draw(st.integers(0, 1)) for _ in range(3))
+    exps = core.exponent_basis(nvars, degree)
+    terms = draw(st.dictionaries(st.sampled_from(exps), COEFFICIENTS, max_size=len(exps)))
+    blocks = [draw(st.lists(st.lists(CHANGE_ENTRIES, min_size=nv, max_size=nv),
+                            min_size=nv, max_size=nv).filter(invertible))
+              for nv in nvars]
+    return MHPoly(nvars, degree, terms), core.CoordinateChange(*blocks)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(multilinear_cases())
+def test_compose_poly_matches_the_term_by_term_expansion(case):
+    p, change = case
+    assert core.compose_poly(p, change) == expand_term_by_term(p, change)
+
+
+def test_compose_poly_rejects_a_block_of_degree_two():
+    t = SystemType(1, 1, 1, 2, 1)
+    p = core.monomial_poly(t.nvars, (2, 1, 0), ((1, 1), (1, 0), (0, 0)))
+    with pytest.raises(DomainError, match="multilinear"):
+        core.compose_poly(p, core.random_coordinate_change(t, 3))
 
 
 def test_planted_root_maps_through_inverse_change():

@@ -934,3 +934,68 @@ def test_det_schur_and_solve_over_q_with_an_entry_of_minus_2_to_the_63():
         assert exactlinalg.solve(ExactMatrix(a_rows), ExactMatrix(b_rows)).rows == \
             reference_solve(a_rows, b_rows)
 
+
+def test_solve_over_q_of_int64_and_object_blocks_is_exact():
+    """The bordered matrix takes the dtype that holds both blocks: in
+    A's int64 a Fraction of B would be truncated."""
+    import numpy as np
+
+    int_rows, fraction_rows = [[2, 1], [1, 1]], [[Fraction(1, 2), 3], [0, Fraction(-7, 3)]]
+    ints, fractions = ExactMatrix(int_rows), ExactMatrix(fraction_rows)
+    assert ints.array.dtype == np.int64 and fractions.array.dtype == object
+    assert exactlinalg.solve(ints, fractions).rows == reference_solve(int_rows, fraction_rows)
+    assert exactlinalg.solve(fractions, ints).rows == reference_solve(fraction_rows, int_rows)
+
+
+def test_integer_entries_of_2_to_the_63_stay_object_over_q():
+    import numpy as np
+
+    edge = 2 ** 63 - 1
+    fits = ExactMatrix([[edge, -edge], [Fraction(4), 0]])
+    assert fits.array.dtype == np.int64 and fits.rows == [[edge, -edge], [4, 0]]
+    for value in (2 ** 63, -2 ** 63, Fraction(-2 ** 63), 2 ** 70):
+        for m in (ExactMatrix([[value, 1], [1, 1]]),
+                  ExactMatrix(np.array([[value, 1], [1, 1]], dtype=object))):
+            assert m.array.dtype == object and m.rows == [[value, 1], [1, 1]]
+            assert exactlinalg.det(m) == value - 1
+    from_int64 = ExactMatrix(np.array([[-2 ** 63, 1], [1, 1]], dtype=np.int64))
+    assert from_int64.array.dtype == object and exactlinalg.det(from_int64) == -2 ** 63 - 1
+
+
+def test_specialize_over_q_keeps_a_fraction_coefficient():
+    """One coefficient "1/2" makes the whole specialization object, and
+    its det and Schur complement are those of the per-entry Fractions."""
+    t = SystemType(2, 1, 1, 2, 2)
+    rng = random.Random(12)
+    matrix = koszul.assemble_delta1(t)
+    part = koszul.theta_partition(matrix, solver.default_theta(t))
+    system = core.random_system(t, rng).with_f0(solver.choose_f0_and_theta(t, rng)[0])
+    f1 = system.f[0]
+    halved = core.MHPoly(t.nvars, f1.degree, {**f1.terms, next(iter(f1.terms)): "1/2"})
+    system = core.BilinearSystem(t, (halved, *system.f[1:]), system.f0)
+    rows = [[0] * matrix.size for _ in range(matrix.size)]
+    for (i, j), entry in matrix.entries.items():
+        rows[i][j] = entry.sign * system.poly(entry.poly).coefficient(entry.exponent)
+    assert any(abs(e) == Fraction(1, 2) for row in rows for e in row)
+    spec = koszul.specialize(matrix, system)
+    assert spec.array.dtype == object and spec.rows == rows
+    assert exactlinalg.det(spec) == fraction_det(rows) != 0
+    permuted = [[rows[i][j] for j in part.col_perm] for i in part.row_perm]
+    want = fraction_eliminate(permuted, part.split)[1]
+    assert want is not None
+    assert exactlinalg.schur_complement(part.apply(spec), part.split).rows == want
+
+
+def test_int64_and_object_storage_over_q_agree_on_the_permuted_koszul_matrix():
+    import numpy as np
+
+    t = SystemType(2, 2, 2, 3, 3)
+    part = koszul.theta_partition(koszul.assemble_delta1(t), solver.default_theta(t))
+    fast = part.apply(koszul_det_case("random"))
+    slow = ExactMatrix._of(np.array([[Fraction(e) for e in row] for row in fast.rows],
+                                    dtype=object), None)
+    assert fast.array.dtype == np.int64 and slow.array.dtype == object
+    assert exactlinalg.det(fast) == exactlinalg.det(slow) != 0
+    assert exactlinalg.schur_complement(fast, part.split).rows == \
+        exactlinalg.schur_complement(slow, part.split).rows
+    assert np.array_equal(exactlinalg.to_float(fast), exactlinalg.to_float(slow))
