@@ -133,8 +133,10 @@ def cmd_matrix(args) -> int:
         grid = payload["entries"]
     else:
         grid = [["0"] * matrix.size for _ in range(matrix.size)]
-        for (i, j), entry in sorted(matrix.entries.items()):
-            grid[i][j] = koszul.entry_str(entry)
+        labels = [koszul.entry_str(ref) for ref in matrix.references]
+        for i, j, k in zip(matrix.row_idx.tolist(), matrix.col_idx.tolist(),
+                           matrix.ref_idx.tolist()):
+            grid[i][j] = labels[k]
         payload["entries"] = grid
     if args.output == "csv":
         print("," + ",".join(payload["cols"]))

@@ -174,7 +174,7 @@ class MHPoly:
     block sizes, and no zero coefficient is stored.
     """
 
-    __slots__ = ("nvars", "degree", "terms")
+    __slots__ = ("nvars", "degree", "terms", "_norm")
 
     def __init__(self, nvars, degree, terms):
         nvars = tuple(int(v) for v in nvars)
@@ -229,6 +229,17 @@ class MHPoly:
 
     def coefficient(self, exp: Exponent) -> Fraction:
         return self.terms.get(exp, Fraction(0))
+
+    @property
+    def norm(self) -> float:
+        """The Euclidean norm of the coefficients in floating point,
+        computed on first use."""
+        try:
+            return self._norm
+        except AttributeError:
+            norm = float(np.sqrt(sum(abs(complex(c)) ** 2 for c in self.terms.values())))
+            object.__setattr__(self, "_norm", norm)
+            return norm
 
 
 def monomial_poly(nvars, degree, exp, coeff=1) -> MHPoly:

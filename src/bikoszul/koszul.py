@@ -27,20 +27,29 @@ and specialized on demand.
 Every equation is linear in x and linear or constant in y and z, so
 psi never scans the exponents of a slot: the surviving sigma are the
 unit vectors e_i with dx_i >= 1 (and likewise in y) times every z
-monomial of the slot's z-degree, generated directly. Assembly builds the
-terms of psi once per column factor, slot and sign, and looks rows up
-by plain tuples. `specialize` reduces each distinct reference once and
-writes all of them with one scatter into a numpy array of the dtype
-they need (int64 over Q for an integer system); `ThetaPartition`
-permutes with one fancy index. Only the nonzeros are touched in Python.
+monomial of the slot's z-degree, generated directly.
+
+The matrix is stored in coordinate form: three index arrays (row,
+column, reference) over a short table of the distinct signed
+references. Rows come in groups of one block and one index set, and
+inside a group a row's offset depends on its factor (dx, dy, dz) only,
+so a row index is a group start plus an offset. Assembly builds psi
+once per column block and slot class, as offset arrays, and places
+each (column group, slot) with numpy; no per-entry dict is built.
+`specialize` values each reference once, then gathers the nonzeros
+from that table and scatters them into a dense numpy array of the dtype
+they need (int64 over Q for an integer system). `occurrences`, and so
+`theta_partition`, picks reference ids from the table and masks the
+reference array once; `ThetaPartition` permutes with one fancy index.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, compress, product
 from typing import NamedTuple
 
 import numpy as np
@@ -77,10 +86,7 @@ class KoszulBasisElement:
 
 
 class SymbolicEntry(NamedTuple):
-    """A matrix entry: the coefficient reference sign * u_{poly, exponent}.
-
-    A named tuple, so that hashing one (specialize looks every entry up
-    by its reference) runs in C."""
+    """A matrix entry: the coefficient reference sign * u_{poly, exponent}."""
 
     sign: int
     poly: int
@@ -97,26 +103,29 @@ _K0_BLOCKS = (
 )
 
 
-def _block_elements(t: SystemType, spec) -> list[KoszulBasisElement]:
+def _block_layout(t: SystemType, spec) -> tuple[list, list]:
+    """(index sets, factors (dx, dy, dz)) of one block, each in canonical
+    order; the block's labels are every index set with every factor,
+    index set major. Both lists are empty for an empty block."""
     tag, dx_deg, dy_shift, dz_deg, a_shift, b_shift, c = spec
     dy_deg = t.r - t.ny + dy_shift
     a = t.r + a_shift
     b = t.s - t.nz + b_shift
     if dy_deg < 0 or not (0 <= a <= t.r) or not (0 <= b <= t.s):
-        return []
-    dxs = monomial_basis(t.nx, dx_deg)
-    dys = monomial_basis(t.ny, dy_deg)
-    dzs = monomial_basis(t.nz, dz_deg)
+        return [], []
     head = (0,) if c else ()
-    out = []
-    for apart in combinations(range(1, t.r + 1), a):
-        for bpart in combinations(range(t.r + 1, t.n + 1), b):
-            iset = head + apart + bpart
-            for dx in dxs:
-                for dy in dys:
-                    for dz in dzs:
-                        out.append(KoszulBasisElement(tag, dx, dy, dz, iset))
-    return out
+    isets = [head + apart + bpart
+             for apart in combinations(range(1, t.r + 1), a)
+             for bpart in combinations(range(t.r + 1, t.n + 1), b)]
+    factors = list(product(monomial_basis(t.nx, dx_deg), monomial_basis(t.ny, dy_deg),
+                           monomial_basis(t.nz, dz_deg)))
+    return isets, factors
+
+
+def _block_elements(t: SystemType, spec) -> list[KoszulBasisElement]:
+    isets, factors = _block_layout(t, spec)
+    return [KoszulBasisElement(spec[0], dx, dy, dz, iset)
+            for iset in isets for dx, dy, dz in factors]
 
 
 def k1_basis(t: SystemType) -> list[KoszulBasisElement]:
@@ -180,27 +189,95 @@ _TARGET_BLOCK = {
 }
 
 
-@dataclass
+class SymbolicEntries(Mapping):
+    """Read-only (row, col) -> SymbolicEntry view of a symbolic matrix,
+    iterated in assembly order. Its length is read off the index arrays;
+    the first lookup by cell builds a cell -> position index."""
+
+    def __init__(self, matrix: SymbolicResultantMatrix):
+        self._matrix = matrix
+        self._position = None
+
+    def __len__(self) -> int:
+        return len(self._matrix.ref_idx)
+
+    def __iter__(self):
+        return zip(self._matrix.row_idx.tolist(), self._matrix.col_idx.tolist())
+
+    def __getitem__(self, cell) -> SymbolicEntry:
+        if self._position is None:
+            self._position = {key: k for k, key in enumerate(self)}
+        return self._matrix.references[self._matrix.ref_idx[self._position[cell]]]
+
+
+@dataclass(eq=False)
 class SymbolicResultantMatrix:
-    """Square symbolic matrix: sparse (row, col) -> signed u-reference."""
+    """Square symbolic matrix in coordinate form: nonzero k sits at
+    (row_idx[k], col_idx[k]) and is the signed reference
+    references[ref_idx[k]]. The nonzeros are ordered by column, then by
+    the position of the contracted slot in the column's index set, then
+    by psi term; the arrays are read-only."""
 
     type: SystemType
     m: tuple[int, int, int]
     rows: list[KoszulBasisElement]
     cols: list[KoszulBasisElement]
-    entries: dict[tuple[int, int], SymbolicEntry]
+    row_idx: np.ndarray
+    col_idx: np.ndarray
+    ref_idx: np.ndarray
+    references: tuple[SymbolicEntry, ...]
 
     @property
     def size(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def entries(self) -> SymbolicEntries:
+        """The nonzeros as a read-only (row, col) -> SymbolicEntry mapping."""
+        return SymbolicEntries(self)
+
     def occurrences(self, poly: int, exponent: Exponent) -> list[tuple[int, int, int]]:
         """(row, col, sign) of every entry referencing u_{poly, exponent}."""
-        return [
-            (i, j, e.sign)
-            for (i, j), e in self.entries.items()
-            if e.poly == poly and e.exponent == exponent
-        ]
+        ids = [k for k, ref in enumerate(self.references)
+               if ref.poly == poly and ref.exponent == exponent]
+        cells = np.flatnonzero(np.isin(self.ref_idx, ids))
+        return [(i, j, self.references[k].sign)
+                for i, j, k in zip(self.row_idx[cells].tolist(), self.col_idx[cells].tolist(),
+                                   self.ref_idx[cells].tolist())]
+
+
+def _reference_table(t: SystemType) -> tuple[list[SymbolicEntry], dict, dict]:
+    """Every signed reference of the type: (table, base, position), where
+    reference sign * u_{slot, sigma} is table[base[slot, sign < 0] +
+    position[degree of slot][sigma]]."""
+    table, base, position = [], {}, {}
+    for slot in range(t.n + 1):
+        degree = t.degree_of(slot)
+        basis = exponent_basis(t.nvars, degree)
+        position.setdefault(degree, {sigma: k for k, sigma in enumerate(basis)})
+        for negative, sign in enumerate((1, -1)):
+            base[slot, negative] = len(table)
+            table.extend(SymbolicEntry(sign, slot, sigma) for sigma in basis)
+    return table, base, position
+
+
+def _factor_terms(t: SystemType, factors, slot: int, target: str, target_factors: dict,
+                  position: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi of every column factor against slot, as (factor index, target
+    factor index, sigma position) arrays. These depend on the column
+    block and the slot's class only: the slot itself and the sign enter
+    the reference id, the index set enters the row group."""
+    col_off, row_off, sigma = [], [], []
+    for k, (dx, dy, dz) in enumerate(factors):
+        for frag, ref in psi_symbolic(dx, dy, dz, slot, t):
+            row = target_factors.get(frag)
+            if row is None:
+                raise AssemblyError(f"unmatched target row {target} {frag} from column "
+                                    f"factor {(dx, dy, dz)} against slot {slot}")
+            col_off.append(k)
+            row_off.append(row)
+            sigma.append(position[ref.exponent])
+    return tuple(np.array(v, dtype=np.intp) for v in (col_off, row_off, sigma))
 
 
 @lru_cache(maxsize=None)
@@ -211,6 +288,10 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
     The column for l (x) e_I receives, for the i-th smallest index of I,
     the terms of psi(l, f_{I_i}) with sign (-1)^(i-1) at the row
     labelled by the contracted factor tensored with e_{I minus I_i}.
+    Rows come in groups of one block and index set, and inside a group a
+    row's offset depends on its factor only, so every row index is a
+    group start plus a factor offset; each (column group, slot) adds its
+    cached factor terms at once.
     """
     rows = k0_basis(t)
     cols = k1_basis(t)
@@ -218,55 +299,77 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
     if len(rows) != size or len(cols) != size:
         raise AssemblyError(
             f"basis sizes {len(cols)}x{len(rows)} do not match mu = {size} for {t}")
-    row_index = {((e.block, e.dx, e.dy, e.dz), e.iset): i for i, e in enumerate(rows)}
-    # psi and the target block depend on the column factor, the slot and
-    # the sign, not on the rest of the index set: build each term list once
-    terms = {}
-    entries: dict[tuple[int, int], SymbolicEntry] = {}
-    for col_idx, col in enumerate(cols):
-        for pos, slot in enumerate(col.iset):
-            sign = -1 if pos % 2 else 1
-            factor = (col.block, col.dx, col.dy, col.dz, slot, sign)
-            targets = terms.get(factor)
-            if targets is None:
+    group_start, factor_offset = {}, {}  # block tag -> {index set: row}, {factor: offset}
+    start = 0
+    for spec in _K0_BLOCKS:
+        isets, factors = _block_layout(t, spec)
+        group_start[spec[0]] = {iset: start + k * len(factors) for k, iset in enumerate(isets)}
+        factor_offset[spec[0]] = {factor: k for k, factor in enumerate(factors)}
+        start += len(isets) * len(factors)
+    table, ref_base, position = _reference_table(t)
+    pieces = []
+    start = 0
+    for spec in _K1_BLOCKS:
+        tag = spec[0]
+        isets, factors = _block_layout(t, spec)
+        terms = {}  # slot class -> _factor_terms
+        for k, iset in enumerate(isets):
+            for pos, slot in enumerate(iset):
                 slot_class = 0 if slot == 0 else ("xy" if slot <= t.r else "xz")
-                target_tag = _TARGET_BLOCK[(col.block, slot_class)]
-                targets = terms[factor] = [
-                    ((target_tag, *frag), SymbolicEntry(sign, ref.poly, ref.exponent))
-                    for frag, ref in psi_symbolic(col.dx, col.dy, col.dz, slot, t)]
-            rest = col.iset[:pos] + col.iset[pos + 1:]
-            for label, entry in targets:
-                row_idx = row_index.get((label, rest))
-                if row_idx is None:
-                    raise AssemblyError(f"unmatched target row "
-                                        f"{KoszulBasisElement(*label, rest)} from column {col}")
-                key = (row_idx, col_idx)
-                if key in entries:
-                    raise AssemblyError(f"duplicate entry at {key}")
-                entries[key] = entry
-    return SymbolicResultantMatrix(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1),
-                                   rows, cols, entries)
+                target = _TARGET_BLOCK[(tag, slot_class)]
+                if slot_class not in terms:
+                    terms[slot_class] = _factor_terms(
+                        t, factors, slot, target, factor_offset.get(target, {}),
+                        position[t.degree_of(slot)])
+                col_off, row_off, sigma = terms[slot_class]
+                if not len(col_off):
+                    continue
+                rest = iset[:pos] + iset[pos + 1:]
+                row0 = group_start.get(target, {}).get(rest)
+                if row0 is None:
+                    raise AssemblyError(f"unmatched index set {rest} in block {target} "
+                                        f"from column block {tag}, index set {iset}")
+                pieces.append((row0 + row_off, start + k * len(factors) + col_off,
+                               ref_base[slot, pos % 2] + sigma))
+        start += len(isets) * len(factors)
+    # pieces run column block, index set, slot position; a stable sort by
+    # column gives column, slot position, psi term
+    row_idx, col_idx, ref_idx = (np.concatenate(v) for v in zip(*pieces))
+    order = np.argsort(col_idx, kind="stable")
+    row_idx, col_idx, ref_idx = row_idx[order], col_idx[order], ref_idx[order]
+    cells = np.sort(row_idx * size + col_idx)
+    repeated = np.flatnonzero(cells[1:] == cells[:-1])
+    if len(repeated):
+        raise AssemblyError(f"duplicate entry at {divmod(int(cells[repeated[0]]), size)}")
+    used = np.zeros(len(table), dtype=bool)
+    used[ref_idx] = True
+    ref_idx = (np.cumsum(used) - 1).astype(np.intp)[ref_idx]
+    for array in (row_idx, col_idx, ref_idx):
+        array.flags.writeable = False
+    return SymbolicResultantMatrix(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1), rows, cols,
+                                   row_idx, col_idx, ref_idx, tuple(compress(table, used)))
 
 
 def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
                field: int | None = None) -> ExactMatrix:
     """Replace each reference sign * u_{i, sigma} by the coefficient of
-    monomial sigma in equation i; absent monomials give 0."""
+    monomial sigma in equation i; absent monomials give 0. Each distinct
+    reference is valued once (reduced mod p over F_p); the nonzeros are
+    then one gather from that table and one scatter."""
     if sys.type != matrix.type:
         raise DomainError("system type does not match the matrix")
     if sys.f0 is None:
         raise DomainError("specialization needs the trilinear f0")
     polys = [sys.poly(i) for i in range(sys.type.n + 1)]
-    values = {}  # each distinct signed reference, reduced mod p once
-    for ref in set(matrix.entries.values()):
+    values = []
+    for ref in matrix.references:
         coeff = polys[ref.poly].terms.get(ref.exponent, Fraction(0))
         value = coeff if ref.sign > 0 else -coeff
-        values[ref] = fraction_mod_p(value, field) if field is not None else value
-    out = zeros((matrix.size, matrix.size), field, values.values())
-    if out.array.dtype == np.int64:
-        values = {ref: int(value) for ref, value in values.items()}  # ints scatter faster
-    cells = np.array(list(matrix.entries), dtype=np.intp).reshape(-1, 2)
-    out.array[cells[:, 0], cells[:, 1]] = [values[ref] for ref in matrix.entries.values()]
+        values.append(fraction_mod_p(value, field) if field is not None else value)
+    out = zeros((matrix.size, matrix.size), field, values)
+    table = np.empty(len(values), dtype=out.array.dtype)
+    table[:] = [int(v) for v in values] if table.dtype == np.int64 else values
+    out.array[matrix.row_idx, matrix.col_idx] = table[matrix.ref_idx]
     return out
 
 
@@ -321,14 +424,15 @@ def theta_partition(matrix: SymbolicResultantMatrix, theta: Exponent) -> ThetaPa
     hits.sort(key=lambda h: h[1])  # canonical column order fixes the pairing
     trail_cols = [j for _, j, _ in hits]
     trail_rows = [i for i, _, _ in hits]
-    trail_row_set, trail_col_set = set(trail_rows), set(trail_cols)
-    lead_rows = [i for i in range(matrix.size) if i not in trail_row_set]
-    lead_cols = [j for j in range(matrix.size) if j not in trail_col_set]
+    lead_rows = np.ones(matrix.size, dtype=bool)
+    lead_rows[trail_rows] = False
+    lead_cols = np.ones(matrix.size, dtype=bool)
+    lead_cols[trail_cols] = False
     return ThetaPartition(
         base=matrix,
         theta=theta,
-        row_perm=tuple(lead_rows + trail_rows),
-        col_perm=tuple(lead_cols + trail_cols),
+        row_perm=tuple(np.flatnonzero(lead_rows).tolist() + trail_rows),
+        col_perm=tuple(np.flatnonzero(lead_cols).tolist() + trail_cols),
         split=matrix.size - expected,
     )
 

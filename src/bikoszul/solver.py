@@ -259,7 +259,8 @@ def choose_f0_and_theta(t: SystemType, seed, coeff_bound: int = 10):
 
 
 def residual(sys: BilinearSystem, sol: ProjectiveSolution) -> float:
-    """max_i |f_i(sol)| / ||f_i|| with every block scaled to unit norm."""
+    """max_i |f_i(sol)| / ||f_i|| with every block scaled to unit norm;
+    each ||f_i|| is computed once per polynomial (`MHPoly.norm`)."""
     blocks = []
     for block in sol.blocks:
         arr = np.asarray([complex(c) for c in block])
@@ -267,8 +268,7 @@ def residual(sys: BilinearSystem, sol: ProjectiveSolution) -> float:
     point = ProjectiveSolution(*blocks)
     worst = 0.0
     for poly in sys.f:
-        norm = float(np.sqrt(sum(abs(complex(c)) ** 2 for c in poly.terms.values())))
-        worst = max(worst, abs(evaluate(poly, point)) / max(norm, 1.0))
+        worst = max(worst, abs(evaluate(poly, point)) / max(poly.norm, 1.0))
     return worst
 
 

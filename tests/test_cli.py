@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from bikoszul import cli, core, oracle, selftest
+from bikoszul import cli, core, koszul, oracle, selftest
+from test_koszul import reference_entries
 
 
 def run(capsys, *argv):
@@ -68,6 +69,17 @@ def test_matrix_symbolic_and_specialized(capsys, tmp_path):
     assert payload["theta"]["split"] == 8
     flat = [int(v) for row in payload["entries"] for v in row]
     assert flat.count(0) == 52
+
+
+def test_matrix_symbolic_grid_matches_the_reference_assembly(capsys):
+    t = core.SystemType(2, 2, 2, 3, 3)
+    code, out = run(capsys, "matrix", "--type", "2,2,2,3,3", "--output", "json")
+    assert code == 0
+    payload = json.loads(out)
+    want = [["0"] * payload["size"] for _ in range(payload["size"])]
+    for (i, j), entry in reference_entries(t).items():
+        want[i][j] = koszul.entry_str(entry)
+    assert payload["entries"] == want
 
 
 def test_resultant_exact_and_mod_p(capsys):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from bikoszul import core, exactlinalg, koszul, selftest, solver
@@ -119,6 +120,48 @@ def test_assembly_matches_the_exponent_scanning_reference(ty):
                 reference_psi(col.dx, col.dy, col.dz, slot, t)
 
 
+def test_assembly_guards_raise_on_planted_faults(monkeypatch):
+    t = SystemType(2, 2, 2, 3, 3)
+    assemble = koszul.assemble_delta1.__wrapped__  # past the per-type cache
+    psi = koszul.psi_symbolic
+
+    def first_term_twice(*args):
+        terms = psi(*args)
+        return terms + terms[:1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(koszul, "psi_symbolic", first_term_twice)
+        with pytest.raises(koszul.AssemblyError, match="duplicate entry"):
+            assemble(t)
+    with monkeypatch.context() as patch:
+        # z-multiplied factors sent to a block without z: no such row
+        patch.setitem(koszul._TARGET_BLOCK, ("L11", "xz"), "L01")
+        with pytest.raises(koszul.AssemblyError, match="unmatched target row"):
+            assemble(t)
+    assert list(assemble(t).entries.items()) == list(reference_entries(t).items())
+
+
+def scanning_occurrences(matrix, poly, exponent):
+    """(row, col, sign) of every entry referencing u_{poly, exponent}, by a
+    linear scan of the entries: the oracle for `occurrences`."""
+    return [
+        (i, j, e.sign)
+        for (i, j), e in matrix.entries.items()
+        if e.poly == poly and e.exponent == exponent
+    ]
+
+
+def test_occurrences_match_a_linear_scan():
+    for t in small_types(5):
+        matrix = koszul.assemble_delta1(t)
+        assert len(set(matrix.references)) == len(matrix.references)
+        assert set(matrix.entries.values()) == set(matrix.references)
+        for poly, exponent in {(ref.poly, ref.exponent) for ref in matrix.references}:
+            assert matrix.occurrences(poly, exponent) == \
+                scanning_occurrences(matrix, poly, exponent)
+        assert matrix.occurrences(0, ((9,), (9,), (9,))) == []
+
+
 def test_psi_symbolic_example(paper_type):
     # the L11 factor dx0 (x) dy0 against the S(1,0,1) slot 3
     hits = koszul.psi_symbolic((1, 0), (1, 0), (0, 0), 3, paper_type)
@@ -210,8 +253,12 @@ def test_theta_partition_flags_assembly_violations(paper_type):
     def mutated(tweak):
         entries = dict(base.entries)
         tweak(entries)
+        references = tuple(dict.fromkeys(entries.values()))
+        ref_id = {ref: k for k, ref in enumerate(references)}
+        row_idx, col_idx = np.array(list(entries), dtype=np.intp).T
+        ref_idx = np.array([ref_id[ref] for ref in entries.values()], dtype=np.intp)
         return koszul.SymbolicResultantMatrix(
-            base.type, base.m, base.rows, base.cols, entries)
+            base.type, base.m, base.rows, base.cols, row_idx, col_idx, ref_idx, references)
 
     def flip_sign(entries):
         for key, e in entries.items():
