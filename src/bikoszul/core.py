@@ -174,7 +174,7 @@ class MHPoly:
     block sizes, and no zero coefficient is stored.
     """
 
-    __slots__ = ("nvars", "degree", "terms", "_norm")
+    __slots__ = ("nvars", "degree", "terms", "_norm", "_numeric")
 
     def __init__(self, nvars, degree, terms):
         nvars = tuple(int(v) for v in nvars)
@@ -240,6 +240,22 @@ class MHPoly:
             norm = float(np.sqrt(sum(abs(complex(c)) ** 2 for c in self.terms.values())))
             object.__setattr__(self, "_norm", norm)
             return norm
+
+    @property
+    def numeric(self):
+        """(exponents, coefficients), computed on first use: an int array
+        with one row per term, the x, y and z exponents side by side, and
+        the complex coefficients in the same order. Then p at a complex
+        point v (the three blocks concatenated) is
+        coefficients @ prod(v ** exponents, axis=1)."""
+        try:
+            return self._numeric
+        except AttributeError:
+            exponents = np.array([sx + sy + sz for sx, sy, sz in self.terms],
+                                 dtype=np.int64).reshape(len(self.terms), sum(self.nvars))
+            coefficients = np.array([complex(c) for c in self.terms.values()], dtype=complex)
+            object.__setattr__(self, "_numeric", (exponents, coefficients))
+            return self._numeric
 
 
 def monomial_poly(nvars, degree, exp, coeff=1) -> MHPoly:

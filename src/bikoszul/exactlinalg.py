@@ -6,12 +6,15 @@ fits, and as Python ints in an object array otherwise. Over Q it is
 int64 when every entry is an integer of absolute value below 2^63, and
 an object array of ints and Fractions otherwise (`storage_dtype`); an
 int64 array over Q has no denominators to clear. Submatrices are one
-fancy index. One numpy elimination loop mod p, `_eliminate`, runs on
-those arrays: k Gaussian steps that pivot only
-among the leading k rows, each step a single rank-1 update of the rows
-below that have a nonzero in the pivot column. Over F_p it serves `det`
-(n steps), `schur_complement` (k steps) and `solve` (the Schur
-complement of [[A, B], [-I, 0]] at split n).
+fancy index. One blocked elimination mod p, `_eliminate`, runs on
+those arrays: k Gaussian steps that pivot on the first nonzero among
+the leading k rows, in panels of b columns, each panel's update of the
+rows below one float64 BLAS matmul. Over F_p it serves `det` (n steps),
+`schur_complement` (k steps) and `solve` (the Schur complement of
+[[A, B], [-I, 0]] at split n); after k steps the block below and right
+of the leading one is the Schur complement. On a 0 return (a singular
+leading block) only the diagonal up to the first column without a
+pivot, which is the first zero on it, and the row order are defined.
 
 Over Q both paths first clear denominators row by row, once. A zero
 test (`_zero_test`) decides whether a square block is singular with a
@@ -34,12 +37,16 @@ bounds on the (k+1)-minors and on det M11; rational reconstruction with
 one running common denominator recovers S. A lifting prime that divides
 det M11 is skipped.
 
-Floats enter the exact paths only inside that lifting, where every
-value is an integer below 2^53 and so exact in float64: q is the
-largest prime with k (q-1)^2 < 2^53, which bounds each dot product of
-residues, and the products with M11 and M21 run in float64 only while
-k * max|entry| * q < 2^53 (`_lift_dtype`), else on Python ints.
-`to_float` is the one lossy conversion.
+Floats enter the exact paths only where every value is an integer
+below 2^53 and so exact in float64. In the elimination mod p the panel
+width b is the largest up to 32 with b (p-1)^2 + p <= 2^53
+(`_panel_width`), which bounds each dot product of residues, and the
+reduction x - floor(x / p) p by a true division is exact there; when no
+b >= 2 fits (p > 2^26), the same loop runs with b = 1 on the storage
+dtype, one rank-1 update per step. In the lifting q is the largest prime
+with k (q-1)^2 < 2^53, and the products with M11 and M21 run in float64
+only while k * max|entry| * q < 2^53 (`_lift_dtype`), else on Python
+ints. `to_float` is the one lossy conversion.
 
 The field tag of an ExactMatrix is None for the rationals or the prime
 p itself. A composite tag is rejected with ValueError.
@@ -72,6 +79,14 @@ _INT64_LIMIT = 2 ** 63
 
 # float64 holds every integer of smaller absolute value exactly
 _FLOAT_EXACT_LIMIT = 2 ** 53
+
+# the widest panel of `_eliminate` (measured best on the Koszul ladder)
+_PANEL_MAX = 32
+
+# rows per product of `_eliminate`'s trailing update, and per step of
+# `_reduce`: the temporaries stay small (they would reach twice the
+# trailing block) and in cache
+_UPDATE_ROWS = 128
 
 # Miller-Rabin with these bases is exact below 3.3e24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -207,38 +222,149 @@ def _int_rows(array):
     return ExactMatrix(rows).array.reshape(array.shape), scales
 
 
+def _panel_width(p: int) -> int:
+    """Columns per panel of `_eliminate` on a float64 array mod p: the
+    largest b <= `_PANEL_MAX` with b (p - 1)^2 + p <= 2^53, so that one
+    panel's update of reduced entries stays exact (`_eliminate`); 1 when
+    no b >= 2 fits, and then the array keeps its storage dtype."""
+    return max(1, min(_PANEL_MAX, (_FLOAT_EXACT_LIMIT - p) // (p - 1) ** 2))
+
+
+def _working_dtype(p: int):
+    """The dtype `_eliminate` runs fastest on mod p: float64 when a panel
+    of width 2 or more is exact (`_panel_width`), else the storage dtype.
+    Callers convert into it instead of copying, so one array is alive."""
+    return np.float64 if _panel_width(p) > 1 else storage_dtype((), p)
+
+
+def _reduce(x, p: int):
+    """x mod p in [0, p). A float64 array of integers with |x| + p <= 2^53
+    is overwritten with x - floor(x / p) p, exact without a correction:
+    the rounding error of the true division x / p is below |x| 2^-53 /
+    p < 1 / p, the least distance from x / p up to the next integer, and
+    floor(x / p) p, below |x| + p, is an exact float64. (np.fmod, whose
+    cost grows with x, is avoided.) It runs `_UPDATE_ROWS` rows at a
+    time, so its temporary stays small. Any other array gives x % p."""
+    if x.dtype != np.float64:
+        return x % p
+    for i in range(0, len(x), _UPDATE_ROWS):
+        rows = x[i:i + _UPDATE_ROWS]
+        quotient = rows / p
+        np.floor(quotient, out=quotient)
+        quotient *= p
+        rows -= quotient
+    return x
+
+
+def _unit_lower_inverse(lower, p: int):
+    """L^{-1} mod p in float64 for L = I + `lower`, strictly lower
+    triangular: with M = -lower, L^{-1} = (I + M)(I + M^2)(I + M^4)... up
+    to the power that reaches the order, since M is nilpotent. Every
+    product is one exact float64 matmul, and reduced exactly, while the
+    order b has b (p - 1)^2 + p <= 2^53 (`_panel_width`)."""
+    width = len(lower)
+    eye = np.eye(width)
+    power = (-lower % p).astype(np.float64)
+    inverse = eye + power
+    for _ in range((width - 1).bit_length() - 1):
+        power = _reduce(power @ power, p)
+        inverse = _reduce(inverse @ (eye + power), p)
+    return inverse
+
+
 def _eliminate(a, k: int, p: int, order=None) -> int:
     """k Gaussian elimination steps mod p on the array a (clobbered),
     pivoting on the first nonzero entry among the leading k rows.
 
-    Entries are in [0, p): a is int64 when p < 2^31, so that (p-1)^2
-    fits, and object (Python ints) otherwise; the code is the same.
-    Each step is one rank-1 update of the rows whose entry in the pivot
-    column is nonzero. Returns the determinant of the leading k x k
-    block, 0 when it is singular. Afterwards the block below and right
-    of it is the Schur complement itself. Each row swap is also applied
-    to `order`, an index array of the rows, when one is given. On a 0
-    return the step s whose column has no pivot is the first zero on
-    the diagonal: the pivots precede it, and column s is zero from row s
-    to row k - 1.
+    One right-looking blocked elimination in panels of b columns, b =
+    `_panel_width(p)` on a float64 array and 1 on any other. Each step of
+    a panel pivots, swaps two whole rows (and the two entries of
+    `order`, an index array of the rows, when one is given), and
+    subtracts the multiple of the pivot row that zeroes the pivot column
+    from each row with a nonzero there, over the panel's columns.
+
+    b = 1 on an int64 array (p < 2^31, so (p - 1)^2 fits) or an object
+    array of Python ints: the panel is every column from the pivot on, so
+    a step is one rank-1 update of the rows below, reduced at once.
+
+    b > 1 on float64: the panel is a reduced int64 copy of its b columns,
+    of every row from its first, with the multipliers L kept beside it.
+    After its b steps, U12 = L11^{-1} A12 on the panel's own rows, and
+    BLAS matmuls A22 -= L21 U12, `_UPDATE_ROWS` rows at a time, update
+    the rows below that have a multiplier. The entries stay integers in
+    [-low, p) with low + p <= 2^53: an update lowers low by at most
+    b (p - 1)^2, every partial sum is an integer below 2^53 and so
+    exact, and the trailing block is reduced (`_reduce`, exact there)
+    only when the next update could pass that bound. b (p - 1)^2 + p <=
+    2^53 (`_panel_width`) lets one update always fit.
+
+    Returns the determinant of the leading k x k block, 0 when it is
+    singular. After k steps the entries below the diagonal are 0 and the
+    block below and right of the leading one is the Schur complement,
+    reduced to [0, p). On a 0 return only the diagonal up to the step s
+    whose column has no pivot, and `order`, are defined: the pivots
+    precede s, and a[s, s] = 0 is the first zero on the diagonal.
     """
+    n = a.shape[1]
+    b = _panel_width(p) if a.dtype == np.float64 else 1
+    step = b * (p - 1) ** 2  # the most one product subtracts from an entry
+    low = 0  # the entries right of the factored panels lie in [-low, p)
     det = 1
-    for s in range(k):
-        lead = np.flatnonzero(a[s:k, s])
-        if lead.size == 0:
-            return 0
-        if lead[0]:
-            swap = [s + lead[0], s]
-            a[swap[::-1]] = a[swap]
+    for start in range(0, k, b):
+        end = min(start + b, k)
+        width = end - start
+        if b == 1:  # every column from the pivot's on: a step is the whole update
+            work = panel = a[start:, start:]
+        else:  # a reduced int64 copy of the panel, its multipliers L beside it
+            work = np.zeros((len(a) - start, 2 * width), dtype=np.int64)
+            panel, lower = work[:, :width], work[:, width:]
+            panel[...] = a[start:, start:end]
+            panel %= p
+        moved = {}  # row of the panel -> the row of a[start:] the swaps put there
+        for c in range(width):
+            lead = panel[c:k - start, c].nonzero()[0]
+            if lead.size == 0:
+                det = 0
+                break
+            if lead[0]:
+                j = c + lead[0]
+                work[[c, j]] = work[[j, c]]
+                moved[c], moved[j] = moved.get(j, j), moved.get(c, c)
+                det = -det
+            ps = int(panel[c, c])
+            det = det * ps % p
+            rows = c + 1 + panel[c + 1:, c].nonzero()[0]
+            if rows.size:
+                f = panel[rows, c] * pow(ps, -1, p) % p
+                panel[rows, c:] = (panel[rows, c:] - f[:, None] * panel[c, c:]) % p
+                if b > 1:
+                    lower[rows, c] = f
+        if moved:
+            to, source = start + np.array(list(moved)), start + np.array(list(moved.values()))
             if order is not None:
-                order[swap[::-1]] = order[swap]
-            det = -det
-        ps = int(a[s, s])
-        det = det * ps % p
-        rows = s + 1 + np.flatnonzero(a[s + 1:, s])
-        if rows.size:
-            f = a[rows, s] * pow(ps, -1, p) % p
-            a[rows, s:] = (a[rows, s:] - f[:, None] * a[s, s:]) % p
+                order[to] = order[source]
+            if b > 1:
+                a[to, end:] = a[source, end:]
+        if b > 1:
+            a[start:, start:end] = panel
+        if det == 0:
+            return 0
+        if b > 1 and end < n:
+            u12 = a[start:end, end:]
+            if low:
+                _reduce(u12, p)
+            u12[...] = _reduce(_unit_lower_inverse(lower[:width], p) @ u12, p)
+            below = end + lower[width:].any(axis=1).nonzero()[0]
+            if below.size:
+                if low + step + p > _FLOAT_EXACT_LIMIT:
+                    _reduce(a[end:, end:], p)
+                    low = 0
+                for i in range(0, below.size, _UPDATE_ROWS):
+                    rows = below[i:i + _UPDATE_ROWS]
+                    a[rows, end:] -= lower[rows - start].astype(np.float64) @ u12
+                low += step
+    if low:
+        _reduce(a[k:, k:], p)
     return det % p
 
 
@@ -252,7 +378,8 @@ def _schur(a, field: int | None, k: int) -> ExactMatrix:
     if field is not None:
         if _eliminate(a, k, field) == 0:
             raise SingularMatrixError("singular matrix over F_p")
-        return ExactMatrix._of(a[k:, k:].copy(), field)  # not a view that keeps all of a
+        # a new array in the storage dtype, not a view that keeps all of a
+        return ExactMatrix._of(a[k:, k:].astype(storage_dtype((), field)), field)
     ints, scales = _int_rows(a)
     if _zero_test(ints[:k, :k]) is None:
         raise SingularMatrixError("singular matrix over Q")
@@ -272,7 +399,7 @@ def det(m: ExactMatrix):
     if n == 0:
         return 1 if m.field is None else 1 % m.field
     if m.field is not None:
-        return _eliminate(m.array.copy(), n, m.field)
+        return _eliminate(m.array.astype(_working_dtype(m.field)), n, m.field)
     ints, scales = _int_rows(m.array)
     value = Fraction(_multimodular(ints), prod(scales))
     return int(value) if value.denominator == 1 else value
@@ -528,7 +655,8 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if n == 0:
         return ExactMatrix([], a.field)
     # over Q an int64 A may meet an object B, whose Fractions int64 would truncate
-    bordered = np.zeros((2 * n, n + b.ncols), dtype=np.result_type(a.array, b.array))
+    dtype = np.result_type(a.array, b.array) if a.field is None else _working_dtype(a.field)
+    bordered = np.zeros((2 * n, n + b.ncols), dtype=dtype)
     bordered[:n, :n] = a.array
     bordered[:n, n:] = b.array
     bordered[range(n, 2 * n), range(n)] = -1 if a.field is None else a.field - 1
@@ -544,7 +672,8 @@ def schur_complement(m: ExactMatrix, k: int) -> ExactMatrix:
     if k == 0 or k == m.nrows:
         trail = range(k, m.nrows)
         return m.submatrix(trail, trail)
-    return _schur(m.array if m.field is None else m.array.copy(), m.field, k)
+    return _schur(m.array if m.field is None else m.array.astype(_working_dtype(m.field)),
+                  m.field, k)
 
 
 def to_float(m: ExactMatrix):

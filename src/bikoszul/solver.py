@@ -36,7 +36,6 @@ from .core import (
     SystemType,
     _block_value,
     apply_coordinate_change,
-    evaluate,
     exponent_basis,
     mhb,
     monomial_basis,
@@ -96,6 +95,10 @@ def eigen_schur(matrix, tol: float = EIGEN_CLUSTER_TOL) -> list[EigenPair]:
     values, vectors = np.linalg.eig(array)
     order = np.lexsort((values.imag, values.real))
     scale = tol * (1.0 + max(abs(values).max(initial=0.0), 0.0))
+    # all pairwise distances at once; sorting would miss close complex pairs
+    gaps = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    clustered = gaps.min(axis=1, initial=np.inf) < scale
     pairs = []
     for k in order:
         vec = vectors[:, k]
@@ -103,8 +106,7 @@ def eigen_schur(matrix, tol: float = EIGEN_CLUSTER_TOL) -> list[EigenPair]:
         anchor = np.argmax(np.abs(vec))
         phase = vec[anchor] / abs(vec[anchor])
         vec = vec / phase
-        clustered = any(abs(values[k] - values[j]) < scale for j in range(len(values)) if j != k)
-        pairs.append(EigenPair(complex(values[k]), vec, clustered))
+        pairs.append(EigenPair(complex(values[k]), vec, bool(clustered[k])))
     return pairs
 
 
@@ -259,16 +261,20 @@ def choose_f0_and_theta(t: SystemType, seed, coeff_bound: int = 10):
 
 
 def residual(sys: BilinearSystem, sol: ProjectiveSolution) -> float:
-    """max_i |f_i(sol)| / ||f_i|| with every block scaled to unit norm;
-    each ||f_i|| is computed once per polynomial (`MHPoly.norm`)."""
+    """max_i |f_i(sol)| / ||f_i|| with every block scaled to unit norm.
+    Each f_i is evaluated at once from its exponent matrix and complex
+    coefficients, and those and ||f_i|| are computed once per polynomial
+    (`MHPoly.numeric`, `MHPoly.norm`)."""
     blocks = []
     for block in sol.blocks:
         arr = np.asarray([complex(c) for c in block])
-        blocks.append(tuple(arr / np.linalg.norm(arr)))
-    point = ProjectiveSolution(*blocks)
+        blocks.append(arr / np.linalg.norm(arr))
+    point = np.concatenate(blocks)
     worst = 0.0
     for poly in sys.f:
-        worst = max(worst, abs(evaluate(poly, point)) / max(poly.norm, 1.0))
+        exponents, coefficients = poly.numeric
+        value = coefficients @ np.prod(point ** exponents, axis=1)
+        worst = max(worst, abs(value) / max(poly.norm, 1.0))
     return worst
 
 

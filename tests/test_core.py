@@ -114,6 +114,25 @@ def test_evaluate_paper_roots(paper_system):
     assert core.evaluate(zero, ALPHA_2) == 0
 
 
+def test_numeric_form_evaluates_like_evaluate(paper_system):
+    """coefficients @ prod(v ** exponents) is p(v) at a complex point,
+    for a trilinear f0 and the zero polynomial too."""
+    import numpy as np
+
+    rng = random.Random(5)
+    t = SystemType(2, 2, 1, 3, 2)
+    alpha = ProjectiveSolution((1, -2, 3), (2, 1, -1), (1, 2))
+    system = core.random_system(t, rng).with_f0(core.planted_poly(t.nvars, (1, 1, 1), alpha, rng))
+    polys = [*system.f, system.f0, *paper_system.f,
+             core.zero_poly(paper_system.type.nvars, (1, 1, 0))]
+    for poly in polys:
+        point = [tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n))
+                 for n in poly.nvars]
+        exponents, coefficients = poly.numeric
+        assert exponents.shape == (len(poly.terms), sum(poly.nvars))
+        value = coefficients @ np.prod(np.concatenate(point) ** exponents, axis=1)
+        assert abs(value - core.evaluate(poly, point)) <= 1e-13 * max(poly.norm, 1.0)
+
 def test_evaluate_dimension_mismatch(paper_system):
     with pytest.raises(DomainError):
         core.evaluate(paper_system.f[0], ((1, 2, 3), (1, 1), (1, 1)))

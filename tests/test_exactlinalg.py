@@ -445,6 +445,217 @@ def test_int64_loop_at_the_largest_int64_prime_matches_python_ints():
         exactlinalg._eliminate(np.array(rows, dtype=object), 60, p)
 
 
+# -- the blocked elimination mod p -------------------------------------------
+
+P_PANEL = 1_000_003  # panels of 32 columns
+
+
+def width_bound_prime(b):
+    """The largest prime p with b (p - 1)^2 + p <= 2^53: the float64 panel
+    width of p is b, and b + 1 would not be exact."""
+    p = isqrt(2 ** 53 // b) + 2
+    while not (exactlinalg._is_prime(p) and b * (p - 1) ** 2 + p <= 2 ** 53):
+        p -= 1
+    return p
+
+
+def first_prime_above_float_limit():
+    """The smallest prime whose panel would be a single column, so that
+    `_eliminate` runs on its int64 storage."""
+    p = isqrt(2 ** 52)
+    while not (exactlinalg._is_prime(p) and 2 * (p - 1) ** 2 + p > 2 ** 53):
+        p += 1
+    return p
+
+
+def eliminate_both(rows, k, p):
+    """`_eliminate` on the working dtype (float64 panels when they fit) and
+    on an object array of Python ints (one column per step): for each,
+    (det, the clobbered entries as ints, the row order)."""
+    import numpy as np
+
+    out = []
+    for dtype in (exactlinalg._working_dtype(p), object):
+        a = np.array(rows, dtype=object).astype(dtype)
+        order = np.arange(len(rows))
+        value = exactlinalg._eliminate(a, k, p, order)
+        out.append((value, [[int(e) for e in row] for row in a.tolist()], order.tolist()))
+    return out
+
+
+def lpu(p, lower, perm, upper):
+    """L P U mod p as rows of ints."""
+    permuted = [upper[i] for i in perm]
+    return [[sum(l * u for l, u in zip(row, col)) % p for col in zip(*permuted)]
+            for row in lower]
+
+
+def random_lpu(rng, p, m, n, k, perm=None, zero_at=None):
+    """L P U mod p with L unit lower triangular (m x m), P a row
+    permutation (the identity by default) and U upper triangular (m x n)
+    with a nonzero diagonal. With `zero_at`, rows zero_at..k-1 of U are 0
+    in that column: when P keeps them there, elimination stops at it."""
+    lower = [[1 if i == j else rng.randrange(p) if j < i else 0 for j in range(m)]
+             for i in range(m)]
+    upper = [[rng.randrange(1, p) if i == j else rng.randrange(p) if j > i else 0
+              for j in range(n)] for i in range(m)]
+    if zero_at is not None:
+        for row in upper[zero_at:k]:
+            row[zero_at] = 0
+    return lpu(p, lower, perm or range(m), upper)
+
+
+def assert_matches_fractions(rows, k, p, result):
+    """The det of the leading k x k block and, when it is a unit, the
+    Schur complement and zeros below the diagonal, as the Fraction
+    oracle gives them mod p."""
+    value, array, _ = result
+    d11, schur = fraction_eliminate(rows, k)
+    assert value == exactlinalg.fraction_mod_p(d11, p)
+    if value:
+        assert [row[k:] for row in array[k:]] == \
+            [[exactlinalg.fraction_mod_p(e, p) for e in row] for row in schur]
+        assert all(e == 0 for i, row in enumerate(array) for e in row[:min(i, k)])
+
+
+def test_blocked_elimination_takes_a_pivot_from_below_the_panel_at_its_last_column():
+    """At column 31, the last of the first panel, rows 31 to 34 hold 0 and
+    the pivot is row 35: the swap brings a row from below the panel,
+    with its trailing columns and its multipliers. Rectangular, with more
+    rows and more columns than k."""
+    rng = random.Random(31)
+    k, m, n = 40, 47, 45
+    perm = list(range(m))
+    perm[31], perm[35] = 35, 31
+    rows = random_lpu(rng, P_PANEL, m, n, k, perm)
+    fast, slow = eliminate_both(rows, k, P_PANEL)
+    assert exactlinalg._panel_width(P_PANEL) == 32
+    assert fast == slow and fast[0] != 0
+    assert fast[2][31] == 35
+    assert_matches_fractions(rows, k, P_PANEL, fast)
+
+
+@pytest.mark.parametrize("shape", [(20, 50, 35), (40, 40, 70), (66, 72, 70)])
+def test_blocked_elimination_on_rectangular_arrays(shape):
+    """The trailing block of a k-step elimination of an m x n array, with
+    more rows or more columns than k, is the Schur complement."""
+    k, m, n = shape
+    rng = random.Random(k * m * n)
+    rows = [[rng.randrange(P_PANEL) if rng.random() < 0.3 else 0 for _ in range(n)]
+            for _ in range(m)]
+    for i in range(k):
+        rows[i][i] = rng.randrange(1, P_PANEL)
+    fast, slow = eliminate_both(rows, k, P_PANEL)
+    assert fast == slow and fast[0] != 0
+    assert_matches_fractions(rows, k, P_PANEL, fast)
+
+
+@pytest.mark.parametrize("column", [40, 32])
+def test_blocked_elimination_stops_at_the_column_without_a_pivot(column):
+    """A singular leading block that stops mid-panel (40) and at a panel's
+    first column (32): 0, and what the zero test reads is defined, the
+    pivots on the diagonal before that column, a 0 at it, and the order
+    of the rows."""
+    rng = random.Random(column)
+    k = 50
+    perm = list(range(k))
+    perm[column - 1], perm[column + 3] = perm[column + 3], perm[column - 1]
+    rows = random_lpu(rng, P_PANEL, k, k, k, perm, zero_at=column)
+    assert fraction_det(rows) % P_PANEL == 0
+    fast, slow = eliminate_both(rows, k, P_PANEL)
+    assert fast[0] == slow[0] == 0
+    diagonal = [row[i] for i, row in enumerate(fast[1])]
+    assert 0 not in diagonal[:column] and diagonal[column] == 0
+    assert diagonal[:column + 1] == [row[i] for i, row in enumerate(slow[1])][:column + 1]
+    assert fast[2] == slow[2]
+
+
+def test_blocked_elimination_at_the_width_bound_with_every_factor_entry_p_minus_1():
+    """At the largest prime whose panel width is 32, L and U of p - 1 make
+    every multiplier and every entry of U12 p - 1, so each update forms
+    32 (p - 1)^2, the most that stays exact."""
+    p = width_bound_prime(32)
+    assert exactlinalg._panel_width(p) == 32 and 33 * (p - 1) ** 2 + p > 2 ** 53
+    k, m = 70, 80
+    lower = [[1 if i == j else p - 1 if j < i else 0 for j in range(m)] for i in range(m)]
+    upper = [[p - 1 if j >= i else 0 for j in range(m)] for i in range(m)]
+    rows = lpu(p, lower, range(m), upper)
+    fast, slow = eliminate_both(rows, k, p)
+    assert fast == slow
+    assert fast[0] == (-1) ** k % p
+    # U above, and L22 U22 below: the Schur complement
+    want = upper[:k] + lpu(p, [row[k:] for row in lower[k:]], range(m - k), upper[k:])
+    assert fast[1] == want
+
+
+def test_blocked_elimination_just_above_the_float_limit_runs_on_int64():
+    """The smallest prime with no float64 panel of two columns keeps its
+    int64 storage and the one-column step."""
+    import numpy as np
+
+    p, below = first_prime_above_float_limit(), width_bound_prime(2)
+    assert exactlinalg._panel_width(p) == 1 and exactlinalg._working_dtype(p) == np.int64
+    assert exactlinalg._panel_width(below) == 2 and exactlinalg._working_dtype(below) == np.float64
+    assert not any(exactlinalg._is_prime(q) for q in range(below + 1, p))
+    rng = random.Random(p)
+    for q in (p, below):
+        rows = random_lpu(rng, q, 45, 50, 40, [*range(39, -1, -1), *range(40, 45)])
+        fast, slow = eliminate_both(rows, 40, q)
+        assert fast == slow and fast[0] != 0
+        assert_matches_fractions(rows, 40, q, fast)
+
+
+@pytest.mark.parametrize("p", [3, P_PANEL, width_bound_prime(32), width_bound_prime(2)])
+def test_float_reduction_is_exact_up_to_the_float_limit(p):
+    """x - floor(x / p) p by a true division is x mod p for every integer
+    with |x| + p <= 2^53, the range the blocked elimination keeps to; its
+    sharpest cases are the multiples of p and their neighbours at the top
+    of that range, of either sign."""
+    import numpy as np
+
+    top = (2 ** 53 - p) // p
+    values = [sign * (m * p + r) for m in range(top - 300, top + 1) for r in (0, 1, p - 1)
+              for sign in (1, -1) if m * p + r + p <= 2 ** 53]
+    reduced = exactlinalg._reduce(np.array(values, dtype=np.float64), p)
+    assert reduced.tolist() == [float(v % p) for v in values]
+
+
+ELIMINATION_PRIMES = (2, 3, 7, 101, P_PANEL, width_bound_prime(2), width_bound_prime(3),
+                      width_bound_prime(5), width_bound_prime(32), first_prime_above_float_limit(),
+                      2 ** 31 - 1, 2 ** 61 - 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.sampled_from(ELIMINATION_PRIMES), k=st.integers(1, 12),
+       extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       density=st.sampled_from([0.2, 0.6, 1.0]), singular=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+def test_blocked_elimination_matches_the_object_path_and_fractions(p, k, extra, density,
+                                                                  singular, seed):
+    """Small random arrays, on primes with panels of 2, 3, 5 and 32
+    columns and on primes above the float limit (one column, int64 or
+    object): the same det, order and clobbered array as the object path
+    when nonsingular, the same diagonal up to the first zero and order
+    when singular, and the det and Schur complement of the Fraction
+    oracle."""
+    rng = random.Random(seed)
+    m, n = k + extra[0], k + extra[1]
+    rows = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)]
+    if singular and k > 1:
+        i, j = rng.sample(range(k), 2)
+        rows[i][:k] = [rng.randrange(p) * e % p for e in rows[j][:k]]
+    fast, slow = eliminate_both(rows, k, p)
+    assert_matches_fractions(rows, k, p, fast)
+    if fast[0]:
+        assert fast == slow
+    else:
+        assert slow[0] == 0 and fast[2] == slow[2]
+        first = [row[i] for i, row in enumerate(fast[1][:k])].index(0)
+        assert [row[i] for i, row in enumerate(slow[1][:k])][:first + 1] == \
+            [row[i] for i, row in enumerate(fast[1][:k])][:first + 1]
+
+
 def m11_with_det(rng, k, d):
     """A k x k integer block of determinant d: an upper triangular one with
     diagonal 1, ..., 1, d whose rows after the first are mixed; only the
