@@ -238,15 +238,13 @@ def _working_dtype(p: int):
 
 
 def _reduce(x, p: int):
-    """x mod p in [0, p). A float64 array of integers with |x| + p <= 2^53
-    is overwritten with x - floor(x / p) p, exact without a correction:
+    """x mod p in [0, p) for a float64 array of integers with |x| + p <=
+    2^53, overwritten with x - floor(x / p) p, exact without a correction:
     the rounding error of the true division x / p is below |x| 2^-53 /
     p < 1 / p, the least distance from x / p up to the next integer, and
     floor(x / p) p, below |x| + p, is an exact float64. (np.fmod, whose
     cost grows with x, is avoided.) It runs `_UPDATE_ROWS` rows at a
-    time, so its temporary stays small. Any other array gives x % p."""
-    if x.dtype != np.float64:
-        return x % p
+    time, so its temporary stays small."""
     for i in range(0, len(x), _UPDATE_ROWS):
         rows = x[i:i + _UPDATE_ROWS]
         quotient = rows / p
