@@ -16,37 +16,42 @@ of the leading one is the Schur complement. On a 0 return (a singular
 leading block) only the diagonal up to the first column without a
 pivot, which is the first zero on it, and the row order are defined.
 
-Over Q both paths first clear denominators row by row, once. A zero
+Over Q both paths first clear denominators row by row, once. Every
+modular step over Q on a block of order k runs modulo one family of
+primes, `_prime(k, i)`: the i-th largest q with k (q-1)^2 < 2^53, so
+that a length-k dot product of residues is exact in float64. A zero
 test (`_zero_test`) decides whether a square block is singular with a
-certificate instead of a prime budget: modulo a word prime (below
-2^31), the loop stops at the first column s without a pivot, and the
-Schur complement over Q of the first s + 1 columns, pivot rows first,
-is 0 exactly when column s is a Q-combination of the columns before it.
+certificate instead of a prime budget: modulo _prime(n, i), the loop
+stops at the first column s without a pivot, and the Schur complement
+over Q of the first s + 1 columns, pivot rows first, is 0 exactly when
+column s is a Q-combination of the columns before it. Otherwise the
+test ends at the first nonzero residue, whose prime certifies the
+block nonsingular modulo it; the caller's lift runs modulo that prime.
 `det` (`_multimodular`) is the method of Abbott, Bronstein and Mulders
 without early termination: the zero test, then the denominator D of
 -c A^{-1} b for fixed small integer vectors b and c, a divisor of det A
-from one p-adic lift (`_divisor`), then CRT on det / D over the word
+from one p-adic lift (`_divisor`), then CRT on det / D over the same
 primes until their product exceeds 2 H / |D|, H the Hadamard bound.
 Below a small budget (`_CRT_MAX_PRIMES`) it is plain CRT with D = 1.
 The Schur complement, and so `solve`, is Dixon's p-adic lifting
 (`_lift_schur`) once the zero test has found M11 nonsingular
-(SingularMatrixError otherwise): one inverse of M11 modulo a lifting
-prime q, taken from the F_q `solve`, then one k x k by k x (n-k)
-product per step, until q^L exceeds twice the product of the Hadamard
-bounds on the (k+1)-minors and on det M11; rational reconstruction with
-one running common denominator recovers S. A lifting prime that divides
-det M11 is skipped.
+(SingularMatrixError otherwise): one inverse of M11 modulo the prime q
+the test certified, taken from the F_q `solve`, then one k x k by
+k x (n-k) product per step, until q^L exceeds twice the product of the
+Hadamard bounds on the (k+1)-minors and on det M11; rational
+reconstruction with one running common denominator recovers S.
 
 Floats enter the exact paths only where every value is an integer
 below 2^53 and so exact in float64. In the elimination mod p the panel
 width b is the largest up to 32 with b (p-1)^2 + p <= 2^53
 (`_panel_width`), which bounds each dot product of residues, and the
-reduction x - floor(x / p) p by a true division is exact there; when no
-b >= 2 fits (p > 2^26), the same loop runs with b = 1 on the storage
-dtype, one rank-1 update per step. In the lifting q is the largest prime
-with k (q-1)^2 < 2^53, and the products with M11 and M21 run in float64
-only while k * max|entry| * q < 2^53 (`_lift_dtype`), else on Python
-ints. `to_float` is the one lossy conversion.
+reduction x - floor(x / p) p by a true division is exact there; every
+`_prime(k, i)` with k >= 2 leaves b >= 2. When no b >= 2 fits (p >
+2^26: user primes, and the primes of a 1 x 1 block), the same loop runs
+with b = 1 on the storage dtype, one rank-1 update per step. In the
+lifting the products with M11 and M21 run in float64 only while
+k * max|entry| * q < 2^53 (`_lift_dtype`), else on Python ints.
+`to_float` is the one lossy conversion.
 
 The field tag of an ExactMatrix is None for the rationals or the prime
 p itself. A composite tag is rejected with ValueError.
@@ -195,15 +200,6 @@ def zeros(shape, field: int | None = None, values=()) -> ExactMatrix:
     if field is None and dtype is object:
         return ExactMatrix._of(np.full(shape, Fraction(0), dtype=object), None)
     return ExactMatrix._of(np.zeros(shape, dtype=dtype), field)  # lazily zeroed pages
-
-
-def matvec(a: ExactMatrix, v) -> list:
-    if a.ncols != len(v):
-        raise ValueError("shape mismatch")
-    out = [sum(x * y for x, y in zip(row, v)) for row in a.rows]
-    if a.field is not None:
-        out = [e % a.field for e in out]
-    return out
 
 
 def _int_rows(array):
@@ -371,7 +367,8 @@ def _schur(a, field: int | None, k: int) -> ExactMatrix:
     array a of entries valid for the field: over F_p after k elimination
     steps that pivot inside M11, which clobber a; over Q, once the zero
     test has found M11 nonsingular, by p-adic lifting on the
-    denominator-cleared rows, which only reads a. Raises
+    denominator-cleared rows modulo the prime that the test certified,
+    which only reads a. Raises
     SingularMatrixError when M11 is singular."""
     if field is not None:
         if _eliminate(a, k, field) == 0:
@@ -379,9 +376,10 @@ def _schur(a, field: int | None, k: int) -> ExactMatrix:
         # a new array in the storage dtype, not a view that keeps all of a
         return ExactMatrix._of(a[k:, k:].astype(storage_dtype((), field)), field)
     ints, scales = _int_rows(a)
-    if _zero_test(ints[:k, :k]) is None:
+    residues = _zero_test(ints[:k, :k])
+    if residues is None:
         raise SingularMatrixError("singular matrix over Q")
-    values = iter(_lift_schur(ints, k))
+    values = iter(_lift_schur(ints, k, _prime(k, len(residues) - 1)))
     # the scale of a leading row cancels in M11^{-1} M12; that of a
     # trailing row scales its row of the complement
     return ExactMatrix([[Fraction(num, den * scale) for num, den in islice(values, a.shape[1] - k)]
@@ -422,8 +420,9 @@ def _hadamard2(a, k: int):
             min(bound(lead.sum(axis=1)), bound(lead.sum(axis=0))))
 
 
-# a det over Q whose Hadamard budget fits in this many word primes runs
-# plain CRT; beyond it the divisor lift pays (measured crossover, README)
+# a det over Q whose Hadamard budget fits in this many of its primes,
+# 2 H < _prime(n, 0)^_CRT_MAX_PRIMES, runs plain CRT; beyond it the
+# divisor lift pays (measured crossover, README)
 _CRT_MAX_PRIMES = 3
 
 
@@ -431,28 +430,30 @@ def _multimodular(a) -> int:
     """The determinant of a square integer array (int64 or object), by the
     method of Abbott, Bronstein and Mulders without early termination.
 
-    When twice the Hadamard bound H needs more than `_CRT_MAX_PRIMES`
-    word primes, the zero test either certifies det = 0 or gives the first
-    nonzero residue, and one p-adic lift gives a divisor D of det
-    (`_divisor`); otherwise D = 1. Then det / D runs n elimination steps
-    modulo descending word primes, skipping those that divide D and
-    reusing the residues the zero test found, recombined by CRT
-    (Garner) until the product of the primes exceeds 2 H / |D|; D times
-    the symmetric residue is det. A residue 0 is just a residue.
+    When twice the Hadamard bound H passes `_CRT_MAX_PRIMES` primes
+    `_prime(n, 0)`, the zero test either certifies det = 0 or ends at the
+    first nonzero residue, and one p-adic lift modulo that residue's
+    prime gives a divisor D of det (`_divisor`); otherwise D = 1. Then
+    det / D runs n elimination steps modulo the descending primes
+    `_prime(n, i)`, skipping those that divide D and reusing the residues
+    the zero test found, recombined by CRT (Garner) until the product of
+    the primes exceeds 2 H / |D|; D times the symmetric residue is det. A
+    residue 0 is just a residue.
     """
     n = len(a)
     bound2 = _hadamard2(a, n)[1]
     residues, divisor = [], 1
-    if 4 * bound2 >= _INT64_PRIME_LIMIT ** (2 * _CRT_MAX_PRIMES):
+    if 4 * bound2 >= _prime(n, 0) ** (2 * _CRT_MAX_PRIMES):
         residues = _zero_test(a)
         if residues is None:
             return 0
-        divisor = _divisor(a)
+        divisor = _divisor(a, _prime(n, len(residues) - 1))
     d = 0
     modulus = 1
-    for i, q in enumerate(map(_word_prime, count())):
+    for i in count():
         if (modulus * divisor) ** 2 > 4 * bound2:
             break
+        q = _prime(n, i)
         if divisor % q == 0:
             continue
         residue = residues[i] if i < len(residues) else _eliminate(_mod(a, q), n, q)
@@ -462,30 +463,35 @@ def _multimodular(a) -> int:
 
 
 def _mod(a, q: int):
-    """The integer array a (int64 or object) reduced mod q < 2^31, in int64."""
-    return (a % q).astype(np.int64, copy=False)
+    """The integer array a (int64 or object) reduced mod q, in the dtype
+    `_eliminate` runs fastest on (`_working_dtype`): float64 panels for
+    every `_prime(k, i)` with k >= 2."""
+    return (a % q).astype(_working_dtype(q), copy=False)
 
 
 def _zero_test(a):
     """None when the square integer array a is singular, certified by a
-    kernel vector; otherwise det a modulo the word primes w_0, ..., w_i,
-    the last of them the first nonzero residue.
+    kernel vector; otherwise det a modulo the primes _prime(n, 0), ...,
+    _prime(n, i), the last of them the first nonzero residue, so a
+    modulus that the caller's lift may use.
 
-    Modulo w_i, elimination finds no pivot for some column s exactly
-    when det a = 0 mod w_i. Then the Schur complement over Q of the first
-    s + 1 columns, with the s pivot rows first and the split at s, is
-    lifted (`_lift_schur`). When all of its n - s entries are 0, column
-    s is the Q-combination M11^{-1} M12 of columns 0..s-1, so det a = 0;
-    for s = 0 the certificate is column 0 itself. Otherwise columns
-    0..s are independent over Q, yet w_i divides all their (s+1)-minors,
-    and the test moves on to w_{i+1}. Only finitely many primes are
-    unlucky in this way, and when det a = 0 every other prime stops at
-    the first column that depends on the ones before it, so the test
-    ends. The pivot block of each lift is nonsingular modulo w_i.
+    Modulo q = _prime(n, i), elimination finds no pivot for some column s
+    exactly when det a = 0 mod q. Then the Schur complement over Q of the
+    first s + 1 columns, with the s pivot rows first and the split at s,
+    is lifted modulo q (`_lift_schur`): its pivot block is nonsingular
+    modulo q, and s < n keeps q in range. When all of its n - s entries
+    are 0, column s is the Q-combination M11^{-1} M12 of columns
+    0..s-1, so det a = 0; for s = 0 the certificate is column 0 itself.
+    Otherwise columns 0..s are independent over Q, yet q divides all
+    their (s+1)-minors, and the test moves on to _prime(n, i + 1). Only
+    finitely many primes are unlucky in this way, and when det a = 0
+    every other prime stops at the first column that depends on the ones
+    before it, so the test ends.
     """
     n = len(a)
     residues = []
-    for q in map(_word_prime, count()):
+    for i in count():
+        q = _prime(n, i)
         reduced, order = _mod(a, q), np.arange(n)
         residues.append(_eliminate(reduced, n, q, order))
         if residues[-1]:
@@ -493,45 +499,37 @@ def _zero_test(a):
         s = int(np.flatnonzero(reduced.diagonal() == 0)[0])
         head = a[order, :s + 1]
         # column s minus its Q-combination of the columns before it
-        certificate = head[:, 0] if s == 0 else [num for num, _ in _lift_schur(head, s)]
+        certificate = head[:, 0] if s == 0 else [num for num, _ in _lift_schur(head, s, q)]
         if not any(certificate):
             return None
 
 
-def _divisor(a) -> int:
-    """A divisor D of det a for a nonsingular square integer array a, most
-    often det a up to a small factor: the denominator of the 1 x 1 Schur
-    complement -c a^{-1} b of [[a, b], [c, 0]], one p-adic lift, for
-    fixed pseudo-random integer vectors b and c. a^{-1} is adj(a) / det a,
-    so D divides det a."""
+def _divisor(a, q: int) -> int:
+    """A divisor D of det a for a square integer array a nonsingular
+    modulo the prime q = _prime(n, i), most often det a up to a small
+    factor: the denominator of the 1 x 1 Schur complement -c a^{-1} b of
+    [[a, b], [c, 0]], one p-adic lift modulo q, for fixed pseudo-random
+    integer vectors b and c. a^{-1} is adj(a) / det a, so D divides
+    det a."""
     n = len(a)
     rng = random.Random(n)
     bordered = np.zeros((n + 1, n + 1), dtype=a.dtype)
     bordered[:n, :n] = a
     bordered[:n, n] = [rng.randint(-64, 64) for _ in range(n)]
     bordered[n, :n] = [rng.randint(-64, 64) for _ in range(n)]
-    (num, den), = _lift_schur(bordered, n)
+    (num, den), = _lift_schur(bordered, n, q)
     return Fraction(num, den).denominator
 
 
 @lru_cache(maxsize=None)
-def _prime_below(limit: int, i: int) -> int:
-    """The i-th largest prime below limit (i = 0, 1, ... in turn)."""
-    q = (limit if i == 0 else _prime_below(limit, i - 1)) - 1
+def _prime(k: int, i: int) -> int:
+    """The i-th largest prime q with k (q - 1)^2 < 2^53 (i = 0, 1, ... in
+    turn), the moduli of every modular step over Q on a block of order
+    k: a length-k dot product of residues mod q is then exact in float64."""
+    q = (isqrt((_FLOAT_EXACT_LIMIT - 1) // k) + 2 if i == 0 else _prime(k, i - 1)) - 1
     while not _is_prime.__wrapped__(q):  # uncached: most candidates are composite
         q -= 1
     return q
-
-
-def _word_prime(i: int) -> int:
-    """The i-th largest prime below 2^31, the CRT primes of det over Q."""
-    return _prime_below(_INT64_PRIME_LIMIT, i)
-
-
-def _lifting_prime(k: int, i: int) -> int:
-    """The i-th largest prime q with k (q - 1)^2 < 2^53: a length-k dot
-    product of residues mod q is then exact in float64."""
-    return _prime_below(isqrt((_FLOAT_EXACT_LIMIT - 1) // k) + 2, i)
 
 
 def _lift_dtype(k: int, top: int, q: int):
@@ -543,32 +541,19 @@ def _lift_dtype(k: int, top: int, q: int):
     return np.float64 if k * top * q < _FLOAT_EXACT_LIMIT else object
 
 
-def _lifting_inverse(m11):
-    """(q, M11^{-1} mod q in float64) for the largest lifting prime q that
-    does not divide det M11, from the F_q `solve`.
-
-    M11 must be nonsingular over Q: then only finitely many primes divide
-    det M11 and the loop ends. Every caller knows it beforehand. `_schur`
-    runs the zero test on M11 first; a zero certificate lifts on its
-    pivot block, nonsingular modulo a word prime by construction; and
-    `_divisor` runs only after a nonzero residue of det.
-    """
-    k = len(m11)
-    for i in count():
-        q = _lifting_prime(k, i)
-        try:
-            inv = solve(ExactMatrix._of(_mod(m11, q), q),
-                        ExactMatrix._of(np.eye(k, dtype=np.int64), q))
-        except SingularMatrixError:
-            continue
-        return q, inv.array.astype(float)
+def _lifting_inverse(m11, q: int):
+    """M11^{-1} mod q in float64, from the F_q `solve`, for a prime q that
+    does not divide det M11."""
+    identity = np.eye(len(m11), dtype=np.int64)
+    return solve(ExactMatrix(m11, q), ExactMatrix(identity, q)).array.astype(float)
 
 
-def _lift_schur(ints, k: int) -> list:
+def _lift_schur(ints, k: int, q: int) -> list:
     """(numerator, denominator) of each entry, row by row, of the Schur
     complement S = M22 - M21 M11^{-1} M12 of an integer array (int64 or
-    object, possibly rectangular), by Dixon's p-adic lifting. M11 must be
-    nonsingular over Q (`_lifting_inverse`).
+    object, possibly rectangular), by Dixon's p-adic lifting modulo a
+    prime q with k (q - 1)^2 < 2^53 (`_prime`) that does not divide
+    det M11.
 
     With C = M11^{-1} mod q, each of L steps takes, from R = M12,
     X_i = C (R mod q) mod q, T_i = M21 X_i and R <- (R - M11 X_i) / q, so
@@ -580,9 +565,9 @@ def _lift_schur(ints, k: int) -> list:
     """
     minors2, lead2 = _hadamard2(ints, k)
     top = int(np.abs(ints).max())
-    a = ints.astype(_lift_dtype(k, top, _lifting_prime(k, 0)))
+    a = ints.astype(_lift_dtype(k, top, q))
     m11, m21, r = a[:k, :k], a[k:, :k], a[:k, k:]
-    q, inv = _lifting_inverse(ints[:k, :k])
+    inv = _lifting_inverse(ints[:k, :k], q)
     digits = []
     modulus = 1
     while modulus * modulus <= 4 * minors2 * lead2:

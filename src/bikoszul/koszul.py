@@ -41,6 +41,7 @@ from that table and scatters them into a dense numpy array of the dtype
 they need (int64 over Q for an integer system). `occurrences`, and so
 `theta_partition`, picks reference ids from the table and masks the
 reference array once; `ThetaPartition` permutes with one fancy index.
+Assembly builds no labels: `rows` and `cols` are built on first read.
 """
 
 from __future__ import annotations
@@ -216,20 +217,26 @@ class SymbolicResultantMatrix:
     (row_idx[k], col_idx[k]) and is the signed reference
     references[ref_idx[k]]. The nonzeros are ordered by column, then by
     the position of the contracted slot in the column's index set, then
-    by psi term; the arrays are read-only."""
+    by psi term; the arrays are read-only. The row and column labels
+    are built on first read."""
 
     type: SystemType
     m: tuple[int, int, int]
-    rows: list[KoszulBasisElement]
-    cols: list[KoszulBasisElement]
+    size: int
     row_idx: np.ndarray
     col_idx: np.ndarray
     ref_idx: np.ndarray
     references: tuple[SymbolicEntry, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def rows(self) -> list[KoszulBasisElement]:
+        """The row labels, `k0_basis`."""
+        return k0_basis(self.type)
+
+    @cached_property
+    def cols(self) -> list[KoszulBasisElement]:
+        """The column labels, `k1_basis`."""
+        return k1_basis(self.type)
 
     @cached_property
     def entries(self) -> SymbolicEntries:
@@ -293,12 +300,7 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
     group start plus a factor offset; each (column group, slot) adds its
     cached factor terms at once.
     """
-    rows = k0_basis(t)
-    cols = k1_basis(t)
     size = mu(t)
-    if len(rows) != size or len(cols) != size:
-        raise AssemblyError(
-            f"basis sizes {len(cols)}x{len(rows)} do not match mu = {size} for {t}")
     group_start, factor_offset = {}, {}  # block tag -> {index set: row}, {factor: offset}
     start = 0
     for spec in _K0_BLOCKS:
@@ -308,7 +310,7 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
         start += len(isets) * len(factors)
     table, ref_base, position = _reference_table(t)
     pieces = []
-    start = 0
+    row_total, start = start, 0
     for spec in _K1_BLOCKS:
         tag = spec[0]
         isets, factors = _block_layout(t, spec)
@@ -332,6 +334,8 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
                 pieces.append((row0 + row_off, start + k * len(factors) + col_off,
                                ref_base[slot, pos % 2] + sigma))
         start += len(isets) * len(factors)
+    if row_total != size or start != size:
+        raise AssemblyError(f"basis sizes {start}x{row_total} do not match mu = {size} for {t}")
     # pieces run column block, index set, slot position; a stable sort by
     # column gives column, slot position, psi term
     row_idx, col_idx, ref_idx = (np.concatenate(v) for v in zip(*pieces))
@@ -346,7 +350,7 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
     ref_idx = (np.cumsum(used) - 1).astype(np.intp)[ref_idx]
     for array in (row_idx, col_idx, ref_idx):
         array.flags.writeable = False
-    return SymbolicResultantMatrix(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1), rows, cols,
+    return SymbolicResultantMatrix(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1), size,
                                    row_idx, col_idx, ref_idx, tuple(compress(table, used)))
 
 

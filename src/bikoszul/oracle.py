@@ -32,7 +32,7 @@ from .core import (
     monomial_basis,
     partial_evaluate_xy,
 )
-from .exactlinalg import ExactMatrix, fraction_mod_p, matvec, require_prime
+from .exactlinalg import ExactMatrix, fraction_mod_p, require_prime
 from .koszul import assemble_delta1, k0_basis, k1_basis, specialize
 
 
@@ -325,12 +325,12 @@ def rho_composition_matrix(sys: BilinearSystem, alpha_x, alpha_y) -> ExactMatrix
     embedding, exactly over Q."""
     t = sys.type
     matrix = assemble_delta1(t)
-    spec = specialize(matrix, sys)
+    exact = specialize(matrix, sys).array.astype(object)  # Python ints and Fractions
     slots = rho_slots(t)
     cols = []
     for k in range(len(slots)):
         lam = [1 if i == k else 0 for i in range(len(slots))]
-        cols.append(matvec(spec, build_rho(t, alpha_x, alpha_y, lam)))
+        cols.append(exact.dot(build_rho(t, alpha_x, alpha_y, lam)))
     return ExactMatrix([list(row) for row in zip(*cols)])
 
 

@@ -411,7 +411,7 @@ def test_det_over_q_reduces_to_det_over_fp_on_a_koszul_matrix():
     value = exactlinalg.det(spec)
     assert matrix.size == 81 and value != 0
     assert value == fraction_det(spec.rows)
-    # none of these is among the CRT primes, which lie just below 2^31
+    # none of these is among the CRT primes of order 81, which lie near 10^7
     for p in (10007, 65521, 1_000_003):
         assert exactlinalg.fraction_mod_p(value, p) == \
             exactlinalg.det(koszul.specialize(matrix, system, p))
@@ -656,6 +656,12 @@ def test_blocked_elimination_matches_the_object_path_and_fractions(p, k, extra, 
             [row[i] for i, row in enumerate(fast[1][:k])][:first + 1]
 
 
+def assert_largest_prime(k, q):
+    """q is the largest prime with k (q - 1)^2 < 2^53."""
+    assert exactlinalg._is_prime(q) and k * (q - 1) ** 2 < 2 ** 53
+    assert not any(exactlinalg._is_prime(p) for p in range(q + 1, isqrt((2 ** 53 - 1) // k) + 2))
+
+
 def m11_with_det(rng, k, d):
     """A k x k integer block of determinant d: an upper triangular one with
     diagonal 1, ..., 1, d whose rows after the first are mixed; only the
@@ -672,13 +678,14 @@ def m11_with_det(rng, k, d):
 
 @pytest.mark.parametrize("skipped", [1, 2])
 def test_schur_over_q_skips_primes_that_divide_det_m11(skipped):
-    """det M11 a multiple of the first CRT primes: those primes find M11
-    singular and are skipped; the complement is still exact."""
-    primes = [exactlinalg._word_prime(i) for i in range(skipped)]
-    assert primes[0] == 2 ** 31 - 1
+    """det M11 a multiple of the first primes of its order: the zero test
+    finds M11 singular modulo them and moves on, and the lift runs modulo
+    the next; the complement is still exact."""
     rng = random.Random(skipped)
     for trial in range(20):
         k, n = rng.randint(2, 4), rng.randint(1, 3)
+        primes = [exactlinalg._prime(k, i) for i in range(skipped)]
+        assert_largest_prime(k, primes[0])
         d = prod(primes) * rng.choice((-3, -1, 1, 2))
         lead = m11_with_det(rng, k, d)
         if trial % 2:
@@ -773,15 +780,16 @@ def m11_small_with_det(rng, k, d):
 
 @pytest.mark.parametrize("skipped", [1, 2])
 def test_lifting_skips_primes_that_divide_det_m11(skipped):
-    """det M11 a multiple of the first lifting primes, with small entries
-    so that the lifting runs in float64: those primes find M11 singular
-    and are skipped; the complement and the solve are still exact."""
+    """det M11 a multiple of the first primes of its order, with small
+    entries so that the lifting runs in float64: those primes find M11
+    singular and are skipped; the complement and the solve are still
+    exact."""
     import numpy as np
 
     rng = random.Random(100 + skipped)
     for trial in range(20):
         k, n = rng.randint(3, 5), rng.randint(1, 3)
-        primes = [exactlinalg._lifting_prime(k, i) for i in range(skipped)]
+        primes = [exactlinalg._prime(k, i) for i in range(skipped)]
         lead = m11_small_with_det(rng, k, prod(primes) * rng.choice((-3, -1, 1, 2)))
         if trial % 2:
             lead.reverse()  # and a zero first pivot
@@ -811,7 +819,7 @@ def test_lifting_with_entries_past_the_float_bound_takes_the_object_path():
             continue
         top = max(abs(e) for row in rows for e in row)
         assert 2 ** 40 <= top < 2 ** 63
-        assert exactlinalg._lift_dtype(k, top, exactlinalg._lifting_prime(k, 0)) is object
+        assert exactlinalg._lift_dtype(k, top, exactlinalg._prime(k, 0)) is object
         assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == want
         a_rows, b_rows = [row[:k] for row in rows[:k]], [row[k:] for row in rows[:k]]
         assert exactlinalg.solve(ExactMatrix(a_rows), ExactMatrix(b_rows)).rows == \
@@ -826,7 +834,7 @@ def test_lifting_meets_tight_hadamard_bounds():
     to 2^90, and d steps across the float64 / object boundary, where
     R - M11 X comes closest to 2^53."""
     rng = random.Random(53)
-    edge = 2 ** 53 // exactlinalg._lifting_prime(1, 0)  # the largest d on float64
+    edge = 2 ** 53 // exactlinalg._prime(1, 0)  # the largest d on float64
     cases = [(sign * (edge + step), 1) for sign in (1, -1)
              for step in (-1, 0, 1, edge // 2, edge - 1)]
     for trial in range(200):
@@ -874,7 +882,9 @@ def test_reconstruction_accepts_a_residue_only_up_to_h():
 
 # -- det over Q: zero certificate, divisor lift, quotient CRT ---------------
 
-W0, W1 = exactlinalg._word_prime(0), exactlinalg._word_prime(1)
+def unlucky(n):
+    """The first two primes of det over Q of order n, w0 and w1."""
+    return exactlinalg._prime(n, 0), exactlinalg._prime(n, 1)
 
 
 def with_det(rng, n, d, bound):
@@ -906,6 +916,8 @@ def det_cases(rng, n, bound):
     def dense():
         return [[entry() for _ in range(n)] for _ in range(n)]
 
+    w0, w1 = unlucky(n)
+
     for rank in (n - 1, n - 3):
         b = [[entry() for _ in range(rank)] for _ in range(n)]
         c = [[entry() for _ in range(n)] for _ in range(rank)]
@@ -915,11 +927,11 @@ def det_cases(rng, n, bound):
         rows = dense()
         yield f"dependent {name} column", with_column(rows, j, combination(rows, rng, j, 3))
     yield "zero first column", with_column(dense(), 0, [0] * n)
-    yield "det w0", with_det(rng, n, W0, 3)
-    yield "det w0 w1", with_det(rng, n, -W0 * W1, 3)
+    yield "det w0", with_det(rng, n, w0, 3)
+    yield "det w0 w1", with_det(rng, n, -w0 * w1, 3)
     # columns 0 and 1 independent over Q but not mod w0, column n-1 dependent
     rows = dense()
-    rows = with_column(rows, 1, [2 * row[0] + W0 * entry() for row in rows])
+    rows = with_column(rows, 1, [2 * row[0] + w0 * entry() for row in rows])
     yield "w0 multiple, singular later column", with_column(rows, n - 1,
                                                             combination(rows, rng, n - 1, 3))
     frac = [[Fraction(entry(), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
@@ -944,7 +956,7 @@ def test_det_over_q_matches_fraction_elimination_on_both_sides_of_the_cutoff(
     divisors = []
     real_divisor = exactlinalg._divisor
     monkeypatch.setattr(exactlinalg, "_divisor",
-                        lambda a: divisors.append(real_divisor(a)) or divisors[-1])
+                        lambda a, q: divisors.append(real_divisor(a, q)) or divisors[-1])
     rng = random.Random(n)
     names = set()
     plain = 0
@@ -965,12 +977,14 @@ def test_det_over_q_matches_fraction_elimination_on_both_sides_of_the_cutoff(
         assert plain >= 30  # all but the huge and w0-sized entries
     else:
         # det w0 (w0 w1): the divisor is a multiple, so the CRT skips w0 (and w1)
-        assert any(d % W0 == 0 for d in divisors) and any(d % (W0 * W1) == 0 for d in divisors)
+        w0, w1 = unlucky(n)
+        assert any(d % w0 == 0 for d in divisors) and any(d % (w0 * w1) == 0 for d in divisors)
 
 
 def test_det_over_q_of_empty_and_one_by_one_matrices():
     assert exactlinalg.det(ExactMatrix([])) == 1
-    for value in (0, 5, -W0, W0 * W1, -2 ** 63, 2 ** 70 + 1, Fraction(-7, 3), Fraction(0)):
+    w0, w1 = unlucky(1)
+    for value in (0, 5, -w0, w0 * w1, -2 ** 63, 2 ** 70 + 1, Fraction(-7, 3), Fraction(0)):
         assert exactlinalg.det(ExactMatrix([[value]])) == value
 
 
@@ -981,15 +995,16 @@ def test_det_over_q_certifies_a_zero_at_an_unlucky_prime():
     dependent last column and the certificate is 0."""
     rng = random.Random(5)
     n = 12
+    w0, w1 = unlucky(n)
     rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
-    rows = with_column(rows, 1, [3 * row[0] + W0 * rng.randint(1, 9) for row in rows])
+    rows = with_column(rows, 1, [3 * row[0] + w0 * rng.randint(1, 9) for row in rows])
     rows = with_column(rows, n - 1, combination(rows, rng, n - 1, 5))
     ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
     assert exactlinalg._zero_test(ints) is None
     rows[0][n - 1] += 1  # no longer singular, still 0 modulo w0
     ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
     residues = exactlinalg._zero_test(ints)
-    assert residues[0] == 0 and residues[-1] == fraction_det(rows) % W1 != 0
+    assert residues[0] == 0 and residues[-1] == fraction_det(rows) % w1 != 0
     assert exactlinalg.det(ExactMatrix(rows)) == fraction_det(rows)
 
 
@@ -1024,11 +1039,11 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
     ints = exactlinalg._int_rows(spec.array)[0]
     n = len(ints)
     bound2 = exactlinalg._hadamard2(ints, n)[1]
-    divisor = exactlinalg._divisor(ints) if kind == "random" else 1
+    divisor = exactlinalg._divisor(ints, exactlinalg._prime(n, 0)) if kind == "random" else 1
     primes = 0
     modulus = 1
     while (modulus * divisor) ** 2 <= 4 * bound2:
-        q = exactlinalg._word_prime(primes)
+        q = exactlinalg._prime(n, primes)
         assert divisor % q
         modulus *= q
         primes += 1
@@ -1058,6 +1073,68 @@ def test_singular_m11_over_q_is_declared_after_two_eliminations(monkeypatch):
     with pytest.raises(SingularMatrixError):
         exactlinalg.schur_complement(ExactMatrix(rows), k)
     assert len(calls) == 2 and calls[0] == k and calls[1] < 2 * k
+
+
+def test_every_elimination_over_q_runs_on_float64_panels(monkeypatch):
+    """det, schur_complement and solve over Q of order 3 or more reduce
+    modulo primes `_prime(k, i)` only, whose panels are float64: the zero
+    test, the CRT and the F_q inverse of every lift, on the rank-deficient,
+    unlucky-prime, fractional and huge cases and on the mu = 81 Koszul
+    matrices. No ExactMatrix wraps a float64 array."""
+    import numpy as np
+
+    dtypes, wrapped = [], []
+    real_eliminate, real_of = exactlinalg._eliminate, ExactMatrix._of.__func__
+    monkeypatch.setattr(exactlinalg, "_eliminate",
+                        lambda a, *args: dtypes.append(a.dtype) or real_eliminate(a, *args))
+    monkeypatch.setattr(ExactMatrix, "_of", classmethod(
+        lambda cls, array, field: wrapped.append(array.dtype) or real_of(cls, array, field)))
+    rng = random.Random(3)
+    k = 3
+    for n, bound in ((4, 5), (8, 2 ** 40)):
+        for name, rows in det_cases(rng, n, bound):
+            assert exactlinalg.det(ExactMatrix(rows)) == fraction_det(rows), name
+            want = reference_schur(rows, k)
+            a_rows, b_rows = [row[:k] for row in rows[:k]], [row[k:] for row in rows[:k]]
+            if want is None:
+                with pytest.raises(SingularMatrixError):
+                    exactlinalg.schur_complement(ExactMatrix(rows), k)
+                continue
+            assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == want, name
+            assert exactlinalg.solve(ExactMatrix(a_rows), ExactMatrix(b_rows)).rows == \
+                reference_solve(a_rows, b_rows)
+    for kind in ("planted", "random"):
+        assert (exactlinalg.det(koszul_det_case(kind)) == 0) == (kind == "planted")
+    assert len(dtypes) > 100 and set(dtypes) == {np.dtype(np.float64)}
+    assert np.dtype(np.float64) not in wrapped
+
+
+def test_a_lift_past_an_unlucky_prime_takes_one_inverse_modulo_the_certified_prime(monkeypatch):
+    """det M11 a multiple of _prime(k, 0): the zero test lifts its
+    certificate on a smaller pivot block modulo that prime, certifies
+    _prime(k, 1), and the lift takes its one k x k F_q inverse modulo
+    it, with no search for a prime of its own."""
+    rng = random.Random(11)
+    k, n = 4, 2
+    q0, q1 = unlucky(k)
+    solves = []
+    real_solve = exactlinalg.solve
+    monkeypatch.setattr(exactlinalg, "solve",
+                        lambda a, b: solves.append((a.nrows, a.field)) or real_solve(a, b))
+    for trial in range(6):
+        lead = m11_with_det(rng, k, q0 * rng.choice((-3, -1, 1, 2)))
+        if trial % 2:
+            lead.reverse()
+        rows = [row + [rng.randint(-9, 9) for _ in range(n)] for row in lead]
+        rows += [[rng.randint(-9, 9) for _ in range(k + n)] for _ in range(n)]
+        ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
+        assert len(exactlinalg._zero_test(ints[:k, :k])) == 2  # certifies q1
+        solves.clear()
+        assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == \
+            reference_schur(rows, k)
+        (size, field), inverse = solves
+        assert size < k and field == q0  # the certificate's pivot block
+        assert inverse == (k, q1)
 
 
 def small_types(limit=100):

@@ -141,6 +141,26 @@ def test_assembly_guards_raise_on_planted_faults(monkeypatch):
     assert list(assemble(t).entries.items()) == list(reference_entries(t).items())
 
 
+def test_assembly_builds_labels_only_when_read(monkeypatch):
+    """A cold assembly builds no KoszulBasisElement; `rows` and `cols`
+    are the bases, built once on first read. The mu guard compares the
+    block layout's totals."""
+    t = SystemType(2, 2, 2, 3, 3)
+    assemble = koszul.assemble_delta1.__wrapped__  # past the per-type cache
+    built = []
+    real = koszul._block_elements
+    monkeypatch.setattr(koszul, "_block_elements",
+                        lambda *args: built.append(args[1][0]) or real(*args))
+    matrix = assemble(t)
+    assert built == []
+    assert matrix.rows == koszul.k0_basis(t) and matrix.cols == koszul.k1_basis(t)
+    built.clear()
+    assert matrix.rows is matrix.rows and matrix.cols is matrix.cols and built == []
+    monkeypatch.setattr(koszul, "mu", lambda t: 80)
+    with pytest.raises(koszul.AssemblyError, match="basis sizes 81x81 do not match mu = 80"):
+        assemble(t)
+
+
 def scanning_occurrences(matrix, poly, exponent):
     """(row, col, sign) of every entry referencing u_{poly, exponent}, by a
     linear scan of the entries: the oracle for `occurrences`."""
@@ -258,7 +278,7 @@ def test_theta_partition_flags_assembly_violations(paper_type):
         row_idx, col_idx = np.array(list(entries), dtype=np.intp).T
         ref_idx = np.array([ref_id[ref] for ref in entries.values()], dtype=np.intp)
         return koszul.SymbolicResultantMatrix(
-            base.type, base.m, base.rows, base.cols, row_idx, col_idx, ref_idx, references)
+            base.type, base.m, base.size, row_idx, col_idx, ref_idx, references)
 
     def flip_sign(entries):
         for key, e in entries.items():
