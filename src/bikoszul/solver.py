@@ -34,16 +34,21 @@ from .core import (
     MHPoly,
     ProjectiveSolution,
     SystemType,
-    _block_value,
     apply_coordinate_change,
     exponent_basis,
     mhb,
-    monomial_basis,
     random_coordinate_change,
     transform_point,
 )
 from .exactlinalg import SingularMatrixError, schur_complement, to_float
-from .koszul import ThetaPartition, assemble_delta1, k1_basis, specialize, theta_partition
+from .koszul import (
+    _K1_BLOCKS,
+    ThetaPartition,
+    _block_layout,
+    assemble_delta1,
+    specialize,
+    theta_partition,
+)
 from .weyman import mu
 
 EIGEN_CLUSTER_TOL = 1e-7
@@ -131,78 +136,63 @@ def extend_eigenvector(partition: ThetaPartition, permuted: np.ndarray,
 def extract_xy(vector, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
     """Read (alpha_x, alpha_y) off a kernel vector in the k1 basis order.
 
-    The vector is a rank-1 combination per exterior index set: the block
-    with the largest entry gives alpha_x as its dominant dual-y column
-    (the dual form over x has coefficient (x_i/x_0)(alpha) at dx_i), and
-    alpha_y as ratios against the pure-y0 dual exponent along the
-    dominant dual-x row. Blocks of dual-y degree 0 carry no y
-    information, so y falls back to the best higher-degree block.
+    The vector is a rank-1 combination per exterior index set: reshaped
+    by the k1 block layout, each index set's entries form an (nx+1) x
+    (dual-y monomials) array, a dual-x factor times a dual-y factor. The
+    index set with the largest entry gives alpha_x as its dominant
+    dual-y column (the dual form over x has coefficient (x_i/x_0)(alpha)
+    at dx_i), and alpha_y as ratios against the pure-y0 dual exponent
+    along the dominant dual-x row. Blocks of dual-y degree 0 carry no y
+    information, so y falls back to the best higher-degree index set.
+    The first maximum in basis order wins a tie.
     """
     if len(vector) != mu(t):
         raise DomainError("vector length does not match the k1 basis")
-    groups = {key: {label: vector[i] for label, i in members}
-              for key, members in _k1_groups(t).items()}
-    overall = max(abs(v) for v in vector)
+    vector = np.asarray(vector)
+    groups = []  # (entries of one index set, its dual-y exponents)
+    for start, count, dys in _k1_layout(t):
+        blocks = vector[start:start + count * (t.nx + 1) * len(dys)]
+        groups.extend((g, dys) for g in blocks.reshape(count, t.nx + 1, len(dys)))
+    peaks = [np.abs(g).max() for g, _ in groups]
+    overall = max(peaks)
     if overall == 0:
         raise ExtractionError("zero vector")
-
-    def block_max(entries):
-        return max(abs(v) for v in entries.values())
-
-    best_key = max(groups, key=lambda key: block_max(groups[key]))
-    alpha_x = _extract_x(groups[best_key], t, tol, overall)
-
-    y_candidates = {key: g for key, g in groups.items() if _dy_degree(t, key[0]) >= 1}
+    block = groups[peaks.index(overall)][0]
+    alpha_x = _normalize_block(block[:, np.argmax(np.abs(block).max(axis=0))], tol)
     if t.ny == 0:
-        alpha_y = (_one_like(vector[0]),)
-    elif not y_candidates:
-        raise ExtractionError("no block carries dual-y information")
-    else:
-        best_y = max(y_candidates, key=lambda key: block_max(groups[key]))
-        alpha_y = _extract_y(groups[best_y], t, _dy_degree(t, best_y[0]), tol, overall)
-    return alpha_x, alpha_y
-
-
-@lru_cache(maxsize=None)
-def _k1_groups(t: SystemType) -> dict:
-    """The k1 basis grouped by (block, index set), in basis order: per
-    group its ((dx, dy), position) members."""
-    groups: dict = {}
-    for pos, elem in enumerate(k1_basis(t)):
-        groups.setdefault((elem.block, elem.iset), []).append(((elem.dx, elem.dy), pos))
-    return groups
-
-
-def _dy_degree(t: SystemType, block: str) -> int:
-    return t.r - t.ny + (1 if block == "L12" else 0)
-
-
-def _one_like(value):
-    return Fraction(1) if isinstance(value, (Fraction, int)) else 1.0 + 0j
-
-
-def _extract_x(entries, t: SystemType, tol, overall):
-    dxs = monomial_basis(t.nx, 1)
-    dys = sorted({dy for _, dy in entries})
-    best_dy = max(dys, key=lambda dy: max(abs(entries.get((dx, dy), 0)) for dx in dxs))
-    column = [entries.get((dx, best_dy), 0) for dx in dxs]
-    if max(abs(v) for v in column) <= tol * overall:
-        raise ExtractionError("degenerate dual-y column")
-    return _normalize_block(column, tol)
-
-
-def _extract_y(entries, t: SystemType, d: int, tol, overall):
-    dxs = monomial_basis(t.nx, 1)
-    tau = (d,) + (0,) * t.ny
-    best_dx = max(dxs, key=lambda dx: max(abs(v) for (dxe, _), v in entries.items() if dxe == dx))
-    anchor = entries.get((best_dx, tau), 0)
+        return alpha_x, (_one_like(vector[0]),)
+    best_y = max((k for k, (_, dys) in enumerate(groups) if sum(dys[0]) >= 1),
+                 key=peaks.__getitem__)
+    block, dys = groups[best_y]
+    row = block[np.argmax(np.abs(block).max(axis=1))]
+    d = sum(dys[0])
+    anchor = row[dys.index((d,) + (0,) * t.ny)]
     if abs(anchor) <= tol * overall:
         raise ExtractionError("anchor coefficient too small")
     coords = [_one_like(anchor)]
     for j in range(1, t.ny + 1):
         shifted = tuple((d - 1) if i == 0 else (1 if i == j else 0) for i in range(t.ny + 1))
-        coords.append(entries.get((best_dx, shifted), 0) / anchor)
-    return tuple(coords)
+        coords.append(row[dys.index(shifted)] / anchor)
+    return alpha_x, tuple(coords)
+
+
+@lru_cache(maxsize=None)
+def _k1_layout(t: SystemType) -> tuple:
+    """(first position, number of index sets, dual-y exponents) of each
+    nonempty k1 block, in basis order. Inside a block the entries run
+    by index set, then dx, then dy (dz is trivial)."""
+    layout, start = [], 0
+    for spec in _K1_BLOCKS:
+        isets, factors = _block_layout(t, spec)
+        if isets:
+            dys = [dy for _, dy, _ in factors[:len(factors) // (t.nx + 1)]]
+            layout.append((start, len(isets), dys))
+            start += len(isets) * len(factors)
+    return tuple(layout)
+
+
+def _one_like(value):
+    return Fraction(1) if isinstance(value, (Fraction, int)) else 1.0 + 0j
 
 
 def _normalize_block(coords, tol):
@@ -217,15 +207,16 @@ def solve_z(sys: BilinearSystem, alpha_x, alpha_y, tol: float = 1e-8):
     """The unique z making (alpha_x, alpha_y, z) a solution: kernel
     direction of the stacked linear forms f_j(alpha_x, alpha_y) for the
     S(1,0,1) equations (the S(1,1,0) ones are constants that already
-    vanish there)."""
+    vanish there). Those forms do not involve y: each row is the
+    coefficients times alpha_x at the term's x index, summed by z index."""
     t = sys.type
     if t.nz == 0:
         return (1.0 + 0j,)
     ax = np.asarray(alpha_x, dtype=complex)
-    ay = np.asarray(alpha_y, dtype=complex)
     rows = []
-    for j in range(t.r, t.n):
-        rows.append(_z_row(sys.f[j], ax, ay))
+    for poly in sys.f[t.r:]:
+        exponents, coefficients = poly.numeric
+        rows.append((coefficients * (exponents[:, :t.nx + 1] @ ax)) @ exponents[:, -(t.nz + 1):])
     a = np.array(rows, dtype=complex)
     _, sv, vh = np.linalg.svd(a)
     padded = np.zeros(t.nz + 1)
@@ -234,13 +225,6 @@ def solve_z(sys: BilinearSystem, alpha_x, alpha_y, tol: float = 1e-8):
     if padded[t.nz - 1] <= tol * scale:
         raise ExtractionError("z-system rank below nz: multiple z-solutions")
     return tuple(vh[-1].conj())
-
-
-def _z_row(poly: MHPoly, ax, ay):
-    row = np.zeros(poly.nvars[2], dtype=complex)
-    for (sx, sy, sz), coeff in poly.terms.items():
-        row[sz.index(1)] += complex(coeff) * _block_value(sx, ax) * _block_value(sy, ay)
-    return row
 
 
 def default_theta(t: SystemType) -> Exponent:
