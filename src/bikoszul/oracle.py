@@ -33,7 +33,7 @@ from .core import (
     partial_evaluate_xy,
 )
 from .exactlinalg import ExactMatrix, fraction_mod_p, require_prime
-from .koszul import assemble_delta1, k0_basis, k1_basis, specialize
+from .koszul import _K1_BLOCKS, _block_layout, assemble_delta1, k0_basis, k1_basis, specialize
 
 
 # -- exhaustive finite-field solving ------------------------------------
@@ -215,10 +215,7 @@ def rho_slots(t: SystemType) -> list[tuple[int, ...]]:
     in the k1 basis order. Their count is C(s+1, s-nz+1)."""
     from math import comb
 
-    slots = []
-    for elem in k1_basis(t):
-        if elem.iset not in slots:
-            slots.append(elem.iset)
+    slots = [iset for spec in _K1_BLOCKS for iset in _block_layout(t, spec)[0]]
     if len(slots) != comb(t.s + 1, t.s - t.nz + 1):
         raise AssertionError("rho domain size mismatch")
     return slots

@@ -7,9 +7,12 @@ matrix, split it around the monomial theta = x0 y0 z0, and
 eigen-decompose the Schur complement of the trailing block. Each
 eigenvalue is (f0 / theta) at one solution; its eigenvector extends to
 a kernel vector of the full matrix, which is a rank-1 combination of
-dual Veronese forms, so the x and y coordinates drop out as ratios of
-its entries. The z block then solves a small linear system, and the
-coordinate change is undone.
+dual Veronese forms: on each exterior index set, a dual-x factor times
+a dual-y factor. Reshaped by the k1 block layout (L11 then L12, each
+by index set, then dx, then dy), the x and y coordinates drop out as
+ratios of its entries, y read against the largest entry of its row.
+The z block then solves a small linear system, and the coordinate
+change is undone.
 
 The Schur complement is computed exactly over the rationals. Floating
 point enters at its eigen-decomposition and at one float solve of the
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -141,10 +143,12 @@ def extract_xy(vector, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
     (dual-y monomials) array, a dual-x factor times a dual-y factor. The
     index set with the largest entry gives alpha_x as its dominant
     dual-y column (the dual form over x has coefficient (x_i/x_0)(alpha)
-    at dx_i), and alpha_y as ratios against the pure-y0 dual exponent
-    along the dominant dual-x row. Blocks of dual-y degree 0 carry no y
-    information, so y falls back to the best higher-degree index set.
-    The first maximum in basis order wins a tie.
+    at dx_i). alpha_y comes from the dominant dual-x row of the index
+    set of dual-y degree d >= 1 with the largest entry (blocks of degree
+    0 carry no y information): anchored at the row's largest entry, at
+    tau with tau_a >= 1, y_j / y_a = v(tau - e_a + e_j) / v(tau). Both
+    are scaled so that their first entry above tol times their largest
+    is 1. The first maximum in basis order wins a tie.
     """
     if len(vector) != mu(t):
         raise DomainError("vector length does not match the k1 basis")
@@ -159,21 +163,17 @@ def extract_xy(vector, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
         raise ExtractionError("zero vector")
     block = groups[peaks.index(overall)][0]
     alpha_x = _normalize_block(block[:, np.argmax(np.abs(block).max(axis=0))], tol)
-    if t.ny == 0:
-        return alpha_x, (_one_like(vector[0]),)
-    best_y = max((k for k, (_, dys) in enumerate(groups) if sum(dys[0]) >= 1),
+    best_y = max((k for k, (_, dys) in enumerate(groups) if sum(dys[0]) >= 1),  # degree >= 1
                  key=peaks.__getitem__)
     block, dys = groups[best_y]
     row = block[np.argmax(np.abs(block).max(axis=1))]
-    d = sum(dys[0])
-    anchor = row[dys.index((d,) + (0,) * t.ny)]
-    if abs(anchor) <= tol * overall:
+    anchor = np.argmax(np.abs(row))
+    if abs(row[anchor]) <= tol * overall:
         raise ExtractionError("anchor coefficient too small")
-    coords = [_one_like(anchor)]
-    for j in range(1, t.ny + 1):
-        shifted = tuple((d - 1) if i == 0 else (1 if i == j else 0) for i in range(t.ny + 1))
-        coords.append(row[dys.index(shifted)] / anchor)
-    return alpha_x, tuple(coords)
+    tau = dys[anchor]
+    a = next(i for i, e in enumerate(tau) if e)
+    shifted = [tuple(e - (i == a) + (i == j) for i, e in enumerate(tau)) for j in range(t.ny + 1)]
+    return alpha_x, _normalize_block([row[dys.index(dy)] for dy in shifted], tol)
 
 
 @lru_cache(maxsize=None)
@@ -189,10 +189,6 @@ def _k1_layout(t: SystemType) -> tuple:
             layout.append((start, len(isets), dys))
             start += len(isets) * len(factors)
     return tuple(layout)
-
-
-def _one_like(value):
-    return Fraction(1) if isinstance(value, (Fraction, int)) else 1.0 + 0j
 
 
 def _normalize_block(coords, tol):
@@ -245,10 +241,10 @@ def choose_f0_and_theta(t: SystemType, seed, coeff_bound: int = 10):
 
 
 def residual(sys: BilinearSystem, sol: ProjectiveSolution) -> float:
-    """max_i |f_i(sol)| / ||f_i|| with every block scaled to unit norm.
-    Each f_i is evaluated at once from its exponent matrix and complex
-    coefficients, and those and ||f_i|| are computed once per polynomial
-    (`MHPoly.numeric`, `MHPoly.norm`)."""
+    """max_i |f_i(sol)| / ||f_i|| with every block scaled to unit norm;
+    a zero f_i contributes 0. Each f_i is evaluated at once from its
+    exponent matrix and complex coefficients, and those and ||f_i|| are
+    computed once per polynomial (`MHPoly.numeric`, `MHPoly.norm`)."""
     blocks = []
     for block in sol.blocks:
         arr = np.asarray([complex(c) for c in block])
@@ -256,9 +252,10 @@ def residual(sys: BilinearSystem, sol: ProjectiveSolution) -> float:
     point = np.concatenate(blocks)
     worst = 0.0
     for poly in sys.f:
-        exponents, coefficients = poly.numeric
-        value = coefficients @ np.prod(point ** exponents, axis=1)
-        worst = max(worst, abs(value) / max(poly.norm, 1.0))
+        if poly.norm:
+            exponents, coefficients = poly.numeric
+            value = coefficients @ np.prod(point ** exponents, axis=1)
+            worst = max(worst, abs(value) / poly.norm)
     return worst
 
 

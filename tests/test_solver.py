@@ -3,12 +3,15 @@ full solving pipeline."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bikoszul import core, exactlinalg, koszul, oracle, selftest, solver
 from bikoszul.core import BilinearSystem, ProjectiveSolution, SystemType
+from bikoszul.weyman import mu
 
 THETA = ((1, 0), (1, 0), (1, 0))
 
@@ -110,6 +113,72 @@ def test_extract_xy_recovers_synthetic_rho_exactly():
         assert tuple(got_y) == tuple(c / ay[0] for c in ay)
 
 
+def normalized_like_extraction(alpha):
+    """alpha divided by its first entry above EXTRACT_ANCHOR_TOL times its largest."""
+    top = max(abs(c) for c in alpha)
+    lead = next(c for c in alpha if abs(c) > solver.EXTRACT_ANCHOR_TOL * top)
+    return tuple(c / lead for c in alpha)
+
+
+def test_extract_xy_reads_y_against_the_largest_entry():
+    # y0 at 1e-12 of the largest y coordinate: its pure power y0^d sinks
+    # below the anchor tolerance, the row's largest entry does not
+    for t in (SystemType(1, 1, 1, 2, 1), SystemType(2, 2, 2, 3, 3), SystemType(10, 1, 1, 10, 2)):
+        rng = random.Random(t.n)
+        ax = tuple(Fraction(rng.randint(1, 7)) for _ in range(t.nx + 1))
+        ay = (Fraction(7, 10 ** 12),) + tuple(Fraction(rng.choice((-7, 7))) for _ in range(t.ny))
+        lam = [Fraction(rng.randint(1, 5)) for _ in oracle.rho_slots(t)]
+        got_x, got_y = solver.extract_xy(oracle.build_rho(t, ax, ay, lam), t)
+        assert got_x == normalized_like_extraction(ax)
+        assert got_y == normalized_like_extraction(ay)
+
+
+def small_types():
+    """Every valid type with projective dimensions up to 3 and mu <= 100."""
+    types = []
+    for nx, ny, nz in product(range(4), repeat=3):
+        n = nx + ny + nz
+        for r in range(max(1, ny), n - max(1, nz) + 1):
+            t = SystemType(nx, ny, nz, r, n - r)
+            if mu(t) <= 100:
+                types.append(t)
+    return types
+
+
+SMALL_TYPES = small_types()
+# r = ny leaves L11 without y; a zero dimension leaves one coordinate
+SHAPES = {
+    "any": lambda t: True,
+    "r = ny": lambda t: t.r == t.ny,
+    "ny = 0": lambda t: t.ny == 0,
+    "nx = 0": lambda t: t.nx == 0,
+    "nz = 0": lambda t: t.nz == 0,
+}
+COORDINATE = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).filter(bool).map(lambda k: Fraction(k, 10 ** 12)),
+)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_extract_xy_recovers_every_exact_rho(shape, data):
+    """On an exact rank-1 vector, extraction returns alpha_x and alpha_y
+    exactly, each divided by its first entry above tol times its largest."""
+    t = data.draw(st.sampled_from([t for t in SMALL_TYPES if SHAPES[shape](t)]))
+    alphas = []
+    for n_t in (t.nx, t.ny):
+        alpha = data.draw(st.tuples(COORDINATE.filter(bool), *[COORDINATE] * n_t))
+        assume(max(abs(c) for c in alpha) >= 1)
+        alphas.append(tuple(Fraction(c) for c in alpha))
+    lam = data.draw(st.lists(st.integers(-5, 5).filter(bool), min_size=len(oracle.rho_slots(t)),
+                             max_size=len(oracle.rho_slots(t))))
+    got_x, got_y = solver.extract_xy(oracle.build_rho(t, *alphas, lam), t)
+    assert got_x == normalized_like_extraction(alphas[0])
+    assert got_y == normalized_like_extraction(alphas[1])
+
+
 def test_extract_xy_rejects_zero_vector(paper_type):
     with pytest.raises(solver.ExtractionError):
         solver.extract_xy([0.0] * 10, paper_type)
@@ -127,6 +196,21 @@ def test_solve_z_cases(paper_system):
     sys_ = core.planted_root_system(t, alpha, 11)
     az = solver.solve_z(sys_, (1.0, 2.0), (1.0, 3.0))
     assert abs(az[1] / az[0] - 2.5) < 1e-8
+
+
+def test_residual_is_relative_to_each_polynomial_norm():
+    # away from a root, so the residual is far above rounding
+    t = SystemType(1, 1, 1, 2, 1)
+    sys_ = core.random_system(t, 3)
+    point = ProjectiveSolution((1, 2), (1, -1), (3, 1))
+    base = solver.residual(sys_, point)
+    assert base > 1e-3
+    for factor in (Fraction(1, 10 ** 9), Fraction(10 ** 9)):
+        scaled = BilinearSystem(t, tuple(core.scale(f, factor) for f in sys_.f))
+        assert solver.residual(scaled, point) == pytest.approx(base, rel=1e-12)
+    zero = core.zero_poly(t.nvars, t.degree_of(1))
+    worst_rest = solver.residual(BilinearSystem(t, (sys_.f[0], sys_.f[0], sys_.f[2])), point)
+    assert solver.residual(BilinearSystem(t, (sys_.f[0], zero, sys_.f[2])), point) == worst_rest
 
 
 def test_choose_f0_and_theta():
@@ -320,3 +404,12 @@ def test_residual_above_tol_is_retried_then_raises(paper_system):
     # a tol the residuals meet changes nothing
     again = solver.solve_2bilinear(system, seed=0, tol=max(report.residuals))
     assert again.retries == report.retries and again.residuals == report.residuals
+
+
+def test_solve_reads_y_of_a_degree_10_block():
+    # the dual-y degree is 9 and 10 here, where the pure-y0 entry used to
+    # fall below the anchor tolerance on four attempts in a row
+    sys_ = core.random_system(SystemType(10, 1, 1, 10, 2), 1)
+    report = solver.solve_2bilinear(sys_, seed=0)
+    assert report.retries <= 1
+    assert len(report.solutions) == core.mhb(sys_.type) == 20
