@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as _product
 from math import comb, gcd, lcm
 
@@ -428,6 +428,16 @@ class CoordinateChange:
     def blocks(self):
         return (self.ax, self.ay, self.az)
 
+    @cached_property
+    def cleared(self) -> tuple:
+        """Each block over one common denominator, computed on first use:
+        (integer object array, denominator) per block."""
+        out = []
+        for mat in self.blocks:
+            ints, denom = _cleared(a for row in mat for a in row)
+            out.append((np.array(ints, dtype=object).reshape(len(mat), -1), denom))
+        return tuple(out)
+
 
 @lru_cache(maxsize=64)
 def _invertible(mat: tuple) -> bool:
@@ -468,7 +478,8 @@ def compose_poly(p: MHPoly, change: CoordinateChange) -> MHPoly:
     block of degree above 1 is a DomainError. Over one common denominator
     its coefficients form a dense integer tensor with one axis per block
     (of length 1 for degree 0), and x_i -> sum_j A_ij x_j contracts that
-    axis with the block, cleared of denominators too.
+    axis with the block, cleared of denominators once per change
+    (`CoordinateChange.cleared`).
     """
     if max(p.degree) > 1:
         raise DomainError(f"compose_poly needs a multilinear polynomial, "
@@ -477,11 +488,12 @@ def compose_poly(p: MHPoly, change: CoordinateChange) -> MHPoly:
     tensor = np.zeros([nv if d else 1 for nv, d in zip(p.nvars, p.degree)], dtype=object)
     for exp, num in zip(p.terms, nums):
         tensor[tuple(block.index(1) if d else 0 for block, d in zip(exp, p.degree))] = num
-    for mat, d in zip(change.blocks, p.degree):
-        ints, block_denom = _cleared(a for row in mat for a in row) if d else ([1], 1)
-        block = np.array(ints, dtype=object).reshape(len(mat) if d else 1, -1)
-        tensor = np.tensordot(tensor, block, axes=(0, 0))  # the new axis goes last
-        denom *= block_denom
+    for (block, block_denom), d in zip(change.cleared, p.degree):
+        if d:
+            tensor = np.tensordot(tensor, block, axes=(0, 0))  # the new axis goes last
+            denom *= block_denom
+        else:
+            tensor = np.moveaxis(tensor, 0, -1)
     return MHPoly(p.nvars, p.degree, {exp: Fraction(c, denom) for exp, c in
                                       zip(exponent_basis(p.nvars, p.degree), tensor.ravel()) if c})
 

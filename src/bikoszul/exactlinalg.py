@@ -5,8 +5,12 @@ reduced to [0, p), in an int64 array when p < 2^31, so that (p-1)^2
 fits, and as Python ints in an object array otherwise. Over Q it is
 int64 when every entry is an integer of absolute value below 2^63, and
 an object array of ints and Fractions otherwise (`storage_dtype`); an
-int64 array over Q has no denominators to clear. Submatrices are one
-fancy index. One blocked elimination mod p, `_eliminate`, runs on
+int64 array over Q has no denominators to clear. A sparse matrix, such
+as a specialized Koszul matrix, may be made in coordinate form instead:
+its cells only, until the array is first read, which builds it once.
+In that form a scalar read is a lookup and a submatrix remaps the
+cells; otherwise a submatrix is one fancy index. One blocked
+elimination mod p, `_eliminate`, runs on
 those arrays: k Gaussian steps that pivot on the first nonzero among
 the leading k rows, in panels of b columns, each panel's update of the
 rows below one float64 BLAS matmul. Over F_p it serves `det` (n steps),
@@ -136,13 +140,23 @@ def storage_dtype(values, field: int | None):
 
 
 class ExactMatrix:
-    """Dense exact matrix: entries over Q (field None) or F_p (field p),
-    held in one numpy array, `array`.
+    """Exact matrix: entries over Q (field None) or F_p (field p), held
+    in one numpy array, `array`, or, until that is first read, in
+    coordinate form.
 
     Over F_p the entries are reduced to [0, p); over Q they are ints and
     Fractions as given. The dtype, int64 or object, is `storage_dtype`'s.
     An int64 array is reduced with one vectorized % p; any other input
     is a list of rows (or an array) reduced entry by entry.
+
+    A matrix in coordinate form (`from_coordinates`) holds only its cells:
+    row and column index arrays, no cell twice, and the values in an
+    array of the storage dtype; every other cell is 0, Fraction(0) in an
+    object array over Q. `array` builds the dense array on first read,
+    with one scatter, and keeps it. Until then a scalar read `m[i, j]`
+    looks the cell up in the sorted cell keys row * ncols + col, built on
+    the first such read, and `submatrix` remaps the cells through the
+    inverse index maps; both return what the dense array would.
     """
 
     def __init__(self, rows, field: int | None = None):
@@ -161,15 +175,40 @@ class ExactMatrix:
             else:
                 array = np.array([[e % p if isinstance(e, int) else fraction_mod_p(e, p)
                                    for e in row] for row in rows], dtype=dtype).reshape(shape)
-        self.array = array
-        self.field = field
+        self._wrap(array, array.shape, None, field)
+
+    def _wrap(self, array, shape, cells, field) -> None:
+        self._array, self._shape, self._cells, self.field = array, shape, cells, field
+        self._keys = None
 
     @classmethod
     def _of(cls, array, field: int | None) -> "ExactMatrix":
         """Wrap an array that already holds valid entries for the field."""
         m = cls.__new__(cls)
-        m.array, m.field = array, field
+        m._wrap(array, array.shape, None, field)
         return m
+
+    @classmethod
+    def from_coordinates(cls, shape, row_idx, col_idx, values, field: int | None) -> "ExactMatrix":
+        """The matrix of shape `shape` with values[k] at (row_idx[k],
+        col_idx[k]) and 0 elsewhere, in coordinate form. No cell may
+        repeat; values is an array of the storage dtype of the field."""
+        m = cls.__new__(cls)
+        m._wrap(None, tuple(shape), (row_idx, col_idx, values), field)
+        return m
+
+    @property
+    def array(self) -> np.ndarray:
+        """The dense array, built on first read from the coordinate form."""
+        if self._array is None:
+            rows, cols, values = self._cells
+            if self.field is None and values.dtype == object:
+                array = np.full(self._shape, Fraction(0), dtype=object)
+            else:
+                array = np.zeros(self._shape, dtype=values.dtype)  # lazily zeroed pages
+            array[rows, cols] = values
+            self._array, self._cells, self._keys = array, None, None
+        return self._array
 
     @property
     def rows(self) -> list:
@@ -178,28 +217,74 @@ class ExactMatrix:
 
     @property
     def nrows(self) -> int:
-        return self.array.shape[0]
+        return self._shape[0]
 
     @property
     def ncols(self) -> int:
-        return self.array.shape[1]
+        return self._shape[1]
 
     def __getitem__(self, ij):
-        value = self.array[ij]
+        cell = _cell(ij, self._shape) if self._cells is not None else None
+        value = self.array[ij] if cell is None else self._entry(*cell)
         return int(value) if isinstance(value, np.integer) else value
 
+    def _entry(self, i: int, j: int):
+        """The value at cell (i, j), 0 <= i < nrows, 0 <= j < ncols, of a
+        matrix in coordinate form, found in the sorted cell keys."""
+        rows, cols, values = self._cells
+        if self._keys is None:
+            keys = rows * self.ncols + cols
+            order = np.argsort(keys)
+            self._keys = keys[order], values[order]
+        keys, sorted_values = self._keys
+        key = i * self.ncols + j
+        k = int(np.searchsorted(keys, key))
+        if k < len(keys) and keys[k] == key:
+            return sorted_values[k]
+        return Fraction(0) if self.field is None and values.dtype == object else 0
+
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
+        """The rows row_idx and columns col_idx, in that order, as by
+        `np.ix_`. In coordinate form the cells are remapped, in O(nnz)
+        and no dense array, unless an index list repeats an entry."""
+        if self._cells is not None:
+            maps = [_inverse_map(idx, n) for idx, n in zip((row_idx, col_idx), self._shape)]
+            if None not in maps:
+                rows, cols, values = self._cells
+                (row_map, nrows), (col_map, ncols) = maps
+                rows, cols = row_map[rows], col_map[cols]
+                kept = (rows >= 0) & (cols >= 0)
+                return ExactMatrix.from_coordinates((nrows, ncols), rows[kept], cols[kept],
+                                                    values[kept], self.field)
         return ExactMatrix._of(self.array[np.ix_(row_idx, col_idx)], self.field)
 
 
-def zeros(shape, field: int | None = None, values=()) -> ExactMatrix:
-    """The zero matrix in the storage that also holds these values
-    (`storage_dtype`): Fraction(0) entries in an object array over Q, 0
-    otherwise."""
-    dtype = storage_dtype(values, field)
-    if field is None and dtype is object:
-        return ExactMatrix._of(np.full(shape, Fraction(0), dtype=object), None)
-    return ExactMatrix._of(np.zeros(shape, dtype=dtype), field)  # lazily zeroed pages
+def _cell(ij, shape) -> tuple[int, int] | None:
+    """The cell (i, j) that ij reads, each index counted from the end when
+    negative, as numpy reads it, and IndexError outside the shape; None
+    when ij is not a pair of integers (a bool is no index)."""
+    if not (isinstance(ij, tuple) and len(ij) == 2 and all(
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ij)):
+        return None
+    for axis, (i, n) in enumerate(zip(ij, shape)):
+        if not -n <= i < n:
+            raise IndexError(f"index {i} is out of bounds for axis {axis} with size {n}")
+    return int(ij[0]) % shape[0], int(ij[1]) % shape[1]
+
+
+def _inverse_map(idx, n: int):
+    """(position in idx of each of the n indices, -1 for those not in it;
+    len(idx)), or None when idx is not a list of distinct in-range
+    integers, which the dense path then handles."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and (idx.dtype.kind not in "iu"
+                                       or idx.min() < -n or idx.max() >= n)):
+        return None
+    inverse = np.full(n, -1, dtype=np.intp)
+    inverse[idx.astype(np.intp, copy=False)] = np.arange(len(idx))
+    if np.count_nonzero(inverse >= 0) != len(idx):
+        return None
+    return inverse, len(idx)
 
 
 def _int_rows(array):

@@ -37,11 +37,13 @@ so a row index is a group start plus an offset. Assembly builds psi
 once per column block and slot class, as offset arrays, and places
 each (column group, slot) with numpy; no per-entry dict is built.
 `specialize` values each reference once, then gathers the nonzeros
-from that table and scatters them into a dense numpy array of the dtype
-they need (int64 over Q for an integer system). `occurrences`, and so
+from that table into an `ExactMatrix` in coordinate form, of the dtype
+they need (int64 over Q for an integer system); no dense array is built
+until an elimination reads one. `occurrences`, and so
 `theta_partition`, picks reference ids from the table and masks the
-reference array once; `ThetaPartition` permutes with one fancy index.
-Assembly builds no labels: `rows` and `cols` are built on first read.
+reference array once; `ThetaPartition` permutes by remapping the cell
+indices. Assembly builds no labels: `rows` and `cols` are built on
+first read.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .core import (
     mhb,
     monomial_basis,
 )
-from .exactlinalg import ExactMatrix, fraction_mod_p, zeros
+from .exactlinalg import ExactMatrix, fraction_mod_p, storage_dtype
 from .weyman import mu
 
 
@@ -359,7 +361,8 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
     """Replace each reference sign * u_{i, sigma} by the coefficient of
     monomial sigma in equation i; absent monomials give 0. Each distinct
     reference is valued once (reduced mod p over F_p); the nonzeros are
-    then one gather from that table and one scatter."""
+    then one gather from that table, and the result is in coordinate
+    form: its dense array is built on first read."""
     if sys.type != matrix.type:
         raise DomainError("system type does not match the matrix")
     if sys.f0 is None:
@@ -370,11 +373,10 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
         coeff = polys[ref.poly].terms.get(ref.exponent, Fraction(0))
         value = coeff if ref.sign > 0 else -coeff
         values.append(fraction_mod_p(value, field) if field is not None else value)
-    out = zeros((matrix.size, matrix.size), field, values)
-    table = np.empty(len(values), dtype=out.array.dtype)
+    table = np.empty(len(values), dtype=storage_dtype(values, field))
     table[:] = [int(v) for v in values] if table.dtype == np.int64 else values
-    out.array[matrix.row_idx, matrix.col_idx] = table[matrix.ref_idx]
-    return out
+    return ExactMatrix.from_coordinates((matrix.size, matrix.size), matrix.row_idx,
+                                        matrix.col_idx, table[matrix.ref_idx], field)
 
 
 @dataclass
@@ -398,7 +400,9 @@ class ThetaPartition:
         return self.base.size
 
     def apply(self, matrix: ExactMatrix) -> ExactMatrix:
-        """Reorder a specialization of the base matrix."""
+        """Reorder a specialization of the base matrix: in O(nnz) by
+        remapping the cells of one in coordinate form, as `specialize`
+        returns it, else by one fancy index of the dense array."""
         if matrix.nrows != self.size or matrix.ncols != self.size:
             raise DomainError("matrix size does not match the partition")
         return matrix.submatrix(self.row_perm, self.col_perm)

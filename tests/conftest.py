@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from bikoszul import core, exactlinalg, oracle, selftest
+from bikoszul.weyman import mu
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +81,15 @@ def two_root_builder():
                 return sys_
 
     return build
+
+
+def small_types():
+    """Every valid type with projective dimensions up to 3 and mu <= 100."""
+    types = []
+    for nx, ny, nz in product(range(4), repeat=3):
+        n = nx + ny + nz
+        for r in range(max(1, ny), n - max(1, nz) + 1):
+            t = core.SystemType(nx, ny, nz, r, n - r)
+            if mu(t) <= 100:
+                types.append(t)
+    return types

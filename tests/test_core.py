@@ -1,5 +1,6 @@
 """Monomial order, polynomial arithmetic, coordinate changes, generators."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -14,6 +15,7 @@ from bikoszul.core import (
     ProjectiveSolution,
     SystemType,
 )
+from conftest import small_types
 
 ALPHA_1 = ProjectiveSolution((1, 1), (1, 1), (1, 1))
 ALPHA_2 = ProjectiveSolution((1, 3), (1, 2), (1, 3))
@@ -384,3 +386,29 @@ def test_exponent_key_roundtrip():
     assert core.parse_exponent_key(key, (2, 2, 2)) == exp
     with pytest.raises(DomainError):
         core.parse_exponent_key(key, (3, 2, 2))
+
+
+SMALL_TYPES = small_types()
+
+
+@st.composite
+def systems(draw):
+    """A system of a random valid type, with integer, fractional and
+    beyond-int64 coefficients, and an f0 when drawn."""
+    t = draw(st.sampled_from(SMALL_TYPES))
+
+    def poly(degree):
+        exps = core.exponent_basis(t.nvars, degree)
+        terms = st.dictionaries(st.sampled_from(exps), COEFFICIENTS, max_size=len(exps))
+        return MHPoly(t.nvars, degree, draw(terms))
+
+    f = tuple(poly(t.degree_of(i)) for i in range(1, t.n + 1))
+    return core.BilinearSystem(t, f, poly((1, 1, 1)) if draw(st.booleans()) else None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(systems())
+def test_system_json_round_trips(sys_):
+    obj = core.system_to_obj(sys_)
+    assert core.system_from_obj(obj) == sys_
+    assert core.system_from_obj(json.loads(json.dumps(obj))) == sys_

@@ -1287,3 +1287,65 @@ def test_int64_and_object_storage_over_q_agree_on_the_permuted_koszul_matrix():
     assert exactlinalg.schur_complement(fast, part.split).rows == \
         exactlinalg.schur_complement(slow, part.split).rows
     assert np.array_equal(exactlinalg.to_float(fast), exactlinalg.to_float(slow))
+
+
+def coordinate_and_dense(field, fractional):
+    """A mu = 44 specialization in coordinate form and its dense array."""
+    t = SystemType(3, 1, 1, 3, 2)
+    rng = random.Random(31)
+    sys_ = core.random_system(t, rng).with_f0(solver.choose_f0_and_theta(t, rng)[0])
+    if fractional:
+        f1 = sys_.f[0]
+        third = core.MHPoly(t.nvars, f1.degree, {**f1.terms, next(iter(f1.terms)): "1/3"})
+        sys_ = core.BilinearSystem(t, (third, *sys_.f[1:]), sys_.f0)
+    matrix = koszul.assemble_delta1(t)
+    return koszul.specialize(matrix, sys_, field), koszul.specialize(matrix, sys_, field).array
+
+
+STORAGE_CASES = [(None, False), (None, True), (1_000_003, False), (2 ** 31 + 11, False)]
+SUBMATRIX_INDICES = {
+    "subset": ([1, 5, 9, 40], [0, 2, 43]),
+    "unsorted": ([40, 3, 17, 0, 8], [43, 1, 20, 6]),
+    "ranges": (range(10, 30), range(44)),
+    "negative": ([-1, 0, -43, 7], [-2, 5]),
+    "repeated rows": ([3, 3, 7], [1, 2, 3]),
+    "repeated columns": (range(44), [0, 1, 0, 43]),
+    "repeated by a negative index": ([0, 5, -44], [1]),
+    "empty": ([], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("field, fractional", STORAGE_CASES)
+@pytest.mark.parametrize("name", list(SUBMATRIX_INDICES))
+def test_submatrix_of_a_coordinate_form_matrix_equals_the_dense_ix(field, fractional, name):
+    """The cells remapped through the inverse index maps give what np.ix_
+    gives on the dense array, in value, dtype and the type of every entry,
+    scalar reads of the result included; repeated indices take the dense
+    path."""
+    import numpy as np
+
+    rows, cols = SUBMATRIX_INDICES[name]
+    spec, dense = coordinate_and_dense(field, fractional)
+    want = dense[np.ix_(rows, cols)]
+    sub = spec.submatrix(rows, cols)
+    assert (sub._array is None) == (not name.startswith("repeated"))
+    assert (sub.nrows, sub.ncols) == want.shape
+    cells = [(i, j) for i in range(sub.nrows) for j in range(sub.ncols)]
+    assert [(type(sub[cell]), sub[cell]) for cell in cells] == \
+        [(type(v), v) for v in want.tolist() for v in v]
+    assert sub.array.dtype == want.dtype and sub.rows == want.tolist()
+    assert spec._array is None or name.startswith("repeated")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(STORAGE_CASES), st.lists(st.integers(-44, 43), max_size=50),
+       st.lists(st.integers(-44, 43), max_size=50))
+def test_submatrix_of_a_coordinate_form_matrix_on_random_index_lists(case, rows, cols):
+    import numpy as np
+
+    spec, dense = coordinate_and_dense(*case)
+    want = dense[np.ix_(rows, cols)]
+    sub = spec.submatrix(rows, cols)
+    assert sub.array.dtype == want.dtype
+    assert [[(type(v), v) for v in row] for row in sub.rows] == \
+        [[(type(v), v) for v in row] for row in want.tolist()]

@@ -1,6 +1,7 @@
 """Basis enumeration, the contraction map, assembly, specialization, splitting."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -416,3 +417,98 @@ def test_specialize_and_permute_match_a_per_entry_reference(field):
     assert all(type(e) is kind for row in permuted.rows for e in row)
     assert all(type(permuted[i, i]) is kind and permuted[i, i] == want[r][c]
                for i, (r, c) in enumerate(zip(part.row_perm, part.col_perm)))
+
+
+def specializations(storage):
+    """(symbolic matrix, theta partition, system, field) of type (2,2,2,3,3)
+    for one storage of the specialization: int64 or object, over Q or F_p."""
+    t = SystemType(2, 2, 2, 3, 3)
+    matrix = koszul.assemble_delta1(t)
+    part = koszul.theta_partition(matrix, solver.default_theta(t))
+    rng = random.Random(29)
+    sys_ = core.random_system(t, rng).with_f0(solver.choose_f0_and_theta(t, rng)[0])
+    if storage == "Q object":
+        f1 = sys_.f[0]
+        third = core.MHPoly(t.nvars, f1.degree, {**f1.terms, next(iter(f1.terms)): "1/3"})
+        sys_ = core.BilinearSystem(t, (third, *sys_.f[1:]), sys_.f0)
+    field = {"Q int64": None, "Q object": None, "F_p int64": 1_000_003,
+             "F_p object": 2 ** 31 + 11}[storage]
+    return matrix, part, sys_, field
+
+
+STORAGES = {"Q int64": np.int64, "Q object": object, "F_p int64": np.int64,
+            "F_p object": object}
+
+
+@pytest.mark.parametrize("storage", list(STORAGES))
+def test_scalar_reads_of_a_coordinate_form_specialization_equal_the_dense_reads(storage):
+    """Every cell, read by nonnegative, negative and numpy indices, gives
+    the dense read's value and Python type (Fraction(0) for an absent cell
+    over Q in object storage), and builds no dense array; an index out of
+    range raises the dense read's IndexError."""
+    matrix, part, sys_, field = specializations(storage)
+    spec = koszul.specialize(matrix, sys_, field)
+    dense = koszul.specialize(matrix, sys_, field).array
+    assert dense.dtype == STORAGES[storage]
+    n = matrix.size
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    want = [dense[i, j] for i, j in cells]
+    want = [int(v) if isinstance(v, np.integer) else v for v in want]
+    for index in (lambda i, j: (i, j), lambda i, j: (i - n, j - n),
+                  lambda i, j: (np.int64(i), np.intp(j - n))):
+        got = [spec[index(i, j)] for i, j in cells]
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert got == want
+    assert Fraction in {type(v) for v in want} or storage != "Q object"
+    assert {type(want[k]) for k, (i, j) in enumerate(cells) if (i, j) not in matrix.entries} == \
+        {Fraction if storage == "Q object" else int}
+    for cell in ((n, 0), (0, n), (-n - 1, 0), (0, -n - 1), (n + 5, -n - 5)):
+        with pytest.raises(IndexError) as dense_error:
+            dense[cell]
+        with pytest.raises(IndexError, match=re.escape(str(dense_error.value))):
+            spec[cell]
+    assert spec._array is None
+    assert spec.rows == dense.tolist() and spec.array.dtype == dense.dtype
+
+
+@pytest.mark.parametrize("storage", list(STORAGES))
+def test_theta_apply_on_dense_and_coordinate_input_agree(storage):
+    matrix, part, sys_, field = specializations(storage)
+    spec = koszul.specialize(matrix, sys_, field)
+    dense = exactlinalg.ExactMatrix._of(koszul.specialize(matrix, sys_, field).array, field)
+    by_cells, by_index = part.apply(spec), part.apply(dense)
+    assert by_cells._array is None
+    diagonal = [by_cells[i, i] for i in range(part.split, part.size)]
+    assert diagonal == [by_index[i, i] for i in range(part.split, part.size)]
+    assert [type(v) for v in diagonal] == [type(by_index[i, i])
+                                          for i in range(part.split, part.size)]
+    assert by_cells._array is None
+    assert by_cells.array.dtype == by_index.array.dtype
+    assert by_cells.rows == by_index.rows
+    assert exactlinalg.det(by_cells) == exactlinalg.det(by_index)
+
+
+def test_specialize_permute_and_diagonal_reads_allocate_no_dense_array():
+    """At mu = 630 specialize, the theta permutation and the M22 diagonal
+    reads, as the matrix benchmark runs them, stay far below the 8 mu^2
+    bytes of one dense int64 array."""
+    import tracemalloc
+
+    t = SystemType(2, 6, 4, 7, 5)
+    rng = random.Random(1)
+    f0, theta = solver.choose_f0_and_theta(t, rng)
+    sys_ = core.random_system(t, rng).with_f0(f0)
+    matrix = koszul.assemble_delta1(t)
+    part = koszul.theta_partition(matrix, theta)
+    for field in (1_000_003, None):
+        tracemalloc.start()
+        try:
+            permuted = part.apply(koszul.specialize(matrix, sys_, field))
+            diagonal = [permuted[i, i] for i in range(part.split, part.size)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        coeff = f0.coefficient(theta)
+        want = coeff if field is None else exactlinalg.fraction_mod_p(coeff, field)
+        assert diagonal == [want] * core.mhb(t)
+        assert peak < matrix.size ** 2 * 8 // 3, peak

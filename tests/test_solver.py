@@ -3,7 +3,6 @@ full solving pipeline."""
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bikoszul import core, exactlinalg, koszul, oracle, selftest, solver
 from bikoszul.core import BilinearSystem, ProjectiveSolution, SystemType
-from bikoszul.weyman import mu
+from conftest import small_types
 
 THETA = ((1, 0), (1, 0), (1, 0))
 
@@ -131,18 +130,6 @@ def test_extract_xy_reads_y_against_the_largest_entry():
         got_x, got_y = solver.extract_xy(oracle.build_rho(t, ax, ay, lam), t)
         assert got_x == normalized_like_extraction(ax)
         assert got_y == normalized_like_extraction(ay)
-
-
-def small_types():
-    """Every valid type with projective dimensions up to 3 and mu <= 100."""
-    types = []
-    for nx, ny, nz in product(range(4), repeat=3):
-        n = nx + ny + nz
-        for r in range(max(1, ny), n - max(1, nz) + 1):
-            t = SystemType(nx, ny, nz, r, n - r)
-            if mu(t) <= 100:
-                types.append(t)
-    return types
 
 
 SMALL_TYPES = small_types()
