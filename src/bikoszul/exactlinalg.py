@@ -154,17 +154,18 @@ class ExactMatrix:
     array of the storage dtype; every other cell is 0, Fraction(0) in an
     object array over Q. `array` builds the dense array on first read,
     with one scatter, and keeps it. Until then a scalar read `m[i, j]`
-    looks the cell up in the sorted cell keys row * ncols + col, built on
+    looks the cell up in the sorted cell keys col * nrows + row, built on
     the first such read, and `submatrix` remaps the cells through the
     inverse index maps; both return what the dense array would.
     """
 
     def __init__(self, rows, field: int | None = None):
-        if not isinstance(rows, np.ndarray) and rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
+        if isinstance(rows, np.ndarray):
+            shape = rows.shape
+        else:
+            shape = (len(rows), len(rows[0]) if len(rows) else 0)
+            if any(len(row) != shape[1] for row in rows):
                 raise ValueError("ragged matrix")
-        shape = (len(rows), len(rows[0]) if len(rows) else 0)
         if field is None:
             array = np.array(rows, dtype=object).reshape(shape)
             array = array.astype(storage_dtype(array.flat, None), copy=False)
@@ -233,11 +234,13 @@ class ExactMatrix:
         matrix in coordinate form, found in the sorted cell keys."""
         rows, cols, values = self._cells
         if self._keys is None:
-            keys = rows * self.ncols + cols
-            order = np.argsort(keys)
+            keys = cols * self.nrows + rows
+            # column-major, a stable sort (timsort) finds the column runs
+            # that a remap of the columns (`submatrix`) leaves
+            order = np.argsort(keys, kind="stable")
             self._keys = keys[order], values[order]
         keys, sorted_values = self._keys
-        key = i * self.ncols + j
+        key = j * self.nrows + i
         k = int(np.searchsorted(keys, key))
         if k < len(keys) and keys[k] == key:
             return sorted_values[k]
@@ -721,7 +724,7 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise ValueError("shape mismatch")
     n = a.nrows
     if n == 0:
-        return ExactMatrix([], a.field)
+        return ExactMatrix(np.zeros((0, b.ncols), dtype=np.int64), a.field)
     # over Q an int64 A may meet an object B, whose Fractions int64 would truncate
     dtype = np.result_type(a.array, b.array) if a.field is None else _working_dtype(a.field)
     bordered = np.zeros((2 * n, n + b.ncols), dtype=dtype)

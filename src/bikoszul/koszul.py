@@ -24,18 +24,22 @@ Every entry is therefore a signed reference to a single coefficient
 u_{i, sigma} of one input polynomial; the matrix is stored symbolically
 and specialized on demand.
 
-Every equation is linear in x and linear or constant in y and z, so
-psi never scans the exponents of a slot: the surviving sigma are the
-unit vectors e_i with dx_i >= 1 (and likewise in y) times every z
-monomial of the slot's z-degree, generated directly.
+Every equation is linear in x and linear or constant in y and z, and
+every column factor is dx = e_i, a dual y monomial dy and dz = 1, so
+psi is index arithmetic: x contracts e_i to 1, a unit vector e_b moves
+dy one degree down, to the position a cached rank-shift table
+(`_lowered`) gives, or annihilates it, and z only multiplies. The
+column, target row and sigma positions of every term follow from the
+factor, y unit and z unit indices; no exponent is scanned or built.
 
 The matrix is stored in coordinate form: three index arrays (row,
 column, reference) over a short table of the distinct signed
 references. Rows come in groups of one block and one index set, and
 inside a group a row's offset depends on its factor (dx, dy, dz) only,
-so a row index is a group start plus an offset. Assembly builds psi
-once per column block and slot class, as offset arrays, and places
-each (column group, slot) with numpy; no per-entry dict is built.
+so a row index is a group start plus an offset. Assembly computes psi
+once per column block and slot class, as offset arrays broadcast over
+(factor, y unit, z unit), and places each (column group, slot) with
+numpy; no per-entry or per-factor dict is built.
 `specialize` values each reference once, then gathers the nonzeros
 from that table into an `ExactMatrix` in coordinate form, of the dtype
 they need (int64 over Q for an integer system); no dense array is built
@@ -147,38 +151,15 @@ def k0_basis(t: SystemType) -> list[KoszulBasisElement]:
 
 
 @lru_cache(maxsize=None)
-def _unit_vectors(nvars: int) -> tuple[Block, ...]:
-    return tuple(tuple(int(i == j) for j in range(nvars)) for i in range(nvars))
-
-
-def _unit_terms(block: Block, degree: int, step: int) -> list[tuple[Block, Block]]:
-    """(sigma, block + step * sigma) for every monomial sigma of degree 0
-    or 1, in the canonical monomial order. Step -1 contracts a dual
-    factor and keeps only the sigma = e_i with block_i >= 1 that do not
-    annihilate it; step +1 multiplies."""
-    if degree == 0:
-        return [((0,) * len(block), block)]
-    return [(e, block[:i] + (b + step,) + block[i + 1:])
-            for i, (e, b) in enumerate(zip(_unit_vectors(len(block)), block)) if b + step >= 0]
-
-
-def psi_symbolic(dx: Block, dy: Block, dz: Block, poly_index: int,
-                 t: SystemType) -> list[tuple[tuple[Block, Block, Block], SymbolicEntry]]:
-    """All surviving contractions of one column factor against the
-    universal polynomial in slot poly_index.
-
-    Every slot is linear in x, and linear or constant in y and in z, so
-    the monomials sigma that survive are generated directly, x-major:
-    sigma_x = e_i with dx_i >= 1 (dx contracts to dx - e_i), sigma_y the
-    same against dy (or 1 when the slot is constant in y), and every
-    sigma_z of the slot's z-degree, which multiplies dz (z never
-    contracts). Signs are attached later.
-    """
-    deg_x, deg_y, deg_z = t.degree_of(poly_index)
-    return [((dx2, dy2, dz2), SymbolicEntry(1, poly_index, (sx, sy, sz)))
-            for sx, dx2 in _unit_terms(dx, deg_x, -1)
-            for sy, dy2 in _unit_terms(dy, deg_y, -1)
-            for sz, dz2 in _unit_terms(dz, deg_z, 1)]
+def _lowered(n: int, d: int) -> np.ndarray:
+    """Position of m - e_a among the degree d - 1 monomials in n + 1
+    variables, for every degree-d monomial m (rows, canonical order) and
+    variable a (columns); -1 where m_a = 0, which annihilates m."""
+    below = {m: k for k, m in enumerate(monomial_basis(n, d - 1))}
+    table = np.array([[below.get(m[:a] + (m[a] - 1,) + m[a + 1:], -1) for a in range(n + 1)]
+                      for m in monomial_basis(n, d)], dtype=np.intp).reshape(-1, n + 1)
+    table.flags.writeable = False
+    return table
 
 
 # target row block, given the column block and the class of the
@@ -255,38 +236,38 @@ class SymbolicResultantMatrix:
                                    self.ref_idx[cells].tolist())]
 
 
-def _reference_table(t: SystemType) -> tuple[list[SymbolicEntry], dict, dict]:
-    """Every signed reference of the type: (table, base, position), where
-    reference sign * u_{slot, sigma} is table[base[slot, sign < 0] +
-    position[degree of slot][sigma]]."""
-    table, base, position = [], {}, {}
+def _reference_table(t: SystemType) -> tuple[list[SymbolicEntry], dict]:
+    """Every signed reference of the type: (table, base), where reference
+    sign * u_{slot, sigma} is table[base[slot, sign < 0] + k] for sigma
+    the k-th exponent of the slot's degree, x-major (`exponent_basis`)."""
+    table, base = [], {}
     for slot in range(t.n + 1):
-        degree = t.degree_of(slot)
-        basis = exponent_basis(t.nvars, degree)
-        position.setdefault(degree, {sigma: k for k, sigma in enumerate(basis)})
+        basis = exponent_basis(t.nvars, t.degree_of(slot))
         for negative, sign in enumerate((1, -1)):
             base[slot, negative] = len(table)
             table.extend(SymbolicEntry(sign, slot, sigma) for sigma in basis)
-    return table, base, position
+    return table, base
 
 
-def _factor_terms(t: SystemType, factors, slot: int, target: str, target_factors: dict,
-                  position: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi of every column factor against slot, as (factor index, target
-    factor index, sigma position) arrays. These depend on the column
-    block and the slot's class only: the slot itself and the sign enter
-    the reference id, the index set enters the row group."""
-    col_off, row_off, sigma = [], [], []
-    for k, (dx, dy, dz) in enumerate(factors):
-        for frag, ref in psi_symbolic(dx, dy, dz, slot, t):
-            row = target_factors.get(frag)
-            if row is None:
-                raise AssemblyError(f"unmatched target row {target} {frag} from column "
-                                    f"factor {(dx, dy, dz)} against slot {slot}")
-            col_off.append(k)
-            row_off.append(row)
-            sigma.append(position[ref.exponent])
-    return tuple(np.array(v, dtype=np.intp) for v in (col_off, row_off, sigma))
+def _factor_terms(t: SystemType, dy_deg: int, deg_y: int,
+                  deg_z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi of every column factor against a slot of degree (1, deg_y,
+    deg_z), as (factor index, target factor index, sigma position) arrays
+    in psi order. They depend on the column block and the slot's class
+    only: the slot and the sign enter the reference id, the index set
+    the row group. The factor e_i (x) dy (x) 1, dy the j-th dual y of
+    degree dy_deg, has index i * ndy + j and meets sigma = e_i in x, e_b
+    (dy contracts to the `_lowered` entry) or 1 in y, and every e_c or 1
+    in z, which multiplies."""
+    lowered = _lowered(t.ny, dy_deg)
+    ndy = len(lowered)
+    target_y = lowered if deg_y else np.arange(ndy)[:, None]  # (dy, y unit) -> target dy or -1
+    nsy, nsz = target_y.shape[1], t.nz + 1 if deg_z else 1
+    i, j, b, c = np.indices((t.nx + 1, ndy, nsy, nsz), sparse=True)
+    target_y = target_y[None, :, :, None]
+    keep = np.broadcast_to(target_y >= 0, (t.nx + 1, ndy, nsy, nsz))
+    return tuple(np.broadcast_to(v, keep.shape)[keep]
+                 for v in (i * ndy + j, target_y * nsz + c, (i * nsy + b) * nsz + c))
 
 
 @lru_cache(maxsize=None)
@@ -300,21 +281,24 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
     Rows come in groups of one block and index set, and inside a group a
     row's offset depends on its factor only, so every row index is a
     group start plus a factor offset; each (column group, slot) adds its
-    cached factor terms at once.
+    cached factor terms at once. A block holds every factor of its
+    degrees, so the contracted factors find their rows exactly when the
+    target block has their degrees.
     """
     size = mu(t)
-    group_start, factor_offset = {}, {}  # block tag -> {index set: row}, {factor: offset}
+    group_start, degrees = {}, {}  # block tag -> {index set: row}, factor degrees
     start = 0
     for spec in _K0_BLOCKS:
         isets, factors = _block_layout(t, spec)
         group_start[spec[0]] = {iset: start + k * len(factors) for k, iset in enumerate(isets)}
-        factor_offset[spec[0]] = {factor: k for k, factor in enumerate(factors)}
+        degrees[spec[0]] = (spec[1], t.r - t.ny + spec[2], spec[3])
         start += len(isets) * len(factors)
-    table, ref_base, position = _reference_table(t)
+    table, ref_base = _reference_table(t)
     pieces = []
     row_total, start = start, 0
     for spec in _K1_BLOCKS:
         tag = spec[0]
+        dy_deg = t.r - t.ny + spec[2]
         isets, factors = _block_layout(t, spec)
         terms = {}  # slot class -> _factor_terms
         for k, iset in enumerate(isets):
@@ -322,14 +306,16 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
                 slot_class = 0 if slot == 0 else ("xy" if slot <= t.r else "xz")
                 target = _TARGET_BLOCK[(tag, slot_class)]
                 if slot_class not in terms:
-                    terms[slot_class] = _factor_terms(
-                        t, factors, slot, target, factor_offset.get(target, {}),
-                        position[t.degree_of(slot)])
+                    _, deg_y, deg_z = t.degree_of(slot)
+                    terms[slot_class] = _factor_terms(t, dy_deg, deg_y, deg_z)
+                    if len(terms[slot_class][0]) and degrees[target] != (0, dy_deg - deg_y, deg_z):
+                        raise AssemblyError(f"unmatched target rows: {tag} against slot {slot} "
+                                            f"has no factor degrees {degrees[target]} of {target}")
                 col_off, row_off, sigma = terms[slot_class]
                 if not len(col_off):
                     continue
                 rest = iset[:pos] + iset[pos + 1:]
-                row0 = group_start.get(target, {}).get(rest)
+                row0 = group_start[target].get(rest)
                 if row0 is None:
                     raise AssemblyError(f"unmatched index set {rest} in block {target} "
                                         f"from column block {tag}, index set {iset}")

@@ -116,6 +116,20 @@ def test_det_multiplicative_mod_p():
         assert exactlinalg.det(prod) == exactlinalg.det(a) * exactlinalg.det(b) % p
 
 
+def test_an_array_with_no_rows_keeps_its_columns():
+    """The shape of an ndarray is its own, also with no rows; so solve
+    of a 0 x 0 A against a 0 x m B is 0 x m."""
+    import numpy as np
+
+    for field in (None, 101):
+        for dtype in (np.int64, object):
+            m = ExactMatrix(np.zeros((0, 3), dtype=dtype), field)
+            assert (m.nrows, m.ncols, m.array.shape) == (0, 3, (0, 3))
+        b = ExactMatrix(np.zeros((0, 3), dtype=np.int64), field)
+        x = exactlinalg.solve(ExactMatrix([], field), b)
+        assert (x.nrows, x.ncols, x.array.shape, x.field) == (0, 3, (0, 3), field)
+
+
 def test_solve_roundtrip():
     rng = random.Random(7)
     eye = identity(3)

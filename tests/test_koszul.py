@@ -71,7 +71,7 @@ def star_contract(mono, dual):
 
 def reference_psi(dx, dy, dz, poly_index, t):
     """psi by scanning every exponent of the slot's multidegree and
-    dropping the annihilated ones; the reference for koszul.psi_symbolic."""
+    dropping the annihilated ones; the reference for koszul._factor_terms."""
     out = []
     for sigma in core.exponent_basis(t.nvars, t.degree_of(poly_index)):
         sx, sy, sz = sigma
@@ -108,36 +108,44 @@ def test_star_contract():
     assert star_contract((0, 0), (1, 0)) == (1, 0)
 
 
-@pytest.mark.parametrize("ty", [(1, 1, 1, 2, 1), (2, 2, 2, 3, 3), (3, 2, 2, 4, 3),
-                                (10, 1, 1, 10, 2), (2, 6, 4, 7, 5)])
+ASSEMBLY_TYPES = [(1, 1, 1, 2, 1), (2, 2, 2, 3, 3), (3, 2, 2, 4, 3), (10, 1, 1, 10, 2),
+                  (2, 6, 4, 7, 5)]
+ASSEMBLY_TYPES += [ty for ty in ((t.nx, t.ny, t.nz, t.r, t.s) for t in small_types(5))
+                   if ty not in ASSEMBLY_TYPES]
+
+
+@pytest.mark.parametrize("ty", ASSEMBLY_TYPES)
 def test_assembly_matches_the_exponent_scanning_reference(ty):
+    """Every type with n <= 5 (nx, ny or nz = 0, and r = ny, where the
+    L11 dual y has degree 0) and five larger ones."""
     t = SystemType(*ty)
     got = koszul.assemble_delta1(t).entries
     want = reference_entries(t)
     assert list(got.items()) == list(want.items())  # keys, values and order
-    for col in koszul.k1_basis(t)[::7]:
-        for slot in col.iset:
-            assert koszul.psi_symbolic(col.dx, col.dy, col.dz, slot, t) == \
-                reference_psi(col.dx, col.dy, col.dz, slot, t)
 
 
 def test_assembly_guards_raise_on_planted_faults(monkeypatch):
     t = SystemType(2, 2, 2, 3, 3)
     assemble = koszul.assemble_delta1.__wrapped__  # past the per-type cache
-    psi = koszul.psi_symbolic
+    terms = koszul._factor_terms
 
     def first_term_twice(*args):
-        terms = psi(*args)
-        return terms + terms[:1]
+        return tuple(np.concatenate([v, v[:1]]) for v in terms(*args))
 
     with monkeypatch.context() as patch:
-        patch.setattr(koszul, "psi_symbolic", first_term_twice)
+        patch.setattr(koszul, "_factor_terms", first_term_twice)
         with pytest.raises(koszul.AssemblyError, match="duplicate entry"):
             assemble(t)
     with monkeypatch.context() as patch:
         # z-multiplied factors sent to a block without z: no such row
         patch.setitem(koszul._TARGET_BLOCK, ("L11", "xz"), "L01")
         with pytest.raises(koszul.AssemblyError, match="unmatched target row"):
+            assemble(t)
+    with monkeypatch.context() as patch:
+        # L02 index sets that all hold 0: no row group for an L11 column
+        patch.setattr(koszul, "_K0_BLOCKS", tuple(
+            spec[:6] + (1,) if spec[0] == "L02" else spec for spec in koszul._K0_BLOCKS))
+        with pytest.raises(koszul.AssemblyError, match="unmatched index set"):
             assemble(t)
     assert list(assemble(t).entries.items()) == list(reference_entries(t).items())
 
@@ -183,18 +191,22 @@ def test_occurrences_match_a_linear_scan():
         assert matrix.occurrences(0, ((9,), (9,), (9,))) == []
 
 
-def test_psi_symbolic_example(paper_type):
-    # the L11 factor dx0 (x) dy0 against the S(1,0,1) slot 3
-    hits = koszul.psi_symbolic((1, 0), (1, 0), (0, 0), 3, paper_type)
-    targets = {(frag, e.exponent) for frag, e in hits}
-    assert targets == {
-        (((0, 0), (1, 0), (1, 0)), ((1, 0), (0, 0), (1, 0))),
-        (((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 0), (0, 1))),
+def test_contraction_terms_of_the_paper_example(paper_type):
+    matrix = koszul.assemble_delta1(paper_type)
+    # the L11 factor dx0 (x) dy0 against the S(1,0,1) slot 3, third in {1,2,3}
+    col = matrix.cols.index(KBE("L11", (1, 0), (1, 0), (0, 0), (1, 2, 3)))
+    slot3 = {(matrix.rows[i], e) for (i, j), e in matrix.entries.items()
+             if j == col and e.poly == 3}
+    assert slot3 == {
+        (KBE("L02", (0, 0), (1, 0), (1, 0), (1, 2)),
+         koszul.SymbolicEntry(1, 3, ((1, 0), (0, 0), (1, 0)))),
+        (KBE("L02", (0, 0), (1, 0), (0, 1), (1, 2)),
+         koszul.SymbolicEntry(1, 3, ((1, 0), (0, 0), (0, 1)))),
     }
-    assert all(e.sign == 1 for _, e in hits)
     # a dual-y power of y1 annihilates every y0-only monomial
-    hits = koszul.psi_symbolic((1, 0), (0, 2), (0, 0), 1, paper_type)
-    assert all(e.exponent[1] != (1, 0) for _, e in hits)
+    y1_squared = {j for j, c in enumerate(matrix.cols) if c.dy == (0, 2)}
+    hits = [e for (_, j), e in matrix.entries.items() if j in y1_squared]
+    assert hits and all(e.exponent[1] != (1, 0) for e in hits)
 
 
 def test_assembled_matrix_matches_printed_example(paper_system):
