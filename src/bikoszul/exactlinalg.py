@@ -10,15 +10,17 @@ as a specialized Koszul matrix, may be made in coordinate form instead:
 its cells only, until the array is first read, which builds it once.
 In that form a scalar read is a lookup and a submatrix remaps the
 cells; otherwise a submatrix is one fancy index. One blocked
-elimination mod p, `_eliminate`, runs on
-those arrays: k Gaussian steps that pivot on the first nonzero among
-the leading k rows, in panels of b columns, each panel's update of the
-rows below one float64 BLAS matmul. Over F_p it serves `det` (n steps),
-`schur_complement` (k steps) and `solve` (the Schur complement of
-[[A, B], [-I, 0]] at split n); after k steps the block below and right
-of the leading one is the Schur complement. On a 0 return (a singular
-leading block) only the diagonal up to the first column without a
-pivot, which is the first zero on it, and the row order are defined.
+elimination mod p, `_eliminate`, runs on those arrays: k Gaussian steps
+that pivot on the first nonzero among the leading k rows, in panels of
+b columns, each panel's update of the rows below one float64 BLAS
+matmul. After k steps the entries below the diagonal hold L, those on
+and above it U, the packed LU of the rows in pivot order, and the block
+below and right of the leading one is the Schur complement. Over F_p
+it serves `det` (n steps), `schur_complement` (k steps) and `solve`
+(n steps, then `_lu_solve`: forward with L and back with U, in the
+same panels). On a 0 return (a singular leading block) the LU of the
+columns before the first one without a pivot, the first zero on the
+diagonal, and the row order are defined.
 
 Over Q both paths first clear denominators row by row, once. Every
 modular step over Q on a block of order k runs modulo one family of
@@ -30,7 +32,8 @@ stops at the first column s without a pivot, and the Schur complement
 over Q of the first s + 1 columns, pivot rows first, is 0 exactly when
 column s is a Q-combination of the columns before it. Otherwise the
 test ends at the first nonzero residue, whose prime certifies the
-block nonsingular modulo it; the caller's lift runs modulo that prime.
+block nonsingular modulo it; the caller's lift runs modulo that prime,
+with the block's inverse there from the LU of the same elimination.
 `det` (`_multimodular`) is the method of Abbott, Bronstein and Mulders
 without early termination: the zero test, then the denominator D of
 -c A^{-1} b for fixed small integer vectors b and c, a divisor of det A
@@ -39,9 +42,9 @@ primes until their product exceeds 2 H / |D|, H the Hadamard bound.
 Below a small budget (`_CRT_MAX_PRIMES`) it is plain CRT with D = 1.
 The Schur complement, and so `solve`, is Dixon's p-adic lifting
 (`_lift_schur`) once the zero test has found M11 nonsingular
-(SingularMatrixError otherwise): one inverse of M11 modulo the prime q
-the test certified, taken from the F_q `solve`, then one k x k by
-k x (n-k) product per step, until q^L exceeds twice the product of the
+(SingularMatrixError otherwise): with the zero test's inverse of M11
+modulo the prime q it certified, one product with it and one with the
+stacked [M11; M21] per step, until q^L exceeds twice the product of the
 Hadamard bounds on the (k+1)-minors and on det M11; rational
 reconstruction with one running common denominator recovers S.
 
@@ -53,7 +56,7 @@ reduction x - floor(x / p) p by a true division is exact there; every
 `_prime(k, i)` with k >= 2 leaves b >= 2. When no b >= 2 fits (p >
 2^26: user primes, and the primes of a 1 x 1 block), the same loop runs
 with b = 1 on the storage dtype, one rank-1 update per step. In the
-lifting the products with M11 and M21 run in float64 only while
+lifting the product with [M11; M21] runs in float64 only while
 k * max|entry| * q < 2^53 (`_lift_dtype`), else on Python ints.
 `to_float` is the one lossy conversion.
 
@@ -322,13 +325,16 @@ def _working_dtype(p: int):
 
 
 def _reduce(x, p: int):
-    """x mod p in [0, p) for a float64 array of integers with |x| + p <=
-    2^53, overwritten with x - floor(x / p) p, exact without a correction:
-    the rounding error of the true division x / p is below |x| 2^-53 /
-    p < 1 / p, the least distance from x / p up to the next integer, and
-    floor(x / p) p, below |x| + p, is an exact float64. (np.fmod, whose
-    cost grows with x, is avoided.) It runs `_UPDATE_ROWS` rows at a
-    time, so its temporary stays small."""
+    """x mod p in [0, p), in place. A float64 array of integers with |x| +
+    p <= 2^53 is overwritten with x - floor(x / p) p, exact without a
+    correction: the rounding error of the true division x / p is below
+    |x| 2^-53 / p < 1 / p, the least distance from x / p up to the next
+    integer, and floor(x / p) p, below |x| + p, is an exact float64.
+    (np.fmod, whose cost grows with x, is avoided.) It runs
+    `_UPDATE_ROWS` rows at a time, so its temporary stays small. Any
+    other dtype (int64, object) takes %."""
+    if x.dtype != np.float64:
+        return np.remainder(x, p, out=x)
     for i in range(0, len(x), _UPDATE_ROWS):
         rows = x[i:i + _UPDATE_ROWS]
         quotient = rows / p
@@ -360,32 +366,36 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
 
     One right-looking blocked elimination in panels of b columns, b =
     `_panel_width(p)` on a float64 array and 1 on any other. Each step of
-    a panel pivots, swaps two whole rows (and the two entries of
-    `order`, an index array of the rows, when one is given), and
-    subtracts the multiple of the pivot row that zeroes the pivot column
-    from each row with a nonzero there, over the panel's columns.
+    a panel pivots, swaps two rows of the panel (and the two entries of
+    `order`, an index array of the rows, when one is given), subtracts
+    the multiple of the pivot row that zeroes the pivot column from each
+    row with a nonzero there, over the panel's columns, and stores the
+    multiple, an entry of L, in its place. The panel's swaps then move
+    the rest of those rows, left of the panel too (LAPACK's dlaswp).
 
     b = 1 on an int64 array (p < 2^31, so (p - 1)^2 fits) or an object
     array of Python ints: the panel is every column from the pivot on, so
     a step is one rank-1 update of the rows below, reduced at once.
 
     b > 1 on float64: the panel is a reduced int64 copy of its b columns,
-    of every row from its first, with the multipliers L kept beside it.
-    After its b steps, U12 = L11^{-1} A12 on the panel's own rows, and
-    BLAS matmuls A22 -= L21 U12, `_UPDATE_ROWS` rows at a time, update
-    the rows below that have a multiplier. The entries stay integers in
-    [-low, p) with low + p <= 2^53: an update lowers low by at most
-    b (p - 1)^2, every partial sum is an integer below 2^53 and so
-    exact, and the trailing block is reduced (`_reduce`, exact there)
-    only when the next update could pass that bound. b (p - 1)^2 + p <=
-    2^53 (`_panel_width`) lets one update always fit.
+    of every row from its first. After its b steps, U12 = L11^{-1} A12
+    on the panel's own rows, and BLAS matmuls A22 -= L21 U12,
+    `_UPDATE_ROWS` rows at a time, update the rows below that have a
+    multiplier. The entries stay integers in [-low, p) with low + p <=
+    2^53: an update lowers low by at most b (p - 1)^2, every partial sum
+    is an integer below 2^53 and so exact, and the trailing block is
+    reduced (`_reduce`, exact there) only when the next update could pass
+    that bound. b (p - 1)^2 + p <= 2^53 (`_panel_width`) lets one update
+    always fit.
 
     Returns the determinant of the leading k x k block, 0 when it is
-    singular. After k steps the entries below the diagonal are 0 and the
-    block below and right of the leading one is the Schur complement,
-    reduced to [0, p). On a 0 return only the diagonal up to the step s
-    whose column has no pivot, and `order`, are defined: the pivots
-    precede s, and a[s, s] = 0 is the first zero on the diagonal.
+    singular. After k steps the first k columns hold P a = L U, P a =
+    a[order]: L below the diagonal (its unit diagonal not stored), U on
+    and above it; the block below and right of the leading one is the
+    Schur complement; all reduced to [0, p). On a 0 return only the LU
+    of the first s columns, s the step whose column has no pivot, and
+    `order` are defined, and a[s, s] = 0 is the first zero on the
+    diagonal.
     """
     n = a.shape[1]
     b = _panel_width(p) if a.dtype == np.float64 else 1
@@ -396,11 +406,9 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
         end = min(start + b, k)
         width = end - start
         if b == 1:  # every column from the pivot's on: a step is the whole update
-            work = panel = a[start:, start:]
-        else:  # a reduced int64 copy of the panel, its multipliers L beside it
-            work = np.zeros((len(a) - start, 2 * width), dtype=np.int64)
-            panel, lower = work[:, :width], work[:, width:]
-            panel[...] = a[start:, start:end]
+            panel = a[start:, start:]
+        else:  # a reduced int64 copy of the panel
+            panel = a[start:, start:end].astype(np.int64)
             panel %= p
         moved = {}  # row of the panel -> the row of a[start:] the swaps put there
         for c in range(width):
@@ -410,7 +418,7 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
                 break
             if lead[0]:
                 j = c + lead[0]
-                work[[c, j]] = work[[j, c]]
+                panel[[c, j]] = panel[[j, c]]
                 moved[c], moved[j] = moved.get(j, j), moved.get(c, c)
                 det = -det
             ps = int(panel[c, c])
@@ -418,13 +426,13 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
             rows = c + 1 + panel[c + 1:, c].nonzero()[0]
             if rows.size:
                 f = panel[rows, c] * pow(ps, -1, p) % p
-                panel[rows, c:] = (panel[rows, c:] - f[:, None] * panel[c, c:]) % p
-                if b > 1:
-                    lower[rows, c] = f
+                panel[rows, c + 1:] = (panel[rows, c + 1:] - f[:, None] * panel[c, c + 1:]) % p
+                panel[rows, c] = f
         if moved:
             to, source = start + np.array(list(moved)), start + np.array(list(moved.values()))
             if order is not None:
                 order[to] = order[source]
+            a[to, :start] = a[source, :start]
             if b > 1:
                 a[to, end:] = a[source, end:]
         if b > 1:
@@ -435,19 +443,59 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
             u12 = a[start:end, end:]
             if low:
                 _reduce(u12, p)
-            u12[...] = _reduce(_unit_lower_inverse(lower[:width], p) @ u12, p)
-            below = end + lower[width:].any(axis=1).nonzero()[0]
+            u12[...] = _reduce(_unit_lower_inverse(np.tril(panel[:width], -1), p) @ u12, p)
+            below = end + panel[width:].any(axis=1).nonzero()[0]
             if below.size:
                 if low + step + p > _FLOAT_EXACT_LIMIT:
                     _reduce(a[end:, end:], p)
                     low = 0
                 for i in range(0, below.size, _UPDATE_ROWS):
                     rows = below[i:i + _UPDATE_ROWS]
-                    a[rows, end:] -= lower[rows - start].astype(np.float64) @ u12
+                    a[rows, end:] -= panel[rows - start].astype(np.float64) @ u12
                 low += step
     if low:
         _reduce(a[k:, k:], p)
     return det % p
+
+
+def _lu_solve(lu, order, x, p: int):
+    """X with A X = x mod p, from the packed LU of A[order] (`_eliminate`)
+    in the square array lu; x, residues in lu's dtype, is left as it is.
+
+    Forward with the unit lower L, then back with U, in panels of b =
+    `_panel_width(p)` rows on float64 and 1 on any other dtype: a panel's
+    rows, reduced, take the inverse of its diagonal block
+    (`_unit_lower_inverse`; U's is D times a unit upper one, D its
+    diagonal), then one product updates the rows after it (going back,
+    before it). An update subtracts at most b (p - 1)^2 from an entry, as
+    in `_eliminate`, so those rows are reduced only once `every` updates
+    could pass 2^53 - p; on int64 and object arrays after each one."""
+    k = len(lu)
+    b = _panel_width(p) if lu.dtype == np.float64 else 1
+    every = (_FLOAT_EXACT_LIMIT - p) // (b * (p - 1) ** 2) if b > 1 else 1
+    x = x[order]
+    starts = range(0, k, b)
+    for i, start in enumerate(starts):
+        end = min(start + b, k)
+        rows = _reduce(x[start:end], p)
+        if end - start > 1:
+            rows[...] = _reduce(_unit_lower_inverse(np.tril(lu[start:end, start:end], -1), p)
+                                @ rows, p)
+        x[end:] -= lu[end:, start:end] @ rows
+        if (i + 1) % every == 0:
+            _reduce(x[end:], p)
+    for i, start in enumerate(reversed(starts)):
+        end = min(start + b, k)
+        rows = _reduce(x[start:end], p)
+        scale = np.array([pow(int(e), -1, p) for e in lu.diagonal()[start:end]])[:, None]
+        rows[...] = _reduce(scale * rows, p)  # D^{-1}
+        if end - start > 1:  # D^{-1} U is unit upper, the transpose of a unit lower
+            upper = _reduce(scale * np.triu(lu[start:end, start:end], 1), p)
+            rows[...] = _reduce(_unit_lower_inverse(upper.T, p).T @ rows, p)
+        x[:start] -= lu[:start, start:end] @ rows
+        if (i + 1) % every == 0:
+            _reduce(x[:start], p)
+    return x
 
 
 def _schur(a, field: int | None, k: int) -> ExactMatrix:
@@ -456,7 +504,7 @@ def _schur(a, field: int | None, k: int) -> ExactMatrix:
     steps that pivot inside M11, which clobber a; over Q, once the zero
     test has found M11 nonsingular, by p-adic lifting on the
     denominator-cleared rows modulo the prime that the test certified,
-    which only reads a. Raises
+    with the inverse of M11 from its LU there, which only reads a. Raises
     SingularMatrixError when M11 is singular."""
     if field is not None:
         if _eliminate(a, k, field) == 0:
@@ -464,10 +512,10 @@ def _schur(a, field: int | None, k: int) -> ExactMatrix:
         # a new array in the storage dtype, not a view that keeps all of a
         return ExactMatrix._of(a[k:, k:].astype(storage_dtype((), field)), field)
     ints, scales = _int_rows(a)
-    residues = _zero_test(ints[:k, :k])
+    residues, inverse = _zero_test(ints[:k, :k])
     if residues is None:
         raise SingularMatrixError("singular matrix over Q")
-    values = iter(_lift_schur(ints, k, _prime(k, len(residues) - 1)))
+    values = iter(_lift_schur(ints, k, _prime(k, len(residues) - 1), inverse))
     # the scale of a leading row cancels in M11^{-1} M12; that of a
     # trailing row scales its row of the complement
     return ExactMatrix([[Fraction(num, den * scale) for num, den in islice(values, a.shape[1] - k)]
@@ -521,7 +569,8 @@ def _multimodular(a) -> int:
     When twice the Hadamard bound H passes `_CRT_MAX_PRIMES` primes
     `_prime(n, 0)`, the zero test either certifies det = 0 or ends at the
     first nonzero residue, and one p-adic lift modulo that residue's
-    prime gives a divisor D of det (`_divisor`); otherwise D = 1. Then
+    prime, with the inverse from the test's LU, gives a divisor D of det
+    (`_divisor`); otherwise D = 1. Then
     det / D runs n elimination steps modulo the descending primes
     `_prime(n, i)`, skipping those that divide D and reusing the residues
     the zero test found, recombined by CRT (Garner) until the product of
@@ -532,10 +581,10 @@ def _multimodular(a) -> int:
     bound2 = _hadamard2(a, n)[1]
     residues, divisor = [], 1
     if 4 * bound2 >= _prime(n, 0) ** (2 * _CRT_MAX_PRIMES):
-        residues = _zero_test(a)
+        residues, inverse = _zero_test(a)
         if residues is None:
             return 0
-        divisor = _divisor(a, _prime(n, len(residues) - 1))
+        divisor = _divisor(a, _prime(n, len(residues) - 1), inverse)
     d = 0
     modulus = 1
     for i in count():
@@ -558,16 +607,18 @@ def _mod(a, q: int):
 
 
 def _zero_test(a):
-    """None when the square integer array a is singular, certified by a
-    kernel vector; otherwise det a modulo the primes _prime(n, 0), ...,
-    _prime(n, i), the last of them the first nonzero residue, so a
-    modulus that the caller's lift may use.
+    """(None, None) when the square integer array a is singular, certified
+    by a kernel vector; otherwise det a modulo the primes _prime(n, 0),
+    ..., _prime(n, i), the last of them the first nonzero residue, so a
+    modulus that the caller's lift may use, and a^{-1} modulo it, from
+    the LU its elimination left (`_lu_solve`).
 
     Modulo q = _prime(n, i), elimination finds no pivot for some column s
     exactly when det a = 0 mod q. Then the Schur complement over Q of the
     first s + 1 columns, with the s pivot rows first and the split at s,
     is lifted modulo q (`_lift_schur`): its pivot block is nonsingular
-    modulo q, and s < n keeps q in range. When all of its n - s entries
+    modulo q, the leading s x s block of the LU is its LU, and s < n
+    keeps q in range. When all of its n - s entries
     are 0, column s is the Q-combination M11^{-1} M12 of columns
     0..s-1, so det a = 0; for s = 0 the certificate is column 0 itself.
     Otherwise columns 0..s are independent over Q, yet q divides all
@@ -580,32 +631,34 @@ def _zero_test(a):
     residues = []
     for i in count():
         q = _prime(n, i)
-        reduced, order = _mod(a, q), np.arange(n)
-        residues.append(_eliminate(reduced, n, q, order))
+        lu, order = _mod(a, q), np.arange(n)
+        residues.append(_eliminate(lu, n, q, order))
         if residues[-1]:
-            return residues
-        s = int(np.flatnonzero(reduced.diagonal() == 0)[0])
+            return residues, _lu_solve(lu, order, np.eye(n, dtype=lu.dtype), q)
+        s = int(np.flatnonzero(lu.diagonal() == 0)[0])
         head = a[order, :s + 1]
-        # column s minus its Q-combination of the columns before it
-        certificate = head[:, 0] if s == 0 else [num for num, _ in _lift_schur(head, s, q)]
+        # column s minus its Q-combination of the columns before it; the
+        # leading s x s block of lu is the LU of head's pivot block
+        certificate = head[:, 0] if s == 0 else [num for num, _ in _lift_schur(
+            head, s, q, _lu_solve(lu[:s, :s], np.arange(s), np.eye(s, dtype=lu.dtype), q))]
         if not any(certificate):
-            return None
+            return None, None
 
 
-def _divisor(a, q: int) -> int:
+def _divisor(a, q: int, inverse) -> int:
     """A divisor D of det a for a square integer array a nonsingular
-    modulo the prime q = _prime(n, i), most often det a up to a small
-    factor: the denominator of the 1 x 1 Schur complement -c a^{-1} b of
-    [[a, b], [c, 0]], one p-adic lift modulo q, for fixed pseudo-random
-    integer vectors b and c. a^{-1} is adj(a) / det a, so D divides
-    det a."""
+    modulo the prime q = _prime(n, i), given a^{-1} mod q, most often
+    det a up to a small factor: the denominator of the 1 x 1 Schur
+    complement -c a^{-1} b of [[a, b], [c, 0]], one p-adic lift modulo q,
+    for fixed pseudo-random integer vectors b and c. a^{-1} is adj(a) /
+    det a, so D divides det a."""
     n = len(a)
     rng = random.Random(n)
     bordered = np.zeros((n + 1, n + 1), dtype=a.dtype)
     bordered[:n, :n] = a
     bordered[:n, n] = [rng.randint(-64, 64) for _ in range(n)]
     bordered[n, :n] = [rng.randint(-64, 64) for _ in range(n)]
-    (num, den), = _lift_schur(bordered, n, q)
+    (num, den), = _lift_schur(bordered, n, q, inverse)
     return Fraction(num, den).denominator
 
 
@@ -629,55 +682,53 @@ def _lift_dtype(k: int, top: int, q: int):
     return np.float64 if k * top * q < _FLOAT_EXACT_LIMIT else object
 
 
-def _lifting_inverse(m11, q: int):
-    """M11^{-1} mod q in float64, from the F_q `solve`, for a prime q that
-    does not divide det M11."""
-    identity = np.eye(len(m11), dtype=np.int64)
-    return solve(ExactMatrix(m11, q), ExactMatrix(identity, q)).array.astype(float)
-
-
-def _lift_schur(ints, k: int, q: int) -> list:
+def _lift_schur(ints, k: int, q: int, inverse) -> list:
     """(numerator, denominator) of each entry, row by row, of the Schur
     complement S = M22 - M21 M11^{-1} M12 of an integer array (int64 or
     object, possibly rectangular), by Dixon's p-adic lifting modulo a
     prime q with k (q - 1)^2 < 2^53 (`_prime`) that does not divide
-    det M11.
+    det M11, given C = M11^{-1} mod q (float64 or int64).
 
-    With C = M11^{-1} mod q, each of L steps takes, from R = M12,
-    X_i = C (R mod q) mod q, T_i = M21 X_i and R <- (R - M11 X_i) / q, so
-    that X = sum q^i X_i solves M11 X = M12 modulo q^L and S is
-    M22 - sum q^i T_i modulo q^L. By Sylvester's identity d S, with
-    d = det M11, is a matrix of (k+1)-minors, at most H in absolute value,
-    and |d| <= H_d; L is the smallest with q^L > 2 H H_d, so rational
-    reconstruction recovers S.
+    Each of L steps takes, from R = M12, X_i = C (R mod q) mod q, one
+    product [M11; M21] X_i, and R <- (R - M11 X_i) / q, an exact
+    division, so that X = sum q^i X_i solves M11 X = M12 modulo q^L and S
+    is M22 - sum q^i T_i modulo q^L, T_i = M21 X_i. By Sylvester's
+    identity d S, with d = det M11, is a matrix of (k+1)-minors, at most
+    H in absolute value, and |d| <= H_d; L is the smallest with q^L >
+    2 H H_d, so rational reconstruction recovers S.
     """
     minors2, lead2 = _hadamard2(ints, k)
     top = int(np.abs(ints).max())
     a = ints.astype(_lift_dtype(k, top, q))
-    m11, m21, r = a[:k, :k], a[k:, :k], a[:k, k:]
-    inv = _lifting_inverse(ints[:k, :k], q)
+    columns, r = a[:, :k], a[:k, k:].copy()  # [M11; M21], R
+    divide = np.floor_divide if a.dtype == object else np.true_divide  # exact on either
     digits = []
     modulus = 1
     while modulus * modulus <= 4 * minors2 * lead2:
-        x = (inv @ (r % q).astype(float) % q).astype(np.int64)  # exact: k (q - 1)^2 < 2^53
-        r = (r - m11 @ x) // q
-        digits.append(m21 @ x)
+        residues = _reduce(r.copy(), q).astype(inverse.dtype, copy=False)
+        x = _reduce(inverse @ residues, q).astype(np.int64)  # exact: k (q - 1)^2 < 2^53
+        product = columns @ x
+        r -= product[:k]
+        divide(r, q, out=r)
+        digits.append(product[k:].copy())  # not a view that keeps all of product
         modulus *= q
-    image = [(int(e) - t) % modulus for e, t in zip(ints[k:, k:].ravel(), _pairwise_sum(digits, q))]
-    return _reconstruct(image, modulus, minors2, lead2)
+    image = (ints[k:, k:].astype(object) - _pairwise_sum(digits, q)) % modulus
+    return _reconstruct(image.ravel().tolist(), modulus, minors2, lead2)
 
 
-def _pairwise_sum(digits, q: int) -> list:
-    """sum_i q^i digits[i] of integer arrays, entry by entry in Python
-    ints, adding neighbours pairwise: (t0 + q t1) + q^2 (t2 + q t3) + ..."""
-    digits = [t.ravel() for t in digits]
+def _pairwise_sum(digits, q: int):
+    """sum_i q^i digits[i] of integer arrays (float64 or object), as an
+    object array of Python ints, adding neighbours pairwise, each pair as
+    whole arrays: (t0 + q t1) + q^2 (t2 + q t3) + ..."""
+    terms = np.array(digits)
+    terms = list(terms.astype(np.int64) if terms.dtype == np.float64 else terms)
     step = q
-    while len(digits) > 1:
-        pairs = [digits[i:i + 2] for i in range(0, len(digits), 2)]
-        digits = [[int(lo) + step * int(hi) for lo, hi in zip(*pair)] if len(pair) == 2
-                  else pair[0] for pair in pairs]
+    while len(terms) > 1:
+        pairs = zip(terms[::2], terms[1::2])
+        terms = [lo.astype(object, copy=False) + step * hi.astype(object, copy=False)
+                 for lo, hi in pairs] + terms[len(terms) // 2 * 2:]
         step *= step
-    return [int(e) for e in digits[0]]
+    return terms[0].astype(object, copy=False)
 
 
 def _reconstruct(residues, modulus: int, num2: int, den2: int) -> list:
@@ -714,7 +765,9 @@ def _reconstruct(residues, modulus: int, num2: int, den2: int) -> list:
 def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact X with A X = B; raises SingularMatrixError when A is singular.
 
-    X is the Schur complement of the bordered matrix [[A, B], [-I, 0]].
+    Over F_p, the packed LU of A (`_eliminate`), then the triangular
+    solves on B (`_lu_solve`); over Q, X is the Schur complement of the
+    bordered matrix [[A, B], [-I, 0]].
     """
     if a.nrows != a.ncols:
         raise ValueError("solve needs a square matrix")
@@ -725,13 +778,19 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     n = a.nrows
     if n == 0:
         return ExactMatrix(np.zeros((0, b.ncols), dtype=np.int64), a.field)
+    if a.field is not None:
+        p = a.field
+        lu, order = a.array.astype(_working_dtype(p)), np.arange(n)
+        if _eliminate(lu, n, p, order) == 0:
+            raise SingularMatrixError("singular matrix over F_p")
+        x = _lu_solve(lu, order, b.array.astype(lu.dtype), p)
+        return ExactMatrix._of(x.astype(storage_dtype((), p), copy=False), p)
     # over Q an int64 A may meet an object B, whose Fractions int64 would truncate
-    dtype = np.result_type(a.array, b.array) if a.field is None else _working_dtype(a.field)
-    bordered = np.zeros((2 * n, n + b.ncols), dtype=dtype)
+    bordered = np.zeros((2 * n, n + b.ncols), dtype=np.result_type(a.array, b.array))
     bordered[:n, :n] = a.array
     bordered[:n, n:] = b.array
-    bordered[range(n, 2 * n), range(n)] = -1 if a.field is None else a.field - 1
-    return _schur(bordered, a.field, n)
+    bordered[range(n, 2 * n), range(n)] = -1
+    return _schur(bordered, None, n)
 
 
 def schur_complement(m: ExactMatrix, k: int) -> ExactMatrix:

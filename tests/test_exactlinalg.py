@@ -260,19 +260,27 @@ def test_schur_complement_mod_p_is_the_rational_one_reduced(p):
     assert checked >= 100 and singular >= 20
 
 
-@pytest.mark.parametrize("p", [None, 101])
+@pytest.mark.parametrize("p", [None, 2, 101, 1_000_003, 2 ** 31 - 1, 2 ** 61 - 1])
 def test_solve_matches_cramer(p):
+    """Over F_p the LU and its triangular solves run on float64 panels
+    (2, 101, 1000003), and one column a step on int64 (2^31 - 1) and on
+    Python ints (2^61 - 1); an A singular over Q, or only modulo p,
+    raises."""
     rng = random.Random(31 if p is None else p)
+    # mod 2 the denominators 2 and 4 of random_entry are no units
+    entry = random_entry if p != 2 else lambda rng: rng.randint(-3, 3)
     solved = singular = 0
-    for _ in range(150):
+    for _ in range(150 if p != 2 else 400):
         n = rng.randint(1, 5)
-        a_rows = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+        a_rows = [[entry(rng) for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.3:
             a_rows[0][0] = 0
         if rng.random() < 0.15 and n >= 2:
             a_rows[-1] = [2 * e for e in a_rows[0]]
-        b_rows = [[random_entry(rng) for _ in range(rng.randint(1, 3))]]
-        b_rows += [[random_entry(rng) for _ in b_rows[0]] for _ in range(n - 1)]
+        elif p is not None and rng.random() < 0.1 and n >= 2:  # singular modulo p only
+            a_rows[-1] = [e + p * (j == n - 1) for j, e in enumerate(a_rows[0])]
+        b_rows = [[entry(rng) for _ in range(rng.randint(1, 3))]]
+        b_rows += [[entry(rng) for _ in b_rows[0]] for _ in range(n - 1)]
         want = reference_solve(a_rows, b_rows)
         if want is not None and p is not None:
             if exactlinalg.fraction_mod_p(naive_det(a_rows), p) == 0:
@@ -519,17 +527,27 @@ def random_lpu(rng, p, m, n, k, perm=None, zero_at=None):
     return lpu(p, lower, perm or range(m), upper)
 
 
+def assert_packed_lu(rows, k, p, array, order):
+    """P A = L U mod p on the leading k columns, P A = A[order], for the
+    packed LU in array: L unit lower triangular below the diagonal, U on
+    and above it."""
+    for i, row in enumerate(array):
+        lower = [*row[:min(i, k)], *([1] if i < k else [])]
+        assert [sum(l * array[t][j] for t, l in enumerate(lower) if t <= j) % p
+                for j in range(k)] == [rows[order[i]][j] % p for j in range(k)]
+
+
 def assert_matches_fractions(rows, k, p, result):
     """The det of the leading k x k block and, when it is a unit, the
-    Schur complement and zeros below the diagonal, as the Fraction
-    oracle gives them mod p."""
-    value, array, _ = result
+    Schur complement, as the Fraction oracle gives them mod p, and the
+    packed LU of the leading k columns."""
+    value, array, order = result
     d11, schur = fraction_eliminate(rows, k)
     assert value == exactlinalg.fraction_mod_p(d11, p)
     if value:
         assert [row[k:] for row in array[k:]] == \
             [[exactlinalg.fraction_mod_p(e, p) for e in row] for row in schur]
-        assert all(e == 0 for i, row in enumerate(array) for e in row[:min(i, k)])
+        assert_packed_lu(rows, k, p, array, order)
 
 
 def test_blocked_elimination_takes_a_pivot_from_below_the_panel_at_its_last_column():
@@ -552,7 +570,8 @@ def test_blocked_elimination_takes_a_pivot_from_below_the_panel_at_its_last_colu
 @pytest.mark.parametrize("shape", [(20, 50, 35), (40, 40, 70), (66, 72, 70)])
 def test_blocked_elimination_on_rectangular_arrays(shape):
     """The trailing block of a k-step elimination of an m x n array, with
-    more rows or more columns than k, is the Schur complement."""
+    more rows or more columns than k, is the Schur complement, and the
+    LU gives the inverse of the leading block."""
     k, m, n = shape
     rng = random.Random(k * m * n)
     rows = [[rng.randrange(P_PANEL) if rng.random() < 0.3 else 0 for _ in range(n)]
@@ -562,6 +581,7 @@ def test_blocked_elimination_on_rectangular_arrays(shape):
     fast, slow = eliminate_both(rows, k, P_PANEL)
     assert fast == slow and fast[0] != 0
     assert_matches_fractions(rows, k, P_PANEL, fast)
+    assert_lu_inverse(rows, k, P_PANEL)  # up to 3 panels of updates between reductions
 
 
 @pytest.mark.parametrize("column", [40, 32])
@@ -587,7 +607,10 @@ def test_blocked_elimination_stops_at_the_column_without_a_pivot(column):
 def test_blocked_elimination_at_the_width_bound_with_every_factor_entry_p_minus_1():
     """At the largest prime whose panel width is 32, L and U of p - 1 make
     every multiplier and every entry of U12 p - 1, so each update forms
-    32 (p - 1)^2, the most that stays exact."""
+    32 (p - 1)^2, the most that stays exact, in the elimination and in
+    the substitutions of `_lu_solve`."""
+    import numpy as np
+
     p = width_bound_prime(32)
     assert exactlinalg._panel_width(p) == 32 and 33 * (p - 1) ** 2 + p > 2 ** 53
     k, m = 70, 80
@@ -597,9 +620,20 @@ def test_blocked_elimination_at_the_width_bound_with_every_factor_entry_p_minus_
     fast, slow = eliminate_both(rows, k, p)
     assert fast == slow
     assert fast[0] == (-1) ** k % p
-    # U above, and L22 U22 below: the Schur complement
-    want = upper[:k] + lpu(p, [row[k:] for row in lower[k:]], range(m - k), upper[k:])
+    # L and U in the first k columns, and L22 U22 right of them: the Schur complement
+    schur = lpu(p, [row[k:] for row in lower[k:]], range(m - k), upper[k:])
+    want = [[lower[i][j] if j < min(i, k) else upper[i][j] if i < k else schur[i - k][j]
+             for j in range(m)] for i in range(m)]
     assert fast[1] == want
+    assert_lu_inverse(rows, k, p)
+    # a right-hand side L Z with Z all p - 1 makes each update of the
+    # forward substitution 32 (p - 1)^2 too: one more before a reduction
+    # would pass 2^53
+    lu, order = np.array(rows, dtype=np.float64), np.arange(m)
+    exactlinalg._eliminate(lu, k, p, order)
+    b = lpu(p, [row[:k] for row in lower[:k]], range(k), [[p - 1] * 3] * k)
+    x = exactlinalg._lu_solve(lu[:k, :k], order[:k], np.array(b, dtype=np.float64), p)
+    assert lpu(p, [row[:k] for row in rows[:k]], range(k), x.astype(np.int64).tolist()) == b
 
 
 def test_blocked_elimination_just_above_the_float_limit_runs_on_int64():
@@ -634,28 +668,64 @@ def test_float_reduction_is_exact_up_to_the_float_limit(p):
     assert reduced.tolist() == [float(v % p) for v in values]
 
 
+# None stands for _prime(k, 0), the first prime of the zero test on a k x k block
 ELIMINATION_PRIMES = (2, 3, 7, 101, P_PANEL, width_bound_prime(2), width_bound_prime(3),
                       width_bound_prime(5), width_bound_prime(32), first_prime_above_float_limit(),
-                      2 ** 31 - 1, 2 ** 61 - 1)
+                      2 ** 31 - 1, 2 ** 61 - 1, None)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def bordered_inverse(rows, p):
+    """A^{-1} mod p as the Schur complement of [[A, I], [-I, 0]] over F_p
+    at split n, the oracle of the inverse from the packed LU."""
+    n = len(rows)
+    bordered = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    bordered += [[-int(i == j) for j in range(n)] + [0] * n for i in range(n)]
+    return exactlinalg.schur_complement(ExactMatrix(bordered, p), n).rows
+
+
+def assert_lu_inverse(rows, k, p):
+    """On the working dtype and on Python ints (one column a step), the
+    inverse of the nonsingular leading k x k block from its packed LU
+    (`_lu_solve` on the identity) equals the bordered one and is a right
+    inverse mod p."""
+    import numpy as np
+
+    lead = [row[:k] for row in rows[:k]]
+    for dtype in (exactlinalg._working_dtype(p), object):
+        lu, order = np.array(rows, dtype=object).astype(dtype), np.arange(len(rows))
+        assert exactlinalg._eliminate(lu, k, p, order)
+        eye = np.eye(k, dtype=dtype)
+        inverse = [[int(e) for e in row]
+                   for row in exactlinalg._lu_solve(lu[:k, :k], order[:k], eye, p).tolist()]
+        assert inverse == bordered_inverse(lead, p)
+        assert [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*inverse)]
+                for row in lead] == [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(p=st.sampled_from(ELIMINATION_PRIMES), k=st.integers(1, 12),
        extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
        density=st.sampled_from([0.2, 0.6, 1.0]), singular=st.booleans(),
-       seed=st.integers(0, 2 ** 32))
+       zero_pivots=st.integers(0, 3), seed=st.integers(0, 2 ** 32))
 def test_blocked_elimination_matches_the_object_path_and_fractions(p, k, extra, density,
-                                                                  singular, seed):
-    """Small random arrays, on primes with panels of 2, 3, 5 and 32
-    columns and on primes above the float limit (one column, int64 or
-    object): the same det, order and clobbered array as the object path
-    when nonsingular, the same diagonal up to the first zero and order
-    when singular, and the det and Schur complement of the Fraction
-    oracle."""
+                                                                  singular, zero_pivots, seed):
+    """Small random arrays, square and rectangular, some with zeros on
+    the leading diagonal, on primes with panels of 2, 3, 5 and 32
+    columns, on the zero test's first prime and on primes above the
+    float limit (one column, int64 or object): the same det, order and
+    packed LU as the object path when nonsingular, the same LU of the
+    columns before the first zero on the diagonal and order when
+    singular; the det, Schur complement and P A = L U of the Fraction
+    oracle; and, on both paths, the inverse of the leading block from
+    the LU (`_lu_solve`) equals the bordered one and is a right inverse
+    mod p."""
+    p = exactlinalg._prime(k, 0) if p is None else p
     rng = random.Random(seed)
     m, n = k + extra[0], k + extra[1]
     rows = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
             for _ in range(m)]
+    for i in range(min(zero_pivots, k)):
+        rows[i][i] = 0
     if singular and k > 1:
         i, j = rng.sample(range(k), 2)
         rows[i][:k] = [rng.randrange(p) * e % p for e in rows[j][:k]]
@@ -663,11 +733,14 @@ def test_blocked_elimination_matches_the_object_path_and_fractions(p, k, extra, 
     assert_matches_fractions(rows, k, p, fast)
     if fast[0]:
         assert fast == slow
+        assert_lu_inverse(rows, k, p)
     else:
         assert slow[0] == 0 and fast[2] == slow[2]
         first = [row[i] for i, row in enumerate(fast[1][:k])].index(0)
         assert [row[i] for i, row in enumerate(slow[1][:k])][:first + 1] == \
             [row[i] for i, row in enumerate(fast[1][:k])][:first + 1]
+        for result in (fast, slow):
+            assert_packed_lu(rows, first, p, result[1], result[2])
 
 
 def assert_largest_prime(k, q):
@@ -688,6 +761,15 @@ def m11_with_det(rng, k, d):
     mix = [[1 if i == j else rng.randint(-2, 2) * (0 < j < i) for j in range(k)] for i in range(k)]
     return [[sum(mix[i][l] * rows[l][j] for l in range(k)) for j in range(k)]
             for i in range(k)]
+
+
+def spying_inverses(monkeypatch):
+    """The (order, prime) of every `_lu_solve` call from now on."""
+    calls = []
+    real = exactlinalg._lu_solve
+    monkeypatch.setattr(exactlinalg, "_lu_solve",
+                        lambda lu, order, x, p: calls.append((len(lu), p)) or real(lu, order, x, p))
+    return calls
 
 
 @pytest.mark.parametrize("skipped", [1, 2])
@@ -727,8 +809,9 @@ def test_singular_m11_with_huge_entries_raises():
 
 
 def test_singular_m11_over_q_is_declared_after_one_inverse(monkeypatch):
-    """A singular M11 costs one F_q inverse and one CRT det, not one
-    inverse per lifting prime up to the Hadamard bound on |det M11|."""
+    """A singular M11 costs one F_q inverse, that of the certificate's
+    pivot block from the zero test's LU, not one inverse per lifting
+    prime up to the Hadamard bound on |det M11|."""
     t = SystemType(2, 2, 2, 3, 3)
     rng = random.Random(2233)
     matrix = koszul.assemble_delta1(t)
@@ -736,13 +819,10 @@ def test_singular_m11_over_q_is_declared_after_one_inverse(monkeypatch):
     part = koszul.theta_partition(matrix, theta)
     rows = part.apply(koszul.specialize(matrix, core.random_system(t, rng).with_f0(f0))).rows
     rows[0] = list(rows[1])  # two equal rows in M11
-    calls = []
-    real_solve = exactlinalg.solve
-    monkeypatch.setattr(exactlinalg, "solve",
-                        lambda a, b: calls.append(a.field) or real_solve(a, b))
+    calls = spying_inverses(monkeypatch)
     with pytest.raises(SingularMatrixError):
         exactlinalg.schur_complement(ExactMatrix(rows), part.split)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0][0] < part.split
 
 
 def test_bordered_solve_over_q_with_huge_entries_matches_cramer():
@@ -970,7 +1050,7 @@ def test_det_over_q_matches_fraction_elimination_on_both_sides_of_the_cutoff(
     divisors = []
     real_divisor = exactlinalg._divisor
     monkeypatch.setattr(exactlinalg, "_divisor",
-                        lambda a, q: divisors.append(real_divisor(a, q)) or divisors[-1])
+                        lambda *args: divisors.append(real_divisor(*args)) or divisors[-1])
     rng = random.Random(n)
     names = set()
     plain = 0
@@ -995,11 +1075,21 @@ def test_det_over_q_matches_fraction_elimination_on_both_sides_of_the_cutoff(
         assert any(d % w0 == 0 for d in divisors) and any(d % (w0 * w1) == 0 for d in divisors)
 
 
-def test_det_over_q_of_empty_and_one_by_one_matrices():
+def test_det_over_q_of_empty_and_one_by_one_matrices(monkeypatch):
+    """Up to 2^78 or so a 1 x 1 det is plain CRT; above, the zero test
+    runs one column a step on int64 modulo w0 (or w1, when w0 divides
+    the entry), whose 1 x 1 LU gives the inverse of the divisor lift,
+    which runs on Python ints."""
     assert exactlinalg.det(ExactMatrix([])) == 1
     w0, w1 = unlucky(1)
+    inverses = spying_inverses(monkeypatch)
     for value in (0, 5, -w0, w0 * w1, -2 ** 63, 2 ** 70 + 1, Fraction(-7, 3), Fraction(0)):
         assert exactlinalg.det(ExactMatrix([[value]])) == value
+    assert inverses == []
+    for value in (2 ** 80 + 1, -2 ** 90, w0 * 2 ** 80, Fraction(2 ** 90 + 1, 3)):
+        inverses.clear()
+        assert exactlinalg.det(ExactMatrix([[value]])) == value
+        assert inverses == [(1, w1 if value % w0 == 0 else w0)]
 
 
 def test_det_over_q_certifies_a_zero_at_an_unlucky_prime():
@@ -1014,10 +1104,10 @@ def test_det_over_q_certifies_a_zero_at_an_unlucky_prime():
     rows = with_column(rows, 1, [3 * row[0] + w0 * rng.randint(1, 9) for row in rows])
     rows = with_column(rows, n - 1, combination(rows, rng, n - 1, 5))
     ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
-    assert exactlinalg._zero_test(ints) is None
+    assert exactlinalg._zero_test(ints) == (None, None)
     rows[0][n - 1] += 1  # no longer singular, still 0 modulo w0
     ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
-    residues = exactlinalg._zero_test(ints)
+    residues = exactlinalg._zero_test(ints)[0]
     assert residues[0] == 0 and residues[-1] == fraction_det(rows) % w1 != 0
     assert exactlinalg.det(ExactMatrix(rows)) == fraction_det(rows)
 
@@ -1045,15 +1135,19 @@ def counting_eliminations(monkeypatch):
 @pytest.mark.parametrize("kind", ["planted", "random"])
 def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch, kind):
     """mu = 81: a planted system costs one elimination mod w0, which stops
-    at a column without a pivot, and the F_q inverse of the pivot block
-    for its certificate; a random one costs that elimination (its residue
-    is reused), the F_q inverse of the divisor lift, and just enough
-    primes for det / D, whose bound is 2 H / |D|."""
+    at a column without a pivot, and its certificate takes the F_q
+    inverse of the pivot block from that LU; a random one costs that
+    elimination (its residue is reused, its LU gives the inverse of the
+    divisor lift) and just enough primes for det / D, whose bound is
+    2 H / |D|."""
     spec = koszul_det_case(kind)
     ints = exactlinalg._int_rows(spec.array)[0]
     n = len(ints)
     bound2 = exactlinalg._hadamard2(ints, n)[1]
-    divisor = exactlinalg._divisor(ints, exactlinalg._prime(n, 0)) if kind == "random" else 1
+    divisor = 1
+    if kind == "random":
+        divisor = exactlinalg._divisor(ints, exactlinalg._prime(n, 0),
+                                       exactlinalg._zero_test(ints)[1])
     primes = 0
     modulus = 1
     while (modulus * divisor) ** 2 <= 4 * bound2:
@@ -1062,19 +1156,22 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
         modulus *= q
         primes += 1
     calls = counting_eliminations(monkeypatch)
+    inverses = spying_inverses(monkeypatch)
     value = exactlinalg.det(spec)
+    w0 = exactlinalg._prime(n, 0)
     if kind == "planted":
-        assert value == 0 and calls == [n, 2 * (n - 1)]
+        assert value == 0 and calls == [n] and len(inverses) == 1
+        assert inverses[0][0] < n and inverses[0][1] == w0
     else:
         assert value == fraction_det(spec.rows) != 0
-        assert primes >= 2 and calls == [n, 2 * n] + [n] * (primes - 1)
+        assert primes >= 2 and calls == [n] * primes and inverses == [(n, w0)]
 
 
-def test_singular_m11_over_q_is_declared_after_two_eliminations(monkeypatch):
+def test_singular_m11_over_q_is_declared_after_one_elimination(monkeypatch):
     """The mu = 81 theta-partitioned Koszul matrix with two equal rows in
     M11: one elimination of M11 mod w0, which stops at a column s without
-    a pivot, and the F_q inverse (a bordered 2s x 2s elimination) of the
-    pivot block for the certificate; no prime budget."""
+    a pivot, whose leading s x s LU gives the F_q inverse of the pivot
+    block for the certificate; no second elimination, no prime budget."""
     t = SystemType(2, 2, 2, 3, 3)
     rng = random.Random(2233)
     matrix = koszul.assemble_delta1(t)
@@ -1084,23 +1181,28 @@ def test_singular_m11_over_q_is_declared_after_two_eliminations(monkeypatch):
     rows[0] = list(rows[1])
     k = part.split
     calls = counting_eliminations(monkeypatch)
+    inverses = spying_inverses(monkeypatch)
     with pytest.raises(SingularMatrixError):
         exactlinalg.schur_complement(ExactMatrix(rows), k)
-    assert len(calls) == 2 and calls[0] == k and calls[1] < 2 * k
+    assert calls == [k] and len(inverses) == 1 and inverses[0][0] < k
 
 
 def test_every_elimination_over_q_runs_on_float64_panels(monkeypatch):
     """det, schur_complement and solve over Q of order 3 or more reduce
     modulo primes `_prime(k, i)` only, whose panels are float64: the zero
-    test, the CRT and the F_q inverse of every lift, on the rank-deficient,
-    unlucky-prime, fractional and huge cases and on the mu = 81 Koszul
-    matrices. No ExactMatrix wraps a float64 array."""
+    test, the CRT and the F_q inverse of every lift, from the zero test's
+    LU, on the rank-deficient, unlucky-prime, fractional and huge cases
+    and on the mu = 81 Koszul matrices. No ExactMatrix wraps a float64
+    array."""
     import numpy as np
 
     dtypes, wrapped = [], []
     real_eliminate, real_of = exactlinalg._eliminate, ExactMatrix._of.__func__
+    real_solve = exactlinalg._lu_solve
     monkeypatch.setattr(exactlinalg, "_eliminate",
                         lambda a, *args: dtypes.append(a.dtype) or real_eliminate(a, *args))
+    monkeypatch.setattr(exactlinalg, "_lu_solve",
+                        lambda lu, *args: dtypes.append(lu.dtype) or real_solve(lu, *args))
     monkeypatch.setattr(ExactMatrix, "_of", classmethod(
         lambda cls, array, field: wrapped.append(array.dtype) or real_of(cls, array, field)))
     rng = random.Random(3)
@@ -1127,14 +1229,11 @@ def test_a_lift_past_an_unlucky_prime_takes_one_inverse_modulo_the_certified_pri
     """det M11 a multiple of _prime(k, 0): the zero test lifts its
     certificate on a smaller pivot block modulo that prime, certifies
     _prime(k, 1), and the lift takes its one k x k F_q inverse modulo
-    it, with no search for a prime of its own."""
+    it, from the LU there, with no search for a prime of its own."""
     rng = random.Random(11)
     k, n = 4, 2
     q0, q1 = unlucky(k)
-    solves = []
-    real_solve = exactlinalg.solve
-    monkeypatch.setattr(exactlinalg, "solve",
-                        lambda a, b: solves.append((a.nrows, a.field)) or real_solve(a, b))
+    solves = spying_inverses(monkeypatch)
     for trial in range(6):
         lead = m11_with_det(rng, k, q0 * rng.choice((-3, -1, 1, 2)))
         if trial % 2:
@@ -1142,7 +1241,7 @@ def test_a_lift_past_an_unlucky_prime_takes_one_inverse_modulo_the_certified_pri
         rows = [row + [rng.randint(-9, 9) for _ in range(n)] for row in lead]
         rows += [[rng.randint(-9, 9) for _ in range(k + n)] for _ in range(n)]
         ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
-        assert len(exactlinalg._zero_test(ints[:k, :k])) == 2  # certifies q1
+        assert len(exactlinalg._zero_test(ints[:k, :k])[0]) == 2  # certifies q1
         solves.clear()
         assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == \
             reference_schur(rows, k)
