@@ -38,8 +38,11 @@ with the block's inverse there from the LU of the same elimination.
 without early termination: the zero test, then the denominator D of
 -c A^{-1} b for fixed small integer vectors b and c, a divisor of det A
 from one p-adic lift (`_divisor`), then CRT on det / D over the same
-primes until their product exceeds 2 H / |D|, H the Hadamard bound.
-Below a small budget (`_CRT_MAX_PRIMES`) it is plain CRT with D = 1.
+primes until their product exceeds 2 B / |D|, B the smaller of the
+Hadamard bound H and a bound verified in floating point
+(`_verified_bound2`), which lands within a bit of |det| where H may
+overshoot it by hundreds of bits. Below a small budget
+(`_CRT_MAX_PRIMES`) it is plain CRT with D = 1 and B = H.
 The Schur complement, and so `solve`, is Dixon's p-adic lifting
 (`_lift_schur`) once the zero test has found M11 nonsingular
 (SingularMatrixError otherwise): with the zero test's inverse of M11
@@ -58,7 +61,13 @@ reduction x - floor(x / p) p by a true division is exact there; every
 with b = 1 on the storage dtype, one rank-1 update per step. In the
 lifting the product with [M11; M21] runs in float64 only while
 k * max|entry| * q < 2^53 (`_lift_dtype`), else on Python ints.
-`to_float` is the one lossy conversion.
+The verified bound on |det| is the one inexact float computation, and
+it is rigorous: under the error model of a conventional (not Strassen)
+float64 matrix product with IEEE round-to-nearest and no underflow,
+which OpenBLAS, MKL and numpy's own loops meet and the 2^-500 floor of
+`_verified_bound2` keeps, it is never below |det|. An object array, an
+entry of 2^53 or more, or a value that is not finite leaves H alone, so
+every det stays certified. `to_float` is the one lossy conversion.
 
 The field tag of an ExactMatrix is None for the rationals or the prime
 p itself. A composite tag is rejected with ValueError.
@@ -95,10 +104,13 @@ _FLOAT_EXACT_LIMIT = 2 ** 53
 # the widest panel of `_eliminate` (measured best on the Koszul ladder)
 _PANEL_MAX = 32
 
-# rows per product of `_eliminate`'s trailing update, and per step of
-# `_reduce`: the temporaries stay small (they would reach twice the
-# trailing block) and in cache
+# rows per product of `_eliminate`'s trailing update: the temporaries
+# stay small (they would reach twice the trailing block) and in cache
 _UPDATE_ROWS = 128
+
+# entries per step of `_reduce`, at least `_UPDATE_ROWS` rows: a narrow
+# array (a lift's k x 1 residues) takes one pass, a wide one 128 rows
+_REDUCE_ENTRIES = 2 ** 16
 
 # Miller-Rabin with these bases is exact below 3.3e24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -330,13 +342,15 @@ def _reduce(x, p: int):
     correction: the rounding error of the true division x / p is below
     |x| 2^-53 / p < 1 / p, the least distance from x / p up to the next
     integer, and floor(x / p) p, below |x| + p, is an exact float64.
-    (np.fmod, whose cost grows with x, is avoided.) It runs
-    `_UPDATE_ROWS` rows at a time, so its temporary stays small. Any
-    other dtype (int64, object) takes %."""
+    (np.fmod, whose cost grows with x, is avoided.) It runs about
+    `_REDUCE_ENTRIES` entries, and at least `_UPDATE_ROWS` rows, at a
+    time, so its temporary stays small. Any other dtype (int64, object)
+    takes %."""
     if x.dtype != np.float64:
         return np.remainder(x, p, out=x)
-    for i in range(0, len(x), _UPDATE_ROWS):
-        rows = x[i:i + _UPDATE_ROWS]
+    step = max(_UPDATE_ROWS, _REDUCE_ENTRIES * len(x) // max(x.size, 1))
+    for i in range(0, len(x), step):
+        rows = x[i:i + step]
         quotient = rows / p
         np.floor(quotient, out=quotient)
         quotient *= p
@@ -556,6 +570,69 @@ def _hadamard2(a, k: int):
             min(bound(lead.sum(axis=1)), bound(lead.sum(axis=0))))
 
 
+def _verified_bound2(a) -> Fraction | None:
+    """A rigorous upper bound on (det a)^2 for a square int64 array a of
+    entries below 2^53 in absolute value, verified in floating point
+    (Rump, Acta Numerica 2010); None for any other array, or when an
+    intermediate is not finite or X below is singular.
+
+    X is the upper triangle of R^{-1}, R from the QR of a, with entries
+    below 2^-500 set to 0; any upper-triangular X gives a valid bound,
+    X near R^{-1} a tight one, since then a X is nearly orthogonal. With
+    u = 2^-53 and gamma_n = n u / (1 - n u), a conventional product of
+    floats (any order of summation, no Strassen) has |fl(a X) - a X| <=
+    gamma_n |a| |X| when nothing underflows, and fl(|a| |X|) >= (1 -
+    gamma_n) |a| |X|; so E = 2 gamma_n fl(|a| |X|) bounds |a X - B|, B =
+    fl(a X). Nothing underflows: every value the two products form is an
+    integer times 2^-552, the spacing of floats of at least 2^-500, so 0
+    or normal, and so is E; the entries of |B| + E are raised to at least
+    2^-500 before they are squared. Hadamard's inequality on the rows of
+    a X then gives |det a| |det X| <= prod_i || |B_i| + E_i ||_2; the
+    squared norms s_i, each summed in float64, lose at most n + 2
+    roundings down, so (det a)^2 <= prod_i s_i / ((1 - n (n + 2) u)
+    prod_i X_ii^2), taken exactly in Fractions of the floats.
+    """
+    n = len(a)
+    if a.dtype != np.int64 or n * (n + 2) >= 2 ** 52 or int(np.abs(a).max()) >= _FLOAT_EXACT_LIMIT:
+        return None
+    a = a.astype(np.float64)
+    try:
+        x = np.triu(np.linalg.inv(np.linalg.qr(a, mode="r")))
+    except np.linalg.LinAlgError:
+        return None
+    magnitude = np.abs(x)
+    kept = magnitude >= 2.0 ** -500  # NaN is not, and stays NaN
+    x *= kept
+    magnitude *= kept
+    diagonal = x.diagonal()
+    if not (np.isfinite(x).all() and diagonal.all()):
+        return None
+    gamma = Fraction(n, 2 ** 53 - n)
+    slack = np.nextafter(float(2 * gamma), np.inf)  # rounded up, at least 2 gamma_n
+    norms2 = np.empty(n)
+    for i in range(0, n, _UPDATE_ROWS):  # the temporaries stay small
+        rows = a[i:i + _UPDATE_ROWS]
+        error = np.abs(rows) @ magnitude
+        error *= slack
+        rows = rows @ x
+        np.abs(rows, out=rows)
+        rows += error
+        np.maximum(rows, 2.0 ** -500, out=rows)
+        rows *= rows
+        norms2[i:i + _UPDATE_ROWS] = rows.sum(axis=1)
+    if not np.isfinite(norms2).all():
+        return None
+    num, den = _dyadic_product(norms2)
+    xnum, xden = _dyadic_product(np.abs(diagonal))
+    return Fraction(num * xden ** 2, den * xnum ** 2) / (1 - Fraction(n * (n + 2), 2 ** 53))
+
+
+def _dyadic_product(values) -> tuple[int, int]:
+    """(numerator, denominator) of the exact product of positive floats."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    return prod(num for num, _ in ratios), prod(den for _, den in ratios)
+
+
 # a det over Q whose Hadamard budget fits in this many of its primes,
 # 2 H < _prime(n, 0)^_CRT_MAX_PRIMES, runs plain CRT; beyond it the
 # divisor lift pays (measured crossover, README)
@@ -570,11 +647,13 @@ def _multimodular(a) -> int:
     `_prime(n, 0)`, the zero test either certifies det = 0 or ends at the
     first nonzero residue, and one p-adic lift modulo that residue's
     prime, with the inverse from the test's LU, gives a divisor D of det
-    (`_divisor`); otherwise D = 1. Then
-    det / D runs n elimination steps modulo the descending primes
-    `_prime(n, i)`, skipping those that divide D and reusing the residues
-    the zero test found, recombined by CRT (Garner) until the product of
-    the primes exceeds 2 H / |D|; D times the symmetric residue is det. A
+    (`_divisor`), and B is the smaller of H and the bound verified in
+    floating point (`_verified_bound2`, H alone where that gives none);
+    otherwise D = 1 and B = H. Then det / D runs n elimination steps
+    modulo the descending primes `_prime(n, i)`, skipping those that
+    divide D and reusing the residues the zero test found, recombined by
+    CRT (Garner) until the product of the primes exceeds 2 B / |D|; D
+    times the symmetric residue is det, certified since |det| <= B. A
     residue 0 is just a residue.
     """
     n = len(a)
@@ -585,6 +664,9 @@ def _multimodular(a) -> int:
         if residues is None:
             return 0
         divisor = _divisor(a, _prime(n, len(residues) - 1), inverse)
+        verified2 = _verified_bound2(a)
+        if verified2 is not None:
+            bound2 = min(bound2, verified2)
     d = 0
     modulus = 1
     for i in count():

@@ -4,7 +4,7 @@ criterion for the leading block."""
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1139,7 +1139,8 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
     inverse of the pivot block from that LU; a random one costs that
     elimination (its residue is reused, its LU gives the inverse of the
     divisor lift) and just enough primes for det / D, whose bound is
-    2 H / |D|."""
+    2 B / |D|, B the smaller of the Hadamard bound and the verified one.
+    The verified bound is the smaller, and one prime suffices."""
     spec = koszul_det_case(kind)
     ints = exactlinalg._int_rows(spec.array)[0]
     n = len(ints)
@@ -1148,6 +1149,9 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
     if kind == "random":
         divisor = exactlinalg._divisor(ints, exactlinalg._prime(n, 0),
                                        exactlinalg._zero_test(ints)[1])
+        verified2 = exactlinalg._verified_bound2(ints)
+        assert verified2 < bound2
+        bound2 = verified2
     primes = 0
     modulus = 1
     while (modulus * divisor) ** 2 <= 4 * bound2:
@@ -1164,7 +1168,91 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
         assert inverses[0][0] < n and inverses[0][1] == w0
     else:
         assert value == fraction_det(spec.rows) != 0
-        assert primes >= 2 and calls == [n] * primes and inverses == [(n, w0)]
+        assert primes == 1 and calls == [n] * primes and inverses == [(n, w0)]
+
+
+def verified_bound2(rows, used=True):
+    """The verified bound on (det rows)^2, checked to be at least the
+    Fraction-elimination det squared (and so is its minimum with the
+    Hadamard bound); `used` is whether it must exist, None for either.
+    det over Q must match either way."""
+    a = ExactMatrix(rows).array
+    bound2 = exactlinalg._verified_bound2(a)
+    value = fraction_det(rows)
+    if used is not None:
+        assert (bound2 is not None) == used
+    if bound2 is not None:
+        assert bound2 >= value ** 2
+        assert min(exactlinalg._hadamard2(a, len(a))[1], bound2) >= value ** 2
+    assert exactlinalg.det(ExactMatrix(rows)) == value
+    return bound2
+
+
+def sylvester_hadamard(n):
+    rows = [[1]]
+    while len(rows) < n:
+        rows = [row + row for row in rows] + [row + [-e for e in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_verified_bound_holds_on_hadamard_matrices_where_hadamards_bound_is_exact(n):
+    """|det| = n^(n/2) = H for a Sylvester-Hadamard matrix: the verified
+    bound may not undercut it, and lies within 2^-30 of it."""
+    bound2 = verified_bound2(sylvester_hadamard(n))
+    assert bound2 <= Fraction(n ** n) * (1 + Fraction(1, 2 ** 30))
+
+
+def test_verified_bound_holds_on_nearly_singular_and_ill_conditioned_matrices():
+    """One row another plus a unit vector, so det is one cofactor; and
+    Hilbert matrices scaled to integers, up to condition numbers past
+    1 / 2^-53, where the bound may be loose or give up."""
+    rng = random.Random(17)
+    for n in (3, 8, 20):
+        for trial in range(4):
+            rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+            i, j = rng.sample(range(n), 2)
+            rows[i] = list(rows[j])
+            rows[i][rng.randrange(n)] += rng.choice((-1, 1))
+            verified_bound2(rows, None if fraction_det(rows) == 0 else True)
+    for n in (4, 8, 11, 14):
+        scale = lcm(*range(1, 2 * n))
+        verified_bound2([[scale // (i + j + 1) for j in range(n)] for i in range(n)],
+                        True if n <= 8 else None)
+
+
+def test_verified_bound_exists_only_below_the_float_limit():
+    """Entries up to 2^53 - 1 are exact in float64 and take the bound;
+    an entry of 2^53 (int64) or of 2^70 (object storage) falls back to
+    the Hadamard bound alone, with the same det."""
+    rng = random.Random(53)
+    n = 6
+    for top, used in ((2 ** 53 - 1, True), (2 ** 53, False), (2 ** 70, False)):
+        rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, 1)) * top
+        rows[0][0] = top
+        verified_bound2(rows, used)
+
+
+def test_verified_bound_of_small_orders_and_the_mu_81_koszul_matrix():
+    """n = 1 and 2, and a Koszul det, where the bound is within a bit."""
+    for rows in ([[5]], [[-7]], [[2 ** 53 - 1]], [[1, 2], [3, 4]], [[0, 3], [-5, 0]],
+                 [[2 ** 52, 1], [1, 2 ** 52]]):
+        verified_bound2(rows)
+    assert verified_bound2([[0]], None) in (None, 0)
+    spec = koszul_det_case("random")
+    ints = exactlinalg._int_rows(spec.array)[0]
+    value = exactlinalg.det(spec)
+    assert value ** 2 <= exactlinalg._verified_bound2(ints) <= 4 * value ** 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 53 + 1, 2 ** 53 - 1)),
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_verified_bound_is_never_below_the_determinant(rows):
+    """Small orders, entries small or up to 2^53 - 1, singular or not."""
+    verified_bound2(rows, None)
 
 
 def test_singular_m11_over_q_is_declared_after_one_elimination(monkeypatch):
