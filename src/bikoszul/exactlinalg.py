@@ -12,15 +12,17 @@ In that form a scalar read is a lookup and a submatrix remaps the
 cells; otherwise a submatrix is one fancy index. One blocked
 elimination mod p, `_eliminate`, runs on those arrays: k Gaussian steps
 that pivot on the first nonzero among the leading k rows, in panels of
-b columns, each panel's update of the rows below one float64 BLAS
-matmul. After k steps the entries below the diagonal hold L, those on
-and above it U, the packed LU of the rows in pivot order, and the block
-below and right of the leading one is the Schur complement. Over F_p
-it serves `det` (n steps), `schur_complement` (k steps) and `solve`
-(n steps, then `_lu_solve`: forward with L and back with U, in the
-same panels). On a 0 return (a singular leading block) the LU of the
-columns before the first one without a pivot, the first zero on the
-diagonal, and the row order are defined.
+b columns. A panel's own steps run on an int64 copy of its live rows
+(those with a nonzero in its columns), with delayed reduction; its
+update of the rows below is one float64 BLAS matmul. After k steps the
+entries below the diagonal hold L, those on and above it U, the packed
+LU of the rows in pivot order, and the block below and right of the
+leading one is the Schur complement. Over F_p it serves `det` (n
+steps), `schur_complement` (k steps) and `solve` (n steps, then
+`_lu_solve`: forward with L and back with U, in the same panels). On
+a 0 return (a singular leading block) the LU of the columns before
+the first one without a pivot, the first zero on the diagonal, and the
+row order are defined.
 
 Over Q both paths first clear denominators row by row, once. Every
 modular step over Q on a block of order k runs modulo one family of
@@ -55,7 +57,10 @@ Floats enter the exact paths only where every value is an integer
 below 2^53 and so exact in float64. In the elimination mod p the panel
 width b is the largest up to 32 with b (p-1)^2 + p <= 2^53
 (`_panel_width`), which bounds each dot product of residues, and the
-reduction x - floor(x / p) p by a true division is exact there; every
+reduction x - floor(x / p) p by a true division is exact there. Inside
+the panel's int64 copy, the rank-1 updates of its steps go unreduced:
+b - 1 products below (p - 1)^2 keep every entry above -2^54, and each
+entry is reduced once, when its column or row is the pivot's. Every
 `_prime(k, i)` with k >= 2 leaves b >= 2. When no b >= 2 fits (p >
 2^26: user primes, and the primes of a 1 x 1 block), the same loop runs
 with b = 1 on the storage dtype, one rank-1 update per step. In the
@@ -382,24 +387,39 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
     `_panel_width(p)` on a float64 array and 1 on any other. Each step of
     a panel pivots, swaps two rows of the panel (and the two entries of
     `order`, an index array of the rows, when one is given), subtracts
-    the multiple of the pivot row that zeroes the pivot column from each
-    row with a nonzero there, over the panel's columns, and stores the
-    multiple, an entry of L, in its place. The panel's swaps then move
-    the rest of those rows, left of the panel too (LAPACK's dlaswp).
+    the multiple of the pivot row that zeroes the pivot column from the
+    rows below, over the panel's columns, and stores the multiple, an
+    entry of L, in its place. The panel's swaps then move the rest of
+    those rows, left of the panel too (LAPACK's dlaswp).
 
     b = 1 on an int64 array (p < 2^31, so (p - 1)^2 fits) or an object
     array of Python ints: the panel is every column from the pivot on, so
-    a step is one rank-1 update of the rows below, reduced at once.
+    a step is one rank-1 update of the rows with a nonzero in the pivot
+    column, reduced at once.
 
-    b > 1 on float64: the panel is a reduced int64 copy of its b columns,
-    of every row from its first. After its b steps, U12 = L11^{-1} A12
-    on the panel's own rows, and BLAS matmuls A22 -= L21 U12,
-    `_UPDATE_ROWS` rows at a time, update the rows below that have a
-    multiplier. The entries stay integers in [-low, p) with low + p <=
-    2^53: an update lowers low by at most b (p - 1)^2, every partial sum
-    is an integer below 2^53 and so exact, and the trailing block is
-    reduced (`_reduce`, exact there) only when the next update could pass
-    that bound. b (p - 1)^2 + p <= 2^53 (`_panel_width`) lets one update
+    b > 1 on float64: the panel is an int64 copy of its b columns, on its
+    b leading rows and the live rows below them, those with a nonzero in
+    its columns; every other row is 0 there, so it has no pivot, no
+    multiplier and no update. The pivot search runs on the compact rows
+    before k, and the swaps and the write-back go through the map of
+    compact rows to rows. A step reduces only the pivot column and the
+    pivot row, turns the column below the pivot into multipliers in
+    place, and subtracts their outer product with the pivot row from the
+    block below and right of the pivot, unreduced (the delayed reduction
+    of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 2008). Each
+    product is below (p - 1)^2, and an entry takes at most b - 1 of them,
+    so the copy stays above -low - (b - 1) (p - 1)^2 > -2^54, where
+    int64 is exact. Every entry is reduced once, at the step whose pivot
+    column or row holds it, so the copy is written back reduced; after a
+    column without a pivot, the columns past it are reduced then.
+    After the panel's steps, U12 = L11^{-1} A12 on the panel's own rows,
+    and BLAS matmuls A22 -= L21 U12, `_UPDATE_ROWS` rows at a time,
+    update the rows below that have a multiplier. The entries of the
+    float64 array stay integers in [-low, p) with low + p <= 2^53: an
+    update lowers low by at most b (p - 1)^2, every partial sum is an
+    integer below 2^53 and so exact, and the trailing block is reduced
+    (`_reduce`, exact there) only when the next update could pass that
+    bound. b (p - 1)^2 + p <= 2^53 (`_panel_width`) lets one update
     always fit.
 
     Returns the determinant of the leading k x k block, 0 when it is
@@ -420,28 +440,46 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
         end = min(start + b, k)
         width = end - start
         if b == 1:  # every column from the pivot's on: a step is the whole update
-            panel = a[start:, start:]
-        else:  # a reduced int64 copy of the panel
-            panel = a[start:, start:end].astype(np.int64)
-            panel %= p
-        moved = {}  # row of the panel -> the row of a[start:] the swaps put there
+            panel, live, top = a[start:, start:], None, k - start
+        else:  # an int64 copy of the leading rows and the live rows below
+            block = a[start:, start:end]
+            live = np.concatenate((np.arange(width),
+                                   width + np.flatnonzero(block[width:].any(axis=1))))
+            panel = block[live].astype(np.int64)
+            top = int(np.searchsorted(live, k - start))  # the compact rows before k
+        moved = {}  # row of a[start:] -> the row the swaps put there
         for c in range(width):
-            lead = panel[c:k - start, c].nonzero()[0]
+            column = panel[c:, c]
+            if b > 1:
+                column %= p
+            lead = column[:top - c].nonzero()[0]
             if lead.size == 0:
                 det = 0
                 break
             if lead[0]:
-                j = c + lead[0]
-                panel[[c, j]] = panel[[j, c]]
+                j = c + int(lead[0])
+                row = panel[c].copy()
+                panel[c] = panel[j]
+                panel[j] = row
+                if live is not None:  # the row of a[start:] of compact row j
+                    j = int(live[j])
                 moved[c], moved[j] = moved.get(j, j), moved.get(c, c)
                 det = -det
             ps = int(panel[c, c])
             det = det * ps % p
-            rows = c + 1 + panel[c + 1:, c].nonzero()[0]
-            if rows.size:
-                f = panel[rows, c] * pow(ps, -1, p) % p
-                panel[rows, c + 1:] = (panel[rows, c + 1:] - f[:, None] * panel[c, c + 1:]) % p
-                panel[rows, c] = f
+            if b == 1:
+                rows = c + 1 + panel[c + 1:, c].nonzero()[0]
+                if rows.size:
+                    f = panel[rows, c] * pow(ps, -1, p) % p
+                    panel[rows, c + 1:] = (panel[rows, c + 1:] - f[:, None] * panel[c, c + 1:]) % p
+                    panel[rows, c] = f
+            else:
+                pivot_row = panel[c, c + 1:]
+                pivot_row %= p
+                f = column[1:]  # the multipliers, in place
+                f *= pow(ps, -1, p)
+                f %= p
+                panel[c + 1:, c + 1:] -= f[:, None] * pivot_row
         if moved:
             to, source = start + np.array(list(moved)), start + np.array(list(moved.values()))
             if order is not None:
@@ -450,7 +488,9 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
             if b > 1:
                 a[to, end:] = a[source, end:]
         if b > 1:
-            a[start:, start:end] = panel
+            if det == 0:  # the steps reduced the columns up to this one only
+                panel %= p
+            block[live] = panel
         if det == 0:
             return 0
         if b > 1 and end < n:
@@ -458,14 +498,14 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
             if low:
                 _reduce(u12, p)
             u12[...] = _reduce(_unit_lower_inverse(np.tril(panel[:width], -1), p) @ u12, p)
-            below = end + panel[width:].any(axis=1).nonzero()[0]
-            if below.size:
+            multiplied = width + np.flatnonzero(panel[width:].any(axis=1))
+            if multiplied.size:
+                below, l21 = start + live[multiplied], panel[multiplied].astype(np.float64)
                 if low + step + p > _FLOAT_EXACT_LIMIT:
                     _reduce(a[end:, end:], p)
                     low = 0
                 for i in range(0, below.size, _UPDATE_ROWS):
-                    rows = below[i:i + _UPDATE_ROWS]
-                    a[rows, end:] -= panel[rows - start].astype(np.float64) @ u12
+                    a[below[i:i + _UPDATE_ROWS], end:] -= l21[i:i + _UPDATE_ROWS] @ u12
                 low += step
     if low:
         _reduce(a[k:, k:], p)
@@ -570,13 +610,13 @@ def _hadamard2(a, k: int):
             min(bound(lead.sum(axis=1)), bound(lead.sum(axis=0))))
 
 
-def _verified_bound2(a) -> Fraction | None:
-    """A rigorous upper bound on (det a)^2 for a square int64 array a of
-    entries below 2^53 in absolute value, verified in floating point
-    (Rump, Acta Numerica 2010); None for any other array, or when an
-    intermediate is not finite or X below is singular.
+def _verified_bound2(a) -> int | None:
+    """A rigorous upper bound on (det a)^2, an integer, for a square int64
+    array a of entries below 2^53 in absolute value, verified in floating
+    point (Rump, Acta Numerica 2010); None for any other array, or when
+    an intermediate is not finite or X below is singular.
 
-    X is the upper triangle of R^{-1}, R from the QR of a, with entries
+    X is R^{-1} from `_upper_inverse`, R from the QR of a, with entries
     below 2^-500 set to 0; any upper-triangular X gives a valid bound,
     X near R^{-1} a tight one, since then a X is nearly orthogonal. With
     u = 2^-53 and gamma_n = n u / (1 - n u), a conventional product of
@@ -590,14 +630,15 @@ def _verified_bound2(a) -> Fraction | None:
     a X then gives |det a| |det X| <= prod_i || |B_i| + E_i ||_2; the
     squared norms s_i, each summed in float64, lose at most n + 2
     roundings down, so (det a)^2 <= prod_i s_i / ((1 - n (n + 2) u)
-    prod_i X_ii^2), taken exactly in Fractions of the floats.
+    prod_i X_ii^2), whose ceiling is taken exactly from the integer
+    ratios of the floats, with one floor division.
     """
     n = len(a)
     if a.dtype != np.int64 or n * (n + 2) >= 2 ** 52 or int(np.abs(a).max()) >= _FLOAT_EXACT_LIMIT:
         return None
     a = a.astype(np.float64)
     try:
-        x = np.triu(np.linalg.inv(np.linalg.qr(a, mode="r")))
+        x = _upper_inverse(np.linalg.qr(a, mode="r"))
     except np.linalg.LinAlgError:
         return None
     magnitude = np.abs(x)
@@ -624,7 +665,28 @@ def _verified_bound2(a) -> Fraction | None:
         return None
     num, den = _dyadic_product(norms2)
     xnum, xden = _dyadic_product(np.abs(diagonal))
-    return Fraction(num * xden ** 2, den * xnum ** 2) / (1 - Fraction(n * (n + 2), 2 ** 53))
+    # the ceiling of num xden^2 / (den xnum^2 (1 - n (n + 2) 2^-53))
+    return -(-num * xden ** 2 * 2 ** 53 // (den * xnum ** 2 * (2 ** 53 - n * (n + 2))))
+
+
+# blocks of at most this order are inverted by LAPACK in `_upper_inverse`
+_TRIANGLE_LEAF = 64
+
+
+def _upper_inverse(r):
+    """The inverse, upper triangular, of an upper-triangular float64
+    array, by halves: [[A, B], [0, C]]^{-1} = [[A^{-1}, -A^{-1} B C^{-1}],
+    [0, C^{-1}]], two matmuls per split, down to blocks of at most
+    `_TRIANGLE_LEAF` rows; LinAlgError when such a block is singular."""
+    n = len(r)
+    if n <= _TRIANGLE_LEAF:
+        return np.triu(np.linalg.inv(r))
+    h = n // 2
+    x = np.zeros_like(r)
+    x[:h, :h] = _upper_inverse(r[:h, :h])
+    x[h:, h:] = _upper_inverse(r[h:, h:])
+    x[:h, h:] = -(x[:h, :h] @ r[:h, h:]) @ x[h:, h:]
+    return x
 
 
 def _dyadic_product(values) -> tuple[int, int]:
@@ -897,7 +959,11 @@ def to_float(m: ExactMatrix):
 
 def fraction_mod_p(value, p: int) -> int:
     """Image of an exact rational in F_p; denominator must be a unit."""
-    value = Fraction(value)
-    if value.denominator % p == 0:
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return num % p
+    if den % p == 0:
         raise ZeroDivisionError(f"denominator of {value} vanishes mod {p}")
-    return value.numerator * pow(value.denominator, p - 2, p) % p
+    return num * pow(den, -1, p) % p

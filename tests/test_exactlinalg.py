@@ -329,6 +329,25 @@ def test_constructor_reduces_every_entry_kind_into_the_field():
     assert ExactMatrix([]).nrows == ExactMatrix([], 5).ncols == 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 1_000_003, 2 ** 61 - 1])
+def test_fraction_mod_p_matches_fermat_and_rejects_a_vanishing_denominator(p):
+    """Integers reduce by %, other rationals through the inverse of the
+    denominator mod p: both equal n d^(p - 2) mod p, an int in [0, p);
+    a denominator divisible by p is a ZeroDivisionError."""
+    rng = random.Random(p)
+    values = [0, 1, -1, p, -p - 1, 2 ** 70 + 3, Fraction(-2, 3), Fraction(5, 7),
+              Fraction(2 ** 65 + 1, 3 ** 40), Fraction(1, p), Fraction(-7, 2 * p)]
+    values += [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6)) for _ in range(200)]
+    for value in values:
+        num, den = value.numerator, value.denominator
+        if den % p:
+            image = exactlinalg.fraction_mod_p(value, p)
+            assert type(image) is int and image == num * pow(den, p - 2, p) % p
+        else:
+            with pytest.raises(ZeroDivisionError):
+                exactlinalg.fraction_mod_p(value, p)
+
+
 def test_rank_and_nullspace():
     m = ExactMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank(m) == 2
@@ -608,11 +627,16 @@ def test_blocked_elimination_at_the_width_bound_with_every_factor_entry_p_minus_
     """At the largest prime whose panel width is 32, L and U of p - 1 make
     every multiplier and every entry of U12 p - 1, so each update forms
     32 (p - 1)^2, the most that stays exact, in the elimination and in
-    the substitutions of `_lu_solve`."""
+    the substitutions of `_lu_solve`. The second panel's int64 copy
+    starts at a residue minus 32 (p - 1)^2 (one trailing update, not yet
+    reduced), and its steps subtract (p - 1)^2 from its last column 31
+    times with no reduction in between: past -2^53, where float64 would
+    round, and within int64."""
     import numpy as np
 
     p = width_bound_prime(32)
     assert exactlinalg._panel_width(p) == 32 and 33 * (p - 1) ** 2 + p > 2 ** 53
+    assert -(32 + 31) * (p - 1) ** 2 < -2 ** 53 and 64 * (p - 1) ** 2 < 2 ** 63
     k, m = 70, 80
     lower = [[1 if i == j else p - 1 if j < i else 0 for j in range(m)] for i in range(m)]
     upper = [[p - 1 if j >= i else 0 for j in range(m)] for i in range(m)]
@@ -651,6 +675,94 @@ def test_blocked_elimination_just_above_the_float_limit_runs_on_int64():
         fast, slow = eliminate_both(rows, 40, q)
         assert fast == slow and fast[0] != 0
         assert_matches_fractions(rows, 40, q, fast)
+
+
+def test_live_panel_gives_a_pivot_to_a_dead_leading_row():
+    """Rows 0 and 5 are 0 in every column of the first panel, so its
+    int64 copy holds them only as leading rows; the pivots of columns 0
+    and 5 come from rows 40 and 45, below the panel, and the dead rows
+    take their places there, with their columns outside the panel."""
+    rng = random.Random(5)
+    m = 50
+    perm = list(range(m))
+    perm[0], perm[40], perm[5], perm[45] = 40, 0, 45, 5
+    lower = [[1 if i == j else rng.randrange(P_PANEL) if j < i and i not in (0, 5) else 0
+              for j in range(m)] for i in range(m)]
+    upper = [[rng.randrange(1, P_PANEL) if i == j else rng.randrange(P_PANEL) if j > i else 0
+              for j in range(m)] for i in range(m)]
+    rows = lpu(P_PANEL, lower, perm, upper)
+    assert [i for i, row in enumerate(rows) if not any(row[:32])] == [0, 5]
+    fast, slow = eliminate_both(rows, m, P_PANEL)
+    assert fast == slow and fast[0] != 0
+    order = fast[2]
+    assert (order[0], order[5], order[40], order[45]) == (40, 45, 0, 5)
+    assert_matches_fractions(rows, m, P_PANEL, fast)
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_live_panel_whose_live_rows_below_are_all_past_k(singular):
+    """k = 40 of 60 rows: below the leading rows of the second panel
+    (columns 32 to 39) only rows k and after are live, so the pivot
+    search has the leading rows alone. Nonsingular, the pivot of column
+    32 is row 33; singular, column 35 of the leading rows is a
+    combination of the columns before it, while the rows past k are not
+    0 there: 0, with the first zero on the diagonal at 35."""
+    rng = random.Random(40)
+    k, m = 40, 60
+    if singular:
+        rows = [[rng.randrange(P_PANEL) for _ in range(m)] for _ in range(m)]
+        weights = [rng.randrange(P_PANEL) for _ in range(35)]
+        for row in rows[:k]:
+            row[35] = sum(w * e for w, e in zip(weights, row)) % P_PANEL
+    else:
+        perm = list(range(m))
+        perm[32], perm[33] = 33, 32
+        rows = random_lpu(rng, P_PANEL, m, m, k, perm)
+    fast, slow = eliminate_both(rows, k, P_PANEL)
+    assert fast[2] == slow[2]
+    assert_matches_fractions(rows, k, P_PANEL, fast)
+    if singular:
+        assert fast[0] == slow[0] == 0
+        diagonal = [row[i] for i, row in enumerate(fast[1][:k])]
+        assert 0 not in diagonal[:35] and diagonal[35] == 0
+        assert all(row[35] for row in rows[k:])
+    else:
+        assert fast == slow and fast[0] != 0 and fast[2][32] == 33
+
+
+@pytest.mark.parametrize("k", [50, 40])
+def test_live_panel_with_no_live_row_below_it(k):
+    """Rows 32 and after are 0 in the first panel's columns: its copy is
+    its 32 leading rows, and no row below takes a multiplier or a
+    trailing update; the det (k = 50) and the Schur complement (k = 40)
+    still match the Fraction oracle."""
+    rng = random.Random(k)
+    m = 56
+    rows = [[rng.randrange(P_PANEL) if (i < 32 or j >= 32) and rng.random() < 0.5 else 0
+             for j in range(m)] for i in range(m)]
+    for i in range(k):
+        rows[i][i] = rng.randrange(1, P_PANEL)
+    fast, slow = eliminate_both(rows, k, P_PANEL)
+    assert fast == slow and fast[0] != 0
+    assert all(row[:32] == [0] * 32 for row in fast[1][32:])
+    assert_matches_fractions(rows, k, P_PANEL, fast)
+    assert_lu_inverse(rows, k, P_PANEL)
+
+
+@pytest.mark.parametrize("p, k", [(P_PANEL, 33), (width_bound_prime(5), 11)])
+def test_live_panel_of_one_row_at_the_end(p, k):
+    """k one past a multiple of the panel width: the last panel is one
+    column and one leading row, on the float64 path."""
+    import numpy as np
+
+    rng = random.Random(k)
+    m = k + 6
+    rows = random_lpu(rng, p, m, m, k, [*range(k - 2), k - 1, k - 2, *range(k, m)])
+    fast, slow = eliminate_both(rows, k, p)
+    assert exactlinalg._working_dtype(p) == np.float64 and k % exactlinalg._panel_width(p) == 1
+    assert fast == slow and fast[0] != 0
+    assert_matches_fractions(rows, k, p, fast)
+    assert_lu_inverse(rows, k, p)
 
 
 @pytest.mark.parametrize("p", [3, P_PANEL, width_bound_prime(32), width_bound_prime(2)])
@@ -1171,6 +1283,26 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
         assert primes == 1 and calls == [n] * primes and inverses == [(n, w0)]
 
 
+@pytest.mark.parametrize("ty", [(2, 2, 2, 3, 3), (3, 3, 1, 4, 3), (3, 2, 2, 4, 3)])
+def test_det_over_q_of_the_seed_1_resultant_inputs_runs_one_elimination(monkeypatch, ty):
+    """The random systems of the benchmark's `resultant` op at seed 1 (mu
+    81, 136, 192), drawn the same way: their det over Q runs one
+    elimination, the zero test's, since the verified bound leaves one
+    prime for det / D; its value mod p is the det over F_p."""
+    t = SystemType(*ty)
+    rng = random.Random(f"1:resultant:{ty}")
+    point = ProjectiveSolution(*(tuple([1] + [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)])
+                                 for n in t.dims))
+    core.planted_root_system(t, point, rng, include_f0=True)
+    f0 = solver.choose_f0_and_theta(t, rng)[0]
+    system = core.random_system(t, rng).with_f0(f0)
+    matrix = koszul.assemble_delta1(t)
+    calls = counting_eliminations(monkeypatch)
+    value = exactlinalg.det(koszul.specialize(matrix, system))
+    assert calls == [matrix.size] and value != 0
+    assert value % P_PANEL == exactlinalg.det(koszul.specialize(matrix, system, P_PANEL))
+
+
 def verified_bound2(rows, used=True):
     """The verified bound on (det rows)^2, checked to be at least the
     Fraction-elimination det squared (and so is its minimum with the
@@ -1253,6 +1385,45 @@ def test_verified_bound_of_small_orders_and_the_mu_81_koszul_matrix():
 def test_verified_bound_is_never_below_the_determinant(rows):
     """Small orders, entries small or up to 2^53 - 1, singular or not."""
     verified_bound2(rows, None)
+
+
+def test_verified_bound_is_the_ceiling_of_the_exact_fraction_bound(monkeypatch):
+    """The bound is an integer: the ceiling of prod_i s_i / ((1 - n (n +
+    2) u) prod_i X_ii^2) taken in Fractions of the same floats, so at
+    least that and less than one above it, and at least (det a)^2."""
+    products = []
+    real = exactlinalg._dyadic_product
+    monkeypatch.setattr(exactlinalg, "_dyadic_product",
+                        lambda values: products.append(real(values)) or products[-1])
+    rng = random.Random(2)
+    cases = [[[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)] for n in (1, 5, 40, 70)]
+    cases += [sylvester_hadamard(16), [[2 ** 52, 1], [1, 2 ** 52]]]
+    cases.append(koszul_det_case("random").rows)
+    for rows in cases:
+        products.clear()
+        n = len(rows)
+        bound2 = exactlinalg._verified_bound2(ExactMatrix(rows).array)
+        (num, den), (xnum, xden) = products
+        exact = Fraction(num * xden ** 2, den * xnum ** 2) / (1 - Fraction(n * (n + 2), 2 ** 53))
+        assert type(bound2) is int and exact <= bound2 < exact + 1
+        assert bound2 >= exactlinalg.det(ExactMatrix(rows)) ** 2
+
+
+def test_upper_inverse_by_halves_inverts_triangles_of_every_split():
+    """Orders around the leaf size and odd splits: R X = I to rounding,
+    X upper triangular; a zero on the diagonal is LinAlgError."""
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 63, 64, 65, 129, 200):
+        r = np.triu(rng.standard_normal((n, n))) + 4 * np.eye(n)
+        x = exactlinalg._upper_inverse(r)
+        assert np.array_equal(x, np.triu(x))
+        assert np.abs(r @ x - np.eye(n)).max() < 1e-12
+    r = np.triu(rng.standard_normal((100, 100))) + 4 * np.eye(100)
+    r[10, 10] = 0
+    with pytest.raises(np.linalg.LinAlgError):
+        exactlinalg._upper_inverse(r)
 
 
 def test_singular_m11_over_q_is_declared_after_one_elimination(monkeypatch):
