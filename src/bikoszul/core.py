@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product as _product
 from math import comb, gcd, lcm
 
@@ -111,8 +111,14 @@ def monomial_basis(n_t: int, d: int) -> list[Block]:
 
 def exponent_basis(nvars: tuple[int, int, int], degree: tuple[int, int, int]) -> list[Exponent]:
     """A(d): exponents of all monomials of the given multidegree, x-major."""
+    return list(_exponent_basis(tuple(nvars), tuple(degree)))
+
+
+@lru_cache(maxsize=256)
+def _exponent_basis(nvars: tuple[int, int, int], degree: tuple[int, int, int]) -> tuple:
+    """`exponent_basis` as a tuple, built once per (nvars, degree)."""
     bases = [monomial_basis(nv - 1, d) for nv, d in zip(nvars, degree)]
-    return [exp for exp in _product(*bases)]
+    return tuple(_product(*bases))
 
 
 def mhb(t: SystemType) -> int:
@@ -198,6 +204,17 @@ class MHPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars, degree, terms) -> "MHPoly":
+        """The polynomial of terms that already keep the invariants, with
+        nvars and degree tuples of ints, exponents tuples of int tuples in
+        A(degree) and nonzero Fraction coefficients, taken as they are."""
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "degree", degree)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MHPoly is immutable")
@@ -333,7 +350,7 @@ def partial_evaluate_xy(p: MHPoly, alpha_x, alpha_y) -> MHPoly:
     return MHPoly(p.nvars, (0, 0, dz), terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectiveSolution:
     """A point of P^nx x P^ny x P^nz as three coordinate blocks."""
 
@@ -428,14 +445,19 @@ class CoordinateChange:
     def blocks(self):
         return (self.ax, self.ay, self.az)
 
-    @cached_property
+    @property
     def cleared(self) -> tuple:
-        """Each block over one common denominator, computed on first use:
-        (integer object array, denominator) per block."""
+        """Each block over one common denominator: (integer array,
+        denominator, largest absolute entry) per block, the array int64
+        when every entry is below 2^63 in absolute value, else of Python
+        ints. Built on each read and not kept on the change, which every
+        `SolveReport` holds; `apply_coordinate_change` reads it once."""
         out = []
         for mat in self.blocks:
             ints, denom = _cleared(a for row in mat for a in row)
-            out.append((np.array(ints, dtype=object).reshape(len(mat), -1), denom))
+            top = max(abs(a) for a in ints)
+            array = np.array(ints, dtype=np.int64 if top < 2 ** 63 else object)
+            out.append((array.reshape(len(mat), -1), denom, top))
         return tuple(out)
 
 
@@ -479,28 +501,45 @@ def compose_poly(p: MHPoly, change: CoordinateChange) -> MHPoly:
     its coefficients form a dense integer tensor with one axis per block
     (of length 1 for degree 0), and x_i -> sum_j A_ij x_j contracts that
     axis with the block, cleared of denominators once per change
-    (`CoordinateChange.cleared`).
+    (`CoordinateChange.cleared`). The tensor is int64 when no sum can
+    reach 2^63: each contraction multiplies the largest absolute entry by
+    at most the block's order times its largest entry. Its entries are
+    in the order of A(degree), so the result is built from them as it
+    is, without checking its exponents again.
     """
+    return _compose(p, change.cleared)
+
+
+def _compose(p: MHPoly, cleared: tuple) -> MHPoly:
+    """`compose_poly` with the change's blocks already cleared."""
     if max(p.degree) > 1:
         raise DomainError(f"compose_poly needs a multilinear polynomial, "
                           f"not multidegree {p.degree}")
     nums, denom = _cleared(p.terms.values())
-    tensor = np.zeros([nv if d else 1 for nv, d in zip(p.nvars, p.degree)], dtype=object)
+    bound = max(map(abs, nums), default=0)
+    for (_, _, top), nv, d in zip(cleared, p.nvars, p.degree):
+        bound *= nv * top if d else 1
+    dtype = np.int64 if bound < 2 ** 63 else object
+    tensor = np.zeros([nv if d else 1 for nv, d in zip(p.nvars, p.degree)], dtype=dtype)
     for exp, num in zip(p.terms, nums):
         tensor[tuple(block.index(1) if d else 0 for block, d in zip(exp, p.degree))] = num
-    for (block, block_denom), d in zip(change.cleared, p.degree):
+    for (block, block_denom, _), d in zip(cleared, p.degree):
         if d:
-            tensor = np.tensordot(tensor, block, axes=(0, 0))  # the new axis goes last
+            # the new axis goes last
+            tensor = np.tensordot(tensor, block.astype(dtype, copy=False), axes=(0, 0))
             denom *= block_denom
         else:
             tensor = np.moveaxis(tensor, 0, -1)
-    return MHPoly(p.nvars, p.degree, {exp: Fraction(c, denom) for exp, c in
-                                      zip(exponent_basis(p.nvars, p.degree), tensor.ravel()) if c})
+    coefficient = Fraction if denom == 1 else (lambda c: Fraction(c, denom))
+    return MHPoly._trusted(p.nvars, p.degree, {
+        exp: coefficient(c) for exp, c in
+        zip(_exponent_basis(p.nvars, p.degree), tensor.ravel().tolist()) if c})
 
 
 def apply_coordinate_change(sys: BilinearSystem, change: CoordinateChange) -> BilinearSystem:
-    f = tuple(compose_poly(p, change) for p in sys.f)
-    f0 = compose_poly(sys.f0, change) if sys.f0 is not None else None
+    cleared = change.cleared
+    f = tuple(_compose(p, cleared) for p in sys.f)
+    f0 = _compose(sys.f0, cleared) if sys.f0 is not None else None
     return BilinearSystem(sys.type, f, f0)
 
 

@@ -19,10 +19,11 @@ entries below the diagonal hold L, those on and above it U, the packed
 LU of the rows in pivot order, and the block below and right of the
 leading one is the Schur complement. Over F_p it serves `det` (n
 steps), `schur_complement` (k steps) and `solve` (n steps, then
-`_lu_solve`: forward with L and back with U, in the same panels). On
-a 0 return (a singular leading block) the LU of the columns before
-the first one without a pivot, the first zero on the diagonal, and the
-row order are defined.
+`_lu_solve`: forward with L and back with U, in the same panels, the
+forward pass skipping what is still zero, such as the zero half of
+L^{-1} P for an inverse). On a 0 return (a singular leading block) the
+LU of the columns before the first one without a pivot, the first zero
+on the diagonal, and the row order are defined.
 
 Over Q both paths first clear denominators row by row, once. Every
 modular step over Q on a block of order k runs modulo one family of
@@ -48,10 +49,14 @@ overshoot it by hundreds of bits. Below a small budget
 The Schur complement, and so `solve`, is Dixon's p-adic lifting
 (`_lift_schur`) once the zero test has found M11 nonsingular
 (SingularMatrixError otherwise): with the zero test's inverse of M11
-modulo the prime q it certified, one product with it and one with the
-stacked [M11; M21] per step, until q^L exceeds twice the product of the
-Hadamard bounds on the (k+1)-minors and on det M11; rational
-reconstruction with one running common denominator recovers S.
+modulo the prime q it certified, one product with it, one with M11 and
+one with M21 per step, for L steps fixed up front, the least with q^L
+above twice the product of the Hadamard bounds on the (k+1)-minors and
+on det M11. The steps write their digits into one array; one carry
+step over it lets them pair into base q^2 in int64 before the Python
+ints take over (`_recombine`); rational reconstruction with one
+running common denominator, its half-gcds in Lehmer batches
+(`_reconstruct`), recovers S.
 
 Floats enter the exact paths only where every value is an integer
 below 2^53 and so exact in float64. In the elimination mod p the panel
@@ -64,7 +69,7 @@ entry is reduced once, when its column or row is the pivot's. Every
 `_prime(k, i)` with k >= 2 leaves b >= 2. When no b >= 2 fits (p >
 2^26: user primes, and the primes of a 1 x 1 block), the same loop runs
 with b = 1 on the storage dtype, one rank-1 update per step. In the
-lifting the product with [M11; M21] runs in float64 only while
+lifting the products with M11 and M21 run in float64 only while
 k * max|entry| * q < 2^53 (`_lift_dtype`), else on Python ints.
 The verified bound on |det| is the one inexact float computation, and
 it is rigorous: under the error model of a conventional (not Strassen)
@@ -371,7 +376,7 @@ def _unit_lower_inverse(lower, p: int):
     order b has b (p - 1)^2 + p <= 2^53 (`_panel_width`)."""
     width = len(lower)
     eye = np.eye(width)
-    power = (-lower % p).astype(np.float64)
+    power = _reduce(np.negative(lower, dtype=np.float64), p)  # not %, slow on floats
     inverse = eye + power
     for _ in range((width - 1).bit_length() - 1):
         power = _reduce(power @ power, p)
@@ -523,21 +528,37 @@ def _lu_solve(lu, order, x, p: int):
     diagonal), then one product updates the rows after it (going back,
     before it). An update subtracts at most b (p - 1)^2 from an entry, as
     in `_eliminate`, so those rows are reduced only once `every` updates
-    could pass 2^53 - p; on int64 and object arrays after each one."""
+    could pass 2^53 - p; on int64 and object arrays after each one.
+
+    The forward pass skips what is still zero. With the columns of
+    x[order] sorted by their first nonzero row, a panel's rows are 0 in
+    every column whose first nonzero row comes after the panel, and the
+    pass keeps that, so a panel's inverse and update touch only the
+    columns before (`reach`). On the identity (the inverse of A, for the
+    zero test) the sorted columns are lower triangular, and the solve
+    takes about 2 k^3 / 3 multiply-adds where the full forward pass took
+    k^3; a dense x runs as before."""
     k = len(lu)
     b = _panel_width(p) if lu.dtype == np.float64 else 1
     every = (_FLOAT_EXACT_LIMIT - p) // (b * (p - 1) ** 2) if b > 1 else 1
     x = x[order]
+    nonzero = x != 0
+    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), k)
+    cols = np.argsort(first, kind="stable")
+    shuffled = bool((cols != np.arange(len(cols))).any())
+    if shuffled:
+        x = np.take(x, cols, axis=1)  # C order, as x[:, cols] is not
     starts = range(0, k, b)
+    reach = np.searchsorted(first[cols], [min(start + b, k) for start in starts])
     for i, start in enumerate(starts):
-        end = min(start + b, k)
-        rows = _reduce(x[start:end], p)
+        end, c = min(start + b, k), reach[i]
+        rows = _reduce(x[start:end, :c], p)
         if end - start > 1:
             rows[...] = _reduce(_unit_lower_inverse(np.tril(lu[start:end, start:end], -1), p)
                                 @ rows, p)
-        x[end:] -= lu[end:, start:end] @ rows
+        x[end:, :c] -= lu[end:, start:end] @ rows
         if (i + 1) % every == 0:
-            _reduce(x[end:], p)
+            _reduce(x[end:, :c], p)
     for i, start in enumerate(reversed(starts)):
         end = min(start + b, k)
         rows = _reduce(x[start:end], p)
@@ -549,6 +570,8 @@ def _lu_solve(lu, order, x, p: int):
         x[:start] -= lu[:start, start:end] @ rows
         if (i + 1) % every == 0:
             _reduce(x[:start], p)
+    if shuffled:
+        x[:, cols] = x
     return x
 
 
@@ -623,9 +646,11 @@ def _verified_bound2(a) -> int | None:
     floats (any order of summation, no Strassen) has |fl(a X) - a X| <=
     gamma_n |a| |X| when nothing underflows, and fl(|a| |X|) >= (1 -
     gamma_n) |a| |X|; so E = 2 gamma_n fl(|a| |X|) bounds |a X - B|, B =
-    fl(a X). Nothing underflows: every value the two products form is an
-    integer times 2^-552, the spacing of floats of at least 2^-500, so 0
-    or normal, and so is E; the entries of |B| + E are raised to at least
+    fl(a X). Both products run by halves of the triangle X
+    (`_upper_product`), about n^3 / 2 multiply-adds each, an order of
+    summation the model allows. Nothing underflows: every value the two
+    products form is an integer times 2^-552, the spacing of floats of
+    at least 2^-500, so 0 or normal, and so is E; the entries of |B| + E are raised to at least
     2^-500 before they are squared. Hadamard's inequality on the rows of
     a X then gives |det a| |det X| <= prod_i || |B_i| + E_i ||_2; the
     squared norms s_i, each summed in float64, lose at most n + 2
@@ -653,9 +678,9 @@ def _verified_bound2(a) -> int | None:
     norms2 = np.empty(n)
     for i in range(0, n, _UPDATE_ROWS):  # the temporaries stay small
         rows = a[i:i + _UPDATE_ROWS]
-        error = np.abs(rows) @ magnitude
+        error = _upper_product(np.abs(rows), magnitude)
         error *= slack
-        rows = rows @ x
+        rows = _upper_product(rows, x)
         np.abs(rows, out=rows)
         rows += error
         np.maximum(rows, 2.0 ** -500, out=rows)
@@ -687,6 +712,23 @@ def _upper_inverse(r):
     x[h:, h:] = _upper_inverse(r[h:, h:])
     x[:h, h:] = -(x[:h, :h] @ r[:h, h:]) @ x[h:, h:]
     return x
+
+
+def _upper_product(a, x):
+    """a @ x for an upper-triangular float64 array x, by halves: [a1, a2]
+    [[X11, X12], [0, X22]] = [a1 X11, a1 X12 + a2 X22], down to blocks
+    of at most `_TRIANGLE_LEAF` columns, about half the multiply-adds of
+    the full product. Each entry is the sum of the same nonzero products
+    as in a @ x, in another order."""
+    n = len(x)
+    if n <= _TRIANGLE_LEAF:
+        return a @ x
+    h = n // 2
+    out = np.empty((len(a), n))
+    out[:, :h] = _upper_product(a[:, :h], x[:h, :h])
+    out[:, h:] = _upper_product(a[:, h:], x[h:, h:])
+    out[:, h:] += a[:, :h] @ x[:h, h:]
+    return out
 
 
 def _dyadic_product(values) -> tuple[int, int]:
@@ -833,46 +875,73 @@ def _lift_schur(ints, k: int, q: int, inverse) -> list:
     prime q with k (q - 1)^2 < 2^53 (`_prime`) that does not divide
     det M11, given C = M11^{-1} mod q (float64 or int64).
 
-    Each of L steps takes, from R = M12, X_i = C (R mod q) mod q, one
-    product [M11; M21] X_i, and R <- (R - M11 X_i) / q, an exact
-    division, so that X = sum q^i X_i solves M11 X = M12 modulo q^L and S
-    is M22 - sum q^i T_i modulo q^L, T_i = M21 X_i. By Sylvester's
-    identity d S, with d = det M11, is a matrix of (k+1)-minors, at most
-    H in absolute value, and |d| <= H_d; L is the smallest with q^L >
-    2 H H_d, so rational reconstruction recovers S.
+    Each of L steps takes, from R = M12, X_i = C (R mod q) mod q, the
+    products M11 X_i and T_i = M21 X_i, and R <- (R - M11 X_i) / q, an
+    exact division, so that X = sum q^i X_i solves M11 X = M12 modulo
+    q^L and S is M22 - sum q^i T_i modulo q^L. By Sylvester's identity
+    d S, with d = det M11, is a matrix of (k+1)-minors, at most H in
+    absolute value, and |d| <= H_d; L, fixed before the first step, is
+    the smallest with q^L > 2 H H_d, so rational reconstruction
+    (`_reconstruct`) recovers S. The steps write -T_i into one
+    preallocated array of L digit planes, in the lifting's dtype;
+    `_recombine` turns M22 plus those planes into S mod q^L.
     """
     minors2, lead2 = _hadamard2(ints, k)
     top = int(np.abs(ints).max())
     a = ints.astype(_lift_dtype(k, top, q))
-    columns, r = a[:, :k], a[:k, k:].copy()  # [M11; M21], R
-    divide = np.floor_divide if a.dtype == object else np.true_divide  # exact on either
-    digits = []
-    modulus = 1
+    steps, modulus = 0, 1
     while modulus * modulus <= 4 * minors2 * lead2:
-        residues = _reduce(r.copy(), q).astype(inverse.dtype, copy=False)
-        x = _reduce(inverse @ residues, q).astype(np.int64)  # exact: k (q - 1)^2 < 2^53
-        product = columns @ x
-        r -= product[:k]
+        steps, modulus = steps + 1, modulus * q
+    m11, r = a[:k, :k], a[:k, k:].copy()  # M11, R
+    m21 = -a[k:, :k]  # so that the planes hold -T_i
+    inverse = inverse.astype(np.float64, copy=False)  # exact: entries below q < 2^27
+    digits = np.empty((steps, *ints[k:, k:].shape), dtype=a.dtype)
+    residues = np.empty(r.shape)
+    python_ints = a.dtype == object
+    divide = np.floor_divide if python_ints else np.true_divide  # exact on either
+    for plane in digits:
+        residues[...] = r % q if python_ints else r
+        x = _reduce(inverse @ _reduce(residues, q), q)  # exact: k (q - 1)^2 < 2^53
+        if python_ints:
+            x = x.astype(np.int64)
+        r -= m11 @ x
         divide(r, q, out=r)
-        digits.append(product[k:].copy())  # not a view that keeps all of product
-        modulus *= q
-    image = (ints[k:, k:].astype(object) - _pairwise_sum(digits, q)) % modulus
+        np.matmul(m21, x, out=plane)
+    if not python_ints:
+        digits = digits.astype(np.int64)  # exact: k top q < 2^53
+    digits[0] += ints[k:, k:].astype(digits.dtype)
+    image = _recombine(digits, q)
     return _reconstruct(image.ravel().tolist(), modulus, minors2, lead2)
 
 
-def _pairwise_sum(digits, q: int):
-    """sum_i q^i digits[i] of integer arrays (float64 or object), as an
-    object array of Python ints, adding neighbours pairwise, each pair as
-    whole arrays: (t0 + q t1) + q^2 (t2 + q t3) + ..."""
-    terms = np.array(digits)
-    terms = list(terms.astype(np.int64) if terms.dtype == np.float64 else terms)
-    step = q
+def _recombine(digits, q: int):
+    """sum_i q^i digits[i] mod q^L, L = len(digits), as an object array
+    of Python ints in [0, q^L), for L signed digit planes in an integer
+    array (int64 with entries below 2^53 in absolute value, or object),
+    clobbered.
+
+    One carry step over the whole array splits every entry d into its
+    carry floor(d / q) and its digit d mod q, and adds each plane's
+    carries to the plane above; the last plane's carries are multiples
+    of q^L and are dropped. For int64 planes the entries then lie within
+    q + 2^53 / q of [0, q), so one int64 step pairs them into signed
+    base-q^2 digits below 2^55 in absolute value, exact, and only from
+    there are neighbours added pairwise, each pair as whole object
+    arrays: (e0 + q^2 e1) + q^4 (e2 + q^2 e3) + ..., reduced mod q^L at
+    the end. No sequential pass over the planes is needed: the digits of
+    0 or of a small negative value would carry through every plane."""
+    carry = digits // q
+    digits -= q * carry
+    digits[1:] += carry[:-1]
+    pairs = digits[::2]
+    pairs[:len(digits) // 2] += q * digits[1::2]
+    terms = list(pairs.astype(object))
+    step = q * q
     while len(terms) > 1:
-        pairs = zip(terms[::2], terms[1::2])
-        terms = [lo.astype(object, copy=False) + step * hi.astype(object, copy=False)
-                 for lo, hi in pairs] + terms[len(terms) // 2 * 2:]
+        terms = [lo + step * hi for lo, hi in zip(terms[::2], terms[1::2])] + \
+            terms[len(terms) // 2 * 2:]
         step *= step
-    return terms[0].astype(object, copy=False)
+    return terms[0] % q ** len(digits)
 
 
 def _reconstruct(residues, modulus: int, num2: int, den2: int) -> list:
@@ -885,25 +954,69 @@ def _reconstruct(residues, modulus: int, num2: int, den2: int) -> list:
     them, so D times a value has a numerator of at most H: when its
     symmetric residue is at most H it is that residue, an integer;
     otherwise the half-extended Euclidean algorithm on (modulus, that
-    residue), run to its first remainder at most H, gives its remaining
-    denominator (Wang), which joins D.
+    residue), run to its first remainder at most H (`_half_gcd`), gives
+    its remaining denominator (Wang), which joins D. For integers, y^2 >
+    num2 exactly when |y| > isqrt(num2), so both bounds are compared as
+    integer square roots, taken once.
     """
+    num, den_bound = isqrt(num2), isqrt(den2)
     den = 1
     out = []
     for u in residues:
         y = u * den % modulus
         if 2 * y > modulus:
             y -= modulus
-        if y * y > num2:
-            r0, r1, t0, t1 = modulus, y % modulus, 0, 1  # r_i = t_i y mod modulus
-            while r1 * r1 > num2:
-                quo = r0 // r1
-                r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
-            if t1 * t1 > den2:
+        if abs(y) > num:
+            r, t = _half_gcd(modulus, y % modulus, num)
+            if abs(t) > den_bound:
                 raise ArithmeticError("rational reconstruction failed")
-            y, den = (r1, den * t1) if t1 > 0 else (-r1, -den * t1)
+            y, den = (r, den * t) if t > 0 else (-r, -den * t)
         out.append((y, den))
     return out
+
+
+# the leading bits of r0 and r1 that a Lehmer batch of `_half_gcd` reads:
+# its inner loop then runs on ints below 2^63, whatever the size of r0
+_LEHMER_BITS = 62
+
+
+def _half_gcd(r0: int, r1: int, stop: int) -> tuple[int, int]:
+    """(r, t) at the first remainder r <= stop of the Euclidean algorithm
+    on r0 > r1 >= 0, with t its cofactor: r = t r1 mod r0.
+
+    Lehmer's algorithm (D. H. Lehmer 1938; Knuth, TAOCP vol. 2, 4.5.2,
+    Algorithm L) while r1 has more than `_LEHMER_BITS` bits above stop:
+    a batch reads quotients off the leading `_LEHMER_BITS` bits of r0 and
+    r1 for as long as both ends of the interval that holds the ratio give
+    the same one, so each is the true quotient, and applies them at once
+    as a 2 x 2 matrix of small integers to (r0, r1) and their cofactors.
+    A batch whose first new remainder would be at most stop is not
+    applied, and plain steps finish, so every remainder is the plain
+    algorithm's."""
+    t0, t1 = 0, 1
+    while r1.bit_length() > stop.bit_length() + _LEHMER_BITS:
+        shift = r0.bit_length() - _LEHMER_BITS
+        u, v = r0 >> shift, r1 >> shift
+        a, b, c, d = 1, 0, 0, 1
+        while v + c and v + d:
+            quo = (u + a) // (v + c)
+            if quo != (u + b) // (v + d):
+                break
+            a, c = c, a - quo * c
+            b, d = d, b - quo * d
+            u, v = v, u - quo * v
+        if b == 0:  # no quotient is certain: one plain step
+            quo = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+            continue
+        head = a * r0 + b * r1
+        if head <= stop:
+            break
+        r0, r1, t0, t1 = head, c * r0 + d * r1, a * t0 + b * t1, c * t0 + d * t1
+    while r1 > stop:
+        quo = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+    return r1, t1
 
 
 def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -53,7 +53,7 @@ first read.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, compress, product
@@ -201,7 +201,8 @@ class SymbolicResultantMatrix:
     references[ref_idx[k]]. The nonzeros are ordered by column, then by
     the position of the contracted slot in the column's index set, then
     by psi term; the arrays are read-only. The row and column labels
-    are built on first read."""
+    are built on first read, and the permutations and split of each
+    theta's `theta_partition` on its first call, kept with the matrix."""
 
     type: SystemType
     m: tuple[int, int, int]
@@ -210,6 +211,7 @@ class SymbolicResultantMatrix:
     col_idx: np.ndarray
     ref_idx: np.ndarray
     references: tuple[SymbolicEntry, ...]
+    _partitions: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def rows(self) -> list[KoszulBasisElement]:
@@ -399,8 +401,13 @@ def theta_partition(matrix: SymbolicResultantMatrix, theta: Exponent) -> ThetaPa
 
     The construction guarantees (and this function asserts) that the
     references occur exactly mhb(type) times, in distinct rows and
-    columns, all with sign +1; a violation means an assembly bug.
+    columns, all with sign +1; a violation means an assembly bug. The
+    permutations and the split are kept on the matrix, one set per theta,
+    and later calls return them again; they live as long as the matrix.
     """
+    known = matrix._partitions.get(theta)
+    if known is not None:
+        return ThetaPartition(matrix, theta, *known)
     t = matrix.type
     if theta not in set(exponent_basis(t.nvars, (1, 1, 1))):
         raise DomainError(f"theta {theta} is not a trilinear exponent for {t}")
@@ -422,13 +429,14 @@ def theta_partition(matrix: SymbolicResultantMatrix, theta: Exponent) -> ThetaPa
     lead_rows[trail_rows] = False
     lead_cols = np.ones(matrix.size, dtype=bool)
     lead_cols[trail_cols] = False
-    return ThetaPartition(
-        base=matrix,
-        theta=theta,
-        row_perm=tuple(np.flatnonzero(lead_rows).tolist() + trail_rows),
-        col_perm=tuple(np.flatnonzero(lead_cols).tolist() + trail_cols),
-        split=matrix.size - expected,
+    # the permutations and the split only: a partition holds its matrix,
+    # and a cycle would outlive the last reference to the matrix
+    known = matrix._partitions[theta] = (
+        tuple(np.flatnonzero(lead_rows).tolist() + trail_rows),
+        tuple(np.flatnonzero(lead_cols).tolist() + trail_cols),
+        matrix.size - expected,
     )
+    return ThetaPartition(matrix, theta, *known)
 
 
 def label_str(elem: KoszulBasisElement) -> str:

@@ -14,6 +14,12 @@ ratios of its entries, y read against the largest entry of its row.
 The z block then solves a small linear system, and the coordinate
 change is undone.
 
+Recovery takes every eigenvector of an attempt at once (`_recover_all`):
+one extension, one extraction, one stacked SVD for z, one float product
+per block of the coordinate change and one residual evaluation, each on
+the columns of a matrix; `extract_xy`, `solve_z` and `residual` take one
+vector as well, and then return what they return for one solution.
+
 The Schur complement is computed exactly over the rationals. Floating
 point enters at its eigen-decomposition and at one float solve of the
 leading block M11 on the theta-permuted matrix, which extends every
@@ -40,7 +46,6 @@ from .core import (
     exponent_basis,
     mhb,
     random_coordinate_change,
-    transform_point,
 )
 from .exactlinalg import SingularMatrixError, schur_complement, to_float
 from .koszul import (
@@ -67,7 +72,7 @@ class ExtractionError(RuntimeError):
     """Eigenvector block too degenerate to read coordinates off (retry signal)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class EigenPair:
     value: complex
     vector: np.ndarray
@@ -135,8 +140,10 @@ def extend_eigenvector(partition: ThetaPartition, permuted: np.ndarray,
     return out
 
 
-def extract_xy(vector, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
-    """Read (alpha_x, alpha_y) off a kernel vector in the k1 basis order.
+def extract_xy(vectors, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
+    """Read (alpha_x, alpha_y) off a kernel vector in the k1 basis order,
+    or off each column of a matrix of them: for one vector two tuples,
+    for a matrix two arrays with one column per vector.
 
     The vector is a rank-1 combination per exterior index set: reshaped
     by the k1 block layout, each index set's entries form an (nx+1) x
@@ -148,39 +155,51 @@ def extract_xy(vector, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
     0 carry no y information): anchored at the row's largest entry, at
     tau with tau_a >= 1, y_j / y_a = v(tau - e_a + e_j) / v(tau). Both
     are scaled so that their first entry above tol times their largest
-    is 1. The first maximum in basis order wins a tie.
+    is 1. The first maximum in basis order wins a tie. Every column is
+    read at once, through the index tables of `_k1_groups`; any column
+    that cannot be read raises ExtractionError.
     """
-    if len(vector) != mu(t):
+    if len(vectors) != mu(t):
         raise DomainError("vector length does not match the k1 basis")
-    vector = np.asarray(vector)
-    groups = []  # (entries of one index set, its dual-y exponents)
-    for start, count, dys in _k1_layout(t):
-        blocks = vector[start:start + count * (t.nx + 1) * len(dys)]
-        groups.extend((g, dys) for g in blocks.reshape(count, t.nx + 1, len(dys)))
-    peaks = [np.abs(g).max() for g, _ in groups]
-    overall = max(peaks)
-    if overall == 0:
+    vectors = np.asarray(vectors)
+    single = vectors.ndim == 1
+    vectors = vectors.reshape(len(vectors), -1)
+    cols = np.arange(vectors.shape[1])
+    rows, lifted, shifts = _k1_groups(t)
+    # (index set, dx, dy, vector); a zero row pads the shorter dual-y lists
+    groups = np.concatenate([vectors, np.zeros_like(vectors[:1])])[rows]
+    magnitudes = np.abs(groups)
+    peaks = magnitudes.max(axis=(1, 2))
+    overall = peaks.max(axis=0)
+    if not overall.all():
         raise ExtractionError("zero vector")
-    block = groups[peaks.index(overall)][0]
-    alpha_x = _normalize_block(block[:, np.argmax(np.abs(block).max(axis=0))], tol)
-    best_y = max((k for k, (_, dys) in enumerate(groups) if sum(dys[0]) >= 1),  # degree >= 1
-                 key=peaks.__getitem__)
-    block, dys = groups[best_y]
-    row = block[np.argmax(np.abs(block).max(axis=1))]
-    anchor = np.argmax(np.abs(row))
-    if abs(row[anchor]) <= tol * overall:
+    best = peaks.argmax(axis=0)
+    block, magnitude = groups[best, :, :, cols], magnitudes[best, :, :, cols]
+    alpha_x = _normalize_rows(block[cols, :, magnitude.max(axis=1).argmax(axis=1)], tol)
+    best = np.where(lifted[:, None], peaks, -1).argmax(axis=0)  # dual-y degree >= 1
+    block, magnitude = groups[best, :, :, cols], magnitudes[best, :, :, cols]
+    dx = magnitude.max(axis=2).argmax(axis=1)
+    row, magnitude = block[cols, dx], magnitude[cols, dx]
+    anchor = magnitude.argmax(axis=1)
+    if (magnitude[cols, anchor] <= tol * overall).any():
         raise ExtractionError("anchor coefficient too small")
-    tau = dys[anchor]
-    a = next(i for i, e in enumerate(tau) if e)
-    shifted = [tuple(e - (i == a) + (i == j) for i, e in enumerate(tau)) for j in range(t.ny + 1)]
-    return alpha_x, _normalize_block([row[dys.index(dy)] for dy in shifted], tol)
+    alpha_y = _normalize_rows(row[cols[:, None], shifts[best, anchor]], tol)
+    if single:
+        return tuple(alpha_x[0]), tuple(alpha_y[0])
+    return alpha_x.T, alpha_y.T
 
 
 @lru_cache(maxsize=None)
-def _k1_layout(t: SystemType) -> tuple:
-    """(first position, number of index sets, dual-y exponents) of each
-    nonempty k1 block, in basis order. Inside a block the entries run
-    by index set, then dx, then dy (dz is trivial)."""
+def _k1_groups(t: SystemType) -> tuple:
+    """The k1 basis by exterior index set, for `extract_xy`: (rows,
+    lifted, shifts). rows[g, i, j] is the position in the basis of index
+    set g's entry at dx_i and its j-th dual-y monomial, and mu, a zero
+    row the reader appends, past the end of the set's own list; lifted[g]
+    says whether the set's dual-y degree is at least 1; shifts[g, j]
+    lists, for tau the set's j-th dual-y monomial and a its first
+    variable with tau_a >= 1, the positions of tau - e_a + e_0, ...,
+    tau - e_a + e_ny in that list (0 for a set of degree 0). Blocks run
+    L11 then L12, each by index set, then dx, then dy (dz is trivial)."""
     layout, start = [], 0
     for spec in _K1_BLOCKS:
         isets, factors = _block_layout(t, spec)
@@ -188,15 +207,31 @@ def _k1_layout(t: SystemType) -> tuple:
             dys = [dy for _, dy, _ in factors[:len(factors) // (t.nx + 1)]]
             layout.append((start, len(isets), dys))
             start += len(isets) * len(factors)
-    return tuple(layout)
+    width = max(len(dys) for _, _, dys in layout)
+    rows, lifted, shifts = [], [], []
+    for start, count, dys in layout:
+        place = {dy: j for j, dy in enumerate(dys)}
+        table = np.zeros((width, t.ny + 1), dtype=np.intp)
+        for j, tau in enumerate(dys if sum(dys[0]) >= 1 else ()):
+            a = next(i for i, e in enumerate(tau) if e)
+            table[j] = [place[tuple(e - (i == a) + (i == k) for i, e in enumerate(tau))]
+                        for k in range(t.ny + 1)]
+        block = np.full((count, t.nx + 1, width), mu(t), dtype=np.intp)
+        block[:, :, :len(dys)] = start + np.arange(block[:, :, :len(dys)].size).reshape(
+            count, t.nx + 1, len(dys))
+        rows.append(block)
+        lifted += [sum(dys[0]) >= 1] * count
+        shifts += [table] * count
+    return np.concatenate(rows), np.array(lifted), np.array(shifts)
 
 
-def _normalize_block(coords, tol):
-    top = max(abs(v) for v in coords)
-    for v in coords:
-        if abs(v) > tol * top:
-            return tuple(c / v for c in coords)
-    raise ExtractionError("cannot normalize block")
+def _normalize_rows(coords, tol):
+    """Each row divided by its first entry above tol times its largest."""
+    magnitude = np.abs(coords)
+    above = magnitude > tol * magnitude.max(axis=1)[:, None]
+    if not above.any(axis=1).all():
+        raise ExtractionError("cannot normalize block")
+    return coords / coords[np.arange(len(coords)), above.argmax(axis=1)][:, None]
 
 
 def solve_z(sys: BilinearSystem, alpha_x, alpha_y, tol: float = 1e-8):
@@ -204,26 +239,35 @@ def solve_z(sys: BilinearSystem, alpha_x, alpha_y, tol: float = 1e-8):
     direction of the stacked linear forms f_j(alpha_x, alpha_y) for the
     S(1,0,1) equations (the S(1,1,0) ones are constants that already
     vanish there). Those forms do not involve y: each row is the
-    coefficients times alpha_x at the term's x index, summed by z index."""
+    coefficients times alpha_x at the term's x index, summed by z index.
+
+    alpha_x is one point, giving z as a tuple, or the columns of a
+    matrix, giving a matrix of z columns from one stacked SVD; a column
+    whose forms have rank below nz raises ExtractionError."""
     t = sys.type
-    if t.nz == 0:
-        return (1.0 + 0j,)
     ax = np.asarray(alpha_x, dtype=complex)
+    single = ax.ndim == 1
+    ax = ax.reshape(len(ax), -1)
+    if t.nz == 0:
+        return (1.0 + 0j,) if single else np.ones((1, ax.shape[1]), dtype=complex)
     rows = []
     for poly in sys.f[t.r:]:
         exponents, coefficients = poly.numeric
-        rows.append((coefficients * (exponents[:, :t.nx + 1] @ ax)) @ exponents[:, -(t.nz + 1):])
-    a = np.array(rows, dtype=complex)
-    _, sv, vh = np.linalg.svd(a)
-    padded = np.zeros(t.nz + 1)
-    padded[:len(sv)] = sv
-    scale = max(1.0, padded[0])
-    if padded[t.nz - 1] <= tol * scale:
+        rows.append((coefficients[:, None] * (exponents[:, :t.nx + 1] @ ax)).T
+                    @ exponents[:, -(t.nz + 1):])
+    _, sv, vh = np.linalg.svd(np.stack(rows, axis=1))
+    padded = np.zeros((ax.shape[1], t.nz + 1))
+    padded[:, :sv.shape[1]] = sv
+    scale = np.maximum(1.0, padded[:, 0])
+    if (padded[:, t.nz - 1] <= tol * scale).any():
         raise ExtractionError("z-system rank below nz: multiple z-solutions")
-    return tuple(vh[-1].conj())
+    z = vh[:, -1].conj()
+    return tuple(z[0]) if single else z.T
 
 
+@lru_cache(maxsize=None)
 def default_theta(t: SystemType) -> Exponent:
+    """x0 y0 z0, one shared tuple per type."""
     return tuple((1,) + (0,) * n_t for n_t in t.dims)
 
 
@@ -240,33 +284,30 @@ def choose_f0_and_theta(t: SystemType, seed, coeff_bound: int = 10):
     return MHPoly(t.nvars, (1, 1, 1), terms), theta
 
 
-def residual(sys: BilinearSystem, sol: ProjectiveSolution) -> float:
+def residual(sys: BilinearSystem, sol):
     """max_i |f_i(sol)| / ||f_i|| with every block scaled to unit norm;
-    a zero f_i contributes 0. Each f_i is evaluated at once from its
-    exponent matrix and complex coefficients, and those and ||f_i|| are
-    computed once per polynomial (`MHPoly.numeric`, `MHPoly.norm`)."""
-    blocks = []
-    for block in sol.blocks:
-        arr = np.asarray([complex(c) for c in block])
-        blocks.append(arr / np.linalg.norm(arr))
-    point = np.concatenate(blocks)
-    worst = 0.0
+    a zero f_i contributes 0. sol is a ProjectiveSolution, giving a
+    float, or a matrix whose columns are points, the x, y and z blocks
+    stacked, giving an array of one residual per column. Each f_i is
+    evaluated at every point at once from its coefficients and the
+    variables of its terms, taken with their exponents, and those and
+    ||f_i|| are computed once per polynomial (`MHPoly.numeric`,
+    `MHPoly.norm`)."""
+    single = isinstance(sol, ProjectiveSolution)
+    if single:
+        sol = [[complex(c)] for block in sol.blocks for c in block]
+    point = np.asarray(sol, dtype=complex)
+    blocks = np.split(point, np.cumsum(sys.type.nvars)[:-1])
+    point = np.concatenate([block / np.linalg.norm(block, axis=0) for block in blocks])
+    worst = np.zeros(point.shape[1])
     for poly in sys.f:
         if poly.norm:
             exponents, coefficients = poly.numeric
-            value = coefficients @ np.prod(point ** exponents, axis=1)
-            worst = max(worst, abs(value) / poly.norm)
-    return worst
-
-
-def _realify(sol: ProjectiveSolution, tol: float = 1e-8) -> ProjectiveSolution:
-    """Report real coordinates when every imaginary part is negligible."""
-    coords = [c for block in sol.blocks for c in block]
-    top = max(abs(c) for c in coords)
-    if all(abs(complex(c).imag) <= tol * top for c in coords):
-        return ProjectiveSolution(*[tuple(complex(c).real for c in block)
-                                    for block in sol.blocks])
-    return sol
+            variables = np.repeat(np.tile(np.arange(exponents.shape[1]), len(exponents)),
+                                  exponents.ravel()).reshape(len(exponents), -1)
+            value = coefficients @ point[variables].prod(axis=1)
+            worst = np.fmax(worst, np.abs(value) / poly.norm)  # a NaN value leaves worst
+    return float(worst[0]) if single else worst
 
 
 def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
@@ -329,14 +370,39 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
 
 
 def _recover_all(transformed, partition, permuted, pairs, change, original):
+    """(solutions, residuals) of every eigenpair of an attempt, each stage
+    once for all of them: extend the eigenvectors, extract x and y, solve
+    z, undo the coordinate change (one float product per block), scale
+    each block so its first entry above 1e-12 times its largest is 1,
+    report a point real when every imaginary part is at most 1e-8 times
+    its largest coordinate, and take the residuals."""
+    t = transformed.type
+    full = extend_eigenvector(partition, permuted,
+                              np.column_stack([pair.vector for pair in pairs]))
+    ax, ay = extract_xy(full, t)
+    az = solve_z(transformed, ax, ay)
+    point = np.concatenate([_normalize_columns(np.array(mat, dtype=float) @ coords)
+                            for mat, coords in zip(change.blocks, (ax, ay, az))])
+    real = (np.abs(point.imag) <= 1e-8 * np.abs(point).max(axis=0)).all(axis=0)
+    point = np.where(real, point.real, point)
+    residuals = residual(original, point)
+    bounds = np.cumsum((0, *t.nvars)).tolist()
     solutions = []
-    residuals = []
-    vectors = np.column_stack([pair.vector for pair in pairs])
-    for full in extend_eigenvector(partition, permuted, vectors).T:
-        ax, ay = extract_xy(full, transformed.type)
-        az = solve_z(transformed, ax, ay)
-        back = transform_point(change, ProjectiveSolution(tuple(ax), tuple(ay), tuple(az)))
-        back = _realify(back.normalized(tol=1e-12))
-        solutions.append(back)
-        residuals.append(residual(original, back))
-    return solutions, residuals
+    for column, flag in zip(point.T, real):
+        values = (column.real if flag else column).tolist()
+        solutions.append(ProjectiveSolution(*(values[a:b] for a, b in zip(bounds, bounds[1:]))))
+    return solutions, residuals.tolist()
+
+
+def _normalize_columns(block):
+    """Each column divided by its first entry above 1e-12 times its
+    largest, that entry then exactly 1; DomainError for a zero column."""
+    magnitude = np.abs(block)
+    top = magnitude.max(axis=0)
+    if not top.all():
+        raise DomainError("each block of a projective point must be nonzero")
+    cols = np.arange(block.shape[1])
+    lead = (magnitude > 1e-12 * top).argmax(axis=0)
+    block = block / block[lead, cols]
+    block[lead, cols] = 1
+    return block

@@ -289,6 +289,25 @@ def test_compose_poly_matches_the_term_by_term_expansion(case):
     assert core.compose_poly(p, change) == expand_term_by_term(p, change)
 
 
+def test_compose_poly_is_exact_on_both_sides_of_the_int64_bound():
+    """Blocks of order 2 with entries +-5 scale the largest coefficient
+    by at most 10 per block: a coefficient of floor((2^63 - 1) / 1000)
+    keeps the contraction in int64 with sums near 2^63, one more moves it
+    to Python ints; both equal the term-by-term expansion, and the
+    result, built without checking its exponents, keeps the invariants
+    that the checking constructor gives."""
+    nvars, degree = (2, 2, 2), (1, 1, 1)
+    change = core.CoordinateChange(((5, 5), (5, -5)), ((-5, 5), (5, 5)), ((5, 5), (-5, 5)))
+    assert [top for _, _, top in change.cleared] == [5, 5, 5]
+    for top in ((2 ** 63 - 1) // 1000, (2 ** 63 - 1) // 1000 + 1):
+        terms = {exp: top * (-1) ** k for k, exp in enumerate(core.exponent_basis(nvars, degree))}
+        p = MHPoly(nvars, degree, terms)
+        composed = core.compose_poly(p, change)
+        assert composed == expand_term_by_term(p, change)
+        assert max(abs(c) for c in composed.terms.values()) > 2 ** 60
+        assert MHPoly(nvars, degree, composed.terms) == composed
+
+
 def test_compose_poly_rejects_a_block_of_degree_two():
     t = SystemType(1, 1, 1, 2, 1)
     p = core.monomial_poly(t.nvars, (2, 1, 0), ((1, 1), (1, 0), (0, 0)))

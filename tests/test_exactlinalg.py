@@ -814,6 +814,52 @@ def assert_lu_inverse(rows, k, p):
                 for row in lead] == [[int(i == j) for j in range(k)] for i in range(k)]
 
 
+def full_substitution(lu, order, x, p):
+    """The reference of `_lu_solve`: every column of x[order] forward
+    with the unit lower L, in full and one row at a time, then back with
+    U, on Python ints mod p."""
+    lu = [[int(e) for e in row] for row in lu.tolist()]
+    y = [[int(e) % p for e in x[i].tolist()] for i in order]
+    for i in range(len(lu)):
+        for j in range(i):
+            y[i] = [(a - lu[i][j] * b) % p for a, b in zip(y[i], y[j])]
+    for i in reversed(range(len(lu))):
+        for j in range(i + 1, len(lu)):
+            y[i] = [(a - lu[i][j] * b) % p for a, b in zip(y[i], y[j])]
+        y[i] = [a * pow(lu[i][i], -1, p) % p for a in y[i]]
+    return y
+
+
+@pytest.mark.parametrize("p, k", [(P_PANEL, 1), (P_PANEL, 5), (P_PANEL, 45),
+                                  (width_bound_prime(5), 12), (width_bound_prime(3), 3),
+                                  (exactlinalg._prime(70, 0), 70), (2 ** 31 - 1, 9)])
+def test_inverse_from_the_lu_skips_zeros_and_equals_the_full_forward_pass(p, k):
+    """`_lu_solve` on the identity, whose forward pass skips the part of
+    L^{-1} P that is still zero, for k = 1, k below the panel width b, k
+    not a multiple of b and b = 1: the full substitution's inverse, with
+    rows swapped by pivoting. Also on an identity with a dense column
+    beside it, a dense x and a zero column."""
+    import numpy as np
+
+    rng = random.Random(k * p)
+    perm = list(range(k))
+    rng.shuffle(perm)
+    rows = random_lpu(rng, p, k, k, k, perm)
+    lu, order = np.array(rows, dtype=object).astype(exactlinalg._working_dtype(p)), np.arange(k)
+    assert exactlinalg._eliminate(lu, k, p, order)
+    eye = np.eye(k, dtype=lu.dtype)
+    dense = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(k)], dtype=lu.dtype)
+    for x in (eye, np.concatenate([eye, dense[:, :1]], axis=1), dense,
+              np.concatenate([dense, np.zeros((k, 1), dtype=lu.dtype), eye], axis=1)):
+        before = x.copy()
+        got = exactlinalg._lu_solve(lu, order, x, p)
+        assert np.array_equal(x, before)
+        assert got.astype(object).tolist() == full_substitution(lu, order, x, p)
+    inverse = exactlinalg._lu_solve(lu, order, eye, p).astype(object)
+    assert [[sum(a * b for a, b in zip(row, col)) % p for col in inverse.T.tolist()]
+            for row in rows] == np.eye(k, dtype=np.int64).tolist()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(p=st.sampled_from(ELIMINATION_PRIMES), k=st.integers(1, 12),
        extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -1084,6 +1130,159 @@ def test_reconstruction_accepts_a_residue_only_up_to_h():
     assert residues[0] == m - 1858
     got = exactlinalg._reconstruct(residues, m, h * h, den * den)
     assert [Fraction(a, b) for a, b in got] == values
+
+
+def plain_reconstruct(residues, modulus, num2, den2):
+    """The reference of `_reconstruct`: the same running common
+    denominator, the half-extended Euclidean algorithm one plain step at
+    a time, and the bounds compared as squares."""
+    den = 1
+    out = []
+    for u in residues:
+        y = u * den % modulus
+        if 2 * y > modulus:
+            y -= modulus
+        if y * y > num2:
+            r0, r1, t0, t1 = modulus, y % modulus, 0, 1
+            while r1 * r1 > num2:
+                quo = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+            if t1 * t1 > den2:
+                raise ArithmeticError("rational reconstruction failed")
+            y, den = (r1, den * t1) if t1 > 0 else (-r1, -den * t1)
+        out.append((y, den))
+    return out
+
+
+@st.composite
+def reconstruction_cases(draw):
+    """(residues, modulus, num2, den2): a modulus of 10 to 12000 bits,
+    residues that include 0 and modulus - 1, and values N / d with bounds
+    that fit (modulus > 2 H D), bounds that are too small, and bounds
+    drawn at random, which often fail."""
+    bits = draw(st.sampled_from([10, 11, 64, 130, 700, 2500, 6000, 12000]))
+    modulus = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+    special = st.sampled_from([0, 1, modulus - 1, modulus // 2, (modulus + 1) // 2])
+    kind = draw(st.sampled_from(["fits", "tight", "random"]))
+    if kind == "random":
+        num2, den2 = draw(st.integers(0, modulus)), draw(st.integers(1, modulus))
+        residues = draw(st.lists(st.one_of(special, st.integers(0, modulus - 1)),
+                                 min_size=1, max_size=3))
+        return residues, modulus, num2, den2
+    h = max(1, isqrt(modulus // 4) >> draw(st.integers(0, 8)))
+    d = max(1, (modulus - 1) // (2 * h))  # modulus > 2 h d
+    den = draw(st.integers(1, d))
+    values = draw(st.lists(st.integers(-h, h), min_size=1, max_size=3))
+    residues = [v * pow(den, -1, modulus) % modulus if gcd(den, modulus) == 1 else v % modulus
+                for v in values] + [draw(special)]
+    if kind == "tight":  # bounds below the values': reconstruction may fail
+        h, d = max(0, h >> 4), max(1, d >> 4)
+    return residues, modulus, h * h, d * d
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(reconstruction_cases())
+def test_reconstruction_by_lehmer_batches_equals_the_plain_euclidean_algorithm(case):
+    """`_reconstruct` runs the half-gcd in Lehmer batches while the
+    remainder is far above its stop: every pair it returns is the plain
+    algorithm's, and it raises ArithmeticError exactly when that does."""
+    residues, modulus, num2, den2 = case
+    try:
+        want = plain_reconstruct(residues, modulus, num2, den2)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            exactlinalg._reconstruct(residues, modulus, num2, den2)
+    else:
+        assert exactlinalg._reconstruct(residues, modulus, num2, den2) == want
+
+
+def test_half_gcd_in_lehmer_batches_stops_where_the_plain_algorithm_does():
+    """Consecutive Fibonacci numbers, whose every quotient is 1, and a
+    random pair, at stops across the whole range: the first remainder
+    at most the stop and its cofactor are the plain algorithm's."""
+    fib = [0, 1]
+    while fib[-1].bit_length() < 3000:
+        fib.append(fib[-1] + fib[-2])
+    rng = random.Random(5)
+    pairs = [(fib[-1], fib[-2]), (rng.getrandbits(4000) | 1 << 3999, rng.getrandbits(3990))]
+    for r0, r1 in pairs:
+        for stop in (0, 1, 2 ** 60, 2 ** 200, isqrt(r0), r1 >> 100, r1 - 1):
+            a, b, t0, t1 = r0, r1, 0, 1
+            while b > stop:
+                quo = a // b
+                a, b, t0, t1 = b, a - quo * b, t1, t0 - quo * t1
+            assert exactlinalg._half_gcd(r0, r1, stop) == (b, t1)
+
+
+def recombination_planes(draw, q, length, shape):
+    """Signed digit planes as the lift leaves them: -T_i, each entry at
+    most k top q in absolute value for k top q < 2^53, with runs at the
+    extremes and of q - 1 and 0 that carry far."""
+    k_top = draw(st.integers(1, (2 ** 53 - 1) // q))
+    bound = k_top * q
+    entry = st.one_of(st.integers(-bound, bound),
+                      st.sampled_from([-bound, bound, q - 1, 0, -1, q, -q]))
+    return [[draw(entry) for _ in range(prod(shape))] for _ in range(length)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_recombination_is_the_sum_of_the_digit_planes_modulo_q_to_the_l(data):
+    """`_recombine` of L signed planes, L = 1, odd or even, int64 or
+    Python ints past int64, equals sum_i q^i T_i mod q^L as Python ints,
+    entry by entry."""
+    import numpy as np
+
+    q = data.draw(st.sampled_from([exactlinalg._prime(k, 0) for k in (1, 2, 81, 630)]))
+    length = data.draw(st.sampled_from([1, 2, 3, 4, 7, 10, 33]))
+    shape = data.draw(st.sampled_from([(1, 1), (2, 3), (4, 1)]))
+    planes = recombination_planes(data.draw, q, length, shape)
+    big = data.draw(st.booleans())
+    if big:  # the lift on Python ints: entries of any size
+        planes = [[e * data.draw(st.sampled_from([1, 2 ** 40, -3 ** 50])) for e in plane]
+                  for plane in planes]
+    digits = np.array(planes, dtype=object if big else np.int64).reshape(length, *shape)
+    got = exactlinalg._recombine(digits, q)
+    assert got.dtype == object and got.shape == shape
+    want = [sum(q ** i * plane[e] for i, plane in enumerate(planes)) % q ** length
+            for e in range(prod(shape))]
+    assert got.ravel().tolist() == want
+
+
+def test_recombination_carries_through_a_run_of_top_digits():
+    """A carry of 1 into planes of q - 1, and a borrow into planes of 0,
+    ripple through every plane up to the last, whose carry is dropped."""
+    import numpy as np
+
+    q = exactlinalg._prime(81, 0)
+    for length in (1, 2, 9, 40):
+        for first, rest in ((q, q - 1), (-1, 0), (-q * 5, 0)):
+            planes = [first] + [rest] * (length - 1)
+            got = exactlinalg._recombine(np.array(planes, dtype=np.int64).reshape(length, 1, 1), q)
+            assert got[0, 0] == sum(q ** i * e for i, e in enumerate(planes)) % q ** length
+
+
+@pytest.mark.parametrize("top", [2 ** 40, 2 ** 70])
+def test_schur_over_q_lifts_on_python_ints_past_the_float_bound(monkeypatch, top):
+    """k top q >= 2^53, with int64 storage (entries up to 2^40) and with
+    object storage (2^70): the lift's products run on Python ints, its
+    digit planes reach `_recombine` as an object array, and the Schur
+    complement is the Fraction elimination's."""
+    import numpy as np
+
+    dtypes = []
+    real = exactlinalg._recombine
+    monkeypatch.setattr(exactlinalg, "_recombine",
+                        lambda digits, q: dtypes.append(digits.dtype) or real(digits, q))
+    rng = random.Random(top.bit_length())
+    k, n = 5, 8
+    rows = [[rng.choice((rng.randint(-9, 9), rng.randint(-top, top))) for _ in range(n)]
+            for _ in range(n)]
+    ints = ExactMatrix(rows).array
+    assert exactlinalg._lift_dtype(k, int(max(abs(e) for row in rows for e in row)),
+                                   exactlinalg._prime(k, 0)) is object
+    assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == reference_schur(rows, k)
+    assert dtypes == [object] and ints.dtype == (np.int64 if top < 2 ** 63 else object)
 
 
 # -- det over Q: zero certificate, divisor lift, quotient CRT ---------------
@@ -1424,6 +1623,22 @@ def test_upper_inverse_by_halves_inverts_triangles_of_every_split():
     r[10, 10] = 0
     with pytest.raises(np.linalg.LinAlgError):
         exactlinalg._upper_inverse(r)
+
+
+def test_upper_product_by_halves_equals_the_full_product():
+    """a X for an upper-triangular X, by halves, at orders around the
+    leaf size and odd splits: exactly a @ X where every sum is an exact
+    float (small integers), and to rounding on random floats."""
+    import numpy as np
+
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 63, 64, 65, 129, 200):
+        for rows in (1, 7, 130):
+            a = rng.integers(-99, 99, size=(rows, n)).astype(np.float64)
+            x = np.triu(rng.integers(-99, 99, size=(n, n))).astype(np.float64)
+            assert np.array_equal(exactlinalg._upper_product(a, x), a @ x)
+            a, x = rng.standard_normal((rows, n)), np.triu(rng.standard_normal((n, n)))
+            assert np.abs(exactlinalg._upper_product(a, x) - a @ x).max() < 1e-12 * n
 
 
 def test_singular_m11_over_q_is_declared_after_one_elimination(monkeypatch):

@@ -314,6 +314,41 @@ def test_theta_partition_flags_assembly_violations(paper_type):
             koszul.theta_partition(mutated(tweak), THETA)
 
 
+def test_theta_partition_is_kept_on_the_matrix_and_freed_with_it(paper_type, monkeypatch):
+    """A second call for a theta returns its permutations and split
+    without reading the references again; another theta gets its own;
+    a matrix built afresh starts with none, and a dropped matrix is freed
+    at once, since what is kept does not refer back to it."""
+    import gc
+    import weakref
+
+    base = koszul.assemble_delta1(paper_type)
+    matrix = koszul.SymbolicResultantMatrix(base.type, base.m, base.size, base.row_idx,
+                                            base.col_idx, base.ref_idx, base.references)
+    first = koszul.theta_partition(matrix, THETA)
+    other = ((0, 1), (0, 1), (0, 1))
+    second_theta = koszul.theta_partition(matrix, other)
+
+    def unread(*args):
+        raise AssertionError("the references were read again")
+
+    monkeypatch.setattr(koszul.SymbolicResultantMatrix, "occurrences", unread)
+    again = koszul.theta_partition(matrix, THETA)
+    assert again == first and again.base is matrix
+    assert koszul.theta_partition(matrix, other) == second_theta != first
+    monkeypatch.undo()
+    fresh = koszul.SymbolicResultantMatrix(base.type, base.m, base.size, base.row_idx,
+                                           base.col_idx, base.ref_idx, base.references)
+    assert fresh._partitions == {}
+    gone = weakref.ref(matrix)
+    gc.disable()
+    try:
+        del matrix, first, again, second_theta
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 def test_structural_theta_property_sweep():
     for t in small_types(6):
         matrix = koszul.assemble_delta1(t)

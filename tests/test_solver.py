@@ -90,6 +90,89 @@ def test_extending_all_eigenvectors_at_once_matches_each_and_is_kernel():
         assert np.linalg.norm(shifted @ full) < 1e-8 * scale
 
 
+def attempt_zero(t, seed):
+    """solve_2bilinear's attempt 0 on core.random_system(t, seed), up to
+    recovery: (transformed system, partition, permuted float matrix,
+    eigenpairs, coordinate change, original system)."""
+    sys_ = core.random_system(t, seed)
+    matrix = koszul.assemble_delta1(t)
+    part = koszul.theta_partition(matrix, solver.default_theta(t))
+    rng = random.Random("0:0")
+    change = core.random_coordinate_change(t, rng)
+    f0, _ = solver.choose_f0_and_theta(t, rng)
+    transformed = core.apply_coordinate_change(sys_, change).with_f0(f0)
+    exact = part.apply(koszul.specialize(matrix, transformed))
+    pairs = solver.eigen_schur(exactlinalg.to_float(
+        exactlinalg.schur_complement(exact, part.split)))
+    return transformed, part, exactlinalg.to_float(exact), pairs, change, sys_
+
+
+BATCH_TYPES = (SystemType(1, 1, 1, 2, 1), SystemType(2, 2, 2, 3, 3), SystemType(1, 1, 0, 1, 1),
+               SystemType(0, 2, 2, 2, 2), SystemType(3, 3, 1, 4, 3))
+
+
+@pytest.mark.parametrize("t", BATCH_TYPES, ids=str)
+def test_batched_extraction_z_solve_and_residual_equal_their_column_by_column_calls(t):
+    """extract_xy, solve_z and residual on the columns of a matrix give,
+    column by column, what each gives on one vector: the same x and y,
+    and z and residuals to rounding (a column of a product may round
+    differently alone; residuals are near 1e-15 here, so to 1e-12
+    absolute); one vector keeps its tuple or float."""
+    transformed, part, permuted, pairs, _, _ = attempt_zero(t, 1)
+    full = solver.extend_eigenvector(part, permuted, np.column_stack([p.vector for p in pairs]))
+    ax, ay = solver.extract_xy(full, t)
+    assert ax.shape == (t.nx + 1, len(pairs)) and ay.shape == (t.ny + 1, len(pairs))
+    az = solver.solve_z(transformed, ax, ay)
+    assert az.shape == (t.nz + 1, len(pairs))
+    points = np.concatenate([ax, ay, az])
+    residuals = solver.residual(transformed, points)
+    assert residuals.shape == (len(pairs),) and residuals.max() < 1e-6
+    for j, column in enumerate(full.T):
+        x, y = solver.extract_xy(column, t)
+        assert type(x) is tuple and type(y) is tuple
+        assert x == tuple(ax[:, j]) and y == tuple(ay[:, j])
+        z = solver.solve_z(transformed, x, y)
+        assert type(z) is tuple
+        assert np.allclose(z, az[:, j], rtol=0, atol=1e-13)
+        alone = solver.residual(transformed, ProjectiveSolution(x, y, z))
+        assert type(alone) is float
+        assert abs(alone - residuals[j]) <= 1e-12
+
+
+def test_batched_extraction_raises_when_any_column_fails(paper_type):
+    """A zero column beside good ones fails the whole batch, as the
+    attempt's first failing vector did."""
+    good = oracle.build_rho(paper_type, (Fraction(1), Fraction(3)), (Fraction(1), Fraction(2)),
+                            [1] * len(oracle.rho_slots(paper_type)))
+    vectors = np.array([[float(v), 0.0] for v in good])
+    with pytest.raises(solver.ExtractionError, match="zero vector"):
+        solver.extract_xy(vectors, paper_type)
+
+
+@pytest.mark.parametrize("t", BATCH_TYPES, ids=str)
+def test_recovery_of_all_eigenpairs_matches_the_per_solution_path(t):
+    """`_recover_all` against each eigenvector recovered alone, through
+    `core.transform_point`, `ProjectiveSolution.normalized` and the real
+    report rule: the same solutions to 1e-12 relative, real exactly when
+    those are, and the same residuals to 1e-12 absolute."""
+    transformed, part, permuted, pairs, change, sys_ = attempt_zero(t, 1)
+    solutions, residuals = solver._recover_all(transformed, part, permuted, pairs, change, sys_)
+    assert len(solutions) == len(residuals) == len(pairs)
+    for pair, sol, res in zip(pairs, solutions, residuals):
+        full = solver.extend_eigenvector(part, permuted, pair.vector)
+        x, y = solver.extract_xy(full, t)
+        z = solver.solve_z(transformed, x, y)
+        back = core.transform_point(change, ProjectiveSolution(x, y, z)).normalized(tol=1e-12)
+        coords = [complex(c) for block in back.blocks for c in block]
+        top = max(map(abs, coords))
+        real = all(abs(c.imag) <= 1e-8 * top for c in coords)
+        got = [c for block in sol.blocks for c in block]
+        assert all(type(c) is (float if real else complex) for c in got)
+        assert max(abs(c - w) for c, w in zip(got, coords)) <= 1e-12 * top
+        want = [[c.real if real else c] for c in coords]
+        assert abs(res - solver.residual(sys_, np.array(want))[0]) <= 1e-12
+
+
 def test_extract_xy_from_paper_vector(paper_system):
     matrix, part, spec = paper_partition(paper_system)
     t = paper_system.type
