@@ -50,13 +50,18 @@ The Schur complement, and so `solve`, is Dixon's p-adic lifting
 (`_lift_schur`) once the zero test has found M11 nonsingular
 (SingularMatrixError otherwise): with the zero test's inverse of M11
 modulo the prime q it certified, one product with it, one with M11 and
-one with M21 per step, for L steps fixed up front, the least with q^L
-above twice the product of the Hadamard bounds on the (k+1)-minors and
-on det M11. The steps write their digits into one array; one carry
-step over it lets them pair into base q^2 in int64 before the Python
-ints take over (`_recombine`); rational reconstruction with one
-running common denominator, its half-gcds in Lehmer batches
-(`_reconstruct`), recovers S.
+one with M21 per step. The lift stops once its output certifies
+itself: with H and H_d the Hadamard bounds on the (k+1)-minors and on
+det M11, a candidate c / e of an entry, e u = c mod q^L, is the entry
+when q^L > H_d |c| + H e. A probe w^T S v, lifted alongside and
+reconstructed digit by digit (`_reduced_basis`), tells when to try;
+a failed try, or no try, runs the same loop on to the a priori
+length, the least L with q^L > 2 H H_d, where every candidate passes.
+The steps write their digits into one array; one carry step over it
+lets them pair into base q^2 in int64 before the Python ints take
+over (`_recombine`); rational reconstruction with one running common
+denominator, its half-gcds in Lehmer batches (`_reconstruct`),
+recovers S.
 
 Floats enter the exact paths only where every value is an integer
 below 2^53 and so exact in float64. In the elimination mod p the panel
@@ -384,7 +389,7 @@ def _unit_lower_inverse(lower, p: int):
     return inverse
 
 
-def _eliminate(a, k: int, p: int, order=None) -> int:
+def _eliminate(a, k: int, p: int, order=None, inverses=None) -> int:
     """k Gaussian elimination steps mod p on the array a (clobbered),
     pivoting on the first nonzero entry among the leading k rows.
 
@@ -417,8 +422,10 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
     int64 is exact. Every entry is reduced once, at the step whose pivot
     column or row holds it, so the copy is written back reduced; after a
     column without a pivot, the columns past it are reduced then.
-    After the panel's steps, U12 = L11^{-1} A12 on the panel's own rows,
-    and BLAS matmuls A22 -= L21 U12, `_UPDATE_ROWS` rows at a time,
+    After the panel's steps, U12 = L11^{-1} A12 on the panel's own rows
+    (L11^{-1} appended to `inverses`, a list, when one is given, for
+    `_lu_solve` to reuse), and BLAS matmuls A22 -= L21 U12,
+    `_UPDATE_ROWS` rows at a time,
     update the rows below that have a multiplier. The entries of the
     float64 array stay integers in [-low, p) with low + p <= 2^53: an
     update lowers low by at most b (p - 1)^2, every partial sum is an
@@ -502,7 +509,10 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
             u12 = a[start:end, end:]
             if low:
                 _reduce(u12, p)
-            u12[...] = _reduce(_unit_lower_inverse(np.tril(panel[:width], -1), p) @ u12, p)
+            inverse = _unit_lower_inverse(np.tril(panel[:width], -1), p)
+            if inverses is not None:
+                inverses.append(inverse)
+            u12[...] = _reduce(inverse @ u12, p)
             multiplied = width + np.flatnonzero(panel[width:].any(axis=1))
             if multiplied.size:
                 below, l21 = start + live[multiplied], panel[multiplied].astype(np.float64)
@@ -517,18 +527,24 @@ def _eliminate(a, k: int, p: int, order=None) -> int:
     return det % p
 
 
-def _lu_solve(lu, order, x, p: int):
+def _lu_solve(lu, order, x, p: int, inverses=()):
     """X with A X = x mod p, from the packed LU of A[order] (`_eliminate`)
     in the square array lu; x, residues in lu's dtype, is left as it is.
 
     Forward with the unit lower L, then back with U, in panels of b =
     `_panel_width(p)` rows on float64 and 1 on any other dtype: a panel's
-    rows, reduced, take the inverse of its diagonal block
-    (`_unit_lower_inverse`; U's is D times a unit upper one, D its
-    diagonal), then one product updates the rows after it (going back,
-    before it). An update subtracts at most b (p - 1)^2 from an entry, as
-    in `_eliminate`, so those rows are reduced only once `every` updates
-    could pass 2^53 - p; on int64 and object arrays after each one.
+    rows, reduced, take the inverse of its diagonal block, then one
+    product updates the rows after it (going back, before it). Forward,
+    the inverse of the i-th block is inverses[i], the L11^{-1} that
+    `_eliminate` formed for U12 and listed, for every panel it gave one
+    (all but the last of a nonsingular A, and the panels of a leading
+    block of its LU that lie wholly inside it), else
+    `_unit_lower_inverse`'s. Back, U's block is D V, D its diagonal and V
+    unit upper, and its inverse V^{-1} D^{-1} is formed once, as one
+    matrix, so the rows take one product. An update subtracts at most b
+    (p - 1)^2 from an entry, as in `_eliminate`, so those rows are
+    reduced only once `every` updates could pass 2^53 - p; on int64 and
+    object arrays after each one.
 
     The forward pass skips what is still zero. With the columns of
     x[order] sorted by their first nonzero row, a panel's rows are 0 in
@@ -554,8 +570,9 @@ def _lu_solve(lu, order, x, p: int):
         end, c = min(start + b, k), reach[i]
         rows = _reduce(x[start:end, :c], p)
         if end - start > 1:
-            rows[...] = _reduce(_unit_lower_inverse(np.tril(lu[start:end, start:end], -1), p)
-                                @ rows, p)
+            inverse = inverses[i] if i < len(inverses) else \
+                _unit_lower_inverse(np.tril(lu[start:end, start:end], -1), p)
+            rows[...] = _reduce(inverse @ rows, p)
         x[end:, :c] -= lu[end:, start:end] @ rows
         if (i + 1) % every == 0:
             _reduce(x[end:, :c], p)
@@ -563,10 +580,12 @@ def _lu_solve(lu, order, x, p: int):
         end = min(start + b, k)
         rows = _reduce(x[start:end], p)
         scale = np.array([pow(int(e), -1, p) for e in lu.diagonal()[start:end]])[:, None]
-        rows[...] = _reduce(scale * rows, p)  # D^{-1}
-        if end - start > 1:  # D^{-1} U is unit upper, the transpose of a unit lower
+        if end - start > 1:  # V = D^{-1} U is unit upper, the transpose of a unit lower
             upper = _reduce(scale * np.triu(lu[start:end, start:end], 1), p)
-            rows[...] = _reduce(_unit_lower_inverse(upper.T, p).T @ rows, p)
+            inverse = _reduce(_unit_lower_inverse(upper.T, p).T * scale.T, p)  # V^{-1} D^{-1}
+            rows[...] = _reduce(inverse @ rows, p)
+        else:
+            rows[...] = _reduce(scale * rows, p)  # D^{-1}
         x[:start] -= lu[:start, start:end] @ rows
         if (i + 1) % every == 0:
             _reduce(x[:start], p)
@@ -817,16 +836,17 @@ def _zero_test(a):
     residues = []
     for i in count():
         q = _prime(n, i)
-        lu, order = _mod(a, q), np.arange(n)
-        residues.append(_eliminate(lu, n, q, order))
+        lu, order, inverses = _mod(a, q), np.arange(n), []
+        residues.append(_eliminate(lu, n, q, order, inverses))
         if residues[-1]:
-            return residues, _lu_solve(lu, order, np.eye(n, dtype=lu.dtype), q)
+            return residues, _lu_solve(lu, order, np.eye(n, dtype=lu.dtype), q, inverses)
         s = int(np.flatnonzero(lu.diagonal() == 0)[0])
         head = a[order, :s + 1]
         # column s minus its Q-combination of the columns before it; the
         # leading s x s block of lu is the LU of head's pivot block
         certificate = head[:, 0] if s == 0 else [num for num, _ in _lift_schur(
-            head, s, q, _lu_solve(lu[:s, :s], np.arange(s), np.eye(s, dtype=lu.dtype), q))]
+            head, s, q, _lu_solve(lu[:s, :s], np.arange(s), np.eye(s, dtype=lu.dtype), q,
+                                  inverses))]
         if not any(certificate):
             return None, None
 
@@ -868,6 +888,85 @@ def _lift_dtype(k: int, top: int, q: int):
     return np.float64 if k * top * q < _FLOAT_EXACT_LIMIT else object
 
 
+def _steps(q: int, bound: int) -> int:
+    """The least L with q^L > bound."""
+    steps, power = 0, 1
+    while power <= bound:
+        steps, power = steps + 1, power * q
+    return steps
+
+
+@lru_cache(maxsize=None)
+def _probe_weights(m: int, n: int):
+    """Fixed small integer vectors w and v, int64, of lengths m and n,
+    for the lift's probe w^T S v of an m x n complement S: pseudo-random
+    in [-64, 64], seeded by the shape, as `_divisor` seeds its border;
+    w = v = (1) for a 1 x 1 complement, which is its own probe. Cached,
+    and read-only."""
+    if m * n == 1:
+        weights = [1], [1]
+    else:
+        rng = random.Random(f"probe {m} x {n}")
+        weights = [rng.randint(-64, 64) for _ in range(m)], [rng.randint(-64, 64) for _ in range(n)]
+    w, v = (np.array(x, dtype=np.int64) for x in weights)
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
+
+
+def _reduced_basis(basis: tuple, digit: int, q: int) -> tuple:
+    """One step of the lift's probe: the Lagrange-Gauss reduced basis of
+    the lattice of integer pairs (c, e) with c = e u mod q M, from
+    `basis`, that of the same lattice modulo M, where u, the probe's
+    partial sum, grows by M times `digit`. A basis is (c1, e1, c2, e2,
+    n1, m, n2, g1, g2): two vectors, their squared lengths n1 <= n2 and
+    their dot product m, |m| <= n1 / 2, and g = (e u - c) / M for each,
+    an integer, kept up to date instead of formed from u and M.
+
+    The new lattice has index q in the old one: f(c, e) = g + e digit
+    mod q is onto Z / q with the new lattice as its kernel, so with f(b1)
+    = a and f(b2) = b, b a unit (else swap the two), it is spanned by b1
+    - t b2, t = a / b mod q taken in (-q/2, q/2], and q b2; a few Gauss
+    steps, which update the lengths and the dot product instead of
+    forming them, reduce that. The first vector is then a shortest
+    nonzero pair, the rational c / e that a balanced half-gcd of u mod
+    q M gives when |c| and e are below sqrt(q M / 2); a step costs the
+    reduction of one digit's bits, where a half-gcd would run over all
+    of them again."""
+    c1, e1, c2, e2, n1, m, n2, g1, g2 = basis
+    g1 += e1 * digit
+    g2 += e2 * digit
+    if g2 % q == 0:  # f is onto, so f(b1) is a unit
+        c1, e1, c2, e2, n1, n2, g1, g2 = c2, e2, c1, e1, n2, n1, g2, g1
+    t = g1 * pow(g2, -1, q) % q
+    if 2 * t > q:
+        t -= q
+    c1 -= t * c2
+    e1 -= t * e2
+    g1 = (g1 - t * g2) // q  # exact: f(b1 - t b2) = 0
+    tn = t * n2
+    n1 -= t * (2 * m - tn)
+    m = q * (m - tn)
+    c2 *= q
+    e2 *= q
+    n2 *= q * q  # g(q b2) modulo q M is g(b2) modulo M
+    if n1 > n2:
+        c1, e1, c2, e2, n1, n2, g1, g2 = c2, e2, c1, e1, n2, n1, g2, g1
+    while True:
+        mu = (m + (n1 >> 1)) // n1  # a nearest integer to m / n1
+        if mu == 0:
+            break
+        c2 -= mu * c1
+        e2 -= mu * e1
+        g2 -= mu * g1
+        reduced = m - mu * n1
+        n2 -= mu * (m + reduced)
+        m = reduced
+        if n2 >= n1:
+            break
+        c1, e1, c2, e2, n1, n2, g1, g2 = c2, e2, c1, e1, n2, n1, g2, g1
+    return c1, e1, c2, e2, n1, m, n2, g1, g2
+
+
 def _lift_schur(ints, k: int, q: int, inverse) -> list:
     """(numerator, denominator) of each entry, row by row, of the Schur
     complement S = M22 - M21 M11^{-1} M12 of an integer array (int64 or
@@ -875,31 +974,62 @@ def _lift_schur(ints, k: int, q: int, inverse) -> list:
     prime q with k (q - 1)^2 < 2^53 (`_prime`) that does not divide
     det M11, given C = M11^{-1} mod q (float64 or int64).
 
-    Each of L steps takes, from R = M12, X_i = C (R mod q) mod q, the
-    products M11 X_i and T_i = M21 X_i, and R <- (R - M11 X_i) / q, an
-    exact division, so that X = sum q^i X_i solves M11 X = M12 modulo
-    q^L and S is M22 - sum q^i T_i modulo q^L. By Sylvester's identity
-    d S, with d = det M11, is a matrix of (k+1)-minors, at most H in
-    absolute value, and |d| <= H_d; L, fixed before the first step, is
-    the smallest with q^L > 2 H H_d, so rational reconstruction
-    (`_reconstruct`) recovers S. The steps write -T_i into one
-    preallocated array of L digit planes, in the lifting's dtype;
-    `_recombine` turns M22 plus those planes into S mod q^L.
+    Each step takes, from R = M12, X_i = C (R mod q) mod q, the products
+    M11 X_i and T_i = M21 X_i, and R <- (R - M11 X_i) / q, an exact
+    division, so that X = sum q^i X_i solves M11 X = M12 modulo q^L
+    after L steps and S is M22 - sum q^i T_i modulo q^L. The steps write
+    -T_i into one preallocated array of digit planes, in the lifting's
+    dtype; `_recombine` turns M22 plus the first L of them into S mod q^L.
+
+    By Sylvester's identity d S, with d = det M11, is a matrix of
+    (k+1)-minors, at most H in absolute value, and |d| <= H_d, so each
+    entry is a / b with |a| <= H and 0 < b <= H_d. A candidate (c, e),
+    e > 0 and e u = c mod q^L for the entry's residue u, equals it
+    whenever q^L > H_d |c| + H e, since then |e a - b c| < q^L and e a
+    = b c mod q^L (Wang, Guy and Davenport 1982): the output certifies
+    itself. Rational reconstruction (`_reconstruct`, numerator bound H)
+    gives the candidates. At the a priori length, the least L with q^L
+    > 2 H H_d, every candidate passes; that is where the loop ends at
+    the latest, and the only place where a failed reconstruction raises.
+
+    To stop sooner, the loop lifts a probe alongside: w^T S v for fixed
+    small integer vectors (`_probe_weights`), one digit w^T (-M21) X_i v
+    per step, and keeps a reduced basis of the pairs (c, e) with c = e
+    u_p mod q^i, u_p the probe's residue, one step per digit
+    (`_reduced_basis`). Its shortest vector is the probe's balanced
+    rational reconstruction (c_p, e_p) when there is one; once the same
+    one is shortest at two steps in a row, the loop stops at the least L
+    with q^L > 2 (H e_p + H_d |c_p|) (at once if that has passed), as
+    the entries of S share the probe's denominator and have numerators
+    of about its size, recombines and reconstructs every entry, and
+    checks each against the inequality above. On any failure the same
+    loop runs on to the a priori length. A zero complement, the zero
+    test's certificate, has the probe 0 / 1 from the first step and
+    stops near q^L > 2 H, about half of the a priori length.
     """
     minors2, lead2 = _hadamard2(ints, k)
+    h, hd = isqrt(minors2), isqrt(lead2)
     top = int(np.abs(ints).max())
     a = ints.astype(_lift_dtype(k, top, q))
-    steps, modulus = 0, 1
-    while modulus * modulus <= 4 * minors2 * lead2:
-        steps, modulus = steps + 1, modulus * q
+    length = _steps(q, isqrt(4 * minors2 * lead2))  # the a priori length
     m11, r = a[:k, :k], a[:k, k:].copy()  # M11, R
     m21 = -a[k:, :k]  # so that the planes hold -T_i
+    m22 = ints[k:, k:]
     inverse = inverse.astype(np.float64, copy=False)  # exact: entries below q < 2^27
-    digits = np.empty((steps, *ints[k:, k:].shape), dtype=a.dtype)
+    digits = np.empty((length, *m22.shape), dtype=a.dtype)
     residues = np.empty(r.shape)
     python_ints = a.dtype == object
     divide = np.floor_divide if python_ints else np.true_divide  # exact on either
-    for plane in digits:
+    w, v = _probe_weights(*m22.shape)
+    w = w.astype(object)  # Python ints: exact whatever the entries
+    weights = -(w @ ints[k:, :k])  # w^T (-M21)
+    if k * int(np.abs(weights).max(initial=0)) * (q - 1) * int(np.abs(v).sum()) < _INT64_LIMIT:
+        weights = weights.astype(np.int64)  # every w^T (-M21) X_i v fits int64
+    probe = int(w @ m22 @ v)  # w^T M22 v
+    # Z^2, the lattice modulo 1: g is -1 for (1, 0) and the probe's
+    # partial sum w^T M22 v for (0, 1)
+    basis, seen, stop = (1, 0, 0, 1, 1, 0, 1, -1, probe), None, length
+    for steps, plane in enumerate(digits, 1):
         residues[...] = r % q if python_ints else r
         x = _reduce(inverse @ _reduce(residues, q), q)  # exact: k (q - 1)^2 < 2^53
         if python_ints:
@@ -907,11 +1037,29 @@ def _lift_schur(ints, k: int, q: int, inverse) -> list:
         r -= m11 @ x
         divide(r, q, out=r)
         np.matmul(m21, x, out=plane)
-    if not python_ints:
-        digits = digits.astype(np.int64)  # exact: k top q < 2^53
-    digits[0] += ints[k:, k:].astype(digits.dtype)
-    image = _recombine(digits, q)
-    return _reconstruct(image.ravel().tolist(), modulus, minors2, lead2)
+        if basis is not None:  # the probe has not set the stop yet
+            xv = x.astype(np.int64) @ v  # exact: n 64 q < 2^63
+            basis = _reduced_basis(basis, int(weights @ xv.astype(weights.dtype, copy=False)), q)
+            c, e = basis[:2] if basis[1] >= 0 else (-basis[0], -basis[1])
+            if (c, e) == seen and e:
+                basis, stop = None, min(length, max(steps, _steps(q, 2 * (h * e + hd * abs(c)))))
+            seen = c, e
+        if steps == stop:
+            image = digits[:steps].astype(np.int64 if digits.dtype == np.float64 else object)
+            image[0] += m22.astype(image.dtype)  # exact: k top q < 2^53 on float64
+            modulus = q ** steps
+            try:
+                values = _reconstruct(_recombine(image, q).ravel().tolist(), modulus,
+                                      minors2, lead2)
+            except ArithmeticError:
+                if steps == length:
+                    raise
+                values = None
+            # at the a priori length |y| <= H and den <= H_d pass by themselves
+            if values is not None and (steps == length or all(
+                    hd * abs(y) + h * den < modulus for y, den in values)):
+                return values
+            basis, stop = None, length
 
 
 def _recombine(digits, q: int):
@@ -1037,10 +1185,10 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         return ExactMatrix(np.zeros((0, b.ncols), dtype=np.int64), a.field)
     if a.field is not None:
         p = a.field
-        lu, order = a.array.astype(_working_dtype(p)), np.arange(n)
-        if _eliminate(lu, n, p, order) == 0:
+        lu, order, inverses = a.array.astype(_working_dtype(p)), np.arange(n), []
+        if _eliminate(lu, n, p, order, inverses) == 0:
             raise SingularMatrixError("singular matrix over F_p")
-        x = _lu_solve(lu, order, b.array.astype(lu.dtype), p)
+        x = _lu_solve(lu, order, b.array.astype(lu.dtype), p, inverses)
         return ExactMatrix._of(x.astype(storage_dtype((), p), copy=False), p)
     # over Q an int64 A may meet an object B, whose Fractions int64 would truncate
     bordered = np.zeros((2 * n, n + b.ncols), dtype=np.result_type(a.array, b.array))

@@ -860,6 +860,45 @@ def test_inverse_from_the_lu_skips_zeros_and_equals_the_full_forward_pass(p, k):
             for row in rows] == np.eye(k, dtype=np.int64).tolist()
 
 
+@pytest.mark.parametrize("p, k", [(P_PANEL, 1), (P_PANEL, 45), (P_PANEL, 96),
+                                  (width_bound_prime(5), 12), (exactlinalg._prime(124, 0), 124),
+                                  (2 ** 31 - 1, 9)])
+def test_inverse_from_the_lu_reuses_the_l11_inverses_of_the_elimination(monkeypatch, p, k):
+    """`_eliminate` lists the L11^{-1} it formed for U12, one for every
+    panel but the last (none when b = 1), and `_lu_solve` given them
+    forms only the other inverses: one `_unit_lower_inverse` fewer per
+    listed panel, and the same inverse and solve. On a singular block
+    the list covers the panels before the one without a pivot, and the
+    leading s x s block's inverse, the zero test's, is the same too."""
+    import numpy as np
+
+    calls = []
+    real = exactlinalg._unit_lower_inverse
+    monkeypatch.setattr(exactlinalg, "_unit_lower_inverse",
+                        lambda lower, p: calls.append(len(lower)) or real(lower, p))
+    rng = random.Random(k + p)
+    b = exactlinalg._panel_width(p) if exactlinalg._working_dtype(p) == np.float64 else 1
+    for zero_at in (None, k - 1 - k // 3):
+        rows = random_lpu(rng, p, k, k, k, zero_at=zero_at if k > 1 else None)
+        lu, order, inverses = np.array(rows, dtype=object).astype(
+            exactlinalg._working_dtype(p)), np.arange(k), []
+        singular = exactlinalg._eliminate(lu, k, p, order, inverses) == 0
+        size = int(np.flatnonzero(lu.diagonal() == 0)[0]) if singular else k
+        assert singular == (zero_at is not None and k > 1)
+        assert len(inverses) == (0 if b == 1 else (size // b if singular else (k - 1) // b))
+        lu, order = lu[:size, :size], order[:size] if not singular else np.arange(size)
+        eye = np.eye(size, dtype=lu.dtype)
+        dense = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(size)],
+                         dtype=lu.dtype)
+        for x in (eye, dense):
+            calls.clear()
+            got = exactlinalg._lu_solve(lu, order, x, p, inverses)
+            reused = len(calls)
+            calls.clear()
+            assert np.array_equal(got, exactlinalg._lu_solve(lu, order, x, p))
+            assert reused == len(calls) - len(inverses)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(p=st.sampled_from(ELIMINATION_PRIMES), k=st.integers(1, 12),
        extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -925,8 +964,8 @@ def spying_inverses(monkeypatch):
     """The (order, prime) of every `_lu_solve` call from now on."""
     calls = []
     real = exactlinalg._lu_solve
-    monkeypatch.setattr(exactlinalg, "_lu_solve",
-                        lambda lu, order, x, p: calls.append((len(lu), p)) or real(lu, order, x, p))
+    monkeypatch.setattr(exactlinalg, "_lu_solve", lambda lu, order, x, p, *rest:
+                        calls.append((len(lu), p)) or real(lu, order, x, p, *rest))
     return calls
 
 
@@ -1101,6 +1140,155 @@ def test_lifting_meets_tight_hadamard_bounds():
             [[Fraction(d * d + b * b, d)]]
         assert exactlinalg.solve(ExactMatrix([[d]]), ExactMatrix([[b, d * d + 1]])).rows == \
             [[Fraction(b, d), Fraction(d * d + 1, d)]]
+
+
+def planted_denominator(rng, k, n, d, bound=3):
+    """A (k + n) x (k + n) integer matrix whose leading block has
+    determinant d (`with_det`) and whose other entries lie in [-9, 9]:
+    its Schur complement has the large common denominator d but for a
+    chance factor."""
+    rows = [row + [rng.randint(-9, 9) for _ in range(n)] for row in with_det(rng, k, d, bound)]
+    return rows + [[rng.randint(-9, 9) for _ in range(k + n)] for _ in range(n)]
+
+
+def spying_moduli(monkeypatch):
+    """The modulus of every `_reconstruct` call from now on."""
+    moduli = []
+    real = exactlinalg._reconstruct
+    monkeypatch.setattr(exactlinalg, "_reconstruct", lambda residues, modulus, *bounds:
+                        moduli.append(modulus) or real(residues, modulus, *bounds))
+    return moduli
+
+
+def lift_case():
+    """(rows, k, q, a priori length, its bound, H, H_d) of a 20 + 3
+    matrix whose complement has denominator 2^61 - 1, lifted modulo
+    _prime(20, 0), whose certificate needs 15 of the 18 steps of the a
+    priori length."""
+    k, d = 20, 2 ** 61 - 1
+    rows = planted_denominator(random.Random(20), k, 3, d, 9)
+    ints = ExactMatrix(rows).array
+    q = exactlinalg._prime(k, 0)
+    assert len(exactlinalg._zero_test(ints[:k, :k])[0]) == 1  # q certifies M11
+    minors2, lead2 = exactlinalg._hadamard2(ints, k)
+    bound = isqrt(4 * minors2 * lead2)
+    return rows, k, q, exactlinalg._steps(q, bound), bound, isqrt(minors2), isqrt(lead2)
+
+
+def test_a_misleading_probe_sends_the_lift_on_to_the_a_priori_length(monkeypatch):
+    """Probe weights of 0 make the probe 0, whose candidate 0 / 1 sets
+    the stop near q^L > 2 H; the complement's denominator 2^61 - 1 fails
+    the check there, and the same loop runs on to the a priori length.
+    The complement is exact either way, and with its own weights the lift
+    stops before the a priori length."""
+    import numpy as np
+
+    rows, k, q, length, _, h, _ = lift_case()
+    want = fraction_eliminate(rows, k)[1]
+    assert {e.denominator for row in want for e in row} == {2 ** 61 - 1}
+    moduli = spying_moduli(monkeypatch)
+    assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == want
+    assert len(moduli) == 1 and moduli[0] < q ** length
+    moduli.clear()
+    monkeypatch.setattr(exactlinalg, "_probe_weights", lambda m, n: (
+        np.zeros(m, dtype=np.int64), np.zeros(n, dtype=np.int64)))
+    assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == want
+    assert moduli == [q ** exactlinalg._steps(q, 2 * h), q ** length]
+
+
+def test_a_stop_one_step_short_of_the_certificate_runs_on_to_the_a_priori_length(monkeypatch):
+    """The probe's stop moved to one step before the least L at which
+    every entry a / b passes q^L > H_d |a| + H b: no candidate can pass
+    there, so the lift runs on to the a priori length, and the
+    complement is exact."""
+    rows, k, q, length, apriori, h, hd = lift_case()
+    want = fraction_eliminate(rows, k)[1]
+    real = exactlinalg._steps
+    needed = max(real(q, hd * abs(e.numerator) + h * e.denominator) for row in want for e in row)
+    assert needed < length
+    monkeypatch.setattr(exactlinalg, "_steps", lambda q, bound:
+                        real(q, bound) if bound == apriori else needed - 1)
+    moduli = spying_moduli(monkeypatch)
+    assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == want
+    assert moduli == [q ** (needed - 1), q ** length]
+
+
+def test_the_lift_of_a_koszul_complement_stops_before_the_a_priori_length(monkeypatch):
+    """The theta-partitioned (2,2,2,3,3) Koszul matrix, mu = 81, whose
+    Hadamard bounds overestimate its complement (numerators and
+    denominators of about 225 bits against H = 2^301 and H_d = 2^290):
+    the probe stops the lift at 23 of the 26 steps of the a priori
+    length, and the one reconstruction there certifies every entry."""
+    t = SystemType(2, 2, 2, 3, 3)
+    rng = random.Random(2233)
+    matrix = koszul.assemble_delta1(t)
+    f0, theta = solver.choose_f0_and_theta(t, rng)
+    part = koszul.theta_partition(matrix, theta)
+    spec = part.apply(koszul.specialize(matrix, core.random_system(t, rng).with_f0(f0)))
+    ints, k = spec.array, part.split
+    q = exactlinalg._prime(k, len(exactlinalg._zero_test(ints[:k, :k])[0]) - 1)
+    minors2, lead2 = exactlinalg._hadamard2(ints, k)
+    length = exactlinalg._steps(q, isqrt(4 * minors2 * lead2))
+    moduli = spying_moduli(monkeypatch)
+    assert exactlinalg.schur_complement(spec, k).rows == fraction_eliminate(spec.rows, k)[1]
+    assert length == 26 and moduli == [q ** 23]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), k=st.integers(1, 5), n=st.integers(1, 3),
+       bits=st.integers(1, 200), bound=st.sampled_from([1, 3, 2 ** 20]))
+def test_schur_and_solve_over_q_match_fraction_elimination_with_a_planted_denominator(
+        seed, k, n, bits, bound):
+    """Integer matrices whose leading block has a determinant d of up to
+    200 bits, so that the complement and the solution share the large
+    denominator d: the lift, whichever length it stops at, gives what
+    elimination over Fractions gives."""
+    rng = random.Random(seed)
+    d = rng.choice((-1, 1)) * rng.randint(2 ** (bits - 1), 2 ** bits)
+    rows = planted_denominator(rng, k, n, d, bound)
+    d11, want = fraction_eliminate(rows, k)
+    assert d11 == d
+    assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == want
+    a_rows, b_rows = [row[:k] for row in rows[:k]], [row[k:] for row in rows[:k]]
+    bordered = [a + b for a, b in zip(a_rows, b_rows)] + \
+        [[-(i == j) for j in range(k)] + [0] * n for i in range(k)]
+    assert exactlinalg.solve(ExactMatrix(a_rows), ExactMatrix(b_rows)).rows == \
+        fraction_eliminate(bordered, k)[1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(num=st.integers(-2 ** 300, 2 ** 300), den=st.integers(1, 2 ** 300),
+       q=st.sampled_from([3, 7, 65537] + [exactlinalg._prime(k, 0) for k in (1, 81, 630)]))
+def test_the_probes_lattice_basis_gives_the_balanced_half_gcds_candidate(num, den, q):
+    """Step by step, digit by digit of u = num / den mod q^i,
+    `_reduced_basis` keeps a Lagrange-Gauss reduced basis of the pairs
+    (c, e) with c = e u mod q^i: both vectors in the lattice, of
+    determinant q^i, with their lengths, dot product and (e u - c) /
+    q^i. Its first vector is the pair that a balanced
+    half-gcd of u gives whenever that has one, and num / den itself once
+    q^i > 2 max(|num|, den)^2."""
+    while gcd(den, q) != 1:
+        den += 1
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    basis, modulus, u = (1, 0, 0, 1, 1, 0, 1, -1, 0), 1, 0
+    for _ in range(60):
+        digit = (num * pow(den, -1, modulus * q) % (modulus * q) - u) // modulus
+        basis = exactlinalg._reduced_basis(basis, digit, q)
+        u, modulus = u + modulus * digit, modulus * q
+        c1, e1, c2, e2, n1, m, n2, g1, g2 = basis
+        assert (g1, g2) == ((e1 * u - c1) // modulus, (e2 * u - c2) // modulus)
+        assert (e1 * u - c1) % modulus == 0 and (e2 * u - c2) % modulus == 0
+        assert abs(c1 * e2 - c2 * e1) == modulus
+        assert (n1, m, n2) == (c1 * c1 + e1 * e1, c1 * c2 + e1 * e2, c2 * c2 + e2 * e2)
+        assert n1 <= n2 and 2 * abs(m) <= n1
+        first = (c1, e1) if e1 > 0 else (-c1, -e1)
+        stop = isqrt(modulus // 2)
+        r, t = exactlinalg._half_gcd(modulus, u, stop)
+        if abs(t) <= stop:
+            assert first == ((r, t) if t > 0 else (-r, -t))
+        if modulus > 2 * max(abs(num), den) ** 2:
+            assert first == (num, den)
 
 
 def test_schur_over_q_of_a_mu_136_koszul_matrix_matches_fraction_elimination():
