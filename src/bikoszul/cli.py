@@ -240,11 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, system=False, type_=False, output=True, field=False, seed=False):
+    def common(p, *, system=False, type_=False, output=True, field=False, seed=False,
+               required=True):
         if system:
-            p.add_argument("--system", help="system JSON file ('paper' for the bundled example)")
+            p.add_argument("--system", required=required,
+                           help="system JSON file ('paper' for the bundled example)")
         if type_:
-            p.add_argument("--type", help="nx,ny,nz,r,s")
+            p.add_argument("--type", required=required, help="nx,ny,nz,r,s")
         if field:
             p.add_argument("--field", help="q (exact rationals, default) or fp:<p>")
         if seed:
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search_dv)
 
     p = sub.add_parser("matrix", help="the symbolic or specialized resultant matrix")
-    common(p, system=True, type_=True, field=True)
+    common(p, system=True, type_=True, field=True, required=False)  # one of the two
     p.add_argument("--theta", help="exponent key of the splitting monomial")
     p.set_defaults(func=cmd_matrix)
 

@@ -5,8 +5,9 @@ Data model shared by every other module:
 * one monomial order (graded reverse lexicographic, variable 0 ranked
   highest), fixed by `monomial_basis`; all bases, matrix labels and
   serializations downstream rely on it;
-* coefficients are exact `fractions.Fraction` values, numerics enter
-  only when a polynomial is evaluated at a float/complex point;
+* coefficients are exact `fractions.Fraction` values; the numeric form
+  of a multilinear polynomial is its coefficient tensor (`MHPoly.tensor`),
+  stacked per system in floats as f_k = x^T A_k y, x^T B_k z;
 * the exponent of a monomial is a triple of per-block tuples, e.g.
   ((1,0),(0,1),(1,0)) for x0*y1*z0.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as _product
 from math import comb, gcd, lcm
 
@@ -180,7 +181,7 @@ class MHPoly:
     block sizes, and no zero coefficient is stored.
     """
 
-    __slots__ = ("nvars", "degree", "terms", "_norm", "_numeric")
+    __slots__ = ("nvars", "degree", "terms", "_tensor")
 
     def __init__(self, nvars, degree, terms):
         nvars = tuple(int(v) for v in nvars)
@@ -206,14 +207,22 @@ class MHPoly:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _trusted(cls, nvars, degree, terms) -> "MHPoly":
-        """The polynomial of terms that already keep the invariants, with
-        nvars and degree tuples of ints, exponents tuples of int tuples in
-        A(degree) and nonzero Fraction coefficients, taken as they are."""
+    def _from_tensor(cls, nvars, degree, tensor, denom) -> "MHPoly":
+        """The polynomial whose coefficients are tensor / denom, its
+        entries in the order of A(degree), taken as they are with nvars
+        and degree tuples of ints; it keeps the tensor, over the least
+        common denominator, as its `tensor`."""
+        if denom > 1:
+            common = gcd(denom, *tensor.ravel().tolist())
+            tensor, denom = tensor // common, denom // common
+        coefficient = Fraction if denom == 1 else (lambda c: Fraction(c, denom))
+        terms = {exp: coefficient(c) for exp, c in
+                 zip(_exponent_basis(nvars, degree), tensor.ravel().tolist()) if c}
         poly = cls.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "degree", degree)
         object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_tensor", (tensor, denom))
         return poly
 
     def __setattr__(self, name, value):
@@ -248,31 +257,27 @@ class MHPoly:
         return self.terms.get(exp, Fraction(0))
 
     @property
-    def norm(self) -> float:
-        """The Euclidean norm of the coefficients in floating point,
-        computed on first use."""
+    def tensor(self):
+        """(T, denominator), computed on first use: the dense coefficient
+        tensor of a multilinear polynomial over its least common
+        denominator, of shape (nx+1 or 1, ny+1 or 1, nz+1 or 1) by the
+        degree of each block, so x_i y_j z_k has coefficient T[i, j, k] /
+        denominator; of int64, or of Python ints where entries may not fit."""
         try:
-            return self._norm
+            return self._tensor
         except AttributeError:
-            norm = float(np.sqrt(sum(abs(complex(c)) ** 2 for c in self.terms.values())))
-            object.__setattr__(self, "_norm", norm)
-            return norm
-
-    @property
-    def numeric(self):
-        """(exponents, coefficients), computed on first use: an int array
-        with one row per term, the x, y and z exponents side by side, and
-        the complex coefficients in the same order. Then p at a complex
-        point v (the three blocks concatenated) is
-        coefficients @ prod(v ** exponents, axis=1)."""
-        try:
-            return self._numeric
-        except AttributeError:
-            exponents = np.array([sx + sy + sz for sx, sy, sz in self.terms],
-                                 dtype=np.int64).reshape(len(self.terms), sum(self.nvars))
-            coefficients = np.array([complex(c) for c in self.terms.values()], dtype=complex)
-            object.__setattr__(self, "_numeric", (exponents, coefficients))
-            return self._numeric
+            pass
+        if max(self.degree) > 1:
+            raise DomainError(f"a coefficient tensor needs a multilinear polynomial, "
+                              f"not multidegree {self.degree}")
+        nums, denom = _cleared(self.terms.values())
+        shape = [nv if d else 1 for nv, d in zip(self.nvars, self.degree)]
+        tensor = np.zeros(shape, dtype=np.int64 if max(map(abs, nums), default=0) < 2 ** 63
+                          else object)
+        for exp, num in zip(self.terms, nums):
+            tensor[tuple(block.index(1) if d else 0 for block, d in zip(exp, self.degree))] = num
+        object.__setattr__(self, "_tensor", (tensor, denom))
+        return self._tensor
 
 
 def monomial_poly(nvars, degree, exp, coeff=1) -> MHPoly:
@@ -422,6 +427,17 @@ class BilinearSystem:
     def with_f0(self, f0: MHPoly) -> "BilinearSystem":
         return BilinearSystem(self.type, self.f, f0)
 
+    @cached_property
+    def tensors(self) -> tuple:
+        """(A, B, norms), computed on first use: f_k = x^T A_k y for the r
+        equations in S(1,1,0), A of shape r x (nx+1) x (ny+1), f_{r+k} =
+        x^T B_k z for the s in S(1,0,1), B of shape s x (nx+1) x (nz+1),
+        each coefficient rounded to the nearest float, and ||f_i||."""
+        views = [np.array([c / d for c in tensor.ravel().tolist()]).reshape(self.type.nx + 1, -1)
+                 for tensor, d in (poly.tensor for poly in self.f)]
+        norms = np.array([np.linalg.norm(view) for view in views])
+        return np.array(views[:self.type.r]), np.array(views[self.type.r:]), norms
+
 
 @dataclass(frozen=True)
 class CoordinateChange:
@@ -497,32 +513,27 @@ def compose_poly(p: MHPoly, change: CoordinateChange) -> MHPoly:
     of the same multidegree, with its terms in the order of A(degree).
 
     p must be multilinear, as every polynomial of a BilinearSystem is; a
-    block of degree above 1 is a DomainError. Over one common denominator
-    its coefficients form a dense integer tensor with one axis per block
-    (of length 1 for degree 0), and x_i -> sum_j A_ij x_j contracts that
-    axis with the block, cleared of denominators once per change
-    (`CoordinateChange.cleared`). The tensor is int64 when no sum can
-    reach 2^63: each contraction multiplies the largest absolute entry by
-    at most the block's order times its largest entry. Its entries are
-    in the order of A(degree), so the result is built from them as it
-    is, without checking its exponents again.
+    block of degree above 1 is a DomainError. x_i -> sum_j A_ij x_j
+    contracts each axis of p's coefficient tensor (`MHPoly.tensor`) with
+    the block, cleared of denominators once per change
+    (`CoordinateChange.cleared`). The contraction is int64 when no sum
+    can reach 2^63: each multiplies the largest absolute entry by at most
+    the block's order times its largest entry. Its entries are in the
+    order of A(degree), so the result is built from them as it is,
+    without checking its exponents again, and keeps the contracted
+    tensor, over the least common denominator, as its own.
     """
     return _compose(p, change.cleared)
 
 
 def _compose(p: MHPoly, cleared: tuple) -> MHPoly:
     """`compose_poly` with the change's blocks already cleared."""
-    if max(p.degree) > 1:
-        raise DomainError(f"compose_poly needs a multilinear polynomial, "
-                          f"not multidegree {p.degree}")
-    nums, denom = _cleared(p.terms.values())
-    bound = max(map(abs, nums), default=0)
+    tensor, denom = p.tensor
+    bound = int(abs(tensor).max(initial=0))
     for (_, _, top), nv, d in zip(cleared, p.nvars, p.degree):
         bound *= nv * top if d else 1
     dtype = np.int64 if bound < 2 ** 63 else object
-    tensor = np.zeros([nv if d else 1 for nv, d in zip(p.nvars, p.degree)], dtype=dtype)
-    for exp, num in zip(p.terms, nums):
-        tensor[tuple(block.index(1) if d else 0 for block, d in zip(exp, p.degree))] = num
+    tensor = tensor.astype(dtype, copy=False)
     for (block, block_denom, _), d in zip(cleared, p.degree):
         if d:
             # the new axis goes last
@@ -530,10 +541,7 @@ def _compose(p: MHPoly, cleared: tuple) -> MHPoly:
             denom *= block_denom
         else:
             tensor = np.moveaxis(tensor, 0, -1)
-    coefficient = Fraction if denom == 1 else (lambda c: Fraction(c, denom))
-    return MHPoly._trusted(p.nvars, p.degree, {
-        exp: coefficient(c) for exp, c in
-        zip(_exponent_basis(p.nvars, p.degree), tensor.ravel().tolist()) if c})
+    return MHPoly._from_tensor(p.nvars, p.degree, tensor, denom)
 
 
 def apply_coordinate_change(sys: BilinearSystem, change: CoordinateChange) -> BilinearSystem:

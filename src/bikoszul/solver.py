@@ -18,7 +18,10 @@ Recovery takes every eigenvector of an attempt at once (`_recover_all`):
 one extension, one extraction, one stacked SVD for z, one float product
 per block of the coordinate change and one residual evaluation, each on
 the columns of a matrix; `extract_xy`, `solve_z` and `residual` take one
-vector as well, and then return what they return for one solution.
+vector as well, and then return what they return for one solution. The
+z-solve and the residual read the system as its coefficient tensors,
+f_k = x^T A_k y and f_{r+k} = x^T B_k z (`BilinearSystem.tensors`),
+each one `einsum` over every point.
 
 The Schur complement is computed exactly over the rationals. Floating
 point enters at its eigen-decomposition and at one float solve of the
@@ -175,7 +178,7 @@ def extract_xy(vectors, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
         raise ExtractionError("zero vector")
     best = peaks.argmax(axis=0)
     block, magnitude = groups[best, :, :, cols], magnitudes[best, :, :, cols]
-    alpha_x = _normalize_rows(block[cols, :, magnitude.max(axis=1).argmax(axis=1)], tol)
+    alpha_x = _normalize(block[cols, :, magnitude.max(axis=1).argmax(axis=1)], tol)
     best = np.where(lifted[:, None], peaks, -1).argmax(axis=0)  # dual-y degree >= 1
     block, magnitude = groups[best, :, :, cols], magnitudes[best, :, :, cols]
     dx = magnitude.max(axis=2).argmax(axis=1)
@@ -183,7 +186,7 @@ def extract_xy(vectors, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
     anchor = magnitude.argmax(axis=1)
     if (magnitude[cols, anchor] <= tol * overall).any():
         raise ExtractionError("anchor coefficient too small")
-    alpha_y = _normalize_rows(row[cols[:, None], shifts[best, anchor]], tol)
+    alpha_y = _normalize(row[cols[:, None], shifts[best, anchor]], tol)
     if single:
         return tuple(alpha_x[0]), tuple(alpha_y[0])
     return alpha_x.T, alpha_y.T
@@ -225,21 +228,25 @@ def _k1_groups(t: SystemType) -> tuple:
     return np.concatenate(rows), np.array(lifted), np.array(shifts)
 
 
-def _normalize_rows(coords, tol):
-    """Each row divided by its first entry above tol times its largest."""
+def _normalize(coords, tol):
+    """Each row divided by its first entry above tol times its largest,
+    that entry then exactly 1; ExtractionError for a row with none (a
+    zero or non-finite row)."""
     magnitude = np.abs(coords)
     above = magnitude > tol * magnitude.max(axis=1)[:, None]
     if not above.any(axis=1).all():
         raise ExtractionError("cannot normalize block")
-    return coords / coords[np.arange(len(coords)), above.argmax(axis=1)][:, None]
+    rows, lead = np.arange(len(coords)), above.argmax(axis=1)
+    coords = coords / coords[rows, lead][:, None]
+    coords[rows, lead] = 1
+    return coords
 
 
 def solve_z(sys: BilinearSystem, alpha_x, alpha_y, tol: float = 1e-8):
     """The unique z making (alpha_x, alpha_y, z) a solution: kernel
-    direction of the stacked linear forms f_j(alpha_x, alpha_y) for the
-    S(1,0,1) equations (the S(1,1,0) ones are constants that already
-    vanish there). Those forms do not involve y: each row is the
-    coefficients times alpha_x at the term's x index, summed by z index.
+    direction of the stacked linear forms f_{r+k}(alpha_x, z) =
+    alpha_x^T B_k z of the S(1,0,1) equations (the S(1,1,0) ones are
+    constants that already vanish there); they do not involve y.
 
     alpha_x is one point, giving z as a tuple, or the columns of a
     matrix, giving a matrix of z columns from one stacked SVD; a column
@@ -250,12 +257,8 @@ def solve_z(sys: BilinearSystem, alpha_x, alpha_y, tol: float = 1e-8):
     ax = ax.reshape(len(ax), -1)
     if t.nz == 0:
         return (1.0 + 0j,) if single else np.ones((1, ax.shape[1]), dtype=complex)
-    rows = []
-    for poly in sys.f[t.r:]:
-        exponents, coefficients = poly.numeric
-        rows.append((coefficients[:, None] * (exponents[:, :t.nx + 1] @ ax)).T
-                    @ exponents[:, -(t.nz + 1):])
-    _, sv, vh = np.linalg.svd(np.stack(rows, axis=1))
+    _, b, _ = sys.tensors
+    _, sv, vh = np.linalg.svd(np.einsum("kij,in->nkj", b, ax))
     padded = np.zeros((ax.shape[1], t.nz + 1))
     padded[:, :sv.shape[1]] = sv
     scale = np.maximum(1.0, padded[:, 0])
@@ -286,27 +289,24 @@ def choose_f0_and_theta(t: SystemType, seed, coeff_bound: int = 10):
 
 def residual(sys: BilinearSystem, sol):
     """max_i |f_i(sol)| / ||f_i|| with every block scaled to unit norm;
-    a zero f_i contributes 0. sol is a ProjectiveSolution, giving a
-    float, or a matrix whose columns are points, the x, y and z blocks
-    stacked, giving an array of one residual per column. Each f_i is
-    evaluated at every point at once from its coefficients and the
-    variables of its terms, taken with their exponents, and those and
-    ||f_i|| are computed once per polynomial (`MHPoly.numeric`,
-    `MHPoly.norm`)."""
+    a zero f_i contributes 0, and a point with a NaN or infinite
+    coordinate gets inf. sol is a ProjectiveSolution, giving a float, or
+    a matrix whose columns are points, the x, y and z blocks stacked,
+    giving an array of one residual per column. Every f_i is evaluated
+    at every point at once as x^T A_k y or x^T B_k z
+    (`BilinearSystem.tensors`)."""
     single = isinstance(sol, ProjectiveSolution)
     if single:
         sol = [[complex(c)] for block in sol.blocks for c in block]
     point = np.asarray(sol, dtype=complex)
-    blocks = np.split(point, np.cumsum(sys.type.nvars)[:-1])
-    point = np.concatenate([block / np.linalg.norm(block, axis=0) for block in blocks])
-    worst = np.zeros(point.shape[1])
-    for poly in sys.f:
-        if poly.norm:
-            exponents, coefficients = poly.numeric
-            variables = np.repeat(np.tile(np.arange(exponents.shape[1]), len(exponents)),
-                                  exponents.ravel()).reshape(len(exponents), -1)
-            value = coefficients @ point[variables].prod(axis=1)
-            worst = np.fmax(worst, np.abs(value) / poly.norm)  # a NaN value leaves worst
+    a, b, norms = sys.tensors
+    with np.errstate(invalid="ignore"):  # a non-finite point is reported as inf below
+        x, y, z = (block / np.linalg.norm(block, axis=0)
+                   for block in np.split(point, np.cumsum(sys.type.nvars)[:-1]))
+        values = np.concatenate([np.einsum("kij,in,jn->kn", a, x, y),
+                                 np.einsum("kij,in,jn->kn", b, x, z)])
+    worst = (np.abs(values) / np.where(norms > 0, norms, 1.0)[:, None]).max(axis=0)
+    worst[np.isnan(worst)] = np.inf
     return float(worst[0]) if single else worst
 
 
@@ -381,7 +381,7 @@ def _recover_all(transformed, partition, permuted, pairs, change, original):
                               np.column_stack([pair.vector for pair in pairs]))
     ax, ay = extract_xy(full, t)
     az = solve_z(transformed, ax, ay)
-    point = np.concatenate([_normalize_columns(np.array(mat, dtype=float) @ coords)
+    point = np.concatenate([_normalize((np.array(mat, dtype=float) @ coords).T, 1e-12).T
                             for mat, coords in zip(change.blocks, (ax, ay, az))])
     real = (np.abs(point.imag) <= 1e-8 * np.abs(point).max(axis=0)).all(axis=0)
     point = np.where(real, point.real, point)
@@ -392,17 +392,3 @@ def _recover_all(transformed, partition, permuted, pairs, change, original):
         values = (column.real if flag else column).tolist()
         solutions.append(ProjectiveSolution(*(values[a:b] for a, b in zip(bounds, bounds[1:]))))
     return solutions, residuals.tolist()
-
-
-def _normalize_columns(block):
-    """Each column divided by its first entry above 1e-12 times its
-    largest, that entry then exactly 1; DomainError for a zero column."""
-    magnitude = np.abs(block)
-    top = magnitude.max(axis=0)
-    if not top.all():
-        raise DomainError("each block of a projective point must be nonzero")
-    cols = np.arange(block.shape[1])
-    lead = (magnitude > 1e-12 * top).argmax(axis=0)
-    block = block / block[lead, cols]
-    block[lead, cols] = 1
-    return block

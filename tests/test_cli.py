@@ -49,6 +49,22 @@ def test_usage_error_exits_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["solve"], "--system"),
+    (["resultant", "--field", "fp:101"], "--system"),
+    (["oracle", "--field", "fp:31"], "--system"),
+    (["dims", "--degree-vector", "0,-1,1"], "--type"),
+    (["search-dv", "--box=-2:3"], "--type"),
+], ids=["solve", "resultant", "oracle", "dims", "search-dv"])
+def test_a_missing_system_or_type_is_a_usage_error(capsys, argv, missing):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and missing in captured.err
+
+
 def test_search_dv_contains_known_vectors(capsys):
     code, out = run(capsys, "search-dv", "--type", "1,1,1,2,1", "--box=-2:3")
     assert code == 0

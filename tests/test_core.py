@@ -1,10 +1,12 @@
 """Monomial order, polynomial arithmetic, coordinate changes, generators."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,25 +117,6 @@ def test_evaluate_paper_roots(paper_system):
     zero = core.zero_poly(paper_system.type.nvars, (1, 1, 0))
     assert core.evaluate(zero, ALPHA_2) == 0
 
-
-def test_numeric_form_evaluates_like_evaluate(paper_system):
-    """coefficients @ prod(v ** exponents) is p(v) at a complex point,
-    for a trilinear f0 and the zero polynomial too."""
-    import numpy as np
-
-    rng = random.Random(5)
-    t = SystemType(2, 2, 1, 3, 2)
-    alpha = ProjectiveSolution((1, -2, 3), (2, 1, -1), (1, 2))
-    system = core.random_system(t, rng).with_f0(core.planted_poly(t.nvars, (1, 1, 1), alpha, rng))
-    polys = [*system.f, system.f0, *paper_system.f,
-             core.zero_poly(paper_system.type.nvars, (1, 1, 0))]
-    for poly in polys:
-        point = [tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n))
-                 for n in poly.nvars]
-        exponents, coefficients = poly.numeric
-        assert exponents.shape == (len(poly.terms), sum(poly.nvars))
-        value = coefficients @ np.prod(np.concatenate(point) ** exponents, axis=1)
-        assert abs(value - core.evaluate(poly, point)) <= 1e-13 * max(poly.norm, 1.0)
 
 def test_evaluate_dimension_mismatch(paper_system):
     with pytest.raises(DomainError):
@@ -276,10 +259,13 @@ def multilinear_cases(draw):
     degree = tuple(draw(st.integers(0, 1)) for _ in range(3))
     exps = core.exponent_basis(nvars, degree)
     terms = draw(st.dictionaries(st.sampled_from(exps), COEFFICIENTS, max_size=len(exps)))
-    blocks = [draw(st.lists(st.lists(CHANGE_ENTRIES, min_size=nv, max_size=nv),
-                            min_size=nv, max_size=nv).filter(invertible))
-              for nv in nvars]
+    blocks = [draw(invertible_blocks(nv)) for nv in nvars]
     return MHPoly(nvars, degree, terms), core.CoordinateChange(*blocks)
+
+
+def invertible_blocks(nv):
+    return st.lists(st.lists(CHANGE_ENTRIES, min_size=nv, max_size=nv),
+                    min_size=nv, max_size=nv).filter(invertible)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -313,6 +299,50 @@ def test_compose_poly_rejects_a_block_of_degree_two():
     p = core.monomial_poly(t.nvars, (2, 1, 0), ((1, 1), (1, 0), (0, 0)))
     with pytest.raises(DomainError, match="multilinear"):
         core.compose_poly(p, core.random_coordinate_change(t, 3))
+
+
+@st.composite
+def systems_with_a_change(draw):
+    """A system of a small type with coefficients of every kind and one
+    equation zero, and an invertible coordinate change with fractions
+    among its entries."""
+    t = draw(st.sampled_from(small_types()))
+    zero = draw(st.integers(1, t.n))
+    polys = []
+    for i in range(1, t.n + 1):
+        exps = core.exponent_basis(t.nvars, t.degree_of(i))
+        terms = {} if i == zero else draw(
+            st.dictionaries(st.sampled_from(exps), COEFFICIENTS, max_size=len(exps)))
+        polys.append(MHPoly(t.nvars, t.degree_of(i), terms))
+    blocks = [draw(invertible_blocks(nv)) for nv in t.nvars]
+    return core.BilinearSystem(t, polys), core.CoordinateChange(*blocks)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(systems_with_a_change(), st.integers(0, 2 ** 32 - 1))
+def test_bilinear_tensors_evaluate_like_evaluate(case, seed):
+    """x^T A_k y and x^T B_k z of the system's float view are f_k and
+    f_{r+k} at a random complex point, and its norms those of the
+    coefficients; a composed polynomial keeps the tensor that its terms
+    give."""
+    system, change = case
+    t = system.type
+    a, b, norms = system.tensors
+    assert a.shape == (t.r, t.nx + 1, t.ny + 1) and b.shape == (t.s, t.nx + 1, t.nz + 1)
+    rng = np.random.default_rng(seed)
+    x, y, z = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for n in t.nvars)
+    values = [*(x @ mat @ y for mat in a), *(x @ mat @ z for mat in b)]
+    sizes = [np.linalg.norm(x) * np.linalg.norm(w) for w, count in ((y, t.r), (z, t.s))
+             for _ in range(count)]
+    for poly, value, norm, size in zip(system.f, values, norms, sizes):
+        assert norm == pytest.approx(math.hypot(*map(float, poly.terms.values())), rel=1e-12)
+        exact = core.evaluate(poly, (tuple(x), tuple(y), tuple(z)))
+        assert abs(value - exact) <= 1e-12 * norm * size
+        assert poly or (value == 0 and norm == 0)
+    for poly in core.apply_coordinate_change(system, change).f:
+        tensor, denom = poly._tensor
+        rebuilt, rebuilt_denom = MHPoly(poly.nvars, poly.degree, poly.terms).tensor
+        assert denom == rebuilt_denom and np.array_equal(tensor, rebuilt)
 
 
 def test_planted_root_maps_through_inverse_change():

@@ -283,6 +283,29 @@ def test_residual_is_relative_to_each_polynomial_norm():
     assert solver.residual(BilinearSystem(t, (sys_.f[0], zero, sys_.f[2])), point) == worst_rest
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_a_non_finite_coordinate_has_an_infinite_residual(bad):
+    """Such a point fails every tol, alone or as a column beside a root."""
+    sys_ = core.random_system(SystemType(1, 1, 1, 2, 1), 1)
+    assert solver.residual(sys_, ProjectiveSolution((1.0, bad), (1.0, 2.0), (1.0, 3.0))) == np.inf
+    report = solver.solve_2bilinear(sys_)
+    root = np.concatenate([np.array(block, dtype=complex) for block in report.solutions[0].blocks])
+    broken = root.copy()
+    broken[4] = bad
+    residuals = solver.residual(sys_, np.column_stack([root, broken]))
+    assert residuals[0] <= solver.RESIDUAL_TOL and residuals[1] == np.inf
+
+
+def test_normalize_sets_each_lead_to_one_and_rejects_a_zero_row():
+    # c / c rounds to 0.9999999999999999 for this c
+    coords = np.array([[1e-14, complex(1 / 3, 1 / 7), 2], [0.5j, 1, 1]])
+    out = solver._normalize(coords, 1e-12)
+    assert out[0, 1] == 1 and out[1, 0] == 1
+    assert np.allclose(out, coords / coords[[0, 1], [1, 0]][:, None])
+    with pytest.raises(solver.ExtractionError):
+        solver._normalize(np.array([[1.0, 2.0], [0.0, 0.0]]), 1e-12)
+
+
 def test_choose_f0_and_theta():
     t = SystemType(1, 1, 1, 2, 1)
     f0a, theta_a = solver.choose_f0_and_theta(t, 5)
