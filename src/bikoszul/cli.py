@@ -100,14 +100,8 @@ def cmd_search_dv(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    if args.system:
-        sys_ = _load_system(args.system)
-        t = sys_.type
-    else:
-        if not args.type:
-            raise core.DomainError("matrix needs --type or --system")
-        sys_ = None
-        t = _parse_type(args.type)
+    sys_ = _load_system(args.system) if args.system else None
+    t = sys_.type if sys_ is not None else _parse_type(args.type)
     matrix = koszul.assemble_delta1(t)
     payload = {
         "command": "matrix",
@@ -240,13 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, system=False, type_=False, output=True, field=False, seed=False,
-               required=True):
+    def common(p, *, system=False, type_=False, output=True, field=False, seed=False):
+        # a command that takes both takes exactly one of them
+        source = p.add_mutually_exclusive_group(required=True) if system and type_ else p
         if system:
-            p.add_argument("--system", required=required,
-                           help="system JSON file ('paper' for the bundled example)")
+            source.add_argument("--system", required=source is p,
+                                help="system JSON file ('paper' for the bundled example)")
         if type_:
-            p.add_argument("--type", required=required, help="nx,ny,nz,r,s")
+            source.add_argument("--type", required=source is p, help="nx,ny,nz,r,s")
         if field:
             p.add_argument("--field", help="q (exact rationals, default) or fp:<p>")
         if seed:
@@ -266,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search_dv)
 
     p = sub.add_parser("matrix", help="the symbolic or specialized resultant matrix")
-    common(p, system=True, type_=True, field=True, required=False)  # one of the two
+    common(p, system=True, type_=True, field=True)
     p.add_argument("--theta", help="exponent key of the splitting monomial")
     p.set_defaults(func=cmd_matrix)
 

@@ -242,15 +242,7 @@ class MHPoly:
     def __repr__(self):
         if not self.terms:
             return "MHPoly(0)"
-        bits = []
-        for exp in sorted(self.terms):
-            mono = "".join(
-                f"{BLOCK_NAMES[b]}{i}^{e}" if e > 1 else f"{BLOCK_NAMES[b]}{i}"
-                for b, block in enumerate(exp)
-                for i, e in enumerate(block)
-                if e
-            )
-            bits.append(f"{self.terms[exp]}*{mono or '1'}")
+        bits = [f"{self.terms[exp]}*{monomial_str(exp)}" for exp in sorted(self.terms)]
         return "MHPoly(" + " + ".join(bits) + ")"
 
     def coefficient(self, exp: Exponent) -> Fraction:
@@ -274,10 +266,17 @@ class MHPoly:
         shape = [nv if d else 1 for nv, d in zip(self.nvars, self.degree)]
         tensor = np.zeros(shape, dtype=np.int64 if max(map(abs, nums), default=0) < 2 ** 63
                           else object)
-        for exp, num in zip(self.terms, nums):
-            tensor[tuple(block.index(1) if d else 0 for block, d in zip(exp, self.degree))] = num
+        # the C order of the tensor is the x-major order of A(degree)
+        position = {exp: k for k, exp in enumerate(_exponent_basis(self.nvars, self.degree))}
+        tensor.ravel()[[position[exp] for exp in self.terms]] = nums
         object.__setattr__(self, "_tensor", (tensor, denom))
         return self._tensor
+
+
+def monomial_str(exp: Exponent) -> str:
+    """A monomial as text, such as x0y1^2z0, or 1 for the constant one."""
+    return "".join(f"{BLOCK_NAMES[b]}{i}^{e}" if e > 1 else f"{BLOCK_NAMES[b]}{i}"
+                   for b, block in enumerate(exp) for i, e in enumerate(block) if e) or "1"
 
 
 def monomial_poly(nvars, degree, exp, coeff=1) -> MHPoly:
@@ -426,6 +425,21 @@ class BilinearSystem:
 
     def with_f0(self, f0: MHPoly) -> "BilinearSystem":
         return BilinearSystem(self.type, self.f, f0)
+
+    def tensor_mod_p(self, i: int, p: int) -> np.ndarray:
+        """The coefficient tensor of equation slot i (`MHPoly.tensor`) over
+        F_p, for a prime p: T / denominator with entries in [0, p), of
+        int64 while (p - 1)^2 fits, else of Python ints. A coefficient
+        whose denominator p divides has no image mod p: DomainError,
+        naming the equation and the monomial."""
+        poly = self.poly(i)
+        tensor, denom = poly.tensor
+        if denom % p == 0:
+            exp, coeff = next((exp, c) for exp, c in poly.terms.items() if c.denominator % p == 0)
+            raise DomainError(f"coefficient {coeff} of {monomial_str(exp)} in f{i} has no "
+                              f"image mod {p}: its denominator is divisible by {p}")
+        dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
+        return (tensor % p).astype(dtype, copy=False) * pow(denom, -1, p) % p
 
     @cached_property
     def tensors(self) -> tuple:

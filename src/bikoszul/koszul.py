@@ -33,20 +33,26 @@ column, target row and sigma positions of every term follow from the
 factor, y unit and z unit indices; no exponent is scanned or built.
 
 The matrix is stored in coordinate form: three index arrays (row,
-column, reference) over a short table of the distinct signed
-references. Rows come in groups of one block and one index set, and
-inside a group a row's offset depends on its factor (dx, dy, dz) only,
-so a row index is a group start plus an offset. Assembly computes psi
-once per column block and slot class, as offset arrays broadcast over
-(factor, y unit, z unit), and places each (column group, slot) with
-numpy; no per-entry or per-factor dict is built.
-`specialize` values each reference once, then gathers the nonzeros
-from that table into an `ExactMatrix` in coordinate form, of the dtype
-they need (int64 over Q for an integer system); no dense array is built
+column, reference) over the distinct signed references, each kept as
+three small arrays (slot, sign, and the flat position of sigma in the
+slot's coefficient tensor, `MHPoly.tensor`, whose C order is the x-major
+`exponent_basis` order). Rows come in groups of one block and one index
+set, and inside a group a row's offset depends on its factor (dx, dy,
+dz) only, so a row index is a group start plus an offset. Every index
+set of a column block has the same slot class at each position, so one
+template per block, built from the psi offsets of each slot class
+(`_factor_terms`), holds the entries of any of its index sets in final
+order; assembly broadcasts it over the block's index sets with one row
+group start and one reference base per (index set, position), and
+neither sorts nor builds a per-entry or per-factor object.
+`specialize` is one gather from the system's coefficient tensors (over
+F_p from their images mod p) into a table of the references, and one
+more into an `ExactMatrix` in coordinate form, of the dtype the values
+need (int64 over Q for an integer system); no dense array is built
 until an elimination reads one. `occurrences`, and so
-`theta_partition`, picks reference ids from the table and masks the
-reference array once; `ThetaPartition` permutes by remapping the cell
-indices. Assembly builds no labels: `rows` and `cols` are built on
+`theta_partition`, masks the reference arrays; `ThetaPartition`
+permutes by remapping the cell indices. Assembly builds no labels:
+`rows`, `cols` and the `SymbolicEntry` table `references` are built on
 first read.
 """
 
@@ -56,7 +62,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, compress, product
+from itertools import combinations, product
+from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -67,12 +74,13 @@ from .core import (
     Exponent,
     BilinearSystem,
     SystemType,
+    _exponent_basis,
     exponent_basis,
     exponent_key,
     mhb,
     monomial_basis,
 )
-from .exactlinalg import ExactMatrix, fraction_mod_p, storage_dtype
+from .exactlinalg import ExactMatrix, storage_dtype
 from .weyman import mu
 
 
@@ -110,27 +118,32 @@ _K0_BLOCKS = (
 )
 
 
-def _block_layout(t: SystemType, spec) -> tuple[list, list]:
-    """(index sets, factors (dx, dy, dz)) of one block, each in canonical
-    order; the block's labels are every index set with every factor,
-    index set major. Both lists are empty for an empty block."""
+def _block_layout(t: SystemType, spec) -> tuple[list, tuple[int, int, int]]:
+    """(index sets in canonical order, factor degrees (dx, dy, dz)) of one
+    block; the block's labels are every index set with every factor of
+    those degrees, index set major. No index set for an empty block."""
     tag, dx_deg, dy_shift, dz_deg, a_shift, b_shift, c = spec
-    dy_deg = t.r - t.ny + dy_shift
+    degrees = (dx_deg, t.r - t.ny + dy_shift, dz_deg)
     a = t.r + a_shift
     b = t.s - t.nz + b_shift
-    if dy_deg < 0 or not (0 <= a <= t.r) or not (0 <= b <= t.s):
-        return [], []
+    if degrees[1] < 0 or not (0 <= a <= t.r) or not (0 <= b <= t.s):
+        return [], degrees
     head = (0,) if c else ()
     isets = [head + apart + bpart
              for apart in combinations(range(1, t.r + 1), a)
              for bpart in combinations(range(t.r + 1, t.n + 1), b)]
-    factors = list(product(monomial_basis(t.nx, dx_deg), monomial_basis(t.ny, dy_deg),
-                           monomial_basis(t.nz, dz_deg)))
-    return isets, factors
+    return isets, degrees
+
+
+def _factor_count(t: SystemType, degrees: tuple[int, int, int]) -> int:
+    """The number of factors (dx, dy, dz) of these degrees: none for a
+    negative degree."""
+    return prod(comb(n + d, d) if d >= 0 else 0 for n, d in zip(t.dims, degrees))
 
 
 def _block_elements(t: SystemType, spec) -> list[KoszulBasisElement]:
-    isets, factors = _block_layout(t, spec)
+    isets, degrees = _block_layout(t, spec)
+    factors = list(product(*(monomial_basis(n, d) for n, d in zip(t.dims, degrees))))
     return [KoszulBasisElement(spec[0], dx, dy, dz, iset)
             for iset in isets for dx, dy, dz in factors]
 
@@ -175,34 +188,52 @@ _TARGET_BLOCK = {
 
 class SymbolicEntries(Mapping):
     """Read-only (row, col) -> SymbolicEntry view of a symbolic matrix,
-    iterated in assembly order. Its length is read off the index arrays;
-    the first lookup by cell builds a cell -> position index."""
+    iterated in assembly order, with the table of its references. It
+    keeps the matrix's arrays, not the matrix, which keeps it: a cycle
+    would hold the matrix until the garbage collector runs. Its length is
+    read off the index arrays; the first lookup by cell builds a cell ->
+    position index."""
 
     def __init__(self, matrix: SymbolicResultantMatrix):
-        self._matrix = matrix
+        self._type = matrix.type
+        self._cells = (matrix.row_idx, matrix.col_idx, matrix.ref_idx)
+        self._refs = (matrix.ref_sign, matrix.ref_slot, matrix.ref_pos)
         self._position = None
 
     def __len__(self) -> int:
-        return len(self._matrix.ref_idx)
+        return len(self._cells[2])
 
     def __iter__(self):
-        return zip(self._matrix.row_idx.tolist(), self._matrix.col_idx.tolist())
+        return zip(self._cells[0].tolist(), self._cells[1].tolist())
 
     def __getitem__(self, cell) -> SymbolicEntry:
         if self._position is None:
             self._position = {key: k for k, key in enumerate(self)}
-        return self._matrix.references[self._matrix.ref_idx[self._position[cell]]]
+        return self.references[self._cells[2][self._position[cell]]]
+
+    @cached_property
+    def references(self) -> tuple[SymbolicEntry, ...]:
+        """The references as `SymbolicEntry`s, indexed by reference number."""
+        t = self._type
+        bases = [_exponent_basis(t.nvars, t.degree_of(slot)) for slot in range(t.n + 1)]
+        return tuple(SymbolicEntry(sign, slot, bases[slot][pos])
+                     for sign, slot, pos in zip(*(v.tolist() for v in self._refs)))
 
 
 @dataclass(eq=False)
 class SymbolicResultantMatrix:
     """Square symbolic matrix in coordinate form: nonzero k sits at
-    (row_idx[k], col_idx[k]) and is the signed reference
-    references[ref_idx[k]]. The nonzeros are ordered by column, then by
-    the position of the contracted slot in the column's index set, then
-    by psi term; the arrays are read-only. The row and column labels
-    are built on first read, and the permutations and split of each
-    theta's `theta_partition` on its first call, kept with the matrix."""
+    (row_idx[k], col_idx[k]) and is reference q = ref_idx[k], the signed
+    coefficient ref_sign[q] * u_{ref_slot[q], sigma} for sigma the
+    ref_pos[q]-th exponent of the slot's degree, x-major
+    (`exponent_basis`), which is the flat position of u_{slot, sigma} in
+    the slot's coefficient tensor (`MHPoly.tensor`). References are
+    numbered by slot, then sign (+1 first), then position; each is used.
+    The nonzeros are ordered by column, then by the position of the
+    contracted slot in the column's index set, then by psi term; the
+    arrays are read-only. The row and column labels and `references` are
+    built on first read, and the permutations and split of each theta's
+    `theta_partition` on its first call, kept with the matrix."""
 
     type: SystemType
     m: tuple[int, int, int]
@@ -210,7 +241,9 @@ class SymbolicResultantMatrix:
     row_idx: np.ndarray
     col_idx: np.ndarray
     ref_idx: np.ndarray
-    references: tuple[SymbolicEntry, ...]
+    ref_slot: np.ndarray
+    ref_sign: np.ndarray
+    ref_pos: np.ndarray
     _partitions: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -228,39 +261,35 @@ class SymbolicResultantMatrix:
         """The nonzeros as a read-only (row, col) -> SymbolicEntry mapping."""
         return SymbolicEntries(self)
 
+    @property
+    def references(self) -> tuple[SymbolicEntry, ...]:
+        """The references as `SymbolicEntry`s, indexed by reference number
+        (`SymbolicEntries.references`)."""
+        return self.entries.references
+
     def occurrences(self, poly: int, exponent: Exponent) -> list[tuple[int, int, int]]:
         """(row, col, sign) of every entry referencing u_{poly, exponent}."""
-        ids = [k for k, ref in enumerate(self.references)
-               if ref.poly == poly and ref.exponent == exponent]
+        t = self.type
+        try:
+            pos = _exponent_basis(t.nvars, t.degree_of(poly)).index(exponent)
+        except (IndexError, ValueError):  # no such slot or exponent
+            return []
+        ids = np.flatnonzero((self.ref_slot == poly) & (self.ref_pos == pos))
         cells = np.flatnonzero(np.isin(self.ref_idx, ids))
-        return [(i, j, self.references[k].sign)
-                for i, j, k in zip(self.row_idx[cells].tolist(), self.col_idx[cells].tolist(),
-                                   self.ref_idx[cells].tolist())]
-
-
-def _reference_table(t: SystemType) -> tuple[list[SymbolicEntry], dict]:
-    """Every signed reference of the type: (table, base), where reference
-    sign * u_{slot, sigma} is table[base[slot, sign < 0] + k] for sigma
-    the k-th exponent of the slot's degree, x-major (`exponent_basis`)."""
-    table, base = [], {}
-    for slot in range(t.n + 1):
-        basis = exponent_basis(t.nvars, t.degree_of(slot))
-        for negative, sign in enumerate((1, -1)):
-            base[slot, negative] = len(table)
-            table.extend(SymbolicEntry(sign, slot, sigma) for sigma in basis)
-    return table, base
+        return list(zip(self.row_idx[cells].tolist(), self.col_idx[cells].tolist(),
+                        self.ref_sign[self.ref_idx[cells]].tolist()))
 
 
 def _factor_terms(t: SystemType, dy_deg: int, deg_y: int,
                   deg_z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psi of every column factor against a slot of degree (1, deg_y,
     deg_z), as (factor index, target factor index, sigma position) arrays
-    in psi order. They depend on the column block and the slot's class
-    only: the slot and the sign enter the reference id, the index set
-    the row group. The factor e_i (x) dy (x) 1, dy the j-th dual y of
-    degree dy_deg, has index i * ndy + j and meets sigma = e_i in x, e_b
-    (dy contracts to the `_lowered` entry) or 1 in y, and every e_c or 1
-    in z, which multiplies."""
+    in psi order, so by factor index. They depend on the column block and
+    the slot's class only: the slot and the sign enter the reference id,
+    the index set the row group. The factor e_i (x) dy (x) 1, dy the j-th
+    dual y of degree dy_deg, has index i * ndy + j and meets sigma = e_i
+    in x, e_b (dy contracts to the `_lowered` entry) or 1 in y, and every
+    e_c or 1 in z, which multiplies."""
     lowered = _lowered(t.ny, dy_deg)
     ndy = len(lowered)
     target_y = lowered if deg_y else np.arange(ndy)[:, None]  # (dy, y unit) -> target dy or -1
@@ -270,6 +299,58 @@ def _factor_terms(t: SystemType, dy_deg: int, deg_y: int,
     keep = np.broadcast_to(target_y >= 0, (t.nx + 1, ndy, nsy, nsz))
     return tuple(np.broadcast_to(v, keep.shape)[keep]
                  for v in (i * ndy + j, target_y * nsz + c, (i * nsy + b) * nsz + c))
+
+
+def _block_template(t: SystemType, tag: str, slots: tuple[int, ...], dy_deg: int,
+                    count: int, degrees: dict) -> tuple[list, tuple[np.ndarray, ...]]:
+    """The entries that every index set of column block `tag` gives, of
+    which `slots` is the first: (target block per slot position, None for
+    a position without terms; (factor index, slot position, target factor
+    index, sigma position) arrays in (factor, position, psi term) order).
+
+    An index set takes its slots 0, 1..r and r+1..n in that order and
+    in fixed numbers per block, so each position has one slot class, and
+    its terms are the class's `_factor_terms`. Those runs are sorted by
+    factor, and merge by counting: for each (factor, position) in turn,
+    the factor's run of the position's class. Two positions of a column
+    remove different slots, so their entries land in different row
+    groups; a cell repeats only if a class's terms repeat a (factor,
+    target factor) pair, which is checked once per class, as is that the
+    terms meet every coefficient of the slot, by which assembly numbers
+    the references. `degrees` maps a row block to its factor degrees."""
+    classes = [0 if slot == 0 else ("xy" if slot <= t.r else "xz") for slot in slots]
+    distinct = list(dict.fromkeys(classes))
+    terms, targets = [], {}
+    for slot_class in distinct:
+        _, deg_y, deg_z = t.degree_of(slots[classes.index(slot_class)])
+        col_off, row_off, sigma = _factor_terms(t, dy_deg, deg_y, deg_z)
+        terms.append((col_off, row_off, sigma))
+        if not len(col_off):
+            continue
+        target = targets[slot_class] = _TARGET_BLOCK[(tag, slot_class)]
+        if degrees[target] != (0, dy_deg - deg_y, deg_z):
+            raise AssemblyError(f"unmatched target rows: {tag} against a slot of class "
+                                f"{slot_class!r} has no factor degrees {degrees[target]} "
+                                f"of {target}")
+        seen = np.zeros((count, int(row_off.max()) + 1), dtype=bool)
+        seen[col_off, row_off] = True
+        if np.count_nonzero(seen) != len(col_off):
+            raise AssemblyError(f"duplicate entry: psi of {tag} against a slot of class "
+                                f"{slot_class!r} repeats a (factor, target) pair")
+        slot_width = prod(nv if d else 1 for nv, d in zip(t.nvars, (1, deg_y, deg_z)))
+        if not np.bincount(sigma, minlength=slot_width).all():
+            raise AssemblyError(f"psi of {tag} against a slot of class {slot_class!r} "
+                                f"misses a coefficient")
+    runs = np.array([np.bincount(col_off, minlength=count) for col_off, _, _ in terms])
+    starts = (np.cumsum(runs, axis=1) - runs
+              + np.cumsum([0] + [len(col_off) for col_off, _, _ in terms[:-1]])[:, None])
+    which = [distinct.index(slot_class) for slot_class in classes]
+    lengths, firsts = runs[which].T.ravel(), starts[which].T.ravel()  # per (factor, position)
+    term = (np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths)
+            + np.arange(lengths.sum()))
+    col_off, row_off, sigma = (np.concatenate(v)[term] for v in zip(*terms))
+    pos = np.repeat(np.tile(np.arange(len(slots)), count), lengths)
+    return [targets.get(slot_class) for slot_class in classes], (col_off, pos, row_off, sigma)
 
 
 @lru_cache(maxsize=None)
@@ -282,87 +363,112 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
     labelled by the contracted factor tensored with e_{I minus I_i}.
     Rows come in groups of one block and index set, and inside a group a
     row's offset depends on its factor only, so every row index is a
-    group start plus a factor offset; each (column group, slot) adds its
-    cached factor terms at once. A block holds every factor of its
-    degrees, so the contracted factors find their rows exactly when the
-    target block has their degrees.
+    group start plus a factor offset. Each column block has one template
+    (`_block_template`), broadcast over its index sets with one row
+    group start and one reference base per (index set, slot position).
+    A block holds every factor of its degrees, so the contracted factors
+    find their rows exactly when the target block has their degrees.
     """
     size = mu(t)
     group_start, degrees = {}, {}  # block tag -> {index set: row}, factor degrees
     start = 0
     for spec in _K0_BLOCKS:
-        isets, factors = _block_layout(t, spec)
-        group_start[spec[0]] = {iset: start + k * len(factors) for k, iset in enumerate(isets)}
-        degrees[spec[0]] = (spec[1], t.r - t.ny + spec[2], spec[3])
-        start += len(isets) * len(factors)
-    table, ref_base = _reference_table(t)
-    pieces = []
+        isets, degrees[spec[0]] = _block_layout(t, spec)
+        count = _factor_count(t, degrees[spec[0]])
+        group_start[spec[0]] = {iset: start + k * count for k, iset in enumerate(isets)}
+        start += len(isets) * count
+    width = np.array([prod(nv if d else 1 for nv, d in zip(t.nvars, t.degree_of(slot)))
+                      for slot in range(t.n + 1)])  # coefficients per slot
+    used = np.zeros((t.n + 1, 2), dtype=bool)  # the (slot, sign < 0) pairs that occur
+    plans = []  # (first column, factor count, row group starts, index sets, template)
     row_total, start = start, 0
     for spec in _K1_BLOCKS:
-        tag = spec[0]
-        dy_deg = t.r - t.ny + spec[2]
-        isets, factors = _block_layout(t, spec)
-        terms = {}  # slot class -> _factor_terms
-        for k, iset in enumerate(isets):
-            for pos, slot in enumerate(iset):
-                slot_class = 0 if slot == 0 else ("xy" if slot <= t.r else "xz")
-                target = _TARGET_BLOCK[(tag, slot_class)]
-                if slot_class not in terms:
-                    _, deg_y, deg_z = t.degree_of(slot)
-                    terms[slot_class] = _factor_terms(t, dy_deg, deg_y, deg_z)
-                    if len(terms[slot_class][0]) and degrees[target] != (0, dy_deg - deg_y, deg_z):
-                        raise AssemblyError(f"unmatched target rows: {tag} against slot {slot} "
-                                            f"has no factor degrees {degrees[target]} of {target}")
-                col_off, row_off, sigma = terms[slot_class]
-                if not len(col_off):
-                    continue
-                rest = iset[:pos] + iset[pos + 1:]
-                row0 = group_start[target].get(rest)
-                if row0 is None:
-                    raise AssemblyError(f"unmatched index set {rest} in block {target} "
-                                        f"from column block {tag}, index set {iset}")
-                pieces.append((row0 + row_off, start + k * len(factors) + col_off,
-                               ref_base[slot, pos % 2] + sigma))
-        start += len(isets) * len(factors)
+        isets, layout = _block_layout(t, spec)
+        count = _factor_count(t, layout)
+        if isets:
+            targets, template = _block_template(t, spec[0], isets[0], layout[1], count, degrees)
+            row0 = np.zeros((len(isets), len(targets)), dtype=np.intp)
+            for k, iset in enumerate(isets):
+                for p, target in enumerate(targets):
+                    if target is None:
+                        continue
+                    rest = iset[:p] + iset[p + 1:]
+                    row0[k, p] = group_start[target].get(rest, -1)
+                    if row0[k, p] < 0:
+                        raise AssemblyError(f"unmatched index set {rest} in block {target} "
+                                            f"from column block {spec[0]}, index set {iset}")
+            slots = np.array(isets)
+            live = np.array([p for p, target in enumerate(targets) if target is not None],
+                            dtype=np.intp)
+            used[slots[:, live], live % 2] = True
+            plans.append((start, count, row0, slots, template))
+        start += len(isets) * count
     if row_total != size or start != size:
         raise AssemblyError(f"basis sizes {start}x{row_total} do not match mu = {size} for {t}")
-    # pieces run column block, index set, slot position; a stable sort by
-    # column gives column, slot position, psi term
-    row_idx, col_idx, ref_idx = (np.concatenate(v) for v in zip(*pieces))
-    order = np.argsort(col_idx, kind="stable")
-    row_idx, col_idx, ref_idx = row_idx[order], col_idx[order], ref_idx[order]
-    cells = np.sort(row_idx * size + col_idx)
-    repeated = np.flatnonzero(cells[1:] == cells[:-1])
-    if len(repeated):
-        raise AssemblyError(f"duplicate entry at {divmod(int(cells[repeated[0]]), size)}")
-    used = np.zeros(len(table), dtype=bool)
-    used[ref_idx] = True
-    ref_idx = (np.cumsum(used) - 1).astype(np.intp)[ref_idx]
-    for array in (row_idx, col_idx, ref_idx):
+    # a (slot, sign) pair that occurs meets every sigma of the slot (`_block_template`),
+    # so reference sign * u_{slot, sigma} is number first_ref[slot, sign < 0] + position
+    run = used * width[:, None]
+    first_ref = (np.cumsum(run) - run.ravel()).reshape(run.shape)
+    nnz = sum(len(row0) * len(template[0]) for _, _, row0, _, template in plans)
+    row_idx, col_idx, ref_idx = (np.empty(nnz, dtype=np.intp) for _ in range(3))
+    end = 0
+    for first, count, row0, slots, (col_off, pos, row_off, sigma) in plans:
+        shape = (len(row0), len(col_off))
+        rows, cols, refs = (a[end:end + prod(shape)].reshape(shape)
+                            for a in (row_idx, col_idx, ref_idx))
+        np.take(row0, pos, axis=1, out=rows, mode="clip")  # unbuffered; pos is in range
+        rows += row_off
+        np.add.outer(first + count * np.arange(shape[0]), col_off, out=cols)
+        ref0 = first_ref[slots, np.arange(slots.shape[1]) % 2]
+        np.take(ref0, pos, axis=1, out=refs, mode="clip")
+        refs += sigma
+        end += prod(shape)
+    slot, negative = np.nonzero(used)
+    ref_slot = np.repeat(slot, width[slot])
+    ref_sign = np.repeat(1 - 2 * negative, width[slot])
+    ref_pos = np.arange(len(ref_slot)) - np.repeat(first_ref[slot, negative], width[slot])
+    arrays = (row_idx, col_idx, ref_idx, ref_slot, ref_sign, ref_pos)
+    for array in arrays:
         array.flags.writeable = False
-    return SymbolicResultantMatrix(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1), size,
-                                   row_idx, col_idx, ref_idx, tuple(compress(table, used)))
+    return SymbolicResultantMatrix(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1), size, *arrays)
 
 
 def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
                field: int | None = None) -> ExactMatrix:
     """Replace each reference sign * u_{i, sigma} by the coefficient of
-    monomial sigma in equation i; absent monomials give 0. Each distinct
-    reference is valued once (reduced mod p over F_p); the nonzeros are
-    then one gather from that table, and the result is in coordinate
-    form: its dense array is built on first read."""
+    monomial sigma in equation i; absent monomials give 0. The references
+    are valued by one gather from the equations' coefficient tensors
+    (`MHPoly.tensor`, built on first use): over F_p from their images
+    (`BilinearSystem.tensor_mod_p`), over Q from the tensors as they are
+    when every denominator is 1 and every tensor int64, else as
+    Fractions. The nonzeros are then one gather from that table, and the
+    result is in coordinate form: its dense array is built on first read."""
     if sys.type != matrix.type:
         raise DomainError("system type does not match the matrix")
     if sys.f0 is None:
         raise DomainError("specialization needs the trilinear f0")
-    polys = [sys.poly(i) for i in range(sys.type.n + 1)]
-    values = []
-    for ref in matrix.references:
-        coeff = polys[ref.poly].terms.get(ref.exponent, Fraction(0))
-        value = coeff if ref.sign > 0 else -coeff
-        values.append(fraction_mod_p(value, field) if field is not None else value)
-    table = np.empty(len(values), dtype=storage_dtype(values, field))
-    table[:] = [int(v) for v in values] if table.dtype == np.int64 else values
+    slots = range(sys.type.n + 1)
+
+    def gather(flat):  # the coefficient of each reference, without its sign
+        offsets = np.cumsum([0] + [len(v) for v in flat])
+        return np.concatenate(flat)[offsets[matrix.ref_slot] + matrix.ref_pos]
+
+    if field is not None:
+        dtype = storage_dtype((), field)  # checks that field is a prime
+        values = gather([sys.tensor_mod_p(i, field).ravel() for i in slots])
+        values = values.astype(dtype, copy=False)
+        table = np.where(matrix.ref_sign > 0, values, (field - values) % field)
+    else:
+        tensors = [sys.poly(i).tensor for i in slots]
+        values = gather([tensor.ravel() for tensor, _ in tensors])
+        if values.dtype == np.int64 and all(denom == 1 for _, denom in tensors):
+            table = values * matrix.ref_sign
+        else:
+            denoms = [tensors[slot][1] for slot in matrix.ref_slot.tolist()]
+            exact = [Fraction(int(v) * sign, denom) for v, sign, denom in
+                     zip(values.tolist(), matrix.ref_sign.tolist(), denoms)]
+            table = np.empty(len(exact), dtype=storage_dtype(exact, None))
+            table[:] = [int(v) for v in exact] if table.dtype == np.int64 else exact
     return ExactMatrix.from_coordinates((matrix.size, matrix.size), matrix.row_idx,
                                         matrix.col_idx, table[matrix.ref_idx], field)
 

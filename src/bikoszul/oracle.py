@@ -32,7 +32,7 @@ from .core import (
     monomial_basis,
     partial_evaluate_xy,
 )
-from .exactlinalg import ExactMatrix, fraction_mod_p, require_prime
+from .exactlinalg import ExactMatrix, require_prime
 from .koszul import _K1_BLOCKS, _block_layout, assemble_delta1, k0_basis, k1_basis, specialize
 
 
@@ -48,18 +48,6 @@ def projective_points(n_t: int, p: int) -> list[tuple[int, ...]]:
     return points
 
 
-def _coeff_grid(poly: MHPoly, p: int, shape: tuple[int, ...], positions):
-    """Dense mod-p coefficient array of a multilinear polynomial; positions
-    says which blocks carry degree 1."""
-    import numpy as np  # local: only used to hold small int grids
-
-    grid = np.zeros(shape, dtype=np.int64)
-    for exp, coeff in poly.terms.items():
-        idx = tuple(exp[b].index(1) for b in positions)
-        grid[idx] = fraction_mod_p(coeff, p)
-    return grid
-
-
 def ff_solve(sys: BilinearSystem, p: int, include_f0: bool = False,
              budget: int = 10 ** 7) -> list[ProjectiveSolution]:
     """All common zeros of f_1..f_n over P(F_p), by exhaustive enumeration.
@@ -67,7 +55,7 @@ def ff_solve(sys: BilinearSystem, p: int, include_f0: bool = False,
     Exploits the 2-bilinear shape: for each x-point the constraints on y
     and on z are independent linear conditions. With include_f0 the
     trilinear equation is checked as well. ValueError when p is not a
-    prime.
+    prime, DomainError when a coefficient has no image mod p.
     """
     import numpy as np
 
@@ -80,13 +68,13 @@ def ff_solve(sys: BilinearSystem, p: int, include_f0: bool = False,
     xs = np.array(projective_points(t.nx, p), dtype=np.int64)
     ys = np.array(projective_points(t.ny, p), dtype=np.int64)
     zs = np.array(projective_points(t.nz, p), dtype=np.int64)
-    cxy = [_coeff_grid(sys.f[i], p, (t.nx + 1, t.ny + 1), (0, 1)) for i in range(t.r)]
-    cxz = [_coeff_grid(sys.f[i], p, (t.nx + 1, t.nz + 1), (0, 2)) for i in range(t.r, t.n)]
+    cxy = [sys.tensor_mod_p(i, p).reshape(t.nx + 1, t.ny + 1) for i in range(1, t.r + 1)]
+    cxz = [sys.tensor_mod_p(i, p).reshape(t.nx + 1, t.nz + 1) for i in range(t.r + 1, t.n + 1)]
     f0grid = None
     if include_f0:
         if sys.f0 is None:
             raise DomainError("include_f0 needs f0")
-        f0grid = _coeff_grid(sys.f0, p, (t.nx + 1, t.ny + 1, t.nz + 1), (0, 1, 2))
+        f0grid = sys.tensor_mod_p(0, p)
     out = []
     for x in xs:
         wy = np.array([x @ c for c in cxy]) % p          # r rows of y-conditions

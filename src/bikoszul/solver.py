@@ -48,6 +48,7 @@ from .core import (
     apply_coordinate_change,
     exponent_basis,
     mhb,
+    monomial_basis,
     random_coordinate_change,
 )
 from .exactlinalg import SingularMatrixError, schur_complement, to_float
@@ -205,11 +206,11 @@ def _k1_groups(t: SystemType) -> tuple:
     L11 then L12, each by index set, then dx, then dy (dz is trivial)."""
     layout, start = [], 0
     for spec in _K1_BLOCKS:
-        isets, factors = _block_layout(t, spec)
+        isets, (_, dy_deg, _) = _block_layout(t, spec)
         if isets:
-            dys = [dy for _, dy, _ in factors[:len(factors) // (t.nx + 1)]]
+            dys = monomial_basis(t.ny, dy_deg)
             layout.append((start, len(isets), dys))
-            start += len(isets) * len(factors)
+            start += len(isets) * (t.nx + 1) * len(dys)
     width = max(len(dys) for _, _, dys in layout)
     rows, lifted, shifts = [], [], []
     for start, count, dys in layout:

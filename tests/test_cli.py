@@ -55,7 +55,8 @@ def test_usage_error_exits_2(capsys):
     (["oracle", "--field", "fp:31"], "--system"),
     (["dims", "--degree-vector", "0,-1,1"], "--type"),
     (["search-dv", "--box=-2:3"], "--type"),
-], ids=["solve", "resultant", "oracle", "dims", "search-dv"])
+    (["matrix", "--field", "fp:101"], "--system --type"),
+], ids=["solve", "resultant", "oracle", "dims", "search-dv", "matrix"])
 def test_a_missing_system_or_type_is_a_usage_error(capsys, argv, missing):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
@@ -63,6 +64,16 @@ def test_a_missing_system_or_type_is_a_usage_error(capsys, argv, missing):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err and missing in captured.err
+
+
+def test_matrix_takes_a_system_or_a_type_not_both(capsys):
+    # --type was ignored beside --system
+    with pytest.raises(SystemExit) as info:
+        cli.main(["matrix", "--system", "paper", "--type", "2,2,2,3,3"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--type: not allowed with argument --system" in captured.err
 
 
 def test_search_dv_contains_known_vectors(capsys):
@@ -151,6 +162,23 @@ def test_malformed_system_file_is_domain_error(capsys, tmp_path, mangle, message
     record = json.loads(out)
     assert record["error"]["kind"] == "DomainError"
     assert message in record["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["resultant", "matrix", "oracle"])
+def test_a_coefficient_with_no_image_mod_p_is_domain_error(capsys, tmp_path, command):
+    # each of these ended in a ZeroDivisionError traceback
+    code, out = run(capsys, "example-system")
+    obj = json.loads(out)
+    set_coefficient("1/3")(obj)
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, command, "--system", str(path), "--field", "fp:3")
+    assert code == 1
+    record = json.loads(out)["error"]
+    assert record["kind"] == "DomainError"
+    assert record["message"].startswith("coefficient 1/3 of x1y1 in f1 has no image mod 3")
+    code, out = run(capsys, command, "--system", str(path), "--field", "fp:5")
+    assert code == 0
 
 
 def test_resultant_vanishes_on_planted_file(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Basis enumeration, the contraction map, assembly, specialization, splitting."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -124,6 +125,30 @@ def test_assembly_matches_the_exponent_scanning_reference(ty):
     assert list(got.items()) == list(want.items())  # keys, values and order
 
 
+# sha256 of row_idx, col_idx and ref_idx as little-endian int64, then of
+# the repr of the references as plain tuples, for the paper's seven
+# Table-1 types, which the exponent-scanning reference is too slow for
+TABLE1_DIGESTS = {
+    (10, 1, 1, 10, 2): "00231496f6581080c0e078b25000b6f21d22d864c20cd8a2796dbdd5d5be533a",
+    (2, 6, 4, 7, 5): "0c6beddf3fc8d9131bd33a626d6be4a9155276e9417b69fdfc41dedce3df5a04",
+    (5, 5, 2, 6, 6): "b2e65ffaf2f39fa85c1211c95c46ba1b45affde679060adba23fa97d4e93d77b",
+    (6, 4, 2, 5, 7): "100b840dc22c8a36a2e916a2f12a171e6520cb7f2f460ce898855e09df7e60ee",
+    (4, 4, 4, 6, 6): "5dc4020435db14e0e3a48b74d9c771fdc229f21970efe3803191f5824c1ee550",
+    (5, 5, 2, 9, 3): "1cc35afa31614f45face20099e6948587838193063382a2cf9dc7a15cc756b88",
+    (6, 3, 3, 6, 6): "4f53f9c326ba28f912fb3bb92dd027b9b46ac791801d756fa21ea157583361e2",
+}
+
+
+@pytest.mark.parametrize("ty", list(TABLE1_DIGESTS))
+def test_table1_assembly_matches_its_recorded_digest(ty):
+    matrix = koszul.assemble_delta1(SystemType(*ty))
+    digest = hashlib.sha256()
+    for array in (matrix.row_idx, matrix.col_idx, matrix.ref_idx):
+        digest.update(np.asarray(array, dtype="<i8").tobytes())
+    digest.update(repr([tuple(ref) for ref in matrix.references]).encode())
+    assert digest.hexdigest() == TABLE1_DIGESTS[ty]
+
+
 def test_assembly_guards_raise_on_planted_faults(monkeypatch):
     t = SystemType(2, 2, 2, 3, 3)
     assemble = koszul.assemble_delta1.__wrapped__  # past the per-type cache
@@ -132,9 +157,18 @@ def test_assembly_guards_raise_on_planted_faults(monkeypatch):
     def first_term_twice(*args):
         return tuple(np.concatenate([v, v[:1]]) for v in terms(*args))
 
+    def no_first_coefficient(*args):
+        col_off, row_off, sigma = terms(*args)
+        return tuple(v[sigma != 0] for v in (col_off, row_off, sigma))
+
     with monkeypatch.context() as patch:
         patch.setattr(koszul, "_factor_terms", first_term_twice)
         with pytest.raises(koszul.AssemblyError, match="duplicate entry"):
+            assemble(t)
+    with monkeypatch.context() as patch:
+        # references are numbered by whole (slot, sign) runs
+        patch.setattr(koszul, "_factor_terms", no_first_coefficient)
+        with pytest.raises(koszul.AssemblyError, match="misses a coefficient"):
             assemble(t)
     with monkeypatch.context() as patch:
         # z-multiplied factors sent to a block without z: no such row
@@ -290,8 +324,12 @@ def test_theta_partition_flags_assembly_violations(paper_type):
         ref_id = {ref: k for k, ref in enumerate(references)}
         row_idx, col_idx = np.array(list(entries), dtype=np.intp).T
         ref_idx = np.array([ref_id[ref] for ref in entries.values()], dtype=np.intp)
+        t = base.type
+        slot, sign, pos = (np.array(v) for v in zip(*(
+            (ref.poly, ref.sign, core.exponent_basis(t.nvars, t.degree_of(ref.poly)).index(
+                ref.exponent)) for ref in references)))
         return koszul.SymbolicResultantMatrix(
-            base.type, base.m, base.size, row_idx, col_idx, ref_idx, references)
+            base.type, base.m, base.size, row_idx, col_idx, ref_idx, slot, sign, pos)
 
     def flip_sign(entries):
         for key, e in entries.items():
@@ -318,13 +356,15 @@ def test_theta_partition_is_kept_on_the_matrix_and_freed_with_it(paper_type, mon
     """A second call for a theta returns its permutations and split
     without reading the references again; another theta gets its own;
     a matrix built afresh starts with none, and a dropped matrix is freed
-    at once, since what is kept does not refer back to it."""
+    at once, since what is kept, its entries view too, does not refer
+    back to it."""
     import gc
     import weakref
 
     base = koszul.assemble_delta1(paper_type)
     matrix = koszul.SymbolicResultantMatrix(base.type, base.m, base.size, base.row_idx,
-                                            base.col_idx, base.ref_idx, base.references)
+                                            base.col_idx, base.ref_idx, base.ref_slot,
+                                            base.ref_sign, base.ref_pos)
     first = koszul.theta_partition(matrix, THETA)
     other = ((0, 1), (0, 1), (0, 1))
     second_theta = koszul.theta_partition(matrix, other)
@@ -338,8 +378,11 @@ def test_theta_partition_is_kept_on_the_matrix_and_freed_with_it(paper_type, mon
     assert koszul.theta_partition(matrix, other) == second_theta != first
     monkeypatch.undo()
     fresh = koszul.SymbolicResultantMatrix(base.type, base.m, base.size, base.row_idx,
-                                           base.col_idx, base.ref_idx, base.references)
+                                           base.col_idx, base.ref_idx, base.ref_slot,
+                                           base.ref_sign, base.ref_pos)
     assert fresh._partitions == {}
+    # the entries view and the references kept on it hold no cycle either
+    assert len(matrix.entries) == len(base.ref_idx) and matrix.references == base.references
     gone = weakref.ref(matrix)
     gc.disable()
     try:
