@@ -6,7 +6,9 @@ selftest-paper, example-system. Exit codes: 0 success, 1 domain error
 closed by its reader (with nothing more printed), 2 usage error.
 
 All commands are deterministic given (input, seed); JSON outputs carry
-the tool version and the randomization used.
+the tool version and the randomization used. `--output` takes text or
+json, and csv on `matrix`, the one command with a table to write; an
+option that a command would ignore is an error, not dropped.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _load_system(path: str) -> core.BilinearSystem:
 
 
 def _emit(args, payload: dict, text_lines):
-    if getattr(args, "output", "text") == "json":
+    if args.output == "json":
         payload = {"version": __version__, **payload}
         print(json.dumps(payload, indent=2, default=str))
     else:
@@ -100,6 +102,9 @@ def cmd_search_dv(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    if args.field is not None and not args.system:
+        raise core.DomainError("--field specializes a system: give --system, "
+                               "or drop --field for the symbolic matrix")
     sys_ = _load_system(args.system) if args.system else None
     t = sys_.type if sys_ is not None else _parse_type(args.type)
     matrix = koszul.assemble_delta1(t)
@@ -117,8 +122,8 @@ def cmd_matrix(args) -> int:
         payload["theta"] = {
             "exponent": core.exponent_key(theta),
             "split": part.split,
-            "row_perm": list(part.row_perm),
-            "col_perm": list(part.col_perm),
+            "row_perm": part.row_perm.tolist(),
+            "col_perm": part.col_perm.tolist(),
         }
     field = _parse_field(args.field)
     if sys_ is not None:
@@ -234,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, system=False, type_=False, output=True, field=False, seed=False):
+    def common(p, *, system=False, type_=False, field=False, seed=False, csv=False):
         # a command that takes both takes exactly one of them
         source = p.add_mutually_exclusive_group(required=True) if system and type_ else p
         if system:
@@ -246,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", help="q (exact rationals, default) or fp:<p>")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if output:
-            p.add_argument("--output", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--output", choices=("text", "json", "csv") if csv else ("text", "json"),
+                       default="text")
 
     p = sub.add_parser("dims", help="term dimensions of the complex for a degree vector")
     common(p, type_=True)
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search_dv)
 
     p = sub.add_parser("matrix", help="the symbolic or specialized resultant matrix")
-    common(p, system=True, type_=True, field=True)
+    common(p, system=True, type_=True, field=True, csv=True)
     p.add_argument("--theta", help="exponent key of the splitting monomial")
     p.set_defaults(func=cmd_matrix)
 

@@ -26,10 +26,18 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
+from . import exactlinalg
+
 Block = tuple[int, ...]
 Exponent = tuple[Block, Block, Block]
 
 BLOCK_NAMES = ("x", "y", "z")
+
+# entries of a random coordinate change lie in [-CHANGE_BOUND, CHANGE_BOUND],
+# and the drawn coefficients of a planted polynomial in
+# [-PLANTED_COEFF_BOUND, PLANTED_COEFF_BOUND]
+CHANGE_BOUND = 5
+PLANTED_COEFF_BOUND = 10
 
 
 class DomainError(ValueError):
@@ -254,7 +262,7 @@ class MHPoly:
         tensor of a multilinear polynomial over its least common
         denominator, of shape (nx+1 or 1, ny+1 or 1, nz+1 or 1) by the
         degree of each block, so x_i y_j z_k has coefficient T[i, j, k] /
-        denominator; of int64, or of Python ints where entries may not fit."""
+        denominator, in the storage over Q (`exactlinalg.storage_dtype`)."""
         try:
             return self._tensor
         except AttributeError:
@@ -264,8 +272,7 @@ class MHPoly:
                               f"not multidegree {self.degree}")
         nums, denom = _cleared(self.terms.values())
         shape = [nv if d else 1 for nv, d in zip(self.nvars, self.degree)]
-        tensor = np.zeros(shape, dtype=np.int64 if max(map(abs, nums), default=0) < 2 ** 63
-                          else object)
+        tensor = np.zeros(shape, dtype=exactlinalg.storage_dtype(nums, None))
         # the C order of the tensor is the x-major order of A(degree)
         position = {exp: k for k, exp in enumerate(_exponent_basis(self.nvars, self.degree))}
         tensor.ravel()[[position[exp] for exp in self.terms]] = nums
@@ -428,8 +435,8 @@ class BilinearSystem:
 
     def tensor_mod_p(self, i: int, p: int) -> np.ndarray:
         """The coefficient tensor of equation slot i (`MHPoly.tensor`) over
-        F_p, for a prime p: T / denominator with entries in [0, p), of
-        int64 while (p - 1)^2 fits, else of Python ints. A coefficient
+        F_p, for a prime p: T / denominator with entries in [0, p), in the
+        storage over F_p (`exactlinalg.storage_dtype`). A coefficient
         whose denominator p divides has no image mod p: DomainError,
         naming the equation and the monomial."""
         poly = self.poly(i)
@@ -438,7 +445,7 @@ class BilinearSystem:
             exp, coeff = next((exp, c) for exp, c in poly.terms.items() if c.denominator % p == 0)
             raise DomainError(f"coefficient {coeff} of {monomial_str(exp)} in f{i} has no "
                               f"image mod {p}: its denominator is divisible by {p}")
-        dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
+        dtype = exactlinalg.storage_dtype((), p)
         return (tensor % p).astype(dtype, copy=False) * pow(denom, -1, p) % p
 
     @cached_property
@@ -478,15 +485,15 @@ class CoordinateChange:
     @property
     def cleared(self) -> tuple:
         """Each block over one common denominator: (integer array,
-        denominator, largest absolute entry) per block, the array int64
-        when every entry is below 2^63 in absolute value, else of Python
-        ints. Built on each read and not kept on the change, which every
-        `SolveReport` holds; `apply_coordinate_change` reads it once."""
+        denominator, largest absolute entry) per block, the array in the
+        storage over Q (`exactlinalg.storage_dtype`). Built on each read
+        and not kept on the change, which every `SolveReport` holds;
+        `apply_coordinate_change` reads it once."""
         out = []
         for mat in self.blocks:
             ints, denom = _cleared(a for row in mat for a in row)
             top = max(abs(a) for a in ints)
-            array = np.array(ints, dtype=np.int64 if top < 2 ** 63 else object)
+            array = np.array(ints, dtype=exactlinalg.storage_dtype(ints, None))
             out.append((array.reshape(len(mat), -1), denom, top))
         return tuple(out)
 
@@ -495,20 +502,18 @@ class CoordinateChange:
 def _invertible(mat: tuple) -> bool:
     """Whether the square tuple-of-tuples block has a nonzero det. Cached, so
     CoordinateChange reuses the check random_coordinate_change just made."""
-    from . import exactlinalg
-
     return exactlinalg.det(exactlinalg.ExactMatrix([list(row) for row in mat])) != 0
 
 
-def random_coordinate_change(t: SystemType, seed, bound: int = 5) -> CoordinateChange:
-    """Per-block integer matrices, entries uniform in [-bound, bound],
-    resampled until every block is invertible."""
+def random_coordinate_change(t: SystemType, seed) -> CoordinateChange:
+    """Per-block integer matrices, entries uniform in [-CHANGE_BOUND,
+    CHANGE_BOUND], resampled until every block is invertible."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     blocks = []
     for nv in t.nvars:
         while True:
-            mat = tuple(tuple(_int_fraction(rng.randint(-bound, bound)) for _ in range(nv))
-                        for _ in range(nv))
+            mat = tuple(tuple(_int_fraction(rng.randint(-CHANGE_BOUND, CHANGE_BOUND))
+                              for _ in range(nv)) for _ in range(nv))
             if _invertible(mat):
                 break
         blocks.append(mat)
@@ -596,12 +601,13 @@ def random_system(t: SystemType, seed, coeff_bound: int = 10) -> BilinearSystem:
     return BilinearSystem(t, tuple(polys))
 
 
-def planted_poly(nvars, degree, point, rng, coeff_bound: int = 10) -> MHPoly:
+def planted_poly(nvars, degree, point, rng) -> MHPoly:
     """A random polynomial of the given multidegree vanishing at the point.
 
     Sampled from the kernel of the evaluation functional: pick the first
     monomial with nonzero value at the point as pivot, draw the other
-    coefficients and solve the single linear condition for the pivot
+    coefficients uniformly in [-PLANTED_COEFF_BOUND, PLANTED_COEFF_BOUND]
+    and solve the single linear condition for the pivot
     (cross-multiplied so exact integer points give integer polynomials).
     """
     blocks = _point_blocks(point)
@@ -614,7 +620,8 @@ def planted_poly(nvars, degree, point, rng, coeff_bound: int = 10) -> MHPoly:
     if pivot is None:
         raise DomainError("point annihilates every monomial of this multidegree")
     while True:
-        draws = {j: rng.randint(-coeff_bound, coeff_bound) for j in range(len(exps)) if j != pivot}
+        draws = {j: rng.randint(-PLANTED_COEFF_BOUND, PLANTED_COEFF_BOUND)
+                 for j in range(len(exps)) if j != pivot}
         if any(draws.values()) or len(exps) == 1:
             break
     terms = {exps[j]: _as_fraction(c) * values[pivot] for j, c in draws.items()}
@@ -630,15 +637,15 @@ def _primitive(p: MHPoly) -> MHPoly:
     return scale(p, Fraction(denom, gcd(*nums)))  # no stored coefficient is 0
 
 
-def planted_root_system(t: SystemType, alpha, seed, coeff_bound: int = 10,
+def planted_root_system(t: SystemType, alpha, seed, *,
                         include_f0: bool = False) -> BilinearSystem:
     """Random system with every equation vanishing at alpha (oracle construction)."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     polys = tuple(
-        planted_poly(t.nvars, t.degree_of(i), alpha, rng, coeff_bound)
+        planted_poly(t.nvars, t.degree_of(i), alpha, rng)
         for i in range(1, t.n + 1)
     )
-    f0 = planted_poly(t.nvars, (1, 1, 1), alpha, rng, coeff_bound) if include_f0 else None
+    f0 = planted_poly(t.nvars, (1, 1, 1), alpha, rng) if include_f0 else None
     return BilinearSystem(t, polys, f0)
 
 

@@ -60,8 +60,7 @@ length, the least L with q^L > 2 H H_d, where every candidate passes.
 The steps write their digits into one array; one carry step over it
 lets them pair into base q^2 in int64 before the Python ints take
 over (`_recombine`); rational reconstruction with one running common
-denominator, its half-gcds in Lehmer batches (`_reconstruct`),
-recovers S.
+denominator (`_reconstruct`) recovers S.
 
 Floats enter the exact paths only where every value is an integer
 below 2^53 and so exact in float64. In the elimination mod p the panel
@@ -158,11 +157,14 @@ def require_prime(p: int) -> int:
 
 
 def storage_dtype(values, field: int | None):
-    """The dtype of a matrix of 0 and these values, valid for the field:
-    over F_p int64 while (p - 1)^2 fits, else object (Python ints); over
-    Q int64 when every value is an integer of absolute value below 2^63,
-    else object. numpy truncates a Fraction stored into int64, so every
-    writer into an array over Q must keep to this."""
+    """The dtype of an array of 0 and these values, valid for the field;
+    the one storage rule of every exact array, a matrix here and a
+    coefficient tensor or a cleared coordinate change in `core`. Over
+    F_p int64 while p < 2^31, so that (p - 1)^2 fits, else object
+    (Python ints); over Q int64 when every value is an integer of
+    absolute value below 2^63, else object. numpy truncates a Fraction
+    stored into int64, so every writer into an array over Q must keep
+    to this."""
     if field is not None:
         return np.int64 if require_prime(field) < _INT64_PRIME_LIMIT else object
     return np.int64 if all(v.denominator == 1 and -_INT64_LIMIT < v.numerator < _INT64_LIMIT
@@ -1123,44 +1125,10 @@ def _reconstruct(residues, modulus: int, num2: int, den2: int) -> list:
     return out
 
 
-# the leading bits of r0 and r1 that a Lehmer batch of `_half_gcd` reads:
-# its inner loop then runs on ints below 2^63, whatever the size of r0
-_LEHMER_BITS = 62
-
-
 def _half_gcd(r0: int, r1: int, stop: int) -> tuple[int, int]:
     """(r, t) at the first remainder r <= stop of the Euclidean algorithm
-    on r0 > r1 >= 0, with t its cofactor: r = t r1 mod r0.
-
-    Lehmer's algorithm (D. H. Lehmer 1938; Knuth, TAOCP vol. 2, 4.5.2,
-    Algorithm L) while r1 has more than `_LEHMER_BITS` bits above stop:
-    a batch reads quotients off the leading `_LEHMER_BITS` bits of r0 and
-    r1 for as long as both ends of the interval that holds the ratio give
-    the same one, so each is the true quotient, and applies them at once
-    as a 2 x 2 matrix of small integers to (r0, r1) and their cofactors.
-    A batch whose first new remainder would be at most stop is not
-    applied, and plain steps finish, so every remainder is the plain
-    algorithm's."""
+    on r0 > r1 >= 0, with t its cofactor: r = t r1 mod r0."""
     t0, t1 = 0, 1
-    while r1.bit_length() > stop.bit_length() + _LEHMER_BITS:
-        shift = r0.bit_length() - _LEHMER_BITS
-        u, v = r0 >> shift, r1 >> shift
-        a, b, c, d = 1, 0, 0, 1
-        while v + c and v + d:
-            quo = (u + a) // (v + c)
-            if quo != (u + b) // (v + d):
-                break
-            a, c = c, a - quo * c
-            b, d = d, b - quo * d
-            u, v = v, u - quo * v
-        if b == 0:  # no quotient is certain: one plain step
-            quo = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
-            continue
-        head = a * r0 + b * r1
-        if head <= stop:
-            break
-        r0, r1, t0, t1 = head, c * r0 + d * r1, a * t0 + b * t1, c * t0 + d * t1
     while r1 > stop:
         quo = r0 // r1
         r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1

@@ -80,7 +80,7 @@ from .core import (
     mhb,
     monomial_basis,
 )
-from .exactlinalg import ExactMatrix, storage_dtype
+from .exactlinalg import ExactMatrix, require_prime, storage_dtype
 from .weyman import mu
 
 
@@ -454,9 +454,8 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
         return np.concatenate(flat)[offsets[matrix.ref_slot] + matrix.ref_pos]
 
     if field is not None:
-        dtype = storage_dtype((), field)  # checks that field is a prime
+        require_prime(field)
         values = gather([sys.tensor_mod_p(i, field).ravel() for i in slots])
-        values = values.astype(dtype, copy=False)
         table = np.where(matrix.ref_sign > 0, values, (field - values) % field)
     else:
         tensors = [sys.poly(i).tensor for i in slots]
@@ -478,15 +477,16 @@ class ThetaPartition:
     """Row/column rearrangement putting every u_{0, theta} reference on
     the diagonal of the trailing square block M22.
 
-    row_perm/col_perm list original indices in their new order; the
-    trailing `size - split` positions are the M22 pairs, aligned so the
-    k-th trailing row meets the k-th trailing column on the diagonal.
+    row_perm/col_perm are read-only intp arrays of the original indices
+    in their new order; the trailing `size - split` positions are the
+    M22 pairs, aligned so the k-th trailing row meets the k-th trailing
+    column on the diagonal.
     """
 
     base: SymbolicResultantMatrix
     theta: Exponent
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
+    row_perm: np.ndarray
+    col_perm: np.ndarray
     split: int
 
     @property
@@ -517,31 +517,27 @@ def theta_partition(matrix: SymbolicResultantMatrix, theta: Exponent) -> ThetaPa
     t = matrix.type
     if theta not in set(exponent_basis(t.nvars, (1, 1, 1))):
         raise DomainError(f"theta {theta} is not a trilinear exponent for {t}")
-    hits = matrix.occurrences(0, theta)
+    hits = np.array(matrix.occurrences(0, theta), dtype=np.intp).reshape(-1, 3)
     expected = mhb(t)
     if len(hits) != expected:
         raise AssemblyError(
             f"u_0,{exponent_key(theta)} occurs {len(hits)} times, expected {expected}")
-    if any(sign != 1 for _, _, sign in hits):
+    if (hits[:, 2] != 1).any():
         raise AssemblyError("theta diagonal reference with sign -1")
-    hit_rows = [i for i, _, _ in hits]
-    hit_cols = [j for _, j, _ in hits]
-    if len(set(hit_rows)) != expected or len(set(hit_cols)) != expected:
+    hits = hits[np.argsort(hits[:, 1], kind="stable")]  # canonical column order fixes the pairing
+    trail_rows, trail_cols = hits[:, 0], hits[:, 1]
+    if len(np.unique(trail_rows)) != expected or len(np.unique(trail_cols)) != expected:
         raise AssemblyError("theta references share a row or column")
-    hits.sort(key=lambda h: h[1])  # canonical column order fixes the pairing
-    trail_cols = [j for _, j, _ in hits]
-    trail_rows = [i for i, _, _ in hits]
-    lead_rows = np.ones(matrix.size, dtype=bool)
-    lead_rows[trail_rows] = False
-    lead_cols = np.ones(matrix.size, dtype=bool)
-    lead_cols[trail_cols] = False
+    perms = []
+    for trail in (trail_rows, trail_cols):
+        lead = np.ones(matrix.size, dtype=bool)
+        lead[trail] = False
+        perm = np.concatenate([np.flatnonzero(lead), trail])
+        perm.flags.writeable = False
+        perms.append(perm)
     # the permutations and the split only: a partition holds its matrix,
     # and a cycle would outlive the last reference to the matrix
-    known = matrix._partitions[theta] = (
-        tuple(np.flatnonzero(lead_rows).tolist() + trail_rows),
-        tuple(np.flatnonzero(lead_cols).tolist() + trail_cols),
-        matrix.size - expected,
-    )
+    known = matrix._partitions[theta] = (*perms, matrix.size - expected)
     return ThetaPartition(matrix, theta, *known)
 
 

@@ -27,6 +27,15 @@ The Schur complement is computed exactly over the rationals. Floating
 point enters at its eigen-decomposition and at one float solve of the
 leading block M11 on the theta-permuted matrix, which extends every
 eigenvector of an attempt; the residual gate checks what follows.
+
+Every threshold and range is a module constant, not an argument:
+EIGEN_CLUSTER_TOL flags clustered eigenvalues (`eigen_schur`),
+EXTRACT_ANCHOR_TOL bounds the anchor and normalizing entries
+(`extract_xy`), Z_RANK_TOL the rank test of the z-system (`solve_z`),
+F0_COEFF_BOUND the coefficients of f0 (`choose_f0_and_theta`), and
+core.CHANGE_BOUND the entries of the coordinate change. RESIDUAL_TOL
+is only the default of `solve_2bilinear`'s tol, the one tolerance a
+caller sets.
 """
 
 from __future__ import annotations
@@ -64,6 +73,8 @@ from .weyman import mu
 
 EIGEN_CLUSTER_TOL = 1e-7
 EXTRACT_ANCHOR_TOL = 1e-9
+Z_RANK_TOL = 1e-8
+F0_COEFF_BOUND = 10
 RESIDUAL_TOL = 1e-6
 
 
@@ -99,10 +110,10 @@ class SolveReport:
     change: CoordinateChange
 
 
-def eigen_schur(matrix, tol: float = EIGEN_CLUSTER_TOL) -> list[EigenPair]:
+def eigen_schur(matrix) -> list[EigenPair]:
     """All eigenvalue / right-eigenvector pairs of a dense matrix, sorted
-    by (real, imag); pairs closer than tol * (1 + max |value|) to some
-    other eigenvalue are flagged as clustered."""
+    by (real, imag); pairs closer than EIGEN_CLUSTER_TOL * (1 + max
+    |value|) to some other eigenvalue are flagged as clustered."""
     array = np.asarray(matrix, dtype=complex)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise DomainError("eigen decomposition needs a square matrix")
@@ -110,7 +121,7 @@ def eigen_schur(matrix, tol: float = EIGEN_CLUSTER_TOL) -> list[EigenPair]:
         raise DomainError("matrix has non-finite entries")
     values, vectors = np.linalg.eig(array)
     order = np.lexsort((values.imag, values.real))
-    scale = tol * (1.0 + max(abs(values).max(initial=0.0), 0.0))
+    scale = EIGEN_CLUSTER_TOL * (1.0 + max(abs(values).max(initial=0.0), 0.0))
     # all pairwise distances at once; sorting would miss close complex pairs
     gaps = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(gaps, np.inf)
@@ -140,11 +151,11 @@ def extend_eigenvector(partition: ThetaPartition, permuted: np.ndarray,
     vectors = np.asarray(vectors, dtype=complex)
     stacked = np.concatenate([-x @ vectors, vectors])
     out = np.empty_like(stacked)
-    out[list(partition.col_perm)] = stacked
+    out[partition.col_perm] = stacked
     return out
 
 
-def extract_xy(vectors, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
+def extract_xy(vectors, t: SystemType):
     """Read (alpha_x, alpha_y) off a kernel vector in the k1 basis order,
     or off each column of a matrix of them: for one vector two tuples,
     for a matrix two arrays with one column per vector.
@@ -158,10 +169,10 @@ def extract_xy(vectors, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
     set of dual-y degree d >= 1 with the largest entry (blocks of degree
     0 carry no y information): anchored at the row's largest entry, at
     tau with tau_a >= 1, y_j / y_a = v(tau - e_a + e_j) / v(tau). Both
-    are scaled so that their first entry above tol times their largest
-    is 1. The first maximum in basis order wins a tie. Every column is
-    read at once, through the index tables of `_k1_groups`; any column
-    that cannot be read raises ExtractionError.
+    are scaled so that their first entry above EXTRACT_ANCHOR_TOL times
+    their largest is 1. The first maximum in basis order wins a tie.
+    Every column is read at once, through the index tables of
+    `_k1_groups`; any column that cannot be read raises ExtractionError.
     """
     if len(vectors) != mu(t):
         raise DomainError("vector length does not match the k1 basis")
@@ -179,15 +190,16 @@ def extract_xy(vectors, t: SystemType, tol: float = EXTRACT_ANCHOR_TOL):
         raise ExtractionError("zero vector")
     best = peaks.argmax(axis=0)
     block, magnitude = groups[best, :, :, cols], magnitudes[best, :, :, cols]
-    alpha_x = _normalize(block[cols, :, magnitude.max(axis=1).argmax(axis=1)], tol)
+    alpha_x = _normalize(block[cols, :, magnitude.max(axis=1).argmax(axis=1)],
+                         EXTRACT_ANCHOR_TOL)
     best = np.where(lifted[:, None], peaks, -1).argmax(axis=0)  # dual-y degree >= 1
     block, magnitude = groups[best, :, :, cols], magnitudes[best, :, :, cols]
     dx = magnitude.max(axis=2).argmax(axis=1)
     row, magnitude = block[cols, dx], magnitude[cols, dx]
     anchor = magnitude.argmax(axis=1)
-    if (magnitude[cols, anchor] <= tol * overall).any():
+    if (magnitude[cols, anchor] <= EXTRACT_ANCHOR_TOL * overall).any():
         raise ExtractionError("anchor coefficient too small")
-    alpha_y = _normalize(row[cols[:, None], shifts[best, anchor]], tol)
+    alpha_y = _normalize(row[cols[:, None], shifts[best, anchor]], EXTRACT_ANCHOR_TOL)
     if single:
         return tuple(alpha_x[0]), tuple(alpha_y[0])
     return alpha_x.T, alpha_y.T
@@ -243,7 +255,7 @@ def _normalize(coords, tol):
     return coords
 
 
-def solve_z(sys: BilinearSystem, alpha_x, alpha_y, tol: float = 1e-8):
+def solve_z(sys: BilinearSystem, alpha_x, alpha_y):
     """The unique z making (alpha_x, alpha_y, z) a solution: kernel
     direction of the stacked linear forms f_{r+k}(alpha_x, z) =
     alpha_x^T B_k z of the S(1,0,1) equations (the S(1,1,0) ones are
@@ -251,7 +263,8 @@ def solve_z(sys: BilinearSystem, alpha_x, alpha_y, tol: float = 1e-8):
 
     alpha_x is one point, giving z as a tuple, or the columns of a
     matrix, giving a matrix of z columns from one stacked SVD; a column
-    whose forms have rank below nz raises ExtractionError."""
+    whose forms have rank below nz, its nz-th singular value at most
+    Z_RANK_TOL times max(1, its largest), raises ExtractionError."""
     t = sys.type
     ax = np.asarray(alpha_x, dtype=complex)
     single = ax.ndim == 1
@@ -263,7 +276,7 @@ def solve_z(sys: BilinearSystem, alpha_x, alpha_y, tol: float = 1e-8):
     padded = np.zeros((ax.shape[1], t.nz + 1))
     padded[:, :sv.shape[1]] = sv
     scale = np.maximum(1.0, padded[:, 0])
-    if (padded[:, t.nz - 1] <= tol * scale).any():
+    if (padded[:, t.nz - 1] <= Z_RANK_TOL * scale).any():
         raise ExtractionError("z-system rank below nz: multiple z-solutions")
     z = vh[:, -1].conj()
     return tuple(z[0]) if single else z.T
@@ -275,16 +288,17 @@ def default_theta(t: SystemType) -> Exponent:
     return tuple((1,) + (0,) * n_t for n_t in t.dims)
 
 
-def choose_f0_and_theta(t: SystemType, seed, coeff_bound: int = 10):
-    """Random trilinear f0 plus the separating monomial theta = x0 y0 z0;
-    the theta coefficient is forced nonzero."""
+def choose_f0_and_theta(t: SystemType, seed):
+    """Random trilinear f0, coefficients uniform in [-F0_COEFF_BOUND,
+    F0_COEFF_BOUND], plus the separating monomial theta = x0 y0 z0; the
+    theta coefficient is forced nonzero."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     theta = default_theta(t)
     terms = {}
     for exp in exponent_basis(t.nvars, (1, 1, 1)):
-        terms[exp] = rng.randint(-coeff_bound, coeff_bound)
+        terms[exp] = rng.randint(-F0_COEFF_BOUND, F0_COEFF_BOUND)
     while terms[theta] == 0:
-        terms[theta] = rng.randint(-coeff_bound, coeff_bound)
+        terms[theta] = rng.randint(-F0_COEFF_BOUND, F0_COEFF_BOUND)
     return MHPoly(t.nvars, (1, 1, 1), terms), theta
 
 

@@ -76,6 +76,41 @@ def test_matrix_takes_a_system_or_a_type_not_both(capsys):
     assert "--type: not allowed with argument --system" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dims", "--type", "1,1,1,2,1", "--degree-vector", "0,-1,3"],
+    ["search-dv", "--type", "1,1,1,2,1"],
+    ["resultant", "--system", "paper"],
+    ["solve", "--system", "paper"],
+    ["oracle", "--system", "paper", "--field", "fp:31"],
+], ids=["dims", "search-dv", "resultant", "solve", "oracle"])
+def test_csv_output_is_a_usage_error_where_there_is_no_table(capsys, argv):
+    # these printed text for --output csv
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--output", "csv"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "invalid choice: 'csv'" in captured.err
+
+
+def test_matrix_field_without_a_system_is_a_domain_error(capsys):
+    # the symbolic matrix was printed and the field dropped
+    code, out = run(capsys, "matrix", "--type", "1,1,1,2,1", "--field", "fp:7")
+    assert code == 1
+    record = json.loads(out)["error"]
+    assert record["kind"] == "DomainError"
+    assert "--system" in record["message"]
+
+
+def test_matrix_csv_is_the_symbolic_grid(capsys):
+    code, out = run(capsys, "matrix", "--type", "1,1,1,2,1", "--output", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 11 and lines[0].startswith(",L11|")
+    assert all(line.startswith("L0") for line in lines[1:])
+    assert out.count("u[") == 48
+
+
 def test_search_dv_contains_known_vectors(capsys):
     code, out = run(capsys, "search-dv", "--type", "1,1,1,2,1", "--box=-2:3")
     assert code == 0

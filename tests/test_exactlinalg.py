@@ -1371,9 +1371,8 @@ def reconstruction_cases(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(reconstruction_cases())
 def test_reconstruction_by_lehmer_batches_equals_the_plain_euclidean_algorithm(case):
-    """`_reconstruct` runs the half-gcd in Lehmer batches while the
-    remainder is far above its stop: every pair it returns is the plain
-    algorithm's, and it raises ArithmeticError exactly when that does."""
+    """Every pair `_reconstruct` returns is the plain algorithm's, and it
+    raises ArithmeticError exactly when that does."""
     residues, modulus, num2, den2 = case
     try:
         want = plain_reconstruct(residues, modulus, num2, den2)
@@ -1382,24 +1381,6 @@ def test_reconstruction_by_lehmer_batches_equals_the_plain_euclidean_algorithm(c
             exactlinalg._reconstruct(residues, modulus, num2, den2)
     else:
         assert exactlinalg._reconstruct(residues, modulus, num2, den2) == want
-
-
-def test_half_gcd_in_lehmer_batches_stops_where_the_plain_algorithm_does():
-    """Consecutive Fibonacci numbers, whose every quotient is 1, and a
-    random pair, at stops across the whole range: the first remainder
-    at most the stop and its cofactor are the plain algorithm's."""
-    fib = [0, 1]
-    while fib[-1].bit_length() < 3000:
-        fib.append(fib[-1] + fib[-2])
-    rng = random.Random(5)
-    pairs = [(fib[-1], fib[-2]), (rng.getrandbits(4000) | 1 << 3999, rng.getrandbits(3990))]
-    for r0, r1 in pairs:
-        for stop in (0, 1, 2 ** 60, 2 ** 200, isqrt(r0), r1 >> 100, r1 - 1):
-            a, b, t0, t1 = r0, r1, 0, 1
-            while b > stop:
-                quo = a // b
-                a, b, t0, t1 = b, a - quo * b, t1, t0 - quo * t1
-            assert exactlinalg._half_gcd(r0, r1, stop) == (b, t1)
 
 
 def recombination_planes(draw, q, length, shape):
