@@ -14,6 +14,7 @@ option that a command would ignore is an error, not dropped.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys as _sys
@@ -137,10 +138,10 @@ def cmd_matrix(args) -> int:
                            matrix.ref_idx.tolist()):
             grid[i][j] = labels[k]
         payload["entries"] = grid
-    if args.output == "csv":
-        print("," + ",".join(payload["cols"]))
-        for label, row in zip(payload["rows"], grid):
-            print(label + "," + ",".join(row))
+    if args.output == "csv":  # labels and entries hold commas: csv.writer quotes them
+        writer = csv.writer(_sys.stdout, lineterminator="\n")
+        writer.writerow(["", *payload["cols"]])
+        writer.writerows([label, *row] for label, row in zip(payload["rows"], grid))
     else:
         _emit(args, payload,
               [f"size {matrix.size}"] + [" ".join(f"{v:>14}" for v in row) for row in grid])

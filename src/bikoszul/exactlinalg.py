@@ -7,9 +7,10 @@ int64 when every entry is an integer of absolute value below 2^63, and
 an object array of ints and Fractions otherwise (`storage_dtype`); an
 int64 array over Q has no denominators to clear. A sparse matrix, such
 as a specialized Koszul matrix, may be made in coordinate form instead:
-its cells only, until the array is first read, which builds it once.
-In that form a scalar read is a lookup and a submatrix remaps the
-cells; otherwise a submatrix is one fancy index. One blocked
+its cells grouped by column and a row and a column selection, until the
+array is first read, which builds it once. There a scalar read scans one
+column's cells and a submatrix composes the selections; otherwise a
+submatrix is one fancy index. One blocked
 elimination mod p, `_eliminate`, runs on those arrays: k Gaussian steps
 that pivot on the first nonzero among the leading k rows, in panels of
 b columns. A panel's own steps run on an int64 copy of its live rows
@@ -181,14 +182,15 @@ class ExactMatrix:
     An int64 array is reduced with one vectorized % p; any other input
     is a list of rows (or an array) reduced entry by entry.
 
-    A matrix in coordinate form (`from_coordinates`) holds only its cells:
-    row and column index arrays, no cell twice, and the values in an
-    array of the storage dtype; every other cell is 0, Fraction(0) in an
-    object array over Q. `array` builds the dense array on first read,
-    with one scatter, and keeps it. Until then a scalar read `m[i, j]`
-    looks the cell up in the sorted cell keys col * nrows + row, built on
-    the first such read, and `submatrix` remaps the cells through the
-    inverse index maps; both return what the dense array would.
+    A matrix in coordinate form (`from_coordinates`) holds the cells of a
+    source matrix, grouped by column with the start of each column, and
+    selects its rows and columns: row i is source row select[0][i], column
+    j source column select[1][j]. Every other cell is 0, Fraction(0) in an
+    object array over Q. `submatrix` composes the selections, in O(its
+    index lists), and shares the cells; a scalar read `m[i, j]` scans the
+    cells of one source column (`cell_position`). `array` builds the dense
+    array on first read, one scatter through the inverse selections that
+    drops a cell only where they drop its row or column, and keeps it.
     """
 
     def __init__(self, rows, field: int | None = None):
@@ -208,39 +210,54 @@ class ExactMatrix:
             else:
                 array = np.array([[e % p if isinstance(e, int) else fraction_mod_p(e, p)
                                    for e in row] for row in rows], dtype=dtype).reshape(shape)
-        self._wrap(array, array.shape, None, field)
+        self._wrap(array, None, field)
 
-    def _wrap(self, array, shape, cells, field) -> None:
-        self._array, self._shape, self._cells, self.field = array, shape, cells, field
-        self._keys = None
+    def _wrap(self, array, cells, field, select=None) -> None:
+        self._array, self._cells, self.field, self._select = array, cells, field, select
+        self._shape = array.shape if select is None else tuple(map(len, select))
+        # zero-strided, of the shape: numpy's own index checks for a scalar read
+        self._probe = None if select is None else np.broadcast_to(False, self._shape)
 
     @classmethod
     def _of(cls, array, field: int | None) -> "ExactMatrix":
         """Wrap an array that already holds valid entries for the field."""
         m = cls.__new__(cls)
-        m._wrap(array, array.shape, None, field)
+        m._wrap(array, None, field)
         return m
 
     @classmethod
     def from_coordinates(cls, shape, row_idx, col_idx, values, field: int | None) -> "ExactMatrix":
         """The matrix of shape `shape` with values[k] at (row_idx[k],
-        col_idx[k]) and 0 elsewhere, in coordinate form. No cell may
-        repeat; values is an array of the storage dtype of the field."""
-        m = cls.__new__(cls)
-        m._wrap(None, tuple(shape), (row_idx, col_idx, values), field)
+        col_idx[k]) and 0 elsewhere, in coordinate form, the arrays kept: cells
+        grouped by column (col_idx nondecreasing, else ValueError), none twice,
+        values an array of the storage dtype of the field."""
+        if (col_idx[1:] < col_idx[:-1]).any():
+            raise ValueError("coordinate cells are not grouped by column")
+        m, shape = cls.__new__(cls), tuple(shape)
+        starts = np.searchsorted(col_idx, np.arange(shape[1] + 1))  # column j: starts[j:j + 2]
+        m._wrap(None, (shape, row_idx, col_idx, values, starts), field, tuple(map(range, shape)))
         return m
 
     @property
     def array(self) -> np.ndarray:
         """The dense array, built on first read from the coordinate form."""
         if self._array is None:
-            rows, cols, values = self._cells
+            shape, rows, cols, values, _ = self._cells
             if self.field is None and values.dtype == object:
                 array = np.full(self._shape, Fraction(0), dtype=object)
             else:
                 array = np.zeros(self._shape, dtype=values.dtype)  # lazily zeroed pages
-            array[rows, cols] = values
-            self._array, self._cells, self._keys = array, None, None
+            index = [rows, cols]
+            for axis, (select, n) in enumerate(zip(self._select, shape)):
+                if not isinstance(select, range):  # a range selects all, in order
+                    inverse = np.full(n, -1, dtype=np.intp)  # source -> selected, or -1
+                    inverse[select] = np.arange(len(select))
+                    index[axis] = inverse[index[axis]]
+            if self._shape != shape:  # the selections drop rows or columns
+                kept = (index[0] >= 0) & (index[1] >= 0)
+                index, values = [cells[kept] for cells in index], values[kept]
+            array[tuple(index)] = values
+            self._array, self._cells, self._select = array, None, None
         return self._array
 
     @property
@@ -257,69 +274,55 @@ class ExactMatrix:
         return self._shape[1]
 
     def __getitem__(self, ij):
-        cell = _cell(ij, self._shape) if self._cells is not None else None
-        value = self.array[ij] if cell is None else self._entry(*cell)
+        scalar = self._cells is not None and not self._probe[ij].ndim and len(ij) == 2
+        value = self._entry(*ij) if scalar else self.array[ij]
         return int(value) if isinstance(value, np.integer) else value
 
     def _entry(self, i: int, j: int):
-        """The value at cell (i, j), 0 <= i < nrows, 0 <= j < ncols, of a
-        matrix in coordinate form, found in the sorted cell keys."""
-        rows, cols, values = self._cells
-        if self._keys is None:
-            keys = cols * self.nrows + rows
-            # column-major, a stable sort (timsort) finds the column runs
-            # that a remap of the columns (`submatrix`) leaves
-            order = np.argsort(keys, kind="stable")
-            self._keys = keys[order], values[order]
-        keys, sorted_values = self._keys
-        key = j * self.nrows + i
-        k = int(np.searchsorted(keys, key))
-        if k < len(keys) and keys[k] == key:
-            return sorted_values[k]
+        """The value at cell (i, j) of a matrix in coordinate form, each
+        index in range and counted from the end when negative, found among
+        its source column's cells."""
+        _, rows, _, values, starts = self._cells
+        k = cell_position(rows, starts, self._select[0][i], self._select[1][j])
+        if k is not None:
+            return values[k]
         return Fraction(0) if self.field is None and values.dtype == object else 0
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
         """The rows row_idx and columns col_idx, in that order, as by
-        `np.ix_`. In coordinate form the cells are remapped, in O(nnz)
-        and no dense array, unless an index list repeats an entry."""
+        `np.ix_`. In coordinate form a view of the same cells that composes
+        the selections, in O(len(row_idx) + len(col_idx)), unless an index
+        list repeats an entry, which takes the dense array."""
         if self._cells is not None:
-            maps = [_inverse_map(idx, n) for idx, n in zip((row_idx, col_idx), self._shape)]
-            if None not in maps:
-                rows, cols, values = self._cells
-                (row_map, nrows), (col_map, ncols) = maps
-                rows, cols = row_map[rows], col_map[cols]
-                kept = (rows >= 0) & (cols >= 0)
-                return ExactMatrix.from_coordinates((nrows, ncols), rows[kept], cols[kept],
-                                                    values[kept], self.field)
+            picks = [_selection(idx, n) for idx, n in zip((row_idx, col_idx), self._shape)]
+            if all(pick is not None for pick in picks):
+                m = ExactMatrix.__new__(ExactMatrix)
+                m._wrap(None, self._cells, self.field,
+                        tuple(pick if isinstance(select, range) else select[pick]
+                              for select, pick in zip(self._select, picks)))
+                return m
         return ExactMatrix._of(self.array[np.ix_(row_idx, col_idx)], self.field)
 
 
-def _cell(ij, shape) -> tuple[int, int] | None:
-    """The cell (i, j) that ij reads, each index counted from the end when
-    negative, as numpy reads it, and IndexError outside the shape; None
-    when ij is not a pair of integers (a bool is no index)."""
-    if not (isinstance(ij, tuple) and len(ij) == 2 and all(
-            isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ij)):
-        return None
-    for axis, (i, n) in enumerate(zip(ij, shape)):
-        if not -n <= i < n:
-            raise IndexError(f"index {i} is out of bounds for axis {axis} with size {n}")
-    return int(ij[0]) % shape[0], int(ij[1]) % shape[1]
+def cell_position(row_idx, starts, i: int, j: int) -> int | None:
+    """The position of cell (i, j) among cells grouped by column, column j
+    holding those at starts[j]:starts[j + 1], or None when it is absent."""
+    column = row_idx[starts[j]:starts[j + 1]].tolist()  # a list scan beats numpy on ~40 cells
+    return int(starts[j]) + column.index(i) if i in column else None
 
 
-def _inverse_map(idx, n: int):
-    """(position in idx of each of the n indices, -1 for those not in it;
-    len(idx)), or None when idx is not a list of distinct in-range
+def _selection(idx, n: int):
+    """idx as an intp array of indices in [0, n), negative ones counted
+    from the end, or None when idx is not a list of distinct in-range
     integers, which the dense path then handles."""
     idx = np.asarray(idx)
     if idx.ndim != 1 or (idx.size and (idx.dtype.kind not in "iu"
                                        or idx.min() < -n or idx.max() >= n)):
         return None
-    inverse = np.full(n, -1, dtype=np.intp)
-    inverse[idx.astype(np.intp, copy=False)] = np.arange(len(idx))
-    if np.count_nonzero(inverse >= 0) != len(idx):
-        return None
-    return inverse, len(idx)
+    idx = idx.astype(np.intp) % max(n, 1)
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    return idx if np.count_nonzero(seen) == len(idx) else None
 
 
 def _int_rows(array):

@@ -80,7 +80,7 @@ from .core import (
     mhb,
     monomial_basis,
 )
-from .exactlinalg import ExactMatrix, require_prime, storage_dtype
+from .exactlinalg import ExactMatrix, cell_position, require_prime, storage_dtype
 from .weyman import mu
 
 
@@ -191,14 +191,14 @@ class SymbolicEntries(Mapping):
     iterated in assembly order, with the table of its references. It
     keeps the matrix's arrays, not the matrix, which keeps it: a cycle
     would hold the matrix until the garbage collector runs. Its length is
-    read off the index arrays; the first lookup by cell builds a cell ->
-    position index."""
+    read off the index arrays; a lookup by cell scans the cells of its
+    column (`cell_position`), whose starts the first lookup finds."""
 
     def __init__(self, matrix: SymbolicResultantMatrix):
-        self._type = matrix.type
+        self._type, self._size = matrix.type, matrix.size
         self._cells = (matrix.row_idx, matrix.col_idx, matrix.ref_idx)
         self._refs = (matrix.ref_sign, matrix.ref_slot, matrix.ref_pos)
-        self._position = None
+        self._starts = None
 
     def __len__(self) -> int:
         return len(self._cells[2])
@@ -207,9 +207,14 @@ class SymbolicEntries(Mapping):
         return zip(self._cells[0].tolist(), self._cells[1].tolist())
 
     def __getitem__(self, cell) -> SymbolicEntry:
-        if self._position is None:
-            self._position = {key: k for k, key in enumerate(self)}
-        return self.references[self._cells[2][self._position[cell]]]
+        if self._starts is None:
+            self._starts = np.searchsorted(self._cells[1], np.arange(self._size + 1))
+        i, j = cell if isinstance(cell, tuple) and len(cell) == 2 else (None, None)
+        column = isinstance(j, (int, np.integer)) and 0 <= j < self._size
+        k = cell_position(self._cells[0], self._starts, i, int(j)) if column else None
+        if k is None:
+            raise KeyError(cell)
+        return self.references[self._cells[2][k]]
 
     @cached_property
     def references(self) -> tuple[SymbolicEntry, ...]:
@@ -494,9 +499,9 @@ class ThetaPartition:
         return self.base.size
 
     def apply(self, matrix: ExactMatrix) -> ExactMatrix:
-        """Reorder a specialization of the base matrix: in O(nnz) by
-        remapping the cells of one in coordinate form, as `specialize`
-        returns it, else by one fancy index of the dense array."""
+        """Reorder a specialization of the base matrix: in O(size) as a view
+        of one in coordinate form, as `specialize` returns it, else by one
+        fancy index of the dense array."""
         if matrix.nrows != self.size or matrix.ncols != self.size:
             raise DomainError("matrix size does not match the partition")
         return matrix.submatrix(self.row_perm, self.col_perm)

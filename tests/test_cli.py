@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism, round-trips."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -102,13 +104,21 @@ def test_matrix_field_without_a_system_is_a_domain_error(capsys):
     assert "--system" in record["message"]
 
 
-def test_matrix_csv_is_the_symbolic_grid(capsys):
-    code, out = run(capsys, "matrix", "--type", "1,1,1,2,1", "--output", "csv")
+@pytest.mark.parametrize("source", [["--type", "1,1,1,2,1"], ["--system", "paper"]])
+def test_matrix_csv_parses_to_size_plus_one_fields_a_line(capsys, source):
+    """Labels and entries hold commas; the header read 61 fields and the
+    rows 27 or 33 while they went unquoted."""
+    code, out = run(capsys, "matrix", *source, "--output", "csv")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 11 and lines[0].startswith(",L11|")
-    assert all(line.startswith("L0") for line in lines[1:])
-    assert out.count("u[") == 48
+    lines = list(csv.reader(io.StringIO(out)))
+    assert len(lines) == 11 and all(len(line) == 11 for line in lines)
+    assert lines[0][0] == "" and all(label.startswith("L1") for label in lines[0][1:])
+    assert all(line[0].startswith("L0") for line in lines[1:])
+    payload = json.loads(run(capsys, "matrix", *source, "--output", "json")[1])
+    assert [line[1:] for line in lines[1:]] == payload["entries"]
+    assert [line[0] for line in lines[1:]] == payload["rows"] and lines[0][1:] == payload["cols"]
+    assert sum(cell.startswith(("+u[", "-u[")) for line in lines for cell in line) == \
+        (48 if source[0] == "--type" else 0)
 
 
 def test_search_dv_contains_known_vectors(capsys):

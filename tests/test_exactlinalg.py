@@ -2105,3 +2105,78 @@ def test_submatrix_of_a_coordinate_form_matrix_on_random_index_lists(case, rows,
     assert sub.array.dtype == want.dtype
     assert [[(type(v), v) for v in row] for row in sub.rows] == \
         [[(type(v), v) for v in row] for row in want.tolist()]
+
+
+VIEW_STORAGES = {"Q int64": None, "Q object": None, "F_p int64": 1_000_003,
+                 "F_p object": 2 ** 31 + 11}
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(list(VIEW_STORAGES)), st.integers(1, 7), st.integers(1, 7), st.data())
+def test_chained_submatrix_views_read_as_the_dense_ix(storage, n, m, data):
+    """A matrix in coordinate form, its cells grouped by column but not
+    ordered by row inside a column, through one to three `submatrix`
+    calls (permutations, subsets, negative and empty index lists, and a
+    repeated index, which builds the dense array): every scalar read of a
+    view, before its dense array exists, and then that array, equal np.ix_
+    of the dense array; the source stays in coordinate form."""
+    import numpy as np
+
+    field = VIEW_STORAGES[storage]
+    entry = st.integers(-(2 ** 40), 2 ** 40)
+    if storage == "Q object":
+        entry = st.builds(Fraction, entry, st.integers(1, 9))
+    rows = [[data.draw(st.one_of(st.just(0), entry)) for _ in range(m)] for _ in range(n)]
+    if storage == "Q object":  # one entry off the integers keeps the array object
+        rows = [[Fraction(v) for v in row] for row in rows]
+        rows[0][0] = Fraction(1, 3)
+    dense = ExactMatrix(rows, field).array
+    assert dense.dtype == (object if storage.endswith("object") else np.int64)
+    zero = Fraction(0) if storage == "Q object" else 0
+    cells = [(i, j) for j in range(m)
+             for i in data.draw(st.permutations(range(n))) if dense[i, j] != 0]
+    row_idx = np.array([i for i, _ in cells], dtype=np.intp)
+    col_idx = np.array([j for _, j in cells], dtype=np.intp)
+    view = source = ExactMatrix.from_coordinates((n, m), row_idx, col_idx,
+                                                 dense[row_idx, col_idx], field)
+    want, densified = dense, False
+    for _ in range(data.draw(st.integers(1, 3))):
+        picks = []
+        for size in want.shape:
+            pick = data.draw(st.lists(st.integers(0, size - 1), unique=True) if size else
+                             st.just([]))
+            pick = [i - size if data.draw(st.booleans()) else i for i in pick]
+            picks.append(pick)
+        repeat = data.draw(st.booleans()) and any(picks)
+        if repeat:
+            axis = 0 if picks[0] else 1
+            picks[axis] = picks[axis] + picks[axis][:1]
+        view, want = view.submatrix(*picks), want[np.ix_(*picks)]
+        densified = densified or repeat
+        assert (view.nrows, view.ncols) == want.shape
+        assert (view._array is None) == (not densified)
+        grid = [(i, j) for i in range(view.nrows) for j in range(view.ncols)]
+        assert typed(view[i, j] for i, j in grid) == \
+            typed(zero if v == 0 else v for v in want.ravel().tolist())
+        assert typed(view[i - view.nrows, j] for i, j in grid) == typed(view[i, j] for i, j in grid)
+    assert view.array.dtype == want.dtype
+    assert [typed(row) for row in view.rows] == [typed(row) for row in want.tolist()]
+    assert source._array is None or densified
+    assert source.rows == dense.tolist()
+
+
+def test_from_coordinates_rejects_cells_not_grouped_by_column():
+    """A cell of column 0 after those of column 1 would be missed by the
+    scalar reads that scan one column's cells."""
+    import numpy as np
+
+    rows, cols = np.array([0, 1, 1]), np.array([0, 1, 0])
+    with pytest.raises(ValueError, match="grouped by column"):
+        ExactMatrix.from_coordinates((2, 2), rows, cols, np.array([1, 2, 3]), None)
+    ok = ExactMatrix.from_coordinates((2, 2), rows[[0, 2, 1]], cols[[0, 2, 1]],
+                                      np.array([1, 3, 2]), None)
+    assert [ok[i, j] for i in range(2) for j in range(2)] == [1, 0, 3, 2] and ok._array is None

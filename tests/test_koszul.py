@@ -120,9 +120,10 @@ def test_assembly_matches_the_exponent_scanning_reference(ty):
     """Every type with n <= 5 (nx, ny or nz = 0, and r = ny, where the
     L11 dual y has degree 0) and five larger ones."""
     t = SystemType(*ty)
-    got = koszul.assemble_delta1(t).entries
+    matrix = koszul.assemble_delta1(t)
+    assert (np.diff(matrix.col_idx) >= 0).all()  # cells grouped by column, as ExactMatrix needs
     want = reference_entries(t)
-    assert list(got.items()) == list(want.items())  # keys, values and order
+    assert list(matrix.entries.items()) == list(want.items())  # keys, values and order
 
 
 # sha256 of row_idx, col_idx and ref_idx as little-endian int64, then of
@@ -142,6 +143,7 @@ TABLE1_DIGESTS = {
 @pytest.mark.parametrize("ty", list(TABLE1_DIGESTS))
 def test_table1_assembly_matches_its_recorded_digest(ty):
     matrix = koszul.assemble_delta1(SystemType(*ty))
+    assert (np.diff(matrix.col_idx) >= 0).all()
     digest = hashlib.sha256()
     for array in (matrix.row_idx, matrix.col_idx, matrix.ref_idx):
         digest.update(np.asarray(array, dtype="<i8").tobytes())
@@ -223,6 +225,27 @@ def test_occurrences_match_a_linear_scan():
             assert matrix.occurrences(poly, exponent) == \
                 scanning_occurrences(matrix, poly, exponent)
         assert matrix.occurrences(0, ((9,), (9,), (9,))) == []
+
+
+def test_entries_lookup_by_cell_behaves_as_a_dict():
+    """A lookup scans one column's cells; an absent cell, one outside the
+    matrix or counted from the end, and a key that is no cell raise
+    KeyError, so `in` and `get` answer as on a dict of the entries."""
+    matrix = koszul.assemble_delta1(SystemType(2, 2, 2, 3, 3))
+    refs = matrix.references
+    want = {(i, j): refs[k] for i, j, k in zip(matrix.row_idx.tolist(), matrix.col_idx.tolist(),
+                                               matrix.ref_idx.tolist())}
+    n, entries = matrix.size, matrix.entries
+    cells = [(i, j) for i in range(-2, n + 2) for j in range(-2, n + 2)]
+    assert [entries.get(cell) for cell in cells] == [want.get(cell) for cell in cells]
+    assert [cell in entries for cell in cells] == [cell in want for cell in cells]
+    i, j = next(iter(want))
+    assert entries[np.int64(i), np.intp(j)] == want[i, j]
+    assert entries.get((True, 1)) == want.get((1, 1)) and entries.get((0, False)) == want.get((0, 0))
+    for key in ((i, j, 0), (i,), "cell", (str(i), j)):
+        assert key not in entries and entries.get(key) is None
+        with pytest.raises(KeyError):
+            entries[key]
 
 
 def test_contraction_terms_of_the_paper_example(paper_type):
@@ -568,6 +591,7 @@ def test_theta_apply_on_dense_and_coordinate_input_agree(storage):
     dense = exactlinalg.ExactMatrix._of(koszul.specialize(matrix, sys_, field).array, field)
     by_cells, by_index = part.apply(spec), part.apply(dense)
     assert by_cells._array is None
+    assert np.shares_memory(by_cells._cells[3], spec._cells[3])  # a view: no value is copied
     diagonal = [by_cells[i, i] for i in range(part.split, part.size)]
     assert diagonal == [by_index[i, i] for i in range(part.split, part.size)]
     assert [type(v) for v in diagonal] == [type(by_index[i, i])
