@@ -446,7 +446,9 @@ class BilinearSystem:
             raise DomainError(f"coefficient {coeff} of {monomial_str(exp)} in f{i} has no "
                               f"image mod {p}: its denominator is divisible by {p}")
         dtype = exactlinalg.storage_dtype((), p)
-        return (tensor % p).astype(dtype, copy=False) * pow(denom, -1, p) % p
+        # an object tensor holds what int64 cannot; an int64 one meets p >= 2^63 as Python ints
+        wide = tensor if tensor.dtype == object else tensor.astype(dtype, copy=False)
+        return (wide % p).astype(dtype, copy=False) * pow(denom, -1, p) % p
 
     @cached_property
     def tensors(self) -> tuple:

@@ -6,11 +6,11 @@ fits, and as Python ints in an object array otherwise. Over Q it is
 int64 when every entry is an integer of absolute value below 2^63, and
 an object array of ints and Fractions otherwise (`storage_dtype`); an
 int64 array over Q has no denominators to clear. A sparse matrix, such
-as a specialized Koszul matrix, may be made in coordinate form instead:
-its cells grouped by column and a row and a column selection, until the
-array is first read, which builds it once. There a scalar read scans one
-column's cells and a submatrix composes the selections; otherwise a
-submatrix is one fancy index. One blocked
+as a specialized Koszul matrix, may be held in compressed-column form
+instead, rows and values by column with column starts, and a row and a
+column selection, until the array is first read, which builds it once.
+There a scalar read scans one column's cells and a submatrix composes
+the selections; otherwise a submatrix is one fancy index. One blocked
 elimination mod p, `_eliminate`, runs on those arrays: k Gaussian steps
 that pivot on the first nonzero among the leading k rows, in panels of
 b columns. A panel's own steps run on an int64 copy of its live rows
@@ -127,8 +127,10 @@ _UPDATE_ROWS = 128
 # array (a lift's k x 1 residues) takes one pass, a wide one 128 rows
 _REDUCE_ENTRIES = 2 ** 16
 
-# Miller-Rabin with these bases is exact below 3.3e24
+# Miller-Rabin with these bases is exact below _MR_LIMIT, the least
+# strong pseudoprime to all of them, 1287836182261 * 2575672364521
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +153,11 @@ def _is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> int:
-    """p itself; ValueError when it is not a prime, so not a field modulus."""
+    """p itself; ValueError when it is not a prime, so not a field modulus,
+    or when it is not below `_MR_LIMIT`, where the test is not proven."""
+    if p >= _MR_LIMIT:
+        raise ValueError(f"field modulus {p} is not below {_MR_LIMIT}, the limit "
+                         f"of the primality test")
     if not _is_prime(p):
         raise ValueError(f"field modulus {p} is not a prime")
     return p
@@ -175,15 +181,15 @@ def storage_dtype(values, field: int | None):
 class ExactMatrix:
     """Exact matrix: entries over Q (field None) or F_p (field p), held
     in one numpy array, `array`, or, until that is first read, in
-    coordinate form.
+    compressed-column form.
 
     Over F_p the entries are reduced to [0, p); over Q they are ints and
     Fractions as given. The dtype, int64 or object, is `storage_dtype`'s.
     An int64 array is reduced with one vectorized % p; any other input
     is a list of rows (or an array) reduced entry by entry.
 
-    A matrix in coordinate form (`from_coordinates`) holds the cells of a
-    source matrix, grouped by column with the start of each column, and
+    A matrix in compressed-column form (`from_csc`) holds the cells of a
+    source matrix, column by column with the start of each column, and
     selects its rows and columns: row i is source row select[0][i], column
     j source column select[1][j]. Every other cell is 0, Fraction(0) in an
     object array over Q. `submatrix` composes the selections, in O(its
@@ -226,23 +232,20 @@ class ExactMatrix:
         return m
 
     @classmethod
-    def from_coordinates(cls, shape, row_idx, col_idx, values, field: int | None) -> "ExactMatrix":
-        """The matrix of shape `shape` with values[k] at (row_idx[k],
-        col_idx[k]) and 0 elsewhere, in coordinate form, the arrays kept: cells
-        grouped by column (col_idx nondecreasing, else ValueError), none twice,
-        values an array of the storage dtype of the field."""
-        if (col_idx[1:] < col_idx[:-1]).any():
-            raise ValueError("coordinate cells are not grouped by column")
+    def from_csc(cls, shape, row_idx, col_start, values, field: int | None) -> "ExactMatrix":
+        """The matrix of shape `shape` with values[k] at (row_idx[k], j) for k
+        in col_start[j]:col_start[j + 1], no row twice in a column, and 0
+        elsewhere, the arrays kept; values of the field's storage dtype."""
         m, shape = cls.__new__(cls), tuple(shape)
-        starts = np.searchsorted(col_idx, np.arange(shape[1] + 1))  # column j: starts[j:j + 2]
-        m._wrap(None, (shape, row_idx, col_idx, values, starts), field, tuple(map(range, shape)))
+        m._wrap(None, (shape, row_idx, col_start, values), field, tuple(map(range, shape)))
         return m
 
     @property
     def array(self) -> np.ndarray:
-        """The dense array, built on first read from the coordinate form."""
+        """The dense array, built on first read from the cells."""
         if self._array is None:
-            shape, rows, cols, values, _ = self._cells
+            shape, rows, starts, values = self._cells
+            cols = np.repeat(np.arange(shape[1]), np.diff(starts))
             if self.field is None and values.dtype == object:
                 array = np.full(self._shape, Fraction(0), dtype=object)
             else:
@@ -279,10 +282,10 @@ class ExactMatrix:
         return int(value) if isinstance(value, np.integer) else value
 
     def _entry(self, i: int, j: int):
-        """The value at cell (i, j) of a matrix in coordinate form, each
-        index in range and counted from the end when negative, found among
-        its source column's cells."""
-        _, rows, _, values, starts = self._cells
+        """The value at cell (i, j) of a matrix in compressed-column form,
+        each index in range and counted from the end when negative, found
+        among its source column's cells."""
+        _, rows, starts, values = self._cells
         k = cell_position(rows, starts, self._select[0][i], self._select[1][j])
         if k is not None:
             return values[k]
@@ -290,7 +293,7 @@ class ExactMatrix:
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
         """The rows row_idx and columns col_idx, in that order, as by
-        `np.ix_`. In coordinate form a view of the same cells that composes
+        `np.ix_`. In compressed-column form a view of the cells that composes
         the selections, in O(len(row_idx) + len(col_idx)), unless an index
         list repeats an entry, which takes the dense array."""
         if self._cells is not None:
@@ -305,8 +308,8 @@ class ExactMatrix:
 
 
 def cell_position(row_idx, starts, i: int, j: int) -> int | None:
-    """The position of cell (i, j) among cells grouped by column, column j
-    holding those at starts[j]:starts[j + 1], or None when it is absent."""
+    """The position of cell (i, j) among cells by column, column j holding
+    those at starts[j]:starts[j + 1], or None when it is absent."""
     column = row_idx[starts[j]:starts[j + 1]].tolist()  # a list scan beats numpy on ~40 cells
     return int(starts[j]) + column.index(i) if i in column else None
 

@@ -32,28 +32,26 @@ dy one degree down, to the position a cached rank-shift table
 column, target row and sigma positions of every term follow from the
 factor, y unit and z unit indices; no exponent is scanned or built.
 
-The matrix is stored in coordinate form: three index arrays (row,
-column, reference) over the distinct signed references, each kept as
-three small arrays (slot, sign, and the flat position of sigma in the
-slot's coefficient tensor, `MHPoly.tensor`, whose C order is the x-major
-`exponent_basis` order). Rows come in groups of one block and one index
-set, and inside a group a row's offset depends on its factor (dx, dy,
-dz) only, so a row index is a group start plus an offset. Every index
-set of a column block has the same slot class at each position, so one
-template per block, built from the psi offsets of each slot class
-(`_factor_terms`), holds the entries of any of its index sets in final
-order; assembly broadcasts it over the block's index sets with one row
-group start and one reference base per (index set, position), and
-neither sorts nor builds a per-entry or per-factor object.
-`specialize` is one gather from the system's coefficient tensors (over
-F_p from their images mod p) into a table of the references, and one
-more into an `ExactMatrix` in coordinate form, of the dtype the values
-need (int64 over Q for an integer system); no dense array is built
-until an elimination reads one. `occurrences`, and so
-`theta_partition`, masks the reference arrays; `ThetaPartition`
-permutes by remapping the cell indices. Assembly builds no labels:
-`rows`, `cols` and the `SymbolicEntry` table `references` are built on
-first read.
+The matrix is stored in compressed-column form: three index arrays (row,
+column, reference), column j's nonzeros at col_start[j]:col_start[j+1],
+over the distinct signed references, each kept as three small arrays
+(slot, sign, and the flat position of sigma in the slot's coefficient
+tensor, `MHPoly.tensor`, whose C order is the x-major `exponent_basis`
+order). Rows come in groups of one block and one index set, and inside a
+group a row's offset depends on its factor (dx, dy, dz) only, so a row
+index is a group start plus an offset. Every index set of a column block
+has the same slot class at each position, so one template per block,
+built from the psi offsets of each slot class (`_factor_terms`), holds
+the entries of any of its index sets in final order; assembly broadcasts
+it over the block's index sets with one row group start and one
+reference base per (index set, position). `specialize` is one gather
+from the system's coefficient tensors (over F_p from their images mod p)
+into a table of the references, and one more into an `ExactMatrix` over
+the same rows and column starts, of the dtype the values need; no dense
+array is built until an elimination reads one. `occurrences`, and so
+`theta_partition`, masks the reference arrays; `ThetaPartition` permutes
+by composing index selections. `rows`, `cols`, `references` and
+`col_start` are built on first read.
 """
 
 from __future__ import annotations
@@ -192,13 +190,13 @@ class SymbolicEntries(Mapping):
     keeps the matrix's arrays, not the matrix, which keeps it: a cycle
     would hold the matrix until the garbage collector runs. Its length is
     read off the index arrays; a lookup by cell scans the cells of its
-    column (`cell_position`), whose starts the first lookup finds."""
+    column (`cell_position`); `items` and `values` read the arrays once."""
 
     def __init__(self, matrix: SymbolicResultantMatrix):
         self._type, self._size = matrix.type, matrix.size
         self._cells = (matrix.row_idx, matrix.col_idx, matrix.ref_idx)
+        self._col_start = matrix.col_start
         self._refs = (matrix.ref_sign, matrix.ref_slot, matrix.ref_pos)
-        self._starts = None
 
     def __len__(self) -> int:
         return len(self._cells[2])
@@ -207,14 +205,18 @@ class SymbolicEntries(Mapping):
         return zip(self._cells[0].tolist(), self._cells[1].tolist())
 
     def __getitem__(self, cell) -> SymbolicEntry:
-        if self._starts is None:
-            self._starts = np.searchsorted(self._cells[1], np.arange(self._size + 1))
         i, j = cell if isinstance(cell, tuple) and len(cell) == 2 else (None, None)
         column = isinstance(j, (int, np.integer)) and 0 <= j < self._size
-        k = cell_position(self._cells[0], self._starts, i, int(j)) if column else None
+        k = cell_position(self._cells[0], self._col_start, i, int(j)) if column else None
         if k is None:
             raise KeyError(cell)
         return self.references[self._cells[2][k]]
+
+    def values(self) -> list[SymbolicEntry]:
+        return [self.references[k] for k in self._cells[2].tolist()]
+
+    def items(self) -> list[tuple[tuple[int, int], SymbolicEntry]]:
+        return list(zip(self, self.values()))
 
     @cached_property
     def references(self) -> tuple[SymbolicEntry, ...]:
@@ -227,7 +229,7 @@ class SymbolicEntries(Mapping):
 
 @dataclass(eq=False)
 class SymbolicResultantMatrix:
-    """Square symbolic matrix in coordinate form: nonzero k sits at
+    """Square symbolic matrix in compressed-column form: nonzero k sits at
     (row_idx[k], col_idx[k]) and is reference q = ref_idx[k], the signed
     coefficient ref_sign[q] * u_{ref_slot[q], sigma} for sigma the
     ref_pos[q]-th exponent of the slot's degree, x-major
@@ -236,9 +238,9 @@ class SymbolicResultantMatrix:
     numbered by slot, then sign (+1 first), then position; each is used.
     The nonzeros are ordered by column, then by the position of the
     contracted slot in the column's index set, then by psi term; the
-    arrays are read-only. The row and column labels and `references` are
-    built on first read, and the permutations and split of each theta's
-    `theta_partition` on its first call, kept with the matrix."""
+    arrays are read-only. The column starts, row and column labels and
+    `references` are built on first read, and the permutations and split
+    of each theta's `theta_partition` on its first call, kept with it."""
 
     type: SystemType
     m: tuple[int, int, int]
@@ -250,6 +252,13 @@ class SymbolicResultantMatrix:
     ref_sign: np.ndarray
     ref_pos: np.ndarray
     _partitions: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def col_start(self) -> np.ndarray:
+        """Column j's nonzeros are col_start[j]:col_start[j + 1] (read-only)."""
+        starts = np.searchsorted(self.col_idx, np.arange(self.size + 1))
+        starts.flags.writeable = False
+        return starts
 
     @cached_property
     def rows(self) -> list[KoszulBasisElement]:
@@ -273,7 +282,7 @@ class SymbolicResultantMatrix:
         return self.entries.references
 
     def occurrences(self, poly: int, exponent: Exponent) -> list[tuple[int, int, int]]:
-        """(row, col, sign) of every entry referencing u_{poly, exponent}."""
+        """(row, col, sign) of every entry referencing u_{poly, exponent}, by column."""
         t = self.type
         try:
             pos = _exponent_basis(t.nvars, t.degree_of(poly)).index(exponent)
@@ -315,14 +324,14 @@ def _block_template(t: SystemType, tag: str, slots: tuple[int, ...], dy_deg: int
 
     An index set takes its slots 0, 1..r and r+1..n in that order and
     in fixed numbers per block, so each position has one slot class, and
-    its terms are the class's `_factor_terms`. Those runs are sorted by
-    factor, and merge by counting: for each (factor, position) in turn,
-    the factor's run of the position's class. Two positions of a column
-    remove different slots, so their entries land in different row
-    groups; a cell repeats only if a class's terms repeat a (factor,
-    target factor) pair, which is checked once per class, as is that the
-    terms meet every coefficient of the slot, by which assembly numbers
-    the references. `degrees` maps a row block to its factor degrees."""
+    its terms are the class's `_factor_terms`, in factor order. The
+    positions' runs, concatenated in position order, take one stable
+    sort by factor. Two positions of a column remove different slots, so
+    their entries land in different row groups; a cell repeats only if a
+    class's terms repeat a (factor, target factor) pair, which is checked
+    once per class, as is that the terms meet every coefficient of the
+    slot, by which assembly numbers the references. `degrees` maps a row
+    block to its factor degrees."""
     classes = [0 if slot == 0 else ("xy" if slot <= t.r else "xz") for slot in slots]
     distinct = list(dict.fromkeys(classes))
     terms, targets = [], {}
@@ -346,15 +355,11 @@ def _block_template(t: SystemType, tag: str, slots: tuple[int, ...], dy_deg: int
         if not np.bincount(sigma, minlength=slot_width).all():
             raise AssemblyError(f"psi of {tag} against a slot of class {slot_class!r} "
                                 f"misses a coefficient")
-    runs = np.array([np.bincount(col_off, minlength=count) for col_off, _, _ in terms])
-    starts = (np.cumsum(runs, axis=1) - runs
-              + np.cumsum([0] + [len(col_off) for col_off, _, _ in terms[:-1]])[:, None])
-    which = [distinct.index(slot_class) for slot_class in classes]
-    lengths, firsts = runs[which].T.ravel(), starts[which].T.ravel()  # per (factor, position)
-    term = (np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths)
-            + np.arange(lengths.sum()))
-    col_off, row_off, sigma = (np.concatenate(v)[term] for v in zip(*terms))
-    pos = np.repeat(np.tile(np.arange(len(slots)), count), lengths)
+    runs = [terms[distinct.index(slot_class)] for slot_class in classes]  # one per position
+    col_off, row_off, sigma = (np.concatenate(v) for v in zip(*runs))
+    pos = np.repeat(np.arange(len(slots)), [len(run[0]) for run in runs])
+    order = np.argsort(col_off, kind="stable")  # each factor's runs in position order
+    col_off, pos, row_off, sigma = (v[order] for v in (col_off, pos, row_off, sigma))
     return [targets.get(slot_class) for slot_class in classes], (col_off, pos, row_off, sigma)
 
 
@@ -447,7 +452,8 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
     (`BilinearSystem.tensor_mod_p`), over Q from the tensors as they are
     when every denominator is 1 and every tensor int64, else as
     Fractions. The nonzeros are then one gather from that table, and the
-    result is in coordinate form: its dense array is built on first read."""
+    result shares the matrix's `row_idx` and `col_start`: its dense array
+    is built on first read."""
     if sys.type != matrix.type:
         raise DomainError("system type does not match the matrix")
     if sys.f0 is None:
@@ -473,8 +479,8 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
                      zip(values.tolist(), matrix.ref_sign.tolist(), denoms)]
             table = np.empty(len(exact), dtype=storage_dtype(exact, None))
             table[:] = [int(v) for v in exact] if table.dtype == np.int64 else exact
-    return ExactMatrix.from_coordinates((matrix.size, matrix.size), matrix.row_idx,
-                                        matrix.col_idx, table[matrix.ref_idx], field)
+    return ExactMatrix.from_csc((matrix.size, matrix.size), matrix.row_idx, matrix.col_start,
+                                table[matrix.ref_idx], field)
 
 
 @dataclass
@@ -500,8 +506,8 @@ class ThetaPartition:
 
     def apply(self, matrix: ExactMatrix) -> ExactMatrix:
         """Reorder a specialization of the base matrix: in O(size) as a view
-        of one in coordinate form, as `specialize` returns it, else by one
-        fancy index of the dense array."""
+        of one in compressed-column form, as `specialize` returns it, else
+        by one fancy index of the dense array."""
         if matrix.nrows != self.size or matrix.ncols != self.size:
             raise DomainError("matrix size does not match the partition")
         return matrix.submatrix(self.row_perm, self.col_perm)
@@ -512,9 +518,10 @@ def theta_partition(matrix: SymbolicResultantMatrix, theta: Exponent) -> ThetaPa
 
     The construction guarantees (and this function asserts) that the
     references occur exactly mhb(type) times, in distinct rows and
-    columns, all with sign +1; a violation means an assembly bug. The
-    permutations and the split are kept on the matrix, one set per theta,
-    and later calls return them again; they live as long as the matrix.
+    columns, all with sign +1; a violation means an assembly bug. Their
+    column order pairs the trailing rows and columns. The permutations
+    and the split are kept on the matrix, one set per theta, and later
+    calls return them again; they live as long as the matrix.
     """
     known = matrix._partitions.get(theta)
     if known is not None:
@@ -529,7 +536,6 @@ def theta_partition(matrix: SymbolicResultantMatrix, theta: Exponent) -> ThetaPa
             f"u_0,{exponent_key(theta)} occurs {len(hits)} times, expected {expected}")
     if (hits[:, 2] != 1).any():
         raise AssemblyError("theta diagonal reference with sign -1")
-    hits = hits[np.argsort(hits[:, 1], kind="stable")]  # canonical column order fixes the pairing
     trail_rows, trail_cols = hits[:, 0], hits[:, 1]
     if len(np.unique(trail_rows)) != expected or len(np.unique(trail_cols)) != expected:
         raise AssemblyError("theta references share a row or column")

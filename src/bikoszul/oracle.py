@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as _product
+from math import prod
 
 from .core import (
     BilinearSystem,
@@ -38,6 +39,10 @@ from .koszul import _K1_BLOCKS, _block_layout, assemble_delta1, k0_basis, k1_bas
 
 # -- exhaustive finite-field solving ------------------------------------
 
+# the most points of P^nx x P^ny x P^nz (F_p) that `ff_solve` enumerates
+_ENUMERATION_BUDGET = 10 ** 7
+
+
 def projective_points(n_t: int, p: int) -> list[tuple[int, ...]]:
     """Canonical representatives of P^{n_t}(F_p): first nonzero entry 1."""
     points = []
@@ -48,23 +53,23 @@ def projective_points(n_t: int, p: int) -> list[tuple[int, ...]]:
     return points
 
 
-def ff_solve(sys: BilinearSystem, p: int, include_f0: bool = False,
-             budget: int = 10 ** 7) -> list[ProjectiveSolution]:
+def ff_solve(sys: BilinearSystem, p: int, include_f0: bool = False) -> list[ProjectiveSolution]:
     """All common zeros of f_1..f_n over P(F_p), by exhaustive enumeration.
 
     Exploits the 2-bilinear shape: for each x-point the constraints on y
     and on z are independent linear conditions. With include_f0 the
     trilinear equation is checked as well. ValueError when p is not a
-    prime, DomainError when a coefficient has no image mod p.
+    prime, DomainError when a coefficient has no image mod p or when
+    there are more than `_ENUMERATION_BUDGET` points, counted before any
+    is listed.
     """
     import numpy as np
 
     require_prime(p)
     t = sys.type
-    sizes = [len(projective_points(n_t, p)) for n_t in t.dims]
-    total = sizes[0] * sizes[1] * sizes[2]
-    if total > budget:
-        raise DomainError(f"enumeration of {total} points exceeds budget {budget}")
+    total = prod((p ** (n_t + 1) - 1) // (p - 1) for n_t in t.dims)  # |P^n_t(F_p)| each
+    if total > _ENUMERATION_BUDGET:
+        raise DomainError(f"enumeration of {total} points exceeds budget {_ENUMERATION_BUDGET}")
     xs = np.array(projective_points(t.nx, p), dtype=np.int64)
     ys = np.array(projective_points(t.ny, p), dtype=np.int64)
     zs = np.array(projective_points(t.nz, p), dtype=np.int64)

@@ -174,6 +174,34 @@ def test_resultant_rejects_composite_modulus(capsys):
     assert "not a prime" in record["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["matrix", "resultant", "oracle"])
+@pytest.mark.parametrize("modulus", [2 ** 64 + 13, 3317044064679887385961981])
+def test_field_flag_at_large_moduli_prints_a_result_or_an_error_record(capsys, command,
+                                                                       modulus):
+    """A prime above 2^63 (matrix and resultant ended in an OverflowError
+    traceback) and the least strong pseudoprime to every Miller-Rabin base
+    (accepted as a prime): a result, or the JSON error record and exit 1."""
+    code, out = run(capsys, command, "--system", "paper", "--field", f"fp:{modulus}",
+                    "--output", "json")
+    payload = json.loads(out)
+    if modulus > 2 ** 80:
+        assert code == 1 and payload["error"]["kind"] == "ValueError"
+        assert f"not below {modulus}" in payload["error"]["message"]
+        return
+    if command == "oracle":  # P^1 x P^1 x P^1 over F_p has (p + 1)^3 points
+        assert code == 1 and payload["error"]["kind"] == "DomainError"
+        assert "exceeds budget" in payload["error"]["message"]
+        return
+    assert code == 0
+    _, exact = run(capsys, command, "--system", "paper", "--output", "json")
+    exact = json.loads(exact)
+    if command == "resultant":
+        assert int(payload["det"]) == int(exact["det"]) % modulus != 0
+    else:
+        assert payload["entries"] == [[str(int(v) % modulus) for v in row]
+                                      for row in exact["entries"]]
+
+
 def set_coefficient(value):
     return lambda obj: (terms := obj["polys"][0]["terms"]).update({next(iter(terms)): value})
 

@@ -306,6 +306,21 @@ def test_composite_modulus_is_rejected():
         assert ExactMatrix([[p + 1]], p).rows == [[1]]
 
 
+def test_modulus_at_or_above_the_primality_test_limit_is_rejected():
+    """The 13 bases pass 1287836182261 * 2575672364521, the least strong
+    pseudoprime to all of them; a prime above it cannot be told apart,
+    so every modulus from there on is refused by name of the limit."""
+    limit = 1287836182261 * 2575672364521
+    assert exactlinalg._is_prime(limit)  # what the bases alone would accept
+    for q in (limit, limit + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"not below {limit}"):
+            exactlinalg.require_prime(q)
+        with pytest.raises(ValueError, match=f"not below {limit}"):
+            ExactMatrix([[1]], q)
+    for p in (2 ** 64 + 13, 2 ** 79 - 67):
+        assert exactlinalg.require_prime(p) == p
+
+
 def test_constructor_reduces_every_entry_kind_into_the_field():
     import numpy as np
 
@@ -2046,7 +2061,7 @@ def test_int64_and_object_storage_over_q_agree_on_the_permuted_koszul_matrix():
 
 
 def coordinate_and_dense(field, fractional):
-    """A mu = 44 specialization in coordinate form and its dense array."""
+    """A mu = 44 specialization in compressed-column form and its dense array."""
     t = SystemType(3, 1, 1, 3, 2)
     rng = random.Random(31)
     sys_ = core.random_system(t, rng).with_f0(solver.choose_f0_and_theta(t, rng)[0])
@@ -2118,12 +2133,12 @@ def typed(values):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(list(VIEW_STORAGES)), st.integers(1, 7), st.integers(1, 7), st.data())
 def test_chained_submatrix_views_read_as_the_dense_ix(storage, n, m, data):
-    """A matrix in coordinate form, its cells grouped by column but not
-    ordered by row inside a column, through one to three `submatrix`
+    """A matrix in compressed-column form, its cells not ordered by row
+    inside a column, through one to three `submatrix`
     calls (permutations, subsets, negative and empty index lists, and a
     repeated index, which builds the dense array): every scalar read of a
     view, before its dense array exists, and then that array, equal np.ix_
-    of the dense array; the source stays in coordinate form."""
+    of the dense array; the source stays in compressed-column form."""
     import numpy as np
 
     field = VIEW_STORAGES[storage]
@@ -2141,8 +2156,9 @@ def test_chained_submatrix_views_read_as_the_dense_ix(storage, n, m, data):
              for i in data.draw(st.permutations(range(n))) if dense[i, j] != 0]
     row_idx = np.array([i for i, _ in cells], dtype=np.intp)
     col_idx = np.array([j for _, j in cells], dtype=np.intp)
-    view = source = ExactMatrix.from_coordinates((n, m), row_idx, col_idx,
-                                                 dense[row_idx, col_idx], field)
+    col_start = np.searchsorted(col_idx, np.arange(m + 1))
+    view = source = ExactMatrix.from_csc((n, m), row_idx, col_start,
+                                         dense[row_idx, col_idx], field)
     want, densified = dense, False
     for _ in range(data.draw(st.integers(1, 3))):
         picks = []
@@ -2167,16 +2183,3 @@ def test_chained_submatrix_views_read_as_the_dense_ix(storage, n, m, data):
     assert [typed(row) for row in view.rows] == [typed(row) for row in want.tolist()]
     assert source._array is None or densified
     assert source.rows == dense.tolist()
-
-
-def test_from_coordinates_rejects_cells_not_grouped_by_column():
-    """A cell of column 0 after those of column 1 would be missed by the
-    scalar reads that scan one column's cells."""
-    import numpy as np
-
-    rows, cols = np.array([0, 1, 1]), np.array([0, 1, 0])
-    with pytest.raises(ValueError, match="grouped by column"):
-        ExactMatrix.from_coordinates((2, 2), rows, cols, np.array([1, 2, 3]), None)
-    ok = ExactMatrix.from_coordinates((2, 2), rows[[0, 2, 1]], cols[[0, 2, 1]],
-                                      np.array([1, 3, 2]), None)
-    assert [ok[i, j] for i in range(2) for j in range(2)] == [1, 0, 3, 2] and ok._array is None

@@ -248,6 +248,49 @@ def test_entries_lookup_by_cell_behaves_as_a_dict():
             entries[key]
 
 
+def test_entries_items_and_values_look_no_cell_up(monkeypatch):
+    """`items` and `values` read the index arrays in one pass; through the
+    mapping mixins each cell cost one column scan."""
+    matrix = koszul.assemble_delta1(SystemType(2, 2, 2, 3, 3))
+    want = reference_entries(matrix.type)
+
+    def lookup(self, cell):
+        raise AssertionError("a cell was looked up")
+
+    monkeypatch.setattr(koszul.SymbolicEntries, "__getitem__", lookup)
+    assert list(matrix.entries.items()) == list(want.items())
+    assert list(matrix.entries.values()) == list(want.values())
+
+
+def test_column_starts_are_found_once_per_assembled_matrix(monkeypatch):
+    """`col_start` is read-only, column j's nonzeros are
+    col_start[j]:col_start[j + 1], and specialization, its scalar reads, its
+    theta view and cell lookups share it and search nothing again."""
+    t = SystemType(2, 2, 2, 3, 3)
+    matrix = koszul.assemble_delta1.__wrapped__(t)  # a matrix of its own
+    starts = matrix.col_start
+    assert starts.dtype == np.intp and not starts.flags.writeable
+    assert len(starts) == matrix.size + 1 and starts[0] == 0 and starts[-1] == len(matrix.ref_idx)
+    assert (np.repeat(np.arange(matrix.size), np.diff(starts)) == matrix.col_idx).all()
+    rng = random.Random(37)
+    f0, theta = solver.choose_f0_and_theta(t, rng)
+    sys_ = core.random_system(t, rng).with_f0(f0)
+    part = koszul.theta_partition(matrix, theta)
+    searched = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searched.append(a) or search(*a, **k))
+    coeff = f0.coefficient(theta)
+    for field in (None, 1_000_003, 2 ** 64 + 13):
+        spec = koszul.specialize(matrix, sys_, field)
+        assert spec._cells[1] is matrix.row_idx and spec._cells[2] is starts
+        permuted = part.apply(spec)
+        want = coeff if field is None else exactlinalg.fraction_mod_p(coeff, field)
+        assert [permuted[i, i] for i in range(part.split, part.size)] == [want] * core.mhb(t)
+    last = int(matrix.row_idx[-1]), int(matrix.col_idx[-1])
+    assert matrix.entries[last] == matrix.references[matrix.ref_idx[-1]]
+    assert searched == [] and matrix.col_start is starts
+
+
 def test_contraction_terms_of_the_paper_example(paper_type):
     matrix = koszul.assemble_delta1(paper_type)
     # the L11 factor dx0 (x) dy0 against the S(1,0,1) slot 3, third in {1,2,3}
@@ -530,6 +573,22 @@ def test_specialize_and_permute_match_a_per_entry_reference(field):
     assert all(type(e) is kind for row in permuted.rows for e in row)
     assert all(type(permuted[i, i]) is kind and permuted[i, i] == want[r][c]
                for i, (r, c) in enumerate(zip(part.row_perm, part.col_perm)))
+
+
+@pytest.mark.parametrize("field", [2 ** 61 - 1, 2 ** 64 + 13])
+def test_specialize_over_f_p_is_the_q_specialization_reduced_mod_p(field):
+    """An integer system, whose coefficient tensors are int64, specialized
+    over F_p for a prime below and one above 2^63, where reducing the
+    int64 tensor mod p overflowed."""
+    t = SystemType(2, 2, 2, 3, 3)
+    matrix = koszul.assemble_delta1(t)
+    rng = random.Random(31)
+    sys_ = core.random_system(t, rng).with_f0(solver.choose_f0_and_theta(t, rng)[0])
+    over_q = koszul.specialize(matrix, sys_)
+    spec = koszul.specialize(matrix, sys_, field)
+    assert over_q.array.dtype == np.int64 and spec.array.dtype == object
+    assert spec.rows == [[exactlinalg.fraction_mod_p(e, field) for e in row]
+                         for row in over_q.rows]
 
 
 def specializations(storage):

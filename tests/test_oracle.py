@@ -42,9 +42,13 @@ def test_ff_solve_counts_bounded_by_mhb():
 
 
 def test_ff_solve_budget_guard():
+    """The points are counted, not listed, before the budget is checked:
+    listing them ran out of memory at p = 1000003 and overflowed at
+    p >= 2^63."""
     t = SystemType(2, 2, 2, 3, 3)
-    with pytest.raises(core.DomainError):
-        oracle.ff_solve(core.random_system(t, 0), 1009, budget=10 ** 5)
+    for p in (2 ** 64 + 13, 1_000_003, 1009):
+        with pytest.raises(core.DomainError, match="exceeds budget"):
+            oracle.ff_solve(core.random_system(t, 0), p)
 
 
 def test_dual_veronese_values():
