@@ -47,8 +47,22 @@ it over the block's index sets with one row group start and one
 reference base per (index set, position). `specialize` is one gather
 from the system's coefficient tensors (over F_p from their images mod p)
 into a table of the references, and one more into an `ExactMatrix` over
-the same rows and column starts, of the dtype the values need; no dense
-array is built until an elimination reads one. `occurrences`, and so
+the same rows, columns and column starts, of the dtype the values need;
+no dense array is built until an elimination reads one.
+
+An equation of S(1,0,1) (a slot r+1..n) contracts dx, multiplies z and
+leaves the dual y factor alone, and only such slots send L12 columns to
+L04 rows and L11 columns to L02 rows. So those two blocks are K (x) I
+over the dual y monomials of their degree: zero between different dy,
+with the same block K of signed references for every dy (Van Loan, "The
+ubiquitous Kronecker product", 2000), and the L04 rows hold nothing
+else. Assembly writes them down from its row group starts and factor
+offsets as the matrix's `kronecker_classes`, (L04 rows, L12 columns)
+then (L02 rows, L11 columns), each a pair of read-only index arrays R
+(copies x r) and C (copies x w), one copy per dual y monomial.
+`specialize` hands them to the `ExactMatrix`, whose `det` over F_p folds
+them away before its elimination; `submatrix`, and so
+`ThetaPartition.apply`, drops them. `occurrences`, and so
 `theta_partition`, masks the reference arrays; `ThetaPartition` permutes
 by composing index selections. `rows`, `cols`, `references` and
 `col_start` are built on first read.
@@ -238,7 +252,9 @@ class SymbolicResultantMatrix:
     numbered by slot, then sign (+1 first), then position; each is used.
     The nonzeros are ordered by column, then by the position of the
     contracted slot in the column's index set, then by psi term; the
-    arrays are read-only. The column starts, row and column labels and
+    arrays are read-only. `kronecker_classes` are the (R, C) index pairs
+    of the blocks that are K (x) I (`_kronecker_classes`), built with
+    the matrix, so once per type. The column starts, row and column labels and
     `references` are built on first read, and the permutations and split
     of each theta's `theta_partition` on its first call, kept with it."""
 
@@ -251,6 +267,7 @@ class SymbolicResultantMatrix:
     ref_slot: np.ndarray
     ref_sign: np.ndarray
     ref_pos: np.ndarray
+    kronecker_classes: tuple = ()
     _partitions: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -391,10 +408,12 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
                       for slot in range(t.n + 1)])  # coefficients per slot
     used = np.zeros((t.n + 1, 2), dtype=bool)  # the (slot, sign < 0) pairs that occur
     plans = []  # (first column, factor count, row group starts, index sets, template)
+    col_blocks = {}  # block tag -> (first column, factor count, number of index sets)
     row_total, start = start, 0
     for spec in _K1_BLOCKS:
         isets, layout = _block_layout(t, spec)
         count = _factor_count(t, layout)
+        col_blocks[spec[0]] = (start, count, len(isets))
         if isets:
             targets, template = _block_template(t, spec[0], isets[0], layout[1], count, degrees)
             row0 = np.zeros((len(isets), len(targets)), dtype=np.intp)
@@ -440,7 +459,35 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
     arrays = (row_idx, col_idx, ref_idx, ref_slot, ref_sign, ref_pos)
     for array in arrays:
         array.flags.writeable = False
-    return SymbolicResultantMatrix(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1), size, *arrays)
+    return SymbolicResultantMatrix(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1), size, *arrays,
+                                   _kronecker_classes(t, group_start, col_blocks))
+
+
+def _kronecker_classes(t: SystemType, group_start: dict, col_blocks: dict) -> tuple:
+    """The Kronecker classes (R, C) of the matrix (`ExactMatrix.from_csc`):
+    the L04 rows against the L12 columns, then the L02 rows against the
+    L11 columns, each pair nonempty. A slot of class "xz" contracts dx,
+    multiplies z and leaves dy alone, and only such slots send those
+    columns to those rows, so the copies are the dual y monomials dy of
+    the shared degree d: copy j holds the rows of every index set and z
+    unit c, at group start + j (nz + 1) + c, and the columns of every
+    index set and x unit i, at first column + set * count + i ndy + j,
+    both in that order, so that the terms, and so the block, are the same
+    in every copy. R (copies x r) and C (copies x w) are read-only."""
+    classes = []
+    for row_tag, col_tag in (("L04", "L12"), ("L02", "L11")):
+        first, count, nsets = col_blocks[col_tag]
+        starts = np.array(list(group_start[row_tag].values()), dtype=np.intp)
+        if not (len(starts) and nsets):
+            continue
+        ndy = count // (t.nx + 1)  # the dual y monomials of degree d
+        copy = np.arange(ndy)[:, None]
+        rows = (starts[:, None] + np.arange(t.nz + 1)).ravel() + (t.nz + 1) * copy
+        sets = first + count * np.arange(nsets)[:, None]
+        cols = (sets + ndy * np.arange(t.nx + 1)).ravel() + copy
+        rows.flags.writeable = cols.flags.writeable = False
+        classes.append((rows, cols))
+    return tuple(classes)
 
 
 def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
@@ -452,7 +499,8 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
     (`BilinearSystem.tensor_mod_p`), over Q from the tensors as they are
     when every denominator is 1 and every tensor int64, else as
     Fractions. The nonzeros are then one gather from that table, and the
-    result shares the matrix's `row_idx` and `col_start`: its dense array
+    result shares the matrix's `row_idx`, `col_idx` and `col_start`, and
+    carries its `kronecker_classes` for `det` over F_p: its dense array
     is built on first read."""
     if sys.type != matrix.type:
         raise DomainError("system type does not match the matrix")
@@ -479,8 +527,9 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
                      zip(values.tolist(), matrix.ref_sign.tolist(), denoms)]
             table = np.empty(len(exact), dtype=storage_dtype(exact, None))
             table[:] = [int(v) for v in exact] if table.dtype == np.int64 else exact
-    return ExactMatrix.from_csc((matrix.size, matrix.size), matrix.row_idx, matrix.col_start,
-                                table[matrix.ref_idx], field)
+    return ExactMatrix.from_csc((matrix.size, matrix.size), matrix.row_idx, matrix.col_idx,
+                                matrix.col_start, table[matrix.ref_idx], field,
+                                matrix.kronecker_classes)
 
 
 @dataclass

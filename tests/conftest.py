@@ -83,13 +83,21 @@ def two_root_builder():
     return build
 
 
-def small_types():
-    """Every valid type with projective dimensions up to 3 and mu <= 100."""
+def system_types(max_n=None, max_dim=None, max_mu=None) -> list:
+    """Every valid type, r from max(1, ny) to n - max(1, nz) for n = nx +
+    ny + nz: with max_n those with n <= max_n, ordered by n, then nx and
+    ny; with max_dim those with every projective dimension up to max_dim,
+    ordered by (nx, ny, nz); r ascending in either order. With max_mu
+    only those with mu <= max_mu."""
     types = []
-    for nx, ny, nz in product(range(4), repeat=3):
+    for nx, ny, nz in product(range((max_n if max_dim is None else max_dim) + 1), repeat=3):
         n = nx + ny + nz
+        if max_n is not None and n > max_n:
+            continue
         for r in range(max(1, ny), n - max(1, nz) + 1):
             t = core.SystemType(nx, ny, nz, r, n - r)
-            if mu(t) <= 100:
+            if max_mu is None or mu(t) <= max_mu:
                 types.append(t)
+    if max_n is not None:
+        types.sort(key=lambda t: t.n)  # stable: (nx, ny) order within one n
     return types

@@ -12,6 +12,7 @@ import numpy as np
 
 from bikoszul import core, exactlinalg, koszul, oracle, selftest, solver, weyman
 from bikoszul.core import BilinearSystem, ProjectiveSolution, SystemType
+from conftest import system_types
 
 THETA = ((1, 0), (1, 0), (1, 0))
 TABLE1 = [
@@ -23,15 +24,6 @@ TABLE1 = [
     (SystemType(6, 3, 3, 6, 6), 7000),
     (SystemType(6, 4, 2, 5, 7), 2450),
 ]
-
-
-def all_types(max_n):
-    for n in range(2, max_n + 1):
-        for nx in range(n + 1):
-            for ny in range(n + 1 - nx):
-                nz = n - nx - ny
-                for r in range(max(1, ny), n - max(1, nz) + 1):
-                    yield SystemType(nx, ny, nz, r, n - r)
 
 
 def _random_f0(t, rng, bound=9):
@@ -121,7 +113,7 @@ def test_c05_sizes():
 
 def test_c06_determinantal_sweep():
     start = time.perf_counter()
-    types = list(all_types(8))
+    types = system_types(8)
     for t in types:
         size = weyman.mu(t)
         for m in weyman.four_degree_vectors(t):
@@ -164,7 +156,7 @@ def test_c07_resultant_vanishing():
 
 def test_c08_degree_homogeneity():
     p = 10007
-    for t in all_types(5):
+    for t in system_types(5):
         matrix = koszul.assemble_delta1(t)
         rng = random.Random(t.n * 1000 + t.r)
         exponent = core.mhb(t)

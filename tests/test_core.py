@@ -17,7 +17,7 @@ from bikoszul.core import (
     ProjectiveSolution,
     SystemType,
 )
-from conftest import small_types
+from conftest import system_types
 
 ALPHA_1 = ProjectiveSolution((1, 1), (1, 1), (1, 1))
 ALPHA_2 = ProjectiveSolution((1, 3), (1, 2), (1, 3))
@@ -100,15 +100,10 @@ def test_bezout_block_degrees_sum_to_matrix_size():
 
 
 def test_bezout_matches_mhb_for_all_small_types():
-    for n in range(2, 9):
-        for nx in range(n + 1):
-            for ny in range(n + 1 - nx):
-                nz = n - nx - ny
-                for r in range(max(1, ny), n - max(1, nz) + 1):
-                    t = SystemType(nx, ny, nz, r, n - r)
-                    degrees = [t.degree_of(i) for i in range(1, t.n + 1)]
-                    assert core.bezout_coefficient(degrees, t.dims) == core.mhb(t)
-                    assert _bezout_by_assignment(degrees, t.dims) == core.mhb(t)
+    for t in system_types(8):
+        degrees = [t.degree_of(i) for i in range(1, t.n + 1)]
+        assert core.bezout_coefficient(degrees, t.dims) == core.mhb(t)
+        assert _bezout_by_assignment(degrees, t.dims) == core.mhb(t)
 
 
 def test_evaluate_paper_roots(paper_system):
@@ -306,7 +301,7 @@ def systems_with_a_change(draw):
     """A system of a small type with coefficients of every kind and one
     equation zero, and an invertible coordinate change with fractions
     among its entries."""
-    t = draw(st.sampled_from(small_types()))
+    t = draw(st.sampled_from(system_types(max_dim=3, max_mu=100)))
     zero = draw(st.integers(1, t.n))
     polys = []
     for i in range(1, t.n + 1):
@@ -437,7 +432,7 @@ def test_exponent_key_roundtrip():
         core.parse_exponent_key(key, (3, 2, 2))
 
 
-SMALL_TYPES = small_types()
+SMALL_TYPES = system_types(max_dim=3, max_mu=100)
 
 
 @st.composite

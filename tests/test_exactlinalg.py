@@ -1,7 +1,6 @@
 """Exact determinants, solves, Schur complements, and the invertibility
 criterion for the leading block."""
 
-import itertools
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -9,11 +8,11 @@ from math import gcd, isqrt, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bikoszul import core, exactlinalg, koszul, solver, weyman
+from bikoszul import core, exactlinalg, koszul, solver
 from bikoszul.core import ProjectiveSolution, SystemType
 from bikoszul.exactlinalg import ExactMatrix, SingularMatrixError
 from bikoszul.oracle import rank
-from conftest import nullspace
+from conftest import nullspace, system_types
 
 THETA = ((1, 0), (1, 0), (1, 0))
 
@@ -1908,19 +1907,8 @@ def test_a_lift_past_an_unlucky_prime_takes_one_inverse_modulo_the_certified_pri
         assert inverse == (k, q1)
 
 
-def small_types(limit=100):
-    """Every valid type with projective dimensions up to 4 and mu <= limit."""
-    types = []
-    for nx, ny, nz in itertools.product(range(5), repeat=3):
-        for r in range(max(ny, 1), nx + ny + nz - max(nz, 1) + 1):
-            t = SystemType(nx, ny, nz, r, nx + ny + nz - r)
-            if weyman.mu(t) <= limit:
-                types.append(t)
-    return types
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(t=st.sampled_from(small_types()), seed=st.integers(0, 2 ** 32))
+@given(t=st.sampled_from(system_types(max_dim=4, max_mu=100)), seed=st.integers(0, 2 ** 32))
 def test_det_over_q_vanishes_exactly_at_a_common_root(t, seed):
     """Over Q the Koszul det is 0 for a planted system with f0 and not 0
     for a random one, and it reduces mod p to the det over F_p."""
@@ -2157,7 +2145,7 @@ def test_chained_submatrix_views_read_as_the_dense_ix(storage, n, m, data):
     row_idx = np.array([i for i, _ in cells], dtype=np.intp)
     col_idx = np.array([j for _, j in cells], dtype=np.intp)
     col_start = np.searchsorted(col_idx, np.arange(m + 1))
-    view = source = ExactMatrix.from_csc((n, m), row_idx, col_start,
+    view = source = ExactMatrix.from_csc((n, m), row_idx, col_idx, col_start,
                                          dense[row_idx, col_idx], field)
     want, densified = dense, False
     for _ in range(data.draw(st.integers(1, 3))):
@@ -2183,3 +2171,121 @@ def test_chained_submatrix_views_read_as_the_dense_ix(storage, n, m, data):
     assert [typed(row) for row in view.rows] == [typed(row) for row in want.tolist()]
     assert source._array is None or densified
     assert source.rows == dense.tolist()
+
+
+@pytest.fixture(scope="module")
+def kronecker_systems():
+    """A planted system with f0 (det 0 over Q) and a random one for every
+    small type, with their assembled matrices."""
+    systems = []
+    for t in system_types(max_dim=3, max_mu=100):
+        rng = random.Random(f"kronecker {t}")
+        alpha = ProjectiveSolution(*(tuple(rng.randint(-3, 3) or 1 for _ in range(n + 1))
+                                     for n in t.dims))
+        planted = core.planted_root_system(t, alpha, rng, include_f0=True)
+        random_system = core.random_system(t, rng).with_f0(solver.choose_f0_and_theta(t, rng)[0])
+        matrix = koszul.assemble_delta1(t)
+        systems += [(matrix, planted), (matrix, random_system)]
+    return systems
+
+
+@pytest.mark.parametrize("moduli", [(1_000_003,), (23, 29, 31), (width_bound_prime(2),),
+                                    (2 ** 31 - 1,)], ids=["p", "small", "width2", "int64"])
+def test_det_folding_kronecker_classes_equals_the_plain_elimination(moduli, kronecker_systems,
+                                                                    monkeypatch):
+    """det over F_p of a specialization, whose Kronecker classes are
+    folded away first, equals the plain elimination of the same matrix
+    without them. At 23, 29 and 31 some copy block is rank-deficient and
+    its class is left to the elimination; at a prime with panels of two
+    columns the fold's products run in chunks; at 2^31 - 1 the matrix
+    stays int64 and the classes go unused."""
+    results = {"_fold": [], "_gauss_jordan": []}
+    for name, calls in results.items():
+        original = getattr(exactlinalg, name)
+        monkeypatch.setattr(exactlinalg, name, lambda *args, original=original, calls=calls:
+                            calls.append(original(*args)) or calls[-1])
+    int64 = moduli == (2 ** 31 - 1,)
+    assert exactlinalg._panel_width(width_bound_prime(2)) == 2
+    for p in moduli:
+        for matrix, system in kronecker_systems:
+            spec = koszul.specialize(matrix, system, p)
+            n = spec.nrows
+            plain = spec.submatrix(range(n), range(n))
+            assert len(spec._classes) == len(matrix.kronecker_classes) and not plain._classes
+            folds = len(results["_fold"])
+            assert exactlinalg.det(spec) == exactlinalg.det(plain)
+            assert len(results["_fold"]) == folds + (0 if int64 else len(spec._classes))
+    folded = [value is not None for value in results["_fold"]]
+    assert any(folded) != int64
+    assert (None in results["_gauss_jordan"]) == (moduli == (23, 29, 31))  # a rank-deficient K
+
+
+def test_det_folding_kronecker_classes_at_mu_2450():
+    """The random (6,4,2,5,7) system over F_1000003: the L04 class folds
+    (K is 105 x 147), the L02 class (63 x 49) is left to the elimination,
+    and the det equals the plain elimination's."""
+    t = SystemType(6, 4, 2, 5, 7)
+    rng = random.Random(2450)
+    f0, _ = solver.choose_f0_and_theta(t, rng)
+    spec = koszul.specialize(koszul.assemble_delta1(t), core.random_system(t, rng).with_f0(f0),
+                             1_000_003)
+    assert [(rows.shape, cols.shape) for rows, cols in spec._classes] == \
+        [((15, 105), (15, 147)), ((5, 63), (5, 49))]
+    plain = spec.submatrix(range(2450), range(2450))
+    assert exactlinalg.det(spec) == exactlinalg.det(plain) != 0
+
+
+def test_permutation_parity_counts_inversions():
+    import numpy as np
+
+    rng = random.Random(5)
+    for n in (*range(8), 33, 100):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        assert exactlinalg._parity(np.array(perm)) == inversions % 2
+
+
+def test_gauss_jordan_matches_python_ints():
+    """Pivot columns, det K_piv, K_piv^{-1} and K_piv^{-1} K of wide blocks,
+    against Gauss-Jordan on Python ints; None below full row rank. At 2^31
+    - 1 int64 holds one unreduced step only, so every step is reduced."""
+    import numpy as np
+
+    def reference(k, p):
+        r, w = len(k), len(k[0])
+        aug = [row[:] + [int(i == j) for j in range(r)] for i, row in enumerate(k)]
+        pivots, value = [], 1
+        for c in range(w):
+            row = len(pivots)
+            lead = next((i for i in range(row, r) if aug[i][c] % p), None)
+            if row == r or lead is None:
+                continue
+            if lead != row:
+                aug[row], aug[lead] = aug[lead], aug[row]
+                value = -value
+            value = value * aug[row][c] % p
+            inverse = pow(aug[row][c], -1, p)
+            aug[row] = [e * inverse % p for e in aug[row]]
+            for i in range(r):
+                if i != row:
+                    aug[i] = [(e - aug[i][c] * f) % p for e, f in zip(aug[i], aug[row])]
+            pivots.append(c)
+        if len(pivots) < r:
+            return None
+        return pivots, value, [row[w:] for row in aug], [row[:w] for row in aug]
+
+    rng = random.Random(11)
+    for p in (5, 23, 1_000_003, width_bound_prime(2), 2 ** 31 - 1):
+        for r, w in ((1, 1), (3, 3), (4, 9), (12, 20)):
+            k = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(w)]
+                 for _ in range(r)]
+            if rng.random() < 0.3:  # a repeated row: rank below r
+                k[-1] = k[0][:]
+            got = exactlinalg._gauss_jordan(np.array(k, dtype=np.int64), p)
+            want = reference(k, p)
+            if want is None:
+                assert got is None
+            else:
+                assert [got[0].tolist(), got[1], got[2].tolist(), got[3].tolist()] == \
+                    [want[0], want[1] % p, *want[2:]]

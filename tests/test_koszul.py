@@ -13,17 +13,9 @@ from bikoszul import core, exactlinalg, koszul, selftest, solver
 from bikoszul.core import ProjectiveSolution, SystemType
 from bikoszul.koszul import KoszulBasisElement as KBE
 from bikoszul.weyman import mu
+from conftest import system_types
 
 THETA = ((1, 0), (1, 0), (1, 0))
-
-
-def small_types(max_n):
-    for n in range(2, max_n + 1):
-        for nx in range(n + 1):
-            for ny in range(n + 1 - nx):
-                nz = n - nx - ny
-                for r in range(max(1, ny), n - max(1, nz) + 1):
-                    yield SystemType(nx, ny, nz, r, n - r)
 
 
 def test_k1_basis_example(paper_type):
@@ -52,7 +44,7 @@ def test_l11_count_formula():
 
 
 def test_basis_sizes_match_mu_sweep():
-    for t in small_types(8):
+    for t in system_types(8):
         size = mu(t)
         assert len(koszul.k1_basis(t)) == size
         assert len(koszul.k0_basis(t)) == size
@@ -111,7 +103,7 @@ def test_star_contract():
 
 ASSEMBLY_TYPES = [(1, 1, 1, 2, 1), (2, 2, 2, 3, 3), (3, 2, 2, 4, 3), (10, 1, 1, 10, 2),
                   (2, 6, 4, 7, 5)]
-ASSEMBLY_TYPES += [ty for ty in ((t.nx, t.ny, t.nz, t.r, t.s) for t in small_types(5))
+ASSEMBLY_TYPES += [ty for ty in ((t.nx, t.ny, t.nz, t.r, t.s) for t in system_types(5))
                    if ty not in ASSEMBLY_TYPES]
 
 
@@ -150,6 +142,48 @@ def test_table1_assembly_matches_its_recorded_digest(ty):
     digest.update(repr([tuple(ref) for ref in matrix.references]).encode())
     assert digest.hexdigest() == TABLE1_DIGESTS[ty]
 
+
+
+@pytest.mark.parametrize("ty", [(t.nx, t.ny, t.nz, t.r, t.s)
+                                for t in system_types(max_dim=3, max_mu=100)]
+                         + list(TABLE1_DIGESTS))
+def test_kronecker_classes_repeat_one_block_per_dual_y_monomial(ty):
+    """`kronecker_classes` holds (L04 rows, L12 columns), then (L02 rows,
+    L11 columns), each when both blocks are nonempty, every label of
+    them once, and each copy of one dual y monomial. Every copy
+    references the same signed coefficients, cell for cell; no cell joins
+    the rows of one copy to the columns of another; and the L04 rows have
+    no cell outside their own copy's columns."""
+    matrix = koszul.assemble_delta1(SystemType(*ty))
+    labels = matrix.rows, matrix.cols
+    pairs = [tags for tags in (("L04", "L12"), ("L02", "L11"))
+             if all(any(e.block == tag for e in side) for tag, side in zip(tags, labels))]
+    assert len(matrix.kronecker_classes) == len(pairs)
+    for tags, copies in zip(pairs, matrix.kronecker_classes):
+        copy_of, position = [], []
+        for tag, side, index in zip(tags, labels, copies):
+            assert index.dtype == np.intp and not index.flags.writeable
+            assert sorted(index.ravel().tolist()) == \
+                [i for i, e in enumerate(side) if e.block == tag]
+            assert [{side[i].dy for i in copy} for copy in index.tolist()] == \
+                [{side[index[j, 0]].dy} for j in range(len(index))]
+            copy_of.append(np.full(matrix.size, -1))
+            copy_of[-1][index] = np.arange(len(index))[:, None]
+            position.append(np.full(matrix.size, -1))
+            position[-1][index] = np.arange(index.shape[1])
+        rows, cols = copies
+        dys = [matrix.rows[i].dy for i in rows[:, 0]]
+        assert dys == [matrix.cols[j].dy for j in cols[:, 0]] and len(set(dys)) == len(dys)
+        row_copy, col_copy = copy_of[0][matrix.row_idx], copy_of[1][matrix.col_idx]
+        inside = (row_copy >= 0) & (col_copy >= 0)
+        assert (row_copy[inside] == col_copy[inside]).all()
+        if tags[0] == "L04":
+            assert inside[row_copy >= 0].all()
+        key = position[0][matrix.row_idx] * cols.shape[1] + position[1][matrix.col_idx]
+        blocks = [dict(zip(key[inside & (row_copy == j)].tolist(),
+                           matrix.ref_idx[inside & (row_copy == j)].tolist()))
+                  for j in range(len(rows))]
+        assert blocks[0] and all(block == blocks[0] for block in blocks)
 
 def test_assembly_guards_raise_on_planted_faults(monkeypatch):
     t = SystemType(2, 2, 2, 3, 3)
@@ -217,7 +251,7 @@ def scanning_occurrences(matrix, poly, exponent):
 
 
 def test_occurrences_match_a_linear_scan():
-    for t in small_types(5):
+    for t in system_types(5):
         matrix = koszul.assemble_delta1(t)
         assert len(set(matrix.references)) == len(matrix.references)
         assert set(matrix.entries.values()) == set(matrix.references)
@@ -282,7 +316,8 @@ def test_column_starts_are_found_once_per_assembled_matrix(monkeypatch):
     coeff = f0.coefficient(theta)
     for field in (None, 1_000_003, 2 ** 64 + 13):
         spec = koszul.specialize(matrix, sys_, field)
-        assert spec._cells[1] is matrix.row_idx and spec._cells[2] is starts
+        assert spec._cells[1] is matrix.row_idx and spec._cells[2] is matrix.col_idx
+        assert spec._cells[3] is starts
         permuted = part.apply(spec)
         want = coeff if field is None else exactlinalg.fraction_mod_p(coeff, field)
         assert [permuted[i, i] for i in range(part.split, part.size)] == [want] * core.mhb(t)
@@ -459,7 +494,7 @@ def test_theta_partition_is_kept_on_the_matrix_and_freed_with_it(paper_type, mon
 
 
 def test_structural_theta_property_sweep():
-    for t in small_types(6):
+    for t in system_types(6):
         matrix = koszul.assemble_delta1(t)
         for theta in core.exponent_basis(t.nvars, (1, 1, 1)):
             part = koszul.theta_partition(matrix, theta)
@@ -650,7 +685,7 @@ def test_theta_apply_on_dense_and_coordinate_input_agree(storage):
     dense = exactlinalg.ExactMatrix._of(koszul.specialize(matrix, sys_, field).array, field)
     by_cells, by_index = part.apply(spec), part.apply(dense)
     assert by_cells._array is None
-    assert np.shares_memory(by_cells._cells[3], spec._cells[3])  # a view: no value is copied
+    assert np.shares_memory(by_cells._cells[4], spec._cells[4])  # a view: no value is copied
     diagonal = [by_cells[i, i] for i in range(part.split, part.size)]
     assert diagonal == [by_index[i, i] for i in range(part.split, part.size)]
     assert [type(v) for v in diagonal] == [type(by_index[i, i])

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bikoszul import core, exactlinalg, koszul, oracle, selftest, solver
 from bikoszul.core import BilinearSystem, ProjectiveSolution, SystemType
-from conftest import small_types
+from conftest import system_types
 
 THETA = ((1, 0), (1, 0), (1, 0))
 
@@ -215,7 +215,7 @@ def test_extract_xy_reads_y_against_the_largest_entry():
         assert got_y == normalized_like_extraction(ay)
 
 
-SMALL_TYPES = small_types()
+SMALL_TYPES = system_types(max_dim=3, max_mu=100)
 # r = ny leaves L11 without y; a zero dimension leaves one coordinate
 SHAPES = {
     "any": lambda t: True,

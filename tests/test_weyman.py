@@ -4,15 +4,7 @@ import random
 
 from bikoszul import weyman
 from bikoszul.core import SystemType
-
-
-def all_types(max_n):
-    for n in range(2, max_n + 1):
-        for nx in range(n + 1):
-            for ny in range(n + 1 - nx):
-                nz = n - nx - ny
-                for r in range(max(1, ny), n - max(1, nz) + 1):
-                    yield SystemType(nx, ny, nz, r, n - r)
+from conftest import system_types
 
 
 def test_cohomology_dim_examples():
@@ -97,7 +89,7 @@ def test_search_box_contains_the_four_vectors():
 
 
 def test_default_box_covers_the_four_vectors():
-    for t in all_types(6):
+    for t in system_types(6):
         box = weyman.default_box(t)
         for m in weyman.four_degree_vectors(t):
             assert all(lo <= c <= hi for c, (lo, hi) in zip(m, box))
@@ -114,7 +106,7 @@ def test_dual_vector():
 
 def test_duality_of_dimensions():
     rng = random.Random(31)
-    types = [t for t in all_types(6)]
+    types = system_types(6)
     for _ in range(50):
         t = rng.choice(types)
         m = tuple(rng.randint(-4, 4) for _ in range(3))
@@ -132,7 +124,7 @@ def test_mu_values():
 
 
 def test_mu_equals_term_dimensions_small_sweep():
-    for t in all_types(5):
+    for t in system_types(5):
         size = weyman.mu(t)
         for m in weyman.four_degree_vectors(t):
             ok, d1, d0 = weyman.is_determinantal(t, m)
