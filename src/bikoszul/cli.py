@@ -49,6 +49,8 @@ def _parse_box(text: str, t: core.SystemType):
         return weyman.default_box(t)
     lo, _, hi = text.partition(":")
     lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise core.DomainError(f"--box {text}: the low end is above the high end")
     return ((lo, hi),) * 3
 
 

@@ -22,7 +22,9 @@ y factors by the monomials of f_{I_i} and multiplies the z factor.
 
 Every entry is therefore a signed reference to a single coefficient
 u_{i, sigma} of one input polynomial; the matrix is stored symbolically
-and specialized on demand.
+and specialized on demand. One function, `layout`, gives the blocks in
+basis order, and assembly, the labels, the Kronecker classes below,
+`solver._k1_groups` and `oracle.rho_slots` all read it.
 
 Every equation is linear in x and linear or constant in y and z, and
 every column factor is dx = e_i, a dual y monomial dy and dz = 1, so
@@ -56,10 +58,11 @@ L04 rows and L11 columns to L02 rows. So those two blocks are K (x) I
 over the dual y monomials of their degree: zero between different dy,
 with the same block K of signed references for every dy (Van Loan, "The
 ubiquitous Kronecker product", 2000), and the L04 rows hold nothing
-else. Assembly writes them down from its row group starts and factor
-offsets as the matrix's `kronecker_classes`, (L04 rows, L12 columns)
-then (L02 rows, L11 columns), each a pair of read-only index arrays R
-(copies x r) and C (copies x w), one copy per dual y monomial.
+else. Assembly writes them down from the layout as the matrix's
+`kronecker_classes`, (L04 rows, L12 columns) then (L02 rows, L11
+columns), each a pair of read-only index arrays R (copies x r) and C
+(copies x w), one copy per dual y monomial: each block's index range,
+reshaped by (index set, dx, dy, dz) with dy moved to the front.
 `specialize` hands them to the `ExactMatrix`, whose `det` over F_p folds
 them away before its elimination; `submatrix`, and so
 `ThetaPartition.apply`, drops them. `occurrences`, and so
@@ -130,49 +133,60 @@ _K0_BLOCKS = (
 )
 
 
-def _block_layout(t: SystemType, spec) -> tuple[list, tuple[int, int, int]]:
-    """(index sets in canonical order, factor degrees (dx, dy, dz)) of one
-    block; the block's labels are every index set with every factor of
-    those degrees, index set major. No index set for an empty block."""
-    tag, dx_deg, dy_shift, dz_deg, a_shift, b_shift, c = spec
-    degrees = (dx_deg, t.r - t.ny + dy_shift, dz_deg)
-    a = t.r + a_shift
-    b = t.s - t.nz + b_shift
-    if degrees[1] < 0 or not (0 <= a <= t.r) or not (0 <= b <= t.s):
-        return [], degrees
-    head = (0,) if c else ()
-    isets = [head + apart + bpart
-             for apart in combinations(range(1, t.r + 1), a)
-             for bpart in combinations(range(t.r + 1, t.n + 1), b)]
-    return isets, degrees
+class BlockLayout(NamedTuple):
+    """One block of the Koszul basis: from row or column `first` on, every
+    index set (canonical order) with every factor (dx, dy, dz) of these
+    degrees, `count` per index set, index set major; empty without sets."""
+
+    tag: str
+    first: int
+    isets: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, int, int]
+    count: int
+
+    @property
+    def size(self) -> int:
+        return len(self.isets) * self.count
 
 
-def _factor_count(t: SystemType, degrees: tuple[int, int, int]) -> int:
-    """The number of factors (dx, dy, dz) of these degrees: none for a
-    negative degree."""
-    return prod(comb(n + d, d) if d >= 0 else 0 for n, d in zip(t.dims, degrees))
+def layout(t: SystemType) -> tuple[dict[str, BlockLayout], dict[str, BlockLayout]]:
+    """The row blocks L01..L04 and the column blocks L11, L12, each side
+    by tag in basis order; blocks of negative degree or impossible index
+    counts are empty. Not cached: a reader that needs it twice passes it."""
+    sides = []
+    for specs in (_K0_BLOCKS, _K1_BLOCKS):
+        blocks, first = {}, 0
+        for tag, dx_deg, dy_shift, dz_deg, a_shift, b_shift, c in specs:
+            degrees = (dx_deg, t.r - t.ny + dy_shift, dz_deg)
+            a, b = t.r + a_shift, t.s - t.nz + b_shift
+            isets, count = (), 0
+            if degrees[1] >= 0 and 0 <= a <= t.r and 0 <= b <= t.s:
+                isets = tuple((0,) * c + apart + bpart
+                              for apart in combinations(range(1, t.r + 1), a)
+                              for bpart in combinations(range(t.r + 1, t.n + 1), b))
+                count = prod(comb(n + d, d) for n, d in zip(t.dims, degrees))
+            blocks[tag] = BlockLayout(tag, first, isets, degrees, count)
+            first += blocks[tag].size
+        sides.append(blocks)
+    return tuple(sides)
 
 
-def _block_elements(t: SystemType, spec) -> list[KoszulBasisElement]:
-    isets, degrees = _block_layout(t, spec)
-    factors = list(product(*(monomial_basis(n, d) for n, d in zip(t.dims, degrees))))
-    return [KoszulBasisElement(spec[0], dx, dy, dz, iset)
-            for iset in isets for dx, dy, dz in factors]
+def _block_elements(t: SystemType, block: BlockLayout) -> list[KoszulBasisElement]:
+    factors = list(product(*(monomial_basis(n, d) for n, d in zip(t.dims, block.degrees))))
+    return [KoszulBasisElement(block.tag, dx, dy, dz, iset)
+            for iset in block.isets for dx, dy, dz in factors]
 
 
 def k1_basis(t: SystemType) -> list[KoszulBasisElement]:
     """Ordered column labels: all of L11, then all of L12; within a block
     ordered by (index set, dx, dy) in the canonical monomial order."""
-    return _block_elements(t, _K1_BLOCKS[0]) + _block_elements(t, _K1_BLOCKS[1])
+    return [e for block in layout(t)[1].values() for e in _block_elements(t, block)]
 
 
 def k0_basis(t: SystemType) -> list[KoszulBasisElement]:
     """Ordered row labels, block order L01, L02, L03, L04; empty blocks
     (negative degrees or impossible index counts) contribute nothing."""
-    out = []
-    for spec in _K0_BLOCKS:
-        out.extend(_block_elements(t, spec))
-    return out
+    return [e for block in layout(t)[0].values() for e in _block_elements(t, block)]
 
 
 @lru_cache(maxsize=None)
@@ -332,11 +346,11 @@ def _factor_terms(t: SystemType, dy_deg: int, deg_y: int,
                  for v in (i * ndy + j, target_y * nsz + c, (i * nsy + b) * nsz + c))
 
 
-def _block_template(t: SystemType, tag: str, slots: tuple[int, ...], dy_deg: int,
-                    count: int, degrees: dict) -> tuple[list, tuple[np.ndarray, ...]]:
-    """The entries that every index set of column block `tag` gives, of
-    which `slots` is the first: (target block per slot position, None for
-    a position without terms; (factor index, slot position, target factor
+def _block_template(t: SystemType, block: BlockLayout,
+                    row_blocks: dict) -> tuple[list, tuple[np.ndarray, ...]]:
+    """The entries that every index set of a nonempty column block gives,
+    read off its first: (target block per slot position, None for a
+    position without terms; (factor index, slot position, target factor
     index, sigma position) arrays in (factor, position, psi term) order).
 
     An index set takes its slots 0, 1..r and r+1..n in that order and
@@ -347,8 +361,9 @@ def _block_template(t: SystemType, tag: str, slots: tuple[int, ...], dy_deg: int
     their entries land in different row groups; a cell repeats only if a
     class's terms repeat a (factor, target factor) pair, which is checked
     once per class, as is that the terms meet every coefficient of the
-    slot, by which assembly numbers the references. `degrees` maps a row
-    block to its factor degrees."""
+    slot, by which assembly numbers the references. `row_blocks` are the
+    row blocks of the `layout`."""
+    tag, slots, (_, dy_deg, _), count = block.tag, block.isets[0], block.degrees, block.count
     classes = [0 if slot == 0 else ("xy" if slot <= t.r else "xz") for slot in slots]
     distinct = list(dict.fromkeys(classes))
     terms, targets = [], {}
@@ -359,10 +374,10 @@ def _block_template(t: SystemType, tag: str, slots: tuple[int, ...], dy_deg: int
         if not len(col_off):
             continue
         target = targets[slot_class] = _TARGET_BLOCK[(tag, slot_class)]
-        if degrees[target] != (0, dy_deg - deg_y, deg_z):
+        degrees = row_blocks[target].degrees
+        if degrees != (0, dy_deg - deg_y, deg_z):
             raise AssemblyError(f"unmatched target rows: {tag} against a slot of class "
-                                f"{slot_class!r} has no factor degrees {degrees[target]} "
-                                f"of {target}")
+                                f"{slot_class!r} has no factor degrees {degrees} of {target}")
         seen = np.zeros((count, int(row_off.max()) + 1), dtype=bool)
         seen[col_off, row_off] = True
         if np.count_nonzero(seen) != len(col_off):
@@ -388,66 +403,58 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
     The column for l (x) e_I receives, for the i-th smallest index of I,
     the terms of psi(l, f_{I_i}) with sign (-1)^(i-1) at the row
     labelled by the contracted factor tensored with e_{I minus I_i}.
-    Rows come in groups of one block and index set, and inside a group a
-    row's offset depends on its factor only, so every row index is a
-    group start plus a factor offset. Each column block has one template
+    Rows come in groups of one block and index set (`layout`), and inside
+    a group a row's offset depends on its factor only, so every row index
+    is a group start plus a factor offset. Each column block has one template
     (`_block_template`), broadcast over its index sets with one row
     group start and one reference base per (index set, slot position).
     A block holds every factor of its degrees, so the contracted factors
     find their rows exactly when the target block has their degrees.
     """
     size = mu(t)
-    group_start, degrees = {}, {}  # block tag -> {index set: row}, factor degrees
-    start = 0
-    for spec in _K0_BLOCKS:
-        isets, degrees[spec[0]] = _block_layout(t, spec)
-        count = _factor_count(t, degrees[spec[0]])
-        group_start[spec[0]] = {iset: start + k * count for k, iset in enumerate(isets)}
-        start += len(isets) * count
+    row_blocks, col_blocks = layout(t)
+    ncols, nrows = (sum(block.size for block in side.values()) for side in (col_blocks, row_blocks))
+    if (ncols, nrows) != (size, size):
+        raise AssemblyError(f"basis sizes {ncols}x{nrows} do not match mu = {size} for {t}")
+    group = {tag: {iset: block.first + k * block.count for k, iset in enumerate(block.isets)}
+             for tag, block in row_blocks.items()}  # block tag -> {index set: first row}
     width = np.array([prod(nv if d else 1 for nv, d in zip(t.nvars, t.degree_of(slot)))
                       for slot in range(t.n + 1)])  # coefficients per slot
     used = np.zeros((t.n + 1, 2), dtype=bool)  # the (slot, sign < 0) pairs that occur
-    plans = []  # (first column, factor count, row group starts, index sets, template)
-    col_blocks = {}  # block tag -> (first column, factor count, number of index sets)
-    row_total, start = start, 0
-    for spec in _K1_BLOCKS:
-        isets, layout = _block_layout(t, spec)
-        count = _factor_count(t, layout)
-        col_blocks[spec[0]] = (start, count, len(isets))
-        if isets:
-            targets, template = _block_template(t, spec[0], isets[0], layout[1], count, degrees)
-            row0 = np.zeros((len(isets), len(targets)), dtype=np.intp)
-            for k, iset in enumerate(isets):
-                for p, target in enumerate(targets):
-                    if target is None:
-                        continue
-                    rest = iset[:p] + iset[p + 1:]
-                    row0[k, p] = group_start[target].get(rest, -1)
-                    if row0[k, p] < 0:
-                        raise AssemblyError(f"unmatched index set {rest} in block {target} "
-                                            f"from column block {spec[0]}, index set {iset}")
-            slots = np.array(isets)
-            live = np.array([p for p, target in enumerate(targets) if target is not None],
-                            dtype=np.intp)
-            used[slots[:, live], live % 2] = True
-            plans.append((start, count, row0, slots, template))
-        start += len(isets) * count
-    if row_total != size or start != size:
-        raise AssemblyError(f"basis sizes {start}x{row_total} do not match mu = {size} for {t}")
+    plans = []  # (column block, row group starts, index sets, template)
+    for block in col_blocks.values():
+        if not block.isets:
+            continue
+        targets, template = _block_template(t, block, row_blocks)
+        row0 = np.zeros((len(block.isets), len(targets)), dtype=np.intp)
+        for k, iset in enumerate(block.isets):
+            for p, target in enumerate(targets):
+                if target is None:
+                    continue
+                rest = iset[:p] + iset[p + 1:]
+                row0[k, p] = group[target].get(rest, -1)
+                if row0[k, p] < 0:
+                    raise AssemblyError(f"unmatched index set {rest} in block {target} "
+                                        f"from column block {block.tag}, index set {iset}")
+        slots = np.array(block.isets)
+        live = np.array([p for p, target in enumerate(targets) if target is not None],
+                        dtype=np.intp)
+        used[slots[:, live], live % 2] = True
+        plans.append((block, row0, slots, template))
     # a (slot, sign) pair that occurs meets every sigma of the slot (`_block_template`),
     # so reference sign * u_{slot, sigma} is number first_ref[slot, sign < 0] + position
     run = used * width[:, None]
     first_ref = (np.cumsum(run) - run.ravel()).reshape(run.shape)
-    nnz = sum(len(row0) * len(template[0]) for _, _, row0, _, template in plans)
+    nnz = sum(len(row0) * len(template[0]) for _, row0, _, template in plans)
     row_idx, col_idx, ref_idx = (np.empty(nnz, dtype=np.intp) for _ in range(3))
     end = 0
-    for first, count, row0, slots, (col_off, pos, row_off, sigma) in plans:
+    for block, row0, slots, (col_off, pos, row_off, sigma) in plans:
         shape = (len(row0), len(col_off))
         rows, cols, refs = (a[end:end + prod(shape)].reshape(shape)
                             for a in (row_idx, col_idx, ref_idx))
         np.take(row0, pos, axis=1, out=rows, mode="clip")  # unbuffered; pos is in range
         rows += row_off
-        np.add.outer(first + count * np.arange(shape[0]), col_off, out=cols)
+        np.add.outer(block.first + block.count * np.arange(shape[0]), col_off, out=cols)
         ref0 = first_ref[slots, np.arange(slots.shape[1]) % 2]
         np.take(ref0, pos, axis=1, out=refs, mode="clip")
         refs += sigma
@@ -460,33 +467,32 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
     for array in arrays:
         array.flags.writeable = False
     return SymbolicResultantMatrix(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1), size, *arrays,
-                                   _kronecker_classes(t, group_start, col_blocks))
+                                   _kronecker_classes(t, row_blocks, col_blocks))
 
 
-def _kronecker_classes(t: SystemType, group_start: dict, col_blocks: dict) -> tuple:
+def _kronecker_classes(t: SystemType, row_blocks: dict, col_blocks: dict) -> tuple:
     """The Kronecker classes (R, C) of the matrix (`ExactMatrix.from_csc`):
     the L04 rows against the L12 columns, then the L02 rows against the
-    L11 columns, each pair nonempty. A slot of class "xz" contracts dx,
-    multiplies z and leaves dy alone, and only such slots send those
-    columns to those rows, so the copies are the dual y monomials dy of
-    the shared degree d: copy j holds the rows of every index set and z
-    unit c, at group start + j (nz + 1) + c, and the columns of every
-    index set and x unit i, at first column + set * count + i ndy + j,
-    both in that order, so that the terms, and so the block, are the same
-    in every copy. R (copies x r) and C (copies x w) are read-only."""
+    L11 columns, each pair nonempty, from the `layout`.
+    A slot of class "xz" contracts dx, multiplies z and leaves dy alone,
+    and only such slots send those columns to those rows, so the copies
+    are the dual y monomials dy of the shared degree: copy j holds every
+    label of the block with the j-th dy, by (index set, dx, dz), so that
+    the terms, and so the block, are the same in every copy. That is the
+    block's index range as (index set, dx, dy, dz), dy moved to the front.
+    R (copies x r) and C (copies x w) are read-only."""
     classes = []
-    for row_tag, col_tag in (("L04", "L12"), ("L02", "L11")):
-        first, count, nsets = col_blocks[col_tag]
-        starts = np.array(list(group_start[row_tag].values()), dtype=np.intp)
-        if not (len(starts) and nsets):
+    for pair in ((row_blocks["L04"], col_blocks["L12"]), (row_blocks["L02"], col_blocks["L11"])):
+        if not all(block.isets for block in pair):
             continue
-        ndy = count // (t.nx + 1)  # the dual y monomials of degree d
-        copy = np.arange(ndy)[:, None]
-        rows = (starts[:, None] + np.arange(t.nz + 1)).ravel() + (t.nz + 1) * copy
-        sets = first + count * np.arange(nsets)[:, None]
-        cols = (sets + ndy * np.arange(t.nx + 1)).ravel() + copy
-        rows.flags.writeable = cols.flags.writeable = False
-        classes.append((rows, cols))
+        copies = []
+        for block in pair:
+            shape = [len(block.isets)] + [comb(n + d, d) for n, d in zip(t.dims, block.degrees)]
+            index = np.arange(block.first, block.first + block.size, dtype=np.intp)
+            index = index.reshape(shape).transpose(2, 0, 1, 3).reshape(shape[2], -1)
+            index.flags.writeable = False
+            copies.append(index)
+        classes.append(tuple(copies))
     return tuple(classes)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as _product
-from math import prod
+from math import comb, prod
 
 from .core import (
     BilinearSystem,
@@ -34,7 +34,7 @@ from .core import (
     partial_evaluate_xy,
 )
 from .exactlinalg import ExactMatrix, require_prime
-from .koszul import _K1_BLOCKS, _block_layout, assemble_delta1, k0_basis, k1_basis, specialize
+from .koszul import assemble_delta1, k0_basis, k1_basis, layout, specialize
 
 
 # -- exhaustive finite-field solving ------------------------------------
@@ -206,9 +206,7 @@ def psi_dual_action(dvx: DualVeronese, dvy: DualVeronese, gz_terms: dict,
 def rho_slots(t: SystemType) -> list[tuple[int, ...]]:
     """Index sets of the embedding domain: the L11 sets then the L12 sets,
     in the k1 basis order. Their count is C(s+1, s-nz+1)."""
-    from math import comb
-
-    slots = [iset for spec in _K1_BLOCKS for iset in _block_layout(t, spec)[0]]
+    slots = [iset for block in layout(t)[1].values() for iset in block.isets]
     if len(slots) != comb(t.s + 1, t.s - t.nz + 1):
         raise AssertionError("rho domain size mismatch")
     return slots

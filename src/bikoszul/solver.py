@@ -61,14 +61,7 @@ from .core import (
     random_coordinate_change,
 )
 from .exactlinalg import SingularMatrixError, schur_complement, to_float
-from .koszul import (
-    _K1_BLOCKS,
-    ThetaPartition,
-    _block_layout,
-    assemble_delta1,
-    specialize,
-    theta_partition,
-)
+from .koszul import ThetaPartition, assemble_delta1, layout, specialize, theta_partition
 from .weyman import mu
 
 EIGEN_CLUSTER_TOL = 1e-7
@@ -216,27 +209,23 @@ def _k1_groups(t: SystemType) -> tuple:
     variable with tau_a >= 1, the positions of tau - e_a + e_0, ...,
     tau - e_a + e_ny in that list (0 for a set of degree 0). Blocks run
     L11 then L12, each by index set, then dx, then dy (dz is trivial)."""
-    layout, start = [], 0
-    for spec in _K1_BLOCKS:
-        isets, (_, dy_deg, _) = _block_layout(t, spec)
-        if isets:
-            dys = monomial_basis(t.ny, dy_deg)
-            layout.append((start, len(isets), dys))
-            start += len(isets) * (t.nx + 1) * len(dys)
-    width = max(len(dys) for _, _, dys in layout)
+    blocks = [(block, monomial_basis(t.ny, block.degrees[1]))
+              for block in layout(t)[1].values() if block.isets]
+    width = max(len(dys) for _, dys in blocks)
     rows, lifted, shifts = [], [], []
-    for start, count, dys in layout:
+    for block, dys in blocks:
+        count, lift = len(block.isets), block.degrees[1] >= 1
         place = {dy: j for j, dy in enumerate(dys)}
         table = np.zeros((width, t.ny + 1), dtype=np.intp)
-        for j, tau in enumerate(dys if sum(dys[0]) >= 1 else ()):
+        for j, tau in enumerate(dys if lift else ()):
             a = next(i for i, e in enumerate(tau) if e)
             table[j] = [place[tuple(e - (i == a) + (i == k) for i, e in enumerate(tau))]
                         for k in range(t.ny + 1)]
-        block = np.full((count, t.nx + 1, width), mu(t), dtype=np.intp)
-        block[:, :, :len(dys)] = start + np.arange(block[:, :, :len(dys)].size).reshape(
+        labels = np.full((count, t.nx + 1, width), mu(t), dtype=np.intp)
+        labels[:, :, :len(dys)] = np.arange(block.first, block.first + block.size).reshape(
             count, t.nx + 1, len(dys))
-        rows.append(block)
-        lifted += [sum(dys[0]) >= 1] * count
+        rows.append(labels)
+        lifted += [lift] * count
         shifts += [table] * count
     return np.concatenate(rows), np.array(lifted), np.array(shifts)
 

@@ -129,6 +129,21 @@ def test_search_dv_contains_known_vectors(capsys):
         assert vec in lines
 
 
+def test_search_dv_box_with_its_low_end_above_its_high_end_is_a_domain_error(capsys):
+    code, out = run(capsys, "search-dv", "--type", "1,1,1,2,1", "--box", "3:1")
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"]["kind"] == "DomainError" and "3:1" in record["error"]["message"]
+
+
+def test_search_dv_one_point_box_is_valid(capsys):
+    code, out = run(capsys, "search-dv", "--type", "1,1,1,2,1", "--box=0:0", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["box"] == [[0, 0]] * 3
+    code, out = run(capsys, "search-dv", "--type", "1,1,1,2,1", "--box=3:3")
+    assert (code, out) == (0, "")
+
+
 def test_matrix_symbolic_and_specialized(capsys, tmp_path):
     code, out = run(capsys, "matrix", "--type", "1,1,1,2,1", "--output", "json")
     assert code == 0

@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def declared_modules() -> set[str]:
     """The top-level module of each declared dependency, by its name with
-    the version constraint cut off and '-' read as '_'."""
+    the version constraint cut off and '-' read as '_'. It skips the test
+    that calls it where tomllib is missing (before Python 3.11)."""
+    tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as f:
         dependencies = tomllib.load(f)["project"]["dependencies"]
     return {re.split(r"[^A-Za-z0-9_.-]", dep, maxsplit=1)[0].lower().replace("-", "_")
@@ -50,3 +50,35 @@ def test_the_guard_sees_an_undeclared_import_in_a_function(tmp_path):
     path.write_text("import os\n\ndef f():\n    from scipy.linalg import lu\n")
     assert list(imported_modules(path)) == [(1, "os"), (4, "scipy")]
     assert "scipy" not in set(sys.stdlib_module_names) | declared_modules()
+
+
+def private_koszul_imports(path: Path):
+    """(line, name) of every underscore name the file imports from
+    bikoszul's koszul module, relatively or absolutely, function-level
+    imports included."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                (node.level, node.module) == (1, "koszul")
+                or (node.level, node.module) == (0, "bikoszul.koszul")):
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if alias.name.startswith("_"))
+
+
+def test_only_koszul_reads_its_private_names():
+    """The block layout and the rest of koszul's internals are read
+    through its public names (`koszul.layout`), not re-derived elsewhere
+    from its private tables."""
+    files = sorted((ROOT / "src" / "bikoszul").glob("*.py"))
+    assert files
+    private = [f"{path.name}:{line}: {name}" for path in files if path.name != "koszul.py"
+               for line, name in private_koszul_imports(path)]
+    assert private == []
+
+
+def test_the_guard_sees_a_private_koszul_import_in_a_function(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("from .koszul import layout\n\ndef f():\n"
+                    "    from .koszul import _K1_BLOCKS, specialize\n"
+                    "    from bikoszul.koszul import _lowered\n"
+                    "    from .core import _exponent_basis\n")
+    assert list(private_koszul_imports(path)) == [(4, "_K1_BLOCKS"), (5, "_lowered")]

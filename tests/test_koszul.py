@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from bikoszul import core, exactlinalg, koszul, selftest, solver
+from bikoszul import core, exactlinalg, koszul, selftest, solver, weyman
 from bikoszul.core import ProjectiveSolution, SystemType
 from bikoszul.koszul import KoszulBasisElement as KBE
 from bikoszul.weyman import mu
@@ -48,6 +48,29 @@ def test_basis_sizes_match_mu_sweep():
         size = mu(t)
         assert len(koszul.k1_basis(t)) == size
         assert len(koszul.k0_basis(t)) == size
+
+
+def test_layout_blocks_are_the_term_table_entries():
+    """Each nonempty block of `layout` has the dimension of the term-table
+    entry on its side (v = 0 rows, v = 1 columns) with its index counts
+    (a from 1..r, b from r+1..n, c the index 0), every entry is matched
+    once, and the blocks of a side tile 0..mu in order."""
+    for t in system_types(8):
+        table = weyman.term_table(t, (t.ny - 1, -1, t.nx + t.ny - t.r + 1))
+        blocks = []
+        for v, side in enumerate(koszul.layout(t)):
+            assert list(side) == (["L01", "L02", "L03", "L04"], ["L11", "L12"])[v]
+            first = 0
+            for tag, block in side.items():
+                assert (block.tag, block.first) == (tag, first)
+                first += block.size
+                if block.isets:
+                    iset = block.isets[0]
+                    counts = (sum(1 <= i <= t.r for i in iset), sum(i > t.r for i in iset),
+                              int(0 in iset))
+                    blocks.append(((v, *counts), block.size))
+            assert first == mu(t)
+        assert sorted(blocks) == sorted(((e.v, e.a, e.b, e.c), e.dim) for e in table.entries)
 
 
 def star_contract(mono, dual):

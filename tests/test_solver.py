@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bikoszul import core, exactlinalg, koszul, oracle, selftest, solver
 from bikoszul.core import BilinearSystem, ProjectiveSolution, SystemType
+from bikoszul.weyman import mu
 from conftest import system_types
 
 THETA = ((1, 0), (1, 0), (1, 0))
@@ -247,6 +248,36 @@ def test_extract_xy_recovers_every_exact_rho(shape, data):
     got_x, got_y = solver.extract_xy(oracle.build_rho(t, *alphas, lam), t)
     assert got_x == normalized_like_extraction(alphas[0])
     assert got_y == normalized_like_extraction(alphas[1])
+
+
+def test_k1_groups_index_the_k1_basis_labels():
+    """rows[g, i, j] is the column labelled by index set g (L11 sets, then
+    L12 sets), dx = e_i and the j-th dual-y monomial, mu past the end of
+    the set's list; lifted[g] says the dual-y degree is at least 1;
+    shifts[g, j, k] is the position of tau - e_a + e_k in that list, for
+    tau the j-th monomial and a its first variable with tau_a >= 1."""
+    for t in system_types(max_dim=3, max_mu=100):
+        labels = koszul.k1_basis(t)
+        position = {label: k for k, label in enumerate(labels)}
+        degrees = {}  # (block, index set) -> dual-y degree, in basis order
+        for e in labels:
+            degrees.setdefault((e.block, e.iset), sum(e.dy))
+        rows, lifted, shifts = solver._k1_groups(t)
+        assert len(rows) == len(lifted) == len(shifts) == len(degrees)
+        dz = (0,) * (t.nz + 1)
+        for g, ((block, iset), degree) in enumerate(degrees.items()):
+            dys = core.monomial_basis(t.ny, degree)
+            for i, dx in enumerate(core.monomial_basis(t.nx, 1)):
+                assert rows[g, i].tolist() == \
+                    [position[koszul.KoszulBasisElement(block, dx, dy, dz, iset)] for dy in dys] \
+                    + [mu(t)] * (rows.shape[2] - len(dys))
+            assert lifted[g] == (degree >= 1)
+            for j, tau in enumerate(dys if degree >= 1 else ()):
+                a = next(v for v, e in enumerate(tau) if e)
+                for k in range(t.ny + 1):
+                    shifted = tuple(e - (v == a) + (v == k) for v, e in enumerate(tau))
+                    assert dys[shifts[g, j, k]] == shifted
+            assert not shifts[g, len(dys) if degree >= 1 else 0:].any()
 
 
 def test_extract_xy_rejects_zero_vector(paper_type):
