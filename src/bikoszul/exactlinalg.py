@@ -20,12 +20,14 @@ update of the rows below is one float64 BLAS matmul. After k steps the
 entries below the diagonal hold L, those on and above it U, the packed
 LU of the rows in pivot order, and the block below and right of the
 leading one is the Schur complement. Over F_p it serves `det` (n
-steps), `schur_complement` (k steps) and `solve` (n steps, then
-`_lu_solve`: forward with L and back with U, in the same panels, the
-forward pass skipping what is still zero, such as the zero half of
-L^{-1} P for an inverse). On a 0 return (a singular leading block) the
-LU of the columns before the first one without a pivot, the first zero
-on the diagonal, and the row order are defined.
+steps) and `schur_complement` (k steps), and so `solve`, the Schur
+complement of the bordered [[A, B], [-I, 0]] at split n, as over Q. The
+zero test below inverts from the LU it leaves (`_lu_inverse`: forward
+with L and back with U, in the same panels, from the identity, so the
+forward pass skips the zero upper half of L^{-1}). On a 0 return (a
+singular leading block) the LU of the columns before the first one
+without a pivot, the first zero on the diagonal, and the row order are
+defined.
 
 A matrix in compressed-column form may carry Kronecker classes, index
 pairs (R, C) of blocks that are K (x) I up to order (a specialized
@@ -57,7 +59,7 @@ Hadamard bound H and a bound verified in floating point
 (`_verified_bound2`), which lands within a bit of |det| where H may
 overshoot it by hundreds of bits. Below a small budget
 (`_CRT_MAX_PRIMES`) it is plain CRT with D = 1 and B = H.
-The Schur complement, and so `solve`, is Dixon's p-adic lifting
+The Schur complement over Q, and so `solve`, is Dixon's p-adic lifting
 (`_lift_schur`) once the zero test has found M11 nonsingular
 (SingularMatrixError otherwise): with the zero test's inverse of M11
 modulo the prime q it certified, one product with it, one with M11 and
@@ -193,10 +195,12 @@ class ExactMatrix:
     in one numpy array, `array`, or, until that is first read, in
     compressed-column form.
 
-    Over F_p the entries are reduced to [0, p); over Q they are ints and
+    An entry is an int (bool and numpy integers too) or a Fraction, over
+    every field; any other, a float or a string, is a TypeError. Over F_p
+    the entries are reduced to [0, p); over Q they are Python ints and
     Fractions as given. The dtype, int64 or object, is `storage_dtype`'s.
-    An int64 array is reduced with one vectorized % p; any other input
-    is a list of rows (or an array) reduced entry by entry.
+    An int64 array over F_p is reduced with one vectorized % p; any other
+    input is a list of rows (or an array) taken entry by entry.
 
     A matrix in compressed-column form (`from_csc`) holds the cells of a
     source matrix, column by column with the start of each column, and
@@ -220,16 +224,14 @@ class ExactMatrix:
             shape = (len(rows), len(rows[0]) if len(rows) else 0)
             if any(len(row) != shape[1] for row in rows):
                 raise ValueError("ragged matrix")
-        if field is None:
-            array = np.array(rows, dtype=object).reshape(shape)
-            array = array.astype(storage_dtype(array.flat, None), copy=False)
+        if field is not None and isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+            array = rows.astype(storage_dtype((), field), copy=False) % field
         else:
-            p, dtype = field, storage_dtype((), field)
-            if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
-                array = rows.astype(dtype, copy=False) % p
-            else:
-                array = np.array([[e % p if isinstance(e, int) else fraction_mod_p(e, p)
-                                   for e in row] for row in rows], dtype=dtype).reshape(shape)
+            entries = [_exact(e) for e in np.array(rows, dtype=object).flat]
+            dtype = storage_dtype(entries, field)  # over F_p, first of all, checks p
+            if field is not None:
+                entries = [fraction_mod_p(e, field) for e in entries]
+            array = np.array(entries, dtype=dtype).reshape(shape)
         self._wrap(array, None, field)
 
     def _wrap(self, array, cells, field, select=None, classes=()) -> None:
@@ -339,6 +341,16 @@ class ExactMatrix:
                               for select, pick in zip(self._select, picks)))
                 return m
         return ExactMatrix._of(self.array[np.ix_(row_idx, col_idx)], self.field)
+
+
+def _exact(entry):
+    """A matrix entry as a Python int or a Fraction; TypeError, naming it,
+    for anything but an int (bool and numpy integers too) or a Fraction."""
+    if isinstance(entry, (int, np.integer)):
+        return int(entry)
+    if isinstance(entry, Fraction):
+        return entry
+    raise TypeError(f"matrix entries must be exact (int or Fraction), got {entry!r}")
 
 
 def cell_position(row_idx, starts, i: int, j: int) -> int | None:
@@ -473,7 +485,7 @@ def _eliminate(a, k: int, p: int, order=None, inverses=None) -> int:
     column without a pivot, the columns past it are reduced then.
     After the panel's steps, U12 = L11^{-1} A12 on the panel's own rows
     (L11^{-1} appended to `inverses`, a list, when one is given, for
-    `_lu_solve` to reuse), and BLAS matmuls A22 -= L21 U12,
+    `_lu_inverse` to reuse), and BLAS matmuls A22 -= L21 U12,
     `_UPDATE_ROWS` rows at a time,
     update the rows below that have a multiplier. The entries of the
     float64 array stay integers in [-low, p) with low + p <= 2^53: an
@@ -576,58 +588,46 @@ def _eliminate(a, k: int, p: int, order=None, inverses=None) -> int:
     return det % p
 
 
-def _lu_solve(lu, order, x, p: int, inverses=()):
-    """X with A X = x mod p, from the packed LU of A[order] (`_eliminate`)
-    in the square array lu; x, residues in lu's dtype, is left as it is.
+def _lu_inverse(lu, order, p: int, inverses=()):
+    """A^{-1} mod p from the packed LU of A[order] (`_eliminate`) in the
+    square array lu, in lu's dtype.
 
-    Forward with the unit lower L, then back with U, in panels of b =
-    `_panel_width(p)` rows on float64 and 1 on any other dtype: a panel's
-    rows, reduced, take the inverse of its diagonal block, then one
-    product updates the rows after it (going back, before it). Forward,
-    the inverse of the i-th block is inverses[i], the L11^{-1} that
-    `_eliminate` formed for U12 and listed, for every panel it gave one
-    (all but the last of a nonsingular A, and the panels of a leading
+    From the identity, forward with the unit lower L, then back with U,
+    in panels of b = `_panel_width(p)` rows on float64 and 1 on any other
+    dtype: a panel's rows, reduced, take the inverse of its diagonal
+    block, then one product updates the rows after it (going back, before
+    it). L^{-1} is unit lower triangular, so a forward panel's rows are 0
+    past its own end, and its inverse and update reach only that far:
+    about 2 k^3 / 3 multiply-adds where a full forward pass takes k^3.
+    Forward, the inverse of the i-th block is inverses[i], the L11^{-1}
+    that `_eliminate` formed for U12 and listed, for every panel it gave
+    one (all but the last of a nonsingular A, and the panels of a leading
     block of its LU that lie wholly inside it), else
     `_unit_lower_inverse`'s. Back, U's block is D V, D its diagonal and V
     unit upper, and its inverse V^{-1} D^{-1} is formed once, as one
     matrix, so the rows take one product. An update subtracts at most b
     (p - 1)^2 from an entry, as in `_eliminate`, so those rows are
     reduced only once `every` updates could pass 2^53 - p; on int64 and
-    object arrays after each one.
-
-    The forward pass skips what is still zero. With the columns of
-    x[order] sorted by their first nonzero row, a panel's rows are 0 in
-    every column whose first nonzero row comes after the panel, and the
-    pass keeps that, so a panel's inverse and update touch only the
-    columns before (`reach`). On the identity (the inverse of A, for the
-    zero test) the sorted columns are lower triangular, and the solve
-    takes about 2 k^3 / 3 multiply-adds where the full forward pass took
-    k^3; a dense x runs as before."""
+    object arrays after each one. The result Y = (L U)^{-1} is A^{-1}[:,
+    order], so its columns are placed at `order`."""
     k = len(lu)
     b = _panel_width(p) if lu.dtype == np.float64 else 1
     every = (_FLOAT_EXACT_LIMIT - p) // (b * (p - 1) ** 2) if b > 1 else 1
-    x = x[order]
-    nonzero = x != 0
-    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), k)
-    cols = np.argsort(first, kind="stable")
-    shuffled = bool((cols != np.arange(len(cols))).any())
-    if shuffled:
-        x = np.take(x, cols, axis=1)  # C order, as x[:, cols] is not
+    y = np.eye(k, dtype=lu.dtype)
     starts = range(0, k, b)
-    reach = np.searchsorted(first[cols], [min(start + b, k) for start in starts])
     for i, start in enumerate(starts):
-        end, c = min(start + b, k), reach[i]
-        rows = _reduce(x[start:end, :c], p)
+        end = min(start + b, k)
+        rows = _reduce(y[start:end, :end], p)
         if end - start > 1:
             inverse = inverses[i] if i < len(inverses) else \
                 _unit_lower_inverse(np.tril(lu[start:end, start:end], -1), p)
             rows[...] = _reduce(inverse @ rows, p)
-        x[end:, :c] -= lu[end:, start:end] @ rows
+        y[end:, :end] -= lu[end:, start:end] @ rows
         if (i + 1) % every == 0:
-            _reduce(x[end:, :c], p)
+            _reduce(y[end:, :end], p)
     for i, start in enumerate(reversed(starts)):
         end = min(start + b, k)
-        rows = _reduce(x[start:end], p)
+        rows = _reduce(y[start:end], p)
         scale = np.array([pow(int(e), -1, p) for e in lu.diagonal()[start:end]])[:, None]
         if end - start > 1:  # V = D^{-1} U is unit upper, the transpose of a unit lower
             upper = _reduce(scale * np.triu(lu[start:end, start:end], 1), p)
@@ -635,11 +635,11 @@ def _lu_solve(lu, order, x, p: int, inverses=()):
             rows[...] = _reduce(inverse @ rows, p)
         else:
             rows[...] = _reduce(scale * rows, p)  # D^{-1}
-        x[:start] -= lu[:start, start:end] @ rows
+        y[:start] -= lu[:start, start:end] @ rows
         if (i + 1) % every == 0:
-            _reduce(x[:start], p)
-    if shuffled:
-        x[:, cols] = x
+            _reduce(y[:start], p)
+    x = np.empty_like(y)
+    x[:, order] = y
     return x
 
 
@@ -740,7 +740,7 @@ def _fold(a, rows, cols, live, p: int):
 
     `live` holds the rows and columns not yet folded; the class rows and
     pivot columns leave it. Returns (det(K_piv)^copies, the pivot columns,
-    copies x r), or None, with a unchanged, when K is wider than tall,
+    copies x r), or None, with a unchanged, when K is taller than wide,
     the copies' blocks differ (an earlier fold wrote into one) or K's rank
     mod p is below r."""
     copies, r = rows.shape
@@ -1015,7 +1015,7 @@ def _zero_test(a):
     by a kernel vector; otherwise det a modulo the primes _prime(n, 0),
     ..., _prime(n, i), the last of them the first nonzero residue, so a
     modulus that the caller's lift may use, and a^{-1} modulo it, from
-    the LU its elimination left (`_lu_solve`).
+    the LU its elimination left (`_lu_inverse`).
 
     Modulo q = _prime(n, i), elimination finds no pivot for some column s
     exactly when det a = 0 mod q. Then the Schur complement over Q of the
@@ -1038,14 +1038,13 @@ def _zero_test(a):
         lu, order, inverses = _mod(a, q), np.arange(n), []
         residues.append(_eliminate(lu, n, q, order, inverses))
         if residues[-1]:
-            return residues, _lu_solve(lu, order, np.eye(n, dtype=lu.dtype), q, inverses)
+            return residues, _lu_inverse(lu, order, q, inverses)
         s = int(np.flatnonzero(lu.diagonal() == 0)[0])
         head = a[order, :s + 1]
         # column s minus its Q-combination of the columns before it; the
         # leading s x s block of lu is the LU of head's pivot block
         certificate = head[:, 0] if s == 0 else [num for num, _ in _lift_schur(
-            head, s, q, _lu_solve(lu[:s, :s], np.arange(s), np.eye(s, dtype=lu.dtype), q,
-                                  inverses))]
+            head, s, q, _lu_inverse(lu[:s, :s], np.arange(s), q, inverses))]
         if not any(certificate):
             return None, None
 
@@ -1335,9 +1334,9 @@ def _half_gcd(r0: int, r1: int, stop: int) -> tuple[int, int]:
 def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact X with A X = B; raises SingularMatrixError when A is singular.
 
-    Over F_p, the packed LU of A (`_eliminate`), then the triangular
-    solves on B (`_lu_solve`); over Q, X is the Schur complement of the
-    bordered matrix [[A, B], [-I, 0]].
+    X is the Schur complement of the bordered matrix [[A, B], [-I, 0]] at
+    split n (`_schur`), over Q and over F_p alike: an exact reference,
+    not a tuned path.
     """
     if a.nrows != a.ncols:
         raise ValueError("solve needs a square matrix")
@@ -1345,22 +1344,16 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise ValueError("field mismatch")
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch")
-    n = a.nrows
+    n, p = a.nrows, a.field
     if n == 0:
-        return ExactMatrix(np.zeros((0, b.ncols), dtype=np.int64), a.field)
-    if a.field is not None:
-        p = a.field
-        lu, order, inverses = a.array.astype(_working_dtype(p)), np.arange(n), []
-        if _eliminate(lu, n, p, order, inverses) == 0:
-            raise SingularMatrixError("singular matrix over F_p")
-        x = _lu_solve(lu, order, b.array.astype(lu.dtype), p, inverses)
-        return ExactMatrix._of(x.astype(storage_dtype((), p), copy=False), p)
+        return ExactMatrix(np.zeros((0, b.ncols), dtype=np.int64), p)
     # over Q an int64 A may meet an object B, whose Fractions int64 would truncate
-    bordered = np.zeros((2 * n, n + b.ncols), dtype=np.result_type(a.array, b.array))
+    dtype = np.result_type(a.array, b.array) if p is None else _working_dtype(p)
+    bordered = np.zeros((2 * n, n + b.ncols), dtype=dtype)
     bordered[:n, :n] = a.array
     bordered[:n, n:] = b.array
-    bordered[range(n, 2 * n), range(n)] = -1
-    return _schur(bordered, None, n)
+    bordered[range(n, 2 * n), range(n)] = -1 if p is None else p - 1
+    return _schur(bordered, p, n)
 
 
 def schur_complement(m: ExactMatrix, k: int) -> ExactMatrix:
@@ -1372,8 +1365,7 @@ def schur_complement(m: ExactMatrix, k: int) -> ExactMatrix:
     if k == 0 or k == m.nrows:
         trail = range(k, m.nrows)
         return m.submatrix(trail, trail)
-    return _schur(m.array if m.field is None else m.array.astype(_working_dtype(m.field)),
-                  m.field, k)
+    return _schur(m.array if m.field is None else m._dense(_working_dtype(m.field)), m.field, k)
 
 
 def to_float(m: ExactMatrix):

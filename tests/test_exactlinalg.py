@@ -2,13 +2,14 @@
 criterion for the leading block."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bikoszul import core, exactlinalg, koszul, solver
+from bikoszul import core, exactlinalg, koszul, oracle, solver
 from bikoszul.core import ProjectiveSolution, SystemType
 from bikoszul.exactlinalg import ExactMatrix, SingularMatrixError
 from bikoszul.oracle import rank
@@ -297,6 +298,35 @@ def test_solve_matches_cramer(p):
     assert solved >= 80 and singular >= 10
 
 
+@pytest.mark.parametrize("p, n", [(1_000_003, 70), (2 ** 31 - 1, 40)])
+@pytest.mark.parametrize("width", ["0", "1", "n"])
+def test_solve_over_fp_across_panels(p, n, width):
+    """n = 70 at 1000003 spans three float64 panels of 32 columns, and n =
+    40 at 2^31 - 1 runs one column a step on int64. A = L P U with a
+    random row permutation P, so that the elimination swaps rows, and B
+    of 0, 1 and n columns: X is what Gauss-Jordan on [A | B] mod p gives
+    (`oracle._rref`; Cramer's rule by cofactors is out of reach at this
+    n), and A X = B mod p. A with row n / 2 set to row 0 plus p times a
+    unit vector is nonsingular over Q but singular mod p, and raises."""
+    rng = random.Random(n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    a_rows = random_lpu(rng, p, n, n, n, perm)
+    m = {"0": 0, "1": 1, "n": n}[width]
+    b_rows = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+    echelon, pivots = oracle._rref(ExactMatrix([a + b for a, b in zip(a_rows, b_rows)], p))
+    assert pivots == list(range(n))
+    x = exactlinalg.solve(ExactMatrix(a_rows, p), ExactMatrix(b_rows, p)).rows
+    assert x == [row[n:] for row in echelon]
+    assert [[sum(e * y for e, y in zip(row, col)) % p for col in zip(*x)] for row in a_rows] == \
+        b_rows
+    singular = [list(row) for row in a_rows]
+    singular[n // 2] = [e + p * (j == 3) for j, e in enumerate(a_rows[0])]
+    assert exactlinalg.det(ExactMatrix(singular)) != 0
+    with pytest.raises(SingularMatrixError):
+        exactlinalg.solve(ExactMatrix(singular, p), ExactMatrix(b_rows, p))
+
+
 def test_composite_modulus_is_rejected():
     for q in (1, 4, 10, 561, 1_000_001, 3215031751):
         with pytest.raises(ValueError, match="not a prime"):
@@ -341,6 +371,22 @@ def test_constructor_reduces_every_entry_kind_into_the_field():
     assert rational.rows == [[Fraction(1, 2), 2 ** 70], [-3, 4]]
     assert type(ExactMatrix(np.array([[2, -3]], dtype=np.int64))[0, 1]) is int
     assert ExactMatrix([]).nrows == ExactMatrix([], 5).ncols == 0
+
+
+@pytest.mark.parametrize("p", [None, 7, 2 ** 61 - 1])
+def test_constructor_rejects_an_inexact_entry_by_name(p):
+    """A float or a string is no exact entry over any field: a TypeError
+    that names it, where over Q one used to end in an AttributeError and
+    over F_p 0.1 became its binary fraction (3 mod 7, not 1/10 = 5)."""
+    import numpy as np
+
+    for entry in (0.1, np.float64(0.5), "1/2"):
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            ExactMatrix([[entry, 1]], p)
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            ExactMatrix(np.array([[1, entry]], dtype=object), p)
+    assert ExactMatrix([[np.int64(-3), True, Fraction(1, 2)]], p).rows == \
+        ExactMatrix([[-3, 1, Fraction(1, 2)]], p).rows
 
 
 @pytest.mark.parametrize("p", [2, 3, 1_000_003, 2 ** 61 - 1])
@@ -641,13 +687,11 @@ def test_blocked_elimination_at_the_width_bound_with_every_factor_entry_p_minus_
     """At the largest prime whose panel width is 32, L and U of p - 1 make
     every multiplier and every entry of U12 p - 1, so each update forms
     32 (p - 1)^2, the most that stays exact, in the elimination and in
-    the substitutions of `_lu_solve`. The second panel's int64 copy
-    starts at a residue minus 32 (p - 1)^2 (one trailing update, not yet
-    reduced), and its steps subtract (p - 1)^2 from its last column 31
-    times with no reduction in between: past -2^53, where float64 would
-    round, and within int64."""
-    import numpy as np
-
+    the inverse from its LU (`_lu_inverse`). The second panel's int64
+    copy starts at a residue minus 32 (p - 1)^2 (one trailing update, not
+    yet reduced), and its steps subtract (p - 1)^2 from its last column
+    31 times with no reduction in between: past -2^53, where float64
+    would round, and within int64."""
     p = width_bound_prime(32)
     assert exactlinalg._panel_width(p) == 32 and 33 * (p - 1) ** 2 + p > 2 ** 53
     assert -(32 + 31) * (p - 1) ** 2 < -2 ** 53 and 64 * (p - 1) ** 2 < 2 ** 63
@@ -664,14 +708,6 @@ def test_blocked_elimination_at_the_width_bound_with_every_factor_entry_p_minus_
              for j in range(m)] for i in range(m)]
     assert fast[1] == want
     assert_lu_inverse(rows, k, p)
-    # a right-hand side L Z with Z all p - 1 makes each update of the
-    # forward substitution 32 (p - 1)^2 too: one more before a reduction
-    # would pass 2^53
-    lu, order = np.array(rows, dtype=np.float64), np.arange(m)
-    exactlinalg._eliminate(lu, k, p, order)
-    b = lpu(p, [row[:k] for row in lower[:k]], range(k), [[p - 1] * 3] * k)
-    x = exactlinalg._lu_solve(lu[:k, :k], order[:k], np.array(b, dtype=np.float64), p)
-    assert lpu(p, [row[:k] for row in rows[:k]], range(k), x.astype(np.int64).tolist()) == b
 
 
 def test_blocked_elimination_just_above_the_float_limit_runs_on_int64():
@@ -812,28 +848,27 @@ def bordered_inverse(rows, p):
 def assert_lu_inverse(rows, k, p):
     """On the working dtype and on Python ints (one column a step), the
     inverse of the nonsingular leading k x k block from its packed LU
-    (`_lu_solve` on the identity) equals the bordered one and is a right
-    inverse mod p."""
+    (`_lu_inverse`) equals the bordered one and is a right inverse mod
+    p."""
     import numpy as np
 
     lead = [row[:k] for row in rows[:k]]
     for dtype in (exactlinalg._working_dtype(p), object):
         lu, order = np.array(rows, dtype=object).astype(dtype), np.arange(len(rows))
         assert exactlinalg._eliminate(lu, k, p, order)
-        eye = np.eye(k, dtype=dtype)
         inverse = [[int(e) for e in row]
-                   for row in exactlinalg._lu_solve(lu[:k, :k], order[:k], eye, p).tolist()]
+                   for row in exactlinalg._lu_inverse(lu[:k, :k], order[:k], p).tolist()]
         assert inverse == bordered_inverse(lead, p)
         assert [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*inverse)]
                 for row in lead] == [[int(i == j) for j in range(k)] for i in range(k)]
 
 
-def full_substitution(lu, order, x, p):
-    """The reference of `_lu_solve`: every column of x[order] forward
-    with the unit lower L, in full and one row at a time, then back with
-    U, on Python ints mod p."""
+def full_substitution(lu, order, p):
+    """The reference of `_lu_inverse`: every column of the identity's
+    rows in `order` forward with the unit lower L, in full and one row at
+    a time, then back with U, on Python ints mod p."""
     lu = [[int(e) for e in row] for row in lu.tolist()]
-    y = [[int(e) % p for e in x[i].tolist()] for i in order]
+    y = [[int(i == j) for j in range(len(lu))] for i in order]
     for i in range(len(lu)):
         for j in range(i):
             y[i] = [(a - lu[i][j] * b) % p for a, b in zip(y[i], y[j])]
@@ -848,11 +883,10 @@ def full_substitution(lu, order, x, p):
                                   (width_bound_prime(5), 12), (width_bound_prime(3), 3),
                                   (exactlinalg._prime(70, 0), 70), (2 ** 31 - 1, 9)])
 def test_inverse_from_the_lu_skips_zeros_and_equals_the_full_forward_pass(p, k):
-    """`_lu_solve` on the identity, whose forward pass skips the part of
-    L^{-1} P that is still zero, for k = 1, k below the panel width b, k
-    not a multiple of b and b = 1: the full substitution's inverse, with
-    rows swapped by pivoting. Also on an identity with a dense column
-    beside it, a dense x and a zero column."""
+    """`_lu_inverse`, whose forward pass skips the zero upper half of
+    L^{-1}, for k = 1, k below the panel width b, k not a multiple of b
+    and b = 1: the full substitution's inverse, with rows swapped by
+    pivoting."""
     import numpy as np
 
     rng = random.Random(k * p)
@@ -861,15 +895,8 @@ def test_inverse_from_the_lu_skips_zeros_and_equals_the_full_forward_pass(p, k):
     rows = random_lpu(rng, p, k, k, k, perm)
     lu, order = np.array(rows, dtype=object).astype(exactlinalg._working_dtype(p)), np.arange(k)
     assert exactlinalg._eliminate(lu, k, p, order)
-    eye = np.eye(k, dtype=lu.dtype)
-    dense = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(k)], dtype=lu.dtype)
-    for x in (eye, np.concatenate([eye, dense[:, :1]], axis=1), dense,
-              np.concatenate([dense, np.zeros((k, 1), dtype=lu.dtype), eye], axis=1)):
-        before = x.copy()
-        got = exactlinalg._lu_solve(lu, order, x, p)
-        assert np.array_equal(x, before)
-        assert got.astype(object).tolist() == full_substitution(lu, order, x, p)
-    inverse = exactlinalg._lu_solve(lu, order, eye, p).astype(object)
+    inverse = exactlinalg._lu_inverse(lu, order, p).astype(object)
+    assert inverse.tolist() == full_substitution(lu, order, p)
     assert [[sum(a * b for a, b in zip(row, col)) % p for col in inverse.T.tolist()]
             for row in rows] == np.eye(k, dtype=np.int64).tolist()
 
@@ -879,9 +906,9 @@ def test_inverse_from_the_lu_skips_zeros_and_equals_the_full_forward_pass(p, k):
                                   (2 ** 31 - 1, 9)])
 def test_inverse_from_the_lu_reuses_the_l11_inverses_of_the_elimination(monkeypatch, p, k):
     """`_eliminate` lists the L11^{-1} it formed for U12, one for every
-    panel but the last (none when b = 1), and `_lu_solve` given them
+    panel but the last (none when b = 1), and `_lu_inverse` given them
     forms only the other inverses: one `_unit_lower_inverse` fewer per
-    listed panel, and the same inverse and solve. On a singular block
+    listed panel, and the same inverse. On a singular block
     the list covers the panels before the one without a pivot, and the
     leading s x s block's inverse, the zero test's, is the same too."""
     import numpy as np
@@ -901,16 +928,12 @@ def test_inverse_from_the_lu_reuses_the_l11_inverses_of_the_elimination(monkeypa
         assert singular == (zero_at is not None and k > 1)
         assert len(inverses) == (0 if b == 1 else (size // b if singular else (k - 1) // b))
         lu, order = lu[:size, :size], order[:size] if not singular else np.arange(size)
-        eye = np.eye(size, dtype=lu.dtype)
-        dense = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(size)],
-                         dtype=lu.dtype)
-        for x in (eye, dense):
-            calls.clear()
-            got = exactlinalg._lu_solve(lu, order, x, p, inverses)
-            reused = len(calls)
-            calls.clear()
-            assert np.array_equal(got, exactlinalg._lu_solve(lu, order, x, p))
-            assert reused == len(calls) - len(inverses)
+        calls.clear()
+        got = exactlinalg._lu_inverse(lu, order, p, inverses)
+        reused = len(calls)
+        calls.clear()
+        assert np.array_equal(got, exactlinalg._lu_inverse(lu, order, p))
+        assert reused == len(calls) - len(inverses)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -928,7 +951,7 @@ def test_blocked_elimination_matches_the_object_path_and_fractions(p, k, extra, 
     columns before the first zero on the diagonal and order when
     singular; the det, Schur complement and P A = L U of the Fraction
     oracle; and, on both paths, the inverse of the leading block from
-    the LU (`_lu_solve`) equals the bordered one and is a right inverse
+    the LU (`_lu_inverse`) equals the bordered one and is a right inverse
     mod p."""
     p = exactlinalg._prime(k, 0) if p is None else p
     rng = random.Random(seed)
@@ -975,11 +998,11 @@ def m11_with_det(rng, k, d):
 
 
 def spying_inverses(monkeypatch):
-    """The (order, prime) of every `_lu_solve` call from now on."""
+    """The (order, prime) of every `_lu_inverse` call from now on."""
     calls = []
-    real = exactlinalg._lu_solve
-    monkeypatch.setattr(exactlinalg, "_lu_solve", lambda lu, order, x, p, *rest:
-                        calls.append((len(lu), p)) or real(lu, order, x, p, *rest))
+    real = exactlinalg._lu_inverse
+    monkeypatch.setattr(exactlinalg, "_lu_inverse", lambda lu, order, p, *rest:
+                        calls.append((len(lu), p)) or real(lu, order, p, *rest))
     return calls
 
 
@@ -1855,11 +1878,11 @@ def test_every_elimination_over_q_runs_on_float64_panels(monkeypatch):
 
     dtypes, wrapped = [], []
     real_eliminate, real_of = exactlinalg._eliminate, ExactMatrix._of.__func__
-    real_solve = exactlinalg._lu_solve
+    real_inverse = exactlinalg._lu_inverse
     monkeypatch.setattr(exactlinalg, "_eliminate",
                         lambda a, *args: dtypes.append(a.dtype) or real_eliminate(a, *args))
-    monkeypatch.setattr(exactlinalg, "_lu_solve",
-                        lambda lu, *args: dtypes.append(lu.dtype) or real_solve(lu, *args))
+    monkeypatch.setattr(exactlinalg, "_lu_inverse",
+                        lambda lu, *args: dtypes.append(lu.dtype) or real_inverse(lu, *args))
     monkeypatch.setattr(ExactMatrix, "_of", classmethod(
         lambda cls, array, field: wrapped.append(array.dtype) or real_of(cls, array, field)))
     rng = random.Random(3)
@@ -2059,6 +2082,23 @@ def coordinate_and_dense(field, fractional):
         sys_ = core.BilinearSystem(t, (third, *sys_.f[1:]), sys_.f0)
     matrix = koszul.assemble_delta1(t)
     return koszul.specialize(matrix, sys_, field), koszul.specialize(matrix, sys_, field).array
+
+
+def test_schur_complement_over_fp_of_a_theta_permuted_view_builds_one_array():
+    """schur_complement over F_p scatters a compressed-column view straight
+    into its working array: the view builds no dense array of its own,
+    and the complement equals the dense input's, on float64 panels
+    (1000003) and on int64 (2^31 - 1)."""
+    t = SystemType(3, 1, 1, 3, 2)
+    rng = random.Random(44)
+    f0, theta = solver.choose_f0_and_theta(t, rng)
+    matrix = koszul.assemble_delta1(t)
+    part = koszul.theta_partition(matrix, theta)
+    for p in (1_000_003, 2 ** 31 - 1):
+        view = part.apply(koszul.specialize(matrix, core.random_system(t, rng).with_f0(f0), p))
+        schur = exactlinalg.schur_complement(view, part.split)
+        assert view._array is None
+        assert schur.rows == exactlinalg.schur_complement(ExactMatrix(view.rows, p), part.split).rows
 
 
 STORAGE_CASES = [(None, False), (None, True), (1_000_003, False), (2 ** 31 + 11, False)]

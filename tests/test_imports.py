@@ -52,33 +52,36 @@ def test_the_guard_sees_an_undeclared_import_in_a_function(tmp_path):
     assert "scipy" not in set(sys.stdlib_module_names) | declared_modules()
 
 
-def private_koszul_imports(path: Path):
+def private_imports(path: Path, module: str):
     """(line, name) of every underscore name the file imports from
-    bikoszul's koszul module, relatively or absolutely, function-level
-    imports included."""
+    bikoszul's `module`, relatively or absolutely, function-level imports
+    included."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom) and (
-                (node.level, node.module) == (1, "koszul")
-                or (node.level, node.module) == (0, "bikoszul.koszul")):
+                (node.level, node.module) == (1, module)
+                or (node.level, node.module) == (0, f"bikoszul.{module}")):
             yield from ((node.lineno, alias.name) for alias in node.names
                         if alias.name.startswith("_"))
 
 
-def test_only_koszul_reads_its_private_names():
+@pytest.mark.parametrize("module", ["koszul", "exactlinalg"])
+def test_only_koszul_reads_its_private_names(module):
     """The block layout and the rest of koszul's internals are read
     through its public names (`koszul.layout`), not re-derived elsewhere
-    from its private tables."""
+    from its private tables; exactlinalg's kernels (`_schur`,
+    `_lu_inverse`, ...) stay behind det, solve and schur_complement."""
     files = sorted((ROOT / "src" / "bikoszul").glob("*.py"))
     assert files
-    private = [f"{path.name}:{line}: {name}" for path in files if path.name != "koszul.py"
-               for line, name in private_koszul_imports(path)]
+    private = [f"{path.name}:{line}: {name}" for path in files if path.name != f"{module}.py"
+               for line, name in private_imports(path, module)]
     assert private == []
 
 
-def test_the_guard_sees_a_private_koszul_import_in_a_function(tmp_path):
+@pytest.mark.parametrize("module", ["koszul", "exactlinalg"])
+def test_the_guard_sees_a_private_koszul_import_in_a_function(tmp_path, module):
     path = tmp_path / "module.py"
-    path.write_text("from .koszul import layout\n\ndef f():\n"
-                    "    from .koszul import _K1_BLOCKS, specialize\n"
-                    "    from bikoszul.koszul import _lowered\n"
+    path.write_text(f"from .{module} import layout\n\ndef f():\n"
+                    f"    from .{module} import _K1_BLOCKS, specialize\n"
+                    f"    from bikoszul.{module} import _lowered\n"
                     "    from .core import _exponent_basis\n")
-    assert list(private_koszul_imports(path)) == [(4, "_K1_BLOCKS"), (5, "_lowered")]
+    assert list(private_imports(path, module)) == [(4, "_K1_BLOCKS"), (5, "_lowered")]
