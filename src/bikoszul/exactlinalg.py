@@ -31,10 +31,11 @@ defined.
 
 A matrix in compressed-column form may carry Kronecker classes, index
 pairs (R, C) of blocks that are K (x) I up to order (a specialized
-Koszul matrix carries two, `koszul._kronecker_classes`). det over F_p
-on float64 folds each away before its steps (`_fold`): Gauss-Jordan on
-the one small block K picks r pivot columns, every copy's rows are
-eliminated against them by a few products with K_piv^{-1}, and det M is
+Koszul matrix carries two, `koszul._kronecker_classes`). Every modular
+det on float64, over F_p and each prime of det over Q, folds each away
+before its steps (`_fold_eliminate`, `_fold`): Gauss-Jordan on the one
+small block K picks r pivot columns, every copy's rows are eliminated
+against them by a few products with K_piv^{-1}, and det M is
 +-det(K_piv)^copies times the det of the Schur complement left, which
 the elimination takes; at mu = 630 that is 315 of 630 rows.
 
@@ -43,13 +44,16 @@ modular step over Q on a block of order k runs modulo one family of
 primes, `_prime(k, i)`: the i-th largest q with k (q-1)^2 < 2^53, so
 that a length-k dot product of residues is exact in float64. A zero
 test (`_zero_test`) decides whether a square block is singular with a
-certificate instead of a prime budget: modulo _prime(n, i), the loop
-stops at the first column s without a pivot, and the Schur complement
-over Q of the first s + 1 columns, pivot rows first, is 0 exactly when
-column s is a Q-combination of the columns before it. Otherwise the
-test ends at the first nonzero residue, whose prime certifies the
-block nonsingular modulo it; the caller's lift runs modulo that prime,
-with the block's inverse there from the LU of the same elimination.
+certificate instead of a prime budget: modulo _prime(n, i) it folds the
+block's classes away, and the loop on the rest stops at the first
+column s without a pivot; the Schur complement over Q of the folds'
+pivot columns and the rest's first s + 1 columns, pivot rows first, is
+0 exactly when the last of them is a Q-combination of the ones before
+it. Otherwise the test ends at the first nonzero residue, whose prime
+certifies the block nonsingular modulo it; the caller's lift runs
+modulo that prime, with the block's inverse there from the LU of the
+rest, unfolded class by class (`_unfold`), the same block elimination
+run backwards.
 `det` (`_multimodular`) is the method of Abbott, Bronstein and Mulders
 without early termination: the zero test, then the denominator D of
 -c A^{-1} b for fixed small integer vectors b and c, a divisor of det A
@@ -107,6 +111,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import isqrt, lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,8 +218,8 @@ class ExactMatrix:
     drops a cell only where they drop its row or column, and keeps it.
 
     A matrix from `from_csc` may also carry Kronecker classes, which `det`
-    over F_p folds away before its elimination (`_fold`); every other
-    matrix, a `submatrix` too, has none.
+    folds away before each elimination mod p (`_fold_eliminate`); every
+    other matrix, a `submatrix` too, has none.
     """
 
     def __init__(self, rows, field: int | None = None):
@@ -260,7 +265,7 @@ class ExactMatrix:
         arrays, copies x r and copies x w, whose row copy R[j] meets column
         copy C[j'] only for j = j', in the same r x w block K = M[R[j],
         C[j]] for every j, so that M[R, C] is K (x) I up to the order of
-        its rows and columns. `det` over F_p folds them away (`_fold`);
+        its rows and columns. `det` folds them away (`_fold_eliminate`);
         `submatrix` drops them."""
         m, shape = cls.__new__(cls), tuple(shape)
         m._wrap(None, (shape, row_idx, col_idx, col_start, values), field,
@@ -297,6 +302,12 @@ class ExactMatrix:
             index, values = [cells[kept] for cells in index], values[kept]
         array[tuple(index)] = values
         return array
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The storage dtype of the entries (`storage_dtype`), read without
+        building `array`."""
+        return (self._cells[4] if self._array is None else self._array).dtype
 
     @property
     def rows(self) -> list:
@@ -720,7 +731,7 @@ def _gauss_jordan(k, p: int):
     return np.array(pivots, dtype=np.intp), value, aug[:, w:], aug[:, :w]
 
 
-def _fold(a, rows, cols, live, p: int):
+def _fold(a, rows, cols, outside, live, p: int):
     """Fold one Kronecker class (R, C) of the square, C-contiguous float64
     array a of residues mod p away (`ExactMatrix.from_csc`): the block
     elimination of its rows against r pivot columns of each column copy,
@@ -733,16 +744,17 @@ def _fold(a, rows, cols, live, p: int):
     a[O, T] -= a[O, P] A^{-1} a[R, T] over the live columns T outside the
     pivots. In the other columns of copy j a[R_j, C_j] is K, so there the
     update is a[O, P_j] times K_piv^{-1} K's other columns, one product
-    for every copy at once. Over the live columns outside the class where
-    the class rows have cells, it is a[O, P] times K_piv^{-1} a[R_j, T]
-    for every copy, one batched product and one more. Every entry it
-    writes is reduced.
+    for every copy at once. Outside the class the class rows can have
+    cells only in the columns `outside` (`_folding_classes`); over those
+    still live where they have one, it is a[O, P] times K_piv^{-1} a[R_j,
+    T] for every copy, one batched product and one more. Every entry it
+    writes is reduced; the class rows and the pivot columns keep theirs.
 
     `live` holds the rows and columns not yet folded; the class rows and
     pivot columns leave it. Returns (det(K_piv)^copies, the pivot columns,
-    copies x r), or None, with a unchanged, when K is taller than wide,
-    the copies' blocks differ (an earlier fold wrote into one) or K's rank
-    mod p is below r."""
+    copies x r, K_piv^{-1} in float64), or None, with a unchanged, when K
+    is taller than wide, the copies' blocks differ (an earlier fold wrote
+    into one) or K's rank mod p is below r."""
     copies, r = rows.shape
     block = a[rows[:, :, None], cols[:, None, :]]
     if r > cols.shape[1] or (block != block[0]).any():
@@ -770,15 +782,127 @@ def _fold(a, rows, cols, live, p: int):
         blocks = coupling.reshape(len(touching), copies, r)
         row, copy = np.nonzero(blocks.any(axis=2))
         subtract(touching[row], cols[:, others][copy], blocks[row, copy], echelon[:, others])
-    outside = live[1].copy()
-    outside[cols] = False
-    outside = np.flatnonzero(outside)
-    cells = np.take(a[rows.ravel()], outside, axis=1)
-    met = cells.any(axis=0)
-    if met.any():
-        spread = _minus_product(0, -inverse, cells[:, met].reshape(copies, r, -1), p)
-        subtract(touching, outside[met], coupling, spread.reshape(copies * r, -1))
-    return pow(value, copies, p), pivot_cols
+    outside = outside[live[1][outside]]
+    if outside.size:
+        cells = a[np.ix_(rows.ravel(), outside)]
+        met = cells.any(axis=0)
+        if met.any():
+            spread = _minus_product(0, -inverse, cells[:, met].reshape(copies, r, -1), p)
+            subtract(touching, outside[met], coupling, spread.reshape(copies * r, -1))
+    return pow(value, copies, p), pivot_cols, inverse
+
+
+def _folding_classes(m: ExactMatrix) -> tuple:
+    """The Kronecker classes of m (`ExactMatrix.from_csc`) as the triples
+    (R, C, O) that `_fold` takes, O the columns outside C where the rows
+    R can hold a nonzero once the classes before them have folded; found
+    from the cells, in O(nnz), before any dense array, and shared by every
+    prime. A fold writes only into the rows that meet a copy's pivot
+    columns, over that copy's other columns and its own class's O, so a
+    class whose rows meet any column of an earlier class's copy takes
+    that copy's columns and that class's O into its own."""
+    if not m._classes:
+        return ()
+    rows, cols = m._cells[1:3] if m._array is None else np.nonzero(m._array)
+    folding = []
+    for r, c in m._classes:
+        in_class = np.zeros(m.nrows, dtype=bool)
+        in_class[r] = True
+        met = np.zeros(m.ncols, dtype=bool)
+        met[cols[in_class[rows]]] = True
+        for _, earlier, filled in folding:
+            copies = met[earlier].any(axis=1)
+            if copies.any():
+                met[earlier[copies]] = True
+                met[filled] = True
+        met[c] = False
+        folding.append((r, c, np.flatnonzero(met)))
+    return tuple(folding)
+
+
+class _Folded(NamedTuple):
+    """`_fold_eliminate`'s result: det a mod p; per folded class, in fold
+    order, its rows and pivot columns, flat, copy by copy, and K_piv^{-1};
+    the rest's rows and columns, ascending; and the rest's elimination,
+    its packed LU, row order and L11^{-1}s (`_eliminate`)."""
+    det: int
+    folds: list
+    rest: list
+    lu: np.ndarray
+    order: np.ndarray
+    inverses: list
+
+
+def _fold_eliminate(a, classes, p: int) -> _Folded:
+    """det a mod p for a square array a of residues in its working dtype
+    (`_working_dtype`), clobbered: on float64 the classes
+    (`_folding_classes`) are folded away first, each by one block
+    elimination (`_fold`), and `_eliminate` runs on the Schur complement
+    left, the rest, a copy (a itself when nothing folds). With L the rows
+    and pivot columns the folds took, in order, and the rest ascending,
+    det a = sign * prod det(K_piv)^copies * det(rest), sign that of the
+    row order [L, rest] times that of the column order. One driver for
+    det over F_p and every modular det over Q."""
+    n = len(a)
+    value, folds = 1, []
+    live = np.ones((2, n), dtype=bool)  # rows, columns not folded
+    for rows, cols, outside in classes if a.dtype == np.float64 else ():
+        folded = _fold(a, rows, cols, outside, live, p)
+        if folded is not None:
+            value = value * folded[0] % p
+            folds.append((rows.ravel(), folded[1].ravel(), folded[2]))
+    rest, lu = [np.flatnonzero(v) for v in live], a
+    if folds:
+        if _parity(np.concatenate([r for r, _, _ in folds] + rest[:1])) != \
+                _parity(np.concatenate([c for _, c, _ in folds] + rest[1:])):
+            value = p - value
+        lu = np.take(a[rest[0]], rest[1], axis=1)
+    order, inverses = np.arange(len(lu)), []
+    value = value * _eliminate(lu, len(lu), p, order, inverses) % p
+    return _Folded(value, folds, rest, lu, order, inverses)
+
+
+def _unfold(a, folds, rows, cols, inverse, p: int):
+    """(X, row order, column order): X = W^{-1} mod p, W the block of the
+    matrix before the folds on the rows [R_1, ..., R_m, rows] and the
+    columns [P_1, ..., P_m, cols], R_i and P_i the rows and pivot columns
+    of the folds (`_fold_eliminate`) in fold order, given `inverse`, that
+    of the block of the folded array a on rows and cols.
+
+    The classes unfold in reverse: with W = [[A, B], [C, D]], A = K_piv
+    (x) I the block of one fold's rows and pivot columns and T = D - C
+    A^{-1} B the block left after it, whose inverse the later folds
+    give, W^{-1} = [[A^{-1} + A^{-1} B T^{-1} C A^{-1}, -A^{-1} B
+    T^{-1}], [-T^{-1} C A^{-1}, T^{-1}]]. a still holds B and C as the
+    fold read them, since a fold keeps its rows and pivot columns and a
+    later one writes into neither. A^{-1} is K_piv^{-1} on each copy, so
+    A^{-1} B and C A^{-1} are batched products, one over the copies
+    each, and every product is `_minus_product`'s, which negates for
+    free."""
+    row_order = np.concatenate([r for r, _, _ in folds] + [rows])
+    col_order = np.concatenate([c for _, c, _ in folds] + [cols])
+    if not folds:
+        return inverse, row_order, col_order
+    n = len(row_order)
+    x = np.empty((n, n))
+    end = n - len(rows)
+    x[end:, end:] = inverse
+    for fold_rows, fold_cols, k_inverse in reversed(folds):
+        size, width = len(fold_rows), len(k_inverse)
+        start, copies = end - size, size // width
+        t = x[end:, end:]  # T^{-1}
+        b = a[np.ix_(fold_rows, col_order[end:])].reshape(copies, width, -1)
+        c = a[np.ix_(row_order[end:], fold_cols)]
+        touching = np.flatnonzero(c.any(axis=1))  # C's nonzero rows
+        c = c[touching].reshape(-1, copies, width).swapaxes(0, 1)
+        ab = _minus_product(0, -k_inverse, b, p).reshape(size, -1)  # A^{-1} B
+        ca = _minus_product(0, c, -k_inverse, p).swapaxes(0, 1).reshape(-1, size)  # C A^{-1}
+        x[start:end, end:] = _minus_product(0, ab, t, p)
+        x[end:, start:end] = _minus_product(0, t[:, touching], ca, p)
+        x[start:end, start:end] = _minus_product(np.kron(np.eye(copies), k_inverse),
+                                                 x[start:end, end:][:, touching], ca, p)
+        end = start
+    return x, row_order, col_order
 
 
 def _parity(perm) -> int:
@@ -797,13 +921,13 @@ def det(m: ExactMatrix):
     """Exact determinant: over F_p n elimination steps mod p; over Q
     `_multimodular` on the denominator-cleared rows.
 
-    On a float64 working array (`_working_dtype`) the Kronecker classes
+    Each modular det on a float64 working array (`_working_dtype`), over
+    F_p and over Q alike, runs `_fold_eliminate`: the Kronecker classes
     of m, if it carries any (`ExactMatrix.from_csc`), are folded away
-    first, each by one block elimination (`_fold`): with L the rows and
-    pivot columns they took, in order, and the rest ascending, det M =
-    sign * prod det(K_piv)^copies * det(rest), sign that of the row order
-    [L, rest] times that of the column order, and the elimination runs
-    on the Schur complement that is left, the rest."""
+    first, each by one block elimination (`_fold`), and the elimination
+    runs on the Schur complement that is left, the rest. The columns
+    outside a class that its rows can meet are found once per det, from
+    the cells (`_folding_classes`)."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("determinant of a non-square matrix")
@@ -811,24 +935,10 @@ def det(m: ExactMatrix):
         return 1 if m.field is None else 1 % m.field
     if m.field is not None:
         p = m.field
-        a = m._dense(_working_dtype(p))
-        value, lead = 1, ([], [])
-        live = np.ones((2, n), dtype=bool)  # rows, columns not folded
-        for rows, cols in m._classes if a.dtype == np.float64 else ():
-            folded = _fold(a, rows, cols, live, p)
-            if folded is not None:
-                value = value * folded[0] % p
-                lead[0].append(rows.ravel())
-                lead[1].append(folded[1].ravel())
-        if lead[0]:
-            rest = [np.flatnonzero(v) for v in live]
-            if _parity(np.concatenate(lead[0] + rest[:1])) != \
-                    _parity(np.concatenate(lead[1] + rest[1:])):
-                value = p - value
-            a = np.take(a[rest[0]], rest[1], axis=1)
-        return value * _eliminate(a, len(a), p) % p
+        return _fold_eliminate(m._dense(_working_dtype(p)), _folding_classes(m), p).det
+    classes = _folding_classes(m)  # from the cells, before `array` drops them
     ints, scales = _int_rows(m.array)
-    value = Fraction(_multimodular(ints), prod(scales))
+    value = Fraction(_multimodular(ints, classes), prod(scales))
     return int(value) if value.denominator == 1 else value
 
 
@@ -961,28 +1071,29 @@ def _dyadic_product(values) -> tuple[int, int]:
 _CRT_MAX_PRIMES = 3
 
 
-def _multimodular(a) -> int:
+def _multimodular(a, classes=()) -> int:
     """The determinant of a square integer array (int64 or object), by the
     method of Abbott, Bronstein and Mulders without early termination.
 
     When twice the Hadamard bound H passes `_CRT_MAX_PRIMES` primes
     `_prime(n, 0)`, the zero test either certifies det = 0 or ends at the
     first nonzero residue, and one p-adic lift modulo that residue's
-    prime, with the inverse from the test's LU, gives a divisor D of det
+    prime, with the test's inverse, gives a divisor D of det
     (`_divisor`), and B is the smaller of H and the bound verified in
     floating point (`_verified_bound2`, H alone where that gives none);
-    otherwise D = 1 and B = H. Then det / D runs n elimination steps
-    modulo the descending primes `_prime(n, i)`, skipping those that
-    divide D and reusing the residues the zero test found, recombined by
-    CRT (Garner) until the product of the primes exceeds 2 B / |D|; D
-    times the symmetric residue is det, certified since |det| <= B. A
-    residue 0 is just a residue.
+    otherwise D = 1 and B = H. Then det / D runs modulo the descending
+    primes `_prime(n, i)`, skipping those that divide D and reusing the
+    residues the zero test found, recombined by CRT (Garner) until the
+    product of the primes exceeds 2 B / |D|; D times the symmetric
+    residue is det, certified since |det| <= B. A residue 0 is just a
+    residue. Every residue, the zero test's too, is `_fold_eliminate`'s,
+    the Kronecker classes (`_folding_classes`) folded away first.
     """
     n = len(a)
     bound2 = _hadamard2(a, n)[1]
     residues, divisor = [], 1
     if 4 * bound2 >= _prime(n, 0) ** (2 * _CRT_MAX_PRIMES):
-        residues, inverse = _zero_test(a)
+        residues, inverse = _zero_test(a, classes)
         if residues is None:
             return 0
         divisor = _divisor(a, _prime(n, len(residues) - 1), inverse)
@@ -997,7 +1108,8 @@ def _multimodular(a) -> int:
         q = _prime(n, i)
         if divisor % q == 0:
             continue
-        residue = residues[i] if i < len(residues) else _eliminate(_mod(a, q), n, q)
+        residue = residues[i] if i < len(residues) else \
+            _fold_eliminate(_mod(a, q), classes, q).det
         d += modulus * ((residue * pow(divisor, -1, q) - d) * pow(modulus, -1, q) % q)
         modulus *= q
     return divisor * (d - modulus if 2 * d > modulus else d)
@@ -1010,41 +1122,58 @@ def _mod(a, q: int):
     return (a % q).astype(_working_dtype(q), copy=False)
 
 
-def _zero_test(a):
+def _zero_test(a, classes=()):
     """(None, None) when the square integer array a is singular, certified
     by a kernel vector; otherwise det a modulo the primes _prime(n, 0),
     ..., _prime(n, i), the last of them the first nonzero residue, so a
-    modulus that the caller's lift may use, and a^{-1} modulo it, from
-    the LU its elimination left (`_lu_inverse`).
+    modulus that the caller's lift may use, and a^{-1} modulo it.
 
-    Modulo q = _prime(n, i), elimination finds no pivot for some column s
-    exactly when det a = 0 mod q. Then the Schur complement over Q of the
-    first s + 1 columns, with the s pivot rows first and the split at s,
-    is lifted modulo q (`_lift_schur`): its pivot block is nonsingular
-    modulo q, the leading s x s block of the LU is its LU, and s < n
-    keeps q in range. When all of its n - s entries
-    are 0, column s is the Q-combination M11^{-1} M12 of columns
-    0..s-1, so det a = 0; for s = 0 the certificate is column 0 itself.
-    Otherwise columns 0..s are independent over Q, yet q divides all
-    their (s+1)-minors, and the test moves on to _prime(n, i + 1). Only
-    finitely many primes are unlucky in this way, and when det a = 0
-    every other prime stops at the first column that depends on the ones
-    before it, so the test ends.
+    Modulo q = _prime(n, i), `_fold_eliminate` folds a's Kronecker
+    classes (`_folding_classes`) away and eliminates the rest, and a^{-1}
+    is the rest's inverse from its LU (`_lu_inverse`), unfolded
+    (`_unfold`). The elimination of the rest finds no pivot for some
+    column s exactly when det a = 0 mod q. Then, with the folds' rows and
+    pivot columns first, the Schur complement over Q of those columns
+    and the rest's first s + 1, with the rows of the folds and the s
+    pivot rows first and the split before column s, is lifted modulo q
+    (`_lift_schur`): its pivot block is nonsingular modulo q, of order
+    below n, which keeps q in range, and its inverse there unfolds from
+    that of the rest's leading s x s block, whose LU is the leading
+    block of the rest's. When all of its entries
+    are 0, that last column is the Q-combination M11^{-1} M12 of the
+    columns before it, so det a = 0; for an empty pivot block the
+    certificate is the column itself. Otherwise those columns are
+    independent over Q, yet q divides all their maximal minors, and the
+    test moves on to _prime(n, i + 1). Only finitely many primes are
+    unlucky in this way, or change the pivot columns of a fold, and when
+    det a = 0 every other prime stops at the first column that depends
+    on the ones before it, so the test ends.
     """
     n = len(a)
     residues = []
     for i in count():
         q = _prime(n, i)
-        lu, order, inverses = _mod(a, q), np.arange(n), []
-        residues.append(_eliminate(lu, n, q, order, inverses))
-        if residues[-1]:
-            return residues, _lu_inverse(lu, order, q, inverses)
+        work = _mod(a, q)
+        folded = _fold_eliminate(work, classes, q)
+        (rows, cols), lu, order = folded.rest, folded.lu, folded.order
+        residues.append(folded.det)
+        if folded.det:
+            x, row_order, col_order = _unfold(work, folded.folds, rows, cols,
+                                              _lu_inverse(lu, order, q, folded.inverses), q)
+            if folded.folds:  # x = W^{-1}, W = a[row_order][:, col_order]
+                x, inverse = np.empty_like(x), x
+                x[np.ix_(col_order, row_order)] = inverse
+            return residues, x
         s = int(np.flatnonzero(lu.diagonal() == 0)[0])
-        head = a[order, :s + 1]
-        # column s minus its Q-combination of the columns before it; the
-        # leading s x s block of lu is the LU of head's pivot block
-        certificate = head[:, 0] if s == 0 else [num for num, _ in _lift_schur(
-            head, s, q, _lu_inverse(lu[:s, :s], np.arange(s), q, inverses))]
+        # the leading s x s block of lu is the LU of the rest's pivot block
+        lead = _lu_inverse(lu[:s, :s], np.arange(s), q, folded.inverses) if s else \
+            np.empty((0, 0))
+        x, row_order, col_order = _unfold(work, folded.folds, rows[order[:s]], cols[:s], lead, q)
+        head = a[np.ix_(np.concatenate((row_order, rows[order[s:]])),
+                        np.append(col_order, cols[s]))]
+        # the last column minus its Q-combination of the columns before it
+        certificate = head[:, 0] if not len(x) else \
+            [num for num, _ in _lift_schur(head, len(x), q, x)]
         if not any(certificate):
             return None, None
 
@@ -1348,10 +1477,10 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if n == 0:
         return ExactMatrix(np.zeros((0, b.ncols), dtype=np.int64), p)
     # over Q an int64 A may meet an object B, whose Fractions int64 would truncate
-    dtype = np.result_type(a.array, b.array) if p is None else _working_dtype(p)
+    dtype = np.result_type(a.dtype, b.dtype) if p is None else _working_dtype(p)
     bordered = np.zeros((2 * n, n + b.ncols), dtype=dtype)
-    bordered[:n, :n] = a.array
-    bordered[:n, n:] = b.array
+    bordered[:n, :n] = a._dense(dtype)  # no dense `array` built on a compressed view
+    bordered[:n, n:] = b._dense(dtype)
     bordered[range(n, 2 * n), range(n)] = -1 if p is None else p - 1
     return _schur(bordered, p, n)
 
@@ -1376,9 +1505,10 @@ def to_float(m: ExactMatrix):
 
 
 def fraction_mod_p(value, p: int) -> int:
-    """Image of an exact rational in F_p; denominator must be a unit."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
+    """Image of an exact rational in F_p; denominator must be a unit. The
+    value is an int (bool and numpy integers too) or a Fraction, as a
+    matrix entry is; anything else, a float too, is a TypeError."""
+    value = _exact(value)
     num, den = value.numerator, value.denominator
     if den == 1:
         return num % p

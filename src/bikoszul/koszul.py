@@ -63,8 +63,8 @@ else. Assembly writes them down from the layout as the matrix's
 columns), each a pair of read-only index arrays R (copies x r) and C
 (copies x w), one copy per dual y monomial: each block's index range,
 reshaped by (index set, dx, dy, dz) with dy moved to the front.
-`specialize` hands them to the `ExactMatrix`, whose `det` over F_p folds
-them away before its elimination; `submatrix`, and so
+`specialize` hands them to the `ExactMatrix`, whose `det` folds
+them away before each elimination mod p; `submatrix`, and so
 `ThetaPartition.apply`, drops them. `occurrences`, and so
 `theta_partition`, masks the reference arrays; `ThetaPartition` permutes
 by composing index selections. `rows`, `cols`, `references` and
@@ -506,7 +506,7 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
     when every denominator is 1 and every tensor int64, else as
     Fractions. The nonzeros are then one gather from that table, and the
     result shares the matrix's `row_idx`, `col_idx` and `col_start`, and
-    carries its `kronecker_classes` for `det` over F_p: its dense array
+    carries its `kronecker_classes` for `det`: its dense array
     is built on first read."""
     if sys.type != matrix.type:
         raise DomainError("system type does not match the matrix")

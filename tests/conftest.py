@@ -66,9 +66,11 @@ def two_root_builder():
         t = core.SystemType(1, 1, 1, 2, 1)
         rng = random.Random(seed)
         reduce = exactlinalg.fraction_mod_p
+        exact = [core.ProjectiveSolution(*(tuple(map(Fraction, block)) for block in p.blocks))
+                 for p in (alpha, beta)]  # normalized() divides ints into floats
         want = sorted(
             tuple(tuple(reduce(v, 31) for v in block) for block in p.normalized().blocks)
-            for p in (alpha, beta)
+            for p in exact
         )
         while True:
             f1 = _kernel_poly(t.nvars, (1, 1, 0), [alpha, beta], rng)

@@ -408,6 +408,18 @@ def test_fraction_mod_p_matches_fermat_and_rejects_a_vanishing_denominator(p):
                 exactlinalg.fraction_mod_p(value, p)
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, "1/2", complex(1, 0), None])
+def test_fraction_mod_p_takes_only_what_a_matrix_entry_may_be(value):
+    """fraction_mod_p takes an int or a Fraction, as ExactMatrix does, and
+    raises the same TypeError, naming the value, for anything else: a
+    float is not read as its binary fraction (0.1 would reduce to 3 mod
+    7, where 1/10 is 5), even where that is exact (0.5, 2.0)."""
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        exactlinalg.fraction_mod_p(value, 7)
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        ExactMatrix([[value]], 7)
+
+
 def test_rank_and_nullspace():
     m = ExactMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank(m) == 2
@@ -934,6 +946,46 @@ def test_inverse_from_the_lu_reuses_the_l11_inverses_of_the_elimination(monkeypa
         calls.clear()
         assert np.array_equal(got, exactlinalg._lu_inverse(lu, order, p))
         assert reused == len(calls) - len(inverses)
+
+
+def test_inverse_from_the_lu_at_the_width_bound_with_l_inverse_panels_of_p_minus_1():
+    """At the largest prime whose panel width is 32, where one forward
+    update of `_lu_inverse` may subtract 32 (p - 1)^2 and a second one
+    before a reduction would not be exact: the unit lower L whose first
+    two panels of L^{-1} hold p - 1 (I - N on the first diagonal block,
+    N strictly lower ones, and every entry of the block below it), with
+    L[64:, :32] = p - 2 and L[64:, 32:64] = p - 1, so that the first two
+    updates of rows 64 on subtract an odd total past 2^53. The inverse
+    from the identity equals the full substitution's."""
+    import numpy as np
+
+    p, b, k = width_bound_prime(32), 32, 96
+    assert exactlinalg._panel_width(p) == b and 2 * b * (p - 1) ** 2 > 2 ** 53
+
+    def product(x, y):
+        return [[sum(e * f for e, f in zip(row, col)) % p for col in zip(*y)] for row in x]
+
+    def lower_inverse(lower):  # of a unit lower triangular matrix, by substitution
+        out = [[int(i == j) for j in range(len(lower))] for i in range(len(lower))]
+        for i, row in enumerate(lower):
+            for j in range(i):
+                out[i] = [(e - row[j] * f) % p for e, f in zip(out[i], out[j])]
+        return out
+
+    l00 = lower_inverse([[1 if i == j else p - 1 if j < i else 0 for j in range(b)]
+                         for i in range(b)])
+    l10 = product([[1] * b] * b, l00)  # L^{-1}[32:64, :32] = -L10 L00^{-1} = p - 1
+    lower = [[int(i == j) for j in range(k)] for i in range(k)]
+    for i in range(b, k):
+        lower[i][:2 * b] = l10[i - b] + [int(i == j) for j in range(b, 2 * b)] if i < 2 * b \
+            else [p - 2] * b + [p - 1] * b
+    for i in range(b):
+        lower[i][:i] = l00[i][:i]
+    z = lower_inverse(lower)
+    assert all(z[i][j] == p - 1 for i in range(2 * b) for j in range(i) if j < b)
+    lu = np.array(lower, dtype=np.float64)  # U = I
+    inverse = exactlinalg._lu_inverse(lu, np.arange(k), p).astype(object)
+    assert inverse.tolist() == full_substitution(lu, np.arange(k), p) == z
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1657,7 +1709,9 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
     elimination (its residue is reused, its LU gives the inverse of the
     divisor lift) and just enough primes for det / D, whose bound is
     2 B / |D|, B the smaller of the Hadamard bound and the verified one.
-    The verified bound is the smaller, and one prime suffices."""
+    The verified bound is the smaller, and one prime suffices. Both
+    Kronecker classes fold, so the elimination and the LU inverse run on
+    the rest, 36 of the 81 rows."""
     spec = koszul_det_case(kind)
     ints = exactlinalg._int_rows(spec.array)[0]
     n = len(ints)
@@ -1680,20 +1734,23 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
     inverses = spying_inverses(monkeypatch)
     value = exactlinalg.det(spec)
     w0 = exactlinalg._prime(n, 0)
+    rest = 36
     if kind == "planted":
-        assert value == 0 and calls == [n] and len(inverses) == 1
-        assert inverses[0][0] < n and inverses[0][1] == w0
+        assert value == 0 and calls == [rest] and len(inverses) == 1
+        assert inverses[0][0] < rest and inverses[0][1] == w0
     else:
         assert value == fraction_det(spec.rows) != 0
-        assert primes == 1 and calls == [n] * primes and inverses == [(n, w0)]
+        assert primes == 1 and calls == [rest] * primes and inverses == [(rest, w0)]
 
 
 @pytest.mark.parametrize("ty", [(2, 2, 2, 3, 3), (3, 3, 1, 4, 3), (3, 2, 2, 4, 3)])
 def test_det_over_q_of_the_seed_1_resultant_inputs_runs_one_elimination(monkeypatch, ty):
     """The random systems of the benchmark's `resultant` op at seed 1 (mu
     81, 136, 192), drawn the same way: their det over Q runs one
-    elimination, the zero test's, since the verified bound leaves one
-    prime for det / D; its value mod p is the det over F_p."""
+    elimination, the zero test's, on the rest its folds leave (36, 76 and
+    108 rows; at mu = 136 only the L04 class folds, its L02 K being 6 x
+    4), since the verified bound leaves one prime for det / D; its value
+    mod p is the det over F_p."""
     t = SystemType(*ty)
     rng = random.Random(f"1:resultant:{ty}")
     point = ProjectiveSolution(*(tuple([1] + [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)])
@@ -1704,7 +1761,8 @@ def test_det_over_q_of_the_seed_1_resultant_inputs_runs_one_elimination(monkeypa
     matrix = koszul.assemble_delta1(t)
     calls = counting_eliminations(monkeypatch)
     value = exactlinalg.det(koszul.specialize(matrix, system))
-    assert calls == [matrix.size] and value != 0
+    rest = {81: 36, 136: 76, 192: 108}[matrix.size]
+    assert calls == [rest] and value != 0
     assert value % P_PANEL == exactlinalg.det(koszul.specialize(matrix, system, P_PANEL))
 
 
@@ -2101,6 +2159,26 @@ def test_schur_complement_over_fp_of_a_theta_permuted_view_builds_one_array():
         assert schur.rows == exactlinalg.schur_complement(ExactMatrix(view.rows, p), part.split).rows
 
 
+@pytest.mark.parametrize("field", [None, 1_000_003, 2 ** 31 - 1])
+def test_solve_of_compressed_column_views_builds_no_dense_array_on_them(field):
+    """solve(M11, M12) on the compressed-column views of a theta-permuted
+    specialization, as an exact reference would take them: the bordered
+    array is scattered from the cells, so neither view builds and keeps
+    a dense array of its own, and X is the solve of the dense copies,
+    over Q, on float64 panels and on int64."""
+    t = SystemType(3, 1, 1, 3, 2)
+    rng = random.Random(45)
+    f0, theta = solver.choose_f0_and_theta(t, rng)
+    matrix = koszul.assemble_delta1(t)
+    part = koszul.theta_partition(matrix, theta)
+    spec = part.apply(koszul.specialize(matrix, core.random_system(t, rng).with_f0(f0), field))
+    k, n = part.split, spec.nrows
+    m11, m12 = spec.submatrix(range(k), range(k)), spec.submatrix(range(k), range(k, n))
+    x = exactlinalg.solve(m11, m12)
+    assert m11._array is None and m12._array is None
+    assert x.rows == exactlinalg.solve(ExactMatrix(m11.rows, field), ExactMatrix(m12.rows, field)).rows
+
+
 STORAGE_CASES = [(None, False), (None, True), (1_000_003, False), (2 ** 31 + 11, False)]
 SUBMATRIX_INDICES = {
     "subset": ([1, 5, 9, 40], [0, 2, 43]),
@@ -2273,6 +2351,183 @@ def test_det_folding_kronecker_classes_at_mu_2450():
         [((15, 105), (15, 147)), ((5, 63), (5, 49))]
     plain = spec.submatrix(range(2450), range(2450))
     assert exactlinalg.det(spec) == exactlinalg.det(plain) != 0
+
+
+def test_fold_gathers_only_the_outside_columns_its_rows_can_meet(kronecker_systems, monkeypatch):
+    """`_folding_classes` finds from the cells, before any dense array, the
+    columns outside each class that its rows can meet once the classes
+    before it fold: none for the L04 class, whose rows meet only the L12
+    columns, so its fold gathers nothing outside and runs no product
+    there (one `_minus_product` at most, the in-class one); for the L02
+    class every column where its rows hold a nonzero when it folds, the
+    fill of the L04 fold included. Every det, over F_p and over Q, is the
+    class-free copy's."""
+    import numpy as np
+
+    folds, products = [], []
+    real_fold, real_product = exactlinalg._fold, exactlinalg._minus_product
+
+    def fold(a, rows, cols, outside, live, p):
+        met = live[1] & a[rows.ravel()].any(axis=0)
+        met[cols] = False
+        assert set(np.flatnonzero(met)) <= set(outside.tolist())
+        before = len(products)
+        result = real_fold(a, rows, cols, outside, live, p)
+        folds.append((rows, outside.size, len(products) - before))
+        return result
+
+    monkeypatch.setattr(exactlinalg, "_fold", fold)
+    monkeypatch.setattr(exactlinalg, "_minus_product",
+                        lambda *args: products.append(1) or real_product(*args))
+    l04_folds = 0
+    for field in (1_000_003, None):
+        for matrix, system in kronecker_systems:
+            spec = koszul.specialize(matrix, system, field)
+            n = spec.nrows
+            folds.clear()
+            assert exactlinalg.det(spec) == exactlinalg.det(spec.submatrix(range(n), range(n)))
+            l04 = koszul.layout(matrix.type)[0]["L04"].first  # the last row block
+            for rows, outside, calls in folds:
+                if rows.min() >= l04:
+                    assert outside == 0 and calls <= 1
+                    l04_folds += 1
+    assert l04_folds
+
+
+def with_classes(rows, field, classes):
+    """The square matrix of `rows` in compressed-column form, carrying the
+    Kronecker classes `classes`, pairs of nested lists (R, C)."""
+    import numpy as np
+
+    n = len(rows)
+    cells = [(i, j) for j in range(n) for i in range(n) if rows[i][j]]
+    row_idx, col_idx = (np.array(index, dtype=np.intp) for index in zip(*cells))
+    values = ExactMatrix([[rows[i][j] for i, j in cells]], field).array[0]
+    return ExactMatrix.from_csc((n, n), row_idx, col_idx, np.searchsorted(col_idx, np.arange(n + 1)),
+                                values, field, [(np.array(r), np.array(c)) for r, c in classes])
+
+
+def test_a_fold_reaches_the_columns_an_earlier_fold_filled_in():
+    """Class 1 (rows 0, 1, K 1 x 2) meets nothing outside its columns;
+    row 2 of class 2 (rows 2..5, K 2 x 2) meets class 1's first column
+    0 but not its other column 1, so the fold of class 1 fills row 2 in
+    at column 1, and the fold of class 2 must take column 1 among its
+    outside columns (`_folding_classes`). det over F_p and over Q, and
+    the zero test with its unfolded inverse, equal the class-free
+    copy's."""
+    import numpy as np
+
+    n, p = 14, 1_000_003
+    classes = [([[0], [1]], [[0, 1], [2, 3]]), ([[2, 3], [4, 5]], [[4, 5], [6, 7]])]
+    for seed in range(20):
+        rng = random.Random(seed)
+        rows = [[0] * n for _ in range(n)]
+        k1 = [rng.randint(1, 9), rng.randint(-9, 9)]
+        k2 = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(2)]
+        k2[0][0] = 10 * abs(k2[1][1]) + 1  # nonsingular
+        for copy in range(2):
+            rows[copy][2 * copy:2 * copy + 2] = k1
+            for i in range(2):
+                rows[2 + 2 * copy + i][4 + 2 * copy:6 + 2 * copy] = k2[i]
+                rows[2 + 2 * copy + i][8 + rng.randrange(6)] = rng.randint(-9, 9)
+        rows[2][0] = rng.randint(1, 9)
+        for i in range(6, n):
+            rows[i] = [rng.randint(-9, 9) for _ in range(n)]
+        spec = with_classes(rows, None, classes)
+        folding = exactlinalg._folding_classes(spec)
+        assert folding[0][2].tolist() == [] and 1 in folding[1][2].tolist()
+        want = fraction_det(rows)
+        assert exactlinalg.det(with_classes(rows, p, classes)) == want % p
+        assert exactlinalg.det(spec) == want
+        ints = ExactMatrix(rows).array
+        got, plain = exactlinalg._zero_test(ints, folding), exactlinalg._zero_test(ints)
+        assert got[0] == plain[0] and np.array_equal(got[1], plain[1])
+
+
+SMALL_PRIMES = [q for q in range(23, 200) if exactlinalg._is_prime(q)]
+
+
+def least_prime_factor(value, start=23, stop=10 ** 5):
+    """The least prime q with start <= q < stop that divides value, or None."""
+    return next((q for q in range(start, stop) if value % q == 0 and exactlinalg._is_prime(q)),
+                None)
+
+
+@pytest.mark.parametrize("primes", ["family", "small", "unlucky"])
+def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_systems, monkeypatch,
+                                                                 primes):
+    """On the planted (det 0) and random specializations over Q of every
+    small type, `_zero_test` with the Kronecker classes (`_folding_classes`)
+    gives what it gives on the class-free copy `submatrix(range(n),
+    range(n))`: the same residues and the same a^{-1} modulo the last
+    prime, entry for entry, or the certificate (None, None) both. Modulo
+    the prime family; modulo 23, 29, 31, ... first, where some class's K
+    is rank-deficient and is left to the elimination; and, for a random
+    det with a prime factor q >= 23, from q first, where the residue is 0
+    and the lifted certificate is not, so the test moves on. Once a class
+    folds, `_lu_inverse` runs on the rest only, or on its leading block
+    for the certificate."""
+    import numpy as np
+
+    real_prime, real_fold_eliminate = exactlinalg._prime, exactlinalg._fold_eliminate
+    real_inverse, real_gauss_jordan = exactlinalg._lu_inverse, exactlinalg._gauss_jordan
+    first, events, deficient = [], [], []
+    monkeypatch.setattr(exactlinalg, "_prime", lambda k, i: first[i] if i < len(first) else
+                        real_prime(k, i - len(first)))
+
+    def fold_eliminate(a, classes, p):
+        folded = real_fold_eliminate(a, classes, p)
+        events.append((len(a), len(folded.lu), bool(folded.folds)))
+        return folded
+
+    def gauss_jordan(k, p):
+        reduced = real_gauss_jordan(k, p)
+        deficient.append(reduced is None)
+        return reduced
+
+    monkeypatch.setattr(exactlinalg, "_fold_eliminate", fold_eliminate)
+    monkeypatch.setattr(exactlinalg, "_gauss_jordan", gauss_jordan)
+    monkeypatch.setattr(exactlinalg, "_lu_inverse", lambda lu, *args:
+                        events.append(len(lu)) or real_inverse(lu, *args))
+    unlucky = folded_any = 0
+    for matrix, system in kronecker_systems:
+        spec = koszul.specialize(matrix, system)
+        n = spec.nrows
+        ints = exactlinalg._int_rows(spec.array)[0]
+        plain = exactlinalg._int_rows(spec.submatrix(range(n), range(n)).array)[0]
+        assert np.array_equal(ints, plain)
+        classes = exactlinalg._folding_classes(koszul.specialize(matrix, system))
+        first[:] = SMALL_PRIMES if primes == "small" else []
+        if primes == "unlucky":
+            value = exactlinalg.det(spec)
+            q = least_prime_factor(value) if value else 23
+            if q is None:
+                continue
+            first[:] = [q]
+        events.clear()
+        got = exactlinalg._zero_test(ints, classes)
+        log = events[:]
+        want = exactlinalg._zero_test(plain)
+        if want[0] is None:
+            assert got == (None, None)
+        else:
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            unlucky += primes == "unlucky" and want[0][0] == 0
+        rest = None
+        for event in log:
+            if isinstance(event, tuple):
+                rest, folded = event[1:]
+                folded_any += folded
+                assert folded == (event[1] < event[0])
+            else:
+                assert event <= rest
+    assert folded_any
+    if primes == "family":
+        assert not any(deficient)
+    elif primes == "small":
+        assert any(deficient)
+    else:
+        assert unlucky > 20
 
 
 def test_permutation_parity_counts_inversions():
