@@ -53,7 +53,10 @@ it. Otherwise the test ends at the first nonzero residue, whose prime
 certifies the block nonsingular modulo it; the caller's lift runs
 modulo that prime, with the block's inverse there from the LU of the
 rest, unfolded class by class (`_unfold`), the same block elimination
-run backwards.
+run backwards. The inverse comes with its row and column order, the
+folds' rows and pivot columns first, then the rest's rows in pivot
+order and its columns: it inverts the block in those orders, and the
+lift gathers the block in them, so nothing is scattered back.
 `det` (`_multimodular`) is the method of Abbott, Bronstein and Mulders
 without early termination: the zero test, then the denominator D of
 -c A^{-1} b for fixed small integer vectors b and c, a divisor of det A
@@ -66,14 +69,15 @@ overshoot it by hundreds of bits. Below a small budget
 The Schur complement over Q, and so `solve`, is Dixon's p-adic lifting
 (`_lift_schur`) once the zero test has found M11 nonsingular
 (SingularMatrixError otherwise): with the zero test's inverse of M11
-modulo the prime q it certified, one product with it, one with M11 and
-one with M21 per step. The lift stops once its output certifies
-itself: with H and H_d the Hadamard bounds on the (k+1)-minors and on
-det M11, a candidate c / e of an entry, e u = c mod q^L, is the entry
-when q^L > H_d |c| + H e. A probe w^T S v, lifted alongside and
-reconstructed digit by digit (`_reduced_basis`), tells when to try;
-a failed try, or no try, runs the same loop on to the a priori
-length, the least L with q^L > 2 H H_d, where every candidate passes.
+modulo the prime q it certified, M11's rows and columns in the test's
+order, one product with it, one with M11 and one with M21 per step.
+The lift stops once its output certifies itself: with H and H_d the
+Hadamard bounds on the (k+1)-minors and on det M11, a candidate c / e
+of an entry, e u = c mod q^L, is the entry when q^L > H_d |c| + H e.
+A probe w^T S v, lifted alongside and reconstructed digit by digit
+(`_reduced_basis`), tells when to try; a failed try, or no try, runs
+the same loop on to the a priori length, the least L with q^L > 2 H
+H_d, where every candidate passes.
 The steps write their digits into one array; one carry step over it
 lets them pair into base q^2 in int64 before the Python ints take
 over (`_recombine`); rational reconstruction with one running common
@@ -599,9 +603,9 @@ def _eliminate(a, k: int, p: int, order=None, inverses=None) -> int:
     return det % p
 
 
-def _lu_inverse(lu, order, p: int, inverses=()):
-    """A^{-1} mod p from the packed LU of A[order] (`_eliminate`) in the
-    square array lu, in lu's dtype.
+def _lu_inverse(lu, p: int, inverses=()):
+    """(L U)^{-1} mod p, the inverse of A[order], from the packed LU of
+    A[order] (`_eliminate`) in the square array lu, in lu's dtype.
 
     From the identity, forward with the unit lower L, then back with U,
     in panels of b = `_panel_width(p)` rows on float64 and 1 on any other
@@ -619,8 +623,8 @@ def _lu_inverse(lu, order, p: int, inverses=()):
     matrix, so the rows take one product. An update subtracts at most b
     (p - 1)^2 from an entry, as in `_eliminate`, so those rows are
     reduced only once `every` updates could pass 2^53 - p; on int64 and
-    object arrays after each one. The result Y = (L U)^{-1} is A^{-1}[:,
-    order], so its columns are placed at `order`."""
+    object arrays after each one. (L U)^{-1} is A^{-1}[:, order], A's
+    inverse with its columns placed at the row order."""
     k = len(lu)
     b = _panel_width(p) if lu.dtype == np.float64 else 1
     every = (_FLOAT_EXACT_LIMIT - p) // (b * (p - 1) ** 2) if b > 1 else 1
@@ -649,9 +653,7 @@ def _lu_inverse(lu, order, p: int, inverses=()):
         y[:start] -= lu[:start, start:end] @ rows
         if (i + 1) % every == 0:
             _reduce(y[:start], p)
-    x = np.empty_like(y)
-    x[:, order] = y
-    return x
+    return y
 
 
 def _schur(a, field: int | None, k: int) -> ExactMatrix:
@@ -660,17 +662,20 @@ def _schur(a, field: int | None, k: int) -> ExactMatrix:
     steps that pivot inside M11, which clobber a; over Q, once the zero
     test has found M11 nonsingular, by p-adic lifting on the
     denominator-cleared rows modulo the prime that the test certified,
-    with the inverse of M11 from its LU there, which only reads a. Raises
-    SingularMatrixError when M11 is singular."""
+    with the inverse of M11 from its LU there, which only reads a: the
+    rows and columns of M11 are gathered into the test's orders, which
+    leaves the complement as it is. Raises SingularMatrixError when M11
+    is singular."""
     if field is not None:
         if _eliminate(a, k, field) == 0:
             raise SingularMatrixError("singular matrix over F_p")
         # a new array in the storage dtype, not a view that keeps all of a
         return ExactMatrix._of(a[k:, k:].astype(storage_dtype((), field)), field)
     ints, scales = _int_rows(a)
-    residues, inverse = _zero_test(ints[:k, :k])
+    residues, inverse, rows, cols = _zero_test(ints[:k, :k])
     if residues is None:
         raise SingularMatrixError("singular matrix over Q")
+    ints = ints[np.ix_(np.append(rows, range(k, len(ints))), np.append(cols, range(k, a.shape[1])))]
     values = iter(_lift_schur(ints, k, _prime(k, len(residues) - 1), inverse))
     # the scale of a leading row cancels in M11^{-1} M12; that of a
     # trailing row scales its row of the complement
@@ -823,13 +828,13 @@ def _folding_classes(m: ExactMatrix) -> tuple:
 class _Folded(NamedTuple):
     """`_fold_eliminate`'s result: det a mod p; per folded class, in fold
     order, its rows and pivot columns, flat, copy by copy, and K_piv^{-1};
-    the rest's rows and columns, ascending; and the rest's elimination,
-    its packed LU, row order and L11^{-1}s (`_eliminate`)."""
+    the rest's rows, in the pivot order of its elimination, and columns,
+    ascending; and that elimination's packed LU, of the rest's rows in
+    that order, and L11^{-1}s (`_eliminate`)."""
     det: int
     folds: list
     rest: list
     lu: np.ndarray
-    order: np.ndarray
     inverses: list
 
 
@@ -841,8 +846,9 @@ def _fold_eliminate(a, classes, p: int) -> _Folded:
     left, the rest, a copy (a itself when nothing folds). With L the rows
     and pivot columns the folds took, in order, and the rest ascending,
     det a = sign * prod det(K_piv)^copies * det(rest), sign that of the
-    row order [L, rest] times that of the column order. One driver for
-    det over F_p and every modular det over Q."""
+    row order [L, rest] times that of the column order; the elimination
+    then leaves the rest's rows in its pivot order. One driver for det
+    over F_p and every modular det over Q."""
     n = len(a)
     value, folds = 1, []
     live = np.ones((2, n), dtype=bool)  # rows, columns not folded
@@ -857,9 +863,9 @@ def _fold_eliminate(a, classes, p: int) -> _Folded:
                 _parity(np.concatenate([c for _, c, _ in folds] + rest[1:])):
             value = p - value
         lu = np.take(a[rest[0]], rest[1], axis=1)
-    order, inverses = np.arange(len(lu)), []
-    value = value * _eliminate(lu, len(lu), p, order, inverses) % p
-    return _Folded(value, folds, rest, lu, order, inverses)
+    inverses = []
+    value = value * _eliminate(lu, len(lu), p, rest[0], inverses) % p  # rest[0] in pivot order
+    return _Folded(value, folds, rest, lu, inverses)
 
 
 def _unfold(a, folds, rows, cols, inverse, p: int):
@@ -1093,10 +1099,10 @@ def _multimodular(a, classes=()) -> int:
     bound2 = _hadamard2(a, n)[1]
     residues, divisor = [], 1
     if 4 * bound2 >= _prime(n, 0) ** (2 * _CRT_MAX_PRIMES):
-        residues, inverse = _zero_test(a, classes)
+        residues, inverse, rows, cols = _zero_test(a, classes)
         if residues is None:
             return 0
-        divisor = _divisor(a, _prime(n, len(residues) - 1), inverse)
+        divisor = _divisor(a, _prime(n, len(residues) - 1), inverse, rows, cols)
         verified2 = _verified_bound2(a)
         if verified2 is not None:
             bound2 = min(bound2, verified2)
@@ -1123,25 +1129,28 @@ def _mod(a, q: int):
 
 
 def _zero_test(a, classes=()):
-    """(None, None) when the square integer array a is singular, certified
-    by a kernel vector; otherwise det a modulo the primes _prime(n, 0),
-    ..., _prime(n, i), the last of them the first nonzero residue, so a
-    modulus that the caller's lift may use, and a^{-1} modulo it.
+    """(None, None, None, None) when the square integer array a is
+    singular, certified by a kernel vector; otherwise (residues, X, rows,
+    cols): det a modulo the primes _prime(n, 0), ..., _prime(n, i), the
+    last of them the first nonzero residue, so a modulus that the
+    caller's lift may use, and X = W^{-1} modulo it for W = a[rows][:,
+    cols], a with its rows and columns in the test's order.
 
     Modulo q = _prime(n, i), `_fold_eliminate` folds a's Kronecker
-    classes (`_folding_classes`) away and eliminates the rest, and a^{-1}
-    is the rest's inverse from its LU (`_lu_inverse`), unfolded
-    (`_unfold`). The elimination of the rest finds no pivot for some
-    column s exactly when det a = 0 mod q. Then, with the folds' rows and
-    pivot columns first, the Schur complement over Q of those columns
-    and the rest's first s + 1, with the rows of the folds and the s
-    pivot rows first and the split before column s, is lifted modulo q
-    (`_lift_schur`): its pivot block is nonsingular modulo q, of order
-    below n, which keeps q in range, and its inverse there unfolds from
-    that of the rest's leading s x s block, whose LU is the leading
-    block of the rest's. When all of its entries
-    are 0, that last column is the Q-combination M11^{-1} M12 of the
-    columns before it, so det a = 0; for an empty pivot block the
+    classes (`_folding_classes`) away and eliminates the rest, which
+    finds no pivot for some column s exactly when det a = 0 mod q; else
+    s is the rest's order. One path serves both outcomes: the leading s
+    x s block of the rest's LU is that of its s pivot rows, in pivot
+    order, and its first s columns, and its inverse (`_lu_inverse`)
+    unfolds (`_unfold`) to that of W, the block on the folds' rows and
+    those s rows by the folds' pivot columns and those s columns, each
+    in that order. When s is the whole rest, W is a, and the test
+    returns W^{-1}. Otherwise the Schur complement over Q of W's columns
+    and the rest's column s, with W's rows first and the split before
+    column s, is lifted modulo q (`_lift_schur`): W is nonsingular
+    modulo q, of order below n, which keeps q in range. When all of its
+    entries are 0, that last column is the Q-combination M11^{-1} M12
+    of the columns before it, so det a = 0; for an empty W the
     certificate is the column itself. Otherwise those columns are
     independent over Q, yet q divides all their maximal minors, and the
     test moves on to _prime(n, i + 1). Only finitely many primes are
@@ -1155,42 +1164,36 @@ def _zero_test(a, classes=()):
         q = _prime(n, i)
         work = _mod(a, q)
         folded = _fold_eliminate(work, classes, q)
-        (rows, cols), lu, order = folded.rest, folded.lu, folded.order
+        (rows, cols), lu = folded.rest, folded.lu
         residues.append(folded.det)
+        s = len(lu) if folded.det else int(np.flatnonzero(lu.diagonal() == 0)[0])
+        lead = _lu_inverse(lu[:s, :s], q, folded.inverses) if s else np.empty((0, 0))
+        x, row_order, col_order = _unfold(work, folded.folds, rows[:s], cols[:s], lead, q)
         if folded.det:
-            x, row_order, col_order = _unfold(work, folded.folds, rows, cols,
-                                              _lu_inverse(lu, order, q, folded.inverses), q)
-            if folded.folds:  # x = W^{-1}, W = a[row_order][:, col_order]
-                x, inverse = np.empty_like(x), x
-                x[np.ix_(col_order, row_order)] = inverse
-            return residues, x
-        s = int(np.flatnonzero(lu.diagonal() == 0)[0])
-        # the leading s x s block of lu is the LU of the rest's pivot block
-        lead = _lu_inverse(lu[:s, :s], np.arange(s), q, folded.inverses) if s else \
-            np.empty((0, 0))
-        x, row_order, col_order = _unfold(work, folded.folds, rows[order[:s]], cols[:s], lead, q)
-        head = a[np.ix_(np.concatenate((row_order, rows[order[s:]])),
-                        np.append(col_order, cols[s]))]
+            return residues, x, row_order, col_order
+        head = a[np.ix_(np.append(row_order, rows[s:]), np.append(col_order, cols[s]))]
         # the last column minus its Q-combination of the columns before it
         certificate = head[:, 0] if not len(x) else \
             [num for num, _ in _lift_schur(head, len(x), q, x)]
         if not any(certificate):
-            return None, None
+            return None, None, None, None
 
 
-def _divisor(a, q: int, inverse) -> int:
+def _divisor(a, q: int, inverse, rows, cols) -> int:
     """A divisor D of det a for a square integer array a nonsingular
-    modulo the prime q = _prime(n, i), given a^{-1} mod q, most often
-    det a up to a small factor: the denominator of the 1 x 1 Schur
-    complement -c a^{-1} b of [[a, b], [c, 0]], one p-adic lift modulo q,
-    for fixed pseudo-random integer vectors b and c. a^{-1} is adj(a) /
-    det a, so D divides det a."""
+    modulo the prime q = _prime(n, i), given W^{-1} mod q for W =
+    a[rows][:, cols] (`_zero_test`), most often det a up to a small
+    factor: the denominator of the 1 x 1 Schur complement -c a^{-1} b of
+    [[a, b], [c, 0]], one p-adic lift modulo q, for fixed pseudo-random
+    integer vectors b and c. a^{-1} is adj(a) / det a, so D divides det
+    a. The lift runs on [[W, b[rows]], [c[cols], 0]], whose complement
+    -c[cols] W^{-1} b[rows] is -c a^{-1} b, by the same digits."""
     n = len(a)
     rng = random.Random(n)
     bordered = np.zeros((n + 1, n + 1), dtype=a.dtype)
-    bordered[:n, :n] = a
-    bordered[:n, n] = [rng.randint(-64, 64) for _ in range(n)]
-    bordered[n, :n] = [rng.randint(-64, 64) for _ in range(n)]
+    bordered[:n, :n] = a[np.ix_(rows, cols)]
+    bordered[:n, n] = np.array([rng.randint(-64, 64) for _ in range(n)])[rows]
+    bordered[n, :n] = np.array([rng.randint(-64, 64) for _ in range(n)])[cols]
     (num, den), = _lift_schur(bordered, n, q, inverse)
     return Fraction(num, den).denominator
 

@@ -859,28 +859,28 @@ def bordered_inverse(rows, p):
 
 def assert_lu_inverse(rows, k, p):
     """On the working dtype and on Python ints (one column a step), the
-    inverse of the nonsingular leading k x k block from its packed LU
-    (`_lu_inverse`) equals the bordered one and is a right inverse mod
-    p."""
+    inverse from its packed LU (`_lu_inverse`) of the nonsingular leading
+    k x k block with its rows in pivot order equals the bordered inverse
+    of the block with its columns in that order, and is a right inverse
+    mod p of the block in that order."""
     import numpy as np
 
     lead = [row[:k] for row in rows[:k]]
     for dtype in (exactlinalg._working_dtype(p), object):
         lu, order = np.array(rows, dtype=object).astype(dtype), np.arange(len(rows))
         assert exactlinalg._eliminate(lu, k, p, order)
-        inverse = [[int(e) for e in row]
-                   for row in exactlinalg._lu_inverse(lu[:k, :k], order[:k], p).tolist()]
-        assert inverse == bordered_inverse(lead, p)
-        assert [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*inverse)]
-                for row in lead] == [[int(i == j) for j in range(k)] for i in range(k)]
+        inverse = [[int(e) for e in row] for row in exactlinalg._lu_inverse(lu[:k, :k], p).tolist()]
+        assert inverse == [[row[i] for i in order[:k]] for row in bordered_inverse(lead, p)]
+        assert [[sum(x * y for x, y in zip(lead[i], col)) % p for col in zip(*inverse)]
+                for i in order[:k]] == [[int(i == j) for j in range(k)] for i in range(k)]
 
 
-def full_substitution(lu, order, p):
-    """The reference of `_lu_inverse`: every column of the identity's
-    rows in `order` forward with the unit lower L, in full and one row at
-    a time, then back with U, on Python ints mod p."""
+def full_substitution(lu, p):
+    """The reference of `_lu_inverse`: every column of the identity
+    forward with the unit lower L, in full and one row at a time, then
+    back with U, on Python ints mod p."""
     lu = [[int(e) for e in row] for row in lu.tolist()]
-    y = [[int(i == j) for j in range(len(lu))] for i in order]
+    y = [[int(i == j) for j in range(len(lu))] for i in range(len(lu))]
     for i in range(len(lu)):
         for j in range(i):
             y[i] = [(a - lu[i][j] * b) % p for a, b in zip(y[i], y[j])]
@@ -898,7 +898,7 @@ def test_inverse_from_the_lu_skips_zeros_and_equals_the_full_forward_pass(p, k):
     """`_lu_inverse`, whose forward pass skips the zero upper half of
     L^{-1}, for k = 1, k below the panel width b, k not a multiple of b
     and b = 1: the full substitution's inverse, with rows swapped by
-    pivoting."""
+    pivoting; the inverse of the rows in pivot order."""
     import numpy as np
 
     rng = random.Random(k * p)
@@ -907,10 +907,10 @@ def test_inverse_from_the_lu_skips_zeros_and_equals_the_full_forward_pass(p, k):
     rows = random_lpu(rng, p, k, k, k, perm)
     lu, order = np.array(rows, dtype=object).astype(exactlinalg._working_dtype(p)), np.arange(k)
     assert exactlinalg._eliminate(lu, k, p, order)
-    inverse = exactlinalg._lu_inverse(lu, order, p).astype(object)
-    assert inverse.tolist() == full_substitution(lu, order, p)
-    assert [[sum(a * b for a, b in zip(row, col)) % p for col in inverse.T.tolist()]
-            for row in rows] == np.eye(k, dtype=np.int64).tolist()
+    inverse = exactlinalg._lu_inverse(lu, p).astype(object)
+    assert inverse.tolist() == full_substitution(lu, p)
+    assert [[sum(a * b for a, b in zip(rows[i], col)) % p for col in inverse.T.tolist()]
+            for i in order] == np.eye(k, dtype=np.int64).tolist()
 
 
 @pytest.mark.parametrize("p, k", [(P_PANEL, 1), (P_PANEL, 45), (P_PANEL, 96),
@@ -933,18 +933,17 @@ def test_inverse_from_the_lu_reuses_the_l11_inverses_of_the_elimination(monkeypa
     b = exactlinalg._panel_width(p) if exactlinalg._working_dtype(p) == np.float64 else 1
     for zero_at in (None, k - 1 - k // 3):
         rows = random_lpu(rng, p, k, k, k, zero_at=zero_at if k > 1 else None)
-        lu, order, inverses = np.array(rows, dtype=object).astype(
-            exactlinalg._working_dtype(p)), np.arange(k), []
-        singular = exactlinalg._eliminate(lu, k, p, order, inverses) == 0
+        lu, inverses = np.array(rows, dtype=object).astype(exactlinalg._working_dtype(p)), []
+        singular = exactlinalg._eliminate(lu, k, p, None, inverses) == 0
         size = int(np.flatnonzero(lu.diagonal() == 0)[0]) if singular else k
         assert singular == (zero_at is not None and k > 1)
         assert len(inverses) == (0 if b == 1 else (size // b if singular else (k - 1) // b))
-        lu, order = lu[:size, :size], order[:size] if not singular else np.arange(size)
+        lu = lu[:size, :size]
         calls.clear()
-        got = exactlinalg._lu_inverse(lu, order, p, inverses)
+        got = exactlinalg._lu_inverse(lu, p, inverses)
         reused = len(calls)
         calls.clear()
-        assert np.array_equal(got, exactlinalg._lu_inverse(lu, order, p))
+        assert np.array_equal(got, exactlinalg._lu_inverse(lu, p))
         assert reused == len(calls) - len(inverses)
 
 
@@ -984,8 +983,8 @@ def test_inverse_from_the_lu_at_the_width_bound_with_l_inverse_panels_of_p_minus
     z = lower_inverse(lower)
     assert all(z[i][j] == p - 1 for i in range(2 * b) for j in range(i) if j < b)
     lu = np.array(lower, dtype=np.float64)  # U = I
-    inverse = exactlinalg._lu_inverse(lu, np.arange(k), p).astype(object)
-    assert inverse.tolist() == full_substitution(lu, np.arange(k), p) == z
+    inverse = exactlinalg._lu_inverse(lu, p).astype(object)
+    assert inverse.tolist() == full_substitution(lu, p) == z
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1053,8 +1052,8 @@ def spying_inverses(monkeypatch):
     """The (order, prime) of every `_lu_inverse` call from now on."""
     calls = []
     real = exactlinalg._lu_inverse
-    monkeypatch.setattr(exactlinalg, "_lu_inverse", lambda lu, order, p, *rest:
-                        calls.append((len(lu), p)) or real(lu, order, p, *rest))
+    monkeypatch.setattr(exactlinalg, "_lu_inverse", lambda lu, p, *rest:
+                        calls.append((len(lu), p)) or real(lu, p, *rest))
     return calls
 
 
@@ -1673,7 +1672,7 @@ def test_det_over_q_certifies_a_zero_at_an_unlucky_prime():
     rows = with_column(rows, 1, [3 * row[0] + w0 * rng.randint(1, 9) for row in rows])
     rows = with_column(rows, n - 1, combination(rows, rng, n - 1, 5))
     ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
-    assert exactlinalg._zero_test(ints) == (None, None)
+    assert exactlinalg._zero_test(ints) == (None,) * 4
     rows[0][n - 1] += 1  # no longer singular, still 0 modulo w0
     ints = exactlinalg._int_rows(ExactMatrix(rows).array)[0]
     residues = exactlinalg._zero_test(ints)[0]
@@ -1719,7 +1718,7 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
     divisor = 1
     if kind == "random":
         divisor = exactlinalg._divisor(ints, exactlinalg._prime(n, 0),
-                                       exactlinalg._zero_test(ints)[1])
+                                       *exactlinalg._zero_test(ints)[1:])
         verified2 = exactlinalg._verified_bound2(ints)
         assert verified2 < bound2
         bound2 = verified2
@@ -2407,6 +2406,18 @@ def with_classes(rows, field, classes):
                                 values, field, [(np.array(r), np.array(c)) for r, c in classes])
 
 
+def placed_inverse(test):
+    """a^{-1} mod q from the zero test's (residues, W^{-1}, rows, cols),
+    W = a[rows][:, cols]: W^{-1}'s rows placed at cols and its columns at
+    rows."""
+    import numpy as np
+
+    _, inverse, rows, cols = test
+    placed = np.empty_like(inverse)
+    placed[np.ix_(cols, rows)] = inverse
+    return placed
+
+
 def test_a_fold_reaches_the_columns_an_earlier_fold_filled_in():
     """Class 1 (rows 0, 1, K 1 x 2) meets nothing outside its columns;
     row 2 of class 2 (rows 2..5, K 2 x 2) meets class 1's first column
@@ -2441,7 +2452,7 @@ def test_a_fold_reaches_the_columns_an_earlier_fold_filled_in():
         assert exactlinalg.det(spec) == want
         ints = ExactMatrix(rows).array
         got, plain = exactlinalg._zero_test(ints, folding), exactlinalg._zero_test(ints)
-        assert got[0] == plain[0] and np.array_equal(got[1], plain[1])
+        assert got[0] == plain[0] and np.array_equal(placed_inverse(got), placed_inverse(plain))
 
 
 SMALL_PRIMES = [q for q in range(23, 200) if exactlinalg._is_prime(q)]
@@ -2460,8 +2471,9 @@ def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_syste
     small type, `_zero_test` with the Kronecker classes (`_folding_classes`)
     gives what it gives on the class-free copy `submatrix(range(n),
     range(n))`: the same residues and the same a^{-1} modulo the last
-    prime, entry for entry, or the certificate (None, None) both. Modulo
-    the prime family; modulo 23, 29, 31, ... first, where some class's K
+    prime, entry for entry once each is placed in a's order
+    (`placed_inverse`), or the certificate (None, None, None, None) both.
+    Modulo the prime family; modulo 23, 29, 31, ... first, where some class's K
     is rank-deficient and is left to the elimination; and, for a random
     det with a prime factor q >= 23, from q first, where the residue is 0
     and the lifted certificate is not, so the test moves on. Once a class
@@ -2509,9 +2521,9 @@ def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_syste
         log = events[:]
         want = exactlinalg._zero_test(plain)
         if want[0] is None:
-            assert got == (None, None)
+            assert got == (None,) * 4
         else:
-            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            assert got[0] == want[0] and np.array_equal(placed_inverse(got), placed_inverse(want))
             unlucky += primes == "unlucky" and want[0][0] == 0
         rest = None
         for event in log:
@@ -2528,6 +2540,157 @@ def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_syste
         assert any(deficient)
     else:
         assert unlucky > 20
+
+
+def assert_inverse_mod(inverse, w, q):
+    """inverse @ w and w @ inverse are both I mod q: int64 products of
+    residues, exact since n (q - 1)^2 < 2^53."""
+    import numpy as np
+
+    x, w = inverse.astype(np.int64), np.array(w % q, dtype=np.int64)
+    assert np.array_equal(x @ w % q, np.eye(len(w))) and np.array_equal(w @ x % q, np.eye(len(w)))
+
+
+@pytest.mark.parametrize("primes", ["family", "unlucky"])
+def test_zero_test_inverse_is_that_of_its_order(kronecker_systems, monkeypatch, primes):
+    """On the planted (det 0) and random specializations over Q of every
+    small type, with the Kronecker classes (`_folding_classes`) and
+    without: the zero test's rows and cols are each a permutation of
+    range(n), and its inverse is that of W = a[rows][:, cols] modulo the
+    last prime, on both sides. Every lift takes the inverse of its own
+    pivot block: each certificate, a planted det's and, for a random det
+    with a prime factor q >= 23, the one modulo q first, after which the
+    test moves on; and the divisor lift of det."""
+    import numpy as np
+
+    real_prime, real_lift = exactlinalg._prime, exactlinalg._lift_schur
+    first, lifts = [], []
+    monkeypatch.setattr(exactlinalg, "_prime", lambda k, i: first[i] if i < len(first) else
+                        real_prime(k, i - len(first)))
+
+    def lift_schur(ints, k, q, inverse):
+        assert_inverse_mod(inverse, ints[:k, :k], q)
+        lifts.append(q)
+        return real_lift(ints, k, q, inverse)
+
+    monkeypatch.setattr(exactlinalg, "_lift_schur", lift_schur)
+    certified = moved_on = checked = 0
+    for matrix, system in kronecker_systems:
+        spec = koszul.specialize(matrix, system)
+        n = spec.nrows
+        ints = exactlinalg._int_rows(spec.array)[0]
+        first.clear()
+        if primes == "unlucky":
+            value = exactlinalg.det(spec)
+            q = least_prime_factor(value) if value else 23
+            if q is None:
+                continue
+            first.append(q)
+        for classes in (exactlinalg._folding_classes(spec), ()):
+            residues, inverse, rows, cols = exactlinalg._zero_test(ints, classes)
+            if residues is None:
+                certified += 1
+                continue
+            assert sorted(rows) == sorted(cols) == list(range(n))
+            assert_inverse_mod(inverse, ints[np.ix_(rows, cols)],
+                               exactlinalg._prime(n, len(residues) - 1))
+            checked += 1
+            moved_on += residues[0] == 0
+    assert certified and checked and lifts
+    assert (moved_on > 20) == (primes == "unlucky")
+
+
+def test_divisor_borders_the_zero_tests_order_with_the_vectors_of_a(kronecker_systems):
+    """`_divisor`, given the zero test's W^{-1} and orders, returns the
+    denominator D of -c a^{-1} b for the b and c that random.Random(n)
+    draws in a's own order, as the Fraction oracle (`oracle._rref` on
+    [a | b]) gives it: on the random specializations of order at most
+    40, folded, and on class-free matrices that pivot, rows shuffled from
+    L diag(1, ..., 1, 30030) U, whose D depends on b and c. There, on
+    some input, the pair that W^{-1} meets when b and c are not indexed
+    by the orders gives another D."""
+    import numpy as np
+
+    cases = []
+    for matrix, system in kronecker_systems:
+        spec = koszul.specialize(matrix, system)
+        if spec.nrows <= 40:
+            cases.append((exactlinalg._int_rows(spec.array)[0], exactlinalg._folding_classes(spec)))
+    rng = random.Random(40)
+    for n in (5, 9, 12, 20, 33):
+        lower = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(n)]
+                 for i in range(n)]
+        upper = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(n)]
+                 for i in range(n)]
+        upper[-1] = [30030 * e for e in upper[-1]]  # 2 3 5 7 11 13
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*upper)] for row in lower]
+        rng.shuffle(rows)
+        cases.append((np.array(rows, dtype=np.int64), ()))
+    folded = pivoted = differs = 0
+    for ints, classes in cases:
+        n = len(ints)
+        residues, inverse, rows, cols = exactlinalg._zero_test(ints, classes)
+        if residues is None:  # a planted det
+            continue
+        draw = random.Random(n)
+        b = [draw.randint(-64, 64) for _ in range(n)]
+        c = [draw.randint(-64, 64) for _ in range(n)]
+        # W^{-1} = a^{-1}[cols][:, rows], so unindexed b and c meet a^{-1} as these
+        b_off, c_off = [0] * n, [0] * n
+        for i, (row, col) in enumerate(zip(rows, cols)):
+            b_off[row], c_off[col] = b[i], c[i]
+        echelon, pivots = oracle._rref(ExactMatrix([row + [e, f] for row, e, f
+                                                    in zip(ints.tolist(), b, b_off)]))
+        assert pivots == list(range(n))
+        want, off = (Fraction(-sum(e * row[j] for e, row in zip(vector, echelon))).denominator
+                     for j, vector in ((n, c), (n + 1, c_off)))
+        q = exactlinalg._prime(n, len(residues) - 1)
+        assert exactlinalg._divisor(ints, q, inverse, rows, cols) == want
+        folded += bool(classes) and list(cols) != list(range(n))
+        pivoted += not classes and list(rows) != list(range(n))
+        differs += want != off
+    assert folded > 5 and pivoted and differs
+
+
+@pytest.mark.parametrize("singular", [True, False])
+def test_zero_test_with_folds_and_no_pivot_in_the_rests_first_column(monkeypatch, singular):
+    """One class, rows 0 and 1 with K = [1, k] on the columns 0, 1 and 2,
+    3, and a rest whose first column, column 1, is k times column 0 plus
+    multiples of 23: modulo 23 the fold leaves that column 0 in the rest,
+    so s = 0, no `_lu_inverse` runs, and the certificate is lifted over
+    the fold's pivot block alone, `_unfold` of an empty rest. With the
+    multiples all 0, det = 0 and the certificate is 0; otherwise it is
+    not, and the test moves on to the prime family, where the rest has
+    every pivot and the inverse is that of its order."""
+    import numpy as np
+
+    n = 7
+    rng = random.Random(23)
+    k = rng.randint(2, 9)
+    rows = [[0] * n for _ in range(n)]
+    rows[0][:2] = rows[1][2:4] = [1, k]
+    for i in range(2, n):
+        rows[i] = [rng.randint(-9, 9) for _ in range(n)]
+        rows[i][1] = k * rows[i][0] + 23 * (0 if singular else i - 4)
+    want = fraction_det(rows)
+    assert (want == 0) == singular
+    spec = with_classes(rows, None, [([[0], [1]], [[0, 1], [2, 3]])])
+    ints = spec.array
+    real_prime, real_lift = exactlinalg._prime, exactlinalg._lift_schur
+    monkeypatch.setattr(exactlinalg, "_prime", lambda order, i: 23 if i == 0 else
+                        real_prime(order, i - 1))
+    inverses, lifts = spying_inverses(monkeypatch), []
+    monkeypatch.setattr(exactlinalg, "_lift_schur", lambda a, split, q, inverse:
+                        lifts.append((split, q)) or real_lift(a, split, q, inverse))
+    residues, inverse, order_rows, order_cols = exactlinalg._zero_test(
+        ints, exactlinalg._folding_classes(spec))
+    assert lifts == [(2, 23)]
+    if singular:
+        assert residues is None and inverses == []
+    else:
+        q = real_prime(n, 0)
+        assert residues == [0, want % q] and inverses == [(n - 2, q)]
+        assert_inverse_mod(inverse, ints[np.ix_(order_rows, order_cols)], q)
 
 
 def test_permutation_parity_counts_inversions():
