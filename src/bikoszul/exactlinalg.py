@@ -13,8 +13,8 @@ it once, by one scatter.
 There a scalar read scans one column's cells and a submatrix composes
 the selections; otherwise a submatrix is one fancy index. One blocked
 elimination mod p, `_eliminate`, runs on those arrays: k Gaussian steps
-that pivot on the first nonzero among the leading k rows, in panels of
-b columns. A panel's own steps run on an int64 copy of its live rows
+that pivot on the first nonzero among the leading k rows (or among more
+rows, for a fold's K below), in panels of b columns. A panel's own steps run on an int64 copy of its live rows
 (those with a nonzero in its columns), with delayed reduction; its
 update of the rows below is one float64 BLAS matmul. After k steps the
 entries below the diagonal hold L, those on and above it U, the packed
@@ -31,13 +31,15 @@ defined.
 
 A matrix in compressed-column form may carry Kronecker classes, index
 pairs (R, C) of blocks that are K (x) I up to order (a specialized
-Koszul matrix carries two, `koszul._kronecker_classes`). Every modular
-det on float64, over F_p and each prime of det over Q, folds each away
-before its steps (`_fold_eliminate`, `_fold`): Gauss-Jordan on the one
-small block K picks r pivot columns, every copy's rows are eliminated
-against them by a few products with K_piv^{-1}, and det M is
-+-det(K_piv)^copies times the det of the Schur complement left, which
-the elimination takes; at mu = 630 that is 315 of 630 rows.
+Koszul matrix carries up to two, `koszul._kronecker_classes`). Every
+modular det on float64, over F_p and each prime of det over Q, folds
+each away before its steps (`_fold_eliminate`, `_fold`): the same
+elimination on K^T, its pivot search over every row (`_row_reduce`),
+picks r pivot columns of the one block K and gives K_piv^{-1}, every
+copy's rows are eliminated against them by a few products with it, and
+det M is +-det(K_piv)^copies times the det of the Schur complement
+left, which the elimination takes; at mu = 630 that is 210 of 630 rows,
+at mu = 6804 1890.
 
 Over Q both paths first clear denominators row by row, once. Every
 modular step over Q on a block of order k runs modulo one family of
@@ -465,9 +467,11 @@ def _unit_lower_inverse(lower, p: int):
     return inverse
 
 
-def _eliminate(a, k: int, p: int, order=None, inverses=None) -> int:
+def _eliminate(a, k: int, p: int, order=None, inverses=None, search=None) -> int:
     """k Gaussian elimination steps mod p on the array a (clobbered),
-    pivoting on the first nonzero entry among the leading k rows.
+    pivoting on the first nonzero entry among the leading `search` rows,
+    k unless given: more rows let the steps pass columns that depend on
+    the ones before them (`_row_reduce`).
 
     One right-looking blocked elimination in panels of b columns, b =
     `_panel_width(p)` on a float64 array and 1 on any other. Each step of
@@ -510,8 +514,9 @@ def _eliminate(a, k: int, p: int, order=None, inverses=None) -> int:
     bound. b (p - 1)^2 + p <= 2^53 (`_panel_width`) lets one update
     always fit.
 
-    Returns the determinant of the leading k x k block, 0 when it is
-    singular. After k steps the first k columns hold P a = L U, P a =
+    Returns the determinant of the leading k x k block (with search >
+    k, that of a[order] times the sign of the row order), 0 when it is
+    singular (no pivot among the rows searched). After k steps the first k columns hold P a = L U, P a =
     a[order]: L below the diagonal (its unit diagonal not stored), U on
     and above it; the block below and right of the leading one is the
     Schur complement; all reduced to [0, p). On a 0 return only the LU
@@ -519,7 +524,7 @@ def _eliminate(a, k: int, p: int, order=None, inverses=None) -> int:
     `order` are defined, and a[s, s] = 0 is the first zero on the
     diagonal.
     """
-    n = a.shape[1]
+    n, search = a.shape[1], k if search is None else search
     b = _panel_width(p) if a.dtype == np.float64 else 1
     step = b * (p - 1) ** 2  # the most one product subtracts from an entry
     low = 0  # the entries right of the factored panels lie in [-low, p)
@@ -528,13 +533,13 @@ def _eliminate(a, k: int, p: int, order=None, inverses=None) -> int:
         end = min(start + b, k)
         width = end - start
         if b == 1:  # every column from the pivot's on: a step is the whole update
-            panel, live, top = a[start:, start:], None, k - start
+            panel, live, top = a[start:, start:], None, search - start
         else:  # an int64 copy of the leading rows and the live rows below
             block = a[start:, start:end]
             live = np.concatenate((np.arange(width),
                                    width + np.flatnonzero(block[width:].any(axis=1))))
             panel = block[live].astype(np.int64)
-            top = int(np.searchsorted(live, k - start))  # the compact rows before k
+            top = int(np.searchsorted(live, search - start))  # the compact rows that may pivot
         moved = {}  # row of a[start:] -> the row the swaps put there
         for c in range(width):
             column = panel[c:, c]
@@ -694,46 +699,37 @@ def _minus_product(t, x, y, p: int):
     return t
 
 
-def _gauss_jordan(k, p: int):
-    """(pivot columns, det K_piv, K_piv^{-1}, K_piv^{-1} K), all mod p, of
-    an r x w array K of residues with r <= w and rank r mod p, K_piv its
-    r pivot columns, the first r independent ones; None when its rank mod
-    p is below r. Gauss-Jordan on [K | I] in int64, with the delayed
-    reduction of `_eliminate`: a step reduces the pivot column and the
-    pivot row only, and subtracts their outer product unreduced, at most
-    (p - 1)^2 from each entry, so the rest of the array is reduced only
-    when the next step could pass 2^63."""
+def _row_reduce(k, p: int):
+    """(pivot columns, det K_piv, K_piv^{-1}, the other columns, K_piv^{-1}
+    times K on them), all mod p, of an r x w float64 array K of residues
+    with r <= w and rank r mod p, K_piv its r pivot columns in pivot
+    order; None when its rank mod p is below r.
+
+    `_eliminate` runs r steps on K^T with the pivot search over all w
+    rows, so past any columns of K that depend on the ones before them:
+    P K^T = L U, whose first r rows K_piv^T = L11 U are the pivot columns,
+    and det K_piv is the product of U's diagonal. Within one panel, r <= `_panel_width(p)`, r rows
+    I below K^T get the multipliers U^{-1}, since I = U^{-1} U, so one
+    product of [L21; U^{-1}] with L11^{-1} (`_unit_lower_inverse`) gives
+    K_oth^T K_piv^{-T} and K_piv^{-T}, K_oth the other columns. Beyond it
+    `_lu_inverse` gives (L11 U)^{-1}, K_piv^{-T}, and one product K_piv^{-1}
+    K_oth."""
     r, w = k.shape
-    aug = np.concatenate([k.astype(np.int64), np.eye(r, dtype=np.int64)], axis=1)
-    steps = (_INT64_LIMIT - p) // (p - 1) ** 2  # the unreduced steps int64 holds
-    pivots, value = [], 1
-    for c in range(w):
-        row = len(pivots)
-        if row == r:
-            break
-        column = aug[:, c]
-        column %= p
-        lead = np.flatnonzero(column[row:])
-        if not lead.size:
-            continue
-        if lead[0]:
-            aug[[row, row + lead[0]]] = aug[[row + lead[0], row]]
-            value = -value
-        pivot = int(aug[row, c])
-        value = value * pivot % p
-        aug[row] %= p
-        aug[row] *= pow(pivot, -1, p)
-        aug[row] %= p
-        column = column.copy()
-        column[row] = 0
-        aug -= np.outer(column, aug[row])
-        pivots.append(c)
-        if len(pivots) % steps == 0:
-            aug %= p
-    if len(pivots) < r:
+    one_panel = r <= _panel_width(p)
+    lu = np.concatenate((k.T, np.eye(r))) if one_panel else k.T.copy()
+    order, inverses = np.arange(len(lu)), []
+    if _eliminate(lu, r, p, order, inverses, w) == 0:
         return None
-    aug %= p
-    return np.array(pivots, dtype=np.intp), value, aug[:, w:], aug[:, :w]
+    value, others = 1, order[r:w]
+    for pivot in lu.diagonal()[:r].tolist():
+        value = value * int(pivot) % p
+    if one_panel:
+        x = _reduce(lu[r:] @ _unit_lower_inverse(np.tril(lu[:r], -1), p), p).T
+        inverse, echelon = x[:, w - r:], x[:, :w - r]
+    else:
+        inverse = _lu_inverse(lu[:r], p, inverses).T
+        echelon = _minus_product(0, -inverse, k[:, others], p)
+    return order[:r], value, inverse, others, echelon
 
 
 def _fold(a, rows, cols, outside, live, p: int):
@@ -742,7 +738,7 @@ def _fold(a, rows, cols, outside, live, p: int):
     elimination of its rows against r pivot columns of each column copy,
     in place.
 
-    Gauss-Jordan on the copy block K = a[R[0], C[0]] (`_gauss_jordan`)
+    The row reduction of the copy block K = a[R[0], C[0]] (`_row_reduce`)
     picks the pivot columns P_j = C[j, piv] and gives K_piv^{-1}. With A =
     K_piv (x) I the block of the class rows and the pivot columns, the
     live rows O that meet a pivot column take the Schur complement update
@@ -764,11 +760,10 @@ def _fold(a, rows, cols, outside, live, p: int):
     block = a[rows[:, :, None], cols[:, None, :]]
     if r > cols.shape[1] or (block != block[0]).any():
         return None
-    reduced = _gauss_jordan(block[0], p)
+    reduced = _row_reduce(block[0], p)
     if reduced is None:
         return None
-    pivots, value, inverse, echelon = reduced
-    inverse, echelon = inverse.astype(np.float64), echelon.astype(np.float64)
+    pivots, value, inverse, others, echelon = reduced
     pivot_cols = cols[:, pivots]
     live[0][rows] = False
     live[1][pivot_cols] = False
@@ -781,12 +776,10 @@ def _fold(a, rows, cols, outside, live, p: int):
         index = at[:, None] * len(a) + columns
         flat[index] = _minus_product(np.take(flat, index), x, y, p)
 
-    others = np.ones(cols.shape[1], dtype=bool)
-    others[pivots] = False
-    if others.any():  # only the (row, copy) pairs that meet the copy's pivot columns
+    if others.size:  # only the (row, copy) pairs that meet the copy's pivot columns
         blocks = coupling.reshape(len(touching), copies, r)
         row, copy = np.nonzero(blocks.any(axis=2))
-        subtract(touching[row], cols[:, others][copy], blocks[row, copy], echelon[:, others])
+        subtract(touching[row], cols[:, others][copy], blocks[row, copy], echelon)
     outside = outside[live[1][outside]]
     if outside.size:
         cells = a[np.ix_(rows.ravel(), outside)]
@@ -1139,7 +1132,9 @@ def _zero_test(a, classes=()):
     Modulo q = _prime(n, i), `_fold_eliminate` folds a's Kronecker
     classes (`_folding_classes`) away and eliminates the rest, which
     finds no pivot for some column s exactly when det a = 0 mod q; else
-    s is the rest's order. One path serves both outcomes: the leading s
+    s is the rest's order; a fold's K takes the same elimination
+    (`_row_reduce`), and a K of rank below r mod q leaves its class to
+    the rest. One path serves both outcomes: the leading s
     x s block of the rest's LU is that of its s pivot rows, in pivot
     order, and its first s columns, and its inverse (`_lu_inverse`)
     unfolds (`_unfold`) to that of W, the block on the folds' rows and
@@ -1189,13 +1184,23 @@ def _divisor(a, q: int, inverse, rows, cols) -> int:
     a. The lift runs on [[W, b[rows]], [c[cols], 0]], whose complement
     -c[cols] W^{-1} b[rows] is -c a^{-1} b, by the same digits."""
     n = len(a)
-    rng = random.Random(n)
+    b, c = _border(n)
     bordered = np.zeros((n + 1, n + 1), dtype=a.dtype)
     bordered[:n, :n] = a[np.ix_(rows, cols)]
-    bordered[:n, n] = np.array([rng.randint(-64, 64) for _ in range(n)])[rows]
-    bordered[n, :n] = np.array([rng.randint(-64, 64) for _ in range(n)])[cols]
+    bordered[:n, n] = b[rows]
+    bordered[n, :n] = c[cols]
     (num, den), = _lift_schur(bordered, n, q, inverse)
     return Fraction(num, den).denominator
+
+
+@lru_cache(maxsize=None)
+def _border(n: int):
+    """`_divisor`'s vectors b and c of length n, int64: 2n draws in [-64,
+    64] from random.Random(n), b's first. Cached, and read-only."""
+    rng = random.Random(n)
+    b, c = (np.array([rng.randint(-64, 64) for _ in range(n)], dtype=np.int64) for _ in range(2))
+    b.flags.writeable = c.flags.writeable = False
+    return b, c
 
 
 @lru_cache(maxsize=None)
@@ -1230,7 +1235,7 @@ def _steps(q: int, bound: int) -> int:
 def _probe_weights(m: int, n: int):
     """Fixed small integer vectors w and v, int64, of lengths m and n,
     for the lift's probe w^T S v of an m x n complement S: pseudo-random
-    in [-64, 64], seeded by the shape, as `_divisor` seeds its border;
+    in [-64, 64], seeded by the shape, as `_border` seeds `_divisor`'s;
     w = v = (1) for a 1 x 1 complement, which is its own probe. Cached,
     and read-only."""
     if m * n == 1:

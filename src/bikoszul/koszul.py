@@ -58,14 +58,22 @@ L04 rows and L11 columns to L02 rows. So those two blocks are K (x) I
 over the dual y monomials of their degree: zero between different dy,
 with the same block K of signed references for every dy (Van Loan, "The
 ubiquitous Kronecker product", 2000), and the L04 rows hold nothing
-else. Assembly writes them down from the layout as the matrix's
-`kronecker_classes`, (L04 rows, L12 columns) then (L02 rows, L11
-columns), each a pair of read-only index arrays R (copies x r) and C
-(copies x w), one copy per dual y monomial: each block's index range,
-reshaped by (index set, dx, dy, dz) with dy moved to the front.
-`specialize` hands them to the `ExactMatrix`, whose `det` folds
-them away before each elimination mod p; `submatrix`, and so
-`ThetaPartition.apply`, drops them. `occurrences`, and so
+else. An equation of S(1,1,0) (a slot 1..r) contracts dx and one y and
+leaves z and the indices above r alone, and only such slots send L12
+columns to L03 rows and L11 columns to L01 rows, with a sign fixed by
+the position of the slot's index, which comes before every index above
+r. So those two blocks are K (x) I over the b-parts, the sets of
+indices above r, and the L03 and L01 rows hold nothing else. Assembly
+keeps, for the L12 columns and then the L11 columns, whichever of the
+two classes folds the most rows, copies x r, among those with two
+copies or more and K no taller than wide, as the matrix's
+`kronecker_classes`, each a pair of read-only index arrays R (copies x
+r) and C (copies x w): each block's index range, reshaped by (index
+set, dx, dy, dz) with dy moved to the front, or by (a-part, b-part,
+factor) with the b-part moved to the front; it decides from the
+`layout`'s block sizes alone. `specialize` hands them to the
+`ExactMatrix`, whose `det` folds them away before each elimination mod
+p; `submatrix`, and so `ThetaPartition.apply`, drops them. `occurrences`, and so
 `theta_partition`, masks the reference arrays; `ThetaPartition` permutes
 by composing index selections. `rows`, `cols`, `references` and
 `col_start` are built on first read.
@@ -471,28 +479,56 @@ def assemble_delta1(t: SystemType) -> SymbolicResultantMatrix:
 
 
 def _kronecker_classes(t: SystemType, row_blocks: dict, col_blocks: dict) -> tuple:
-    """The Kronecker classes (R, C) of the matrix (`ExactMatrix.from_csc`):
-    the L04 rows against the L12 columns, then the L02 rows against the
-    L11 columns, each pair nonempty, from the `layout`.
-    A slot of class "xz" contracts dx, multiplies z and leaves dy alone,
-    and only such slots send those columns to those rows, so the copies
-    are the dual y monomials dy of the shared degree: copy j holds every
-    label of the block with the j-th dy, by (index set, dx, dz), so that
-    the terms, and so the block, are the same in every copy. That is the
-    block's index range as (index set, dx, dy, dz), dy moved to the front.
-    R (copies x r) and C (copies x w) are read-only."""
+    """The Kronecker classes (R, C) of the matrix (`ExactMatrix.from_csc`),
+    from the `layout`: for the L12 columns, then the L11 columns, the one
+    of its two candidate row blocks whose class folds the most rows,
+    copies x r, among those with at least two copies and r <= w; a column
+    block with neither has no class.
+
+    The candidates are the L04 and L03 rows for L12, the L02 and L01 rows
+    for L11. A slot of class "xz" contracts dx, multiplies z and leaves
+    dy alone, and only such slots send those columns to the L04 or L02
+    rows, so their copies are the dual y monomials dy of the shared
+    degree: copy j holds every label of the block with the j-th dy, by
+    (index set, dx, dz), the block's index range as (index set, dx, dy,
+    dz) with dy moved to the front. A slot of class "xy" contracts dx and
+    one y, leaves z and the indices above r alone, and only such slots
+    send them to the L03 or L01 rows. Its sign depends only on the
+    position of its index among 1..r, all before those above r, so the
+    copies are the b-parts, the indices above r, in canonical order: copy
+    j holds every label with the j-th b-part, by (a-part, factor), the
+    block's index range as (a-part, b-part, factor) with the b-part moved
+    to the front; the column blocks hold every index 1..r. In either
+    family the terms, and so the block K, are the same in every copy, and
+    the rows hold no cell outside it but the L02 rows, which the L12
+    columns reach by slot 0. R (copies x r) and C (copies x w) are
+    read-only."""
     classes = []
-    for pair in ((row_blocks["L04"], col_blocks["L12"]), (row_blocks["L02"], col_blocks["L11"])):
-        if not all(block.isets for block in pair):
+    for col_tag, row_tags in (("L12", ("L04", "L03")), ("L11", ("L02", "L01"))):
+        cols, best = col_blocks[col_tag], None
+        for tag, by_dy in zip(row_tags, (True, False)):
+            rows = row_blocks[tag]
+            if not (rows.isets and cols.isets):
+                continue
+            # the copies: dy of the shared degree, or the column block's b-parts
+            copies = comb(t.ny + rows.degrees[1], rows.degrees[1]) if by_dy else len(cols.isets)
+            if copies >= 2 and rows.size <= cols.size and (best is None or rows.size > best[0].size):
+                best = rows, copies, by_dy
+        if best is None:
             continue
-        copies = []
-        for block in pair:
-            shape = [len(block.isets)] + [comb(n + d, d) for n, d in zip(t.dims, block.degrees)]
+        rows, copies, by_dy = best
+        pair = []
+        for block in (rows, cols):
             index = np.arange(block.first, block.first + block.size, dtype=np.intp)
-            index = index.reshape(shape).transpose(2, 0, 1, 3).reshape(shape[2], -1)
+            if by_dy:  # (index set, dx, dy, dz), dy to the front
+                shape = [len(block.isets)] + [comb(n + d, d) for n, d in zip(t.dims, block.degrees)]
+                index = index.reshape(shape).transpose(2, 0, 1, 3)
+            else:  # (a-part, b-part, factor), the b-part to the front
+                index = index.reshape(-1, copies, block.count).transpose(1, 0, 2)
+            index = index.reshape(copies, -1)
             index.flags.writeable = False
-            copies.append(index)
-        classes.append(tuple(copies))
+            pair.append(index)
+        classes.append(tuple(pair))
     return tuple(classes)
 
 

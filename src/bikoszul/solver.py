@@ -28,6 +28,16 @@ point enters at its eigen-decomposition and at one float solve of the
 leading block M11 on the theta-permuted matrix, which extends every
 eigenvector of an attempt; the residual gate checks what follows.
 
+Each attempt records the wall time of every stage it reached, in the
+order of `STAGES`, and its outcome, one `AttemptTrace`; the report
+keeps them as its `trace`, and a `SolveError` carries the same. A stage
+is named for what it computes: "change" the coordinate change and f0,
+"specialize" and "permute" the Koszul matrix and its theta order,
+"schur" the Schur complement, "eigen" its eigenpairs, "extend" the
+float matrix and the extended eigenvectors, "extract" x and y, "z" the
+z block, and "residual" the points in the input's coordinates and
+their residuals.
+
 Every threshold and range is a module constant, not an argument:
 EIGEN_CLUSTER_TOL flags clustered eigenvalues (`eigen_schur`),
 EXTRACT_ANCHOR_TOL bounds the anchor and normalizing entries
@@ -41,8 +51,10 @@ caller sets.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,9 +83,33 @@ F0_COEFF_BOUND = 10
 RESIDUAL_TOL = 1e-6
 
 
+STAGES = ("change", "specialize", "permute", "schur", "eigen", "extend", "extract", "z",
+          "residual")
+
+
+class AttemptTrace(NamedTuple):
+    """One attempt of `solve_2bilinear`: its outcome, "ok", "singular"
+    (M11), "clustered" (eigenvalues), "extraction" or "residual" (above
+    tol), and the wall seconds of each stage it reached, in `STAGES`
+    order; an attempt that raised ends with the stage that raised."""
+
+    outcome: str
+    seconds: tuple
+
+    @property
+    def stages(self) -> tuple:
+        """The names of the stages it reached, in order."""
+        return STAGES[:len(self.seconds)]
+
+
 class SolveError(RuntimeError):
     """Solving failed after all retries (multiplicity, separation or residual
-    failure); the message gives the reason of every attempt."""
+    failure); the message gives the reason of every attempt, and `trace`
+    their `AttemptTrace`s."""
+
+    def __init__(self, message: str, trace: tuple = ()):
+        super().__init__(message)
+        self.trace = trace
 
 
 class ExtractionError(RuntimeError):
@@ -90,7 +126,8 @@ class EigenPair:
 @dataclass
 class SolveReport:
     """Everything `solve_2bilinear` did: solutions with residuals plus the
-    full randomization (A, f0, theta, seed) needed to reproduce the run."""
+    full randomization (A, f0, theta, seed) needed to reproduce the run,
+    and the `AttemptTrace` of every attempt, the last one "ok"."""
 
     type: SystemType
     solutions: list
@@ -101,6 +138,7 @@ class SolveReport:
     f0: MHPoly
     theta: Exponent
     change: CoordinateChange
+    trace: tuple = ()
 
 
 def eigen_schur(matrix) -> list[EigenPair]:
@@ -331,31 +369,45 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
     count = mhb(t)
     # theta is always default_theta(t), so the split depends on the type only
     partition = theta_partition(matrix, default_theta(t))
-    failures = []
+    trace, failures = [], []
     for attempt in range(max_retries):
+        marks = [time.perf_counter()]
+
+        def lap():  # the stage that just ended
+            marks.append(time.perf_counter())
+
         rng = random.Random(f"{seed}:{attempt}")
         change = random_coordinate_change(t, rng)
         f0, theta = choose_f0_and_theta(t, rng)
         transformed = apply_coordinate_change(BilinearSystem(t, sys.f), change).with_f0(f0)
-        permuted = partition.apply(specialize(matrix, transformed))
+        lap()
+        specialized = specialize(matrix, transformed)
+        lap()
+        permuted = partition.apply(specialized)
+        lap()
+        outcome = "ok"
         try:
             schur = schur_complement(permuted, partition.split)
+            lap()
+            pairs = eigen_schur(to_float(schur))
+            lap()
+            if any(pair.clustered for pair in pairs):
+                outcome, reason = "clustered", "clustered eigenvalues"
+            else:
+                solutions, residuals = _recover_all(
+                    transformed, partition, to_float(permuted), pairs, change, sys, lap)
+                worst = max(residuals, default=0.0)
+                if worst > tol:
+                    outcome, reason = "residual", f"residual {worst:.3g} above tol {tol:.3g}"
         except SingularMatrixError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        pairs = eigen_schur(to_float(schur))
-        if any(pair.clustered for pair in pairs):
-            failures.append(f"attempt {attempt}: clustered eigenvalues")
-            continue
-        try:
-            solutions, residuals = _recover_all(
-                transformed, partition, to_float(permuted), pairs, change, sys)
+            lap()
+            outcome, reason = "singular", str(exc)
         except ExtractionError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        worst = max(residuals, default=0.0)
-        if worst > tol:
-            failures.append(f"attempt {attempt}: residual {worst:.3g} above tol {tol:.3g}")
+            lap()
+            outcome, reason = "extraction", str(exc)
+        trace.append(AttemptTrace(outcome, tuple(b - a for a, b in zip(marks, marks[1:]))))
+        if outcome != "ok":
+            failures.append(f"attempt {attempt}: {reason}")
             continue
         return SolveReport(
             type=t,
@@ -367,24 +419,30 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
             f0=f0,
             theta=theta,
             change=change,
+            trace=tuple(trace),
         )
     raise SolveError(
         f"no solve after {max_retries} attempts (multiplicity, separation or "
-        f"residual failure; expected {count} simple solutions): {'; '.join(failures)}")
+        f"residual failure; expected {count} simple solutions): {'; '.join(failures)}",
+        tuple(trace))
 
 
-def _recover_all(transformed, partition, permuted, pairs, change, original):
+def _recover_all(transformed, partition, permuted, pairs, change, original, lap=lambda: None):
     """(solutions, residuals) of every eigenpair of an attempt, each stage
     once for all of them: extend the eigenvectors, extract x and y, solve
     z, undo the coordinate change (one float product per block), scale
     each block so its first entry above 1e-12 times its largest is 1,
     report a point real when every imaginary part is at most 1e-8 times
-    its largest coordinate, and take the residuals."""
+    its largest coordinate, and take the residuals. `lap` is called as
+    each of the stages "extend", "extract", "z" and "residual" ends."""
     t = transformed.type
     full = extend_eigenvector(partition, permuted,
                               np.column_stack([pair.vector for pair in pairs]))
+    lap()
     ax, ay = extract_xy(full, t)
+    lap()
     az = solve_z(transformed, ax, ay)
+    lap()
     point = np.concatenate([_normalize((np.array(mat, dtype=float) @ coords).T, 1e-12).T
                             for mat, coords in zip(change.blocks, (ax, ay, az))])
     real = (np.abs(point.imag) <= 1e-8 * np.abs(point).max(axis=0)).all(axis=0)
@@ -395,4 +453,5 @@ def _recover_all(transformed, partition, permuted, pairs, change, original):
     for column, flag in zip(point.T, real):
         values = (column.real if flag else column).tolist()
         solutions.append(ProjectiveSolution(*(values[a:b] for a, b in zip(bounds, bounds[1:]))))
+    lap()
     return solutions, residuals.tolist()

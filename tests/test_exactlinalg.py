@@ -1693,10 +1693,13 @@ def koszul_det_case(kind):
 
 
 def counting_eliminations(monkeypatch):
+    """The order of every elimination of a whole square array from now on,
+    a rest or a zero test's block: a fold's row reduction of K
+    (`_row_reduce`), r steps on a taller array, is not counted."""
     calls = []
     real = exactlinalg._eliminate
-    monkeypatch.setattr(exactlinalg, "_eliminate",
-                        lambda *args, **kwargs: calls.append(len(args[0])) or real(*args, **kwargs))
+    monkeypatch.setattr(exactlinalg, "_eliminate", lambda a, k, *args: (
+        k == len(a) == a.shape[1] and calls.append(k)) or real(a, k, *args))
     return calls
 
 
@@ -1710,7 +1713,7 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
     2 B / |D|, B the smaller of the Hadamard bound and the verified one.
     The verified bound is the smaller, and one prime suffices. Both
     Kronecker classes fold, so the elimination and the LU inverse run on
-    the rest, 36 of the 81 rows."""
+    the rest, 27 of the 81 rows."""
     spec = koszul_det_case(kind)
     ints = exactlinalg._int_rows(spec.array)[0]
     n = len(ints)
@@ -1733,7 +1736,7 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
     inverses = spying_inverses(monkeypatch)
     value = exactlinalg.det(spec)
     w0 = exactlinalg._prime(n, 0)
-    rest = 36
+    rest = 27
     if kind == "planted":
         assert value == 0 and calls == [rest] and len(inverses) == 1
         assert inverses[0][0] < rest and inverses[0][1] == w0
@@ -1746,10 +1749,10 @@ def test_det_over_q_of_a_koszul_matrix_runs_only_the_quotient_budget(monkeypatch
 def test_det_over_q_of_the_seed_1_resultant_inputs_runs_one_elimination(monkeypatch, ty):
     """The random systems of the benchmark's `resultant` op at seed 1 (mu
     81, 136, 192), drawn the same way: their det over Q runs one
-    elimination, the zero test's, on the rest its folds leave (36, 76 and
-    108 rows; at mu = 136 only the L04 class folds, its L02 K being 6 x
-    4), since the verified bound leaves one prime for det / D; its value
-    mod p is the det over F_p."""
+    elimination, the zero test's, on the rest its folds leave (27, 76 and
+    66 rows; at mu = 136 only the L04 class folds, its L02 K being 6 x 4
+    and its L01 class one copy), since the verified bound leaves one prime
+    for det / D; its value mod p is the det over F_p."""
     t = SystemType(*ty)
     rng = random.Random(f"1:resultant:{ty}")
     point = ProjectiveSolution(*(tuple([1] + [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)])
@@ -1760,7 +1763,7 @@ def test_det_over_q_of_the_seed_1_resultant_inputs_runs_one_elimination(monkeypa
     matrix = koszul.assemble_delta1(t)
     calls = counting_eliminations(monkeypatch)
     value = exactlinalg.det(koszul.specialize(matrix, system))
-    rest = {81: 36, 136: 76, 192: 108}[matrix.size]
+    rest = {81: 27, 136: 76, 192: 66}[matrix.size]
     assert calls == [rest] and value != 0
     assert value % P_PANEL == exactlinalg.det(koszul.specialize(matrix, system, P_PANEL))
 
@@ -2316,7 +2319,7 @@ def test_det_folding_kronecker_classes_equals_the_plain_elimination(moduli, kron
     its class is left to the elimination; at a prime with panels of two
     columns the fold's products run in chunks; at 2^31 - 1 the matrix
     stays int64 and the classes go unused."""
-    results = {"_fold": [], "_gauss_jordan": []}
+    results = {"_fold": [], "_row_reduce": []}
     for name, calls in results.items():
         original = getattr(exactlinalg, name)
         monkeypatch.setattr(exactlinalg, name, lambda *args, original=original, calls=calls:
@@ -2334,33 +2337,42 @@ def test_det_folding_kronecker_classes_equals_the_plain_elimination(moduli, kron
             assert len(results["_fold"]) == folds + (0 if int64 else len(spec._classes))
     folded = [value is not None for value in results["_fold"]]
     assert any(folded) != int64
-    assert (None in results["_gauss_jordan"]) == (moduli == (23, 29, 31))  # a rank-deficient K
+    assert (None in results["_row_reduce"]) == (moduli == (23, 29, 31))  # a rank-deficient K
 
 
 def test_det_folding_kronecker_classes_at_mu_2450():
-    """The random (6,4,2,5,7) system over F_1000003: the L04 class folds
-    (K is 105 x 147), the L02 class (63 x 49) is left to the elimination,
-    and the det equals the plain elimination's."""
+    """The random (6,4,2,5,7) system over F_1000003: the L04 class (K is
+    105 x 147) and the L01 class (5 x 35, seven copies) fold, the L02
+    class (63 x 49), taller than wide, is not emitted, and the det equals
+    the plain elimination's."""
     t = SystemType(6, 4, 2, 5, 7)
     rng = random.Random(2450)
     f0, _ = solver.choose_f0_and_theta(t, rng)
     spec = koszul.specialize(koszul.assemble_delta1(t), core.random_system(t, rng).with_f0(f0),
                              1_000_003)
     assert [(rows.shape, cols.shape) for rows, cols in spec._classes] == \
-        [((15, 105), (15, 147)), ((5, 63), (5, 49))]
+        [((15, 105), (15, 147)), ((7, 5), (7, 35))]
+    folds = []
+    real_fold = exactlinalg._fold
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactlinalg, "_fold", lambda *args: folds.append(real_fold(*args)) or folds[-1])
+        value = exactlinalg.det(spec)
+    assert len(folds) == 2 and None not in folds
     plain = spec.submatrix(range(2450), range(2450))
-    assert exactlinalg.det(spec) == exactlinalg.det(plain) != 0
+    assert value == exactlinalg.det(plain) != 0
 
 
 def test_fold_gathers_only_the_outside_columns_its_rows_can_meet(kronecker_systems, monkeypatch):
     """`_folding_classes` finds from the cells, before any dense array, the
     columns outside each class that its rows can meet once the classes
-    before it fold: none for the L04 class, whose rows meet only the L12
-    columns, so its fold gathers nothing outside and runs no product
-    there (one `_minus_product` at most, the in-class one); for the L02
-    class every column where its rows hold a nonzero when it folds, the
-    fill of the L04 fold included. Every det, over F_p and over Q, is the
-    class-free copy's."""
+    before it fold: none for the L04 and L03 classes, whose rows meet
+    only the L12 columns, and the L01 class, whose rows meet only the L11
+    columns and no fold's fill, so such a fold gathers nothing outside
+    and runs no product there (one `_minus_product` at most, the
+    in-class one: every K here is one panel wide, whose row reduction
+    takes none); for the L02 class every column where its rows hold a
+    nonzero when it folds, the fill of the L12 class's fold included.
+    Every det, over F_p and over Q, is the class-free copy's."""
     import numpy as np
 
     folds, products = [], []
@@ -2378,19 +2390,21 @@ def test_fold_gathers_only_the_outside_columns_its_rows_can_meet(kronecker_syste
     monkeypatch.setattr(exactlinalg, "_fold", fold)
     monkeypatch.setattr(exactlinalg, "_minus_product",
                         lambda *args: products.append(1) or real_product(*args))
-    l04_folds = 0
+    closed_folds = {"L04": 0, "L03": 0, "L01": 0}
     for field in (1_000_003, None):
         for matrix, system in kronecker_systems:
             spec = koszul.specialize(matrix, system, field)
             n = spec.nrows
             folds.clear()
             assert exactlinalg.det(spec) == exactlinalg.det(spec.submatrix(range(n), range(n)))
-            l04 = koszul.layout(matrix.type)[0]["L04"].first  # the last row block
+            blocks = koszul.layout(matrix.type)[0]
             for rows, outside, calls in folds:
-                if rows.min() >= l04:
+                tag = next(tag for tag, block in blocks.items()
+                           if block.first <= rows.min() < block.first + block.size)
+                if tag != "L02":
                     assert outside == 0 and calls <= 1
-                    l04_folds += 1
-    assert l04_folds
+                    closed_folds[tag] += 1
+    assert all(closed_folds.values())
 
 
 def with_classes(rows, field, classes):
@@ -2478,11 +2492,12 @@ def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_syste
     det with a prime factor q >= 23, from q first, where the residue is 0
     and the lifted certificate is not, so the test moves on. Once a class
     folds, `_lu_inverse` runs on the rest only, or on its leading block
-    for the certificate."""
+    for the certificate: every K here is one panel wide, whose row
+    reduction (`_row_reduce`) takes no `_lu_inverse`."""
     import numpy as np
 
     real_prime, real_fold_eliminate = exactlinalg._prime, exactlinalg._fold_eliminate
-    real_inverse, real_gauss_jordan = exactlinalg._lu_inverse, exactlinalg._gauss_jordan
+    real_inverse, real_row_reduce = exactlinalg._lu_inverse, exactlinalg._row_reduce
     first, events, deficient = [], [], []
     monkeypatch.setattr(exactlinalg, "_prime", lambda k, i: first[i] if i < len(first) else
                         real_prime(k, i - len(first)))
@@ -2492,13 +2507,13 @@ def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_syste
         events.append((len(a), len(folded.lu), bool(folded.folds)))
         return folded
 
-    def gauss_jordan(k, p):
-        reduced = real_gauss_jordan(k, p)
+    def row_reduce(k, p):
+        reduced = real_row_reduce(k, p)
         deficient.append(reduced is None)
         return reduced
 
     monkeypatch.setattr(exactlinalg, "_fold_eliminate", fold_eliminate)
-    monkeypatch.setattr(exactlinalg, "_gauss_jordan", gauss_jordan)
+    monkeypatch.setattr(exactlinalg, "_row_reduce", row_reduce)
     monkeypatch.setattr(exactlinalg, "_lu_inverse", lambda lu, *args:
                         events.append(len(lu)) or real_inverse(lu, *args))
     unlucky = folded_any = 0
@@ -2704,46 +2719,154 @@ def test_permutation_parity_counts_inversions():
         assert exactlinalg._parity(np.array(perm)) == inversions % 2
 
 
-def test_gauss_jordan_matches_python_ints():
-    """Pivot columns, det K_piv, K_piv^{-1} and K_piv^{-1} K of wide blocks,
-    against Gauss-Jordan on Python ints; None below full row rank. At 2^31
-    - 1 int64 holds one unreduced step only, so every step is reduced."""
+def rank_and_det_mod(rows, p):
+    """(rank, det when square) of a list of rows of ints mod p, by Gaussian
+    elimination on Python ints."""
+    rows, rank, value = [[e % p for e in row] for row in rows], 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        lead = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if lead is None:
+            value = 0
+            continue
+        if lead != rank:
+            rows[rank], rows[lead] = rows[lead], rows[rank]
+            value = -value
+        value = value * rows[rank][c] % p
+        inverse = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inverse % p
+            rows[i] = [(e - f * g) % p for e, g in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank, value % p
+
+
+def assert_row_reduced(k, p):
+    """`_row_reduce` of the r x w list of ints k against Python ints: None
+    exactly when k has rank below r mod p; otherwise r distinct pivot
+    columns and the other columns, together every column once, det K_piv,
+    K_piv^{-1} with K_piv^{-1} K_piv = I and the others' block K_piv^{-1}
+    K_oth, all mod p. Returns the pivot columns, or None."""
     import numpy as np
 
-    def reference(k, p):
-        r, w = len(k), len(k[0])
-        aug = [row[:] + [int(i == j) for j in range(r)] for i, row in enumerate(k)]
-        pivots, value = [], 1
-        for c in range(w):
-            row = len(pivots)
-            lead = next((i for i in range(row, r) if aug[i][c] % p), None)
-            if row == r or lead is None:
-                continue
-            if lead != row:
-                aug[row], aug[lead] = aug[lead], aug[row]
-                value = -value
-            value = value * aug[row][c] % p
-            inverse = pow(aug[row][c], -1, p)
-            aug[row] = [e * inverse % p for e in aug[row]]
-            for i in range(r):
-                if i != row:
-                    aug[i] = [(e - aug[i][c] * f) % p for e, f in zip(aug[i], aug[row])]
-            pivots.append(c)
-        if len(pivots) < r:
-            return None
-        return pivots, value, [row[w:] for row in aug], [row[:w] for row in aug]
+    r, w = len(k), len(k[0])
+    got = exactlinalg._row_reduce(np.array(k, dtype=np.float64) % p, p)
+    if rank_and_det_mod(k, p)[0] < r:
+        assert got is None
+        return None
+    pivots, value, inverse, others, echelon = got
+    pivots, others = pivots.tolist(), others.tolist()
+    assert sorted(pivots + others) == list(range(w)) and len(pivots) == r
+    kpiv = [[row[j] for j in pivots] for row in k]
+    assert value == rank_and_det_mod(kpiv, p)[1] != 0
+    x = [[int(e) for e in row] for row in inverse]
+    assert all(0 <= e < p for row in x for e in row)
+    assert [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*kpiv)] for row in x] == \
+        [[int(i == j) for j in range(r)] for i in range(r)]
+    koth = [[row[j] for j in others] for row in k]
+    assert [[int(e) for e in row] for row in echelon] == \
+        [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*koth)] for row in x]
+    return pivots
 
+
+def test_row_reduce_matches_python_ints():
+    """Pivot columns, det K_piv, K_piv^{-1} and K_piv^{-1} times the other
+    columns of wide blocks K, against Python ints (`assert_row_reduced`);
+    None below full row rank; K's first r columns dependent, so that the
+    pivot search passes them. Within one panel (r at most the panel
+    width) and beyond it, at a prime whose panels are two columns wide,
+    and at r = 40 beyond the widest panel."""
     rng = random.Random(11)
-    for p in (5, 23, 1_000_003, width_bound_prime(2), 2 ** 31 - 1):
-        for r, w in ((1, 1), (3, 3), (4, 9), (12, 20)):
-            k = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(w)]
-                 for _ in range(r)]
-            if rng.random() < 0.3:  # a repeated row: rank below r
-                k[-1] = k[0][:]
-            got = exactlinalg._gauss_jordan(np.array(k, dtype=np.int64), p)
-            want = reference(k, p)
-            if want is None:
-                assert got is None
-            else:
-                assert [got[0].tolist(), got[1], got[2].tolist(), got[3].tolist()] == \
-                    [want[0], want[1] % p, *want[2:]]
+    passed = 0
+    for p in (5, 23, 1_000_003, width_bound_prime(2)):
+        for r, w in ((1, 1), (3, 3), (4, 9), (12, 20), (40, 45)):
+            for trial in range(3):
+                k = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(w)]
+                     for _ in range(r)]
+                if trial == 1:  # a repeated row: rank below r
+                    k[-1] = k[0][:]
+                if trial == 2 and w > r:  # column 0 repeated in column 1, which moves past r
+                    for row in k:
+                        row[1], row[r] = row[0], row[1]
+                pivots = assert_row_reduced(k, p)
+                if trial == 2 and pivots is not None and w > r:
+                    assert sorted(pivots) != list(range(r))
+                    passed += 1
+    assert passed
+
+
+def resultant_systems(ty, seed=1):
+    """The planted and the random system of the `resultant` workload's op
+    for the type at the seed, drawn as it draws them."""
+    t = SystemType(*ty)
+    rng = random.Random(f"{seed}:resultant:{ty}")
+    point = ProjectiveSolution(*(tuple([1] + [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)])
+                                 for n in t.dims))
+    planted = core.planted_root_system(t, point, rng, include_f0=True)
+    f0 = solver.choose_f0_and_theta(t, rng)[0]
+    return planted, core.random_system(t, rng).with_f0(f0)
+
+
+@pytest.mark.parametrize("ty", [(10, 1, 1, 10, 2), (6, 3, 3, 6, 6)])
+def test_row_reduce_passes_the_dependent_columns_of_the_l04_k(ty):
+    """The L04 class of `core.random_system(t, 1)` for (10,1,1,10,2) and
+    (6,3,3,6,6) over F_1000003: K (2 x 22 and 60 x 140, one copy of the
+    L04 rows against one copy of the L12 columns, by dual y monomial) has
+    its first r columns dependent, and `_row_reduce` still finds r pivot
+    columns (`assert_row_reduced`)."""
+    import numpy as np
+
+    t, p = SystemType(*ty), 1_000_003
+    system = core.random_system(t, 1).with_f0(solver.choose_f0_and_theta(t, 1)[0])
+    spec = koszul.specialize(koszul.assemble_delta1(t), system, p)
+    copies = []
+    for block in (koszul.layout(t)[0]["L04"], koszul.layout(t)[1]["L12"]):
+        shape = [len(block.isets)] + [len(core.monomial_basis(n, d))
+                                      for n, d in zip(t.dims, block.degrees)]
+        index = np.arange(block.first, block.first + block.size).reshape(shape)
+        copies.append(index[:, :, 0, :].ravel())  # (index set, dx, dz) at the first dy
+    k = spec.submatrix(*copies).array.tolist()
+    r = len(k)
+    assert (r, len(k[0])) == {(10, 1, 1, 10, 2): (2, 22), (6, 3, 3, 6, 6): (60, 140)}[ty]
+    assert rank_and_det_mod([row[:r] for row in k], p)[0] < r
+    assert sorted(assert_row_reduced(k, p)) != list(range(r))
+
+
+@pytest.mark.parametrize("ty", [(2, 2, 2, 3, 3), (3, 3, 1, 4, 3), (3, 2, 2, 4, 3),
+                                (10, 1, 1, 10, 2), (2, 6, 4, 7, 5)])
+def test_every_emitted_class_folds_on_the_resultant_systems(ty, monkeypatch):
+    """On the seed-1 `resultant` systems, planted and random, over
+    F_1000003, every class that assembly emits folds: `_fold` runs once
+    per class and never returns None."""
+    results = []
+    real_fold = exactlinalg._fold
+    monkeypatch.setattr(exactlinalg, "_fold", lambda *args: results.append(real_fold(*args))
+                        or results[-1])
+    matrix = koszul.assemble_delta1(SystemType(*ty))
+    assert matrix.kronecker_classes
+    for system in resultant_systems(ty):
+        results.clear()
+        exactlinalg.det(koszul.specialize(matrix, system, 1_000_003))
+        assert len(results) == len(matrix.kronecker_classes) and None not in results
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(t.nx, t.ny, t.nz, t.r, t.s) for t in system_types(max_dim=3, max_mu=100)]),
+       st.sampled_from([23, 29, 31, 1_000_003, None]), st.integers(0, 2 ** 32), st.booleans())
+def test_det_with_the_classes_equals_the_class_free_det(ty, field, seed, planted):
+    """det of a specialization that carries its Kronecker classes equals
+    det of the class-free copy `submatrix(range(n), range(n))`, over F_p
+    for small p, where a K may be rank-deficient, and for p = 1000003,
+    and over Q; on planted systems (det 0) and random ones."""
+    t = SystemType(*ty)
+    rng = random.Random(seed)
+    if planted:
+        alpha = ProjectiveSolution(*(tuple(rng.randint(-3, 3) or 1 for _ in range(n + 1))
+                                     for n in t.dims))
+        system = core.planted_root_system(t, alpha, rng, include_f0=True)
+    else:
+        system = core.random_system(t, rng).with_f0(solver.choose_f0_and_theta(t, rng)[0])
+    spec = koszul.specialize(koszul.assemble_delta1(t), system, field)
+    n = spec.nrows
+    value = exactlinalg.det(spec)
+    assert value == exactlinalg.det(spec.submatrix(range(n), range(n)))
+    assert value == 0 or not planted

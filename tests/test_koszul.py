@@ -167,46 +167,108 @@ def test_table1_assembly_matches_its_recorded_digest(ty):
 
 
 
-@pytest.mark.parametrize("ty", [(t.nx, t.ny, t.nz, t.r, t.s)
-                                for t in system_types(max_dim=3, max_mu=100)]
+def kronecker_candidates(matrix):
+    """Per column block, L12 then L11, its two candidate classes, read off
+    the labels alone: (row tag, R, C) with the block's labels grouped
+    into copies by their dual y monomial (L04 and L02 rows) or by the
+    indices of their index set above r, the b-part (L03 and L01 rows),
+    each copy in basis order and the copies in the order of their first
+    labels; R and C are None where a block is empty."""
+    t, labels = matrix.type, (matrix.rows, matrix.cols)
+    candidates = []
+    for col_tag, row_tags in (("L12", ("L04", "L03")), ("L11", ("L02", "L01"))):
+        for row_tag in row_tags:
+            def key(e, by_dy=row_tag in ("L04", "L02")):
+                return e.dy if by_dy else tuple(i for i in e.iset if i > t.r)
+
+            groups = []
+            for tag, side in zip((row_tag, col_tag), labels):
+                groups.append({})
+                for i, e in enumerate(side):
+                    if e.block == tag:
+                        groups[-1].setdefault(key(e), []).append(i)
+            if not all(groups):
+                candidates.append((col_tag, row_tag, None, None))
+                continue
+            assert list(groups[0]) == list(groups[1])  # the same copies, in the same order
+            candidates.append((col_tag, row_tag, *(np.array(list(g.values())) for g in groups)))
+    return candidates
+
+
+@pytest.mark.parametrize("ty", [(t.nx, t.ny, t.nz, t.r, t.s) for t in system_types(max_dim=3)]
                          + list(TABLE1_DIGESTS))
-def test_kronecker_classes_repeat_one_block_per_dual_y_monomial(ty):
-    """`kronecker_classes` holds (L04 rows, L12 columns), then (L02 rows,
-    L11 columns), each when both blocks are nonempty, every label of
-    them once, and each copy of one dual y monomial. Every copy
-    references the same signed coefficients, cell for cell; no cell joins
-    the rows of one copy to the columns of another; and the L04 rows have
-    no cell outside their own copy's columns."""
+def test_kronecker_class_candidates_repeat_one_block_per_copy(ty):
+    """Both candidate classes of each column block, chosen or not, are K
+    (x) I on the symbolic cells: every copy references the same signed
+    coefficients, cell for cell; no cell joins the rows of one copy to
+    the columns of another; and the rows have no cell outside their own
+    copy's columns, but the L02 rows, whose other cells lie in the L12
+    columns. `kronecker_classes` holds, L12 then L11, the candidate with
+    at least two copies and r <= w that folds the most rows, copies x r,
+    and nothing for a column block without one: R and C read-only intp
+    arrays, equal to the label grouping."""
     matrix = koszul.assemble_delta1(SystemType(*ty))
-    labels = matrix.rows, matrix.cols
-    pairs = [tags for tags in (("L04", "L12"), ("L02", "L11"))
-             if all(any(e.block == tag for e in side) for tag, side in zip(tags, labels))]
-    assert len(matrix.kronecker_classes) == len(pairs)
-    for tags, copies in zip(pairs, matrix.kronecker_classes):
+    l12 = koszul.layout(matrix.type)[1]["L12"]
+    chosen = {}
+    for col_tag, row_tag, rows, cols in kronecker_candidates(matrix):
+        if rows is None:
+            continue
         copy_of, position = [], []
-        for tag, side, index in zip(tags, labels, copies):
-            assert index.dtype == np.intp and not index.flags.writeable
-            assert sorted(index.ravel().tolist()) == \
-                [i for i, e in enumerate(side) if e.block == tag]
-            assert [{side[i].dy for i in copy} for copy in index.tolist()] == \
-                [{side[index[j, 0]].dy} for j in range(len(index))]
+        for index in (rows, cols):
             copy_of.append(np.full(matrix.size, -1))
             copy_of[-1][index] = np.arange(len(index))[:, None]
             position.append(np.full(matrix.size, -1))
             position[-1][index] = np.arange(index.shape[1])
-        rows, cols = copies
-        dys = [matrix.rows[i].dy for i in rows[:, 0]]
-        assert dys == [matrix.cols[j].dy for j in cols[:, 0]] and len(set(dys)) == len(dys)
         row_copy, col_copy = copy_of[0][matrix.row_idx], copy_of[1][matrix.col_idx]
         inside = (row_copy >= 0) & (col_copy >= 0)
         assert (row_copy[inside] == col_copy[inside]).all()
-        if tags[0] == "L04":
-            assert inside[row_copy >= 0].all()
+        outside = (row_copy >= 0) & ~inside
+        if row_tag == "L02":
+            assert (matrix.col_idx[outside] >= l12.first).all()
+        else:
+            assert not outside.any()
         key = position[0][matrix.row_idx] * cols.shape[1] + position[1][matrix.col_idx]
         blocks = [dict(zip(key[inside & (row_copy == j)].tolist(),
                            matrix.ref_idx[inside & (row_copy == j)].tolist()))
                   for j in range(len(rows))]
         assert blocks[0] and all(block == blocks[0] for block in blocks)
+        best = chosen.get(col_tag)
+        if len(rows) >= 2 and rows.shape[1] <= cols.shape[1] and \
+                (best is None or rows.size > best[0].size):
+            chosen[col_tag] = rows, cols
+    want = [chosen[tag] for tag in ("L12", "L11") if tag in chosen]
+    assert len(matrix.kronecker_classes) == len(want)
+    for got, pair in zip(matrix.kronecker_classes, want):
+        for index, expected in zip(got, pair):
+            assert index.dtype == np.intp and not index.flags.writeable
+            assert np.array_equal(index, expected)
+
+
+def test_kronecker_classes_fold_the_b_part_classes_where_they_fold_more():
+    """The choice on the det ladder, as the rows each class folds: the
+    L03 class over the b-parts wherever it folds more than the L04 class
+    (mu = 81, 192, 352, 630, 4125, 6804, 7000), the L01 class where the
+    L02 class is taller than wide (mu = 2106, 2450) or, at mu = 6804,
+    where it folds more; no L11 class at mu = 136, where the L02 K is 6 x
+    4 and the L01 class has one copy."""
+    want = {(2, 2, 2, 3, 3): ["L03", "L02"], (3, 3, 1, 4, 3): ["L04"],
+            (3, 2, 2, 4, 3): ["L03", "L02"], (10, 1, 1, 10, 2): ["L03", "L02"],
+            (2, 6, 4, 7, 5): ["L03", "L02"], (5, 5, 2, 6, 6): ["L04", "L01"],
+            (6, 4, 2, 5, 7): ["L04", "L01"], (4, 4, 4, 6, 6): ["L03", "L02"],
+            (5, 5, 2, 9, 3): ["L03", "L01"], (6, 3, 3, 6, 6): ["L03", "L02"]}
+    rest = {81: 27, 136: 76, 192: 66, 352: 112, 630: 210, 2106: 810, 2450: 840, 4125: 1650,
+            6804: 1890, 7000: 3000}
+    for ty, tags in want.items():
+        t = SystemType(*ty)
+        matrix = koszul.assemble_delta1(t)
+        row_blocks = koszul.layout(t)[0]
+        starts = {tag: block.first for tag, block in row_blocks.items() if block.size}
+        got = [max(tag for tag, first in starts.items() if first <= rows.min())
+               for rows, _ in matrix.kronecker_classes]
+        assert got == tags
+        assert matrix.size - sum(rows.size for rows, _ in matrix.kronecker_classes) == \
+            rest[matrix.size]
+
 
 def test_assembly_guards_raise_on_planted_faults(monkeypatch):
     t = SystemType(2, 2, 2, 3, 3)

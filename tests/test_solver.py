@@ -2,6 +2,7 @@
 full solving pipeline."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bikoszul import core, exactlinalg, koszul, oracle, selftest, solver
 from bikoszul.core import BilinearSystem, ProjectiveSolution, SystemType
+from bikoszul.exactlinalg import SingularMatrixError
 from bikoszul.weyman import mu
 from conftest import system_types
 
@@ -537,3 +539,82 @@ def test_solve_reads_y_of_a_degree_10_block():
     report = solver.solve_2bilinear(sys_, seed=0)
     assert report.retries <= 1
     assert len(report.solutions) == core.mhb(sys_.type) == 20
+
+
+STAGE_FUNCTIONS = {"change": (solver, "apply_coordinate_change"),
+                   "specialize": (solver, "specialize"),
+                   "permute": (koszul.ThetaPartition, "apply"),
+                   "schur": (solver, "schur_complement"), "eigen": (solver, "eigen_schur"),
+                   "extend": (solver, "extend_eigenvector"), "extract": (solver, "extract_xy"),
+                   "z": (solver, "solve_z"), "residual": (solver, "residual")}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_FUNCTIONS))
+def test_each_stage_is_timed_under_its_own_name(paper_system, monkeypatch, stage):
+    """A solve whose one stage takes 50 ms longer: every attempt of its
+    trace names the stages it reached, once each and in `STAGES` order,
+    the last one "ok" and every stage reached; the slow stage is the one
+    that reads at least 50 ms, and no other does."""
+    import time
+
+    assert list(STAGE_FUNCTIONS) == list(solver.STAGES)
+    owner, name = STAGE_FUNCTIONS[stage]
+    real = getattr(owner, name)
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, slow)
+    report = solver.solve_2bilinear(BilinearSystem(paper_system.type, paper_system.f), seed=0)
+    assert len(report.trace) == report.retries + 1
+    assert [attempt.outcome for attempt in report.trace][-1] == "ok"
+    for attempt in report.trace:
+        assert attempt.stages == solver.STAGES[:len(attempt.seconds)]
+        assert len(set(attempt.stages)) == len(attempt.stages)
+    last = report.trace[-1]
+    assert last.stages == solver.STAGES
+    assert [name for name, seconds in zip(last.stages, last.seconds) if seconds >= 0.05] == [stage]
+
+
+def test_trace_outcomes_equal_the_reasons_of_the_solve_error(paper_system, monkeypatch):
+    """Five attempts that fail each way in turn, one failure planted per
+    stage function: M11 singular, clustered eigenvalues, x and y not
+    extractable, z not extractable, and a residual above a tol of 1e-30.
+    The `SolveError` carries one `AttemptTrace` per attempt, whose
+    outcomes equal the reasons in its message, and each ends at the stage
+    that failed."""
+    calls = {"schur_complement": 0, "eigen_schur": 0, "extract_xy": 0, "solve_z": 0}
+    plan = {"schur_complement": 1, "eigen_schur": 1, "extract_xy": 1, "solve_z": 1}
+    real = {name: getattr(solver, name) for name in calls}
+
+    def planted(name):
+        def call(*args):
+            calls[name] += 1
+            if calls[name] == plan[name]:
+                if name == "schur_complement":
+                    raise SingularMatrixError("singular matrix over Q")
+                if name in ("extract_xy", "solve_z"):
+                    raise solver.ExtractionError(f"planted in {name}")
+                pairs = real[name](*args)
+                pairs[0].clustered = True
+                return pairs
+            return real[name](*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, planted(name))
+    with pytest.raises(solver.SolveError) as failure:
+        # at seed 3 every attempt reaches the residual by itself
+        solver.solve_2bilinear(BilinearSystem(paper_system.type, paper_system.f), seed=3,
+                               tol=1e-30, max_retries=5)
+    trace = failure.value.trace
+    assert [attempt.outcome for attempt in trace] == \
+        ["singular", "clustered", "extraction", "extraction", "residual"]
+    assert [attempt.stages[-1] for attempt in trace] == ["schur", "eigen", "extract", "z", "residual"]
+    reasons = re.findall(r"attempt \d+: ([^;]*)", str(failure.value))
+    kinds = {"singular": "singular matrix", "clustered": "clustered eigenvalues",
+             "extraction": "planted in", "residual": "residual"}
+    assert len(reasons) == len(trace)
+    for attempt, reason in zip(trace, reasons):
+        assert reason.startswith(kinds[attempt.outcome])
