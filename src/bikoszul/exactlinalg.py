@@ -29,17 +29,22 @@ singular leading block) the LU of the columns before the first one
 without a pivot, the first zero on the diagonal, and the row order are
 defined.
 
-A matrix in compressed-column form may carry Kronecker classes, index
-pairs (R, C) of blocks that are K (x) I up to order (a specialized
-Koszul matrix carries up to two, `koszul._kronecker_classes`). Every
-modular det on float64, over F_p and each prime of det over Q, folds
-each away before its steps (`_fold_eliminate`, `_fold`): the same
-elimination on K^T, its pivot search over every row (`_row_reduce`),
-picks r pivot columns of the one block K and gives K_piv^{-1}, every
-copy's rows are eliminated against them by a few products with it, and
-det M is +-det(K_piv)^copies times the det of the Schur complement
-left, which the elimination takes; at mu = 630 that is 210 of 630 rows,
-at mu = 6804 1890.
+A matrix in compressed-column form may carry the fold plan of its
+Kronecker classes, index pairs (R, C) of blocks that are K (x) I up to
+order (a specialized Koszul matrix carries up to two,
+`koszul._kronecker_classes`), with the rows that can meet each class's
+columns and the columns its rows can meet (`fold_plan`), read once from
+the cells. Every modular det on float64, over F_p and each prime of det
+over Q, folds each class away before its steps (`_fold_eliminate`,
+`_fold`): the same elimination on K^T, its pivot search over every row
+(`_row_reduce`), picks r pivot columns of the one block K, and one right
+substitution with its L gives K_piv^{-1} times K's other columns;
+every copy's rows are eliminated against the pivots by a few products
+on the plan's rows; and det M is +-det(K_piv)^copies times the det of
+the Schur complement left, which the elimination takes; at mu = 630
+that is 210 of 630 rows, at mu = 6804 1890. K_piv^{-1} itself is
+formed only where it is read: by a fold whose rows meet columns outside
+the class, and for the zero test, which unfolds the inverse.
 
 Over Q both paths first clear denominators row by row, once. Every
 modular step over Q on a block of order k runs modulo one family of
@@ -223,9 +228,9 @@ class ExactMatrix:
     array on first read, one scatter through the inverse selections that
     drops a cell only where they drop its row or column, and keeps it.
 
-    A matrix from `from_csc` may also carry Kronecker classes, which `det`
-    folds away before each elimination mod p (`_fold_eliminate`); every
-    other matrix, a `submatrix` too, has none.
+    A matrix from `from_csc` may also carry the fold plan of its Kronecker
+    classes, which `det` folds away before each elimination mod p
+    (`_fold_eliminate`); every other matrix, a `submatrix` too, has none.
     """
 
     def __init__(self, rows, field: int | None = None):
@@ -245,9 +250,9 @@ class ExactMatrix:
             array = np.array(entries, dtype=dtype).reshape(shape)
         self._wrap(array, None, field)
 
-    def _wrap(self, array, cells, field, select=None, classes=()) -> None:
+    def _wrap(self, array, cells, field, select=None, plan=None) -> None:
         self._array, self._cells, self.field, self._select = array, cells, field, select
-        self._classes = classes
+        self._plan = plan
         self._shape = array.shape if select is None else tuple(map(len, select))
         # zero-strided, of the shape: numpy's own index checks for a scalar read
         self._probe = None if select is None else np.broadcast_to(False, self._shape)
@@ -261,21 +266,22 @@ class ExactMatrix:
 
     @classmethod
     def from_csc(cls, shape, row_idx, col_idx, col_start, values, field: int | None,
-                 classes=()) -> "ExactMatrix":
+                 plan=None) -> "ExactMatrix":
         """The matrix of shape `shape` with values[k] at (row_idx[k],
         col_idx[k]), column j's cells at col_start[j]:col_start[j + 1], no
         row twice in a column, and 0 elsewhere, the arrays kept; values of
         the field's storage dtype.
 
-        `classes` are Kronecker classes of the matrix: pairs (R, C) of int
-        arrays, copies x r and copies x w, whose row copy R[j] meets column
-        copy C[j'] only for j = j', in the same r x w block K = M[R[j],
-        C[j]] for every j, so that M[R, C] is K (x) I up to the order of
-        its rows and columns. `det` folds them away (`_fold_eliminate`);
-        `submatrix` drops them."""
+        `plan`, when given, is a function of no arguments that returns the
+        fold plan (`fold_plan`) of Kronecker classes of the matrix: pairs
+        (R, C) of int arrays, copies x r and copies x w, whose row copy
+        R[j] meets column copy C[j'] only for j = j', in the same r x w
+        block K = M[R[j], C[j]] for every j, so that M[R, C] is K (x) I up
+        to the order of its rows and columns. `det` calls it and folds the
+        classes away (`_fold_eliminate`); `submatrix` drops it."""
         m, shape = cls.__new__(cls), tuple(shape)
         m._wrap(None, (shape, row_idx, col_idx, col_start, values), field,
-                tuple(map(range, shape)), tuple(classes))
+                tuple(map(range, shape)), plan)
         return m
 
     @property
@@ -623,19 +629,18 @@ def _lu_inverse(lu, p: int, inverses=()):
     that `_eliminate` formed for U12 and listed, for every panel it gave
     one (all but the last of a nonsingular A, and the panels of a leading
     block of its LU that lie wholly inside it), else
-    `_unit_lower_inverse`'s. Back, U's block is D V, D its diagonal and V
-    unit upper, and its inverse V^{-1} D^{-1} is formed once, as one
-    matrix, so the rows take one product. An update subtracts at most b
-    (p - 1)^2 from an entry, as in `_eliminate`, so those rows are
-    reduced only once `every` updates could pass 2^53 - p; on int64 and
-    object arrays after each one. (L U)^{-1} is A^{-1}[:, order], A's
+    `_unit_lower_inverse`'s. Back (`_back_substitute`), U's block is D V,
+    D its diagonal and V unit upper, and its inverse V^{-1} D^{-1} is
+    formed once, as one matrix, so the rows take one product. An update
+    subtracts at most b (p - 1)^2 from an entry, as in `_eliminate`, so
+    those rows are reduced only once `every` updates could pass 2^53 - p;
+    on int64 and object arrays after each one. (L U)^{-1} is A^{-1}[:, order], A's
     inverse with its columns placed at the row order."""
     k = len(lu)
     b = _panel_width(p) if lu.dtype == np.float64 else 1
     every = (_FLOAT_EXACT_LIMIT - p) // (b * (p - 1) ** 2) if b > 1 else 1
     y = np.eye(k, dtype=lu.dtype)
-    starts = range(0, k, b)
-    for i, start in enumerate(starts):
+    for i, start in enumerate(range(0, k, b)):
         end = min(start + b, k)
         rows = _reduce(y[start:end, :end], p)
         if end - start > 1:
@@ -645,17 +650,35 @@ def _lu_inverse(lu, p: int, inverses=()):
         y[end:, :end] -= lu[end:, start:end] @ rows
         if (i + 1) % every == 0:
             _reduce(y[end:, :end], p)
-    for i, start in enumerate(reversed(starts)):
-        end = min(start + b, k)
-        rows = _reduce(y[start:end], p)
+
+    def diagonal_inverse(start, end):  # V^{-1} D^{-1} of U's block D V
         scale = np.array([pow(int(e), -1, p) for e in lu.diagonal()[start:end]])[:, None]
-        if end - start > 1:  # V = D^{-1} U is unit upper, the transpose of a unit lower
-            upper = _reduce(scale * np.triu(lu[start:end, start:end], 1), p)
-            inverse = _reduce(_unit_lower_inverse(upper.T, p).T * scale.T, p)  # V^{-1} D^{-1}
-            rows[...] = _reduce(inverse @ rows, p)
-        else:
-            rows[...] = _reduce(scale * rows, p)  # D^{-1}
-        y[:start] -= lu[:start, start:end] @ rows
+        if end - start == 1:
+            return scale
+        upper = _reduce(scale * np.triu(lu[start:end, start:end], 1), p)  # V - I, unit lower^T
+        return _reduce(_unit_lower_inverse(upper.T, p).T * scale.T, p)
+
+    return _back_substitute(y, lu, p, diagonal_inverse)
+
+
+def _back_substitute(y, upper, p: int, diagonal_inverse):
+    """U^{-1} y mod p in place, U the upper triangular k x k matrix whose
+    entries above its diagonal blocks are those of the array `upper`, in
+    panels of b = `_panel_width(p)` rows on float64 and 1 on any other
+    dtype, from the last: a panel's rows, reduced, take
+    diagonal_inverse(start, end), the inverse of U's diagonal block on
+    rows and columns start:end, then one product updates the rows before
+    it. An update subtracts at most b (p - 1)^2 from an entry, as in
+    `_eliminate`, so those rows are reduced only once `every` updates
+    could pass 2^53 - p; on int64 and object arrays after each one."""
+    b = _panel_width(p) if y.dtype == np.float64 else 1
+    every = (_FLOAT_EXACT_LIMIT - p) // (b * (p - 1) ** 2) if b > 1 else 1
+    for i, start in enumerate(reversed(range(0, len(upper), b))):
+        end = min(start + b, len(upper))
+        rows = _reduce(y[start:end], p)
+        rows[...] = _reduce(diagonal_inverse(start, end) @ rows, p)
+        if start:
+            y[:start] -= upper[:start, start:end] @ rows
         if (i + 1) % every == 0:
             _reduce(y[:start], p)
     return y
@@ -680,7 +703,7 @@ def _schur(a, field: int | None, k: int) -> ExactMatrix:
     residues, inverse, rows, cols = _zero_test(ints[:k, :k])
     if residues is None:
         raise SingularMatrixError("singular matrix over Q")
-    ints = ints[np.ix_(np.append(rows, range(k, len(ints))), np.append(cols, range(k, a.shape[1])))]
+    ints = np.take(ints[np.append(rows, range(k, len(ints)))], np.append(cols, range(k, a.shape[1])), 1)
     values = iter(_lift_schur(ints, k, _prime(k, len(residues) - 1), inverse))
     # the scale of a leading row cancels in M11^{-1} M12; that of a
     # trailing row scales its row of the complement
@@ -699,77 +722,86 @@ def _minus_product(t, x, y, p: int):
     return t
 
 
-def _row_reduce(k, p: int):
-    """(pivot columns, det K_piv, K_piv^{-1}, the other columns, K_piv^{-1}
-    times K on them), all mod p, of an r x w float64 array K of residues
-    with r <= w and rank r mod p, K_piv its r pivot columns in pivot
-    order; None when its rank mod p is below r.
+def _row_reduce(k, p: int, inverse: bool):
+    """(pivot columns, det K_piv, the other columns, K_piv^{-1} times K on
+    them, K_piv^{-1} when `inverse`, else None), all mod p, of an r x w
+    float64 array K of residues with r <= w and rank r mod p, K_piv its r
+    pivot columns in pivot order; None when its rank mod p is below r.
 
     `_eliminate` runs r steps on K^T with the pivot search over all w
     rows, so past any columns of K that depend on the ones before them:
     P K^T = L U, whose first r rows K_piv^T = L11 U are the pivot columns,
-    and det K_piv is the product of U's diagonal. Within one panel, r <= `_panel_width(p)`, r rows
-    I below K^T get the multipliers U^{-1}, since I = U^{-1} U, so one
-    product of [L21; U^{-1}] with L11^{-1} (`_unit_lower_inverse`) gives
-    K_oth^T K_piv^{-T} and K_piv^{-T}, K_oth the other columns. Beyond it
-    `_lu_inverse` gives (L11 U)^{-1}, K_piv^{-T}, and one product K_piv^{-1}
-    K_oth."""
+    and det K_piv is the product of U's diagonal. The other rows K_oth^T =
+    L21 U, so K_piv^{-1} K_oth = (L21 L11^{-1})^T: X L11 = L21 by one
+    blocked right substitution (`_back_substitute` on X^T = L11^{-T}
+    L21^T), panel by panel from the last, each panel's
+    block of X times the inverse of L11's diagonal block, the L11^{-1}
+    that `_eliminate` formed for that panel (`_unit_lower_inverse`'s for
+    the last), then one product updates the columns before it, reduced
+    once `every` updates could pass 2^53 - p. With
+    `inverse`, r rows I below K^T, which never pivot, get the multipliers
+    U^{-1}, since I = U^{-1} U, and the same substitution turns them into
+    U^{-1} L11^{-1} = K_piv^{-T}."""
     r, w = k.shape
-    one_panel = r <= _panel_width(p)
-    lu = np.concatenate((k.T, np.eye(r))) if one_panel else k.T.copy()
+    lu = np.concatenate((k.T, np.eye(r))) if inverse else k.T.copy()
     order, inverses = np.arange(len(lu)), []
     if _eliminate(lu, r, p, order, inverses, w) == 0:
         return None
-    value, others = 1, order[r:w]
+    value = 1
     for pivot in lu.diagonal()[:r].tolist():
         value = value * int(pivot) % p
-    if one_panel:
-        x = _reduce(lu[r:] @ _unit_lower_inverse(np.tril(lu[:r], -1), p), p).T
-        inverse, echelon = x[:, w - r:], x[:, :w - r]
-    else:
-        inverse = _lu_inverse(lu[:r], p, inverses).T
-        echelon = _minus_product(0, -inverse, k[:, others], p)
-    return order[:r], value, inverse, others, echelon
+    b = _panel_width(p)
+    x = _back_substitute(lu[r:].T, lu[:r].T, p, lambda start, end: (
+        inverses[start // b] if start // b < len(inverses) else
+        _unit_lower_inverse(np.tril(lu[start:end, start:end], -1), p)).T)
+    return order[:r], value, order[r:w], x[:, :w - r], x[:, w - r:] if inverse else None
 
 
-def _fold(a, rows, cols, outside, live, p: int):
-    """Fold one Kronecker class (R, C) of the square, C-contiguous float64
-    array a of residues mod p away (`ExactMatrix.from_csc`): the block
-    elimination of its rows against r pivot columns of each column copy,
-    in place.
+def _fold(a, fold, live, p: int, inverse: bool):
+    """Fold one Kronecker class of the square, C-contiguous float64 array a
+    of residues mod p away, by its entry (R, C, near, outside) of the fold
+    plan (`fold_plan`): the block elimination of its rows against r pivot
+    columns of each column copy, in place.
 
     The row reduction of the copy block K = a[R[0], C[0]] (`_row_reduce`)
-    picks the pivot columns P_j = C[j, piv] and gives K_piv^{-1}. With A =
-    K_piv (x) I the block of the class rows and the pivot columns, the
-    live rows O that meet a pivot column take the Schur complement update
-    a[O, T] -= a[O, P] A^{-1} a[R, T] over the live columns T outside the
-    pivots. In the other columns of copy j a[R_j, C_j] is K, so there the
-    update is a[O, P_j] times K_piv^{-1} K's other columns, one product
-    for every copy at once. Outside the class the class rows can have
-    cells only in the columns `outside` (`_folding_classes`); over those
-    still live where they have one, it is a[O, P] times K_piv^{-1} a[R_j,
-    T] for every copy, one batched product and one more. Every entry it
-    writes is reduced; the class rows and the pivot columns keep theirs.
+    picks the pivot columns P_j = C[j, piv]. With A = K_piv (x) I the block
+    of the class rows and the pivot columns, the live rows O that meet a
+    pivot column take the Schur complement update a[O, T] -= a[O, P]
+    A^{-1} a[R, T] over the live columns T outside the pivots. Only the
+    plan's rows `near` can meet, so a[O, P] is gathered on them alone. In
+    the other columns of copy j a[R_j, C_j] is K, so there the update is
+    a[o, P_j] times K_piv^{-1} K's other columns, one product for every
+    (row, copy) pair that meets at once. Outside the class the class rows
+    can have cells only in the plan's columns `outside`; over those still
+    live where they have one, it is a[O, P] A^{-1}, K_piv^{-1} applied to
+    each copy's r entries of the rows that meet, times a[R, T], one
+    product, and only for this update does the row reduction form
+    K_piv^{-1} (unless `inverse` asks for it). Every entry it writes is
+    reduced; the class rows and the pivot columns keep theirs.
 
     `live` holds the rows and columns not yet folded; the class rows and
     pivot columns leave it. Returns (det(K_piv)^copies, the pivot columns,
-    copies x r, K_piv^{-1} in float64), or None, with a unchanged, when K
-    is taller than wide, the copies' blocks differ (an earlier fold wrote
+    copies x r, K_piv^{-1} in float64 when `inverse` or the outside
+    update read it, else None), or None, with a unchanged, when K is
+    taller than wide, the copies' blocks differ (an earlier fold wrote
     into one) or K's rank mod p is below r."""
+    rows, cols, near, outside = fold
     copies, r = rows.shape
     block = a[rows[:, :, None], cols[:, None, :]]
     if r > cols.shape[1] or (block != block[0]).any():
         return None
-    reduced = _row_reduce(block[0], p)
+    outside = outside[live[1][outside]]
+    cells = a[rows.reshape(-1, 1), outside]
+    met = cells.any(axis=0)
+    outside, cells = outside[met], cells[:, met]
+    reduced = _row_reduce(block[0], p, inverse or outside.size > 0)
     if reduced is None:
         return None
-    pivots, value, inverse, others, echelon = reduced
+    pivots, value, others, echelon, k_inverse = reduced
     pivot_cols = cols[:, pivots]
-    live[0][rows] = False
-    live[1][pivot_cols] = False
-    coupling = np.take(a, pivot_cols.ravel(), axis=1)  # a[:, P], faster than that index
-    touching = np.flatnonzero(live[0] & coupling.any(axis=1))
-    coupling = coupling[touching]
+    live[0][rows] = live[1][pivot_cols] = False
+    near = near[live[0][near]]
+    coupling = a[near[:, None], pivot_cols.ravel()].reshape(len(near), copies, r)  # a[O, P]
     flat = a.reshape(-1)
 
     def subtract(at, columns, x, y):  # a[at[:, None], columns] -= x @ y, by flat position
@@ -777,53 +809,52 @@ def _fold(a, rows, cols, outside, live, p: int):
         flat[index] = _minus_product(np.take(flat, index), x, y, p)
 
     if others.size:  # only the (row, copy) pairs that meet the copy's pivot columns
-        blocks = coupling.reshape(len(touching), copies, r)
-        row, copy = np.nonzero(blocks.any(axis=2))
-        subtract(touching[row], cols[:, others][copy], blocks[row, copy], echelon)
-    outside = outside[live[1][outside]]
-    if outside.size:
-        cells = a[np.ix_(rows.ravel(), outside)]
-        met = cells.any(axis=0)
-        if met.any():
-            spread = _minus_product(0, -inverse, cells[:, met].reshape(copies, r, -1), p)
-            subtract(touching, outside[met], coupling, spread.reshape(copies * r, -1))
-    return pow(value, copies, p), pivot_cols, inverse
+        row, copy = np.nonzero(coupling.any(axis=2))
+        subtract(near[row], cols[:, others][copy], coupling[row, copy], echelon)
+    if outside.size:  # a[O, P] A^{-1} a[R, outside] for the rows O that meet one
+        touching = np.flatnonzero(coupling.any(axis=(1, 2)))
+        spread = _minus_product(0, -coupling[touching], k_inverse, p)
+        subtract(near[touching], outside, spread.reshape(len(touching), -1), cells)
+    return pow(value, copies, p), pivot_cols, k_inverse
 
 
-def _folding_classes(m: ExactMatrix) -> tuple:
-    """The Kronecker classes of m (`ExactMatrix.from_csc`) as the triples
-    (R, C, O) that `_fold` takes, O the columns outside C where the rows
-    R can hold a nonzero once the classes before them have folded; found
-    from the cells, in O(nnz), before any dense array, and shared by every
-    prime. A fold writes only into the rows that meet a copy's pivot
-    columns, over that copy's other columns and its own class's O, so a
-    class whose rows meet any column of an earlier class's copy takes
-    that copy's columns and that class's O into its own."""
-    if not m._classes:
-        return ()
-    rows, cols = m._cells[1:3] if m._array is None else np.nonzero(m._array)
+def fold_plan(n: int, row_idx, col_idx, classes) -> tuple:
+    """The fold plan of the Kronecker classes (R, C) of an n x n matrix
+    whose cells lie at (row_idx[k], col_idx[k]) (`ExactMatrix.from_csc`),
+    in fold order: per class (R, C, near, outside), near the rows outside
+    R that can meet a column of C and outside the columns outside C where
+    a row of R can hold a nonzero, each ascending, once the classes
+    before it have folded; from the cells alone, so shared by every
+    matrix with those cells or fewer, and every prime.
+
+    A fold writes only into its near rows, over its copies' columns and
+    its own outside columns (`_fold`). So the class rows take, for every
+    copy of an earlier class that they meet, that copy's columns and that
+    class's outside columns into their own; and the near rows of an
+    earlier class that writes into a column of C are near rows too."""
     folding = []
-    for r, c in m._classes:
-        in_class = np.zeros(m.nrows, dtype=bool)
-        in_class[r] = True
-        met = np.zeros(m.ncols, dtype=bool)
-        met[cols[in_class[rows]]] = True
-        for _, earlier, filled in folding:
-            copies = met[earlier].any(axis=1)
-            if copies.any():
-                met[earlier[copies]] = True
-                met[filled] = True
-        met[c] = False
-        folding.append((r, c, np.flatnonzero(met)))
+    for r, c in classes:
+        in_rows, in_cols = np.zeros((2, n), dtype=bool)
+        in_rows[r] = in_cols[c] = True
+        met = np.bincount(col_idx[in_rows[row_idx]], minlength=n) > 0
+        near = np.bincount(row_idx[in_cols[col_idx]], minlength=n) > 0
+        for _, earlier, earlier_near, filled in folding:
+            touched = met[earlier].any(axis=1)
+            met[earlier[touched]] = True
+            met[filled] |= touched.any()
+            near[earlier_near] |= in_cols[earlier].any() or in_cols[filled].any()
+        met[c] = near[r] = False
+        folding.append((r, c, np.flatnonzero(near), np.flatnonzero(met)))
     return tuple(folding)
 
 
 class _Folded(NamedTuple):
     """`_fold_eliminate`'s result: det a mod p; per folded class, in fold
-    order, its rows and pivot columns, flat, copy by copy, and K_piv^{-1};
-    the rest's rows, in the pivot order of its elimination, and columns,
-    ascending; and that elimination's packed LU, of the rest's rows in
-    that order, and L11^{-1}s (`_eliminate`)."""
+    order, its rows and pivot columns, flat, copy by copy, and K_piv^{-1}
+    (None unless the caller unfolds or the fold's outside update formed
+    it); the rest's rows, in the pivot order of its elimination, and
+    columns, ascending; and that elimination's packed LU, of the rest's
+    rows in that order, and L11^{-1}s (`_eliminate`)."""
     det: int
     folds: list
     rest: list
@@ -831,25 +862,25 @@ class _Folded(NamedTuple):
     inverses: list
 
 
-def _fold_eliminate(a, classes, p: int) -> _Folded:
+def _fold_eliminate(a, plan, p: int, unfold: bool = False) -> _Folded:
     """det a mod p for a square array a of residues in its working dtype
-    (`_working_dtype`), clobbered: on float64 the classes
-    (`_folding_classes`) are folded away first, each by one block
-    elimination (`_fold`), and `_eliminate` runs on the Schur complement
-    left, the rest, a copy (a itself when nothing folds). With L the rows
-    and pivot columns the folds took, in order, and the rest ascending,
-    det a = sign * prod det(K_piv)^copies * det(rest), sign that of the
-    row order [L, rest] times that of the column order; the elimination
-    then leaves the rest's rows in its pivot order. One driver for det
-    over F_p and every modular det over Q."""
-    n = len(a)
+    (`_working_dtype`), clobbered: on float64 the Kronecker classes of the
+    fold plan (`fold_plan`) are folded away first, each by one block
+    elimination (`_fold`), which forms its K_piv^{-1} when `unfold` (the
+    zero test's `_unfold` reads them), and `_eliminate` runs on the Schur
+    complement left, the rest, a copy (a itself when nothing folds). With
+    L the rows and pivot columns the folds took, in order, and the rest
+    ascending, det a = sign * prod det(K_piv)^copies * det(rest), sign
+    that of the row order [L, rest] times that of the column order; the
+    elimination then leaves the rest's rows in its pivot order. One driver
+    for det over F_p and every modular det over Q."""
     value, folds = 1, []
-    live = np.ones((2, n), dtype=bool)  # rows, columns not folded
-    for rows, cols, outside in classes if a.dtype == np.float64 else ():
-        folded = _fold(a, rows, cols, outside, live, p)
+    live = np.ones((2, len(a)), dtype=bool)  # rows, columns not folded
+    for fold in plan if a.dtype == np.float64 else ():
+        folded = _fold(a, fold, live, p, unfold)
         if folded is not None:
             value = value * folded[0] % p
-            folds.append((rows.ravel(), folded[1].ravel(), folded[2]))
+            folds.append((fold[0].ravel(), folded[1].ravel(), folded[2]))
     rest, lu = [np.flatnonzero(v) for v in live], a
     if folds:
         if _parity(np.concatenate([r for r, _, _ in folds] + rest[:1])) != \
@@ -924,20 +955,19 @@ def det(m: ExactMatrix):
     F_p and over Q alike, runs `_fold_eliminate`: the Kronecker classes
     of m, if it carries any (`ExactMatrix.from_csc`), are folded away
     first, each by one block elimination (`_fold`), and the elimination
-    runs on the Schur complement that is left, the rest. The columns
-    outside a class that its rows can meet are found once per det, from
-    the cells (`_folding_classes`)."""
+    runs on the Schur complement that is left, the rest. The rows and
+    columns a fold can touch come from m's fold plan (`fold_plan`), which
+    the matrix that m specializes builds on the first det and keeps."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1 if m.field is None else 1 % m.field
+    plan = m._plan() if m._plan else ()
     if m.field is not None:
-        p = m.field
-        return _fold_eliminate(m._dense(_working_dtype(p)), _folding_classes(m), p).det
-    classes = _folding_classes(m)  # from the cells, before `array` drops them
+        return _fold_eliminate(m._dense(_working_dtype(m.field)), plan, m.field).det
     ints, scales = _int_rows(m.array)
-    value = Fraction(_multimodular(ints, classes), prod(scales))
+    value = Fraction(_multimodular(ints, plan), prod(scales))
     return int(value) if value.denominator == 1 else value
 
 
@@ -1070,7 +1100,7 @@ def _dyadic_product(values) -> tuple[int, int]:
 _CRT_MAX_PRIMES = 3
 
 
-def _multimodular(a, classes=()) -> int:
+def _multimodular(a, plan=()) -> int:
     """The determinant of a square integer array (int64 or object), by the
     method of Abbott, Bronstein and Mulders without early termination.
 
@@ -1086,13 +1116,14 @@ def _multimodular(a, classes=()) -> int:
     product of the primes exceeds 2 B / |D|; D times the symmetric
     residue is det, certified since |det| <= B. A residue 0 is just a
     residue. Every residue, the zero test's too, is `_fold_eliminate`'s,
-    the Kronecker classes (`_folding_classes`) folded away first.
+    the Kronecker classes of the fold plan (`fold_plan`) folded away
+    first.
     """
     n = len(a)
     bound2 = _hadamard2(a, n)[1]
     residues, divisor = [], 1
     if 4 * bound2 >= _prime(n, 0) ** (2 * _CRT_MAX_PRIMES):
-        residues, inverse, rows, cols = _zero_test(a, classes)
+        residues, inverse, rows, cols = _zero_test(a, plan)
         if residues is None:
             return 0
         divisor = _divisor(a, _prime(n, len(residues) - 1), inverse, rows, cols)
@@ -1108,7 +1139,7 @@ def _multimodular(a, classes=()) -> int:
         if divisor % q == 0:
             continue
         residue = residues[i] if i < len(residues) else \
-            _fold_eliminate(_mod(a, q), classes, q).det
+            _fold_eliminate(_mod(a, q), plan, q).det
         d += modulus * ((residue * pow(divisor, -1, q) - d) * pow(modulus, -1, q) % q)
         modulus *= q
     return divisor * (d - modulus if 2 * d > modulus else d)
@@ -1121,7 +1152,7 @@ def _mod(a, q: int):
     return (a % q).astype(_working_dtype(q), copy=False)
 
 
-def _zero_test(a, classes=()):
+def _zero_test(a, plan=()):
     """(None, None, None, None) when the square integer array a is
     singular, certified by a kernel vector; otherwise (residues, X, rows,
     cols): det a modulo the primes _prime(n, 0), ..., _prime(n, i), the
@@ -1130,7 +1161,8 @@ def _zero_test(a, classes=()):
     cols], a with its rows and columns in the test's order.
 
     Modulo q = _prime(n, i), `_fold_eliminate` folds a's Kronecker
-    classes (`_folding_classes`) away and eliminates the rest, which
+    classes away by the fold plan (`fold_plan`), each fold forming its
+    K_piv^{-1}, and eliminates the rest, which
     finds no pivot for some column s exactly when det a = 0 mod q; else
     s is the rest's order; a fold's K takes the same elimination
     (`_row_reduce`), and a K of rank below r mod q leaves its class to
@@ -1158,7 +1190,7 @@ def _zero_test(a, classes=()):
     for i in count():
         q = _prime(n, i)
         work = _mod(a, q)
-        folded = _fold_eliminate(work, classes, q)
+        folded = _fold_eliminate(work, plan, q, True)
         (rows, cols), lu = folded.rest, folded.lu
         residues.append(folded.det)
         s = len(lu) if folded.det else int(np.flatnonzero(lu.diagonal() == 0)[0])
@@ -1166,7 +1198,7 @@ def _zero_test(a, classes=()):
         x, row_order, col_order = _unfold(work, folded.folds, rows[:s], cols[:s], lead, q)
         if folded.det:
             return residues, x, row_order, col_order
-        head = a[np.ix_(np.append(row_order, rows[s:]), np.append(col_order, cols[s]))]
+        head = np.take(a[np.append(row_order, rows[s:])], np.append(col_order, cols[s]), axis=1)
         # the last column minus its Q-combination of the columns before it
         certificate = head[:, 0] if not len(x) else \
             [num for num, _ in _lift_schur(head, len(x), q, x)]
@@ -1186,7 +1218,7 @@ def _divisor(a, q: int, inverse, rows, cols) -> int:
     n = len(a)
     b, c = _border(n)
     bordered = np.zeros((n + 1, n + 1), dtype=a.dtype)
-    bordered[:n, :n] = a[np.ix_(rows, cols)]
+    bordered[:n, :n] = np.take(a[rows], cols, axis=1)
     bordered[:n, n] = b[rows]
     bordered[n, :n] = c[cols]
     (num, den), = _lift_schur(bordered, n, q, inverse)

@@ -2331,10 +2331,10 @@ def test_det_folding_kronecker_classes_equals_the_plain_elimination(moduli, kron
             spec = koszul.specialize(matrix, system, p)
             n = spec.nrows
             plain = spec.submatrix(range(n), range(n))
-            assert len(spec._classes) == len(matrix.kronecker_classes) and not plain._classes
+            assert len(spec._plan()) == len(matrix.kronecker_classes) and not plain._plan
             folds = len(results["_fold"])
             assert exactlinalg.det(spec) == exactlinalg.det(plain)
-            assert len(results["_fold"]) == folds + (0 if int64 else len(spec._classes))
+            assert len(results["_fold"]) == folds + (0 if int64 else len(spec._plan()))
     folded = [value is not None for value in results["_fold"]]
     assert any(folded) != int64
     assert (None in results["_row_reduce"]) == (moduli == (23, 29, 31))  # a rank-deficient K
@@ -2350,7 +2350,7 @@ def test_det_folding_kronecker_classes_at_mu_2450():
     f0, _ = solver.choose_f0_and_theta(t, rng)
     spec = koszul.specialize(koszul.assemble_delta1(t), core.random_system(t, rng).with_f0(f0),
                              1_000_003)
-    assert [(rows.shape, cols.shape) for rows, cols in spec._classes] == \
+    assert [(rows.shape, cols.shape) for rows, cols, _, _ in spec._plan()] == \
         [((15, 105), (15, 147)), ((7, 5), (7, 35))]
     folds = []
     real_fold = exactlinalg._fold
@@ -2363,27 +2363,28 @@ def test_det_folding_kronecker_classes_at_mu_2450():
 
 
 def test_fold_gathers_only_the_outside_columns_its_rows_can_meet(kronecker_systems, monkeypatch):
-    """`_folding_classes` finds from the cells, before any dense array, the
-    columns outside each class that its rows can meet once the classes
-    before it fold: none for the L04 and L03 classes, whose rows meet
-    only the L12 columns, and the L01 class, whose rows meet only the L11
-    columns and no fold's fill, so such a fold gathers nothing outside
-    and runs no product there (one `_minus_product` at most, the
-    in-class one: every K here is one panel wide, whose row reduction
-    takes none); for the L02 class every column where its rows hold a
-    nonzero when it folds, the fill of the L12 class's fold included.
-    Every det, over F_p and over Q, is the class-free copy's."""
+    """The fold plan (`fold_plan`) finds from the symbolic cells, before
+    any dense array, the columns outside each class that its rows can
+    meet once the classes before it fold: none for the L04 and L03
+    classes, whose rows meet only the L12 columns, and the L01 class,
+    whose rows meet only the L11 columns and no fold's fill, so such a
+    fold gathers nothing outside and runs no product there (one
+    `_minus_product` at most, the in-class one: a row reduction takes
+    none); for the L02 class every column where its rows hold a nonzero
+    when it folds, the fill of the L12 class's fold included. Every det,
+    over F_p and over Q, is the class-free copy's."""
     import numpy as np
 
     folds, products = [], []
     real_fold, real_product = exactlinalg._fold, exactlinalg._minus_product
 
-    def fold(a, rows, cols, outside, live, p):
+    def fold(a, plan, live, p, inverse):
+        rows, cols, _, outside = plan
         met = live[1] & a[rows.ravel()].any(axis=0)
         met[cols] = False
         assert set(np.flatnonzero(met)) <= set(outside.tolist())
         before = len(products)
-        result = real_fold(a, rows, cols, outside, live, p)
+        result = real_fold(a, plan, live, p, inverse)
         folds.append((rows, outside.size, len(products) - before))
         return result
 
@@ -2409,15 +2410,17 @@ def test_fold_gathers_only_the_outside_columns_its_rows_can_meet(kronecker_syste
 
 def with_classes(rows, field, classes):
     """The square matrix of `rows` in compressed-column form, carrying the
-    Kronecker classes `classes`, pairs of nested lists (R, C)."""
+    fold plan of the Kronecker classes `classes`, pairs of nested lists
+    (R, C), from its cells (`fold_plan`)."""
     import numpy as np
 
     n = len(rows)
     cells = [(i, j) for j in range(n) for i in range(n) if rows[i][j]]
     row_idx, col_idx = (np.array(index, dtype=np.intp) for index in zip(*cells))
     values = ExactMatrix([[rows[i][j] for i, j in cells]], field).array[0]
+    plan = exactlinalg.fold_plan(n, row_idx, col_idx, [(np.array(r), np.array(c)) for r, c in classes])
     return ExactMatrix.from_csc((n, n), row_idx, col_idx, np.searchsorted(col_idx, np.arange(n + 1)),
-                                values, field, [(np.array(r), np.array(c)) for r, c in classes])
+                                values, field, lambda: plan)
 
 
 def placed_inverse(test):
@@ -2437,7 +2440,7 @@ def test_a_fold_reaches_the_columns_an_earlier_fold_filled_in():
     row 2 of class 2 (rows 2..5, K 2 x 2) meets class 1's first column
     0 but not its other column 1, so the fold of class 1 fills row 2 in
     at column 1, and the fold of class 2 must take column 1 among its
-    outside columns (`_folding_classes`). det over F_p and over Q, and
+    outside columns (`fold_plan`). det over F_p and over Q, and
     the zero test with its unfolded inverse, equal the class-free
     copy's."""
     import numpy as np
@@ -2459,8 +2462,8 @@ def test_a_fold_reaches_the_columns_an_earlier_fold_filled_in():
         for i in range(6, n):
             rows[i] = [rng.randint(-9, 9) for _ in range(n)]
         spec = with_classes(rows, None, classes)
-        folding = exactlinalg._folding_classes(spec)
-        assert folding[0][2].tolist() == [] and 1 in folding[1][2].tolist()
+        folding = spec._plan()
+        assert folding[0][3].tolist() == [] and 1 in folding[1][3].tolist()
         want = fraction_det(rows)
         assert exactlinalg.det(with_classes(rows, p, classes)) == want % p
         assert exactlinalg.det(spec) == want
@@ -2482,7 +2485,7 @@ def least_prime_factor(value, start=23, stop=10 ** 5):
 def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_systems, monkeypatch,
                                                                  primes):
     """On the planted (det 0) and random specializations over Q of every
-    small type, `_zero_test` with the Kronecker classes (`_folding_classes`)
+    small type, `_zero_test` with the fold plan (`fold_plan`)
     gives what it gives on the class-free copy `submatrix(range(n),
     range(n))`: the same residues and the same a^{-1} modulo the last
     prime, entry for entry once each is placed in a's order
@@ -2492,8 +2495,8 @@ def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_syste
     det with a prime factor q >= 23, from q first, where the residue is 0
     and the lifted certificate is not, so the test moves on. Once a class
     folds, `_lu_inverse` runs on the rest only, or on its leading block
-    for the certificate: every K here is one panel wide, whose row
-    reduction (`_row_reduce`) takes no `_lu_inverse`."""
+    for the certificate: a row reduction (`_row_reduce`) takes no
+    `_lu_inverse`."""
     import numpy as np
 
     real_prime, real_fold_eliminate = exactlinalg._prime, exactlinalg._fold_eliminate
@@ -2502,13 +2505,13 @@ def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_syste
     monkeypatch.setattr(exactlinalg, "_prime", lambda k, i: first[i] if i < len(first) else
                         real_prime(k, i - len(first)))
 
-    def fold_eliminate(a, classes, p):
-        folded = real_fold_eliminate(a, classes, p)
+    def fold_eliminate(a, plan, p, *rest):
+        folded = real_fold_eliminate(a, plan, p, *rest)
         events.append((len(a), len(folded.lu), bool(folded.folds)))
         return folded
 
-    def row_reduce(k, p):
-        reduced = real_row_reduce(k, p)
+    def row_reduce(k, p, inverse):
+        reduced = real_row_reduce(k, p, inverse)
         deficient.append(reduced is None)
         return reduced
 
@@ -2523,7 +2526,7 @@ def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_syste
         ints = exactlinalg._int_rows(spec.array)[0]
         plain = exactlinalg._int_rows(spec.submatrix(range(n), range(n)).array)[0]
         assert np.array_equal(ints, plain)
-        classes = exactlinalg._folding_classes(koszul.specialize(matrix, system))
+        classes = matrix.fold_plan()
         first[:] = SMALL_PRIMES if primes == "small" else []
         if primes == "unlucky":
             value = exactlinalg.det(spec)
@@ -2569,7 +2572,7 @@ def assert_inverse_mod(inverse, w, q):
 @pytest.mark.parametrize("primes", ["family", "unlucky"])
 def test_zero_test_inverse_is_that_of_its_order(kronecker_systems, monkeypatch, primes):
     """On the planted (det 0) and random specializations over Q of every
-    small type, with the Kronecker classes (`_folding_classes`) and
+    small type, with the fold plan (`fold_plan`) and
     without: the zero test's rows and cols are each a permutation of
     range(n), and its inverse is that of W = a[rows][:, cols] modulo the
     last prime, on both sides. Every lift takes the inverse of its own
@@ -2601,7 +2604,7 @@ def test_zero_test_inverse_is_that_of_its_order(kronecker_systems, monkeypatch, 
             if q is None:
                 continue
             first.append(q)
-        for classes in (exactlinalg._folding_classes(spec), ()):
+        for classes in (spec._plan(), ()):
             residues, inverse, rows, cols = exactlinalg._zero_test(ints, classes)
             if residues is None:
                 certified += 1
@@ -2630,7 +2633,7 @@ def test_divisor_borders_the_zero_tests_order_with_the_vectors_of_a(kronecker_sy
     for matrix, system in kronecker_systems:
         spec = koszul.specialize(matrix, system)
         if spec.nrows <= 40:
-            cases.append((exactlinalg._int_rows(spec.array)[0], exactlinalg._folding_classes(spec)))
+            cases.append((exactlinalg._int_rows(spec.array)[0], spec._plan()))
     rng = random.Random(40)
     for n in (5, 9, 12, 20, 33):
         lower = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(n)]
@@ -2698,7 +2701,7 @@ def test_zero_test_with_folds_and_no_pivot_in_the_rests_first_column(monkeypatch
     monkeypatch.setattr(exactlinalg, "_lift_schur", lambda a, split, q, inverse:
                         lifts.append((split, q)) or real_lift(a, split, q, inverse))
     residues, inverse, order_rows, order_cols = exactlinalg._zero_test(
-        ints, exactlinalg._folding_classes(spec))
+        ints, spec._plan())
     assert lifts == [(2, 23)]
     if singular:
         assert residues is None and inverses == []
@@ -2740,58 +2743,84 @@ def rank_and_det_mod(rows, p):
     return rank, value % p
 
 
-def assert_row_reduced(k, p):
-    """`_row_reduce` of the r x w list of ints k against Python ints: None
-    exactly when k has rank below r mod p; otherwise r distinct pivot
-    columns and the other columns, together every column once, det K_piv,
-    K_piv^{-1} with K_piv^{-1} K_piv = I and the others' block K_piv^{-1}
-    K_oth, all mod p. Returns the pivot columns, or None."""
+def assert_row_reduced(k, p, inverse=True):
+    """`_row_reduce` of the r x w list of ints k: None exactly when k has
+    rank below r mod p (Python ints); otherwise r distinct pivot columns
+    and the other columns, together every column once, det K_piv against
+    Python ints, K_piv (K_piv^{-1} K_oth) = K_oth and, with `inverse`,
+    K_piv^{-1} K_piv = I (None without), all mod p, by int64 products,
+    exact while r (p - 1)^2 < 2^63. Returns the pivot columns, or None."""
     import numpy as np
 
     r, w = len(k), len(k[0])
-    got = exactlinalg._row_reduce(np.array(k, dtype=np.float64) % p, p)
+    got = exactlinalg._row_reduce(np.array(k, dtype=np.float64) % p, p, inverse)
     if rank_and_det_mod(k, p)[0] < r:
         assert got is None
         return None
-    pivots, value, inverse, others, echelon = got
+    pivots, value, others, echelon, x = got
     pivots, others = pivots.tolist(), others.tolist()
     assert sorted(pivots + others) == list(range(w)) and len(pivots) == r
-    kpiv = [[row[j] for j in pivots] for row in k]
-    assert value == rank_and_det_mod(kpiv, p)[1] != 0
-    x = [[int(e) for e in row] for row in inverse]
-    assert all(0 <= e < p for row in x for e in row)
-    assert [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*kpiv)] for row in x] == \
-        [[int(i == j) for j in range(r)] for i in range(r)]
-    koth = [[row[j] for j in others] for row in k]
-    assert [[int(e) for e in row] for row in echelon] == \
-        [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*koth)] for row in x]
+    a = np.array(k, dtype=np.int64) % p
+    kpiv, koth = a[:, pivots], a[:, others]
+    assert value == rank_and_det_mod(kpiv.tolist(), p)[1] != 0
+    for got in (echelon, x) if inverse else (echelon,):
+        assert ((0 <= got) & (got < p) & (got == np.round(got))).all()
+    assert np.array_equal(kpiv @ echelon.astype(np.int64) % p, koth)
+    if inverse:
+        assert np.array_equal(x.astype(np.int64) @ kpiv % p, np.eye(r))
+    else:
+        assert x is None
     return pivots
 
 
+def row_reduce_cases(rng, p, r, w, kind):
+    """An r x w list of residues mod p, about 60% nonzero: random, with
+    its last row a copy of the first (rank below r when r > 1), or, when w > r, with
+    column 0 repeated in column 1, whose own column moves past r, so that
+    K's first r columns are dependent."""
+    k = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(w)] for _ in range(r)]
+    if kind == "repeated row":
+        k[-1] = k[0][:]
+    if kind == "dependent columns" and w > r:
+        for row in k:
+            row[1], row[r] = row[0], row[1]
+    return k
+
+
 def test_row_reduce_matches_python_ints():
-    """Pivot columns, det K_piv, K_piv^{-1} and K_piv^{-1} times the other
-    columns of wide blocks K, against Python ints (`assert_row_reduced`);
-    None below full row rank; K's first r columns dependent, so that the
-    pivot search passes them. Within one panel (r at most the panel
-    width) and beyond it, at a prime whose panels are two columns wide,
-    and at r = 40 beyond the widest panel."""
+    """Pivot columns, det K_piv, K_piv^{-1} K_oth and K_piv^{-1} of wide
+    blocks K (`assert_row_reduced`) for every r from 1 to 2 b + 1, b =
+    `_panel_width(p)`: one panel, exactly one full panel, just past one
+    and several, so that the right substitution runs on one or more
+    panels, at p = 1000003 (b = 32) and at a prime whose panels are two
+    columns wide. The kinds of K take turns: random, rank below r (None),
+    and K's first r columns dependent, so that the pivot search passes
+    them. Without K_piv^{-1} the pivots, det and K_piv^{-1} K_oth are
+    the same. At 5 and 23, small blocks, often rank-deficient."""
+    import numpy as np
+
     rng = random.Random(11)
-    passed = 0
-    for p in (5, 23, 1_000_003, width_bound_prime(2)):
-        for r, w in ((1, 1), (3, 3), (4, 9), (12, 20), (40, 45)):
-            for trial in range(3):
-                k = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(w)]
-                     for _ in range(r)]
-                if trial == 1:  # a repeated row: rank below r
-                    k[-1] = k[0][:]
-                if trial == 2 and w > r:  # column 0 repeated in column 1, which moves past r
-                    for row in k:
-                        row[1], row[r] = row[0], row[1]
-                pivots = assert_row_reduced(k, p)
-                if trial == 2 and pivots is not None and w > r:
-                    assert sorted(pivots) != list(range(r))
-                    passed += 1
-    assert passed
+    kinds = ("random", "repeated row", "dependent columns")
+    passed = set()
+    for p in (1_000_003, width_bound_prime(2)):
+        for r in range(1, 2 * exactlinalg._panel_width(p) + 2):
+            kind = kinds[r % 3]
+            k = row_reduce_cases(rng, p, r, r + rng.randrange(1, 9), kind)
+            pivots = assert_row_reduced(k, p)
+            assert (pivots is None) == (kind == "repeated row" and r > 1)
+            if pivots is not None:
+                with_inverse = exactlinalg._row_reduce(np.array(k, dtype=np.float64), p, True)
+                without = exactlinalg._row_reduce(np.array(k, dtype=np.float64), p, False)
+                assert all(np.array_equal(a, b) for a, b in zip(with_inverse[:4], without[:4]))
+                assert assert_row_reduced(k, p, inverse=False) == pivots
+            if kind == "dependent columns":
+                assert sorted(pivots) != list(range(r))
+                passed.add((p, r > exactlinalg._panel_width(p)))
+    assert len(passed) == 4
+    for p in (5, 23):
+        for r, w in ((1, 1), (3, 3), (4, 9), (12, 20)):
+            for kind in kinds:
+                assert_row_reduced(row_reduce_cases(rng, p, r, w, kind), p)
 
 
 def resultant_systems(ty, seed=1):
@@ -2831,8 +2860,12 @@ def test_row_reduce_passes_the_dependent_columns_of_the_l04_k(ty):
     assert sorted(assert_row_reduced(k, p)) != list(range(r))
 
 
-@pytest.mark.parametrize("ty", [(2, 2, 2, 3, 3), (3, 3, 1, 4, 3), (3, 2, 2, 4, 3),
-                                (10, 1, 1, 10, 2), (2, 6, 4, 7, 5)])
+# the det over F_p types of the `resultant` workload
+RESULTANT_TYPES = [(2, 2, 2, 3, 3), (3, 3, 1, 4, 3), (3, 2, 2, 4, 3), (10, 1, 1, 10, 2),
+                   (2, 6, 4, 7, 5)]
+
+
+@pytest.mark.parametrize("ty", RESULTANT_TYPES)
 def test_every_emitted_class_folds_on_the_resultant_systems(ty, monkeypatch):
     """On the seed-1 `resultant` systems, planted and random, over
     F_1000003, every class that assembly emits folds: `_fold` runs once
@@ -2847,6 +2880,149 @@ def test_every_emitted_class_folds_on_the_resultant_systems(ty, monkeypatch):
         results.clear()
         exactlinalg.det(koszul.specialize(matrix, system, 1_000_003))
         assert len(results) == len(matrix.kronecker_classes) and None not in results
+
+
+def test_det_over_fp_never_inverts_and_the_zero_test_gets_every_k_inverse(monkeypatch):
+    """No det over F_1000003 of the seed-1 `resultant` systems, planted
+    and random, calls `_lu_inverse`: `_row_reduce` gives K_piv^{-1} K_oth
+    by its right substitution, and K_piv^{-1} only for a fold whose rows
+    meet live outside columns. The zero test of det over Q on the same
+    systems still gets K_piv^{-1} for every fold of every class, the
+    inverse mod q of the block of the fold's first copy of rows and
+    pivot columns, which `_unfold` reads."""
+    import numpy as np
+
+    calls, unfolded = [], []
+    real_lu_inverse, real_unfold = exactlinalg._lu_inverse, exactlinalg._unfold
+    monkeypatch.setattr(exactlinalg, "_lu_inverse",
+                        lambda *args: calls.append(1) or real_lu_inverse(*args))
+
+    def unfold(a, folds, rows, cols, inverse, q):
+        for fold_rows, fold_cols, k_inverse in folds:
+            r = len(k_inverse)
+            k = a[np.ix_(fold_rows[:r], fold_cols[:r])].astype(np.int64)
+            assert np.array_equal(k_inverse.astype(np.int64) @ k % q, np.eye(r))
+        unfolded.append(len(folds))
+        return real_unfold(a, folds, rows, cols, inverse, q)
+
+    monkeypatch.setattr(exactlinalg, "_unfold", unfold)
+    for ty in RESULTANT_TYPES:
+        matrix, systems = koszul.assemble_delta1(SystemType(*ty)), resultant_systems(ty)
+        calls.clear()  # drawing f0 may take a det over Q
+        for system in systems:
+            exactlinalg.det(koszul.specialize(matrix, system, 1_000_003))
+        assert not calls
+        if ty[:3] in ((2, 2, 2), (3, 3, 1), (3, 2, 2)):  # the workload's det over Q
+            for system in systems:
+                unfolded.clear()
+                exactlinalg.det(koszul.specialize(matrix, system))
+                assert unfolded and set(unfolded) == {len(matrix.kronecker_classes)}
+
+
+def assert_plan_covers(a, fold, live):
+    """`fold_plan`'s entry (R, C, near, outside) of the class that `_fold`
+    is about to fold holds what a dense scan of the array a finds after
+    the folds before it: every live row outside R with a nonzero in a
+    column of C among the rows `near`, and every live column outside C
+    where a row of R has a nonzero among the columns `outside`. The scan
+    runs on a few hundred rows at a time. Returns what it found, the rows
+    and the columns."""
+    import numpy as np
+
+    rows, cols, near, outside = fold
+    n = len(a)
+    scanned = live[0].copy()
+    scanned[rows] = False
+    meets, met = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for start in range(0, n, 256):
+        meets[start:start + 256] = a[start:start + 256, cols.ravel()].any(axis=1)
+    for chunk in np.array_split(rows.ravel(), -(-rows.size // 256)):
+        met |= a[chunk].any(axis=0)
+    met &= live[1]
+    met[cols] = False
+    meets, met = (set(np.flatnonzero(found).tolist()) for found in (meets & scanned, met))
+    assert meets <= set(near.tolist()) and met <= set(outside.tolist())
+    return meets, met
+
+
+class _FoldsDone(Exception):
+    """Stops `_fold_eliminate` once its last class has folded."""
+
+
+@pytest.mark.parametrize("ty", [(t.nx, t.ny, t.nz, t.r, t.s) for t in system_types(max_dim=3)]
+                         + [(2, 6, 4, 7, 5), (10, 1, 1, 10, 2), (5, 5, 2, 6, 6), (6, 4, 2, 5, 7),
+                            (4, 4, 4, 6, 6), (5, 5, 2, 9, 3), (6, 3, 3, 6, 6)])
+def test_fold_plan_covers_what_each_fold_touches(ty, monkeypatch):
+    """For every emitted class of the types with every dimension up to 3
+    and of the seven Table-1 types, the fold plan holds every row and
+    column that a dense scan finds before the class folds, the fill of
+    the folds before it included (`assert_plan_covers`): on the random
+    system of seed 1 over F_1000003, as det runs it, and modulo the zero
+    test's first prime _prime(mu, 0), with K_piv^{-1} formed, as the
+    zero test runs it. The elimination of the rest is skipped."""
+    import numpy as np
+
+    t = SystemType(*ty)
+    matrix = koszul.assemble_delta1(t)
+    plan = matrix.fold_plan()
+    system = core.random_system(t, 1).with_f0(solver.choose_f0_and_theta(t, 1)[0])
+    real_fold, seen = exactlinalg._fold, []
+
+    def fold(a, entry, live, p, inverse):
+        assert_plan_covers(a, entry, live)
+        folded = real_fold(a, entry, live, p, inverse)
+        seen.append(folded is not None)
+        if len(seen) == len(plan):
+            raise _FoldsDone
+        return folded
+
+    monkeypatch.setattr(exactlinalg, "_fold", fold)
+    for p, unfold in ((1_000_003, False), (exactlinalg._prime(matrix.size, 0), True)):
+        seen.clear()
+        try:
+            exactlinalg._fold_eliminate(koszul.specialize(matrix, system, p)._dense(np.float64),
+                                        plan, p, unfold)
+        except _FoldsDone:
+            pass
+        assert seen == [True] * len(matrix.kronecker_classes)
+
+
+def test_fold_plan_covers_the_fill_of_the_fold_before(monkeypatch):
+    """On random 12 x 12 matrices with two classes, each of two copies of
+    a 1 x 2 K, class 1 on rows 0, 1 and columns 0..3, class 2 on rows 2,
+    3 and columns 4..7, and random cells elsewhere, the first class's
+    rows among them: its fold writes into the rows that meet its pivot
+    columns, over its other columns and the columns where its rows have
+    cells, so a row can come to meet class 2 (a row of the plan) and a
+    row of class 2 a column (an outside column of the plan) that no cell
+    of it holds. The plan still covers every fold (`assert_plan_covers`),
+    over F_1000003 and modulo _prime(12, 0) with K_piv^{-1} formed, and
+    both kinds of fill occur among the draws."""
+    import numpy as np
+
+    classes = [([[0], [1]], [[0, 1], [2, 3]]), ([[2], [3]], [[4, 5], [6, 7]])]
+    n, rng, fill = 12, random.Random(32), {"rows": 0, "columns": 0}
+    real_fold, found = exactlinalg._fold, []
+    monkeypatch.setattr(exactlinalg, "_fold", lambda a, entry, live, p, inverse: (
+        found.append(assert_plan_covers(a, entry, live)), real_fold(a, entry, live, p, inverse))[1])
+    for _ in range(40):
+        rows = [[rng.randint(1, 9) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+        for class_rows, class_cols in classes:
+            k = [rng.randint(1, 9), rng.randint(1, 9)]
+            for j, (row,) in enumerate(class_rows):
+                for jj, cols in enumerate(class_cols):
+                    for col, entry in zip(cols, k):
+                        rows[row][col] = entry if j == jj else 0
+        cells = {(i, j) for i in range(n) for j in range(n) if rows[i][j]}
+        for p, unfold in ((1_000_003, False), (exactlinalg._prime(n, 0), True)):
+            m = with_classes(rows, p, classes)
+            found.clear()
+            exactlinalg._fold_eliminate(m._dense(np.float64), m._plan(), p, unfold)
+            (class_rows, class_cols), (meets, met) = classes[1], found[1]
+            fill["rows"] += any(not any((i, col) in cells for cols in class_cols for col in cols)
+                                for i in meets)
+            fill["columns"] += any((row, col) not in cells for (row,) in class_rows for col in met)
+    assert fill["rows"] and fill["columns"]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
