@@ -29,13 +29,13 @@ singular leading block) the LU of the columns before the first one
 without a pivot, the first zero on the diagonal, and the row order are
 defined.
 
-A matrix in compressed-column form may carry the fold plan of its
-Kronecker classes, index pairs (R, C) of blocks that are K (x) I up to
-order (a specialized Koszul matrix carries up to two,
-`koszul._kronecker_classes`), with the rows that can meet each class's
-columns and the columns its rows can meet (`fold_plan`), read once from
-the cells. Every modular det on float64, over F_p and each prime of det
-over Q, folds each class away before its steps (`_fold_eliminate`,
+A matrix in compressed-column form may carry Kronecker classes, index
+pairs (R, C) of blocks that are K (x) I up to order (a specialized
+Koszul matrix carries up to two, `koszul._kronecker_classes`). Each det
+reads their fold plan from the cells first: the rows that can meet each
+class's columns and the columns its rows can meet (`fold_plan`). Every
+modular det on float64, over F_p and each prime of det over Q, folds
+each class away before its steps (`_fold_eliminate`,
 `_fold`): the same elimination on K^T, its pivot search over every row
 (`_row_reduce`), picks r pivot columns of the one block K, and one right
 substitution with its L gives K_piv^{-1} times K's other columns;
@@ -228,9 +228,9 @@ class ExactMatrix:
     array on first read, one scatter through the inverse selections that
     drops a cell only where they drop its row or column, and keeps it.
 
-    A matrix from `from_csc` may also carry the fold plan of its Kronecker
-    classes, which `det` folds away before each elimination mod p
-    (`_fold_eliminate`); every other matrix, a `submatrix` too, has none.
+    A matrix from `from_csc` may also carry Kronecker classes, which `det`
+    folds away before each elimination mod p (`_fold_eliminate`); every
+    other matrix, a `submatrix` too, has none.
     """
 
     def __init__(self, rows, field: int | None = None):
@@ -250,9 +250,9 @@ class ExactMatrix:
             array = np.array(entries, dtype=dtype).reshape(shape)
         self._wrap(array, None, field)
 
-    def _wrap(self, array, cells, field, select=None, plan=None) -> None:
+    def _wrap(self, array, cells, field, select=None, classes=()) -> None:
         self._array, self._cells, self.field, self._select = array, cells, field, select
-        self._plan = plan
+        self._classes = classes
         self._shape = array.shape if select is None else tuple(map(len, select))
         # zero-strided, of the shape: numpy's own index checks for a scalar read
         self._probe = None if select is None else np.broadcast_to(False, self._shape)
@@ -266,23 +266,31 @@ class ExactMatrix:
 
     @classmethod
     def from_csc(cls, shape, row_idx, col_idx, col_start, values, field: int | None,
-                 plan=None) -> "ExactMatrix":
+                 classes=()) -> "ExactMatrix":
         """The matrix of shape `shape` with values[k] at (row_idx[k],
         col_idx[k]), column j's cells at col_start[j]:col_start[j + 1], no
         row twice in a column, and 0 elsewhere, the arrays kept; values of
         the field's storage dtype.
 
-        `plan`, when given, is a function of no arguments that returns the
-        fold plan (`fold_plan`) of Kronecker classes of the matrix: pairs
-        (R, C) of int arrays, copies x r and copies x w, whose row copy
-        R[j] meets column copy C[j'] only for j = j', in the same r x w
-        block K = M[R[j], C[j]] for every j, so that M[R, C] is K (x) I up
-        to the order of its rows and columns. `det` calls it and folds the
-        classes away (`_fold_eliminate`); `submatrix` drops it."""
+        `classes` are Kronecker classes of the matrix: pairs (R, C) of int
+        arrays, copies x r and copies x w, whose row copy R[j] meets column
+        copy C[j'] only for j = j', in the same r x w block K = M[R[j],
+        C[j]] for every j, so that M[R, C] is K (x) I up to the order of
+        its rows and columns. `det` folds them away (`_fold_eliminate`) by
+        their fold plan (`_fold_plan`); `submatrix` drops them."""
         m, shape = cls.__new__(cls), tuple(shape)
         m._wrap(None, (shape, row_idx, col_idx, col_start, values), field,
-                tuple(map(range, shape)), plan)
+                tuple(map(range, shape)), tuple(classes))
         return m
+
+    def _fold_plan(self) -> tuple:
+        """The fold plan (`fold_plan`) of the matrix's Kronecker classes,
+        from its cells, or from the nonzeros of the dense array once that
+        is built; () without classes."""
+        if not self._classes:
+            return ()
+        rows, cols = self._cells[1:3] if self._array is None else np.nonzero(self._array)
+        return fold_plan(self._shape[0], rows, cols, self._classes)
 
     @property
     def array(self) -> np.ndarray:
@@ -956,14 +964,14 @@ def det(m: ExactMatrix):
     of m, if it carries any (`ExactMatrix.from_csc`), are folded away
     first, each by one block elimination (`_fold`), and the elimination
     runs on the Schur complement that is left, the rest. The rows and
-    columns a fold can touch come from m's fold plan (`fold_plan`), which
-    the matrix that m specializes builds on the first det and keeps."""
+    columns a fold can touch come from m's fold plan, read from its cells
+    on every det (`ExactMatrix._fold_plan`)."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1 if m.field is None else 1 % m.field
-    plan = m._plan() if m._plan else ()
+    plan = m._fold_plan()
     if m.field is not None:
         return _fold_eliminate(m._dense(_working_dtype(m.field)), plan, m.field).det
     ints, scales = _int_rows(m.array)

@@ -72,10 +72,8 @@ r) and C (copies x w): each block's index range, reshaped by (index
 set, dx, dy, dz) with dy moved to the front, or by (a-part, b-part,
 factor) with the b-part moved to the front; it decides from the
 `layout`'s block sizes alone. `specialize` hands them to the
-`ExactMatrix` through the matrix's fold plan (`fold_plan`), which the
-first `det` builds from the symbolic cells and the matrix keeps; `det`
-folds them away before each elimination mod p; `submatrix`, and so
-`ThetaPartition.apply`, drops them. `occurrences`, and so
+`ExactMatrix`, whose `det` folds them away before each elimination mod
+p; `submatrix`, and so `ThetaPartition.apply`, drops them. `occurrences`, and so
 `theta_partition`, masks the reference arrays; `ThetaPartition` permutes
 by composing index selections. `rows`, `cols`, `references` and
 `col_start` are built on first read.
@@ -105,7 +103,7 @@ from .core import (
     mhb,
     monomial_basis,
 )
-from .exactlinalg import ExactMatrix, cell_position, fold_plan, require_prime, storage_dtype
+from .exactlinalg import ExactMatrix, cell_position, require_prime, storage_dtype
 from .weyman import mu
 
 
@@ -278,8 +276,7 @@ class SymbolicResultantMatrix:
     contracted slot in the column's index set, then by psi term; the
     arrays are read-only. `kronecker_classes` are the (R, C) index pairs
     of the blocks that are K (x) I (`_kronecker_classes`), built with
-    the matrix, so once per type, and their `fold_plan` on the first
-    det of a specialization. The column starts, row and column labels and
+    the matrix, so once per type. The column starts, row and column labels and
     `references` are built on first read, and the permutations and split
     of each theta's `theta_partition` on its first call, kept with it."""
 
@@ -294,7 +291,6 @@ class SymbolicResultantMatrix:
     ref_pos: np.ndarray
     kronecker_classes: tuple = ()
     _partitions: dict = field(default_factory=dict, init=False, repr=False)
-    _fold_plan: tuple | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def col_start(self) -> np.ndarray:
@@ -323,18 +319,6 @@ class SymbolicResultantMatrix:
         """The references as `SymbolicEntry`s, indexed by reference number
         (`SymbolicEntries.references`)."""
         return self.entries.references
-
-    def fold_plan(self) -> tuple:
-        """The fold plan of `kronecker_classes` (`exactlinalg.fold_plan`):
-        per class the rows outside it that can meet its columns and the
-        columns outside it that its rows can meet, the fill of the folds
-        before it included, read from these cells on the first call, which
-        a specialization's first det makes, and kept. A specialization's
-        cells are these cells, some of them 0, so the plan covers them."""
-        if self._fold_plan is None:
-            self._fold_plan = fold_plan(self.size, self.row_idx, self.col_idx,
-                                        self.kronecker_classes)
-        return self._fold_plan
 
     def occurrences(self, poly: int, exponent: Exponent) -> list[tuple[int, int, int]]:
         """(row, col, sign) of every entry referencing u_{poly, exponent}, by column."""
@@ -558,8 +542,7 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
     when every denominator is 1 and every tensor int64, else as
     Fractions. The nonzeros are then one gather from that table, and the
     result shares the matrix's `row_idx`, `col_idx` and `col_start`, and
-    carries the fold plan of its `kronecker_classes` for `det`, unbuilt
-    until the first det calls it (`fold_plan`): its dense array
+    carries its `kronecker_classes` for `det`: its dense array
     is built on first read."""
     if sys.type != matrix.type:
         raise DomainError("system type does not match the matrix")
@@ -588,7 +571,7 @@ def specialize(matrix: SymbolicResultantMatrix, sys: BilinearSystem,
             table[:] = [int(v) for v in exact] if table.dtype == np.int64 else exact
     return ExactMatrix.from_csc((matrix.size, matrix.size), matrix.row_idx, matrix.col_idx,
                                 matrix.col_start, table[matrix.ref_idx], field,
-                                matrix.fold_plan)
+                                matrix.kronecker_classes)
 
 
 @dataclass

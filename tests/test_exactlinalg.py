@@ -2331,10 +2331,10 @@ def test_det_folding_kronecker_classes_equals_the_plain_elimination(moduli, kron
             spec = koszul.specialize(matrix, system, p)
             n = spec.nrows
             plain = spec.submatrix(range(n), range(n))
-            assert len(spec._plan()) == len(matrix.kronecker_classes) and not plain._plan
+            assert len(spec._fold_plan()) == len(matrix.kronecker_classes) and plain._fold_plan() == ()
             folds = len(results["_fold"])
             assert exactlinalg.det(spec) == exactlinalg.det(plain)
-            assert len(results["_fold"]) == folds + (0 if int64 else len(spec._plan()))
+            assert len(results["_fold"]) == folds + (0 if int64 else len(spec._fold_plan()))
     folded = [value is not None for value in results["_fold"]]
     assert any(folded) != int64
     assert (None in results["_row_reduce"]) == (moduli == (23, 29, 31))  # a rank-deficient K
@@ -2350,7 +2350,7 @@ def test_det_folding_kronecker_classes_at_mu_2450():
     f0, _ = solver.choose_f0_and_theta(t, rng)
     spec = koszul.specialize(koszul.assemble_delta1(t), core.random_system(t, rng).with_f0(f0),
                              1_000_003)
-    assert [(rows.shape, cols.shape) for rows, cols, _, _ in spec._plan()] == \
+    assert [(rows.shape, cols.shape) for rows, cols, _, _ in spec._fold_plan()] == \
         [((15, 105), (15, 147)), ((7, 5), (7, 35))]
     folds = []
     real_fold = exactlinalg._fold
@@ -2363,7 +2363,7 @@ def test_det_folding_kronecker_classes_at_mu_2450():
 
 
 def test_fold_gathers_only_the_outside_columns_its_rows_can_meet(kronecker_systems, monkeypatch):
-    """The fold plan (`fold_plan`) finds from the symbolic cells, before
+    """The fold plan (`fold_plan`) finds from the cells, before
     any dense array, the columns outside each class that its rows can
     meet once the classes before it fold: none for the L04 and L03
     classes, whose rows meet only the L12 columns, and the L01 class,
@@ -2410,17 +2410,15 @@ def test_fold_gathers_only_the_outside_columns_its_rows_can_meet(kronecker_syste
 
 def with_classes(rows, field, classes):
     """The square matrix of `rows` in compressed-column form, carrying the
-    fold plan of the Kronecker classes `classes`, pairs of nested lists
-    (R, C), from its cells (`fold_plan`)."""
+    Kronecker classes `classes`, pairs of nested lists (R, C)."""
     import numpy as np
 
     n = len(rows)
     cells = [(i, j) for j in range(n) for i in range(n) if rows[i][j]]
     row_idx, col_idx = (np.array(index, dtype=np.intp) for index in zip(*cells))
     values = ExactMatrix([[rows[i][j] for i, j in cells]], field).array[0]
-    plan = exactlinalg.fold_plan(n, row_idx, col_idx, [(np.array(r), np.array(c)) for r, c in classes])
     return ExactMatrix.from_csc((n, n), row_idx, col_idx, np.searchsorted(col_idx, np.arange(n + 1)),
-                                values, field, lambda: plan)
+                                values, field, [(np.array(r), np.array(c)) for r, c in classes])
 
 
 def placed_inverse(test):
@@ -2462,7 +2460,7 @@ def test_a_fold_reaches_the_columns_an_earlier_fold_filled_in():
         for i in range(6, n):
             rows[i] = [rng.randint(-9, 9) for _ in range(n)]
         spec = with_classes(rows, None, classes)
-        folding = spec._plan()
+        folding = spec._fold_plan()
         assert folding[0][3].tolist() == [] and 1 in folding[1][3].tolist()
         want = fraction_det(rows)
         assert exactlinalg.det(with_classes(rows, p, classes)) == want % p
@@ -2526,7 +2524,8 @@ def test_zero_test_folding_the_classes_equals_the_class_free_one(kronecker_syste
         ints = exactlinalg._int_rows(spec.array)[0]
         plain = exactlinalg._int_rows(spec.submatrix(range(n), range(n)).array)[0]
         assert np.array_equal(ints, plain)
-        classes = matrix.fold_plan()
+        classes = exactlinalg.fold_plan(matrix.size, matrix.row_idx, matrix.col_idx,
+                                        matrix.kronecker_classes)
         first[:] = SMALL_PRIMES if primes == "small" else []
         if primes == "unlucky":
             value = exactlinalg.det(spec)
@@ -2604,7 +2603,7 @@ def test_zero_test_inverse_is_that_of_its_order(kronecker_systems, monkeypatch, 
             if q is None:
                 continue
             first.append(q)
-        for classes in (spec._plan(), ()):
+        for classes in (spec._fold_plan(), ()):
             residues, inverse, rows, cols = exactlinalg._zero_test(ints, classes)
             if residues is None:
                 certified += 1
@@ -2633,7 +2632,7 @@ def test_divisor_borders_the_zero_tests_order_with_the_vectors_of_a(kronecker_sy
     for matrix, system in kronecker_systems:
         spec = koszul.specialize(matrix, system)
         if spec.nrows <= 40:
-            cases.append((exactlinalg._int_rows(spec.array)[0], spec._plan()))
+            cases.append((exactlinalg._int_rows(spec.array)[0], spec._fold_plan()))
     rng = random.Random(40)
     for n in (5, 9, 12, 20, 33):
         lower = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(n)]
@@ -2701,7 +2700,7 @@ def test_zero_test_with_folds_and_no_pivot_in_the_rests_first_column(monkeypatch
     monkeypatch.setattr(exactlinalg, "_lift_schur", lambda a, split, q, inverse:
                         lifts.append((split, q)) or real_lift(a, split, q, inverse))
     residues, inverse, order_rows, order_cols = exactlinalg._zero_test(
-        ints, spec._plan())
+        ints, spec._fold_plan())
     assert lifts == [(2, 23)]
     if singular:
         assert residues is None and inverses == []
@@ -2964,7 +2963,8 @@ def test_fold_plan_covers_what_each_fold_touches(ty, monkeypatch):
 
     t = SystemType(*ty)
     matrix = koszul.assemble_delta1(t)
-    plan = matrix.fold_plan()
+    plan = exactlinalg.fold_plan(matrix.size, matrix.row_idx, matrix.col_idx,
+                                 matrix.kronecker_classes)
     system = core.random_system(t, 1).with_f0(solver.choose_f0_and_theta(t, 1)[0])
     real_fold, seen = exactlinalg._fold, []
 
@@ -3017,7 +3017,7 @@ def test_fold_plan_covers_the_fill_of_the_fold_before(monkeypatch):
         for p, unfold in ((1_000_003, False), (exactlinalg._prime(n, 0), True)):
             m = with_classes(rows, p, classes)
             found.clear()
-            exactlinalg._fold_eliminate(m._dense(np.float64), m._plan(), p, unfold)
+            exactlinalg._fold_eliminate(m._dense(np.float64), m._fold_plan(), p, unfold)
             (class_rows, class_cols), (meets, met) = classes[1], found[1]
             fill["rows"] += any(not any((i, col) in cells for cols in class_cols for col in cols)
                                 for i in meets)
