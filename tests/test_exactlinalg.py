@@ -147,6 +147,43 @@ def test_solve_roundtrip():
         exactlinalg.solve(ExactMatrix([[1, 1], [1, 1]]), ExactMatrix([[1], [1]]))
 
 
+def test_solve_rejects_a_non_square_matrix_and_mismatched_operands():
+    a = ExactMatrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="square"):
+        exactlinalg.solve(ExactMatrix([[1, 2]]), ExactMatrix([[1]]))
+    with pytest.raises(ValueError, match="field mismatch"):
+        exactlinalg.solve(a, ExactMatrix([[1], [2]], 7))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        exactlinalg.solve(a, ExactMatrix([[1]]))
+
+
+def test_schur_complement_rejects_a_non_square_matrix_or_a_split_outside_it():
+    with pytest.raises(ValueError, match="square"):
+        exactlinalg.schur_complement(ExactMatrix([[1, 2, 3], [4, 5, 6]]), 1)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="invalid split"):
+            exactlinalg.schur_complement(ExactMatrix([[1, 2], [3, 4]]), k)
+
+
+@pytest.mark.parametrize("field", [None, 7])
+def test_schur_complement_at_either_end_is_the_trailing_block(field):
+    """k = 0 leaves the whole matrix and k = n the 0 x 0 one, with no
+    elimination: a singular matrix, whose M11 at k = n is singular,
+    raises nothing."""
+    m = ExactMatrix([[1, 2], [2, 4]], field)
+    assert exactlinalg.schur_complement(m, 0).rows == m.rows
+    empty = exactlinalg.schur_complement(m, 2)
+    assert (empty.nrows, empty.ncols, empty.field) == (0, 0, field)
+
+
+def test_to_float_over_fp_and_det_of_a_non_square_matrix_are_value_errors():
+    with pytest.raises(ValueError, match="rational"):
+        exactlinalg.to_float(ExactMatrix([[1, 2]], 7))
+    for field in (None, 7):
+        with pytest.raises(ValueError, match="non-square"):
+            exactlinalg.det(ExactMatrix([[1, 2]], field))
+
+
 def test_schur_complement_paper(paper_system):
     matrix = koszul.assemble_delta1(paper_system.type)
     part = koszul.theta_partition(matrix, THETA)
@@ -1299,6 +1336,41 @@ def test_a_stop_one_step_short_of_the_certificate_runs_on_to_the_a_priori_length
     moduli = spying_moduli(monkeypatch)
     assert exactlinalg.schur_complement(ExactMatrix(rows), k).rows == want
     assert moduli == [q ** (needed - 1), q ** length]
+
+
+def test_a_failed_early_reconstruction_sends_the_lift_on_to_the_a_priori_length(monkeypatch):
+    """Orthogonal leading rows (d, b, 0) and (-b, d, 0) meet both
+    Hadamard bounds, H = d^2 + b^2 and H_d = d, and put q^2 between
+    H H_d and 2 H H_d, one step short of the a priori length. Probe
+    weights of 0 stop the lift at q^2, where the reconstruction raises;
+    the same loop runs on to q^3 and gives the complement that the
+    unpatched lift gives."""
+    import numpy as np
+
+    d, b = 109731, 197194
+    rows = [[d, b, 0], [-b, d, 0], [-2, -9, 4]]
+    want = exactlinalg.schur_complement(ExactMatrix(rows), 1).rows
+    assert want == fraction_eliminate(rows, 1)[1]
+    q, h = exactlinalg._prime(1, 0), d * d + b * b
+    assert exactlinalg._hadamard2(ExactMatrix(rows).array, 1) == (h * h, d * d)
+    assert h * d < q ** 2 <= 2 * h * d < q ** 3
+    calls = []
+    real = exactlinalg._reconstruct
+
+    def spy(residues, modulus, *bounds):
+        try:
+            values = real(residues, modulus, *bounds)
+        except ArithmeticError:
+            calls.append((modulus, "raised"))
+            raise
+        calls.append((modulus, "ok"))
+        return values
+
+    monkeypatch.setattr(exactlinalg, "_reconstruct", spy)
+    monkeypatch.setattr(exactlinalg, "_probe_weights", lambda m, n: (
+        np.zeros(m, dtype=np.int64), np.zeros(n, dtype=np.int64)))
+    assert exactlinalg.schur_complement(ExactMatrix(rows), 1).rows == want
+    assert calls == [(q ** 2, "raised"), (q ** 3, "ok")]
 
 
 def test_the_lift_of_a_koszul_complement_stops_before_the_a_priori_length(monkeypatch):

@@ -37,6 +37,18 @@ def test_eigen_schur_paper_values():
     assert all(abs(p.value - 1) < 1e-12 for p in ident)
 
 
+@pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "vector"])
+def test_eigen_schur_rejects_a_non_square_matrix(matrix):
+    with pytest.raises(core.DomainError, match="square matrix"):
+        solver.eigen_schur(matrix)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("inf"))])
+def test_eigen_schur_rejects_a_non_finite_matrix(bad):
+    with pytest.raises(core.DomainError, match="non-finite"):
+        solver.eigen_schur([[1.0, bad], [0.0, 2.0]])
+
+
 def test_extend_eigenvector_matches_printed_vector(paper_system):
     matrix, part, spec = paper_partition(paper_system)
     full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [1.0, 2.0])
@@ -284,7 +296,41 @@ def test_k1_groups_index_the_k1_basis_labels():
 
 def test_extract_xy_rejects_zero_vector(paper_type):
     with pytest.raises(solver.ExtractionError):
-        solver.extract_xy([0.0] * 10, paper_type)
+        solver.extract_xy(np.zeros((10, 1)), paper_type)
+
+
+def test_extract_xy_rejects_columns_of_the_wrong_length(paper_type):
+    with pytest.raises(core.DomainError, match="k1 basis"):
+        solver.extract_xy(np.ones((mu(paper_type) + 1, 2)), paper_type)
+
+
+def test_extract_xy_rejects_a_vector_whose_y_blocks_vanish():
+    """On (1,1,1;1,2) the first index set has dual-y degree 0. A vector
+    that is 1 there and 1e-10 on every set of degree >= 1 has no anchor
+    for y; at 1e-8, above EXTRACT_ANCHOR_TOL, it is read."""
+    t = SystemType(1, 1, 1, 1, 2)
+    rows, lifted, _ = solver._k1_groups(t)
+    assert not lifted[0] and lifted[1:].all()
+    vectors = np.full((mu(t), 1), 1e-10)
+    vectors[rows[0][rows[0] < mu(t)]] = 1.0
+    with pytest.raises(solver.ExtractionError, match="anchor coefficient too small"):
+        solver.extract_xy(vectors, t)
+    vectors[vectors < 1] = 1e-8
+    ax, ay = solver.extract_xy(vectors, t)
+    assert ax[:, 0].tolist() == [1, 1] and ay[:, 0].tolist() == [1, 1]
+
+
+def test_solve_z_rejects_a_point_whose_z_forms_drop_rank(paper_system):
+    """With f3 = x0 z0 the one form in z is x0 z0: at x = (1:2) it has
+    rank 1 = nz and gives z = (0:1); at x = (0:1) it vanishes, and a
+    batch with that column raises."""
+    t = paper_system.type
+    f3 = core.MHPoly(t.nvars, (1, 0, 1), {((1, 0), (0, 0), (1, 0)): 1})
+    sys_ = BilinearSystem(t, paper_system.f[:2] + (f3,))
+    z = solver.solve_z(sys_, np.array([[1.0], [2.0]]), np.ones((2, 1)))
+    assert abs(z[0, 0]) < 1e-12 and abs(z[1, 0]) == pytest.approx(1)
+    with pytest.raises(solver.ExtractionError, match="rank below nz"):
+        solver.solve_z(sys_, np.array([[1.0, 0.0], [2.0, 1.0]]), np.ones((2, 2)))
 
 
 def test_solve_z_cases(paper_system):
