@@ -47,8 +47,10 @@ def _parse_field(text: str | None) -> int | None:
 def _parse_box(text: str, t: core.SystemType):
     if text is None:
         return weyman.default_box(t)
-    lo, _, hi = text.partition(":")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise core.DomainError(f"--box {text}: needs lo:hi, two integers") from None
     if lo > hi:
         raise core.DomainError(f"--box {text}: the low end is above the high end")
     return ((lo, hi),) * 3
@@ -176,7 +178,7 @@ def cmd_solve(args) -> int:
         "coordinate_change": [[[str(v) for v in row] for row in block]
                               for block in report.change.blocks],
         "retries": report.retries,
-        "eigenvalues": [[p.value.real, p.value.imag] for p in report.eigenpairs],
+        "eigenvalues": [[v.real, v.imag] for v in report.eigenpairs.values.tolist()],
         "solutions": [
             {
                 "blocks": [[[complex(c).real, complex(c).imag] for c in block]

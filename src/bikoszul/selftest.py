@@ -139,17 +139,18 @@ def run_checks() -> list[tuple[str, bool, str]]:
     check("Schur complement", schur.rows, [[5, -2], [4, -1]])
 
     pairs = solver.eigen_schur(exactlinalg.to_float(schur))
-    check("eigenvalues", sorted(round(p.value.real, 9) for p in pairs), [1.0, 3.0])
+    check("eigenvalues", [round(v.real, 9) for v in pairs.values.tolist()], [1.0, 3.0])
     check("separation values of f0/theta",
           sorted(core.evaluate(sys_.f0, a) / core.evaluate(
               core.monomial_poly(t.nvars, (1, 1, 1), THETA), a)
               for a in (ALPHA_1, ALPHA_2)),
           [1, 3])
 
-    unit = [p for p in pairs if abs(p.value - 1) < 1e-9][0]
-    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), unit.vector)
+    # as the solver does: every eigenvector at once, then the one of value 1
+    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), pairs.vectors)
+    unit = np.flatnonzero(abs(pairs.values - 1) < 1e-9)[0]
     cidx = {lab: j for j, lab in enumerate(matrix.cols)}
-    got = np.array([full[cidx[PRINTED_COLS[c]]] for c in COL_ORDER])
+    got = np.array([full[cidx[PRINTED_COLS[c]], unit] for c in COL_ORDER])
     want = np.array(PRINTED_EXTENDED_VECTOR, dtype=complex)
     factor = got[2] / want[2]
     check("extended eigenvector (up to scale)",
@@ -158,12 +159,12 @@ def run_checks() -> list[tuple[str, bool, str]]:
 
     ax, ay = solver.extract_xy(full, t)
     check("x coordinates from the eigenvector",
-          abs(ax[1] / ax[0] - 3) < 1e-8, True)
+          abs(ax[1, unit] / ax[0, unit] - 3) < 1e-8, True)
     check("y coordinates from the eigenvector",
-          abs(ay[1] / ay[0] - 2) < 1e-8, True)
-    az = solver.solve_z(sys_, (1, 3), (1, 2))
+          abs(ay[1, unit] / ay[0, unit] - 2) < 1e-8, True)
+    az = solver.solve_z(sys_, ax, ay)
     check("z coordinates from the linear system",
-          abs(az[1] / az[0] - 3) < 1e-8, True)
+          abs(az[1, unit] / az[0, unit] - 3) < 1e-8, True)
 
     dv2 = oracle.dual_veronese("y", 2, (1, 2))
     check("degree-2 dual form at the second solution",

@@ -14,14 +14,15 @@ ratios of its entries, y read against the largest entry of its row.
 The z block then solves a small linear system, and the coordinate
 change is undone.
 
-Recovery takes every eigenvector of an attempt at once (`_recover_all`):
-one extension, one extraction, one stacked SVD for z, one float product
-per block of the coordinate change and one residual evaluation, each on
-the columns of a matrix; `extract_xy`, `solve_z` and `residual` take one
-vector as well, and then return what they return for one solution. The
-z-solve and the residual read the system as its coefficient tensors,
-f_k = x^T A_k y and f_{r+k} = x^T B_k z (`BilinearSystem.tensors`),
-each one `einsum` over every point.
+An attempt's eigenpairs are one batch, `Eigenpairs`: the eigenvalues,
+the eigenvectors as the columns of one matrix and the clustered mask.
+Recovery takes every eigenvector at once (`_recover_all`): one
+extension, one extraction, one stacked SVD for z, one float product per
+block of the coordinate change and one residual evaluation, each on the
+columns of a matrix, the only shape `extend_eigenvector`, `extract_xy`,
+`solve_z` and `residual` take. The z-solve and the residual read the
+system as its coefficient tensors, f_k = x^T A_k y and f_{r+k} = x^T
+B_k z (`BilinearSystem.tensors`), each one `einsum` over every point.
 
 The Schur complement is computed exactly over the rationals. Floating
 point enters at its eigen-decomposition and at one float solve of the
@@ -42,10 +43,10 @@ Every threshold and range is a module constant, not an argument:
 EIGEN_CLUSTER_TOL flags clustered eigenvalues (`eigen_schur`),
 EXTRACT_ANCHOR_TOL bounds the anchor and normalizing entries
 (`extract_xy`), Z_RANK_TOL the rank test of the z-system (`solve_z`),
-F0_COEFF_BOUND the coefficients of f0 (`choose_f0_and_theta`), and
-core.CHANGE_BOUND the entries of the coordinate change. RESIDUAL_TOL
-is only the default of `solve_2bilinear`'s tol, the one tolerance a
-caller sets.
+F0_COEFF_BOUND the coefficients of f0 (`choose_f0_and_theta`),
+core.CHANGE_BOUND the entries of the coordinate change, and
+MAX_ATTEMPTS the attempts of `solve_2bilinear`. RESIDUAL_TOL is only the
+default of `solve_2bilinear`'s tol, the one tolerance a caller sets.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ EXTRACT_ANCHOR_TOL = 1e-9
 Z_RANK_TOL = 1e-8
 F0_COEFF_BOUND = 10
 RESIDUAL_TOL = 1e-6
+MAX_ATTEMPTS = 10
 
 
 STAGES = ("change", "specialize", "permute", "schur", "eigen", "extend", "extract", "z",
@@ -116,11 +118,15 @@ class ExtractionError(RuntimeError):
     """Eigenvector block too degenerate to read coordinates off (retry signal)."""
 
 
-@dataclass(slots=True)
-class EigenPair:
-    value: complex
-    vector: np.ndarray
-    clustered: bool = False
+@dataclass(frozen=True)
+class Eigenpairs:
+    """The eigenpairs of a matrix, sorted by (real, imag) of the value:
+    the values, the unit-norm vectors as the columns of one matrix, and
+    which values are clustered."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    clustered: np.ndarray
 
 
 @dataclass
@@ -131,7 +137,7 @@ class SolveReport:
 
     type: SystemType
     solutions: list
-    eigenpairs: list
+    eigenpairs: Eigenpairs
     residuals: list
     retries: int
     seed: object
@@ -141,10 +147,11 @@ class SolveReport:
     trace: tuple = ()
 
 
-def eigen_schur(matrix) -> list[EigenPair]:
+def eigen_schur(matrix) -> Eigenpairs:
     """All eigenvalue / right-eigenvector pairs of a dense matrix, sorted
-    by (real, imag); pairs closer than EIGEN_CLUSTER_TOL * (1 + max
-    |value|) to some other eigenvalue are flagged as clustered."""
+    by (real, imag), each vector scaled to unit norm and its largest
+    entry to a positive real; a value closer than EIGEN_CLUSTER_TOL * (1
+    + max |value|) to some other eigenvalue is flagged as clustered."""
     array = np.asarray(matrix, dtype=complex)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise DomainError("eigen decomposition needs a square matrix")
@@ -152,27 +159,23 @@ def eigen_schur(matrix) -> list[EigenPair]:
         raise DomainError("matrix has non-finite entries")
     values, vectors = np.linalg.eig(array)
     order = np.lexsort((values.imag, values.real))
-    scale = EIGEN_CLUSTER_TOL * (1.0 + max(abs(values).max(initial=0.0), 0.0))
+    values, vectors = values[order], vectors[:, order]
+    scale = EIGEN_CLUSTER_TOL * (1.0 + abs(values).max(initial=0.0))
     # all pairwise distances at once; sorting would miss close complex pairs
     gaps = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(gaps, np.inf)
-    clustered = gaps.min(axis=1, initial=np.inf) < scale
-    pairs = []
-    for k in order:
-        vec = vectors[:, k]
-        vec = vec / np.linalg.norm(vec)
-        anchor = np.argmax(np.abs(vec))
-        phase = vec[anchor] / abs(vec[anchor])
-        vec = vec / phase
-        pairs.append(EigenPair(complex(values[k]), vec, bool(clustered[k])))
-    return pairs
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    cols = np.arange(len(values))  # a 0 x 0 matrix has no rows to take a maximum over
+    anchor = vectors[np.abs(vectors).argmax(axis=0) if len(cols) else cols, cols]
+    return Eigenpairs(values, vectors / (anchor / abs(anchor)),
+                      gaps.min(axis=1, initial=np.inf) < scale)
 
 
 def extend_eigenvector(partition: ThetaPartition, permuted: np.ndarray,
                        vectors) -> np.ndarray:
-    """Extend Schur-complement eigenvectors, one vector or the columns of
-    a matrix, to kernel directions of the full specialized matrix,
-    returned in its unpermuted column order.
+    """Extend Schur-complement eigenvectors, the columns of a matrix, to
+    kernel directions of the full specialized matrix, the columns of the
+    returned matrix, whose rows follow its unpermuted column order.
 
     `permuted` is the theta-permuted float matrix. The kernel equation
     gives the top parts as -X V with X = M11^{-1} M12, solved once.
@@ -187,9 +190,8 @@ def extend_eigenvector(partition: ThetaPartition, permuted: np.ndarray,
 
 
 def extract_xy(vectors, t: SystemType):
-    """Read (alpha_x, alpha_y) off a kernel vector in the k1 basis order,
-    or off each column of a matrix of them: for one vector two tuples,
-    for a matrix two arrays with one column per vector.
+    """Read (alpha_x, alpha_y) off each column of a matrix of kernel
+    vectors in the k1 basis order: two arrays with one column per vector.
 
     The vector is a rank-1 combination per exterior index set: reshaped
     by the k1 block layout, each index set's entries form an (nx+1) x
@@ -205,11 +207,9 @@ def extract_xy(vectors, t: SystemType):
     Every column is read at once, through the index tables of
     `_k1_groups`; any column that cannot be read raises ExtractionError.
     """
-    if len(vectors) != mu(t):
-        raise DomainError("vector length does not match the k1 basis")
     vectors = np.asarray(vectors)
-    single = vectors.ndim == 1
-    vectors = vectors.reshape(len(vectors), -1)
+    if vectors.ndim != 2 or len(vectors) != mu(t):
+        raise DomainError("vectors must be a matrix with one row per k1 basis element")
     cols = np.arange(vectors.shape[1])
     rows, lifted, shifts = _k1_groups(t)
     # (index set, dx, dy, vector); a zero row pads the shorter dual-y lists
@@ -231,8 +231,6 @@ def extract_xy(vectors, t: SystemType):
     if (magnitude[cols, anchor] <= EXTRACT_ANCHOR_TOL * overall).any():
         raise ExtractionError("anchor coefficient too small")
     alpha_y = _normalize(row[cols[:, None], shifts[best, anchor]], EXTRACT_ANCHOR_TOL)
-    if single:
-        return tuple(alpha_x[0]), tuple(alpha_y[0])
     return alpha_x.T, alpha_y.T
 
 
@@ -288,16 +286,14 @@ def solve_z(sys: BilinearSystem, alpha_x, alpha_y):
     alpha_x^T B_k z of the S(1,0,1) equations (the S(1,1,0) ones are
     constants that already vanish there); they do not involve y.
 
-    alpha_x is one point, giving z as a tuple, or the columns of a
-    matrix, giving a matrix of z columns from one stacked SVD; a column
-    whose forms have rank below nz, its nz-th singular value at most
-    Z_RANK_TOL times max(1, its largest), raises ExtractionError."""
+    alpha_x holds the points as the columns of a matrix, and so does the
+    returned z, from one stacked SVD; a column whose forms have rank
+    below nz, its nz-th singular value at most Z_RANK_TOL times max(1,
+    its largest), raises ExtractionError."""
     t = sys.type
     ax = np.asarray(alpha_x, dtype=complex)
-    single = ax.ndim == 1
-    ax = ax.reshape(len(ax), -1)
     if t.nz == 0:
-        return (1.0 + 0j,) if single else np.ones((1, ax.shape[1]), dtype=complex)
+        return np.ones((1, ax.shape[1]), dtype=complex)
     _, b, _ = sys.tensors
     _, sv, vh = np.linalg.svd(np.einsum("kij,in->nkj", b, ax))
     padded = np.zeros((ax.shape[1], t.nz + 1))
@@ -305,8 +301,7 @@ def solve_z(sys: BilinearSystem, alpha_x, alpha_y):
     scale = np.maximum(1.0, padded[:, 0])
     if (padded[:, t.nz - 1] <= Z_RANK_TOL * scale).any():
         raise ExtractionError("z-system rank below nz: multiple z-solutions")
-    z = vh[:, -1].conj()
-    return tuple(z[0]) if single else z.T
+    return vh[:, -1].conj().T
 
 
 @lru_cache(maxsize=None)
@@ -329,18 +324,13 @@ def choose_f0_and_theta(t: SystemType, seed):
     return MHPoly(t.nvars, (1, 1, 1), terms), theta
 
 
-def residual(sys: BilinearSystem, sol):
-    """max_i |f_i(sol)| / ||f_i|| with every block scaled to unit norm;
-    a zero f_i contributes 0, and a point with a NaN or infinite
-    coordinate gets inf. sol is a ProjectiveSolution, giving a float, or
-    a matrix whose columns are points, the x, y and z blocks stacked,
-    giving an array of one residual per column. Every f_i is evaluated
-    at every point at once as x^T A_k y or x^T B_k z
-    (`BilinearSystem.tensors`)."""
-    single = isinstance(sol, ProjectiveSolution)
-    if single:
-        sol = [[complex(c)] for block in sol.blocks for c in block]
-    point = np.asarray(sol, dtype=complex)
+def residual(sys: BilinearSystem, points) -> np.ndarray:
+    """max_i |f_i(point)| / ||f_i|| with every block scaled to unit norm,
+    one per column of `points`, whose columns stack the x, y and z
+    blocks; a zero f_i contributes 0, and a point with a NaN or infinite
+    coordinate gets inf. Every f_i is evaluated at every point at once
+    as x^T A_k y or x^T B_k z (`BilinearSystem.tensors`)."""
+    point = np.asarray(points, dtype=complex)
     a, b, norms = sys.tensors
     with np.errstate(invalid="ignore"):  # a non-finite point is reported as inf below
         x, y, z = (block / np.linalg.norm(block, axis=0)
@@ -349,18 +339,18 @@ def residual(sys: BilinearSystem, sol):
                                  np.einsum("kij,in,jn->kn", b, x, z)])
     worst = (np.abs(values) / np.where(norms > 0, norms, 1.0)[:, None]).max(axis=0)
     worst[np.isnan(worst)] = np.inf
-    return float(worst[0]) if single else worst
+    return worst
 
 
-def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
-                    max_retries: int = 10) -> SolveReport:
+def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL) -> SolveReport:
     """Solve a square 2-bilinear system with finite, multiplicity-free
     solution set; any f0 already attached to the input is ignored.
 
-    Retries with fresh randomization on the structural failure signals
-    (singular leading block, clustered eigenvalues, degenerate
-    extraction) and when the worst residual exceeds tol; residuals are
-    reported per solution. A negative or NaN tol is a DomainError.
+    Retries with fresh randomization, MAX_ATTEMPTS attempts in all, on
+    the structural failure signals (singular leading block, clustered
+    eigenvalues, degenerate extraction) and when the worst residual
+    exceeds tol; residuals are reported per solution. A negative or NaN
+    tol is a DomainError.
     """
     if not tol >= 0:
         raise DomainError(f"tol must be a nonnegative number, not {tol}")
@@ -370,7 +360,7 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
     # theta is always default_theta(t), so the split depends on the type only
     partition = theta_partition(matrix, default_theta(t))
     trace, failures = [], []
-    for attempt in range(max_retries):
+    for attempt in range(MAX_ATTEMPTS):
         marks = [time.perf_counter()]
 
         def lap():  # the stage that just ended
@@ -391,7 +381,7 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
             lap()
             pairs = eigen_schur(to_float(schur))
             lap()
-            if any(pair.clustered for pair in pairs):
+            if pairs.clustered.any():
                 outcome, reason = "clustered", "clustered eigenvalues"
             else:
                 solutions, residuals = _recover_all(
@@ -422,7 +412,7 @@ def solve_2bilinear(sys: BilinearSystem, seed=0, tol: float = RESIDUAL_TOL,
             trace=tuple(trace),
         )
     raise SolveError(
-        f"no solve after {max_retries} attempts (multiplicity, separation or "
+        f"no solve after {MAX_ATTEMPTS} attempts (multiplicity, separation or "
         f"residual failure; expected {count} simple solutions): {'; '.join(failures)}",
         tuple(trace))
 
@@ -436,8 +426,7 @@ def _recover_all(transformed, partition, permuted, pairs, change, original, lap=
     its largest coordinate, and take the residuals. `lap` is called as
     each of the stages "extend", "extract", "z" and "residual" ends."""
     t = transformed.type
-    full = extend_eigenvector(partition, permuted,
-                              np.column_stack([pair.vector for pair in pairs]))
+    full = extend_eigenvector(partition, permuted, pairs.vectors)
     lap()
     ax, ay = extract_xy(full, t)
     lap()

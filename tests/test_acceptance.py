@@ -56,7 +56,7 @@ def test_c02_schur_and_eigenvalues(paper_system):
     spec = part.apply(koszul.specialize(matrix, paper_system))
     schur = exactlinalg.schur_complement(spec, part.split)
     assert schur.rows == [[5, -2], [4, -1]]
-    values = sorted(p.value.real for p in solver.eigen_schur(exactlinalg.to_float(schur)))
+    values = solver.eigen_schur(exactlinalg.to_float(schur)).values.real
     elapsed = time.perf_counter() - start
     assert abs(values[0] - 1) < 1e-10 and abs(values[1] - 3) < 1e-10
     assert elapsed < 1.0
@@ -86,10 +86,10 @@ def test_c04_eigenvector_extension(paper_system):
     spec = koszul.specialize(matrix, paper_system)
     schur = exactlinalg.schur_complement(part.apply(spec), part.split)
     pairs = solver.eigen_schur(exactlinalg.to_float(schur))
-    unit = [p for p in pairs if abs(p.value - 1) < 1e-9][0]
-    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), unit.vector)
+    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), pairs.vectors)
+    unit = np.flatnonzero(abs(pairs.values - 1) < 1e-9)[0]
     cidx = {lab: j for j, lab in enumerate(matrix.cols)}
-    got = np.array([full[cidx[selftest.PRINTED_COLS[c]]] for c in selftest.COL_ORDER])
+    got = np.array([full[cidx[selftest.PRINTED_COLS[c]], unit] for c in selftest.COL_ORDER])
     want = np.array(selftest.PRINTED_EXTENDED_VECTOR, dtype=complex)
     factor = got[np.argmax(np.abs(want))] / want[np.argmax(np.abs(want))]
     deviation = np.max(np.abs(got - factor * want)) / np.max(np.abs(want))
@@ -225,8 +225,8 @@ def test_c11_end_to_end_oracle_agreement(two_root_builder):
     for seed in range(10):
         sys_ = core.random_system(t, seed + 400)
         report = solver.solve_2bilinear(sys_, seed=seed)
-        values = [p.value for p in report.eigenpairs]
-        assert abs(values[0] - values[1]) > 1e-7 * (1 + max(abs(v) for v in values))
+        values = report.eigenpairs.values
+        assert abs(values[0] - values[1]) > 1e-7 * (1 + abs(values).max())
         assert len(report.solutions) == 2
         assert max(report.residuals) < 1e-6
 

@@ -136,6 +136,14 @@ def test_search_dv_box_with_its_low_end_above_its_high_end_is_a_domain_error(cap
     assert record["error"]["kind"] == "DomainError" and "3:1" in record["error"]["message"]
 
 
+@pytest.mark.parametrize("box", ["5", "1:", ":3", "a:b", "1:2:3", ""])
+def test_search_dv_box_not_of_the_form_lo_hi_is_a_domain_error(capsys, box):
+    code, out = run(capsys, "search-dv", "--type", "1,1,1,2,1", f"--box={box}")
+    record = json.loads(out)
+    assert code == 1 and record["error"]["kind"] == "DomainError"
+    assert "lo:hi" in record["error"]["message"]
+
+
 def test_search_dv_one_point_box_is_valid(capsys):
     code, out = run(capsys, "search-dv", "--type", "1,1,1,2,1", "--box=0:0", "--output", "json")
     assert code == 0

@@ -18,6 +18,11 @@ from conftest import system_types
 THETA = ((1, 0), (1, 0), (1, 0))
 
 
+def column(*blocks):
+    """A one-column matrix of the blocks' entries, stacked."""
+    return np.array([c for block in blocks for c in block]).reshape(-1, 1)
+
+
 def paper_partition(paper_system):
     matrix = koszul.assemble_delta1(paper_system.type)
     part = koszul.theta_partition(matrix, THETA)
@@ -27,14 +32,36 @@ def paper_partition(paper_system):
 
 def test_eigen_schur_paper_values():
     pairs = solver.eigen_schur([[5, -2], [4, -1]])
-    values = [p.value for p in pairs]
-    assert abs(values[0] - 1) < 1e-10 and abs(values[1] - 3) < 1e-10
-    unit = pairs[0].vector
+    assert np.abs(pairs.values - [1, 3]).max() < 1e-10
+    unit = pairs.vectors[:, 0]
     assert abs(unit[1] / unit[0] - 2) < 1e-10  # proportional to (1, 2)
-    assert not any(p.clustered for p in pairs)
+    assert not pairs.clustered.any()
     ident = solver.eigen_schur(np.eye(3))
-    assert all(p.clustered for p in ident)
-    assert all(abs(p.value - 1) < 1e-12 for p in ident)
+    assert ident.clustered.all()
+    assert np.abs(ident.values - 1).max() < 1e-12
+
+
+def test_eigen_schur_sorts_and_scales_every_vector_as_one_at_a_time():
+    """Values sorted by (real, imag), vectors as columns: each column is
+    numpy's eigenvector of that value scaled to unit norm, its first
+    largest entry then a positive real, as each vector alone is scaled.
+    A 0 x 0 matrix has no eigenpairs."""
+    rng = np.random.default_rng(5)
+    matrix = rng.standard_normal((6, 6))  # real: conjugate pairs share a real part
+    pairs = solver.eigen_schur(matrix)
+    values, vectors = np.linalg.eig(matrix.astype(complex))
+    order = np.lexsort((values.imag, values.real))
+    assert np.array_equal(pairs.values, values[order])
+    assert pairs.vectors.shape == (6, 6) and pairs.clustered.shape == (6,)
+    for got, vec in zip(pairs.vectors.T, vectors[:, order].T):
+        vec = vec / np.linalg.norm(vec)
+        anchor = vec[np.argmax(np.abs(vec))]
+        assert np.abs(got - vec / (anchor / abs(anchor))).max() <= 1e-15
+        lead = got[np.argmax(np.abs(got))]
+        assert lead.imag == 0 and lead.real > 0
+    empty = solver.eigen_schur(np.zeros((0, 0)))
+    assert empty.values.shape == empty.clustered.shape == (0,)
+    assert empty.vectors.shape == (0, 0)
 
 
 @pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "vector"])
@@ -51,13 +78,13 @@ def test_eigen_schur_rejects_a_non_finite_matrix(bad):
 
 def test_extend_eigenvector_matches_printed_vector(paper_system):
     matrix, part, spec = paper_partition(paper_system)
-    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [1.0, 2.0])
+    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [[1.0], [2.0]])
     cidx = {lab: j for j, lab in enumerate(matrix.cols)}
-    got = np.array([full[cidx[selftest.PRINTED_COLS[c]]] for c in selftest.COL_ORDER])
+    got = np.array([full[cidx[selftest.PRINTED_COLS[c]], 0] for c in selftest.COL_ORDER])
     want = np.array(selftest.PRINTED_EXTENDED_VECTOR, dtype=complex)
     factor = got[0] / want[0]
     assert np.max(np.abs(got - factor * want)) < 1e-8 * np.max(np.abs(want))
-    zero = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [0.0, 0.0])
+    zero = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [[0.0], [0.0]])
     assert np.all(zero == 0)
 
 
@@ -65,7 +92,7 @@ def test_extended_vector_is_kernel_of_shifted_matrix(paper_system):
     # M(g) v = 0 for g = f0 - lambda theta at the eigenvalue lambda = 1
     matrix, part, spec = paper_partition(paper_system)
     t = paper_system.type
-    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [1.0, 2.0])
+    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [[1.0], [2.0]])
     g0 = core.add(paper_system.f0,
                   core.scale(core.monomial_poly(t.nvars, (1, 1, 1), THETA), -1))
     shifted = exactlinalg.to_float(koszul.specialize(matrix, paper_system.with_f0(g0)))
@@ -75,8 +102,9 @@ def test_extended_vector_is_kernel_of_shifted_matrix(paper_system):
 
 def test_extending_all_eigenvectors_at_once_matches_each_and_is_kernel():
     """On the mu = 81 type (2,2,2,3,3) the matrix of all eigenvectors
-    extends column by column as each vector alone does, and each column
-    is a kernel vector of the matrix specialized at f0 - lambda theta."""
+    extends column by column as each one-column matrix does, and each
+    column is a kernel vector of the matrix specialized at f0 - lambda
+    theta."""
     t = SystemType(2, 2, 2, 3, 3)
     rng = random.Random(2233)
     matrix = koszul.assemble_delta1(t)
@@ -87,20 +115,20 @@ def test_extending_all_eigenvectors_at_once_matches_each_and_is_kernel():
     assert exact.nrows == 81
     schur = exactlinalg.schur_complement(exact, part.split)
     pairs = solver.eigen_schur(exactlinalg.to_float(schur))
-    assert len(pairs) == core.mhb(t) and not any(p.clustered for p in pairs)
+    assert len(pairs.values) == core.mhb(t) and not pairs.clustered.any()
     permuted = exactlinalg.to_float(exact)
-    extended = solver.extend_eigenvector(part, permuted, np.column_stack([p.vector for p in pairs]))
-    assert extended.shape == (81, len(pairs))
+    extended = solver.extend_eigenvector(part, permuted, pairs.vectors)
+    assert extended.shape == (81, len(pairs.values))
     # entries are linear in the coefficients of f0, so M(f0 - lambda theta)
     # = M(f0) - lambda (M(f0 + theta) - M(f0))
     base = exactlinalg.to_float(koszul.specialize(matrix, sys_.with_f0(f0)))
     theta_poly = core.monomial_poly(t.nvars, (1, 1, 1), theta)
     shift = exactlinalg.to_float(koszul.specialize(matrix, sys_.with_f0(core.add(f0, theta_poly))))
     shift -= base
-    for pair, full in zip(pairs, extended.T):
-        alone = solver.extend_eigenvector(part, permuted, pair.vector)
+    for j, (value, full) in enumerate(zip(pairs.values, extended.T)):
+        alone = solver.extend_eigenvector(part, permuted, pairs.vectors[:, [j]])[:, 0]
         assert np.linalg.norm(full - alone) <= 1e-12 * np.linalg.norm(alone)
-        shifted = base - pair.value * shift
+        shifted = base - value * shift
         scale = np.linalg.norm(shifted) * np.linalg.norm(full)
         assert np.linalg.norm(shifted @ full) < 1e-8 * scale
 
@@ -129,29 +157,28 @@ BATCH_TYPES = (SystemType(1, 1, 1, 2, 1), SystemType(2, 2, 2, 3, 3), SystemType(
 @pytest.mark.parametrize("t", BATCH_TYPES, ids=str)
 def test_batched_extraction_z_solve_and_residual_equal_their_column_by_column_calls(t):
     """extract_xy, solve_z and residual on the columns of a matrix give,
-    column by column, what each gives on one vector: the same x and y,
-    and z and residuals to rounding (a column of a product may round
-    differently alone; residuals are near 1e-15 here, so to 1e-12
-    absolute); one vector keeps its tuple or float."""
+    column by column, what each gives on a one-column matrix: the same x
+    and y, and z and residuals to rounding (a column of a product may
+    round differently alone; residuals are near 1e-15 here, so to 1e-12
+    absolute)."""
     transformed, part, permuted, pairs, _, _ = attempt_zero(t, 1)
-    full = solver.extend_eigenvector(part, permuted, np.column_stack([p.vector for p in pairs]))
+    count = len(pairs.values)
+    full = solver.extend_eigenvector(part, permuted, pairs.vectors)
     ax, ay = solver.extract_xy(full, t)
-    assert ax.shape == (t.nx + 1, len(pairs)) and ay.shape == (t.ny + 1, len(pairs))
+    assert ax.shape == (t.nx + 1, count) and ay.shape == (t.ny + 1, count)
     az = solver.solve_z(transformed, ax, ay)
-    assert az.shape == (t.nz + 1, len(pairs))
+    assert az.shape == (t.nz + 1, count)
     points = np.concatenate([ax, ay, az])
     residuals = solver.residual(transformed, points)
-    assert residuals.shape == (len(pairs),) and residuals.max() < 1e-6
-    for j, column in enumerate(full.T):
-        x, y = solver.extract_xy(column, t)
-        assert type(x) is tuple and type(y) is tuple
-        assert x == tuple(ax[:, j]) and y == tuple(ay[:, j])
+    assert residuals.shape == (count,) and residuals.max() < 1e-6
+    for j in range(count):
+        x, y = solver.extract_xy(full[:, [j]], t)
+        assert np.array_equal(x, ax[:, [j]]) and np.array_equal(y, ay[:, [j]])
         z = solver.solve_z(transformed, x, y)
-        assert type(z) is tuple
-        assert np.allclose(z, az[:, j], rtol=0, atol=1e-13)
-        alone = solver.residual(transformed, ProjectiveSolution(x, y, z))
-        assert type(alone) is float
-        assert abs(alone - residuals[j]) <= 1e-12
+        assert z.shape == (t.nz + 1, 1)
+        assert np.allclose(z, az[:, [j]], rtol=0, atol=1e-13)
+        alone = solver.residual(transformed, np.concatenate([x, y, z]))
+        assert alone.shape == (1,) and abs(alone[0] - residuals[j]) <= 1e-12
 
 
 def test_batched_extraction_raises_when_any_column_fails(paper_type):
@@ -166,18 +193,20 @@ def test_batched_extraction_raises_when_any_column_fails(paper_type):
 
 @pytest.mark.parametrize("t", BATCH_TYPES, ids=str)
 def test_recovery_of_all_eigenpairs_matches_the_per_solution_path(t):
-    """`_recover_all` against each eigenvector recovered alone, through
-    `core.transform_point`, `ProjectiveSolution.normalized` and the real
-    report rule: the same solutions to 1e-12 relative, real exactly when
-    those are, and the same residuals to 1e-12 absolute."""
+    """`_recover_all` against each eigenvector recovered alone, as a
+    one-column matrix, through `core.transform_point`,
+    `ProjectiveSolution.normalized` and the real report rule: the same
+    solutions to 1e-12 relative, real exactly when those are, and the
+    same residuals to 1e-12 absolute."""
     transformed, part, permuted, pairs, change, sys_ = attempt_zero(t, 1)
     solutions, residuals = solver._recover_all(transformed, part, permuted, pairs, change, sys_)
-    assert len(solutions) == len(residuals) == len(pairs)
-    for pair, sol, res in zip(pairs, solutions, residuals):
-        full = solver.extend_eigenvector(part, permuted, pair.vector)
+    assert len(solutions) == len(residuals) == len(pairs.values)
+    for j, (sol, res) in enumerate(zip(solutions, residuals)):
+        full = solver.extend_eigenvector(part, permuted, pairs.vectors[:, [j]])
         x, y = solver.extract_xy(full, t)
         z = solver.solve_z(transformed, x, y)
-        back = core.transform_point(change, ProjectiveSolution(x, y, z)).normalized(tol=1e-12)
+        point = ProjectiveSolution(*(tuple(block[:, 0]) for block in (x, y, z)))
+        back = core.transform_point(change, point).normalized(tol=1e-12)
         coords = [complex(c) for block in back.blocks for c in block]
         top = max(map(abs, coords))
         real = all(abs(c.imag) <= 1e-8 * top for c in coords)
@@ -191,10 +220,10 @@ def test_recovery_of_all_eigenpairs_matches_the_per_solution_path(t):
 def test_extract_xy_from_paper_vector(paper_system):
     matrix, part, spec = paper_partition(paper_system)
     t = paper_system.type
-    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [1.0, 2.0])
+    full = solver.extend_eigenvector(part, exactlinalg.to_float(part.apply(spec)), [[1.0], [2.0]])
     ax, ay = solver.extract_xy(full, t)
-    assert abs(ax[1] / ax[0] - 3) < 1e-9
-    assert abs(ay[1] / ay[0] - 2) < 1e-9
+    assert abs(ax[1, 0] / ax[0, 0] - 3) < 1e-9
+    assert abs(ay[1, 0] / ay[0, 0] - 2) < 1e-9
 
 
 def test_extract_xy_recovers_synthetic_rho_exactly():
@@ -204,10 +233,9 @@ def test_extract_xy_recovers_synthetic_rho_exactly():
         ax = tuple(Fraction(rng.randint(1, 7)) for _ in range(t.nx + 1))
         ay = tuple(Fraction(rng.randint(1, 7)) for _ in range(t.ny + 1))
         lam = [Fraction(rng.randint(1, 5)) for _ in oracle.rho_slots(t)]
-        vec = oracle.build_rho(t, ax, ay, lam)
-        got_x, got_y = solver.extract_xy(vec, t)
-        assert tuple(got_x) == tuple(c / ax[0] for c in ax)
-        assert tuple(got_y) == tuple(c / ay[0] for c in ay)
+        got_x, got_y = solver.extract_xy(column(oracle.build_rho(t, ax, ay, lam)), t)
+        assert tuple(got_x[:, 0]) == tuple(c / ax[0] for c in ax)
+        assert tuple(got_y[:, 0]) == tuple(c / ay[0] for c in ay)
 
 
 def normalized_like_extraction(alpha):
@@ -225,9 +253,9 @@ def test_extract_xy_reads_y_against_the_largest_entry():
         ax = tuple(Fraction(rng.randint(1, 7)) for _ in range(t.nx + 1))
         ay = (Fraction(7, 10 ** 12),) + tuple(Fraction(rng.choice((-7, 7))) for _ in range(t.ny))
         lam = [Fraction(rng.randint(1, 5)) for _ in oracle.rho_slots(t)]
-        got_x, got_y = solver.extract_xy(oracle.build_rho(t, ax, ay, lam), t)
-        assert got_x == normalized_like_extraction(ax)
-        assert got_y == normalized_like_extraction(ay)
+        got_x, got_y = solver.extract_xy(column(oracle.build_rho(t, ax, ay, lam)), t)
+        assert tuple(got_x[:, 0]) == normalized_like_extraction(ax)
+        assert tuple(got_y[:, 0]) == normalized_like_extraction(ay)
 
 
 SMALL_TYPES = system_types(max_dim=3, max_mu=100)
@@ -259,9 +287,9 @@ def test_extract_xy_recovers_every_exact_rho(shape, data):
         alphas.append(tuple(Fraction(c) for c in alpha))
     lam = data.draw(st.lists(st.integers(-5, 5).filter(bool), min_size=len(oracle.rho_slots(t)),
                              max_size=len(oracle.rho_slots(t))))
-    got_x, got_y = solver.extract_xy(oracle.build_rho(t, *alphas, lam), t)
-    assert got_x == normalized_like_extraction(alphas[0])
-    assert got_y == normalized_like_extraction(alphas[1])
+    got_x, got_y = solver.extract_xy(column(oracle.build_rho(t, *alphas, lam)), t)
+    assert tuple(got_x[:, 0]) == normalized_like_extraction(alphas[0])
+    assert tuple(got_y[:, 0]) == normalized_like_extraction(alphas[1])
 
 
 def test_k1_groups_index_the_k1_basis_labels():
@@ -299,9 +327,11 @@ def test_extract_xy_rejects_zero_vector(paper_type):
         solver.extract_xy(np.zeros((10, 1)), paper_type)
 
 
-def test_extract_xy_rejects_columns_of_the_wrong_length(paper_type):
+@pytest.mark.parametrize("shape", [(11, 2), (10,)], ids=["wrong length", "one vector"])
+def test_extract_xy_rejects_anything_but_a_matrix_of_k1_columns(paper_type, shape):
+    assert mu(paper_type) == 10
     with pytest.raises(core.DomainError, match="k1 basis"):
-        solver.extract_xy(np.ones((mu(paper_type) + 1, 2)), paper_type)
+        solver.extract_xy(np.ones(shape), paper_type)
 
 
 def test_extract_xy_rejects_a_vector_whose_y_blocks_vanish():
@@ -334,26 +364,27 @@ def test_solve_z_rejects_a_point_whose_z_forms_drop_rank(paper_system):
 
 
 def test_solve_z_cases(paper_system):
-    az = solver.solve_z(paper_system, (1.0, 3.0), (1.0, 2.0))
-    assert abs(az[1] / az[0] - 3) < 1e-8
+    az = solver.solve_z(paper_system, column((1.0, 3.0)), column((1.0, 2.0)))
+    assert abs(az[1, 0] / az[0, 0] - 3) < 1e-8
     t0 = SystemType(1, 1, 0, 1, 1)
     sys0 = core.random_system(t0, 4)
-    assert solver.solve_z(sys0, (1.0, 2.0), (1.0, 1.0)) == (1.0 + 0j,)
+    ones = solver.solve_z(sys0, np.ones((2, 3)), np.ones((2, 3)))
+    assert ones.dtype == complex and ones.tolist() == [[1, 1, 1]]
     # planted root reproduces the planted z direction
     t = SystemType(1, 1, 1, 2, 1)
     alpha = ProjectiveSolution((1, 2), (1, 3), (2, 5))
     sys_ = core.planted_root_system(t, alpha, 11)
-    az = solver.solve_z(sys_, (1.0, 2.0), (1.0, 3.0))
-    assert abs(az[1] / az[0] - 2.5) < 1e-8
+    az = solver.solve_z(sys_, column((1.0, 2.0)), column((1.0, 3.0)))
+    assert abs(az[1, 0] / az[0, 0] - 2.5) < 1e-8
 
 
 def test_residual_is_relative_to_each_polynomial_norm():
     # away from a root, so the residual is far above rounding
     t = SystemType(1, 1, 1, 2, 1)
     sys_ = core.random_system(t, 3)
-    point = ProjectiveSolution((1, 2), (1, -1), (3, 1))
+    point = column((1, 2), (1, -1), (3, 1))
     base = solver.residual(sys_, point)
-    assert base > 1e-3
+    assert base.shape == (1,) and base[0] > 1e-3
     for factor in (Fraction(1, 10 ** 9), Fraction(10 ** 9)):
         scaled = BilinearSystem(t, tuple(core.scale(f, factor) for f in sys_.f))
         assert solver.residual(scaled, point) == pytest.approx(base, rel=1e-12)
@@ -366,7 +397,7 @@ def test_residual_is_relative_to_each_polynomial_norm():
 def test_a_non_finite_coordinate_has_an_infinite_residual(bad):
     """Such a point fails every tol, alone or as a column beside a root."""
     sys_ = core.random_system(SystemType(1, 1, 1, 2, 1), 1)
-    assert solver.residual(sys_, ProjectiveSolution((1.0, bad), (1.0, 2.0), (1.0, 3.0))) == np.inf
+    assert solver.residual(sys_, column((1.0, bad), (1.0, 2.0), (1.0, 3.0))).tolist() == [np.inf]
     report = solver.solve_2bilinear(sys_)
     root = np.concatenate([np.array(block, dtype=complex) for block in report.solutions[0].blocks])
     broken = root.copy()
@@ -458,7 +489,7 @@ def test_eigenvalues_are_f0_over_theta_at_roots():
         schur = exactlinalg.schur_complement(spec, part.split)
         pairs = solver.eigen_schur(exactlinalg.to_float(schur))
         expected = complex(core.evaluate(f0, alpha)) / complex(core.evaluate(theta_poly, alpha))
-        assert min(abs(p.value - expected) for p in pairs) < 1e-8 * (1 + abs(expected))
+        assert np.abs(pairs.values - expected).min() < 1e-8 * (1 + abs(expected))
 
 
 def test_each_eigenvalue_kills_the_determinant(two_root_builder):
@@ -476,8 +507,8 @@ def test_each_eigenvalue_kills_the_determinant(two_root_builder):
         spec = part.apply(koszul.specialize(matrix, sys_.with_f0(f0)))
         schur = exactlinalg.schur_complement(spec, part.split)
         pairs = solver.eigen_schur(exactlinalg.to_float(schur))
-        for pair in pairs:
-            lam = Fraction(pair.value.real).limit_denominator(10 ** 6)
+        for value in pairs.values.tolist():
+            lam = Fraction(value.real).limit_denominator(10 ** 6)
             g0 = core.add(f0, core.scale(theta_poly, -lam))
             assert exactlinalg.det(koszul.specialize(matrix, sys_.with_f0(g0))) == 0
 
@@ -492,10 +523,9 @@ def test_schur_complement_is_diagonalizable_for_simple_roots():
         spec = part.apply(koszul.specialize(matrix, sys_.with_f0(f0)))
         schur = exactlinalg.schur_complement(spec, part.split)
         pairs = solver.eigen_schur(exactlinalg.to_float(schur))
-        assert len(pairs) == core.mhb(t)
-        vecs = np.column_stack([p.vector for p in pairs])
-        assert not any(p.clustered for p in pairs)
-        assert np.linalg.cond(vecs) < 1e8
+        assert len(pairs.values) == core.mhb(t)
+        assert not pairs.clustered.any()
+        assert np.linalg.cond(pairs.vectors) < 1e8
 
 
 def test_extended_vector_lies_in_rho_span(two_root_builder):
@@ -510,9 +540,9 @@ def test_extended_vector_lies_in_rho_span(two_root_builder):
         BilinearSystem(t, sys_.f), report.change).with_f0(report.f0)
     permuted = exactlinalg.to_float(part.apply(koszul.specialize(matrix, transformed)))
     slots = oracle.rho_slots(t)
-    for pair in report.eigenpairs:
-        full = solver.extend_eigenvector(part, permuted, pair.vector)
-        ax, ay = solver.extract_xy(full, t)
+    extended = solver.extend_eigenvector(part, permuted, report.eigenpairs.vectors)
+    alpha_x, alpha_y = solver.extract_xy(extended, t)
+    for full, ax, ay in zip(extended.T, alpha_x.T, alpha_y.T):
         basis = np.column_stack([
             np.array([float(v) for v in oracle.build_rho(
                 t,
@@ -562,8 +592,10 @@ def test_solver_error_reports_failure():
     f2 = core.MHPoly(nv, (1, 1, 0), {((1, 0), (1, 0), (0, 0)): 2})
     f3 = core.MHPoly(nv, (1, 0, 1), {((1, 0), (0, 0), (1, 0)): 1})
     degenerate = BilinearSystem(t, (f1, f2, f3))
-    with pytest.raises(solver.SolveError):
-        solver.solve_2bilinear(degenerate, seed=0, max_retries=3)
+    with pytest.raises(solver.SolveError) as failure:
+        solver.solve_2bilinear(degenerate, seed=0)
+    assert len(failure.value.trace) == solver.MAX_ATTEMPTS
+    assert str(failure.value).startswith(f"no solve after {solver.MAX_ATTEMPTS} attempts")
 
 
 def test_residual_above_tol_is_retried_then_raises(paper_system):
@@ -572,7 +604,7 @@ def test_residual_above_tol_is_retried_then_raises(paper_system):
     assert max(report.residuals) <= solver.RESIDUAL_TOL
     # no attempt reaches a residual of 1e-30, so every one is retried
     with pytest.raises(solver.SolveError, match=r"attempt 2: residual .* above tol 1e-30"):
-        solver.solve_2bilinear(system, seed=0, tol=1e-30, max_retries=3)
+        solver.solve_2bilinear(system, seed=0, tol=1e-30)
     # a tol the residuals meet changes nothing
     again = solver.solve_2bilinear(system, seed=0, tol=max(report.residuals))
     assert again.retries == report.retries and again.residuals == report.residuals
@@ -643,7 +675,7 @@ def test_trace_outcomes_equal_the_reasons_of_the_solve_error(paper_system, monke
                 if name in ("extract_xy", "solve_z"):
                     raise solver.ExtractionError(f"planted in {name}")
                 pairs = real[name](*args)
-                pairs[0].clustered = True
+                pairs.clustered[0] = True
                 return pairs
             return real[name](*args)
         return call
@@ -653,11 +685,13 @@ def test_trace_outcomes_equal_the_reasons_of_the_solve_error(paper_system, monke
     with pytest.raises(solver.SolveError) as failure:
         # at seed 3 every attempt reaches the residual by itself
         solver.solve_2bilinear(BilinearSystem(paper_system.type, paper_system.f), seed=3,
-                               tol=1e-30, max_retries=5)
+                               tol=1e-30)
     trace = failure.value.trace
-    assert [attempt.outcome for attempt in trace] == \
+    assert len(trace) == solver.MAX_ATTEMPTS
+    assert [attempt.outcome for attempt in trace[:5]] == \
         ["singular", "clustered", "extraction", "extraction", "residual"]
-    assert [attempt.stages[-1] for attempt in trace] == ["schur", "eigen", "extract", "z", "residual"]
+    assert [attempt.stages[-1] for attempt in trace[:5]] == \
+        ["schur", "eigen", "extract", "z", "residual"]
     reasons = re.findall(r"attempt \d+: ([^;]*)", str(failure.value))
     kinds = {"singular": "singular matrix", "clustered": "clustered eigenvalues",
              "extraction": "planted in", "residual": "residual"}
